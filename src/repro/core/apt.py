@@ -56,6 +56,7 @@ from repro.engine.context import ExecutionContext
 from repro.engine.trainer import ParallelTrainer
 from repro.graph.datasets import GraphDataset
 from repro.graph.partition import (
+    CoarseningHierarchy,
     metis_like_partition,
     random_partition,
     streaming_partition,
@@ -137,6 +138,10 @@ class APT:
         #: device count ``self.parts`` was computed for; a mismatch with
         #: the epoch's effective cluster triggers the elastic transition
         self._partitioned_devices: Optional[int] = None
+        #: the "metis" mode's coarsening of ``(graph, seed)``, shared by the
+        #: full-cluster partition, the cost planner's device subsets, and
+        #: every elastic re-partition (it does not depend on the part count)
+        self._hierarchy: Optional[CoarseningHierarchy] = None
         self.dryrun: Optional[DryRun] = None
         self.dryrun_stats: Dict[str, DryRunStats] = {}
         self.plan_report: Optional[PlanReport] = None
@@ -252,9 +257,13 @@ class APT:
                     f"named partition mode"
                 )
         elif partition == "metis":
+            if self._hierarchy is None or self._hierarchy.seed != self.seed:
+                self._hierarchy = CoarseningHierarchy(
+                    self.dataset.graph, self.seed
+                )
             parts = metis_like_partition(
-                self.dataset.graph, cluster.num_devices, seed=self.seed,
-                weights=weights,
+                self.dataset.graph, cluster.num_devices, weights=weights,
+                hierarchy=self._hierarchy,
             )
         elif partition == "streaming":
             parts = streaming_partition(
@@ -283,20 +292,34 @@ class APT:
         mb = self.config.disk_promote_mb
         return None if mb is None else float(mb) * 2**20
 
-    def _make_dryrun(self, cluster: ClusterSpec) -> DryRun:
+    def _make_dryrun(
+        self,
+        cluster: ClusterSpec,
+        parts: Optional[np.ndarray] = None,
+        node_machine: Optional[np.ndarray] = None,
+        *,
+        access_freq: Optional[np.ndarray] = None,
+    ) -> DryRun:
+        """A dry-run on ``cluster`` under the given (default: the active)
+        partition.  The access census depends only on the sampler, not the
+        hardware or the partition: re-plans pass the prepared dry-run's
+        ``access_freq`` instead of re-counting it."""
         return DryRun(
             self.dataset,
             cluster,
             self.model,
             self.fanouts,
-            parts=self.parts,
-            node_machine=self.node_machine,
+            parts=self.parts if parts is None else parts,
+            node_machine=(
+                self.node_machine if node_machine is None else node_machine
+            ),
             global_batch_size=self.global_batch_size,
             sampler_seed=self.seed,
             shuffle_seed=self.seed,
             sample_cache=self.sample_cache,
             reuse_samples=self.sample_cache is not None,
             disk_promote_bytes=self._disk_promote_bytes(),
+            access_freq=access_freq,
         )
 
     def _require_prepared(self) -> None:
@@ -403,22 +426,9 @@ class APT:
                 continue
             seen.add(sub)
             parts, node_machine = self._compute_partition(sub)
-            dryrun = DryRun(
-                self.dataset,
-                sub,
-                self.model,
-                self.fanouts,
-                parts=parts,
-                node_machine=node_machine,
-                global_batch_size=self.global_batch_size,
-                sampler_seed=self.seed,
-                shuffle_seed=self.seed,
-                sample_cache=self.sample_cache,
-                reuse_samples=self.sample_cache is not None,
-                disk_promote_bytes=self._disk_promote_bytes(),
+            dryrun = self._make_dryrun(
+                sub, parts, node_machine, access_freq=self.dryrun.access_freq
             )
-            if self.dryrun is not None:
-                dryrun._access_freq = self.dryrun.access_freq
             cost_model = self._cost_model(sub)
             for s in strategies:
                 try:
@@ -441,24 +451,19 @@ class APT:
     ) -> RunReport:
         """Beam-search per-layer strategy compositions (DESIGN.md §5.15).
 
-        Every candidate's dry-run shares ``self.dryrun`` (and therefore one
-        :class:`~repro.sampling.cache.SampleCache`), so sweeping dozens of
-        compositions samples each global batch exactly once.  Single
-        strategies participate in the final ranking; the chosen spec may be
-        either kind and feeds :meth:`run` unchanged.
+        Every candidate's dry-run shares ``self.dryrun``: one
+        :class:`~repro.sampling.cache.SampleCache` (each global batch is
+        sampled exactly once), one set of regrouped node-layout blocks, and
+        the stats of any spec :meth:`plan` already dry-ran (DESIGN.md
+        §5.9).  Single strategies participate in the final ranking; the
+        chosen spec may be either kind and feeds :meth:`run` unchanged.
         """
         self.config.validate()
         self._require_prepared()
-
-        def evaluate(spec: str):
-            if spec not in self.dryrun_stats:
-                self.dryrun_stats[spec] = self.dryrun.run(spec)
-            return self.dryrun_stats[spec]
-
         self.plan_report = Planner(
             self._cost_model(self.cluster)
         ).search_layerwise(
-            evaluate,
+            self.dryrun.run,
             self.model.num_layers,
             beam_width=beam_width,
             include_singles=include_singles,
@@ -474,10 +479,10 @@ class APT:
     ) -> RunReport:
         """Rank strategies by predicted per-request serving latency.
 
-        Same dry-run statistics as :meth:`plan` (and reused when already
-        collected), but scored under the planner's ``"latency"`` objective
-        (DESIGN.md §5.13): predicted p99 per-request latency at the given
-        dynamic-batching shape instead of epoch seconds.  The chosen
+        Same dry-run statistics as :meth:`plan` (the dry-run keeps them, so
+        nothing is re-run), but scored under the planner's ``"latency"``
+        objective (DESIGN.md §5.13): predicted p99 per-request latency at
+        the given dynamic-batching shape instead of epoch seconds.  The chosen
         strategy seeds :class:`~repro.serve.engine.ServeEngine` when no
         strategy (or checkpoint) pins one.
         """
@@ -486,11 +491,8 @@ class APT:
         strategies = tuple(
             strategies if strategies is not None else self.config.strategies
         )
-        for name in strategies:
-            if name not in self.dryrun_stats:
-                self.dryrun_stats[name] = self.dryrun.run(name)
         self.serve_plan_report = Planner(self._cost_model(self.cluster)).select(
-            {name: self.dryrun_stats[name] for name in strategies},
+            {name: self.dryrun.run(name) for name in strategies},
             objective="latency",
             batch_size=batch_size,
             seeds_per_epoch=int(len(self.dataset.train_seeds)),
@@ -504,11 +506,9 @@ class APT:
         self, cluster: ClusterSpec, strategies: Tuple[str, ...]
     ) -> PlanReport:
         """Fresh dry-run + profiling against the currently effective spec."""
-        dryrun = self._make_dryrun(cluster)
-        # The access census depends only on the sampler, not the hardware —
-        # reuse it instead of re-counting.
-        if self.dryrun is not None:
-            dryrun._access_freq = self.dryrun.access_freq
+        dryrun = self._make_dryrun(
+            cluster, access_freq=self.dryrun.access_freq
+        )
         stats = {s: dryrun.run(s) for s in strategies}
         return Planner(self._cost_model(cluster)).select(stats)
 
@@ -1095,12 +1095,9 @@ class APT:
         # needs no rebuild: it carries the graph and features only, and
         # per-device seed chunks ride in each task payload.
         self._partition_for(cluster_e)
-        fresh = self._make_dryrun(cluster_e)
-        if self.dryrun is not None:
-            # The access census depends only on the sampler, not the
-            # cluster — carry it instead of re-counting.
-            fresh._access_freq = self.dryrun.access_freq
-        self.dryrun = fresh
+        self.dryrun = self._make_dryrun(
+            cluster_e, access_freq=self.dryrun.access_freq
+        )
         if collector is not None:
             collector.emit(
                 "repartition",

@@ -16,7 +16,7 @@ The dry-run also performs the node-access-frequency census that drives the
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -103,6 +103,7 @@ class DryRun:
         sample_cache: Optional[SampleCache] = None,
         reuse_samples: bool = True,
         disk_promote_bytes: Optional[float] = None,
+        access_freq: Optional[np.ndarray] = None,
     ):
         self.dataset = dataset
         self.cluster = cluster
@@ -114,7 +115,16 @@ class DryRun:
         self.sampler_seed = int(sampler_seed)
         self.shuffle_seed = int(shuffle_seed)
         self.disk_promote_bytes = disk_promote_bytes
-        self._access_freq: Optional[np.ndarray] = None
+        #: the census depends on the sampler only, never on the cluster or
+        #: the partition: pass another dry-run's to skip re-counting
+        self._access_freq: Optional[np.ndarray] = access_freq
+        #: ``run`` is a pure function of the constructor inputs, so each
+        #: ``(strategy, epoch)`` is dry-run once and its stats handed to
+        #: every later caller (callers only read them)
+        self._stats: Dict[Tuple[str, int], DryRunStats] = {}
+        #: node-layout blocks of the layerwise candidates, shared by every
+        #: spec this dry-run sweeps (see ``LayerwiseStrategy._owner_blocks``)
+        self._regrouped: Dict[tuple, list] = {}
         # One cache shared by the census and every strategy's context: the
         # census samples each whole global batch once, and the per-strategy
         # seed chunks are then derived by restriction (never re-sampled).
@@ -140,7 +150,14 @@ class DryRun:
         return self._access_freq
 
     def run(self, strategy_name: str, epoch: int = 0) -> DryRunStats:
-        """Plan-only epoch for one strategy."""
+        """Plan-only epoch for one strategy (executed once, then shared)."""
+        key = (strategy_name, int(epoch))
+        stats = self._stats.get(key)
+        if stats is None:
+            stats = self._stats[key] = self._execute(*key)
+        return stats
+
+    def _execute(self, strategy_name: str, epoch: int) -> DryRunStats:
         strategy = make_strategy(strategy_name)
         ctx = ExecutionContext.build(
             self.dataset,
@@ -155,6 +172,7 @@ class DryRun:
             shuffle_seed=self.shuffle_seed,
             sample_cache=self.sample_cache,
             disk_promote_bytes=self.disk_promote_bytes,
+            regrouped=self._regrouped,
         )
         report = strategy.prepare(ctx)
         iterator = EpochIterator(

@@ -197,6 +197,11 @@ class ExecutionContext:
     #: the shared serial backend.  Host wall-clock only: every backend
     #: yields bit-identical batches and simulated Timeline charges.
     backend: Optional[object] = None
+    #: Dry-runs only: the node-layout blocks layerwise specs regroup, keyed
+    #: by ``(epoch, layer, frontier)`` and shared across the candidate specs
+    #: of one :class:`~repro.core.dryrun.DryRun` (same partition, same
+    #: sampler).  ``None`` in training, where each batch is planned once.
+    regrouped: Optional[dict] = None
 
     @property
     def num_devices(self) -> int:
@@ -228,6 +233,7 @@ class ExecutionContext:
         sample_cache: Optional[SampleCache] = None,
         backend=None,
         disk_promote_bytes: Optional[float] = None,
+        regrouped: Optional[dict] = None,
     ) -> "ExecutionContext":
         """Assemble a fresh context with new ledgers."""
         timeline = Timeline(cluster.num_devices, overlap=overlap, telemetry=telemetry)
@@ -257,4 +263,5 @@ class ExecutionContext:
             telemetry=telemetry,
             sample_cache=sample_cache,
             backend=backend,
+            regrouped=regrouped,
         )

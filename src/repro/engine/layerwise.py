@@ -178,10 +178,43 @@ class LayerwisePlan:
 
 
 # ---------------------------------------------------------------------- #
+@dataclass
+class HolderIndex:
+    """Who holds which rows of a replicated (seed-follower) layout."""
+
+    #: sorted distinct ids held by any device
+    ids: np.ndarray
+    #: lowest-numbered device holding each of ``ids``
+    lowest: np.ndarray
+    #: per device, the positions of its own rows within ``ids``
+    slots: List[np.ndarray]
+
+    @classmethod
+    def build(cls, holder_ids: List[Optional[np.ndarray]]) -> "HolderIndex":
+        """One stable sort over every device's ids: equal ids stay in
+        device order, so each run's first entry is its lowest holder."""
+        held = [
+            h if h is not None else np.empty(0, dtype=np.int64)
+            for h in holder_ids
+        ]
+        sizes = [h.size for h in held]
+        ids = np.concatenate(held)
+        dev = np.repeat(np.arange(len(held), dtype=np.int64), sizes)
+        order = np.argsort(ids, kind="stable")
+        ids, dev = ids[order], dev[order]
+        first = np.ones(ids.size, dtype=bool)
+        first[1:] = ids[1:] != ids[:-1]
+        slot = np.empty(ids.size, dtype=np.int64)
+        slot[order] = np.cumsum(first) - 1
+        return cls(
+            ids=ids[first],
+            lowest=dev[first],
+            slots=np.split(slot, np.cumsum(sizes)[:-1]),
+        )
+
+
 def _first_holders(
-    need_ids: np.ndarray,
-    holder_ids: List[Optional[np.ndarray]],
-    target: int,
+    need_ids: np.ndarray, index: HolderIndex, target: int
 ) -> np.ndarray:
     """Resolve a replicated (seed-follower) layout's row holders.
 
@@ -189,23 +222,19 @@ def _first_holders(
     then the lowest-numbered holder — deterministic, so the plan and the
     execution agree without negotiation.
     """
-    holder = np.full(need_ids.size, -1, dtype=np.int64)
-    C = len(holder_ids)
-    for d in [target] + [d for d in range(C) if d != target]:
-        ids = holder_ids[d]
-        if ids is None or ids.size == 0:
-            continue
-        undecided = np.flatnonzero(holder < 0)
-        if undecided.size == 0:
-            break
-        present = np.isin(need_ids[undecided], ids)
-        holder[undecided[present]] = d
-    if (holder < 0).any():
-        missing = need_ids[holder < 0][:5]
+    pos = np.searchsorted(index.ids, need_ids)
+    found = pos < index.ids.size
+    found[found] = index.ids[pos[found]] == need_ids[found]
+    if not found.all():
+        missing = need_ids[~found][:5]
         raise RuntimeError(
             f"re-layout cannot source rows for ids {missing} — no holder "
             "covers them (sampler determinism violated?)"
         )
+    holder = index.lowest[pos]
+    own = np.zeros(index.ids.size, dtype=bool)
+    own[index.slots[target]] = True
+    holder[own[pos]] = target
     return holder
 
 
@@ -353,20 +382,20 @@ class LayerwiseStrategy(Strategy):
                     if dsts
                     else np.empty(0, np.int64)
                 )
-                holder_ids = owned_ids if mode == "node" else follower_ids
-                for p in range(C):
-                    F = V[parts[V] == p]
-                    if F.size == 0:
+                blocks = self._owner_blocks(ctx, V, li, epoch)
+                if mode == "node":
+                    holder_ids = owned_ids
+                else:
+                    holder_ids = follower_ids
+                    followers = HolderIndex.build(follower_ids)
+                for p, blk in enumerate(blocks):
+                    if blk is None:
                         continue
-                    blk = ctx.sampler._sample_layer(
-                        F, ctx.sampler.fanouts[li], epoch, li
-                    )
-                    blocks[p] = blk
                     need = blk.src_nodes
                     if mode == "node":
                         holder_of = parts[need]
                     else:
-                        holder_of = _first_holders(need, follower_ids, p)
+                        holder_of = _first_holders(need, followers, p)
                     spec = _gather_spec(p, need, holder_of, holder_ids, C)
                     gathers[p] = spec
                     for h, idx in spec.pieces:
@@ -420,6 +449,32 @@ class LayerwiseStrategy(Strategy):
                             )
             plan.final_gathers = finals
             plan.final_move_bytes = move
+
+    def _owner_blocks(
+        self, ctx: ExecutionContext, V: np.ndarray, li: int, epoch: int
+    ) -> List[Optional[Block]]:
+        """The regrouped layer-``li`` block of each partition owner.
+
+        ``V`` — the layer's destinations over the whole global batch — is
+        the same under every seed split, and the sampler draws per node, so
+        the blocks depend on ``(V, li, epoch)`` and the partition alone:
+        every candidate spec of a dry-run sweep shares one set.
+        """
+        key = (int(epoch), li, V.tobytes())
+        memo = ctx.regrouped
+        if memo is not None and key in memo:
+            return memo[key]
+        owner = self._parts[V]
+        blocks: List[Optional[Block]] = [None] * ctx.num_devices
+        for p in range(ctx.num_devices):
+            F = V[owner == p]
+            if F.size:
+                blocks[p] = ctx.sampler._sample_layer(
+                    F, ctx.sampler.fanouts[li], epoch, li
+                )
+        if memo is not None:
+            memo[key] = blocks
+        return blocks
 
     @staticmethod
     def _charge_structure(ctx, batches, li: int, parts: np.ndarray) -> None:

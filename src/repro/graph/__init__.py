@@ -25,6 +25,7 @@ from repro.graph.io import (
 )
 from repro.graph.metrics import edge_cut_fraction, partition_balance, replication_factor
 from repro.graph.partition import (
+    CoarseningHierarchy,
     hash_partition,
     metis_like_partition,
     random_partition,
@@ -42,6 +43,7 @@ __all__ = [
     "rmat_graph",
     "community_graph",
     "metis_like_partition",
+    "CoarseningHierarchy",
     "random_partition",
     "hash_partition",
     "streaming_partition",

@@ -183,7 +183,6 @@ def _coarsen(level: _Level, fine_to_coarse: np.ndarray) -> _Level:
 def _initial_partition(
     level: _Level,
     num_parts: int,
-    rng: np.random.Generator,
     targets: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Greedy balanced region growing on the coarsest graph.
@@ -304,6 +303,63 @@ def _refine(
     return parts
 
 
+def _base_level(graph: CSRGraph) -> _Level:
+    """The finest level: the input graph with unit node and edge weights."""
+    return _Level(
+        indptr=np.asarray(graph.indptr),
+        indices=np.asarray(graph.indices),
+        edge_weights=np.ones(graph.num_edges, dtype=np.float64),
+        node_weights=np.ones(graph.num_nodes, dtype=np.float64),
+        fine_to_coarse=None,
+    )
+
+
+class CoarseningHierarchy:
+    """The coarsening phase of :func:`metis_like_partition`, built once.
+
+    Heavy-edge matching and graph contraction depend only on the graph and
+    the seed (the seeded generator is consumed nowhere else), never on
+    ``num_parts`` or ``weights`` — so one hierarchy serves every partition
+    of the same ``(graph, seed)``: the full cluster, each device subset the
+    cost planner prices, and every elastic re-partition.  The levels are
+    built on first use and kept; partitions computed through a reused
+    hierarchy are bit-identical to from-scratch calls.
+    """
+
+    def __init__(
+        self,
+        graph: CSRGraph,
+        seed: int = 0,
+        *,
+        coarsen_until: int = 4_000,
+        max_levels: int = 12,
+    ):
+        self.graph = graph
+        self.seed = int(seed)
+        self.coarsen_until = int(coarsen_until)
+        self.max_levels = int(max_levels)
+        self._coarse: Optional[List[_Level]] = None
+
+    def levels(self) -> List[_Level]:
+        """Finest-to-coarsest levels (the base level is rebuilt per call:
+        its unit weights are cheap to make and large to keep)."""
+        base = _base_level(self.graph)
+        if self._coarse is None:
+            rng = rng_from(self.seed, 0x4E715)
+            levels = [base]
+            while (
+                levels[-1].num_nodes > self.coarsen_until
+                and len(levels) < self.max_levels
+            ):
+                matching = _heavy_edge_matching(levels[-1], rng)
+                coarse = _coarsen(levels[-1], matching)
+                if coarse.num_nodes >= levels[-1].num_nodes * 0.95:
+                    break  # matching stalled; stop coarsening
+                levels.append(coarse)
+            self._coarse = levels[1:]
+        return [base] + self._coarse
+
+
 def metis_like_partition(
     graph: CSRGraph,
     num_parts: int,
@@ -314,6 +370,7 @@ def metis_like_partition(
     refine_passes: int = 4,
     balance_tol: float = 0.08,
     weights: Optional[Sequence[float]] = None,
+    hierarchy: Optional[CoarseningHierarchy] = None,
 ) -> np.ndarray:
     """Multilevel k-way edge-cut partitioning (METIS stand-in).
 
@@ -332,6 +389,11 @@ def metis_like_partition(
         ``p`` targets ``weights[p] / sum(weights)`` of the node weight, so
         a 2x-faster device owns ~2x the nodes.  ``None`` keeps the
         historical equal-sized behavior unchanged.
+    hierarchy:
+        A :class:`CoarseningHierarchy` of this ``graph`` to partition on
+        instead of coarsening again; it then supplies ``seed``,
+        ``coarsen_until`` and ``max_levels``.  The result equals the
+        from-scratch call with those values bit for bit.
 
     Returns
     -------
@@ -341,24 +403,15 @@ def metis_like_partition(
     targets = _normalize_weights(weights, num_parts)
     if num_parts == 1:
         return np.zeros(graph.num_nodes, dtype=np.int64)
-    rng = rng_from(seed, 0x4E715)
+    if hierarchy is None:
+        hierarchy = CoarseningHierarchy(
+            graph, seed, coarsen_until=coarsen_until, max_levels=max_levels
+        )
+    elif hierarchy.graph is not graph:
+        raise ValueError("hierarchy was coarsened from a different graph")
+    levels = hierarchy.levels()
 
-    base = _Level(
-        indptr=graph.indptr,
-        indices=graph.indices,
-        edge_weights=np.ones(graph.num_edges, dtype=np.float64),
-        node_weights=np.ones(graph.num_nodes, dtype=np.float64),
-        fine_to_coarse=None,
-    )
-    levels = [base]
-    while levels[-1].num_nodes > coarsen_until and len(levels) < max_levels:
-        matching = _heavy_edge_matching(levels[-1], rng)
-        coarse = _coarsen(levels[-1], matching)
-        if coarse.num_nodes >= levels[-1].num_nodes * 0.95:
-            break  # matching stalled; stop coarsening
-        levels.append(coarse)
-
-    parts = _initial_partition(levels[-1], num_parts, rng, targets)
+    parts = _initial_partition(levels[-1], num_parts, targets)
     parts = _refine(
         levels[-1], parts, num_parts, refine_passes, balance_tol, targets
     )
@@ -475,7 +528,9 @@ def streaming_partition(
 
     Edge-cut quality lands within a modest factor of the in-memory
     partitioner (pinned by ``tests/graph/test_streaming_partition.py``)
-    while peak memory stays ``O(chunk + num_clusters**2)``.
+    while peak memory stays ``O(chunk + num_clusters**2)``.  Every step is
+    deterministic and draws nothing: ``seed`` is accepted only so the
+    partitioners share one call signature.
     """
     check_positive("num_parts", num_parts)
     check_positive("chunk_nodes", chunk_nodes)
@@ -486,8 +541,6 @@ def streaming_partition(
     if num_clusters is None:
         num_clusters = int(min(max(64 * num_parts, 512), 2048, max(n // 4, num_parts)))
     num_clusters = max(int(num_clusters), num_parts)
-    rng = rng_from(seed, 0x57E4)
-
     labels = _cluster_label_propagation(
         graph, num_clusters, rounds, int(chunk_nodes), slack
     )
@@ -520,7 +573,7 @@ def streaming_partition(
         node_weights=np.bincount(labels, minlength=C).astype(np.float64),
         fine_to_coarse=None,
     )
-    cparts = _initial_partition(coarse, num_parts, rng, targets)
+    cparts = _initial_partition(coarse, num_parts, targets)
     cparts = _refine(
         coarse, cparts, num_parts, refine_passes, balance_tol, targets
     )
@@ -529,14 +582,8 @@ def streaming_partition(
     if fine_refine is None:
         fine_refine = n * num_parts <= 20_000_000 and graph.num_edges <= 30_000_000
     if fine_refine:
-        fine = _Level(
-            indptr=np.asarray(graph.indptr),
-            indices=np.asarray(graph.indices),
-            edge_weights=np.ones(graph.num_edges, dtype=np.float64),
-            node_weights=np.ones(n, dtype=np.float64),
-            fine_to_coarse=None,
-        )
         parts = _refine(
-            fine, parts, num_parts, refine_passes, balance_tol, targets
+            _base_level(graph), parts, num_parts, refine_passes, balance_tol,
+            targets,
         )
     return parts.astype(np.int64)

@@ -148,3 +148,164 @@ def test_census_identical_with_and_without_cache(task):
     freq_cached = make_dryrun(task).access_freq
     freq_plain = make_dryrun(task, reuse_samples=False).access_freq
     assert np.array_equal(freq_cached, freq_plain)
+
+
+# ---------------------------------------------------------------------- #
+# planned once: dry-run stats, regrouped blocks and the coarsening
+# hierarchy are shared across the planner's calls (DESIGN.md §5.9)
+# ---------------------------------------------------------------------- #
+def _plan_facts(plan):
+    return {
+        "chosen": plan.chosen,
+        "ranking": plan.ranking,
+        "estimates": {n: e.as_dict() for n, e in plan.estimates.items()},
+        "relayout_bytes": plan.relayout_bytes,
+        "layer_assignments": plan.layer_assignments,
+        "pareto": plan.pareto,
+        "subsets": plan.subsets,
+    }
+
+
+def _make_apt(ds, layers=3, cluster=None):
+    from repro.cluster import multi_machine_cluster
+    from repro.config import APTConfig
+    from repro.core import APT
+
+    if cluster is None:
+        cluster = multi_machine_cluster(
+            2, 2, gpu_cache_bytes=ds.feature_bytes * 0.05
+        )
+    model = GraphSAGE(ds.feature_dim, 8, ds.num_classes, layers, seed=1)
+    config = APTConfig(
+        fanouts=(4,) * layers, global_batch_size=BATCH, seed=0
+    )
+    return APT(ds, model, cluster, config)
+
+
+PLANNER_CALLS = {
+    "plan": lambda apt: apt.plan(),
+    "plan_layerwise": lambda apt: apt.plan_layerwise(),
+    "plan_cost": lambda apt: apt.plan(objective="cost"),
+}
+
+
+def test_planner_calls_in_sequence_equal_each_on_a_fresh_apt(ds):
+    """Sharing stats, blocks and the hierarchy between the planner's calls
+    moves no estimate, ranking, re-layout byte or subset: each call on a
+    warm APT returns exactly what it returns on its own fresh APT."""
+    warm = _make_apt(ds)
+    in_sequence = {
+        name: _plan_facts(call(warm).plan)
+        for name, call in PLANNER_CALLS.items()
+    }
+    assert in_sequence["plan_cost"]["subsets"]  # the subset sweep ran
+    assert any(
+        n.startswith("layerwise:")
+        for n in in_sequence["plan_layerwise"]["ranking"]
+    )
+    for name, call in PLANNER_CALLS.items():
+        assert _plan_facts(call(_make_apt(ds)).plan) == in_sequence[name], name
+
+
+def test_each_spec_is_dry_run_once_per_dryrun(ds, monkeypatch):
+    """``DryRun.run`` is a pure function of the constructor inputs: across
+    plan / plan_layerwise / plan(cost) / plan_serving and the run-start
+    estimate, no ``(DryRun, spec, epoch)`` body executes twice."""
+    executed = []
+    real_execute = DryRun._execute
+
+    def counting_execute(self, spec, epoch):
+        executed.append((id(self), spec, epoch))
+        return real_execute(self, spec, epoch)
+
+    monkeypatch.setattr(DryRun, "_execute", counting_execute)
+
+    apt = _make_apt(ds)
+    for call in PLANNER_CALLS.values():
+        call(apt)
+    apt.plan_serving()
+    apt.plan_report = None  # force the run-start estimate to ask the dry-run
+    apt._active_estimate("gdp", replan=True)
+    assert len(executed) == len(set(executed))
+    on_full_cluster = [e for e in executed if e[0] == id(apt.dryrun)]
+    assert {spec for _, spec, _ in on_full_cluster} >= {"gdp", "nfp", "snp", "dnp"}
+    assert len(on_full_cluster) < len(executed)  # the subset sweep ran too
+
+
+def test_layerwise_sweep_regroups_each_batch_layer_once(ds, monkeypatch):
+    """Node-layout blocks depend on (batch, layer, epoch, partition), not on
+    the candidate spec: over a whole beam-search sweep, the regroup draws
+    (``_sample_layer`` outside ``sample``) number at most batches x
+    node-layout layers x owners — however many specs were swept."""
+    from repro.core.costmodel import CostModel
+    from repro.core.planner import Planner
+
+    layers = 3
+    cluster = single_machine_cluster(4, gpu_cache_bytes=ds.feature_bytes * 0.05)
+    model = GraphSAGE(ds.feature_dim, 8, ds.num_classes, layers, seed=1)
+    parts = metis_like_partition(ds.graph, 4, seed=0)
+
+    depth = {"sample": 0}
+    regroups = []
+    real_sample = NeighborSampler.sample
+    real_layer = NeighborSampler._sample_layer
+
+    def tracking_sample(self, seeds, epoch=0):
+        depth["sample"] += 1
+        try:
+            return real_sample(self, seeds, epoch=epoch)
+        finally:
+            depth["sample"] -= 1
+
+    def counting_layer(self, frontier, fanout, epoch, layer):
+        if not depth["sample"]:
+            regroups.append(layer)
+        return real_layer(self, frontier, fanout, epoch, layer)
+
+    monkeypatch.setattr(NeighborSampler, "sample", tracking_sample)
+    monkeypatch.setattr(NeighborSampler, "_sample_layer", counting_layer)
+
+    dr = DryRun(
+        ds, cluster, model, [4] * layers, parts=parts, global_batch_size=BATCH
+    )
+    report = Planner(CostModel(cluster, ds.feature_dim)).search_layerwise(
+        dr.run, layers, beam_width=3
+    )
+    node_layout_specs = [
+        n for n in report.ranking
+        if n.startswith("layerwise:") and "snp" in n.split(",")[1:]
+    ]
+    assert len(node_layout_specs) >= 2  # several specs shared the blocks
+    batches = len(EpochIterator(ds.train_seeds, BATCH, 0).epoch_batches(0))
+    assert 0 < len(regroups) <= batches * (layers - 1) * cluster.num_devices
+
+
+def test_coarsening_runs_once_per_graph_and_seed(monkeypatch):
+    """prepare() coarsens; the cost planner's device-subset partitions and
+    an elastic re-partition reuse that hierarchy instead of matching again."""
+    from repro.graph import partition as partition_module
+    from repro.graph import ps_like
+
+    big = ps_like(8000, train_fraction=0.02, seed=1)  # coarsens (> 4000 nodes)
+    matchings = []
+    real_matching = partition_module._heavy_edge_matching
+
+    def counting_matching(level, rng, rounds=5):
+        matchings.append(level.num_nodes)
+        return real_matching(level, rng, rounds)
+
+    monkeypatch.setattr(
+        partition_module, "_heavy_edge_matching", counting_matching
+    )
+    apt = _make_apt(big, layers=2)
+    apt.prepare()
+    per_hierarchy = list(matchings)
+    assert len(per_hierarchy) >= 2  # one matching per coarsened level
+    report = apt.plan(objective="cost")
+    assert report.plan.subsets  # device subsets were partitioned and priced
+    apt._partition_for(apt.cluster.without_machine(1))  # elastic re-partition
+    assert matchings == per_hierarchy
+    # ... and the reused hierarchy gives the from-scratch partition
+    assert np.array_equal(
+        apt.parts, metis_like_partition(big.graph, 2, seed=apt.seed)
+    )

@@ -115,6 +115,33 @@ class TestMembershipPaths:
             f"epoch-{K:06d}"
         )
 
+    def test_repartition_equals_fresh_run_partition(self):
+        """The elastic re-partition reuses the coarsening hierarchy that
+        prepare() built (it depends on the graph and seed, not the device
+        count) and still lands on exactly the partition a fresh run on the
+        shrunken cluster computes."""
+        from repro.graph import ps_like
+        from repro.graph.partition import metis_like_partition
+
+        big = ps_like(8000, train_fraction=0.02, seed=1)  # > coarsen_until
+        config = dict(fanouts=(4, 4), global_batch_size=256, seed=0)
+
+        def make(cluster):
+            model = GraphSAGE(big.feature_dim, 8, big.num_classes, 2, seed=1)
+            return APT(big, model, cluster, APTConfig(**config))
+
+        base = multi_machine_cluster(2, 2)
+        apt = make(base)
+        apt.run_strategy("gdp", 3, faults=_leave(epoch=1), numerics=False)
+        assert len(apt._hierarchy.levels()) > 1  # the graph was coarsened
+        fresh = make(base.without_machine(1))
+        fresh.prepare()
+        np.testing.assert_array_equal(apt.parts, fresh.parts)
+        np.testing.assert_array_equal(apt.node_machine, fresh.node_machine)
+        np.testing.assert_array_equal(
+            apt.parts, metis_like_partition(big.graph, 2, seed=0)
+        )
+
     def test_host_join_grows_the_run(self):
         faults = FaultSchedule([FaultEvent(epoch=K, kind="host_join")])
         apt = _make_apt(multi_machine_cluster(2, 2))

@@ -102,3 +102,63 @@ def test_dnp_plan_invariants(n, num_devices, seed):
         mb.blocks[0].num_edges for mb in batches if mb is not None
     )
     assert sum(t.edge_src.size for t in plan.tasks) == sampled_edges
+
+
+# ---------------------------------------------------------------------- #
+# layerwise re-layout: row-holder resolution (DESIGN.md §5.15)
+# ---------------------------------------------------------------------- #
+def _first_holders_reference(need_ids, holder_ids, target):
+    """The per-device ``isin`` loop the sorted :class:`HolderIndex`
+    replaced: the target first, then devices in ascending order."""
+    holder = np.full(need_ids.size, -1, dtype=np.int64)
+    C = len(holder_ids)
+    for d in [target] + [d for d in range(C) if d != target]:
+        ids = holder_ids[d]
+        if ids is None or ids.size == 0:
+            continue
+        undecided = np.flatnonzero(holder < 0)
+        if undecided.size == 0:
+            break
+        present = np.isin(need_ids[undecided], ids)
+        holder[undecided[present]] = d
+    if (holder < 0).any():
+        raise RuntimeError("no holder covers " + str(need_ids[holder < 0][:5]))
+    return holder
+
+
+_id_sets = st.one_of(
+    st.none(),
+    st.lists(st.integers(min_value=0, max_value=40), max_size=25, unique=True),
+)
+
+
+@given(st.lists(_id_sets, min_size=1, max_size=6), st.data())
+@settings(max_examples=200, deadline=None)
+def test_holder_resolution_matches_reference(held, data):
+    from repro.engine.layerwise import HolderIndex, _first_holders
+
+    holder_ids = [
+        None if h is None else np.sort(np.asarray(h, dtype=np.int64))
+        for h in held
+    ]
+    # Mostly ids somebody holds (several devices may), sometimes a stray
+    # one nobody does — the unsourced-row error.
+    covered = sorted({i for h in held if h for i in h})
+    need = (
+        data.draw(st.lists(st.sampled_from(covered), max_size=30))
+        if covered
+        else []
+    )
+    need += data.draw(st.lists(st.integers(0, 45), max_size=1))
+    need_ids = np.asarray(data.draw(st.permutations(need)), dtype=np.int64)
+    target = data.draw(st.integers(min_value=0, max_value=len(held) - 1))
+    index = HolderIndex.build(holder_ids)
+    try:
+        want = _first_holders_reference(need_ids, holder_ids, target)
+    except RuntimeError:
+        with pytest.raises(RuntimeError, match="no holder covers"):
+            _first_holders(need_ids, index, target)
+        return
+    got = _first_holders(need_ids, index, target)
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from repro.graph import (
+    CoarseningHierarchy,
     community_graph,
     edge_cut_fraction,
     hash_partition,
     metis_like_partition,
     partition_balance,
+    power_law_graph,
     random_partition,
 )
 
@@ -75,3 +77,57 @@ class TestMetisLike:
             members = parts[comm == c]
             agreement += np.bincount(members, minlength=4).max()
         assert agreement / g.num_nodes > 0.6
+
+
+class TestCoarseningHierarchy:
+    """Coarsening depends on (graph, seed) only: one hierarchy serves every
+    part count and weighting, bit-identically to from-scratch calls."""
+
+    WEIGHTS = {2: [3.0, 1.0], 4: [4.0, 1.0, 1.0, 1.0], 8: [2.0] * 4 + [1.0] * 4}
+
+    @pytest.fixture(scope="class")
+    def graph(self):
+        return power_law_graph(4000, 8.0, 2.1, seed=3)
+
+    @pytest.fixture(scope="class")
+    def hierarchy(self, graph):
+        h = CoarseningHierarchy(graph, seed=3, coarsen_until=500)
+        assert len(h.levels()) > 2  # the graph really is coarsened
+        return h
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize("num_parts", [2, 4, 8])
+    def test_reuse_equals_from_scratch(
+        self, graph, hierarchy, num_parts, weighted
+    ):
+        weights = self.WEIGHTS[num_parts] if weighted else None
+        scratch = metis_like_partition(
+            graph, num_parts, seed=3, coarsen_until=500, weights=weights
+        )
+        reused = metis_like_partition(
+            graph, num_parts, weights=weights, hierarchy=hierarchy
+        )
+        assert np.array_equal(scratch, reused)
+
+    def test_matching_runs_once_per_hierarchy(self, graph, monkeypatch):
+        from repro.graph import partition as mod
+
+        calls = []
+        real = mod._heavy_edge_matching
+        monkeypatch.setattr(
+            mod,
+            "_heavy_edge_matching",
+            lambda level, rng: calls.append(level.num_nodes) or real(level, rng),
+        )
+        h = CoarseningHierarchy(graph, seed=3, coarsen_until=500)
+        metis_like_partition(graph, 8, hierarchy=h)
+        once = list(calls)
+        assert once  # one matching per coarsened level
+        for k in (2, 4, 8):
+            metis_like_partition(graph, k, hierarchy=h)
+        assert calls == once
+
+    def test_rejects_a_hierarchy_of_another_graph(self, hierarchy):
+        other = community_graph(600, 6.0, 4, 0.9, seed=2)
+        with pytest.raises(ValueError, match="different graph"):
+            metis_like_partition(other, 4, hierarchy=hierarchy)
