@@ -15,8 +15,9 @@ task flags, the same ``--json`` output path, and the same common flags
     (see :mod:`repro.cluster.faults`); ``--replan`` turns on drift-
     triggered re-planning with mid-run strategy switching.
 ``trace``
-    Run one strategy with per-phase tracing and write a
-    ``chrome://tracing`` JSON of the simulated timeline.
+    Run one strategy and write a ``chrome://tracing`` JSON of the
+    simulated timeline (``run --trace FILE`` writes the same for any run,
+    whatever other flags it carries).
 ``serve``
     Answer a seeded synthetic request stream from a trained model with
     dynamic batching (``--policy "<max_batch>:<max_wait_ms>"``) and report
@@ -351,86 +352,15 @@ def cmd_plan(args) -> int:
     return 0
 
 
-def _traced_run(apt: APT, name: str, epochs: int, lr: float, trace_path: str):
-    """Run one strategy with a trace-enabled timeline.
-
-    Returns ``(EpochResults, ExecutionContext)`` — the context gives the
-    caller access to the feature store's disk-tier counters and the
-    recorder's per-device ledgers after the run.
-    """
-    from repro.cluster import Communicator, Timeline
-    from repro.cluster.compute import ComputeCharger
-    from repro.engine import ParallelTrainer, make_strategy
-    from repro.tensor.optim import Adam
-
-    ctx = apt._build_context()
-    ctx.timeline = Timeline(
-        apt.cluster.num_devices, trace=True, telemetry=ctx.telemetry
-    )
-    ctx.comm = Communicator(apt.cluster, ctx.timeline)
-    ctx.charger = ComputeCharger(apt.cluster, ctx.timeline)
-    trainer = ParallelTrainer(
-        make_strategy(name), ctx, Adam(apt.model.parameters(), lr)
-    )
-    results = trainer.train(epochs)
-    with open(trace_path, "w") as fh:
-        json.dump(ctx.timeline.to_chrome_trace(), fh)
-    return results, ctx
-
-
-def _disk_tier_summary(ctx) -> Optional[dict]:
-    """Disk-tier counters of a finished run; ``None`` for in-RAM stores."""
-    store = ctx.store
-    if not store.disk_tier_active:
-        return None
-    return {
-        "rows": store.disk_stats["rows"],
-        "bytes": store.disk_stats["bytes"],
-        "ranged_reads": store.disk_stats["ranged_reads"],
-        "promotions": store.disk_stats["promotions"],
-        "refreshes": store.disk_stats["refreshes"],
-        "resident_rows": store.disk_resident_count(),
-    }
-
-
-def _device_utilization(ctx) -> dict:
-    """Per-device busy seconds and the max/min imbalance ratio of a run.
-
-    Busy time sums the Timeline's four phase ledgers per device; the
-    utilization fraction divides by the barrier wall clock.  A ratio near
-    1 means speed-proportional balance (DESIGN.md §5.17).
-    """
-    from repro.cluster.timeline import PHASES
-
-    timeline = ctx.timeline
-    wall = timeline.wall_seconds
-    busy = [
-        sum(timeline.device_phase_seconds(d, p) for p in PHASES)
-        for d in range(timeline.num_devices)
-    ]
-    max_busy, min_busy = max(busy), min(busy)
-    return {
-        "wall_seconds": wall,
-        "busy_seconds": busy,
-        "utilization": [b / wall if wall > 0 else 0.0 for b in busy],
-        "max_busy": max_busy,
-        "min_busy": min_busy,
-        "imbalance_ratio": max_busy / min_busy if min_busy > 0 else 0.0,
-    }
+def _write_trace(report, path: str) -> None:
+    """Chrome-trace JSON of every trainer segment of a finished run."""
+    with open(path, "w") as fh:
+        json.dump(report.result.chrome_trace(), fh)
 
 
 def cmd_run(args) -> int:
     apt = _build(args, quiet=args.json)
     strategy: Optional[str] = None if args.strategy == "auto" else args.strategy
-    if args.trace:
-        name = strategy or apt.plan().chosen
-        results, _ = _traced_run(apt, name, args.epochs, args.lr, args.trace)
-        print(f"ran {len(results)} epoch(s) with {name}; "
-              f"chrome trace written to {args.trace}")
-        for e in results:
-            print(f"  epoch {e.epoch}: loss={e.mean_loss:.4f} "
-                  f"simulated={e.wall_seconds * 1e3:.3f} ms")
-        return 0
     faults, chaos = _load_schedule(args)
     if chaos is not None:
         apt.config.host_chaos = chaos
@@ -447,6 +377,8 @@ def cmd_run(args) -> int:
         # e.g. a membership change with elastic execution disabled, or
         # one that falls below the min_devices floor
         raise SystemExit(f"error: {exc}")
+    if args.trace:
+        _write_trace(report, args.trace)
     if args.json:
         print(report.to_json(indent=2))
         return 0
@@ -493,6 +425,8 @@ def cmd_run(args) -> int:
                 )
     if faults is not None and not report.faults:
         print("fault schedule supplied but no fault fired within the run")
+    if args.trace:
+        print(f"chrome trace written to {args.trace}")
     return 0
 
 
@@ -501,18 +435,20 @@ def cmd_trace(args) -> int:
     name = args.strategy
     if name == "auto":
         name = apt.plan().chosen
-    results, ctx = _traced_run(apt, name, args.epochs, args.lr, args.out)
-    disk = _disk_tier_summary(ctx)
-    devices = _device_utilization(ctx)
+    report = apt.run_strategy(name, args.epochs, lr=args.lr)
+    _write_trace(report, args.out)
+    result = report.result
+    results, disk = result.epochs, result.disk
+    devices = result.timeline.utilization()
     layerwise = None
     if name.startswith("layerwise:"):
         layerwise = {
             "layer_assignment": name[len("layerwise:"):].split(","),
-            "relayout_bytes": ctx.recorder.total_relayout_bytes(),
+            "relayout_bytes": result.recorder.total_relayout_bytes(),
             "relayout_layer_bytes": {
                 str(layer): nbytes
                 for layer, nbytes in sorted(
-                    ctx.recorder.relayout_layer_bytes.items()
+                    result.recorder.relayout_layer_bytes.items()
                 )
             },
         }

@@ -15,7 +15,7 @@ hidden-embedding shuffling into training).  :class:`Timeline` mirrors that:
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, List, Sequence
 
 import numpy as np
 
@@ -52,29 +52,28 @@ class Timeline:
         shuffling — the steady-state throughput of a two-stage pipeline
         (DGL-style prefetching dataloaders).  Default off, matching the
         paper's additive Eq. 2 decomposition.
-    trace:
-        Keep per-batch, per-device phase snapshots so the run can be
-        exported with :meth:`to_chrome_trace`.
     telemetry:
         Optional :class:`~repro.obs.telemetry.TelemetryCollector` that each
         barrier emits a ``batch`` event into.  Pure observation — the
         collector never feeds back into any charged time.
+
+    Every barrier also keeps a snapshot of the batch's per-device phase
+    deltas (one ``devices x 4`` float copy), so any finished run can be
+    exported with :meth:`to_chrome_trace` — there is no flag to forget.
     """
 
     def __init__(
         self,
         num_devices: int,
         overlap: bool = False,
-        trace: bool = False,
         telemetry=None,
     ):
         if num_devices <= 0:
             raise ValueError(f"num_devices must be positive, got {num_devices}")
         self.num_devices = int(num_devices)
         self.overlap = bool(overlap)
-        self.trace = bool(trace)
         self.telemetry = telemetry
-        #: per-batch snapshots of the per-device phase deltas (trace mode)
+        #: per-batch ``(barrier start, per-device phase deltas)`` snapshots
         self._trace_batches: list = []
         # Whole-run phase totals per device.
         self._device_phase = np.zeros((self.num_devices, len(PHASES)))
@@ -113,10 +112,7 @@ class Timeline:
         the wall time.  With ``overlap=True`` the per-device total is
         ``max(prep, compute)`` (prefetch pipelining).
         """
-        if self.trace:
-            self._trace_batches.append(
-                (self._wall, self._batch_delta.copy())
-            )
+        self._trace_batches.append((self._wall, self._batch_delta.copy()))
         if self.overlap:
             prep = self._batch_delta[:, self._prep_idx].sum(axis=1)
             compute = self._batch_delta[:, self._compute_idx].sum(axis=1)
@@ -156,6 +152,25 @@ class Timeline:
     def device_phase_seconds(self, device: int, phase: str) -> float:
         return float(self._device_phase[device, PHASES.index(phase)])
 
+    def device_busy_seconds(self) -> List[float]:
+        """Per-device busy seconds accumulated so far (all phases)."""
+        return [
+            sum(self.device_phase_seconds(d, p) for p in PHASES)
+            for d in range(self.num_devices)
+        ]
+
+    def utilization(self) -> Dict[str, object]:
+        """Per-device busy seconds, their share of the barrier wall clock,
+        and the max/min imbalance (DESIGN.md §5.17)."""
+        busy = self.device_busy_seconds()
+        wall = self._wall
+        return {
+            "wall_seconds": wall,
+            "busy_seconds": busy,
+            "utilization": [b / wall if wall > 0 else 0.0 for b in busy],
+            **busy_imbalance(busy),
+        }
+
     def breakdown(self) -> Dict[str, float]:
         """Per-phase synchronized times keyed by phase name."""
         return {p: float(self._phase_wall[i]) for i, p in enumerate(PHASES)}
@@ -168,37 +183,9 @@ class Timeline:
         }
 
     def to_chrome_trace(self) -> list:
-        """Export the run as Chrome-trace events (``chrome://tracing``).
-
-        Requires ``trace=True`` at construction.  Each simulated GPU is one
-        "thread"; within a batch, a device's phases are laid out in the
-        canonical order (sample, load, train, shuffle) starting at the
-        batch's barrier-aligned start time.  Durations are simulated
-        seconds expressed in microseconds (the trace format's unit).
-        """
-        if not self.trace:
-            raise RuntimeError("timeline was not constructed with trace=True")
-        events = []
-        for batch_idx, (start, deltas) in enumerate(self._trace_batches):
-            for dev in range(self.num_devices):
-                cursor = start
-                for p_idx, phase in enumerate(PHASES):
-                    dur = float(deltas[dev, p_idx])
-                    if dur <= 0.0:
-                        continue
-                    events.append(
-                        {
-                            "name": phase,
-                            "cat": f"batch{batch_idx}",
-                            "ph": "X",
-                            "ts": cursor * 1e6,
-                            "dur": dur * 1e6,
-                            "pid": 0,
-                            "tid": dev,
-                        }
-                    )
-                    cursor += dur
-        return events
+        """Export the run as Chrome-trace events (``chrome://tracing``);
+        see :func:`chrome_trace`."""
+        return chrome_trace([self])
 
     # ------------------------------------------------------------------ #
     def state_dict(self) -> Dict[str, object]:
@@ -236,6 +223,14 @@ class Timeline:
             for start, delta in state.get("trace_batches", [])
         ]
 
+    @classmethod
+    def from_state_dict(cls, state: Dict[str, object]) -> "Timeline":
+        """A ledger rebuilt from :meth:`state_dict` alone (a resumed run's
+        already-closed trainer segments)."""
+        timeline = cls(len(state["device_phase"]))
+        timeline.load_state_dict(state)
+        return timeline
+
     def merged(self, other: "Timeline") -> "Timeline":
         """Element-wise sum of two timelines (multi-epoch aggregation)."""
         if other.num_devices != self.num_devices:
@@ -246,3 +241,57 @@ class Timeline:
         out._phase_wall = self._phase_wall + other._phase_wall
         out._batches = self._batches + other._batches
         return out
+
+
+def busy_imbalance(busy: Sequence[float]) -> Dict[str, float]:
+    """Max and min of per-device busy seconds and their ratio.
+
+    A ratio near 1 means speed-proportional balance; a large one means the
+    slowest device gated the barrier (DESIGN.md §5.17).
+    """
+    max_busy, min_busy = max(busy), min(busy)
+    return {
+        "max_busy": max_busy,
+        "min_busy": min_busy,
+        "imbalance_ratio": max_busy / min_busy if min_busy > 0 else 0.0,
+    }
+
+
+def chrome_trace(segments: Sequence[Timeline]) -> list:
+    """Chrome-trace events of consecutive timelines laid end to end.
+
+    A run whose trainer was rebuilt (fault, strategy switch, membership
+    change) has one :class:`Timeline` per trainer segment; each starts
+    where the previous one's wall clock stopped and batches keep counting
+    across segments.  Each simulated GPU is one "thread"; within a batch,
+    a device's phases are laid out in the canonical order (sample, load,
+    train, shuffle) starting at the batch's barrier-aligned start time.
+    Durations are simulated seconds expressed in microseconds (the trace
+    format's unit).
+    """
+    events = []
+    offset = 0.0
+    batch_idx = 0
+    for timeline in segments:
+        for start, deltas in timeline._trace_batches:
+            for dev in range(timeline.num_devices):
+                cursor = offset + start
+                for p_idx, phase in enumerate(PHASES):
+                    dur = float(deltas[dev, p_idx])
+                    if dur <= 0.0:
+                        continue
+                    events.append(
+                        {
+                            "name": phase,
+                            "cat": f"batch{batch_idx}",
+                            "ph": "X",
+                            "ts": cursor * 1e6,
+                            "dur": dur * 1e6,
+                            "pid": 0,
+                            "tid": dev,
+                        }
+                    )
+                    cursor += dur
+            batch_idx += 1
+        offset += timeline.wall_seconds
+    return events

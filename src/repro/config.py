@@ -4,8 +4,7 @@
 keyword argument of ``APT.__init__``: the sampling setup, the partition
 mode, the seeds, and the online-adaptivity knobs (telemetry, drift
 threshold, re-plan candidates).  ``APT(dataset, model, cluster, config)``
-is the supported surface; the old kwargs still work for one release behind
-a ``DeprecationWarning``.
+is the only surface; ``APT`` accepts no other keyword arguments.
 
 The experiment-scale constants below are shared by benchmarks and
 examples.  The analog datasets are ~1000x smaller than the paper's graphs,

@@ -10,17 +10,17 @@ Implements the Prepare -> Plan -> Adapt -> Run workflow of Fig. 4:
   terms with profiled communication-operator bandwidths;
 * :mod:`~repro.core.planner` — ranks the strategies and selects the
   estimated-fastest one;
-* :mod:`~repro.core.adapter` — configures the unified execution engine for
-  the chosen strategy;
+* :mod:`~repro.core.run` — the Adapt + Run steps: one training run as one
+  state object (the epoch loop and its fault / membership / drift /
+  checkpoint decisions);
 * :mod:`~repro.core.apt` — the user-facing :class:`APT` facade.
 """
 
-from repro.core.apt import APT, APTRunResult
+from repro.core.apt import APT
 from repro.core.costmodel import CostEstimate, CostModel
 from repro.core.dryrun import DryRun, DryRunStats, access_frequency_census
 from repro.core.planner import Planner, PlanReport
-from repro.core.report import ReplanEvent, RunReport
-from repro.core.adapter import adapt_strategy
+from repro.core.report import APTRunResult, ReplanEvent, RunReport
 
 __all__ = [
     "APT",
@@ -34,5 +34,4 @@ __all__ = [
     "PlanReport",
     "RunReport",
     "ReplanEvent",
-    "adapt_strategy",
 ]

@@ -12,10 +12,9 @@ Typical use::
 
 Every entry point returns a :class:`~repro.core.report.RunReport` (the
 report still delegates the legacy attributes ``chosen``, ``epochs``,
-``epoch_seconds``, ...).  The pre-redesign kwargs surface
-(``APT(ds, model, cluster, fanouts=[...], seed=...)``) is gone: passing a
-legacy kwarg raises a ``TypeError`` naming the ``APTConfig`` field to use
-instead.
+``epoch_seconds``, ...).  The Run half — the epoch loop and its boundary
+decisions — is :class:`~repro.core.run.TrainingRun`; this module builds
+the execution backend and hands it over.
 
 ``run_strategy`` executes a *fixed* strategy from the same initial model
 state — the benchmarks use it to produce the per-strategy epoch times the
@@ -31,29 +30,21 @@ carry over across a switch, and the engine's semantic-equivalence property
 
 from __future__ import annotations
 
-import os
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.cluster.faults import MEMBERSHIP_KINDS, FaultSchedule
+from repro.cluster.faults import FaultSchedule
 from repro.cluster.spec import ClusterSpec
-from repro.config import APTConfig, ElasticPolicy
-from repro.core.adapter import adapt_strategy
-from repro.core.apt_result import APTRunResult
-from repro.core.checkpoint import (
-    Checkpoint,
-    CheckpointManager,
-    recorder_state,
-    restore_recorder,
-)
+from repro.config import APTConfig
+from repro.core.checkpoint import CheckpointManager
 from repro.core.costmodel import CostEstimate, CostModel
 from repro.core.dryrun import DryRun, DryRunStats
 from repro.core.planner import Planner, PlanReport
-from repro.core.report import ReplanEvent, RunReport
+from repro.core.report import RunReport
+from repro.core.run import TrainingRun
 from repro.engine import STRATEGIES, is_layerwise_spec, parse_layerwise
 from repro.engine.context import ExecutionContext
-from repro.engine.trainer import ParallelTrainer
 from repro.graph.datasets import GraphDataset
 from repro.graph.partition import (
     CoarseningHierarchy,
@@ -62,25 +53,11 @@ from repro.graph.partition import (
     streaming_partition,
 )
 from repro.models.base import GNNModel
-from repro.obs.drift import DriftDetector
 from repro.obs.telemetry import TelemetryCollector
 from repro.parallel import make_backend
 from repro.sampling.cache import SampleCache
-from repro.tensor.optim import Adam
 
-__all__ = ["APT", "APTRunResult"]
-
-#: legacy ``APT.__init__`` kwargs and the config fields they map to
-_LEGACY_KWARGS = (
-    "fanouts",
-    "global_batch_size",
-    "partition",
-    "seed",
-    "bandwidth_noise",
-    "cpu_sampling",
-    "compute_skew",
-    "overlap",
-)
+__all__ = ["APT"]
 
 
 class APT:
@@ -91,9 +68,7 @@ class APT:
     dataset / model / cluster:
         The GNN training task (paper "Prepare" inputs).
     config:
-        An :class:`~repro.config.APTConfig`.  The pre-redesign kwargs
-        (``fanouts=...``, ``seed=...``, ...) are rejected with a
-        ``TypeError`` pointing at the config field to set instead.
+        An :class:`~repro.config.APTConfig` (default: ``APTConfig()``).
     """
 
     def __init__(
@@ -101,8 +76,7 @@ class APT:
         dataset: GraphDataset,
         model: GNNModel,
         cluster: ClusterSpec,
-        config: Optional[Union[APTConfig, Sequence[int]]] = None,
-        **legacy: object,
+        config: Optional[APTConfig] = None,
     ):
         if config is not None and not isinstance(config, APTConfig):
             # Pre-redesign signature: 4th positional argument was `fanouts`.
@@ -110,17 +84,6 @@ class APT:
                 "APT(dataset, model, cluster, fanouts) was removed; pass "
                 "APT(dataset, model, cluster, APTConfig(fanouts=...)) instead"
             )
-        if legacy:
-            known = sorted(set(legacy) & set(_LEGACY_KWARGS))
-            unknown = sorted(set(legacy) - set(_LEGACY_KWARGS))
-            if known:
-                example = ", ".join(f"{k}=..." for k in known)
-                raise TypeError(
-                    f"APT(dataset, model, cluster, {example}) was removed; "
-                    f"pass APT(dataset, model, cluster, APTConfig({example})) "
-                    "instead"
-                )
-            raise TypeError(f"unexpected APT keyword arguments: {unknown}")
         self.config = config if config is not None else APTConfig()
 
         if model.num_layers != len(self.config.fanouts):
@@ -542,20 +505,6 @@ class APT:
             disk_promote_bytes=self._disk_promote_bytes(),
         )
 
-    def _make_trainer(
-        self,
-        strategy_name: str,
-        cluster: ClusterSpec,
-        optimizer,
-        numerics: bool,
-        telemetry: Optional[TelemetryCollector],
-        backend=None,
-    ) -> ParallelTrainer:
-        ctx = self._build_context(
-            cluster, numerics=numerics, telemetry=telemetry, backend=backend
-        )
-        return ParallelTrainer(adapt_strategy(strategy_name, ctx), ctx, optimizer)
-
     def run_strategy(
         self,
         name: str,
@@ -592,16 +541,26 @@ class APT:
                 )
         self.config.validate()
         self._require_prepared()
-        return self._run_loop(
+        if reset_model and resume is None:
+            self.model.load_state_dict(self._initial_state)
+        run = TrainingRun(
+            self,
             name,
             num_epochs,
             lr=lr,
-            reset_model=reset_model,
             numerics=numerics,
             faults=faults,
             replan=replan,
             resume=resume,
         )
+        # One execution backend per run: the process pool (and its shared-
+        # memory graph/feature export) outlives trainer rebuilds on cluster
+        # change or strategy switch.
+        backend = make_backend(self.config, self.dataset)
+        try:
+            return run.execute(backend)
+        finally:
+            backend.close()
 
     def run(
         self,
@@ -663,509 +622,6 @@ class APT:
             return self.plan_report.estimates[strategy]
         stats = self.dryrun.run(strategy)
         return self._cost_model(self.cluster).estimate(stats)
-
-    def _run_loop(
-        self,
-        strategy_name: str,
-        num_epochs: int,
-        *,
-        lr: float,
-        reset_model: bool,
-        numerics: bool,
-        faults: Optional[FaultSchedule],
-        replan: bool,
-        resume: Optional[str] = None,
-    ) -> RunReport:
-        """The shared epoch loop: faults in, telemetry out, drift-replans."""
-        checkpoint: Optional[Checkpoint] = None
-        resume_warnings: List[Dict[str, str]] = []
-        if resume is not None:
-            resume_mgr = CheckpointManager(
-                resume, keep=self.config.checkpoint_keep
-            )
-            checkpoint = resume_mgr.load()
-            resume_warnings = list(resume_mgr.warnings)
-            resume_mgr.verify_config(checkpoint, self.config.to_dict())
-            if checkpoint.epochs_completed >= num_epochs:
-                raise ValueError(
-                    f"checkpoint at {checkpoint.path!r} already covers "
-                    f"{checkpoint.epochs_completed} epochs; pass "
-                    f"num_epochs > {checkpoint.epochs_completed} to continue"
-                )
-        if reset_model and checkpoint is None:
-            self.model.load_state_dict(self._initial_state)
-        collector = TelemetryCollector() if self.config.telemetry else None
-        optimizer = Adam(self.model.parameters(), lr=lr)
-        detector = DriftDetector(threshold=self.config.drift_threshold)
-
-        start_epoch = 0
-        loop_state: Dict[str, object] = {}
-        if checkpoint is None:
-            estimate = self._active_estimate(strategy_name, replan)
-        else:
-            state = checkpoint.state
-            self.model.load_state_dict(state["model"])
-            optimizer.load_state_dict(state["optimizer"])
-            if collector is not None and state.get("collector") is not None:
-                collector = state["collector"]
-            detector.history = list(state["detector_history"])
-            estimate = state["estimate"]
-            start_epoch = checkpoint.epochs_completed
-            loop_state = dict(
-                epochs=list(state["epochs"]),
-                breakdown=dict(state["breakdown"]),
-                current_strategy=state["current_strategy"],
-                cooldown=int(state["cooldown"]),
-                restore=state,
-            )
-            if collector is not None:
-                for warning in resume_warnings:
-                    # A newer checkpoint was corrupt; we fell back to an
-                    # older valid one instead of crashing.
-                    collector.emit(
-                        "checkpoint_corrupt", epoch=start_epoch, **warning
-                    )
-                collector.emit(
-                    "resume", epoch=start_epoch, path=checkpoint.path
-                )
-
-        report = RunReport(plan=self.plan_report, config=self.config.to_dict())
-        if checkpoint is not None:
-            report.replans = list(checkpoint.state["replans"])
-            report.faults = list(checkpoint.state["faults"])
-            report.strategy_by_epoch = list(
-                checkpoint.state["strategy_by_epoch"]
-            )
-
-        manager: Optional[CheckpointManager] = None
-        checkpoint_dir = self.config.checkpoint_dir or resume
-        if checkpoint_dir is not None:
-            manager = CheckpointManager(
-                checkpoint_dir, keep=self.config.checkpoint_keep
-            )
-        run_meta = {
-            "strategy": strategy_name,
-            "lr": float(lr),
-            "numerics": bool(numerics),
-            "replan": bool(replan),
-            "faults": faults.to_dict() if faults is not None else None,
-        }
-
-        # One execution backend per run: the process pool (and its shared-
-        # memory graph/feature export) outlives trainer rebuilds on cluster
-        # change or strategy switch.
-        backend = make_backend(self.config, self.dataset)
-        try:
-            epochs, breakdown, current_strategy, trainer = self._epoch_loop(
-                strategy_name=strategy_name,
-                num_epochs=num_epochs,
-                numerics=numerics,
-                faults=faults,
-                replan=replan,
-                collector=collector,
-                optimizer=optimizer,
-                detector=detector,
-                estimate=estimate,
-                report=report,
-                backend=backend,
-                start_epoch=start_epoch,
-                manager=manager,
-                run_meta=run_meta,
-                **loop_state,
-            )
-        finally:
-            backend.close()
-
-        report.result = APTRunResult(
-            strategy=current_strategy,
-            epochs=epochs,
-            recorder=trainer.ctx.recorder,
-            breakdown=breakdown,
-        )
-        if collector is not None:
-            report.telemetry = collector.summary()
-            report.collector = collector
-        return report
-
-    def _epoch_loop(
-        self,
-        *,
-        strategy_name: str,
-        num_epochs: int,
-        numerics: bool,
-        faults: Optional[FaultSchedule],
-        replan: bool,
-        collector: Optional[TelemetryCollector],
-        optimizer,
-        detector: DriftDetector,
-        estimate: Optional[CostEstimate],
-        report: RunReport,
-        backend,
-        start_epoch: int = 0,
-        epochs: Optional[list] = None,
-        breakdown: Optional[Dict[str, float]] = None,
-        current_strategy: Optional[str] = None,
-        cooldown: int = 0,
-        restore: Optional[Dict[str, object]] = None,
-        manager: Optional[CheckpointManager] = None,
-        run_meta: Optional[Dict[str, object]] = None,
-    ):
-        base_cluster = self.cluster
-        current_cluster: Optional[ClusterSpec] = None
-        current_strategy = current_strategy or strategy_name
-        trainer: Optional[ParallelTrainer] = None
-        epochs = epochs if epochs is not None else []
-        breakdown = breakdown if breakdown is not None else {}
-
-        for epoch in range(start_epoch, num_epochs):
-            cluster_e = (
-                faults.cluster_at(base_cluster, epoch) if faults else base_cluster
-            )
-            if faults is not None:
-                for event in faults.events_at(epoch):
-                    record = event.to_dict()
-                    report.faults.append({"epoch": epoch, "fault": record})
-                    if collector is not None:
-                        collector.emit("fault", epoch=epoch, fault=record)
-            if cluster_e.num_devices != self._partitioned_devices:
-                # Membership changed (host_leave/host_join/recover): the
-                # node->device partition is stale.  Quiesce, checkpoint,
-                # re-partition, and possibly re-plan before the trainer
-                # rebuild below picks up the new device set.
-                current_strategy, estimate, cooldown = self._elastic_transition(
-                    cluster_e=cluster_e,
-                    epoch=epoch,
-                    events=[
-                        e
-                        for e in (faults.events_at(epoch) if faults else [])
-                        if e.kind in MEMBERSHIP_KINDS
-                    ],
-                    replan=replan,
-                    collector=collector,
-                    optimizer=optimizer,
-                    detector=detector,
-                    trainer=trainer,
-                    current_cluster=current_cluster,
-                    current_strategy=current_strategy,
-                    estimate=estimate,
-                    cooldown=cooldown,
-                    epochs=epochs,
-                    breakdown=breakdown,
-                    report=report,
-                    backend=backend,
-                    manager=manager,
-                    run_meta=run_meta,
-                )
-            if trainer is None or cluster_e != current_cluster:
-                # (Re)build the engine on the currently effective hardware;
-                # model and optimizer state carry over untouched.
-                current_cluster = cluster_e
-                trainer = self._make_trainer(
-                    current_strategy,
-                    current_cluster,
-                    optimizer,
-                    numerics,
-                    collector,
-                    backend=backend,
-                )
-            if restore is not None:
-                # First trainer of a resumed run: continue the saved ledgers
-                # iff the uninterrupted run would have kept its trainer —
-                # i.e. the effective cluster is the one the checkpoint saw.
-                # On cluster change the uninterrupted run rebuilds with
-                # fresh ledgers, and so did we.
-                if restore["cluster"] == cluster_e:
-                    trainer.ctx.timeline.load_state_dict(restore["timeline"])
-                    restore_recorder(trainer.ctx.recorder, restore["recorder"])
-                restore = None
-
-            result = trainer.train_epoch(epoch)
-            epochs.append(result)
-            report.strategy_by_epoch.append(current_strategy)
-            for key, value in result.breakdown.items():
-                breakdown[key] = breakdown.get(key, 0.0) + value
-
-            if replan and estimate is not None and epoch < num_epochs - 1:
-                if cooldown > 0:
-                    cooldown -= 1
-                else:
-                    reading = detector.reading(epoch, estimate, result.phases)
-                    if reading.exceeded:
-                        estimate, current_strategy, trainer, cooldown = (
-                            self._apply_replan(
-                                reading=reading,
-                                epoch=epoch,
-                                current_cluster=current_cluster,
-                                current_strategy=current_strategy,
-                                trainer=trainer,
-                                optimizer=optimizer,
-                                numerics=numerics,
-                                collector=collector,
-                                report=report,
-                                backend=backend,
-                            )
-                        )
-
-            if manager is not None and (
-                (epoch + 1) % self.config.checkpoint_every == 0
-                or epoch == num_epochs - 1
-            ):
-                path = manager.save(
-                    epochs_completed=epoch + 1,
-                    config_dict=self.config.to_dict(),
-                    run_args=run_meta or {},
-                    state=self._checkpoint_state(
-                        optimizer=optimizer,
-                        collector=collector,
-                        detector=detector,
-                        estimate=estimate,
-                        epochs=epochs,
-                        breakdown=breakdown,
-                        current_strategy=current_strategy,
-                        cooldown=cooldown,
-                        report=report,
-                        cluster=current_cluster,
-                        trainer=trainer,
-                    ),
-                )
-                if collector is not None:
-                    collector.emit("checkpoint", epoch=epoch, path=path)
-
-        return epochs, breakdown, current_strategy, trainer
-
-    def _apply_replan(
-        self,
-        *,
-        reading,
-        epoch: int,
-        current_cluster: ClusterSpec,
-        current_strategy: str,
-        trainer: ParallelTrainer,
-        optimizer,
-        numerics: bool,
-        collector: Optional[TelemetryCollector],
-        report: RunReport,
-        backend,
-    ):
-        """Re-profile, re-plan, and hot-switch if the planner says so."""
-        new_plan = self._replan(current_cluster, self.config.strategies)
-        event = ReplanEvent(
-            epoch=epoch,
-            drift=reading,
-            old_strategy=current_strategy,
-            new_strategy=new_plan.chosen,
-            estimates={n: e.total for n, e in new_plan.estimates.items()},
-        )
-        report.replans.append(event)
-        estimate = new_plan.estimates[new_plan.chosen]
-        cooldown = self.config.replan_cooldown
-        if collector is not None:
-            collector.emit(
-                "replan",
-                sim_time=trainer.ctx.timeline.wall_seconds,
-                epoch=epoch,
-                drift=reading.max_abs,
-                worst_term=reading.worst_term,
-                chosen=new_plan.chosen,
-            )
-        if new_plan.chosen != current_strategy:
-            if collector is not None:
-                collector.emit(
-                    "switch",
-                    sim_time=trainer.ctx.timeline.wall_seconds,
-                    epoch=epoch,
-                    old=current_strategy,
-                    new=new_plan.chosen,
-                )
-            current_strategy = new_plan.chosen
-            trainer = self._make_trainer(
-                current_strategy,
-                current_cluster,
-                optimizer,
-                numerics,
-                collector,
-                backend=backend,
-            )
-        return estimate, current_strategy, trainer, cooldown
-
-    def _elastic_transition(
-        self,
-        *,
-        cluster_e: ClusterSpec,
-        epoch: int,
-        events: list,
-        replan: bool,
-        collector: Optional[TelemetryCollector],
-        optimizer,
-        detector: DriftDetector,
-        trainer: Optional[ParallelTrainer],
-        current_cluster: Optional[ClusterSpec],
-        current_strategy: str,
-        estimate: Optional[CostEstimate],
-        cooldown: int,
-        epochs: list,
-        breakdown: Dict[str, float],
-        report: RunReport,
-        backend,
-        manager: Optional[CheckpointManager],
-        run_meta: Optional[Dict[str, object]],
-    ):
-        """Survive a cluster-membership change (DESIGN.md §5.16).
-
-        Order matters: (1) quiesce the backend so no in-flight task split
-        for the old device set lands later, (2) take (or reuse) an atomic
-        checkpoint at this epoch boundary, (3) re-partition for the new
-        device set, (4) re-plan and hot-switch if the ranking changed.
-        The caller's cluster-change path then rebuilds the trainer with
-        fresh ledgers — exactly what a fresh run on the post-change
-        cluster does when resumed from the same checkpoint, which is why
-        the tail is bit-identical to that oracle.
-        """
-        policy = self.config.elastic_policy or ElasticPolicy()
-        before = self._partitioned_devices
-        after = cluster_e.num_devices
-        if not policy.enabled:
-            raise RuntimeError(
-                f"cluster membership changed at epoch {epoch} "
-                f"({before} -> {after} devices) but elastic execution is "
-                f"disabled; set elastic_policy.enabled (REPRO_ELASTIC=1) "
-                f"to survive host_leave/host_join events"
-            )
-        if after < policy.min_devices:
-            raise RuntimeError(
-                f"membership change at epoch {epoch} leaves {after} "
-                f"device(s), below elastic_policy.min_devices="
-                f"{policy.min_devices}"
-            )
-        for event in events:
-            if collector is not None:
-                extra = (
-                    {"device_class": event.device_class}
-                    if event.device_class is not None
-                    else {}
-                )
-                collector.emit(
-                    event.kind,
-                    epoch=epoch,
-                    machine=event.machine,
-                    devices_before=before,
-                    devices_after=after,
-                    **extra,
-                )
-        # (1) quiesce: settle in-flight slots (release or quarantine, never
-        # lose), drop the prefetched schedule — its seed chunks were split
-        # for the old device set.
-        backend.quiesce()
-        # (2) checkpoint at this epoch boundary, unless the regular cadence
-        # just wrote one covering exactly `epoch` epochs.
-        if (
-            trainer is not None
-            and manager is not None
-            and policy.checkpoint_on_change
-        ):
-            covered = -1
-            latest = manager.latest()
-            if latest is not None:
-                try:
-                    covered = int(os.path.basename(latest)[len("epoch-"):])
-                except ValueError:
-                    covered = -1
-            if covered != epoch:
-                path = manager.save(
-                    epochs_completed=epoch,
-                    config_dict=self.config.to_dict(),
-                    run_args=run_meta or {},
-                    state=self._checkpoint_state(
-                        optimizer=optimizer,
-                        collector=collector,
-                        detector=detector,
-                        estimate=estimate,
-                        epochs=epochs,
-                        breakdown=breakdown,
-                        current_strategy=current_strategy,
-                        cooldown=cooldown,
-                        report=report,
-                        cluster=current_cluster,
-                        trainer=trainer,
-                    ),
-                )
-                if collector is not None:
-                    collector.emit("checkpoint", epoch=epoch, path=path)
-        # (3) re-partition for the surviving device set.  The shm export
-        # needs no rebuild: it carries the graph and features only, and
-        # per-device seed chunks ride in each task payload.
-        self._partition_for(cluster_e)
-        self.dryrun = self._make_dryrun(
-            cluster_e, access_freq=self.dryrun.access_freq
-        )
-        if collector is not None:
-            collector.emit(
-                "repartition",
-                epoch=epoch,
-                devices_before=before,
-                devices_after=after,
-                mode=(
-                    "explicit"
-                    if isinstance(self.config.partition, np.ndarray)
-                    else str(self.config.partition)
-                ),
-            )
-        # (4) re-plan against the new cluster; hot-switch when the ranking
-        # changed.  Gated on the run's own replan flag so fixed-strategy
-        # runs stay on their strategy (they still survive the change).
-        if replan and policy.replan:
-            new_plan = self._replan(cluster_e, self.config.strategies)
-            if collector is not None:
-                collector.emit(
-                    "elastic_replan",
-                    epoch=epoch,
-                    old=current_strategy,
-                    chosen=new_plan.chosen,
-                    switched=new_plan.chosen != current_strategy,
-                )
-            current_strategy = new_plan.chosen
-            estimate = new_plan.estimates[new_plan.chosen]
-            cooldown = self.config.replan_cooldown
-        return current_strategy, estimate, cooldown
-
-    def _checkpoint_state(
-        self,
-        *,
-        optimizer,
-        collector: Optional[TelemetryCollector],
-        detector: DriftDetector,
-        estimate: Optional[CostEstimate],
-        epochs: list,
-        breakdown: Dict[str, float],
-        current_strategy: str,
-        cooldown: int,
-        report: RunReport,
-        cluster: ClusterSpec,
-        trainer: ParallelTrainer,
-    ) -> Dict[str, object]:
-        """Everything :meth:`_run_loop` needs to continue bit-identically."""
-        return {
-            "model": self.model.state_dict(),
-            "optimizer": optimizer.state_dict(),
-            "collector": collector,
-            "detector_history": list(detector.history),
-            "estimate": estimate,
-            "epochs": list(epochs),
-            "breakdown": dict(breakdown),
-            "current_strategy": current_strategy,
-            "cooldown": int(cooldown),
-            "replans": list(report.replans),
-            "faults": list(report.faults),
-            "strategy_by_epoch": list(report.strategy_by_epoch),
-            "cluster": cluster,
-            "timeline": trainer.ctx.timeline.state_dict(),
-            "recorder": recorder_state(trainer.ctx.recorder),
-            "sample_cache_keys": (
-                self.sample_cache.export_keys()
-                if self.sample_cache is not None
-                else []
-            ),
-        }
 
     # ------------------------------------------------------------------ #
     def compare_all(

@@ -1,14 +1,16 @@
 """Epoch-granular run checkpoints for :class:`~repro.core.apt.APT`.
 
-:mod:`repro.tensor.checkpoint` persists a *model* (parameters + optimizer
-slots); this module persists a *run* — everything the APT epoch loop needs
-to continue bit-identically after the process dies mid-training:
+This module persists a *run* — everything the APT epoch loop
+(:class:`~repro.core.run.TrainingRun`) needs to continue bit-identically
+after the process dies mid-training:
 
 * model parameters and optimizer state (moments, step count, lr);
 * the simulated :class:`~repro.cluster.timeline.Timeline` ledger and the
   :class:`~repro.engine.context.VolumeRecorder` accumulators of the live
   trainer (restored only when the resumed epoch's effective cluster equals
-  the saved one — an uninterrupted run rebuilds both on cluster change);
+  the saved one — an uninterrupted run rebuilds both on cluster change),
+  plus the ledgers of the trainer segments already closed, so a resumed
+  run exports the same Chrome trace as the uninterrupted one;
 * the in-flight :class:`~repro.core.report.RunReport` parts (epoch
   results, re-plan events, fault records, strategy-by-epoch) and the live
   :class:`~repro.obs.telemetry.TelemetryCollector`;
@@ -221,6 +223,16 @@ class CheckpointManager:
         """Path of the newest complete checkpoint, or ``None``."""
         found = self.checkpoints()
         return found[-1] if found else None
+
+    def latest_epoch(self) -> Optional[int]:
+        """Epochs the newest complete checkpoint covers, or ``None``."""
+        latest = self.latest()
+        if latest is None:
+            return None
+        try:
+            return int(os.path.basename(latest)[len(_PREFIX):])
+        except ValueError:
+            return None
 
     # ------------------------------------------------------------------ #
     def save(

@@ -287,7 +287,9 @@ class Planner:
         if include_singles:
             finalists |= {(s,) for s in first_layer}
         stats_map = {}
-        for key in finalists:
+        # Sorted, so exact cost ties rank by spec rather than by the set's
+        # PYTHONHASHSEED-dependent iteration order (select's sort is stable).
+        for key in sorted(finalists):
             key, stats = stats_for(key)
             if stats is not None:
                 stats_map[spec_string(key)] = stats

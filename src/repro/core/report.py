@@ -33,8 +33,10 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
-from repro.core.apt_result import APTRunResult
+from repro.cluster.timeline import Timeline, chrome_trace
 from repro.core.planner import PlanReport
+from repro.engine.context import VolumeRecorder
+from repro.engine.trainer import EpochResult
 from repro.obs.drift import DriftReading
 
 #: Version of the shared report JSON envelope.  Bump when a payload field
@@ -107,6 +109,50 @@ class ReportBase:
         with open(path) as fh:
             payload = json.load(fh)
         return cls.validate_dict(payload)
+
+
+@dataclass
+class APTRunResult:
+    """Outcome of executing one (or, after hot switches, several)
+    strategies for some epochs."""
+
+    strategy: str
+    epochs: List[EpochResult]
+    #: volume ledgers of the last trainer segment
+    recorder: VolumeRecorder
+    #: the paper's stacked breakdown summed over the run
+    breakdown: Dict[str, float] = field(default_factory=dict)
+    #: one simulated-time ledger per trainer segment, in run order — a
+    #: fault, strategy switch or membership change rebuilds the trainer
+    #: with fresh ledgers
+    timelines: List[Timeline] = field(default_factory=list)
+    #: disk-tier counters of the last segment's feature store (``None``
+    #: for in-RAM features).  A summary, not the store: the live context
+    #: would pin the promoted-row buffer for as long as the report lives.
+    disk: Optional[Dict[str, float]] = None
+
+    @property
+    def timeline(self) -> Timeline:
+        """The last trainer segment's ledger (the only one when nothing
+        rebuilt the trainer mid-run)."""
+        return self.timelines[-1]
+
+    def chrome_trace(self) -> list:
+        """Chrome-trace events of every segment, laid end to end."""
+        return chrome_trace(self.timelines)
+
+    @property
+    def wall_seconds(self) -> float:
+        return sum(e.wall_seconds for e in self.epochs)
+
+    @property
+    def epoch_seconds(self) -> float:
+        """Average simulated epoch time (the paper's main metric)."""
+        return self.wall_seconds / max(len(self.epochs), 1)
+
+    @property
+    def final_loss(self) -> float:
+        return self.epochs[-1].mean_loss if self.epochs else float("nan")
 
 
 @dataclass

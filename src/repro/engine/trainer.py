@@ -26,6 +26,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
+from repro.cluster.timeline import busy_imbalance
 from repro.engine.base import Strategy, sample_batches
 from repro.engine.context import ExecutionContext
 from repro.featurestore.store import gather_dedup_enabled
@@ -130,23 +131,17 @@ class ParallelTrainer:
         ctx.timeline.end_batch()
         return loss_value
 
-    def _device_busy(self) -> List[float]:
-        """Per-device busy seconds accumulated so far (all phases)."""
-        from repro.cluster.timeline import PHASES
-
-        timeline = self.ctx.timeline
-        return [
-            sum(timeline.device_phase_seconds(d, p) for p in PHASES)
-            for d in range(timeline.num_devices)
-        ]
-
     def train_epoch(self, epoch: int) -> EpochResult:
         """Run one full epoch; returns loss and timing summary."""
         ctx = self.ctx
         wall_before = ctx.timeline.wall_seconds
         phases_before = ctx.timeline.paper_breakdown()
         raw_before = ctx.timeline.breakdown()
-        busy_before = self._device_busy() if ctx.telemetry is not None else None
+        busy_before = (
+            ctx.timeline.device_busy_seconds()
+            if ctx.telemetry is not None
+            else None
+        )
         batch_losses = []
         backend = resolve_backend(ctx)
         # Announcing the epoch's batch schedule lets a pipelined backend
@@ -199,22 +194,19 @@ class ParallelTrainer:
                 num_batches=result.num_batches,
             )
             # Per-device utilization: how evenly did the epoch's work land?
-            # A max/min busy ratio near 1 means speed-proportional balance;
-            # large ratios mean the slowest device gated the barrier
-            # (DESIGN.md §5.17).  Telemetry-only — never touches sim time.
+            # Telemetry-only — never touches sim time.
             busy = [
                 after - before
-                for after, before in zip(self._device_busy(), busy_before)
+                for after, before in zip(
+                    ctx.timeline.device_busy_seconds(), busy_before
+                )
             ]
-            max_busy, min_busy = max(busy), min(busy)
             ctx.telemetry.emit(
                 "device_imbalance",
                 sim_time=ctx.timeline.wall_seconds,
                 epoch=epoch,
                 busy_seconds=busy,
-                max_busy=max_busy,
-                min_busy=min_busy,
-                imbalance_ratio=(max_busy / min_busy if min_busy > 0 else 0.0),
+                **busy_imbalance(busy),
             )
         return result
 

@@ -374,6 +374,12 @@ class UnifiedFeatureStore:
             return self.dataset.num_nodes
         return int(np.count_nonzero(self._disk_pos >= 0))
 
+    def disk_summary(self) -> Optional[Dict[str, float]]:
+        """Disk-tier counters so far; ``None`` for in-RAM stores."""
+        if not self.disk_tier_active:
+            return None
+        return {**self.disk_stats, "resident_rows": self.disk_resident_count()}
+
     def _materialize(
         self, node_ids: np.ndarray, out: Optional[np.ndarray] = None
     ) -> np.ndarray:

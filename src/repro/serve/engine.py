@@ -38,8 +38,8 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.config import ServeConfig
-from repro.core.adapter import adapt_strategy
 from repro.core.checkpoint import Checkpoint, CheckpointManager
+from repro.engine import make_strategy
 from repro.featurestore.store import Tier
 from repro.obs.drift import DriftDetector
 from repro.obs.telemetry import TelemetryCollector
@@ -124,7 +124,7 @@ class ServeEngine:
             TelemetryCollector() if apt.config.telemetry else None
         )
         self.ctx = apt._build_context(telemetry=self.collector)
-        self.strategy = adapt_strategy(strategy, self.ctx)
+        self.strategy = make_strategy(strategy)
         # Census-keyed caches first (the training policy) — the adaptive
         # hotness cache re-keys the same tier once traffic is observed.
         self.strategy_report = self.strategy.prepare(self.ctx)

@@ -1,8 +1,7 @@
-"""Shared utilities: seeded RNG helpers, validation, and lightweight timers."""
+"""Shared utilities: seeded RNG helpers, validation, and the profile hook."""
 
 from repro.utils.profile import profile, profile_totals, profiled, reset_profile
 from repro.utils.random import rng_from, seed_for_node, spawn_rngs
-from repro.utils.timing import WallTimer
 from repro.utils.validation import (
     check_dim,
     check_index_array,
@@ -14,7 +13,6 @@ __all__ = [
     "rng_from",
     "seed_for_node",
     "spawn_rngs",
-    "WallTimer",
     "profile",
     "profiled",
     "profile_totals",

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cluster import Timeline
+from repro.cluster.timeline import chrome_trace
 
 
 class TestCharging:
@@ -92,12 +93,11 @@ class TestOverlap:
 
 
 class TestChromeTrace:
-    def test_requires_trace_mode(self):
-        with pytest.raises(RuntimeError):
-            Timeline(1).to_chrome_trace()
+    def test_empty_timeline_exports_nothing(self):
+        assert Timeline(1).to_chrome_trace() == []
 
     def test_events_cover_charges(self):
-        t = Timeline(2, trace=True)
+        t = Timeline(2)
         t.charge(0, "sample", 1.0)
         t.charge(0, "train", 2.0)
         t.charge(1, "load", 3.0)
@@ -110,7 +110,7 @@ class TestChromeTrace:
         assert total_us == pytest.approx(7.0 * 1e6)
 
     def test_phases_sequential_per_device(self):
-        t = Timeline(1, trace=True)
+        t = Timeline(1)
         t.charge(0, "sample", 1.0)
         t.charge(0, "load", 2.0)
         t.end_batch()
@@ -118,7 +118,7 @@ class TestChromeTrace:
         assert ev["load"]["ts"] == pytest.approx(ev["sample"]["ts"] + 1e6)
 
     def test_batches_offset_by_barrier(self):
-        t = Timeline(2, trace=True)
+        t = Timeline(2)
         t.charge(1, "train", 5.0)
         t.end_batch()
         t.charge(0, "train", 1.0)
@@ -128,10 +128,34 @@ class TestChromeTrace:
         assert second["ts"] == pytest.approx(5.0 * 1e6)
 
     def test_zero_duration_phases_skipped(self):
-        t = Timeline(1, trace=True)
+        t = Timeline(1)
         t.charge(0, "train", 1.0)
         t.end_batch()
         assert len(t.to_chrome_trace()) == 1
+
+    def test_segments_laid_end_to_end(self):
+        """A rebuilt trainer starts a fresh ledger, possibly on another
+        device count; its batches follow the previous segment's wall."""
+        a, b = Timeline(2), Timeline(1)
+        a.charge(1, "train", 5.0)
+        a.end_batch()
+        b.charge(0, "load", 1.0)
+        b.end_batch()
+        b.charge(0, "train", 2.0)
+        b.end_batch()
+        events = chrome_trace([a, b])
+        assert events[:1] == a.to_chrome_trace()
+        assert [e["cat"] for e in events] == ["batch0", "batch1", "batch2"]
+        assert [e["ts"] for e in events] == [0.0, 5.0 * 1e6, 6.0 * 1e6]
+        assert [e["tid"] for e in events] == [1, 0, 0]
+
+    def test_state_round_trip_keeps_the_trace(self):
+        t = Timeline(2)
+        t.charge(0, "sample", 1.0)
+        t.end_batch()
+        clone = Timeline.from_state_dict(t.state_dict())
+        assert clone.to_chrome_trace() == t.to_chrome_trace()
+        assert clone.wall_seconds == t.wall_seconds
 
 
 class TestReporting:

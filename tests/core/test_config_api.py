@@ -1,4 +1,4 @@
-"""Tests for the APTConfig surface and the removed legacy-kwargs path."""
+"""Tests for the APTConfig surface and ``APT`` construction."""
 
 import numpy as np
 import pytest
@@ -89,11 +89,6 @@ class TestAPTConstruction:
         assert apt.fanouts == [4, 4]
         assert apt.global_batch_size == 256
 
-    def test_legacy_kwargs_raise_with_migration_hint(self, task):
-        ds, model, cluster = task
-        with pytest.raises(TypeError, match=r"APTConfig\(fanouts=\.\.\."):
-            APT(ds, model, cluster, fanouts=[4, 4], global_batch_size=256)
-
     def test_legacy_positional_fanouts_raise(self, task):
         ds, model, cluster = task
         with pytest.raises(TypeError, match="APTConfig"):
@@ -106,7 +101,7 @@ class TestAPTConstruction:
 
     def test_config_plus_legacy_kwargs_rejected(self, task):
         ds, model, cluster = task
-        with pytest.raises(TypeError, match="APTConfig"):
+        with pytest.raises(TypeError, match="unexpected keyword argument 'seed'"):
             APT(ds, model, cluster, APTConfig(fanouts=(4, 4)), seed=3)
 
     def test_layer_fanout_mismatch(self, task):

@@ -61,6 +61,33 @@ class TestCommands:
         assert events and all(e["ph"] == "X" for e in events)
         assert {e["name"] for e in events} <= {"sample", "load", "train", "shuffle"}
 
+    def test_trace_flag_does_not_change_the_run(self, capsys, tmp_path):
+        """`run --trace` is the same run plus a file: an --inject schedule
+        still fires and every epoch lands in the trace."""
+        import json
+
+        schedule = tmp_path / "faults.json"
+        schedule.write_text(json.dumps({"events": [
+            {"epoch": 1, "kind": "straggler", "machine": 0, "factor": 0.25}
+        ]}))
+        cmd = ["run", "--strategy", "dnp", "--epochs", "3", "--inject",
+               str(schedule), "--json"] + self.BASE
+        assert main(cmd) == 0
+        plain = json.loads(capsys.readouterr().out)
+        trace_path = tmp_path / "trace.json"
+        assert main(cmd + ["--trace", str(trace_path)]) == 0
+        traced = json.loads(capsys.readouterr().out)
+
+        assert [f["fault"]["kind"] for f in traced["faults"]] == ["straggler"]
+        seconds = [e["wall_seconds"] for e in traced["result"]["epochs"]]
+        assert seconds == [e["wall_seconds"] for e in plain["result"]["epochs"]]
+        assert seconds[1] > seconds[0]  # the straggler slowed epoch 1
+        events = json.loads(trace_path.read_text())
+        batches = sum(e["num_batches"] for e in traced["result"]["epochs"])
+        assert {e["cat"] for e in events} == {f"batch{i}" for i in range(batches)}
+        end_us = max(e["ts"] + e["dur"] for e in events)
+        assert end_us == pytest.approx(sum(seconds) * 1e6)
+
     def test_compare_with_hybrid(self, capsys):
         assert main(
             ["compare", "--hybrid"] + self.BASE + ["--machines", "2"]
