@@ -43,7 +43,7 @@ from repro.featurestore.store import Tier, count_ranges
 from repro.models.base import extend_with_self_edges
 from repro.models.gat import GATLayer
 from repro.models.sage import SAGELayer
-from repro.tensor.sparse import segment_mean
+from repro.tensor.sparse import SegmentIndex, segment_mean
 from repro.tensor.tensor import Tensor
 
 
@@ -204,6 +204,28 @@ class NFPStrategy(Strategy):
         ]
         shuffle_bytes = np.zeros((C, C))
         self_in_agg = layer.self_loop_in_aggregation
+        # Every shard holder aggregates every owner's block through the
+        # same index arrays: one segment index per (owner, array), built
+        # here (or cached on the block) and shared by all C holders,
+        # forward and backward.
+        routes: List[Optional[tuple]] = [None] * C
+        if ctx.numerics:
+            for o, mb in enumerate(batches):
+                if mb is None:
+                    continue
+                block = mb.blocks[0]
+                idx = plan.src_idx_in_union[o]
+                if self_in_agg:
+                    # GCN: the self loop is one more aggregation edge.
+                    es, ed = extend_with_self_edges(block)
+                    edges = (
+                        SegmentIndex(es, block.num_src),
+                        SegmentIndex(ed, block.num_dst),
+                    )
+                else:
+                    edges = (block.src_index(), block.dst_index())
+                dst_rows = None if self_in_agg else idx[block.dst_in_src]
+                routes[o] = (SegmentIndex(idx, union.size), *edges, dst_rows)
         x_union: Optional[np.ndarray] = None
         for c in range(C):
             lo, hi = self.shard(c)
@@ -233,22 +255,14 @@ class NFPStrategy(Strategy):
                     continue
                 block = mb.blocks[0]
                 if ctx.numerics:
-                    idx = plan.src_idx_in_union[o]
-                    z_local = z_union.index_rows(idx)
-                    if self_in_agg:
-                        # GCN: the self loop is one more aggregation edge.
-                        es, ed = extend_with_self_edges(block)
-                        contributions[c][o] = segment_mean(
-                            z_local.index_rows(es), ed, block.num_dst
-                        )
-                    else:
-                        neigh = segment_mean(
-                            z_local.index_rows(block.edge_src),
-                            block.edge_dst,
-                            block.num_dst,
-                        )
-                        x_dst = x_shard.index_rows(idx[block.dst_in_src])
-                        contributions[c][o] = neigh + (x_dst @ ws)
+                    union_rows, edge_src, edge_dst, dst_rows = routes[o]
+                    neigh = segment_mean(
+                        z_union.index_rows(union_rows).index_rows(edge_src),
+                        edge_dst,
+                    )
+                    if not self_in_agg:
+                        neigh = neigh + (x_shard.index_rows(dst_rows) @ ws)
+                    contributions[c][o] = neigh
                 if c != o:
                     shuffle_bytes[c, o] += block.num_dst * d_hidden * 8.0
                 ctx.charger.dense(

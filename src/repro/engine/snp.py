@@ -46,7 +46,7 @@ from repro.featurestore.store import Tier, count_ranges
 from repro.models.gat import GATLayer
 from repro.models.sage import SAGELayer
 from repro.tensor import concat as tensor_concat
-from repro.tensor.sparse import segment_sum
+from repro.tensor.sparse import SegmentIndex, segment_sum
 from repro.tensor.tensor import Tensor
 
 
@@ -511,8 +511,8 @@ class SNPStrategy(Strategy):
                 nums.append(recv_num[r][p])
                 dens.append(recv_den[r][p])
                 idx.append(task.vdst_req_idx)
-            idx_cat = np.concatenate(idx)
-            num_tot = segment_sum(tensor_concat(nums, axis=0), idx_cat, block.num_dst)
-            den_tot = segment_sum(tensor_concat(dens, axis=0), idx_cat, block.num_dst)
+            idx_cat = SegmentIndex(np.concatenate(idx), block.num_dst)
+            num_tot = segment_sum(tensor_concat(nums, axis=0), idx_cat)
+            den_tot = segment_sum(tensor_concat(dens, axis=0), idx_cat)
             h1[r] = layer.combine_attention_partials(num_tot, den_tot)
         return h1

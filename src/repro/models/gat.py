@@ -32,7 +32,7 @@ from repro.tensor import functional as F
 from repro.tensor import fused
 from repro.tensor import init as tinit
 from repro.tensor.module import Parameter
-from repro.tensor.sparse import segment_softmax, segment_sum
+from repro.tensor.sparse import SegmentIndex, segment_softmax, segment_sum
 from repro.tensor.tensor import Tensor
 from repro.utils.random import rng_from
 
@@ -130,11 +130,15 @@ class GATLayer(GNNLayer):
         s_l = self.src_scores(z2)
         s_r = self.dst_scores(z2)
         edge_src, edge_dst = extend_with_self_edges(block)
-        e = F.leaky_relu(s_l.index_rows(edge_src) + s_r.index_rows(block.dst_in_src[edge_dst]))
-        alpha = segment_softmax(e, edge_dst, block.num_dst)
+        # One index per endpoint array: the few-column score operands share
+        # the grouping the 32-column message sum needs anyway.
+        src = SegmentIndex(edge_src, block.num_src)
+        dst = SegmentIndex(edge_dst, block.num_dst)
+        e = F.leaky_relu(s_l.index_rows(src) + s_r.index_rows(block.dst_in_src[edge_dst]))
+        alpha = segment_softmax(e, dst)
         z3 = self._as_heads(z2)
-        weighted = z3.index_rows(edge_src) * alpha.reshape(alpha.shape[0], self.heads, 1)
-        h3 = segment_sum(weighted, edge_dst, block.num_dst)
+        weighted = z3.index_rows(src) * alpha.reshape(alpha.shape[0], self.heads, 1)
+        h3 = segment_sum(weighted, dst)
         return self.finalize(h3)
 
     def finalize(self, h3: Tensor) -> Tensor:
@@ -192,13 +196,13 @@ class GATLayer(GNNLayer):
         ``(numerator (num_dst, heads, head_dim), denominator (num_dst, heads))``
         — partials from different devices for the same destination add.
         """
-        e = F.leaky_relu(s_l_src.index_rows(edge_src) + s_r_dst.index_rows(edge_dst))
+        src = SegmentIndex(edge_src, z2_src.shape[0])
+        dst = SegmentIndex(edge_dst, num_dst)
+        e = F.leaky_relu(s_l_src.index_rows(src) + s_r_dst.index_rows(dst))
         w = (e - Tensor(shift_dst[edge_dst])).exp()
         z3 = self._as_heads(z2_src)
-        weighted = z3.index_rows(edge_src) * w.reshape(w.shape[0], self.heads, 1)
-        num = segment_sum(weighted, edge_dst, num_dst)
-        den = segment_sum(w, edge_dst, num_dst)
-        return num, den
+        weighted = z3.index_rows(src) * w.reshape(w.shape[0], self.heads, 1)
+        return segment_sum(weighted, dst), segment_sum(w, dst)
 
     def combine_attention_partials(self, num_total: Tensor, den_total: Tensor) -> Tensor:
         """Exact reconstruction from summed (numerator, denominator) pairs."""

@@ -28,7 +28,12 @@ from repro.sampling.block import Block
 from repro.tensor import fused
 from repro.tensor import init as tinit
 from repro.tensor.module import Parameter
-from repro.tensor.sparse import segment_mean, segment_sum
+from repro.tensor.sparse import (
+    SegmentIndex,
+    segment_count,
+    segment_mean,
+    segment_sum,
+)
 from repro.tensor.tensor import Tensor
 from repro.utils.random import rng_from
 
@@ -118,9 +123,8 @@ class GCNLayer(GNNLayer):
         """Partial (sum, count) over an edge subset — identical algebra to
         :meth:`SAGELayer.partial_aggregate`."""
         msgs = z_src.index_rows(edge_src)
-        psum = segment_sum(msgs, edge_dst, num_dst)
-        counts = np.bincount(edge_dst, minlength=num_dst).astype(np.float64)
-        return psum, counts
+        dst = SegmentIndex(edge_dst, num_dst)
+        return segment_sum(msgs, dst), segment_count(dst)
 
     def combine_partials(
         self,

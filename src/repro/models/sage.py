@@ -23,7 +23,12 @@ from repro.sampling.block import Block
 from repro.tensor import fused
 from repro.tensor import init as tinit
 from repro.tensor.module import Parameter
-from repro.tensor.sparse import segment_mean, segment_sum
+from repro.tensor.sparse import (
+    SegmentIndex,
+    segment_count,
+    segment_mean,
+    segment_sum,
+)
 from repro.tensor.tensor import Tensor
 from repro.utils.random import rng_from
 
@@ -91,7 +96,7 @@ class SAGELayer(GNNLayer):
         # Aggregate raw inputs, then project: cheaper than projecting every
         # source when out_dim < in_dim, and exactly equal either way.
         msgs = h_src.index_rows(edge_src)
-        neigh_mean = segment_mean(msgs, block.edge_dst, block.num_dst)
+        neigh_mean = segment_mean(msgs, block.dst_index())
         h_dst_in = h_src.index_rows(dst_in_src)
         return self.combine(neigh_mean @ self.w_neigh, h_dst_in @ self.w_self)
 
@@ -134,9 +139,8 @@ class SAGELayer(GNNLayer):
         add: ``mean = sum(partial_sums) / sum(counts)``.
         """
         msgs = z_src.index_rows(edge_src)
-        psum = segment_sum(msgs, edge_dst, num_dst)
-        counts = np.bincount(edge_dst, minlength=num_dst).astype(np.float64)
-        return psum, counts
+        dst = SegmentIndex(edge_dst, num_dst)
+        return segment_sum(msgs, dst), segment_count(dst)
 
     def finalize_sum(self, total: Tensor) -> Tensor:
         """Bias + activation over an already-summed (neigh + self) term.

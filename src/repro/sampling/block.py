@@ -15,11 +15,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.tensor.sparse import CSRMatrix
-
-
-def _is_nondecreasing(a: np.ndarray) -> bool:
-    return a.shape[0] < 2 or bool(np.all(a[1:] >= a[:-1]))
+from repro.tensor.sparse import SegmentIndex, _is_nondecreasing
 
 
 @dataclass
@@ -50,8 +46,8 @@ class Block:
     edge_dst: np.ndarray
     # Derived structures, built on first use and reused for the lifetime of
     # the block (blocks are immutable once constructed).
-    _adj: Optional[CSRMatrix] = field(default=None, repr=False, compare=False)
-    _dst_ptr: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
+    _dst_index: Optional[SegmentIndex] = field(default=None, repr=False, compare=False)
+    _src_index: Optional[SegmentIndex] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.dst_in_src.shape != self.dst_nodes.shape:
@@ -72,34 +68,35 @@ class Block:
     def num_edges(self) -> int:
         return int(self.edge_src.shape[0])
 
-    def adjacency(self) -> CSRMatrix:
-        """``(num_dst, num_src)`` unweighted adjacency for SpMM kernels.
+    def dst_index(self) -> SegmentIndex:
+        """``edge_dst`` as a segment index over the destinations.
 
-        Built once per block and cached — strategies ask for the same
-        adjacency per layer per device per batch, and the CSR build is the
-        expensive part.
+        What every aggregation of this block's edge messages groups by.
+        Built once per block and cached: NFP aggregates the same block on
+        every shard holder, forward and backward.
         """
-        if self._adj is None:
-            self._adj = CSRMatrix.from_edges(
-                self.edge_dst, self.edge_src, (self.num_dst, self.num_src)
-            )
-        return self._adj
+        if self._dst_index is None:
+            self._dst_index = SegmentIndex(self.edge_dst, self.num_dst)
+        return self._dst_index
+
+    def src_index(self) -> SegmentIndex:
+        """``edge_src`` as a row index over the sources — the gather of
+        per-edge messages, whose adjoint scatters into ``num_src`` rows.
+        For callers that gather through one block repeatedly (NFP); a
+        single gather passes ``edge_src`` itself and keeps nothing."""
+        if self._src_index is None:
+            self._src_index = SegmentIndex(self.edge_src, self.num_src)
+        return self._src_index
 
     def dst_edge_ptr(self) -> np.ndarray:
         """``(num_dst + 1,)`` CSR-style pointer into the dst-sorted edges.
 
         ``edge_*[ptr[i]:ptr[i+1]]`` are exactly destination ``i``'s in-edges
-        (edges are sorted by ``edge_dst``).  Cached: the sample-cache
-        restriction path slices many seed subsets out of one block.
+        (edges are sorted by ``edge_dst``).  Cached with :meth:`dst_index`:
+        the sample-cache restriction path slices many seed subsets out of
+        one block.
         """
-        if self._dst_ptr is None:
-            ptr = np.zeros(self.num_dst + 1, dtype=np.int64)
-            np.cumsum(
-                np.bincount(self.edge_dst, minlength=self.num_dst),
-                out=ptr[1:],
-            )
-            self._dst_ptr = ptr
-        return self._dst_ptr
+        return self.dst_index().indptr
 
     def nbytes(self) -> int:
         """Resident bytes of the index arrays (sample-cache accounting)."""

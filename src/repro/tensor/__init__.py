@@ -9,8 +9,9 @@ substrate the strategies need:
 * :mod:`~repro.tensor.functional` — activations, softmax/log-softmax,
   dropout, and the cross-entropy loss used for node classification.
 * :mod:`~repro.tensor.sparse` — CSR sparse-dense matmul (SpMM) and segment
-  operations (sum / mean / softmax over edge groups), the kernels a GNN layer
-  is made of.  These mirror DGL's SpMM/SDDMM kernel roles.
+  operations (sum / mean / softmax over edge groups, grouped by a reusable
+  ``SegmentIndex``), the kernels a GNN layer is made of.  These mirror
+  DGL's SpMM/SDDMM kernel roles.
 * :mod:`~repro.tensor.module` — ``Module`` / ``Parameter`` containers.
 * :mod:`~repro.tensor.optim` — SGD and Adam optimizers.
 
@@ -34,6 +35,7 @@ from repro.tensor.optim import (
     clip_grad_norm,
 )
 from repro.tensor.sparse import (
+    SegmentIndex,
     gather_rows,
     segment_max,
     segment_mean,
@@ -65,6 +67,7 @@ __all__ = [
     "CosineAnnealingLR",
     "spmm",
     "gather_rows",
+    "SegmentIndex",
     "segment_sum",
     "segment_mean",
     "segment_max",

@@ -31,6 +31,7 @@ tests and benchmarks produce their "before" runs.
 from __future__ import annotations
 
 import contextlib
+import math
 import os
 from typing import Dict, List, Optional, Tuple
 
@@ -189,7 +190,7 @@ def take(shape: tuple, dtype=np.float64) -> Optional[np.ndarray]:
     if not _ENABLED:
         return None
     dt = np.dtype(dtype)
-    if int(np.prod(shape)) * dt.itemsize < MIN_POOL_BYTES:
+    if math.prod(shape) * dt.itemsize < MIN_POOL_BYTES:
         return None
     return _POOL.take(shape, dt)
 

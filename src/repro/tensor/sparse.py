@@ -21,22 +21,28 @@ spmm (CSR @ X)    CSR^T @ dY
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Union
 
 import numpy as np
 import scipy.sparse as sp
 
 from repro.tensor.tensor import Tensor
 
+try:  # the C routine ``csr_matrix @ dense`` ends in; private, hence guarded
+    from scipy.sparse._sparsetools import csr_matvecs as _csr_matvecs
+except ImportError:
+    _csr_matvecs = None
 
-def gather_rows(x: Tensor, idx: np.ndarray) -> Tensor:
+
+def gather_rows(x: Tensor, idx: "IndexLike") -> Tensor:
     """Row gather ``x[idx]`` (alias of :meth:`Tensor.index_rows`)."""
     return x.index_rows(idx)
 
 
 def _check_segments(segment_ids: np.ndarray, num_segments: int) -> np.ndarray:
     segment_ids = np.asarray(segment_ids, dtype=np.int64)
-    if segment_ids.size and (segment_ids.min() < 0 or segment_ids.max() >= num_segments):
+    # One reduction checks both bounds: a negative id read as uint64 is huge.
+    if segment_ids.size and segment_ids.view(np.uint64).max() >= num_segments:
         raise IndexError(
             f"segment ids must lie in [0, {num_segments}); got range "
             f"[{segment_ids.min()}, {segment_ids.max()}]"
@@ -46,18 +52,8 @@ def _check_segments(segment_ids: np.ndarray, num_segments: int) -> np.ndarray:
 
 def _is_nondecreasing(segment_ids: np.ndarray) -> bool:
     return segment_ids.shape[0] < 2 or bool(
-        np.all(segment_ids[1:] >= segment_ids[:-1])
+        (segment_ids[1:] >= segment_ids[:-1]).all()
     )
-
-
-#: Below this many rows the plain scatter-add wins (kernel setup overhead);
-#: both paths are bit-identical, so the threshold is purely a speed knob.
-_SMALL_E = 1024
-
-#: Unsorted segments with at most this many trailing columns go through
-#: column-wise 1-D scatter loops instead of a sort (another speed knob —
-#: every path computes bit-identical results).
-_COLWISE_MAX_COLS = 8
 
 
 def _stable_order(segment_ids: np.ndarray, num_segments: int) -> np.ndarray:
@@ -76,12 +72,125 @@ def _stable_order(segment_ids: np.ndarray, num_segments: int) -> np.ndarray:
     return np.argsort(segment_ids, kind="stable")
 
 
-def _segment_sum_array(
-    data: np.ndarray,
-    segment_ids: np.ndarray,
-    num_segments: int,
-    order: "Optional[np.ndarray]" = None,
-) -> np.ndarray:
+class SegmentIndex:
+    """Validated segment ids plus the grouping structure derived from them.
+
+    ``ids[e]`` is the segment (destination, output row) of row ``e``.  The
+    ids are range-checked once, here; sortedness, the rows per segment,
+    their running sum (a CSR row pointer) and the stable grouping order
+    are each built on first use and kept, so every kernel that aggregates
+    over — or scatters a gradient through — the same ids shares one build.
+    Immutable by contract: ``ids`` must not be written after construction.
+    Accepted wherever :func:`segment_sum`, :func:`segment_mean`,
+    :func:`segment_softmax` and :meth:`Tensor.index_rows` take a raw id
+    array.
+    """
+
+    __slots__ = ("ids", "num_segments", "_sorted", "_counts", "_indptr", "_cols")
+
+    def __init__(self, ids: np.ndarray, num_segments: int):
+        self.num_segments = int(num_segments)
+        self.ids = _check_segments(ids, self.num_segments)
+        if self.ids.ndim != 1:
+            raise ValueError(f"segment ids must be 1-D; got shape {self.ids.shape}")
+        self._sorted: Optional[bool] = None
+        self._counts: Optional[np.ndarray] = None
+        self._indptr: Optional[np.ndarray] = None
+        self._cols: Optional[np.ndarray] = None
+
+    @property
+    def is_sorted(self) -> bool:
+        if self._sorted is None:
+            self._sorted = _is_nondecreasing(self.ids)
+        return self._sorted
+
+    @property
+    def counts(self) -> np.ndarray:
+        """``(num_segments,)`` rows per segment (int64)."""
+        if self._counts is None:
+            self._counts = np.bincount(self.ids, minlength=self.num_segments)
+        return self._counts
+
+    @property
+    def indptr(self) -> np.ndarray:
+        """``(num_segments + 1,)`` CSR row pointer: segment ``s``'s rows are
+        ``cols[indptr[s]:indptr[s + 1]]``."""
+        if self._indptr is None:
+            ptr = np.zeros(self.num_segments + 1, dtype=np.int64)
+            np.cumsum(self.counts, out=ptr[1:])
+            self._indptr = ptr
+        return self._indptr
+
+    @property
+    def cols(self) -> np.ndarray:
+        """Row positions grouped by segment, original order within each:
+        the stable sort order (kept), or a fresh ``arange`` for sorted ids
+        (cheaper to remake than to hold on every cached block)."""
+        if self._cols is None:
+            if self.is_sorted:
+                return np.arange(self.ids.shape[0], dtype=np.int64)
+            self._cols = _stable_order(self.ids, self.num_segments)
+        return self._cols
+
+
+IndexLike = Union[np.ndarray, SegmentIndex]
+
+
+def _as_index(
+    segment_ids: IndexLike, num_segments: Optional[int] = None
+) -> SegmentIndex:
+    """Pass a :class:`SegmentIndex` through; validate and wrap a raw id array."""
+    if isinstance(segment_ids, SegmentIndex):
+        if num_segments is not None and num_segments != segment_ids.num_segments:
+            raise ValueError(
+                f"index has {segment_ids.num_segments} segments, "
+                f"caller expects {num_segments}"
+            )
+        return segment_ids
+    if num_segments is None:
+        raise TypeError("num_segments is required with a raw segment id array")
+    return SegmentIndex(segment_ids, num_segments)
+
+
+#: Operands with fewer elements than this keep ``np.add.at``: under it the
+#: generic 2-D ``ufunc.at`` loop (~2 us + 12 ns/element) beats building the
+#: row pointer for a one-off index.  Measured, with the table, in
+#: DESIGN.md 5.9; both paths are bit-identical, so this is a speed choice.
+_ADD_AT_MAX_SIZE = 1024
+
+
+def _rowsum_csr_direct(index: SegmentIndex, flat: np.ndarray) -> np.ndarray:
+    """``S @ flat`` for the 0/1 selection CSR ``(ones, cols, indptr)``,
+    through the C routine scipy's own ``csr_matrix @ dense`` ends in —
+    without building (and validating) a ``csr_matrix`` per call."""
+    n_rows, n_cols = flat.shape
+    out = np.zeros((index.num_segments, n_cols), dtype=flat.dtype)
+    # The routine reads raw buffers: C-contiguous, one value dtype, one
+    # index dtype.  ``cols``/``indptr`` are int64 and consistent with
+    # ``n_rows`` by construction (SegmentIndex built them from checked ids).
+    _csr_matvecs(
+        index.num_segments, n_rows, n_cols,
+        index.indptr, index.cols, np.ones(n_rows, dtype=flat.dtype),
+        np.ascontiguousarray(flat).reshape(-1), out.reshape(-1),
+    )
+    return out
+
+
+def _rowsum_csr_public(index: SegmentIndex, flat: np.ndarray) -> np.ndarray:
+    """The same product through scipy's public API (~50 us of constructor
+    and validation per call); used only where the private routine is gone."""
+    sel = sp.csr_matrix(
+        (np.ones(flat.shape[0], dtype=flat.dtype), index.cols, index.indptr),
+        shape=(index.num_segments, flat.shape[0]),
+    )
+    return sel @ flat
+
+
+#: Chosen at import, not by a knob: same arithmetic through either entry.
+_rowsum_csr = _rowsum_csr_public if _csr_matvecs is None else _rowsum_csr_direct
+
+
+def _segment_sum_array(data: np.ndarray, index: SegmentIndex) -> np.ndarray:
     """Per-segment row sums, bit-identical to sequential ``np.add.at``.
 
     ``np.add.reduceat`` would be the obvious kernel but it reduces
@@ -92,99 +201,73 @@ def _segment_sum_array(
     accumulates each output row sequentially in stored-index order, which
     reproduces ``np.add.at`` exactly while running on a C hot loop.
 
-    ``order`` (a stable argsort of ``segment_ids``) may be supplied by
-    callers that already computed it; ``None`` means "compute if needed".
+    The path depends on the operand's shape alone: 1-D operands (NumPy's
+    ``ufunc.at`` has a fast indexed loop for them) and operands under
+    ``_ADD_AT_MAX_SIZE`` elements take ``np.add.at`` itself.
     """
-    E = segment_ids.shape[0]
-    out_shape = (num_segments,) + data.shape[1:]
-    if E == 0:
-        return np.zeros(out_shape, dtype=data.dtype)
-    if E < _SMALL_E or data.ndim == 1:
-        # NumPy's ufunc.at has a fast indexed loop for 1-D operands; it is
-        # the sequential scatter-add itself, so identity is trivial.
+    n_rows = index.ids.shape[0]
+    if data.shape[0] != n_rows:
+        raise ValueError(
+            f"data has {data.shape[0]} rows, segment index has {n_rows}"
+        )
+    out_shape = (index.num_segments,) + data.shape[1:]
+    if data.ndim == 1 or data.size < _ADD_AT_MAX_SIZE:
         out = np.zeros(out_shape, dtype=data.dtype)
-        np.add.at(out, segment_ids, data)
+        np.add.at(out, index.ids, data)
         return out
-    if order is None and not _is_nondecreasing(segment_ids):
-        ncol = int(np.prod(data.shape[1:]))
-        if ncol <= _COLWISE_MAX_COLS:
-            # Few columns: run the 1-D fast scatter-add per column on an
-            # F-order copy.  Each output element sees the same additions
-            # in the same order as the 2-D np.add.at — bit-identical.
-            flat = np.asfortranarray(data.reshape(E, -1))
-            out = np.zeros((num_segments, ncol), dtype=data.dtype)
-            buf = np.zeros(num_segments, dtype=data.dtype)
-            for j in range(ncol):
-                buf[:] = 0
-                np.add.at(buf, segment_ids, flat[:, j])
-                out[:, j] = buf
-            return out.reshape(out_shape)
-        order = _stable_order(segment_ids, num_segments)
-    counts = np.bincount(segment_ids, minlength=num_segments)
-    indptr = np.zeros(num_segments + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-    cols = np.arange(E, dtype=np.int64) if order is None else order
-    sel = sp.csr_matrix(
-        (np.ones(E, dtype=data.dtype), cols, indptr), shape=(num_segments, E)
-    )
-    out = sel @ data.reshape(E, -1)
-    return out.reshape(out_shape)
+    return _rowsum_csr(index, data.reshape(n_rows, -1)).reshape(out_shape)
 
 
-def _segment_sum_tensor(
-    values: Tensor,
-    segment_ids: np.ndarray,
-    num_segments: int,
-    order: "Optional[np.ndarray]" = None,
-) -> Tensor:
-    out = _segment_sum_array(values.data, segment_ids, num_segments, order)
+def _segment_sum_tensor(values: Tensor, index: SegmentIndex) -> Tensor:
+    out = _segment_sum_array(values.data, index)
+    ids = index.ids
 
     def backward_fn(g: np.ndarray) -> None:
         if values.requires_grad:
             # Fresh fancy-index gather: adopted without a defensive copy.
-            values._accumulate_owned(g[segment_ids])
+            values._accumulate_owned(g[ids])
 
     return Tensor._make(out, (values,), backward_fn, "segment_sum")
 
 
-def segment_sum(values: Tensor, segment_ids: np.ndarray, num_segments: int) -> Tensor:
+def segment_sum(
+    values: Tensor, segment_ids: IndexLike, num_segments: Optional[int] = None
+) -> Tensor:
     """Sum ``values`` rows into ``num_segments`` buckets by ``segment_ids``.
 
     ``values`` is ``(E, d)`` (or ``(E,)``); the result is
     ``(num_segments, d)`` with row ``s`` equal to the sum of rows whose
-    segment id is ``s``.  Empty segments produce zero rows.
+    segment id is ``s``.  Empty segments produce zero rows.  ``segment_ids``
+    is a raw id array (then ``num_segments`` is required) or a
+    :class:`SegmentIndex`.
     """
-    segment_ids = _check_segments(segment_ids, num_segments)
-    return _segment_sum_tensor(values, segment_ids, num_segments)
+    return _segment_sum_tensor(values, _as_index(segment_ids, num_segments))
 
 
-def segment_count(segment_ids: np.ndarray, num_segments: int) -> np.ndarray:
+def segment_count(segment_ids: IndexLike, num_segments: Optional[int] = None) -> np.ndarray:
     """Return the number of entries in each segment (plain array)."""
-    segment_ids = _check_segments(segment_ids, num_segments)
-    return np.bincount(segment_ids, minlength=num_segments).astype(np.float64)
+    return _as_index(segment_ids, num_segments).counts.astype(np.float64)
 
 
-def segment_mean(values: Tensor, segment_ids: np.ndarray, num_segments: int) -> Tensor:
+def segment_mean(
+    values: Tensor, segment_ids: IndexLike, num_segments: Optional[int] = None
+) -> Tensor:
     """Per-segment mean; empty segments yield zero rows."""
-    counts = segment_count(segment_ids, num_segments)
-    safe = np.maximum(counts, 1.0)
-    total = segment_sum(values, segment_ids, num_segments)
-    inv = (1.0 / safe).reshape((num_segments,) + (1,) * (values.data.ndim - 1))
+    index = _as_index(segment_ids, num_segments)
+    safe = np.maximum(index.counts, 1)
+    total = _segment_sum_tensor(values, index)
+    inv = (1.0 / safe).reshape((index.num_segments,) + (1,) * (values.data.ndim - 1))
     return total * Tensor(inv)
 
 
-def _segment_max_array(
-    values: np.ndarray,
-    segment_ids: np.ndarray,
-    num_segments: int,
-    order: "Optional[np.ndarray]" = None,
-) -> np.ndarray:
+def _segment_max_array(values: np.ndarray, index: SegmentIndex) -> np.ndarray:
     """Per-segment max via ``maximum.reduceat`` on sorted segment runs.
 
     Max is associative and exact, so the reduceat tree order cannot change
     the result — bit-identical to ``np.maximum.at`` (which has no fast
     path) at a fraction of the cost.  Empty segments return ``-inf``.
     """
+    num_segments, segment_ids = index.num_segments, index.ids
     out = np.full((num_segments,) + values.shape[1:], -np.inf, dtype=np.float64)
     E = segment_ids.shape[0]
     if E == 0:
@@ -192,7 +275,7 @@ def _segment_max_array(
     if values.ndim == 1:
         np.maximum.at(out, segment_ids, values)  # 1-D indexed fast loop
         return out
-    if order is None and not _is_nondecreasing(segment_ids):
+    if not index.is_sorted:
         # Unsorted n-D: column-wise 1-D fast loops on an F-order copy.
         # Max is order-independent, so any evaluation order is exact.
         flat = np.asfortranarray(values.reshape(E, -1))
@@ -203,16 +286,12 @@ def _segment_max_array(
             np.maximum.at(buf, segment_ids, flat[:, j])
             out2[:, j] = buf
         return out
-    if order is None:
-        sids, svals = segment_ids, values
-    else:
-        sids, svals = segment_ids[order], values[order]
-    starts = np.flatnonzero(np.r_[True, sids[1:] != sids[:-1]])
-    out[sids[starts]] = np.maximum.reduceat(svals, starts, axis=0)
+    starts = np.flatnonzero(np.r_[True, segment_ids[1:] != segment_ids[:-1]])
+    out[segment_ids[starts]] = np.maximum.reduceat(values, starts, axis=0)
     return out
 
 
-def segment_max(values: np.ndarray, segment_ids: np.ndarray, num_segments: int) -> np.ndarray:
+def segment_max(values: np.ndarray, segment_ids: IndexLike, num_segments: Optional[int] = None) -> np.ndarray:
     """Per-segment max of a plain array (non-differentiable by design).
 
     Used only as the numerical-stability shift inside
@@ -220,28 +299,28 @@ def segment_max(values: np.ndarray, segment_ids: np.ndarray, num_segments: int) 
     softmax value is invariant to the shift, so detaching it keeps gradients
     exact.  Empty segments return ``-inf``.
     """
-    segment_ids = _check_segments(segment_ids, num_segments)
-    return _segment_max_array(values, segment_ids, num_segments)
+    return _segment_max_array(values, _as_index(segment_ids, num_segments))
 
 
-def segment_softmax(scores: Tensor, segment_ids: np.ndarray, num_segments: int) -> Tensor:
+def segment_softmax(
+    scores: Tensor, segment_ids: IndexLike, num_segments: Optional[int] = None
+) -> Tensor:
     """Softmax of edge scores within each destination segment.
 
     This is GAT's ``edge_softmax``: for each destination node ``v`` the
     attention logits of its in-edges are normalized to sum to one.  Computed
     via the shift-invariant decomposition
     ``softmax(e) = exp(e - m_v) / sum exp(e - m_v)`` with the per-segment max
-    ``m_v`` detached.  Attention scores have few heads, so both segment
-    kernels take their column-wise fast paths — no segment sort is needed
-    even though GAT's self-edge extension appends edges out of dst order.
+    ``m_v`` detached.  One index serves the max, the sum and the adjoint of
+    the per-edge denominator gather.
     """
-    segment_ids = _check_segments(segment_ids, num_segments)
-    maxes = _segment_max_array(scores.data, segment_ids, num_segments)
+    index = _as_index(segment_ids, num_segments)
+    maxes = _segment_max_array(scores.data, index)
     # Fused (scores - shift).exp(): one pass, one buffer.  IEEE subtraction
     # is addition of the negated operand, and the shift is detached, so
     # both the values and the adjoint (g * out) match the op-by-op chain
     # bit for bit.
-    expd_data = np.subtract(scores.data, maxes[segment_ids])
+    expd_data = np.subtract(scores.data, maxes[index.ids])
     np.exp(expd_data, out=expd_data)
 
     def _exp_shift_backward(g: np.ndarray) -> None:
@@ -249,9 +328,9 @@ def segment_softmax(scores: Tensor, segment_ids: np.ndarray, num_segments: int) 
             scores._accumulate(g * expd_data)
 
     expd = Tensor._make(expd_data, (scores,), _exp_shift_backward, "exp_shift")
-    denom = _segment_sum_tensor(expd, segment_ids, num_segments)
+    denom = _segment_sum_tensor(expd, index)
     # Gather per-edge denominator and divide.
-    return expd / denom.index_rows(segment_ids)
+    return expd / denom.index_rows(index)
 
 
 class CSRMatrix:

@@ -73,24 +73,19 @@ def fusion_enabled() -> bool:
     return _FUSION_ENABLED
 
 
-# Lazily bound to repro.tensor.sparse._segment_sum_array (importing sparse at
-# module scope would be circular — sparse builds on Tensor).
-_segment_sum_array = None
+# repro.tensor.sparse, bound on first use: importing it at module scope
+# would be circular (sparse builds on Tensor), and ``index_rows`` is called
+# too often to pay for an import statement per call.
+_sparse = None
 
 
-def _scatter_add_rows(g: np.ndarray, idx: np.ndarray, n_rows: int) -> np.ndarray:
-    """Row scatter-add via the selection-CSR segment kernel.
+def _sparse_module():
+    global _sparse
+    if _sparse is None:
+        from repro.tensor import sparse
 
-    Bit-identical to ``np.add.at(zeros, idx, g)`` (pinned by
-    ``tests/tensor/test_segment_kernels.py``) but several times faster for
-    2-D operands, where ``ufunc.at`` falls back to a slow generic loop.
-    """
-    global _segment_sum_array
-    if _segment_sum_array is None:
-        from repro.tensor.sparse import _segment_sum_array as fn
-
-        _segment_sum_array = fn
-    return _segment_sum_array(g, idx, n_rows)
+        _sparse = sparse
+    return _sparse
 
 
 def _as_array(data: ArrayLike, dtype=np.float64) -> np.ndarray:
@@ -421,20 +416,35 @@ class Tensor:
 
         return Tensor._make(out_data, (self,), backward_fn, "transpose")
 
-    def index_rows(self, idx: np.ndarray) -> "Tensor":
-        """Gather rows ``self[idx]`` (autograd scatter-add on backward)."""
-        idx = np.asarray(idx, dtype=np.int64)
-        out_data = self.data[idx]
+    def index_rows(self, idx) -> "Tensor":
+        """Gather rows ``self[idx]`` (autograd scatter-add on backward).
+
+        ``idx`` is a raw row-id array or a ``sparse.SegmentIndex`` over this
+        tensor's rows; callers that gather through the same ids repeatedly
+        pass the index so the adjoint's grouping structure is built once.
+        """
+        sparse = _sparse or _sparse_module()
         n_rows = self.data.shape[0]
+        if isinstance(idx, sparse.SegmentIndex):
+            if idx.num_segments != n_rows:
+                raise ValueError(
+                    f"row index covers {idx.num_segments} rows, tensor has {n_rows}"
+                )
+            index, idx = idx, idx.ids
+        else:
+            index, idx = None, np.asarray(idx, dtype=np.int64)
+        out_data = self.data[idx]
 
         def backward_fn(g: np.ndarray) -> None:
             if not self.requires_grad:
                 return
             if _FUSION_ENABLED:
-                # Selection-CSR scatter-add: bit-identical to the np.add.at
-                # path below, much faster on 2-D/3-D gradients.  The output
-                # is freshly built, so it can be adopted without a copy.
-                self._accumulate_owned(_scatter_add_rows(g, idx, n_rows))
+                # The adjoint of a row gather is a segment sum over the
+                # same ids: bit-identical to the np.add.at path below, much
+                # faster on 2-D/3-D gradients.  The output is freshly
+                # built, so it can be adopted without a copy.
+                rows = index if index is not None else sparse.SegmentIndex(idx, n_rows)
+                self._accumulate_owned(sparse._segment_sum_array(g, rows))
             else:
                 buf = np.zeros_like(self.data)
                 np.add.at(buf, idx, g)

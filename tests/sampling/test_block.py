@@ -45,11 +45,13 @@ class TestFromGlobalEdges:
 
 
 class TestBlockDerived:
-    def test_adjacency_shape_and_values(self):
+    def test_segment_index_shape_and_values(self):
         b = simple_block()
-        adj = b.adjacency()
-        assert adj.shape == (2, 5)
-        assert adj.nnz == 3
+        dst, src = b.dst_index(), b.src_index()
+        assert (dst.num_segments, src.num_segments) == (2, 5)
+        assert dst.ids.shape == src.ids.shape == (3,)
+        np.testing.assert_array_equal(dst.indptr, [0, 2, 3])
+        np.testing.assert_array_equal(dst.counts, [2.0, 1.0])
 
     def test_degree_per_dst(self):
         b = simple_block()

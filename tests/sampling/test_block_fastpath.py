@@ -83,12 +83,18 @@ def test_dst_edge_ptr_matches_naive():
     assert block.dst_edge_ptr() is ptr  # cached
 
 
-def test_adjacency_cached_per_block():
+def test_segment_index_cached_per_block():
     rng = np.random.default_rng(2)
     src, dst = random_edges(rng, 120, 30, dst_sorted=False)
     block = Block.from_global_edges(src, dst)
-    adj = block.adjacency()
-    assert block.adjacency() is adj
-    assert adj.shape == (block.num_dst, block.num_src)
-    # duplicate (dst, src) pairs merge in the CSR, but mass is preserved
-    assert adj.mat.sum() == block.num_edges
+    dst_index, src_index = block.dst_index(), block.src_index()
+    assert block.dst_index() is dst_index
+    assert block.src_index() is src_index
+    assert block.dst_edge_ptr() is dst_index.indptr  # one structure, not two
+    assert (dst_index.num_segments, src_index.num_segments) == (
+        block.num_dst, block.num_src
+    )
+    assert dst_index.ids is block.edge_dst and src_index.ids is block.edge_src
+    # every edge lands in exactly one destination run / source bucket
+    assert dst_index.indptr[-1] == src_index.indptr[-1] == block.num_edges
+    assert dst_index.is_sorted
