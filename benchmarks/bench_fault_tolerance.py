@@ -56,7 +56,6 @@ POLICY = dict(
     failure_budget=32,
     backoff_base_s=0.01,
     backoff_max_s=0.1,
-    poll_interval_s=0.01,
     drain_timeout_s=2.0,
 )
 

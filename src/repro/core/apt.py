@@ -553,9 +553,10 @@ class APT:
             replan=replan,
             resume=resume,
         )
-        # One execution backend per run: the process pool (and its shared-
-        # memory graph/feature export) outlives trainer rebuilds on cluster
-        # change or strategy switch.
+        # One execution backend per run: it outlives trainer rebuilds on
+        # cluster change or strategy switch.  (The process backend's workers
+        # and shared-memory export outlive the run too: closing it returns
+        # them to idle for the next run over this dataset.)
         backend = make_backend(self.config, self.dataset)
         try:
             return run.execute(backend)

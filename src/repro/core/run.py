@@ -167,8 +167,8 @@ class TrainingRun:
     def execute(self, backend) -> RunReport:
         """Run the remaining epochs on ``backend``; returns the report.
 
-        The caller owns the backend (one per run: the process pool and its
-        shared-memory export outlive trainer rebuilds) and closes it.
+        The caller owns the backend (one per run: it outlives trainer
+        rebuilds) and closes it.
         """
         self.backend = backend
         for epoch in range(self.start_epoch, self.num_epochs):

@@ -34,7 +34,7 @@ EVENT_KINDS = (
     "chaos",          # HostFaultSchedule: a host fault directive armed
     "worker_error",   # supervisor/backend: a scoped worker exception
     "worker_timeout", # supervisor: task deadline expired (hang suspected)
-    "worker_respawn", # supervisor: dead worker detected, pool respawned
+    "worker_respawn", # supervisor: a dead/hung worker was replaced by a fork
     "slot_corrupt",   # supervisor: shm slot digest mismatch on receive
     "task_retry",     # supervisor: failed task resubmitted with backoff
     "degraded",       # backend: failure budget spent, serial fallback on

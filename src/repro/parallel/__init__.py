@@ -1,4 +1,4 @@
-"""Host-side execution backends (serial / shared-memory process pool).
+"""Host-side execution backends (serial / shared-memory worker processes).
 
 See DESIGN.md §5.10: backends move *host wall-clock* work (sampling,
 feature gathering, batch prefetch) without touching the simulation —
@@ -15,6 +15,7 @@ from repro.parallel.backend import (
     SerialBackend,
     make_backend,
     resolve_backend,
+    shutdown,
 )
 from repro.parallel.chaos import (
     HOST_FAULT_KINDS,
@@ -29,6 +30,7 @@ from repro.parallel.supervisor import (
     SlotCorruption,
     SupervisionError,
     WorkerCrash,
+    WorkerSet,
     WorkerTimeout,
     WorkerSupervisor,
 )
@@ -39,11 +41,13 @@ __all__ = [
     "ProcessPoolBackend",
     "make_backend",
     "resolve_backend",
+    "shutdown",
     "HOST_FAULT_KINDS",
     "HostFaultEvent",
     "HostFaultSchedule",
     "split_injections",
     "FaultPolicy",
+    "WorkerSet",
     "WorkerSupervisor",
     "HeartbeatBoard",
     "SupervisionError",

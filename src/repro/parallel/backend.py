@@ -1,4 +1,4 @@
-"""Pluggable host-side execution backends: serial and process-pool.
+"""Pluggable host-side execution backends: serial and worker processes.
 
 A backend owns the *host wall-clock* side of the engine's per-device
 loops: where sampling runs, whether batch ``k+1`` is prepared while batch
@@ -12,9 +12,12 @@ minibatches, losses, parameters, and simulated Timeline charges (pinned by
     context's :class:`~repro.sampling.cache.SampleCache` when present.
 
 :class:`ProcessPoolBackend`
-    Fans sampling out to a ``multiprocessing`` pool whose workers hold
-    zero-copy shared-memory views of the CSR graph and feature matrix
-    (attached once at pool startup).  The epoch loop is pipelined: up to
+    Fans sampling out to worker processes that hold zero-copy
+    shared-memory views of the CSR graph (and, once a task gathers, of the
+    feature matrix).  The workers and the export belong to the *dataset*,
+    not to the run: they are forked on the first process-backend run over
+    a dataset and leased by every later one (:func:`_lease` — what a lease
+    may carry from run to run is nothing).  The epoch loop is pipelined: up to
     ``prefetch_depth`` future global batches are being sampled in workers
     while the current batch runs numerics on the main process.  One task
     covers one whole global batch — the worker samples the union of the
@@ -42,6 +45,7 @@ bit-identical (pinned by ``tests/parallel/test_chaos.py``).
 
 from __future__ import annotations
 
+import atexit
 import hashlib
 import os
 import time
@@ -57,6 +61,7 @@ from repro.parallel.supervisor import (
     FailureBudgetExceeded,
     FaultPolicy,
     Flight,
+    WorkerSet,
     WorkerSupervisor,
     slot_digest,
 )
@@ -68,6 +73,7 @@ __all__ = [
     "ProcessPoolBackend",
     "make_backend",
     "resolve_backend",
+    "shutdown",
 ]
 
 #: Default worker count when the config leaves it at 0 ("auto").
@@ -114,9 +120,9 @@ class ExecutionBackend:
         re-partitioning: slots drain through the supervisor (released
         when safely settled, quarantined when a worker may still write
         them) and the epoch schedule is discarded, because its seed
-        chunks were split for the *old* device set.  The pool itself
-        stays up — the shm export is cluster-independent.  No-op on the
-        serial backend.
+        chunks were split for the *old* device set.  The workers stay
+        up — the shm export is cluster-independent.  No-op on the serial
+        backend.
         """
 
     # -- lifecycle ------------------------------------------------------ #
@@ -125,7 +131,7 @@ class ExecutionBackend:
         return {}
 
     def close(self) -> None:
-        """Release pools and shared memory; idempotent."""
+        """End the run: release its workers and shared memory; idempotent."""
 
     def __enter__(self) -> "ExecutionBackend":
         return self
@@ -177,16 +183,70 @@ def _digest(epoch: int, chunks) -> bytes:
     return h.digest()
 
 
+# ---------------------------------------------------------------------- #
+# worker-set leases
+# ---------------------------------------------------------------------- #
+#: The one worker set kept between runs (the last one released), or None.
+_IDLE: Optional[WorkerSet] = None
+_EXIT_HOOKED = False
+
+
+def _lease(dataset, num_workers: int) -> WorkerSet:
+    """A worker set attached to ``dataset``'s arrays, for one backend.
+
+    The idle set is taken when it was forked over these very arrays with
+    this many workers; otherwise it is closed and a fresh set is exported
+    and forked.  A set is never shared: a second backend open at the same
+    time finds no idle set and forks its own.
+    """
+    global _IDLE, _EXIT_HOOKED
+    idle, _IDLE = _IDLE, None
+    if idle is not None:
+        if idle.num_workers == num_workers and idle.export.covers(dataset):
+            return idle
+        idle.close()
+    workers = WorkerSet(export_task_data(dataset), num_workers)
+    if not _EXIT_HOOKED:
+        # Registered after the export armed the shm unlink guard, so it
+        # runs before it: workers end first, then the guard sweeps.
+        atexit.register(shutdown)
+        _EXIT_HOOKED = True
+    return workers
+
+
+def _release(workers: WorkerSet) -> None:
+    """Return a healthy, idle set; it replaces the one kept so far."""
+    global _IDLE
+    if _IDLE is not None:
+        _IDLE.close()
+    _IDLE = workers
+
+
+def shutdown() -> None:
+    """End the idle worker set and unlink its shared memory.
+
+    Workers outlive the runs that use them (they are what makes the second
+    run over a dataset cheap); this ends them when the caller knows no
+    further run is coming.  Also runs at interpreter exit.  Backends still
+    open keep their workers until they close.
+    """
+    global _IDLE
+    idle, _IDLE = _IDLE, None
+    if idle is not None:
+        idle.close()
+
+
 class ProcessPoolBackend(ExecutionBackend):
-    """Shared-memory worker pool with pipelined global-batch prefetch.
+    """Shared-memory sampler workers with pipelined global-batch prefetch.
 
     Parameters
     ----------
     dataset:
-        Task dataset; its graph and features are exported to shared memory
-        once, workers attach at pool startup.
+        Task dataset; its graph is exported to shared memory and workers
+        are forked against it once per dataset, not once per backend
+        (:func:`_lease`).
     num_workers:
-        Pool size (``None`` = auto: ``min(4, cpu_count)``).
+        Worker processes (``None`` = auto: ``min(4, cpu_count)``).
     prefetch_depth:
         Global batches sampled ahead of the training loop.  ``0`` disables
         pipelining (each batch is still sampled in a worker — the
@@ -196,7 +256,8 @@ class ProcessPoolBackend(ExecutionBackend):
         declare ``gather_prefetch`` (GDP — its load set *is* the input
         set).  Off by default: it moves gather work, it does not shrink
         it, so it only pays off when workers overlap a numerics-bound
-        main process.
+        main process.  The feature matrix enters shared memory on the
+        first epoch that asks for this.
     fault_policy:
         Supervision knobs (deadlines, retries, failure budget); defaults
         to :class:`~repro.parallel.supervisor.FaultPolicy` with its
@@ -225,9 +286,9 @@ class ProcessPoolBackend(ExecutionBackend):
         self.gather_prefetch = bool(gather_prefetch)
         self.policy = fault_policy or FaultPolicy()
         self.chaos = chaos if chaos is not None else HostFaultSchedule.from_env()
-        self._export = export_task_data(dataset)
+        self._workers = _lease(dataset, self.num_workers)
         self._supervisor: Optional[WorkerSupervisor] = WorkerSupervisor(
-            self._export.descriptor, self.num_workers, self.policy
+            self._workers, self.policy
         )
         self._supervisor.count = self._count
         self._supervisor.emit = self._buffer_event
@@ -277,6 +338,7 @@ class ProcessPoolBackend(ExecutionBackend):
             "fanouts": tuple(ctx.sampler.fanouts),
             "global_seed": int(ctx.sampler.global_seed),
             "gather": bool(gather),
+            "features": self._workers.export.share_features() if gather else None,
         }
         self._schedule = []
         for gb in global_batches:
@@ -386,7 +448,7 @@ class ProcessPoolBackend(ExecutionBackend):
         while self._inflight:
             _, flight = self._inflight.popleft()
             if self._supervisor is None or self._degraded:
-                # The pool is gone; nothing will write these slots again.
+                # The workers are gone; nothing will write these slots again.
                 if self._slots is not None:
                     self._slots.release(flight.slot)
                 continue
@@ -431,9 +493,10 @@ class ProcessPoolBackend(ExecutionBackend):
             failures=self._supervisor.failures if self._supervisor else 0,
         )
         if self._supervisor is not None:
-            # Terminate first: with every worker dead, no slot can be
+            # A set that spent a failure budget is not handed to the next
+            # run.  End it first: with every worker dead, no slot can be
             # written again and the in-flight queue can be dropped safely.
-            self._supervisor.close()
+            self._workers.close()
             self._supervisor = None
         self._drain(wasted=True)
         self._schedule = []
@@ -561,21 +624,19 @@ class ProcessPoolBackend(ExecutionBackend):
 
     # ------------------------------------------------------------------ #
     def close(self) -> None:
+        """End the run; the workers go back to idle, not away."""
         if self._closed:
             return
         self._closed = True
-        self._inflight.clear()
-        self._gather.clear()
         if self._supervisor is not None:
-            # Pool teardown failures are classified (TEARDOWN_ERRORS) and
-            # reported as ``worker_error`` inside the supervisor — never
-            # silently swallowed, never fatal to teardown.
+            self._drain()
             self._supervisor.close()
             self._supervisor = None
+            _release(self._workers)
+        self._gather.clear()
         if self._slots is not None:
             self._slots.close()
             self._slots = None
-        self._export.close()
 
     def __del__(self):  # pragma: no cover - GC safety net
         try:

@@ -3,13 +3,16 @@
 Two kinds of segments flow between the main process and the sampler
 workers:
 
-* **task-data segments** — the CSR graph (``indptr``/``indices``) and the
-  feature matrix, exported once by the main process at pool startup and
-  attached read-only by every worker (:func:`export_task_data` /
-  :func:`attach_task_data`).  Attaching maps the same physical pages, so
-  workers sample and gather against the *identical bytes* the main process
-  trains on — zero copies, and bit-identity of worker-produced arrays is
-  structural rather than asserted.
+* **task-data segments** — the CSR graph (``indptr``/``indices``),
+  exported once per worker set and attached read-only by every worker
+  (:func:`export_task_data` / :func:`attach_task_data`), and the dense
+  feature matrix, which enters shared memory only when a task is about to
+  gather from it (:meth:`TaskDataExport.share_features` /
+  :func:`attach_features`) — sampling never reads a feature.  Attaching
+  maps the same physical pages, so workers sample and gather against the
+  *identical bytes* the main process trains on — zero copies, and
+  bit-identity of worker-produced arrays is structural rather than
+  asserted.
 * **result slots** — a small ring of fixed-size segments the main process
   preallocates; a worker packs its sampled index arrays (and optional
   gathered feature rows) into the slot named by its task and returns only
@@ -142,7 +145,7 @@ def read_array(buf, spec: ArraySpec) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------- #
-# task data: graph + features, exported once per pool
+# task data: the graph, exported once per worker set; features on demand
 # ---------------------------------------------------------------------- #
 @dataclass(frozen=True)
 class MemmapSpec:
@@ -166,63 +169,93 @@ class MemmapSpec:
 class TaskDataDescriptor:
     """Everything a worker needs to attach the task data (picklable).
 
-    ``features`` is an :class:`ArraySpec` into the shared segment for
-    in-RAM datasets, or a :class:`MemmapSpec` for disk-backed ones.
+    ``features`` is a :class:`MemmapSpec` for disk-backed datasets and
+    ``None`` for in-RAM ones, whose matrix is shared on demand
+    (:meth:`TaskDataExport.share_features`).
     """
 
     segment_name: str
     num_nodes: int
     indptr: ArraySpec
     indices: ArraySpec
-    features: "ArraySpec | MemmapSpec"
+    features: Optional[MemmapSpec]
+
+
+@dataclass(frozen=True)
+class SharedFeatures:
+    """Location of an in-RAM feature matrix in its own segment (picklable)."""
+
+    segment_name: str
+    spec: ArraySpec
 
 
 class TaskDataExport:
-    """Main-process owner of the graph+features segment."""
+    """Main-process owner of the graph segment and, once a task gathers,
+    of the feature segment."""
 
     def __init__(self, segment: shared_memory.SharedMemory,
-                 descriptor: TaskDataDescriptor):
+                 descriptor: TaskDataDescriptor, arrays: Tuple):
         self.segment = segment
         self.descriptor = descriptor
+        #: the dataset's own ``(indptr, indices, features)`` objects: what
+        #: this export is a copy of, and the source of the feature segment
+        self._arrays = arrays
+        self._feature_segment: Optional[shared_memory.SharedMemory] = None
+        self._shared_features: Optional[SharedFeatures] = None
+
+    def covers(self, dataset) -> bool:
+        """True when ``dataset`` is made of the very arrays exported here."""
+        return all(a is b for a, b in zip(self._arrays, _arrays_of(dataset)))
+
+    def share_features(self) -> Optional[SharedFeatures]:
+        """Where workers find the feature matrix: copied into a segment of
+        its own on the first call, ``None`` when they already map the
+        backing file (:class:`MemmapSpec`)."""
+        if self.descriptor.features is None and self._shared_features is None:
+            features = self._arrays[2]
+            self._feature_segment = create_segment(max(features.nbytes, _ALIGN))
+            _, spec = write_array(self._feature_segment.buf, 0, features)
+            self._shared_features = SharedFeatures(self._feature_segment.name, spec)
+        return self._shared_features
 
     def close(self) -> None:
         destroy_segment(self.segment)
+        if self._feature_segment is not None:
+            destroy_segment(self._feature_segment)
+            self._feature_segment = None
+
+
+def _arrays_of(dataset) -> Tuple:
+    return (dataset.graph.indptr, dataset.graph.indices, dataset.features)
 
 
 def export_task_data(dataset) -> TaskDataExport:
-    """Export the dataset's CSR graph and features for worker attachment.
+    """Export the dataset's CSR graph for worker attachment.
 
-    In-RAM features are copied into the shared segment alongside the graph.
-    Memory-mapped (out-of-core) features are exported as a
-    :class:`MemmapSpec` pointing at their backing file instead — the
-    segment then holds only the topology.
+    Features stay where they are: in-RAM ones are copied into a second
+    segment only when a task will gather from them
+    (:meth:`TaskDataExport.share_features`), memory-mapped (out-of-core)
+    ones travel as a :class:`MemmapSpec` pointing at their backing file.
     """
     from repro.featurestore.store import is_disk_backed
 
     graph = dataset.graph
     feats = dataset.features
-    disk_backed = is_disk_backed(feats)
-    arrays = {
-        "indptr": graph.indptr,
-        "indices": np.asarray(graph.indices),
-    }
-    if not disk_backed:
-        arrays["features"] = feats
+    arrays = {"indptr": graph.indptr, "indices": np.asarray(graph.indices)}
     total = sum(_aligned(np.ascontiguousarray(a).nbytes) for a in arrays.values())
     segment = create_segment(max(total, _ALIGN))
     offset = 0
     specs: Dict[str, ArraySpec] = {}
     for name, arr in arrays.items():
         offset, specs[name] = write_array(segment.buf, offset, arr)
-    if disk_backed:
+    feature_spec = None
+    if is_disk_backed(feats):
         feature_spec = MemmapSpec(
             path=str(feats.filename),
             dtype=feats.dtype.str,
             shape=tuple(feats.shape),
             offset=int(feats.offset),
         )
-    else:
-        feature_spec = specs["features"]
     descriptor = TaskDataDescriptor(
         segment_name=segment.name,
         num_nodes=int(graph.num_nodes),
@@ -230,7 +263,7 @@ def export_task_data(dataset) -> TaskDataExport:
         indices=specs["indices"],
         features=feature_spec,
     )
-    return TaskDataExport(segment, descriptor)
+    return TaskDataExport(segment, descriptor, _arrays_of(dataset))
 
 
 def attach_task_data(descriptor: TaskDataDescriptor):
@@ -239,7 +272,8 @@ def attach_task_data(descriptor: TaskDataDescriptor):
     The returned graph is a :class:`~repro.graph.csr.CSRGraph` whose arrays
     are views into the shared segment; the caller must keep the segment
     object alive for as long as the graph is used.  A :class:`MemmapSpec`
-    feature source is opened read-only from its backing file.
+    feature source is opened read-only from its backing file; ``features``
+    is ``None`` for an in-RAM dataset until :func:`attach_features`.
     """
     from repro.graph.csr import CSRGraph
 
@@ -248,7 +282,8 @@ def attach_task_data(descriptor: TaskDataDescriptor):
         read_array(segment.buf, descriptor.indptr),
         read_array(segment.buf, descriptor.indices),
     )
-    if isinstance(descriptor.features, MemmapSpec):
+    features = None
+    if descriptor.features is not None:
         spec = descriptor.features
         features = np.memmap(
             spec.path,
@@ -257,9 +292,13 @@ def attach_task_data(descriptor: TaskDataDescriptor):
             shape=spec.shape,
             offset=spec.offset,
         )
-    else:
-        features = read_array(segment.buf, descriptor.features)
     return segment, graph, features
+
+
+def attach_features(shared: SharedFeatures):
+    """Worker side: map the feature segment, return ``(segment, features)``."""
+    segment = shared_memory.SharedMemory(name=shared.segment_name)
+    return segment, read_array(segment.buf, shared.spec)
 
 
 # ---------------------------------------------------------------------- #

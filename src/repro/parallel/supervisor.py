@@ -1,40 +1,51 @@
-"""Worker supervision for the process execution backend.
+"""Worker ownership and supervision for the process execution backend.
 
-The :class:`~repro.parallel.backend.ProcessPoolBackend` used to trust its
-pool: a worker that died took the run down (or hung it forever on
-``AsyncResult.get()``), and a corrupted result slot was served to the
-engine unchecked.  :class:`WorkerSupervisor` wraps the pool with the
-defenses a production host needs:
+Two lifetimes live here, one class each.
 
+:class:`WorkerSet` is the **dataset-lifetime** half: the shared-memory
+export of one dataset, a heartbeat board, and the worker processes forked
+against them — each on a duplex pipe of its own whose coordinator end
+this process holds.  It is forked once, on the first process-backend run
+over the dataset, and *leased* by every later run
+(:mod:`repro.parallel.backend` keeps the lease table).  Nothing in it
+belongs to a run.
+
+:class:`WorkerSupervisor` is the **run-lifetime** half: it drives a leased
+set from the training thread itself — no pool, no helper thread — and
+holds everything a run may count or configure:
+
+* **one flight per worker** — a task is written to an idle worker's pipe
+  by :meth:`~WorkerSupervisor.submit` (or queued until one is idle), so a
+  worker that dies, hangs or raises names exactly the task it held.
+* **one blocking wait** — every wait is a single
+  ``multiprocessing.connection.wait`` over the busy workers' pipes *and*
+  every worker's process sentinel, with the deadline as its timeout:
+  results, deaths and deadline misses are all seen at once and nothing
+  polls.
 * **per-task deadlines** — every task must produce a result within
-  ``FaultPolicy.task_deadline_s`` of submission; the wait loop polls at
-  ``poll_interval_s`` so a dead pool can never block the run.
-* **heartbeat-based hang detection** — workers stamp a shared-memory
-  heartbeat board at task entry/exit; on a deadline miss the supervisor
-  reports which workers hold stale (in-task) stamps, distinguishing a
-  *hung* worker from a merely saturated queue.
-* **dead-worker detection and respawn** — the pool's worker pids are
-  polled every interval; a vanished or non-alive pid fails the in-flight
-  task immediately (no need to wait out the deadline) and the pool
-  repopulates (``multiprocessing.Pool`` respawns workers through the
-  configured initializer, which re-attaches the *existing* shared-memory
-  export — nothing is re-exported).  If the pool object itself is broken,
-  :meth:`_rebuild_pool` replaces it wholesale against the same export.
+  ``FaultPolicy.task_deadline_s`` of submission.  A worker that holds a
+  task past its deadline is killed and replaced, so a busy worker always
+  holds a live flight; a shared-memory heartbeat board (stamped at task
+  entry/exit) lets the timeout message tell a *hung* worker from one that
+  never got to start.
+* **explicit respawn** — a dead worker's replacement is forked on the
+  spot against the *existing* export (nothing is re-exported) on a fresh
+  pipe; the flight the dead worker held fails immediately.
 * **bounded retry with exponential backoff** — a failed task (timeout,
   crash, worker exception, corrupt slot) is resubmitted up to
   ``max_retries`` times, waiting ``backoff_base_s * backoff_factor**n``
   between attempts.  Resubmissions strip any chaos directive
   (:mod:`repro.parallel.chaos` faults fire on first attempts only) and
-  move to a fresh result slot; the abandoned slot is quarantined because
-  the original worker may still write it.
+  move to a fresh result slot; the abandoned slot is quarantined.
 * **slot-digest validation** — workers return a BLAKE2b digest of the
   packed slot bytes; the supervisor recomputes it over the shared buffer
   before the result is unpacked and treats a mismatch as a failure.
 * **graceful degradation** — once a single task exhausts its retries or
-  the lifetime failure count crosses ``failure_budget``, the supervisor
-  raises :class:`FailureBudgetExceeded` and the backend falls back to
-  serial in-process sampling (bit-identical by the backend contract), so
-  a persistently sick host finishes the run slower instead of crashing.
+  the run's failure count crosses ``failure_budget``, the supervisor
+  raises :class:`FailureBudgetExceeded` and the backend tears the set down
+  and falls back to serial in-process sampling (bit-identical by the
+  backend contract), so a persistently sick host finishes the run slower
+  instead of crashing.
 
 Every transition is emitted as a typed telemetry event (``worker_error``,
 ``worker_timeout``, ``worker_respawn``, ``task_retry``, ``degraded``) and
@@ -50,15 +61,19 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import itertools
 import multiprocessing
 import os
 import time
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from multiprocessing import connection
+from typing import Any, Callable, Deque, Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
-from repro.parallel.shm import create_segment, destroy_segment
+from repro.parallel.shm import TaskDataExport, create_segment, destroy_segment
+from repro.parallel.worker import worker_main
 
 __all__ = [
     "FaultPolicy",
@@ -69,6 +84,7 @@ __all__ = [
     "FailureBudgetExceeded",
     "HeartbeatBoard",
     "Flight",
+    "WorkerSet",
     "WorkerSupervisor",
 ]
 
@@ -111,8 +127,6 @@ class FaultPolicy:
     backoff_factor: float = 2.0
     #: cap on any single backoff sleep
     backoff_max_s: float = 2.0
-    #: result/worker-liveness polling cadence
-    poll_interval_s: float = 0.02
     #: longest an epoch drain waits per abandoned prefetch before
     #: quarantining its slot
     drain_timeout_s: float = 5.0
@@ -142,10 +156,6 @@ class FaultPolicy:
             raise ValueError(
                 f"backoff_factor must be >= 1, got {self.backoff_factor}"
             )
-        if not float(self.poll_interval_s) > 0.0:
-            raise ValueError(
-                f"poll_interval_s must be positive, got {self.poll_interval_s}"
-            )
         if not float(self.drain_timeout_s) > 0.0:
             raise ValueError(
                 f"drain_timeout_s must be positive, got {self.drain_timeout_s}"
@@ -156,7 +166,6 @@ class FaultPolicy:
         self.backoff_base_s = float(self.backoff_base_s)
         self.backoff_factor = float(self.backoff_factor)
         self.backoff_max_s = float(self.backoff_max_s)
-        self.poll_interval_s = float(self.poll_interval_s)
         self.drain_timeout_s = float(self.drain_timeout_s)
         self.validate_digests = bool(self.validate_digests)
         return self
@@ -180,7 +189,7 @@ class SupervisionError(RuntimeError):
 
 
 class WorkerCrash(SupervisionError):
-    """A pool worker process died while a task was in flight."""
+    """A worker process died (or raised) while it held the task."""
 
 
 class WorkerTimeout(SupervisionError):
@@ -196,7 +205,7 @@ class FailureBudgetExceeded(SupervisionError):
 
 
 #: exception types a teardown/flush path may swallow after reporting —
-#: everything a dying worker or torn-down pool realistically raises.
+#: everything a dying worker or closed pipe realistically raises.
 #: Deliberately scoped: programming errors (TypeError, KeyError, ...)
 #: and process-fatal conditions still propagate.
 TEARDOWN_ERRORS = (
@@ -215,11 +224,11 @@ TEARDOWN_ERRORS = (
 class HeartbeatBoard:
     """A shared float64 stamp per worker: positive = in task, negative = idle.
 
-    Workers claim a board index at pool init (a shared counter, modulo
-    capacity so respawned workers wrap instead of overflowing) and stamp
-    ``+monotonic()`` when a task starts, ``-monotonic()`` when it ends.
-    The supervisor reads the board to tell a *hung* worker (stale positive
-    stamp) from a starved queue when a deadline trips.
+    Worker ``i`` of a :class:`WorkerSet` (and every replacement forked in
+    its place) owns cell ``i`` and stamps ``+monotonic()`` when a task
+    starts, ``-monotonic()`` when it ends.  The supervisor reads the board
+    to tell a *hung* worker (stale positive stamp) from one that never
+    started the task when a deadline trips.
     """
 
     def __init__(self, capacity: int):
@@ -254,131 +263,165 @@ class HeartbeatBoard:
             self._segment = None
 
 
-# ---------------------------------------------------------------------- #
-# supervised pool
-# ---------------------------------------------------------------------- #
 @dataclass
 class Flight:
     """One in-flight task attempt and everything needed to retry it."""
 
     payload: Dict[str, Any]
-    handle: Any
     slot: Optional[str]
     digest: bytes = b""
     attempts: int = 0
     submitted_at: float = 0.0
+    #: index of the worker holding the task; ``None`` while it is queued
+    worker: Optional[int] = None
+    #: the worker's result dict or the classified failure, once known
+    outcome: Any = None
     #: backend-side chaos: skip recycling this task's slot when served
     leak_slot: bool = False
 
 
+# ---------------------------------------------------------------------- #
+# the worker set: dataset lifetime
+# ---------------------------------------------------------------------- #
+@dataclass
+class _Worker:
+    """One owned worker process and the coordinator's end of its pipe."""
+
+    process: Any
+    conn: Any
+    #: the one task written to ``conn`` and not yet answered
+    flight: Optional[Flight] = None
+
+
+#: The coordinator's end of every live worker pipe in this process.  A
+#: forked worker inherits them all and must close them (see
+#: :func:`repro.parallel.worker.worker_main`), whichever set they belong to.
+_COORDINATOR_ENDS: Set[Any] = set()
+
+
+class WorkerSet:
+    """The dataset-lifetime half: export, heartbeat board, worker processes.
+
+    Owns ``export`` (closed with the set).  Forks ``num_workers`` workers
+    that attach it, each on its own duplex pipe; :meth:`respawn` replaces
+    one by a fresh fork against the same export.  A set carries nothing
+    from one run to the next: whoever leases it leaves every worker idle.
+    """
+
+    def __init__(self, export: TaskDataExport, num_workers: int):
+        self.num_workers = int(num_workers)
+        self.export = export
+        self.heartbeats = HeartbeatBoard(self.num_workers)
+        self._workers: List[_Worker] = []
+        try:
+            for index in range(self.num_workers):
+                self._workers.append(self._fork(index))
+        except BaseException:
+            self.close()
+            raise
+
+    def __getitem__(self, index: int) -> _Worker:
+        return self._workers[index]
+
+    def __iter__(self):
+        return iter(self._workers)
+
+    @property
+    def closed(self) -> bool:
+        return self.heartbeats is None
+
+    def pids(self) -> List[int]:
+        return [worker.process.pid for worker in self._workers]
+
+    def _fork(self, index: int) -> _Worker:
+        ours, theirs = multiprocessing.Pipe(duplex=True)
+        process = multiprocessing.Process(
+            target=worker_main,
+            args=(
+                theirs,
+                [ours, *_COORDINATOR_ENDS],
+                self.export.descriptor,
+                (*self.heartbeats.descriptor, index),
+            ),
+            daemon=True,
+        )
+        try:
+            process.start()
+        finally:
+            theirs.close()
+        _COORDINATOR_ENDS.add(ours)
+        return _Worker(process, ours)
+
+    @staticmethod
+    def _end(worker: _Worker) -> None:
+        """Close the pipe, kill the process, reap it.  Workers only attach
+        (every segment is the coordinator's), so there is nothing for them
+        to clean up and no reason to wait for them to do it."""
+        _COORDINATOR_ENDS.discard(worker.conn)
+        worker.conn.close()
+        worker.process.kill()
+        worker.process.join()
+        worker.process.close()
+
+    def respawn(self, index: int) -> None:
+        """Replace worker ``index`` — dead, hung or holding an abandoned
+        task — by a fresh fork that re-attaches the existing export."""
+        self._end(self._workers[index])
+        self._workers[index] = self._fork(index)
+
+    def close(self) -> None:
+        """End every worker and destroy the export; idempotent."""
+        if self.closed:
+            return
+        for worker in self._workers:
+            self._end(worker)
+        self._workers.clear()
+        self.heartbeats.close()
+        self.heartbeats = None
+        self.export.close()
+
+
+# ---------------------------------------------------------------------- #
+# the supervisor: run lifetime
+# ---------------------------------------------------------------------- #
+#: One id per supervisor, sent with every task.  A supervisor serves one
+#: backend and a backend has one slot ring, so it is the ring's id: a
+#: worker that sees a new one drops the slot attachments of the last.
+_RING_IDS = itertools.count(1)
+
+
 class WorkerSupervisor:
-    """Owns the worker pool of one backend and supervises every task.
+    """Drives a leased :class:`WorkerSet` for one run and supervises every
+    task.
 
     The backend stays in charge of *what* runs (payloads, slots, pipeline
     order); the supervisor is in charge of *whether it ran* — deadlines,
-    retries, respawns, digest checks, and the failure budget.
+    retries, respawns, digest checks, and the failure budget.  All of its
+    state is the run's: a new supervisor over the same set starts from
+    zero failures.
 
     ``emit`` and ``count`` are rebound by the backend to the active
     telemetry collector / counter sink; they default to no-ops so the
     supervisor works detached (unit tests, drains after teardown).
     """
 
-    def __init__(
-        self,
-        descriptor,
-        num_workers: int,
-        policy: Optional[FaultPolicy] = None,
-        *,
-        initializer: Callable = None,
-        heartbeats: bool = True,
-    ):
-        from repro.parallel.worker import init_worker
-
-        self.descriptor = descriptor
-        self.num_workers = int(num_workers)
-        if self.num_workers <= 0:
-            raise ValueError(
-                f"num_workers must be positive, got {num_workers} "
-                f"(0 means 'auto' only at the APTConfig level)"
-            )
+    def __init__(self, workers: WorkerSet, policy: Optional[FaultPolicy] = None):
+        self.workers = workers
         self.policy = (policy or FaultPolicy()).validate()
-        self._initializer = initializer or init_worker
-        # Respawned workers claim fresh board indices; size the board so
-        # a realistic number of respawns never wraps onto a live worker.
-        self.heartbeats = (
-            HeartbeatBoard(self.num_workers * 8) if heartbeats else None
-        )
-        self._hb_counter = multiprocessing.Value("l", 0)
-        self._pool = None
-        self._pids: set = set()
-        self._reported_dead: set = set()
+        self._ring = next(_RING_IDS)
+        #: tasks submitted while every worker held one, oldest first
+        self._queue: Deque[Flight] = deque()
         #: pids of the most recently observed worker deaths — used to name
         #: the offending workers in the exception messages
         self.last_dead: List[int] = []
         self.failures = 0
         self.respawns = 0
-        self._closed = False
         self.emit: Callable[..., None] = lambda kind, **data: None
         self.count: Callable[..., None] = lambda name, value=1.0: None
-        self._spawn_pool()
 
     # ------------------------------------------------------------------ #
-    # pool lifecycle
+    # diagnostics
     # ------------------------------------------------------------------ #
-    def _initargs(self) -> tuple:
-        hb = self.heartbeats.descriptor if self.heartbeats is not None else None
-        return (self.descriptor, hb, self._hb_counter)
-
-    def _spawn_pool(self) -> None:
-        self._pool = multiprocessing.get_context().Pool(
-            self.num_workers,
-            initializer=self._initializer,
-            initargs=self._initargs(),
-        )
-        self._pids = {p.pid for p in self._pool._pool}
-        self._reported_dead = set()
-
-    def _rebuild_pool(self) -> None:
-        """Replace a broken pool wholesale; re-attaches the same export."""
-        old = self._pool
-        try:
-            old.terminate()
-            old.join()
-        except TEARDOWN_ERRORS as exc:
-            self.count("worker_error")
-            self.emit("worker_error", error=type(exc).__name__, where="rebuild")
-        self.respawns += 1
-        self.count("pool_rebuilds")
-        self._spawn_pool()
-        self.emit("worker_respawn", scope="pool", workers=self.num_workers)
-
-    def _poll_workers(self) -> bool:
-        """Update the liveness picture; True when a death was observed.
-
-        ``multiprocessing.Pool`` repopulates dead workers on its own (its
-        maintenance thread re-runs the initializer, which re-attaches the
-        existing shared-memory export), so detection — not respawning —
-        is the job here.  Each death is reported exactly once.
-        """
-        procs = list(self._pool._pool)
-        current = {p.pid for p in procs}
-        dead = {p.pid for p in procs if not p.is_alive()}
-        vanished = (self._pids - current) | dead
-        fresh = vanished - self._reported_dead
-        if fresh:
-            self._reported_dead |= fresh
-            self.last_dead = sorted(fresh)
-            self.respawns += len(fresh)
-            self.count("worker_deaths", float(len(fresh)))
-            self.emit(
-                "worker_respawn",
-                scope="worker",
-                died=sorted(fresh),
-                alive=len(current - dead),
-            )
-        self._pids = current
-        return bool(fresh)
-
     def _budget_note(self) -> str:
         """``failures X / budget Y`` fragment for exception messages."""
         return (
@@ -402,69 +445,126 @@ class WorkerSupervisor:
         *,
         digest: bytes = b"",
     ) -> Flight:
-        """Submit one task; returns the :class:`Flight` tracking it."""
-        from repro.parallel.worker import sample_task
+        """Submit one task; returns the :class:`Flight` tracking it.
 
-        task = dict(payload, slot=slot)
-        if self.policy.validate_digests:
-            task["digest"] = True
-        try:
-            handle = self._pool.apply_async(sample_task, (task,))
-        except TEARDOWN_ERRORS as exc:
-            # The pool object itself is broken (not just a worker):
-            # rebuild against the same export and submit once more.
-            self.count("worker_error")
-            self.emit("worker_error", error=type(exc).__name__, where="submit")
-            self._rebuild_pool()
-            handle = self._pool.apply_async(sample_task, (task,))
-        return Flight(
+        The task is on an idle worker's pipe when this returns, or queued
+        behind the tasks the workers hold."""
+        flight = Flight(
             payload=payload,
-            handle=handle,
             slot=slot,
             digest=digest,
             submitted_at=time.monotonic(),
         )
+        self._queue.append(flight)
+        self._dispatch()
+        return flight
+
+    def _dispatch(self) -> None:
+        """Hand queued tasks to idle workers, oldest first."""
+        for index, worker in enumerate(self.workers):
+            if not self._queue:
+                return
+            if worker.flight is not None:
+                continue
+            flight = self._queue.popleft()
+            task = dict(flight.payload, slot=flight.slot, ring=self._ring)
+            if self.policy.validate_digests:
+                task["digest"] = True
+            worker.flight = flight
+            flight.worker = index
+            try:
+                worker.conn.send(task)
+            except OSError as exc:
+                # It died idle.  It holds the flight all the same: the next
+                # wait finds its sentinel, fails the flight and respawns.
+                self.count("worker_error")
+                self.emit("worker_error", error=type(exc).__name__, where="submit")
+
+    # ------------------------------------------------------------------ #
+    # the one wait
+    # ------------------------------------------------------------------ #
+    def _pump(self, timeout: float) -> None:
+        """Block until a held task is answered, a worker dies, or
+        ``timeout`` seconds pass; record what happened."""
+        sentinels = {w.process.sentinel: i for i, w in enumerate(self.workers)}
+        pipes = {
+            w.conn: i for i, w in enumerate(self.workers) if w.flight is not None
+        }
+        ready = connection.wait([*pipes, *sentinels], timeout)
+        died = {sentinels[obj] for obj in ready if obj in sentinels}
+        for index in {pipes[obj] for obj in ready if obj in pipes}:
+            worker = self.workers[index]
+            try:
+                ok, value = worker.conn.recv()
+            except (EOFError, OSError):
+                died.add(index)  # end-of-file: it died holding the task
+                continue
+            flight, worker.flight = worker.flight, None
+            flight.outcome = (
+                value if ok else WorkerCrash(f"worker raised {value}")
+            )
+        for index in sorted(died):
+            self._bury(index)
+
+    def _bury(self, index: int) -> None:
+        """Worker ``index`` is dead: fail the flight it held, fork its
+        replacement.  Each death is reported exactly once."""
+        flight = self.workers[index].flight
+        pid = self._respawn(index, cause="died")
+        self.last_dead = [pid]
+        self.count("worker_deaths")
+        if flight is not None:
+            flight.outcome = WorkerCrash(
+                f"worker pid {pid} died while it held the task "
+                f"({self._budget_note()})"
+            )
+
+    def _respawn(self, index: int, cause: str) -> int:
+        """Replace worker ``index``; returns the pid it had."""
+        pid = self.workers[index].process.pid
+        self.workers.respawn(index)
+        self.respawns += 1
+        self.emit("worker_respawn", scope="worker", died=[pid], cause=cause)
+        return pid
+
+    def _abandon(self, flight: Flight) -> WorkerTimeout:
+        """Give up on an unanswered flight.  The worker holding it is
+        replaced: it may be hung, and its answer must never be read as the
+        answer to the next task on that pipe."""
+        stale = self.workers.heartbeats.stale_workers(self.policy.task_deadline_s)
+        if flight.worker is None:
+            self._queue.remove(flight)
+            where = "still queued behind busy workers"
+        else:
+            pid = self._respawn(flight.worker, cause="deadline")
+            where = f"held by worker pid {pid}, now replaced"
+        return WorkerTimeout(
+            f"task unanswered {time.monotonic() - flight.submitted_at:.3f}s "
+            f"after submission ({where}; workers with stale in-task "
+            f"heartbeats: {stale or 'none'}; {self._budget_note()})"
+        )
+
+    def _wait(self, flight: Flight, deadline: float) -> Dict[str, Any]:
+        """Result of one attempt, or a classified :class:`SupervisionError`
+        — :class:`WorkerTimeout` when ``deadline`` (monotonic seconds)
+        passes first."""
+        while flight.outcome is None:
+            self._dispatch()
+            timeout = deadline - time.monotonic()
+            if timeout <= 0.0:
+                flight.outcome = self._abandon(flight)
+                break
+            self._pump(timeout)
+        # Whatever went idle above starts on the queue before the training
+        # thread goes back to training.
+        self._dispatch()
+        if isinstance(flight.outcome, SupervisionError):
+            raise flight.outcome
+        return flight.outcome
 
     # ------------------------------------------------------------------ #
     # supervised result
     # ------------------------------------------------------------------ #
-    def _wait(self, flight: Flight) -> Dict[str, Any]:
-        """Result of one attempt, or a classified :class:`SupervisionError`."""
-        deadline = flight.submitted_at + self.policy.task_deadline_s
-        while True:
-            if flight.handle.ready():
-                try:
-                    return flight.handle.get()
-                except SupervisionError:
-                    raise
-                except Exception as exc:
-                    # The worker raised (its traceback rides along).
-                    raise WorkerCrash(
-                        f"worker raised {type(exc).__name__}: {exc}"
-                    ) from exc
-            if self._poll_workers():
-                # A worker died; the in-flight task *may* have been on it.
-                # Fail fast and resubmit — a duplicate completion lands in
-                # a quarantined slot and is never read.
-                dead = ", ".join(f"pid {p}" for p in self.last_dead) or "unknown"
-                raise WorkerCrash(
-                    f"pool worker(s) {dead} died while the task was in "
-                    f"flight ({self._budget_note()})"
-                )
-            now = time.monotonic()
-            if now >= deadline:
-                stale = (
-                    self.heartbeats.stale_workers(self.policy.task_deadline_s)
-                    if self.heartbeats is not None
-                    else []
-                )
-                raise WorkerTimeout(
-                    f"task missed its {self.policy.task_deadline_s:.3f}s "
-                    f"deadline (workers with stale in-task heartbeats: "
-                    f"{stale or 'none'}; {self._budget_note()})"
-                )
-            flight.handle.wait(min(self.policy.poll_interval_s, deadline - now))
-
     def result(
         self,
         flight: Flight,
@@ -483,7 +583,9 @@ class WorkerSupervisor:
         """
         while True:
             try:
-                result = self._wait(flight)
+                result = self._wait(
+                    flight, flight.submitted_at + self.policy.task_deadline_s
+                )
                 if (
                     validate is not None
                     and self.policy.validate_digests
@@ -542,36 +644,20 @@ class WorkerSupervisor:
         """Wait briefly for an abandoned prefetch; don't retry it.
 
         Returns ``(slot_safe, result)``: ``slot_safe`` is True when the
-        attempt definitively finished (success *or* worker exception), so
-        its slot can be recycled; False means the worker may still write
-        the slot and the caller must quarantine it.
+        attempt produced its result, so its slot can be recycled; False
+        means it failed like a served task can, and like a served task's
+        its slot is quarantined.
         """
         try:
-            result = self._wait_settle(flight)
-            return True, result
+            deadline = time.monotonic() + self.policy.drain_timeout_s
+            return True, self._wait(flight, deadline)
         except WorkerTimeout:
             self.count("prefetch_abandoned")
             return False, None
         except WorkerCrash as exc:
             self.count("worker_error")
             self.emit("worker_error", error=str(exc), where="drain")
-            # The task never completed; its slot was never written fully.
             return False, None
-
-    def _wait_settle(self, flight: Flight) -> Dict[str, Any]:
-        deadline = time.monotonic() + self.policy.drain_timeout_s
-        while True:
-            if flight.handle.ready():
-                try:
-                    return flight.handle.get()
-                except Exception as exc:
-                    raise WorkerCrash(
-                        f"worker raised {type(exc).__name__}: {exc}"
-                    ) from exc
-            self._poll_workers()
-            if time.monotonic() >= deadline:
-                raise WorkerTimeout("abandoned prefetch did not settle")
-            flight.handle.wait(self.policy.poll_interval_s)
 
     # ------------------------------------------------------------------ #
     def stats(self) -> Dict[str, float]:
@@ -581,23 +667,20 @@ class WorkerSupervisor:
         }
 
     def close(self) -> None:
-        if self._closed:
+        """End of the run: hand the set back with every worker idle.  A
+        worker still holding one of this run's tasks is replaced — nobody
+        is left to read its answer."""
+        self._queue.clear()
+        if self.workers.closed:
             return
-        self._closed = True
-        try:
-            self._pool.terminate()
-            self._pool.join()
-        except TEARDOWN_ERRORS as exc:  # pragma: no cover - already down
-            self.count("worker_error")
-            self.emit("worker_error", error=type(exc).__name__, where="close")
-        if self.heartbeats is not None:
-            self.heartbeats.close()
-            self.heartbeats = None
+        for index, worker in enumerate(self.workers):
+            if worker.flight is not None:
+                self._respawn(index, cause="run_end")
 
 
 # ---------------------------------------------------------------------- #
 def slot_digest(buf, nbytes: int) -> str:
     """BLAKE2b hex digest of the first ``nbytes`` of a slot buffer."""
     h = hashlib.blake2b(digest_size=16)
-    h.update(bytes(buf[: max(int(nbytes), 0)]))
+    h.update(memoryview(buf)[: max(int(nbytes), 0)])
     return h.hexdigest()

@@ -1,7 +1,11 @@
 """Worker-process side of the process execution backend.
 
-Each pool worker attaches the shared task data once (at pool startup) and
-then serves sampling tasks: one task covers one *global batch* — the
+A worker is forked by its :class:`~repro.parallel.supervisor.WorkerSet`,
+attaches the shared graph once (:func:`worker_main`) and then serves
+sampling tasks from its own pipe, one at a time, until the pipe reaches
+end-of-file — which is also how a killed coordinator's workers end.  It
+outlives runs: nothing a task leaves behind may belong to one (see
+:func:`_slot_buffer`).  One task covers one *global batch* — the
 worker samples the union of the batch's per-device seed chunks in a single
 pass and derives each device's minibatch by layerwise *restriction*
 (:func:`repro.sampling.cache._restrict`), which is bit-identical to
@@ -9,16 +13,16 @@ sampling each chunk directly because the counter-based hash sampler is
 per-node deterministic.  Sampling the union once does strictly less work
 than sampling the chunks separately (their frontiers overlap heavily),
 which is where the process backend's wall-clock win comes from even on a
-single core; on multi-core hosts the pool adds true overlap on top.
+single core; on multi-core hosts the workers add true overlap on top.
 
 Results are packed into the main-process-owned shared-memory slot named by
 the task; only small :class:`~repro.parallel.shm.ArraySpec` descriptors
-travel back through the pool's pickle channel.  If a batch outgrows its
+travel back through the pipe.  If a batch outgrows its
 slot the worker transparently falls back to pickled arrays (counted by the
 backend as ``parallel.slot_overflow``).
 
 Supervision hooks (see :mod:`repro.parallel.supervisor`): each worker
-claims one index on a shared *heartbeat board* at init and stamps it
+is given one cell of a shared *heartbeat board* and stamps it
 ``+monotonic()`` on task entry, ``-monotonic()`` on exit, so the main
 process can tell hung workers from starved queues.  When a task's payload
 asks for it, the worker returns a BLAKE2b digest of the packed slot bytes
@@ -39,46 +43,80 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.featurestore.store import gather_rows
-from repro.parallel.shm import TaskDataDescriptor, attach_task_data, write_array
+from repro.parallel.shm import (
+    SharedFeatures,
+    TaskDataDescriptor,
+    attach_features,
+    attach_task_data,
+    write_array,
+)
 from repro.sampling.cache import _restrict, _sorted_unique
 from repro.sampling.neighbor import NeighborSampler
 
 #: Per-process state installed by :func:`init_worker`.
 _STATE: Dict[str, object] = {}
-#: Attached result slots, by segment name (attach once, reuse per task).
+#: Attached result slots of the ring in ``_STATE["ring"]``, by segment
+#: name (attach once, reuse per task).
 _SLOTS: Dict[str, shared_memory.SharedMemory] = {}
 #: Samplers by (fanouts, global_seed) — construction is cheap but the
 #: graph handle and fanout normalization are per-config constants.
 _SAMPLERS: Dict[Tuple, NeighborSampler] = {}
 
 
+def worker_main(
+    conn,
+    inherited,
+    descriptor: TaskDataDescriptor,
+    heartbeat: Optional[Tuple[str, int, int]] = None,
+) -> None:
+    """Body of one worker process: attach, then serve tasks until EOF.
+
+    ``inherited`` are the coordinator's ends of every worker pipe open at
+    the fork (this worker's included).  They are closed first: a pipe
+    reads end-of-file only when *no* process holds its other end, and
+    end-of-file is what ends a worker whose coordinator was killed.
+
+    Each task is answered with ``(True, result)`` or, when it raised,
+    ``(False, "<type>: <message>")`` — the supervisor retries it.
+    """
+    for end in inherited:
+        end.close()
+    init_worker(descriptor, heartbeat)
+    while True:
+        try:
+            payload = conn.recv()
+            try:
+                answer = (True, sample_task(payload))
+            except Exception as exc:  # task boundary: reported, then retried
+                answer = (False, f"{type(exc).__name__}: {exc}")
+            conn.send(answer)
+        except (EOFError, OSError):
+            return  # the coordinator is gone
+
+
 def init_worker(
     descriptor: TaskDataDescriptor,
-    heartbeat: Optional[Tuple[str, int]] = None,
-    counter=None,
+    heartbeat: Optional[Tuple[str, int, int]] = None,
 ) -> None:
-    """Pool initializer: map the task data shared by the main process.
+    """Map the graph shared by the main process.
 
-    Also runs when ``multiprocessing.Pool`` respawns a dead worker — the
-    replacement re-attaches the *existing* export (same segment name), so
-    respawn never re-exports the dataset.  ``heartbeat`` is the
-    supervisor's board descriptor; ``counter`` a shared index allocator so
-    every (re)spawned worker claims its own stamp cell.
+    A respawned worker runs this against the *existing* export (same
+    segment name), so respawn never re-exports the dataset.  ``heartbeat``
+    is ``(segment name, capacity, this worker's cell)`` of the
+    supervisor's board.
     """
     segment, graph, features = attach_task_data(descriptor)
+    _STATE.clear()
     _STATE["segment"] = segment  # keep the mapping alive
     _STATE["graph"] = graph
-    _STATE["features"] = features
-    _STATE.pop("hb", None)
-    if heartbeat is not None and counter is not None:
-        name, capacity = heartbeat
+    _STATE["features"] = features  # None until a task gathers (in-RAM)
+    if heartbeat is not None:
+        name, capacity, index = heartbeat
         hb_segment = shared_memory.SharedMemory(name=name)
         board = np.ndarray((capacity,), dtype=np.float64, buffer=hb_segment.buf)
-        with counter.get_lock():
-            index = counter.value % capacity
-            counter.value += 1
         _STATE["hb_segment"] = hb_segment
         _STATE["hb"] = (board, index)
+        _stamp(in_task=False)
     _SLOTS.clear()
     _SAMPLERS.clear()
 
@@ -101,7 +139,19 @@ def _sampler(fanouts: Tuple[int, ...], global_seed: int) -> NeighborSampler:
     return sampler
 
 
-def _slot_buffer(name: str):
+def _slot_buffer(ring: int, name: str):
+    """Buffer of result slot ``name`` of slot ring ``ring``.
+
+    A ring lives as long as one run and this worker lives longer: when a
+    task names a ring other than the last one served, that ring is gone
+    (or going) and its attachments are dropped, so the unlinked segments
+    are unmapped here too.
+    """
+    if _STATE.get("ring") != ring:
+        for seg in _SLOTS.values():
+            seg.close()
+        _SLOTS.clear()
+        _STATE["ring"] = ring
     seg = _SLOTS.get(name)
     if seg is None:
         seg = shared_memory.SharedMemory(name=name)
@@ -109,15 +159,23 @@ def _slot_buffer(name: str):
     return seg.buf
 
 
-def _batch_arrays(mb, gather: bool) -> List[np.ndarray]:
+def _features(shared: Optional[SharedFeatures]) -> np.ndarray:
+    """The feature matrix: the file mapped at start, or the segment the
+    first gathering task names (attached once)."""
+    if _STATE["features"] is None:
+        _STATE["feature_segment"], _STATE["features"] = attach_features(shared)
+    return _STATE["features"]
+
+
+def _batch_arrays(mb, features: Optional[np.ndarray]) -> List[np.ndarray]:
     """Flat array list of one minibatch: seeds, 5 per block, opt. gather."""
     out = [mb.seeds]
     for b in mb.blocks:
         out.extend((b.src_nodes, b.dst_nodes, b.dst_in_src, b.edge_src, b.edge_dst))
-    if gather:
+    if features is not None:
         # Same gather as UnifiedFeatureStore.read, against the shared
         # mapping of the identical feature bytes.
-        out.append(gather_rows(_STATE["features"], mb.input_nodes))
+        out.append(gather_rows(features, mb.input_nodes))
     return out
 
 
@@ -126,8 +184,9 @@ def sample_task(payload: Dict) -> Dict:
 
     ``payload`` keys: ``epoch``, ``chunks`` (per-device seed arrays or
     ``None``), ``fanouts``, ``global_seed``, ``gather`` (also ship
-    ``features[input_nodes]`` per device), ``slot`` (result segment name,
-    or ``None`` to force pickled results — used before slots are sized),
+    ``features[input_nodes]`` per device, from the matrix ``features``
+    locates), ``slot`` (result segment name, or ``None`` to force pickled
+    results — used before slots are sized) of slot ring ``ring``,
     ``digest`` (return a BLAKE2b digest of the packed slot bytes), and
     ``chaos`` (an armed ``{"kind", "seconds"}`` host-fault directive).
     """
@@ -137,14 +196,15 @@ def sample_task(payload: Dict) -> Dict:
     if chaos is not None:
         if chaos["kind"] == "kill":
             # Die as abruptly as the OOM killer would: no cleanup, no
-            # result.  The pool respawns a replacement through
-            # :func:`init_worker`; the supervisor resubmits the task.
+            # result.  The supervisor forks a replacement and resubmits
+            # the task.
             os._exit(1)
         elif chaos["kind"] == "hang":
             time.sleep(float(chaos.get("seconds", 0.25)))
     epoch = int(payload["epoch"])
     chunks: List[Optional[np.ndarray]] = payload["chunks"]
     gather = bool(payload.get("gather", False))
+    features = _features(payload.get("features")) if gather else None
     sampler = _sampler(payload["fanouts"], payload["global_seed"])
 
     active = [(d, c) for d, c in enumerate(chunks) if c is not None and len(c)]
@@ -162,7 +222,7 @@ def sample_task(payload: Dict) -> Dict:
             per_device[d] = mb
 
     device_arrays = [
-        None if mb is None else _batch_arrays(mb, gather) for mb in per_device
+        None if mb is None else _batch_arrays(mb, features) for mb in per_device
     ]
     layers = [None if mb is None else len(mb.blocks) for mb in per_device]
     result = {
@@ -177,7 +237,7 @@ def sample_task(payload: Dict) -> Dict:
     slot = payload.get("slot")
     if slot is not None:
         try:
-            buf = _slot_buffer(slot)
+            buf = _slot_buffer(payload["ring"], slot)
             offset = 0
             specs: List[Optional[list]] = []
             for arrs in device_arrays:
@@ -193,7 +253,7 @@ def sample_task(payload: Dict) -> Dict:
             result["via_shm"] = True
             if payload.get("digest"):
                 h = hashlib.blake2b(digest_size=16)
-                h.update(bytes(buf[:offset]))
+                h.update(buf[:offset])
                 result["digest"] = h.hexdigest()
                 result["packed_bytes"] = int(offset)
             if chaos is not None and chaos["kind"] == "corrupt":

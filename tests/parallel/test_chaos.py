@@ -25,7 +25,6 @@ FAST_POLICY = dict(
     failure_budget=16,
     backoff_base_s=0.01,
     backoff_max_s=0.05,
-    poll_interval_s=0.01,
     drain_timeout_s=2.0,
 )
 

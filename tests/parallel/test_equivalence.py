@@ -14,7 +14,13 @@ from repro.core import APT
 from repro.engine.base import split_round_robin
 from repro.engine.context import ExecutionContext
 from repro.models import GraphSAGE
-from repro.parallel.backend import ProcessPoolBackend, SerialBackend, make_backend
+from repro.parallel import backend as backend_module
+from repro.parallel.backend import (
+    ProcessPoolBackend,
+    SerialBackend,
+    make_backend,
+    shutdown,
+)
 
 #: every single strategy, the GDPxSNP hybrid, and a mixed per-layer
 #: composition — the backend contract holds for all of them
@@ -86,6 +92,18 @@ class TestBitIdentity:
         r_proc, m_proc = _run(tiny_dataset, "process", "gdp", prefetch_depth=depth)
         assert _epoch_facts(r_serial) == _epoch_facts(r_proc)
         _assert_states_equal(m_serial, m_proc)
+
+    @pytest.mark.parametrize("strategy", ("gdp", "nfp", "snp", "dnp"))
+    def test_reused_workers_match_fresh_ones(self, tiny_dataset, strategy):
+        # Run n+1 on the workers run n left idle: a lease carries nothing
+        # from one run to the next.
+        shutdown()
+        r_fresh, m_fresh = _run(tiny_dataset, "process", strategy)
+        workers = backend_module._IDLE
+        r_again, m_again = _run(tiny_dataset, "process", strategy)
+        assert backend_module._IDLE is workers and not workers.closed
+        assert _epoch_facts(r_fresh) == _epoch_facts(r_again)
+        _assert_states_equal(m_fresh, m_again)
 
     def test_gather_prefetch_identical(self, tiny_dataset):
         r_serial, m_serial = _run(tiny_dataset, "serial", "gdp")

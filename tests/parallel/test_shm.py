@@ -7,6 +7,7 @@ from repro.graph.datasets import small_dataset
 from repro.parallel.shm import (
     ArraySpec,
     SlotRing,
+    attach_features,
     attach_task_data,
     export_task_data,
     read_array,
@@ -58,10 +59,46 @@ class TestTaskDataExport:
             try:
                 np.testing.assert_array_equal(graph.indptr, ds.graph.indptr)
                 np.testing.assert_array_equal(graph.indices, ds.graph.indices)
+                # No sampler reads a feature: the matrix is not in shared
+                # memory until somebody asks where to gather from.
+                assert features is None
+            finally:
+                del graph
+                segment.close()
+            shared = export.share_features()
+            assert export.share_features() is shared  # one copy, made once
+            segment, features = attach_features(shared)
+            try:
                 np.testing.assert_array_equal(features, ds.features)
             finally:
-                del graph, features
+                del features
                 segment.close()
+        finally:
+            export.close()
+
+    def test_close_unlinks_both_segments(self):
+        import os
+
+        ds = small_dataset(n=300, feature_dim=8, num_classes=3, seed=1)
+        export = export_task_data(ds)
+        names = [export.segment.name, export.share_features().segment_name]
+        assert all(os.path.exists(f"/dev/shm/{n}") for n in names)
+        export.close()
+        assert not any(os.path.exists(f"/dev/shm/{n}") for n in names)
+
+    def test_covers_is_array_identity(self):
+        import dataclasses
+
+        ds = small_dataset(n=300, feature_dim=8, num_classes=3, seed=1)
+        export = export_task_data(ds)
+        try:
+            assert export.covers(ds)
+            # same arrays under another dataset object: same export
+            assert export.covers(dataclasses.replace(ds, name="other"))
+            # equal bytes in other arrays: not the same export
+            assert not export.covers(
+                dataclasses.replace(ds, features=ds.features.copy())
+            )
         finally:
             export.close()
 

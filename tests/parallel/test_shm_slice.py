@@ -17,8 +17,8 @@ from repro.graph import open_streaming_dataset, write_dataset_dir
 from repro.graph.datasets import small_dataset
 from repro.models import GraphSAGE
 from repro.parallel.shm import (
-    ArraySpec,
     MemmapSpec,
+    SharedFeatures,
     attach_task_data,
     export_task_data,
 )
@@ -46,13 +46,20 @@ class TestMemmapExport:
             # The segment holds only the topology — no feature bytes.
             topo = desc.indptr.nbytes + desc.indices.nbytes
             assert export.segment.size < topo + disk_ds.features.nbytes
+            # ...and never will: workers map the file named above.
+            assert export.share_features() is None
         finally:
             export.close()
 
     def test_in_ram_features_still_copied(self, ram_ds):
+        # ...into a segment of their own, when a task will gather them.
         export = export_task_data(ram_ds)
         try:
-            assert isinstance(export.descriptor.features, ArraySpec)
+            desc = export.descriptor
+            assert desc.features is None
+            topo = desc.indptr.nbytes + desc.indices.nbytes
+            assert export.segment.size < topo + ram_ds.features.nbytes
+            assert isinstance(export.share_features(), SharedFeatures)
         finally:
             export.close()
 

@@ -12,14 +12,19 @@ from repro.parallel.chaos import (
     HostFaultSchedule,
     split_injections,
 )
+from repro.graph.datasets import small_dataset
+from repro.parallel.shm import export_task_data
 from repro.parallel.supervisor import (
     TEARDOWN_ERRORS,
     FailureBudgetExceeded,
     FaultPolicy,
+    Flight,
     HeartbeatBoard,
     SlotCorruption,
     SupervisionError,
     WorkerCrash,
+    WorkerSet,
+    WorkerSupervisor,
     WorkerTimeout,
     slot_digest,
 )
@@ -41,7 +46,7 @@ class TestFaultPolicy:
             {"failure_budget": -1},
             {"backoff_base_s": -0.1},
             {"backoff_factor": 0.5},
-            {"poll_interval_s": 0.0},
+            {"backoff_max_s": -0.1},
             {"drain_timeout_s": 0.0},
         ],
     )
@@ -67,6 +72,13 @@ class TestFaultPolicy:
         assert p.backoff_at(2) == pytest.approx(0.4)
         assert p.backoff_at(3) == pytest.approx(0.5)  # capped
         assert p.backoff_at(50) == pytest.approx(0.5)
+
+    def test_no_polling_knob(self):
+        # Every wait blocks on pipes and process sentinels; there is no
+        # cadence to configure.
+        assert "poll_interval_s" not in FaultPolicy().to_dict()
+        with pytest.raises(TypeError):
+            FaultPolicy(poll_interval_s=0.01)
 
     def test_to_dict_roundtrips(self):
         p = FaultPolicy(task_deadline_s=2.0, max_retries=1)
@@ -122,6 +134,16 @@ class TestSlotDigest:
         before = slot_digest(buf, 64)
         buf[0] ^= 0xFF
         assert slot_digest(buf, 64) != before
+
+    def test_hashes_in_place(self):
+        # The digest is of the bytes where they lie (no copy is made to
+        # feed the hash), whatever kind of buffer holds them.
+        import hashlib
+
+        data = bytes(range(200))
+        want = hashlib.blake2b(data[:150], digest_size=16).hexdigest()
+        for buf in (data, bytearray(data), memoryview(bytearray(data))):
+            assert slot_digest(buf, 150) == want
 
 
 class TestHostFaultEvent:
@@ -232,9 +254,7 @@ class TestSplitInjections:
 # failure diagnostics name the offender and the budget (DESIGN.md §5.16)
 # ---------------------------------------------------------------------- #
 def _bare_supervisor(*, failures=0, last_dead=(), **policy_kw):
-    """A WorkerSupervisor shell with no pool — message-formatting only."""
-    from repro.parallel.supervisor import WorkerSupervisor
-
+    """A WorkerSupervisor shell with no workers — message-formatting only."""
     sup = WorkerSupervisor.__new__(WorkerSupervisor)
     sup.policy = FaultPolicy(**policy_kw)
     sup.failures = failures
@@ -242,6 +262,13 @@ def _bare_supervisor(*, failures=0, last_dead=(), **policy_kw):
     sup.emit = lambda kind, **data: None
     sup.count = lambda name, value=1.0: None
     return sup
+
+
+def _payload(**extra):
+    return dict(
+        epoch=0, chunks=[np.arange(8, dtype=np.int64)], fanouts=(2, 2),
+        global_seed=0, gather=False, **extra,
+    )
 
 
 class TestFailureDiagnostics:
@@ -256,9 +283,7 @@ class TestFailureDiagnostics:
         assert "no worker death observed" in quiet._offender_note()
 
     def _flight(self, attempts):
-        from repro.parallel.supervisor import Flight
-
-        return Flight(payload={}, handle=None, slot=None, attempts=attempts)
+        return Flight(payload={}, slot=None, attempts=attempts)
 
     def test_retry_exhaustion_message(self):
         sup = _bare_supervisor(failures=1, max_retries=2, failure_budget=9)
@@ -281,7 +306,7 @@ class TestFailureDiagnostics:
         with pytest.raises(FailureBudgetExceeded) as err:
             sup._retry(
                 self._flight(attempts=0),
-                WorkerCrash("pool worker(s) pid 4242 died"),
+                WorkerCrash("worker pid 4242 died"),
                 fresh_slot=lambda: None,
                 lose_slot=lambda slot: None,
             )
@@ -290,40 +315,40 @@ class TestFailureDiagnostics:
         assert "failures 5 / budget 4" in msg
         assert "worker pid 4242" in msg
 
-    def test_timeout_and_crash_messages_carry_budget(self, monkeypatch):
-        # Drive _wait with a never-ready handle so it times out, and with
-        # a dead-worker poll so it crashes; both messages must carry the
-        # budget note (and the crash one, the dead pids).
-        import time as _time
+    def test_timeout_and_crash_messages_carry_budget(self):
+        # One real worker: a task that hangs past its deadline and one
+        # that kills its worker.  Both messages must name the worker that
+        # held the task and carry the budget note; both workers must have
+        # been replaced by the time the failure is raised.
+        workers = WorkerSet(export_task_data(small_dataset(n=200)), 1)
+        try:
+            sup = WorkerSupervisor(
+                workers, FaultPolicy(failure_budget=6, task_deadline_s=0.2)
+            )
+            sup.failures = 1
+            pid = workers.pids()[0]
+            hung = sup.submit(
+                _payload(chaos={"kind": "hang", "seconds": 30.0}), None
+            )
+            with pytest.raises(WorkerTimeout) as err:
+                sup._wait(hung, hung.submitted_at + sup.policy.task_deadline_s)
+            msg = str(err.value)
+            assert f"pid {pid}" in msg and "failures 1 / budget 6" in msg
+            assert workers.pids()[0] != pid
 
-        sup = _bare_supervisor(failures=1, failure_budget=6,
-                               task_deadline_s=0.05, poll_interval_s=0.01)
-        sup.heartbeats = None
+            pid = workers.pids()[0]
+            killed = sup.submit(_payload(chaos={"kind": "kill"}), None)
+            with pytest.raises(WorkerCrash) as err:
+                sup._wait(killed, time.monotonic() + 30.0)
+            msg = str(err.value)
+            assert f"pid {pid}" in msg and "failures 1 / budget 6" in msg
+            assert sup.last_dead == [pid] and workers.pids()[0] != pid
+            assert sup.respawns == 2
 
-        class NeverReady:
-            def ready(self):
-                return False
-
-            def wait(self, timeout):
-                _time.sleep(min(timeout, 0.01))
-
-        flight = self._flight(attempts=0)
-        flight.handle = NeverReady()
-        flight.submitted_at = _time.monotonic()
-        monkeypatch.setattr(sup, "_poll_workers", lambda: False)
-        with pytest.raises(WorkerTimeout) as err:
-            sup._wait(flight)
-        assert "failures 1 / budget 6" in str(err.value)
-
-        def dying_poll():
-            sup.last_dead = [77]
-            return True
-
-        flight2 = self._flight(attempts=0)
-        flight2.handle = NeverReady()
-        flight2.submitted_at = _time.monotonic()
-        monkeypatch.setattr(sup, "_poll_workers", dying_poll)
-        with pytest.raises(WorkerCrash) as err:
-            sup._wait(flight2)
-        msg = str(err.value)
-        assert "pid 77" in msg and "failures 1 / budget 6" in msg
+            # The replacement serves the next task on a fresh pipe.
+            clean = sup.submit(_payload(), None)
+            result = sup._wait(clean, time.monotonic() + 30.0)
+            assert result["devices"][0] is not None
+            sup.close()
+        finally:
+            workers.close()
