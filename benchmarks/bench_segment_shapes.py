@@ -44,8 +44,8 @@ SHAPES = [
     (150, (4,), "GAT scores, 4 heads"),
     (900, (4,), "GAT scores, 4 heads"),
     (900, (4, 8), "GAT messages"),
-    (200_000, (4,), "bench_micro softmax"),
-    (200_000, (32,), "bench_micro SEG_E"),
+    (200_000, (4,), "former tuning shape, softmax"),
+    (200_000, (32,), "former tuning shape"),
 ]
 
 

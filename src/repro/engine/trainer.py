@@ -29,10 +29,8 @@ import numpy as np
 from repro.cluster.timeline import busy_imbalance
 from repro.engine.base import Strategy, sample_batches
 from repro.engine.context import ExecutionContext
-from repro.featurestore.store import gather_dedup_enabled
 from repro.parallel.backend import resolve_backend
 from repro.sampling.batching import EpochIterator
-from repro.tensor import arena
 from repro.tensor import functional as F
 from repro.tensor.optim import Optimizer
 from repro.tensor.tensor import Tensor, add_n, no_grad
@@ -84,11 +82,10 @@ class ParallelTrainer:
 
         # Cross-device gather dedup: stage the union of the strategy's
         # per-device row requests once; store.read serves slices of it.
-        # The scope spans through zero_grad because batch tensors may hold
-        # zero-copy views of the staged buffer.  Skipped when a pipelined
-        # backend already serves gathers from worker shared memory.
+        # Skipped when a pipelined backend already serves gathers from
+        # worker shared memory.
         shared = None
-        if ctx.numerics and gather_dedup_enabled():
+        if ctx.numerics:
             backend = resolve_backend(ctx)
             if not (
                 self.strategy.gather_prefetch
@@ -148,18 +145,11 @@ class ParallelTrainer:
         # sample batch k+1 in workers while batch k trains here.
         batch_list = list(self._iterator.epoch_batches(epoch))
         backend.begin_epoch(self.strategy, ctx, epoch, batch_list)
-        pool_before = arena.pool().stats()
         try:
             for global_batch in batch_list:
                 batch_losses.append(self.run_global_batch(global_batch, epoch))
         finally:
             backend.finish_epoch(ctx)
-        pool_after = arena.pool().stats()
-        hits = pool_after["hits"] - pool_before["hits"]
-        misses = pool_after["misses"] - pool_before["misses"]
-        if hits or misses:
-            ctx.count("arena.hits", hits, phase="train")
-            ctx.count("arena.misses", misses, phase="train")
         if not batch_losses:
             # np.mean([]) would yield NaN plus a RuntimeWarning and poison
             # downstream loss curves silently; fail loudly instead.

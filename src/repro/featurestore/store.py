@@ -21,7 +21,6 @@ is also how :func:`ranged_gather` materializes them from the memmap.
 
 from __future__ import annotations
 
-import contextlib
 import enum
 import os
 from dataclasses import dataclass, field
@@ -32,31 +31,6 @@ import numpy as np
 from repro.cluster.spec import ClusterSpec
 from repro.cluster.timeline import Timeline
 from repro.graph.datasets import GraphDataset
-from repro.tensor import arena
-
-# Cross-device gather dedup (DESIGN.md §5.12): materialize the union of one
-# global batch's per-device feature requests once, serve each device a view
-# or positional re-gather of it.  Tier accounting is untouched — only the
-# host-side row materialization is shared — so it is toggleable without any
-# effect on simulated timelines or numerics.
-_GATHER_DEDUP = os.environ.get("REPRO_GATHER_DEDUP", "1") != "0"
-
-
-def gather_dedup_enabled() -> bool:
-    """Whether shared-gather dedup is on (``REPRO_GATHER_DEDUP``, default on)."""
-    return _GATHER_DEDUP
-
-
-@contextlib.contextmanager
-def gather_dedup(enabled: bool):
-    """Force gather dedup on or off within a scope (tests / benchmarks)."""
-    global _GATHER_DEDUP
-    prev = _GATHER_DEDUP
-    _GATHER_DEDUP = bool(enabled)
-    try:
-        yield
-    finally:
-        _GATHER_DEDUP = prev
 
 
 def gather_rows(features: np.ndarray, node_ids: np.ndarray) -> np.ndarray:
@@ -380,9 +354,7 @@ class UnifiedFeatureStore:
             return None
         return {**self.disk_stats, "resident_rows": self.disk_resident_count()}
 
-    def _materialize(
-        self, node_ids: np.ndarray, out: Optional[np.ndarray] = None
-    ) -> np.ndarray:
+    def _materialize(self, node_ids: np.ndarray) -> np.ndarray:
         """Rows for ``node_ids``, bit-identical to ``features[node_ids]``.
 
         For in-RAM stores this is a plain gather.  With the disk tier
@@ -393,12 +365,8 @@ class UnifiedFeatureStore:
         features = self.dataset.features
         ids = np.asarray(node_ids, dtype=np.int64)
         if self._disk_pos is None:
-            if out is None:
-                return gather_rows(features, ids)
-            np.take(features, ids, axis=0, out=out)
-            return out
-        if out is None:
-            out = np.empty((ids.size,) + features.shape[1:], dtype=features.dtype)
+            return gather_rows(features, ids)
+        out = np.empty((ids.size,) + features.shape[1:], dtype=features.dtype)
         if ids.size == 0:
             return out
         pos = self._disk_pos[ids]
@@ -442,26 +410,14 @@ class UnifiedFeatureStore:
             return None
         total = int(sum(r.size for r in reqs))
         uniq = np.unique(np.concatenate(reqs)) if len(reqs) > 1 else np.unique(reqs[0])
-        features = self.dataset.features
-        buf = arena.take((uniq.size,) + features.shape[1:], features.dtype)
-        if buf is None:
-            buf = np.empty((uniq.size,) + features.shape[1:], dtype=features.dtype)
-        self._materialize(uniq, out=buf)
+        self._shared_rows = self._materialize(uniq)
         self._shared_uniq = uniq
-        self._shared_rows = buf
         return total, int(uniq.size)
 
     def end_shared_gather(self) -> None:
-        """Close the shared-gather scope and recycle the staging buffer.
-
-        Callers must not hold views of the staged rows past this point
-        (the trainer closes the scope only after backward/step/zero_grad,
-        when the batch's tensors are dead).
-        """
-        buf = self._shared_rows
+        """Close the shared-gather scope and drop the staging buffer."""
         self._shared_rows = None
         self._shared_uniq = None
-        arena.release(buf)
 
     def shared_rows(self) -> Optional[np.ndarray]:
         """The staged union buffer, or ``None`` outside a gather scope."""

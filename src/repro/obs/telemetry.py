@@ -28,7 +28,6 @@ EVENT_KINDS = (
     "replan",     # APT: drift crossed the threshold, planner re-ran
     "switch",     # APT: the running strategy was hot-swapped
     "fault",      # fault-injection layer: a scheduled fault took effect
-    "profile",    # repro.utils.profile: one host wall-clock span closed
     "pipeline",   # ProcessPoolBackend: per-epoch prefetch/worker counters
     # -- fault tolerance (see DESIGN.md §5.11) ------------------------- #
     "chaos",          # HostFaultSchedule: a host fault directive armed

@@ -10,7 +10,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.tensor.tensor import Tensor, fusion_enabled
+from repro.tensor.tensor import Tensor
 
 
 def relu(x: Tensor) -> Tensor:
@@ -104,13 +104,11 @@ def cross_entropy(
     one_hot = np.zeros(logits.shape, dtype=logits.data.dtype)
     one_hot[np.arange(n), labels] = 1.0
     denom = float(n if weight_total is None else weight_total)
-    if not fusion_enabled():
-        logp = log_softmax(logits, axis=-1)
-        return (logp * Tensor(one_hot)).sum() * (-1.0 / denom)
-
-    # Fused node: same IEEE ops/order as the composed chain above (see
-    # DESIGN.md §5.12), without materializing the one-hot product, the
-    # broadcast sum-gradient, or three closure records.
+    # Fused node: same IEEE ops/order as the composed chain
+    # ``(log_softmax(logits) * one_hot).sum() * (-1 / denom)`` (see
+    # DESIGN.md §5.12; the chain is the reference in tests/), without
+    # materializing the one-hot product, the broadcast sum-gradient, or
+    # three closure records.
     x = logits.data
     shifted = x - x.max(axis=-1, keepdims=True)
     log_z = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))

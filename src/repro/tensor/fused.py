@@ -19,10 +19,8 @@ receives one gradient contribution per device):
 * only single-consumer chains built inside one call are fused, so no
   accumulation into any buffer is reordered relative to the composed tape.
 
-With :func:`~repro.tensor.tensor.kernel_fusion` off (or
-``REPRO_KERNEL_FUSION=0``) every function falls back to literally building
-the composed chain — that fallback *is* the reference the tests compare
-against.
+The composed chains themselves live in ``tests/composed_reference.py``,
+the reference the bitwise tests compare against.
 """
 
 from __future__ import annotations
@@ -31,7 +29,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.tensor.tensor import Tensor, _unbroadcast, fusion_enabled
+from repro.tensor.tensor import Tensor, _unbroadcast
 
 #: activations a fused node can absorb
 _ACTIVATIONS = (None, "relu", "elu")
@@ -55,18 +53,6 @@ def _forward_activation(pre: np.ndarray, activation: Optional[str]):
     raise ValueError(f"unsupported fused activation {activation!r}")
 
 
-def _composed_activation(t: Tensor, activation: Optional[str]) -> Tensor:
-    from repro.tensor import functional as F
-
-    if activation is None:
-        return t
-    if activation == "relu":
-        return F.relu(t)
-    if activation == "elu":
-        return F.elu(t)
-    raise ValueError(f"unsupported fused activation {activation!r}")
-
-
 def linear(
     x: Tensor,
     w: Tensor,
@@ -78,12 +64,6 @@ def linear(
     This is the dense-projection workhorse: ``Linear.forward`` (no
     activation) and the GCN layer's project+bias+ReLU both route here.
     """
-    if not fusion_enabled():
-        out = x @ w
-        if b is not None:
-            out = out + b
-        return _composed_activation(out, activation)
-
     if x.data.ndim != 2 or w.data.ndim != 2:
         raise ValueError(
             "fused linear supports 2-D operands only; got "
@@ -129,15 +109,6 @@ def add_bias_act(
         raise ValueError("add_bias_act requires at least one term")
     if reshape_to is not None and len(terms) != 1:
         raise ValueError("reshape_to is only supported for a single term")
-
-    if not fusion_enabled():
-        out = terms[0]
-        if reshape_to is not None:
-            out = out.reshape(reshape_to)
-        for t in terms[1:]:
-            out = out + t
-        out = out + bias
-        return _composed_activation(out, activation)
 
     acc = terms[0].data
     in_shape = acc.shape

@@ -58,7 +58,6 @@ class Module:
 
     def zero_grad(self) -> None:
         for p in self.parameters():
-            # Tensor.zero_grad recycles pooled gradient buffers (arena).
             p.zero_grad()
 
     def train(self, mode: bool = True) -> "Module":

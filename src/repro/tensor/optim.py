@@ -28,7 +28,6 @@ class Optimizer:
 
     def zero_grad(self) -> None:
         for p in self.params:
-            # Recycles pooled gradient buffers when the arena is enabled.
             p.zero_grad()
 
     def step(self) -> None:  # pragma: no cover - abstract

@@ -20,23 +20,14 @@ the training path.
 from __future__ import annotations
 
 import contextlib
-import os
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
-
-from repro.tensor import arena
 
 ArrayLike = Union[np.ndarray, float, int, list, tuple]
 
 # Global autograd switch (see :func:`no_grad`).
 _GRAD_ENABLED = True
-
-# Global fused-kernel switch (see :func:`kernel_fusion`).  Fused ops are
-# bit-identical to their composed forms by contract (DESIGN.md §5.12 and
-# tests/tensor/test_fused_kernels.py); the flag exists so equivalence tests
-# and benchmarks can run the composed "seed" path on demand.
-_FUSION_ENABLED = os.environ.get("REPRO_KERNEL_FUSION", "1") != "0"
 
 
 @contextlib.contextmanager
@@ -54,23 +45,6 @@ def no_grad():
 def grad_enabled() -> bool:
     """Return whether autograd taping is currently enabled."""
     return _GRAD_ENABLED
-
-
-@contextlib.contextmanager
-def kernel_fusion(enabled: bool):
-    """Force fused kernels on or off within a scope (tests / benchmarks)."""
-    global _FUSION_ENABLED
-    prev = _FUSION_ENABLED
-    _FUSION_ENABLED = bool(enabled)
-    try:
-        yield
-    finally:
-        _FUSION_ENABLED = prev
-
-
-def fusion_enabled() -> bool:
-    """Whether fused kernels are in use (``REPRO_KERNEL_FUSION``, default on)."""
-    return _FUSION_ENABLED
 
 
 # repro.tensor.sparse, bound on first use: importing it at module scope
@@ -215,12 +189,7 @@ class Tensor:
         if self.grad is None:
             # Copy so later in-place accumulation never aliases op outputs
             # (``grad`` may be a view of another node's gradient buffer).
-            buf = arena.take(self.data.shape, self.data.dtype)
-            if buf is None:
-                self.grad = np.array(grad, dtype=self.data.dtype, copy=True)
-            else:
-                np.copyto(buf, grad, casting="unsafe")
-                self.grad = buf
+            self.grad = np.array(grad, dtype=self.data.dtype, copy=True)
         else:
             self.grad += grad
 
@@ -229,14 +198,12 @@ class Tensor:
 
         Unlike :meth:`_accumulate` the array is adopted without a defensive
         copy — callers guarantee ``buf`` aliases nothing else (scatter-add
-        outputs, zero-filled scratch).  When a gradient already exists the
-        buffer's content is folded in and the buffer itself recycled.
+        outputs, zero-filled scratch).
         """
         if self.grad is None:
             self.grad = buf
         else:
             self.grad += buf
-            arena.release(buf)
 
     def backward(self, grad: Optional[np.ndarray] = None) -> None:
         """Run reverse-mode autodiff from this tensor.
@@ -277,25 +244,20 @@ class Tensor:
                     stack.append((p, False))
 
         self._accumulate(grad)
-        # Release-after-last-use: in reverse-topological order, once a
-        # node's closure has propagated its gradient to the parents, no
-        # later closure can read it (all consumers already ran), so interior
-        # gradient buffers are recycled immediately instead of living until
-        # the whole tape is garbage collected.  Leaves (parameters, inputs)
-        # have no closure and keep their gradients for the optimizer.
-        recycle = arena.arena_enabled()
+        # Drop-after-last-use: in reverse-topological order, once a node's
+        # closure has propagated its gradient to the parents, no later
+        # closure can read it (all consumers already ran), so interior
+        # gradients are freed immediately instead of living until the whole
+        # tape is garbage collected.  Leaves (parameters, inputs) have no
+        # closure and keep their gradients for the optimizer.
         for node in reversed(topo):
             fn = node._backward_fn
             if fn is not None and node.grad is not None:
                 fn(node.grad)
-                if recycle:
-                    arena.release(node.grad)
-                    node.grad = None
+                node.grad = None
 
     def zero_grad(self) -> None:
-        if self.grad is not None:
-            arena.release(self.grad)
-            self.grad = None
+        self.grad = None
 
     # ------------------------------------------------------------------ #
     # arithmetic ops
@@ -436,19 +398,13 @@ class Tensor:
         out_data = self.data[idx]
 
         def backward_fn(g: np.ndarray) -> None:
-            if not self.requires_grad:
-                return
-            if _FUSION_ENABLED:
+            if self.requires_grad:
                 # The adjoint of a row gather is a segment sum over the
-                # same ids: bit-identical to the np.add.at path below, much
-                # faster on 2-D/3-D gradients.  The output is freshly
-                # built, so it can be adopted without a copy.
+                # same ids: bit-identical to n-D np.add.at (the reference
+                # in tests/), much faster on 2-D/3-D gradients.  The output
+                # is freshly built, so it can be adopted without a copy.
                 rows = index if index is not None else sparse.SegmentIndex(idx, n_rows)
                 self._accumulate_owned(sparse._segment_sum_array(g, rows))
-            else:
-                buf = np.zeros_like(self.data)
-                np.add.at(buf, idx, g)
-                self._accumulate(buf)
 
         return Tensor._make(out_data, (self,), backward_fn, "index_rows")
 
@@ -459,9 +415,7 @@ class Tensor:
 
         def backward_fn(g: np.ndarray) -> None:
             if self.requires_grad:
-                buf = arena.take_zeros(full_shape, self.data.dtype)
-                if buf is None:
-                    buf = np.zeros(full_shape, dtype=self.data.dtype)
+                buf = np.zeros(full_shape, dtype=self.data.dtype)
                 buf[:, start:stop] = g
                 self._accumulate_owned(buf)
 

@@ -1,6 +1,5 @@
-"""Shared utilities: seeded RNG helpers, validation, and the profile hook."""
+"""Shared utilities: seeded RNG helpers and validation."""
 
-from repro.utils.profile import profile, profile_totals, profiled, reset_profile
 from repro.utils.random import rng_from, seed_for_node, spawn_rngs
 from repro.utils.validation import (
     check_dim,
@@ -13,10 +12,6 @@ __all__ = [
     "rng_from",
     "seed_for_node",
     "spawn_rngs",
-    "profile",
-    "profiled",
-    "profile_totals",
-    "reset_profile",
     "check_dim",
     "check_index_array",
     "check_positive",

@@ -1,0 +1,95 @@
+"""The composed forms the compute path is pinned against, bit for bit.
+
+``repro.tensor`` runs one compute path: fused tape nodes, the segment-sum
+adjoint of ``Tensor.index_rows``, and the trainer's cross-device shared
+gather.  Each function here is the chain that path replaces — the
+primitive tape nodes of ``act(x @ w + b)``, ``act(sum(terms) + b)`` and the
+log-softmax cross entropy, the n-D ``np.add.at`` adjoint of a row gather,
+and one direct feature gather per device — and the tests require the
+production path to match it exactly (DESIGN.md §5.12).
+
+:func:`install_composed_kernels` and :func:`install_direct_gather` swap the
+references in through a ``pytest.MonkeyPatch``; every caller in ``src/``
+reaches the kernels through their module or class attribute, so the patch
+covers models, strategies and the trainer alike.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from repro.featurestore.store import UnifiedFeatureStore
+from repro.tensor import fused
+from repro.tensor import functional as F
+from repro.tensor.sparse import SegmentIndex
+from repro.tensor.tensor import Tensor
+
+
+def _activation(t: Tensor, activation):
+    if activation is None:
+        return t
+    if activation == "relu":
+        return F.relu(t)
+    if activation == "elu":
+        return F.elu(t)
+    raise ValueError(f"unsupported fused activation {activation!r}")
+
+
+def linear(x, w, b=None, activation=None):
+    """``fused.linear`` as three primitive nodes: matmul, add, activation."""
+    out = x @ w
+    if b is not None:
+        out = out + b
+    return _activation(out, activation)
+
+
+def add_bias_act(terms, bias, activation=None, reshape_to=None):
+    """``fused.add_bias_act`` as ``((t0 + t1) + ...) + bias``, then act."""
+    terms = list(terms)
+    out = terms[0]
+    if reshape_to is not None:
+        out = out.reshape(reshape_to)
+    for t in terms[1:]:
+        out = out + t
+    return _activation(out + bias, activation)
+
+
+def cross_entropy(logits, labels, weight_total=None):
+    """``F.cross_entropy`` as log-softmax, one-hot product, sum, scale."""
+    labels = np.asarray(labels, dtype=np.int64)
+    n = logits.shape[0]
+    one_hot = np.zeros(logits.shape, dtype=logits.data.dtype)
+    one_hot[np.arange(n), labels] = 1.0
+    denom = float(n if weight_total is None else weight_total)
+    logp = F.log_softmax(logits, axis=-1)
+    return (logp * Tensor(one_hot)).sum() * (-1.0 / denom)
+
+
+def index_rows(self, idx):
+    """``Tensor.index_rows`` whose adjoint is the n-D ``np.add.at``."""
+    if isinstance(idx, SegmentIndex):
+        idx = idx.ids
+    idx = np.asarray(idx, dtype=np.int64)
+
+    def backward_fn(g: np.ndarray) -> None:
+        if self.requires_grad:
+            buf = np.zeros_like(self.data)
+            np.add.at(buf, idx, g)
+            self._accumulate(buf)
+
+    return Tensor._make(self.data[idx], (self,), backward_fn, "index_rows")
+
+
+def install_composed_kernels(mp) -> None:
+    """Route every fused kernel and the gather adjoint to its composed form."""
+    mp.setattr(fused, "linear", linear)
+    mp.setattr(fused, "add_bias_act", add_bias_act)
+    mp.setattr(F, "cross_entropy", cross_entropy)
+    mp.setattr(Tensor, "index_rows", index_rows)
+
+
+def install_direct_gather(mp) -> None:
+    """Stage nothing: every device's ``store.read`` gathers its own rows."""
+    mp.setattr(
+        UnifiedFeatureStore, "begin_shared_gather", lambda self, requests: None
+    )

@@ -1,9 +1,11 @@
-"""End-to-end bit-identity of the compute-path optimizations.
+"""End-to-end bit-identity of the compute path against its composed form.
 
-The PR-5 contract (DESIGN.md §5.12): kernel fusion, the gradient buffer
-arena, and cross-device gather dedup are *pure host-side* optimizations —
-with all three on, every strategy must produce exactly the losses, final
-parameters, and simulated Timeline it produces with all three off.
+The contract (DESIGN.md §5.12): the fused kernels, the segment-sum
+adjoint of row gathers and the cross-device shared gather are *pure
+host-side* choices — every strategy must produce exactly the losses, final
+parameters and simulated Timeline it produces on the composed reference
+(``tests/composed_reference.py``: primitive tape nodes, ``np.add.at``
+adjoint, one direct gather per device).
 """
 
 import numpy as np
@@ -12,11 +14,9 @@ import pytest
 from repro.cluster import multi_machine_cluster
 from repro.config import APTConfig
 from repro.core import APT
-from repro.featurestore.store import gather_dedup
 from repro.graph.datasets import small_dataset
 from repro.models import GraphSAGE
-from repro.tensor.arena import buffer_arena
-from repro.tensor.tensor import kernel_fusion
+from tests import composed_reference as reference
 
 STRATEGIES = ("gdp", "nfp", "snp", "dnp")
 
@@ -26,7 +26,7 @@ def ds():
     return small_dataset(n=1500, feature_dim=16, num_classes=4, seed=7)
 
 
-def _run(ds, strategy, *, fusion, arena, dedup, backend="serial", gather=False):
+def _run(ds, strategy, *, composed, direct_gather, backend="serial", gather=False):
     model = GraphSAGE(ds.feature_dim, 8, ds.num_classes, 2, seed=1)
     cluster = multi_machine_cluster(
         2, 2, gpu_cache_bytes=ds.feature_bytes * 0.06
@@ -41,9 +41,17 @@ def _run(ds, strategy, *, fusion, arena, dedup, backend="serial", gather=False):
     )
     apt = APT(ds, model, cluster, config)
     apt.prepare()
-    with kernel_fusion(fusion), buffer_arena(arena), gather_dedup(dedup):
+    with pytest.MonkeyPatch.context() as mp:
+        if composed:
+            reference.install_composed_kernels(mp)
+        if direct_gather:
+            reference.install_direct_gather(mp)
         report = apt.run_strategy(strategy, 2, numerics=True)
     return report, model
+
+
+def _reference(ds, strategy):
+    return _run(ds, strategy, composed=True, direct_gather=True)
 
 
 def _facts(report):
@@ -68,34 +76,37 @@ def _assert_identical(ra, ma, rb, mb):
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
 def test_all_optimizations_bitwise_identical(ds, strategy):
-    rb, mb = _run(ds, strategy, fusion=False, arena=False, dedup=False)
-    ro, mo = _run(ds, strategy, fusion=True, arena=True, dedup=True)
+    rb, mb = _reference(ds, strategy)
+    ro, mo = _run(ds, strategy, composed=False, direct_gather=False)
     _assert_identical(rb, mb, ro, mo)
 
 
 @pytest.mark.parametrize(
-    "fusion,arena,dedup",
-    [(True, False, False), (False, True, False), (False, False, True)],
-    ids=["fusion-only", "arena-only", "dedup-only"],
+    "strategy,composed,direct_gather",
+    # Kernels alone on the strategy with the richest read pattern; the
+    # shared gather alone on GDP, whose aggregation reads the staged union
+    # through an index (SNP stages nothing).
+    [("snp", False, True), ("gdp", True, False)],
+    ids=["fusion-only", "dedup-only"],
 )
-def test_each_optimization_alone_is_bitwise_identical(ds, fusion, arena, dedup):
-    # Isolate each toggle on the strategy with the richest read pattern.
-    rb, mb = _run(ds, "snp", fusion=False, arena=False, dedup=False)
-    ro, mo = _run(ds, "snp", fusion=fusion, arena=arena, dedup=dedup)
+def test_each_optimization_alone_is_bitwise_identical(
+    ds, strategy, composed, direct_gather
+):
+    rb, mb = _reference(ds, strategy)
+    ro, mo = _run(ds, strategy, composed=composed, direct_gather=direct_gather)
     _assert_identical(rb, mb, ro, mo)
 
 
 def test_dedup_with_process_backend_gather_prefetch(ds):
     # GDP + process backend + gather prefetch: the trainer must skip the
     # shared gather (workers serve rows from shared memory) and still be
-    # bit-identical to the fully serial un-optimized run.
-    rb, mb = _run(ds, "gdp", fusion=False, arena=False, dedup=False)
+    # bit-identical to the serial composed reference.
+    rb, mb = _reference(ds, "gdp")
     ro, mo = _run(
         ds,
         "gdp",
-        fusion=True,
-        arena=True,
-        dedup=True,
+        composed=False,
+        direct_gather=False,
         backend="process",
         gather=True,
     )
@@ -103,12 +114,12 @@ def test_dedup_with_process_backend_gather_prefetch(ds):
 
 
 def test_gather_and_arena_telemetry_counters(ds):
-    # With dedup and the arena on, the run's telemetry summary reports
-    # requested vs unique gather rows (dedup can only shrink the count)
-    # and the pool's hit/miss tallies.
-    report, _ = _run(ds, "gdp", fusion=True, arena=True, dedup=True)
+    # The run's telemetry summary reports requested vs unique gather rows
+    # (dedup can only shrink the count); the deleted gradient arena's
+    # counters are gone, so ``tensor.arena_hit_ratio`` reads 0.
+    report, _ = _run(ds, "gdp", composed=False, direct_gather=False)
     counters = report.telemetry["counters"]
     req = counters.get("gather.requested_rows", 0)
     uniq = counters.get("gather.unique_rows", 0)
     assert req > 0 and 0 < uniq <= req
-    assert counters.get("arena.hits", 0) + counters.get("arena.misses", 0) > 0
+    assert not any(name.startswith("arena.") for name in counters)

@@ -13,7 +13,7 @@ import pytest
 
 from repro.cluster import Timeline, single_machine_cluster
 from repro.featurestore import Tier, UnifiedFeatureStore
-from repro.featurestore.store import gather_dedup, gather_dedup_enabled, gather_rows
+from repro.featurestore.store import gather_rows
 from repro.graph.datasets import small_dataset
 
 
@@ -30,13 +30,6 @@ def store(ds):
         [np.arange(50), np.array([], dtype=np.int64)]
     )
     return s
-
-
-def test_toggle_context_manager():
-    before = gather_dedup_enabled()
-    with gather_dedup(not before):
-        assert gather_dedup_enabled() is (not before)
-    assert gather_dedup_enabled() is before
 
 
 def test_begin_returns_row_counts(store):

@@ -4,8 +4,9 @@ The fusion contract (DESIGN.md §5.12): a fused node performs the exact
 IEEE-754 operation sequence of the composed chain it replaces, and its
 parents are listed in the composed chain's DFS exploration order — so
 forward values, every parameter gradient, and every input gradient are
-bit-identical, not merely close.  All checks here use ``np.array_equal``
-on float64 data; no tolerances anywhere.
+bit-identical, not merely close.  The composed chains are the test-local
+reference in ``tests/composed_reference.py``.  All checks here use
+``np.array_equal`` on float64 data; no tolerances anywhere.
 """
 
 import numpy as np
@@ -17,7 +18,8 @@ from repro.models.sage import SAGELayer
 from repro.sampling.block import Block
 from repro.tensor import fused
 from repro.tensor import functional as F
-from repro.tensor.tensor import Tensor, fusion_enabled, kernel_fusion
+from repro.tensor.tensor import Tensor
+from tests import composed_reference as reference
 
 
 def _grads(params):
@@ -25,11 +27,13 @@ def _grads(params):
 
 
 def _run_both(build, seed=0):
-    """Run ``build`` with fusion off then on; return (out, grads) pairs."""
+    """Run ``build`` composed then fused; return (out, grads) pairs."""
     results = []
-    for fus in (False, True):
+    for composed in (True, False):
         rng = np.random.default_rng(seed)
-        with kernel_fusion(fus):
+        with pytest.MonkeyPatch.context() as mp:
+            if composed:
+                reference.install_composed_kernels(mp)
             out, params = build(rng)
             out.sum().backward() if out.data.ndim else out.backward()
         results.append((np.array(out.data), _grads(params)))
@@ -44,13 +48,6 @@ def _assert_bitwise(results):
         assert (ga is None) == (gb is None)
         if ga is not None:
             assert np.array_equal(ga, gb)
-
-
-def test_fusion_toggle_context_manager():
-    before = fusion_enabled()
-    with kernel_fusion(not before):
-        assert fusion_enabled() is (not before)
-    assert fusion_enabled() is before
 
 
 # ---------------------------------------------------------------------- #
