@@ -23,7 +23,7 @@ def run_with_ranking(name, ranking):
         ds, model, cluster, parts=common.partition(name, cluster.num_devices)
     )
     # Override the hotness signal the cache policies consume.
-    apt.dryrun = apt._make_dryrun(cluster, access_freq=ranking)
+    apt.access_freq = ranking
     result = apt.run_strategy("gdp", 1, numerics=False)
     return result.breakdown["loading"], result.epoch_seconds
 

@@ -30,7 +30,7 @@ def build_grid():
         for hidden in (8, 128):
             model = common.make_model("sage", ds, hidden=hidden)
             apt = common.build_apt(ds, model, cluster, parts=parts)
-            stats = {s: apt.dryrun.run(s) for s in common.STRATEGIES}
+            stats = {s: apt.context.dryrun.run(s) for s in common.STRATEGIES}
             actual = apt.compare_all(num_epochs=1, numerics=False)
             cases.append(
                 {

@@ -35,7 +35,7 @@ def timed_curve(ds, cluster, *, cache_off=False, cpu_sampling=False):
     result = apt.run_strategy("gdp", EPOCHS, lr=5e-3)
     times = np.cumsum([e.wall_seconds for e in result.epochs])
     losses = [e.mean_loss for e in result.epochs]
-    dry_seconds = sum(s.t_build for s in apt.dryrun.run_all().values())
+    dry_seconds = sum(s.t_build for s in apt.context.dryrun.run_all().values())
     return {
         "cum_time": times.tolist(),
         "loss": losses,

@@ -58,7 +58,7 @@ def _schedule() -> FaultSchedule:
     )
 
 
-def run_online_replan():
+def run_online_replanning():
     faults = _schedule()
 
     # Adaptive: plan once, then re-plan on drift.
@@ -84,9 +84,9 @@ def run_online_replan():
     return adaptive, fixed, control, baseline
 
 
-def test_online_replan(benchmark):
+def test_online_replanning(benchmark):
     adaptive, fixed, control, baseline = benchmark.pedantic(
-        run_online_replan, rounds=1, iterations=1
+        run_online_replanning, rounds=1, iterations=1
     )
 
     lines = [

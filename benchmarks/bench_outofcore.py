@@ -54,6 +54,7 @@ import numpy as np
 from repro.cluster import multi_machine_cluster
 from repro.config import APTConfig
 from repro.core import APT
+from repro.featurestore import Tier
 from repro.graph import open_streaming_dataset, write_streaming_dataset
 from repro.graph.datasets import GraphDataset
 from repro.models import GraphSAGE
@@ -109,12 +110,11 @@ def _plan_table(apt: APT) -> dict:
     }
 
 
-def _disk_dryrun_stats(apt: APT) -> dict:
+def _disk_dryrun_summary(apt: APT) -> dict:
     rows = 0.0
     ranged = 0.0
-    for stats in apt.dryrun_stats.values():
-        from repro.featurestore import Tier
-
+    for name in STRATEGIES:
+        stats = apt.context.dryrun.run(name)  # memoized by plan()
         rows += stats.recorder.total_load_rows(Tier.DISK)
         ranged += float(np.sum(stats.recorder.disk_ranged_reads))
     return {"rows": rows, "ranged_reads": ranged}
@@ -144,7 +144,7 @@ def run_comparison(num_nodes: int, feature_dim: int, workdir: pathlib.Path) -> d
             f"{disk_ms['t_load']:8.3f} ms   total {ram_ms['total']:8.3f} -> "
             f"{disk_ms['total']:8.3f} ms"
         )
-    dryrun_disk = _disk_dryrun_stats(apt_disk)
+    dryrun_disk = _disk_dryrun_summary(apt_disk)
 
     losses_ram = [
         e.mean_loss for e in apt_ram.run_strategy("gdp", 2).result.epochs

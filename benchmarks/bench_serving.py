@@ -7,7 +7,7 @@ configuration (DESIGN.md §5.13):
 * **fixed** — each of the four strategies pinned, training-census cache
   keying for the whole session (``cache_policy="static"``);
 * **adaptive** — strategy chosen by the latency-objective planner
-  (``plan_serving``), request-hotness cache re-keyed when the serve-side
+  (``plan(objective="latency")``), request-hotness cache re-keyed when the serve-side
   drift detector fires (``cache_policy="adaptive"``);
 * **frontier** — the adaptive configuration swept across dynamic-batching
   policies (``8:1`` ... ``64:8``), tracing the latency/throughput

@@ -292,10 +292,11 @@ def cmd_plan(args) -> int:
         from repro.serve import BatchingPolicy
 
         policy = BatchingPolicy.parse(args.policy)
-        report = apt.plan_serving(
+        report = apt.plan(
+            strategies=candidates,
+            objective="latency",
             batch_size=policy.max_batch_size,
             max_wait_s=policy.max_wait_s,
-            strategies=candidates,
         )
         header = (
             "\ncost-model estimates (predicted per-request serving "

@@ -16,6 +16,14 @@ report still delegates the legacy attributes ``chosen``, ``epochs``,
 decisions — is :class:`~repro.core.run.TrainingRun`; this module builds
 the execution backend and hands it over.
 
+Plan-step state has two owners (DESIGN.md §5.9).  :class:`APT` keeps what
+depends on ``(graph, fanouts, seed)`` only: the sample cache, the access
+census and the coarsening hierarchy.  A :class:`PlanContext` keeps what
+depends on one ``(cluster, partition)``: the partition, the dry-run with its
+memos, and the cost model.  ``prepare()`` creates the task's context, a
+membership change replaces it, and a drift re-plan or a device-subset
+candidate builds a context of its own.
+
 ``run_strategy`` executes a *fixed* strategy from the same initial model
 state — the benchmarks use it to produce the per-strategy epoch times the
 paper's figures compare against APT's automatic choice.  Both ``run`` and
@@ -30,6 +38,8 @@ carry over across a switch, and the engine's semantic-equivalence property
 
 from __future__ import annotations
 
+import weakref
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -37,9 +47,8 @@ import numpy as np
 from repro.cluster.faults import FaultSchedule
 from repro.cluster.spec import ClusterSpec
 from repro.config import APTConfig
-from repro.core.checkpoint import CheckpointManager
 from repro.core.costmodel import CostEstimate, CostModel
-from repro.core.dryrun import DryRun, DryRunStats
+from repro.core.dryrun import DryRun, access_frequency_census
 from repro.core.planner import Planner, PlanReport
 from repro.core.report import RunReport
 from repro.core.run import TrainingRun
@@ -57,7 +66,176 @@ from repro.obs.telemetry import TelemetryCollector
 from repro.parallel import make_backend
 from repro.sampling.cache import SampleCache
 
-__all__ = ["APT"]
+__all__ = ["APT", "PlanContext"]
+
+
+def partition_weights(cluster: ClusterSpec) -> Optional[List[float]]:
+    """Per-device speed weights, or ``None`` on a homogeneous cluster.
+
+    ``None`` selects the partitioners' historical equal-share paths, so
+    homogeneous digests are bit-for-bit unchanged; a mixed fleet (or a
+    ``host_join`` that brought a different device class) cuts parts
+    proportional to sustained device throughput.
+    """
+    if cluster.num_devices > 1 and cluster.is_heterogeneous:
+        return cluster.device_weights()
+    return None
+
+
+class PlanContext:
+    """The Plan step's state for one ``(cluster, partition)`` of a task.
+
+    The node->device partition, the dry-run (with its stats and
+    regrouped-block memos) and the cost model are pure functions of the
+    task and ``cluster``, so they are built together and dropped together.
+    ``partition`` defaults to a fresh one for ``cluster``: for the named
+    modes a pure function of ``(graph, num_devices, device weights,
+    seed)``, which is why an elastic re-partition equals a fresh run's and
+    a device-subset candidate never touches the task's partition.  A drift
+    re-plan passes the current partition instead (:meth:`on`).
+    """
+
+    def __init__(
+        self,
+        apt: "APT",
+        cluster: ClusterSpec,
+        partition: Optional[Tuple[np.ndarray, np.ndarray]] = None,
+    ):
+        # A context belongs to its APT, which holds the current one: a
+        # strong reference back would make every APT a reference cycle, so
+        # a dropped APT (and its sample cache) would live on until the
+        # cycle collector ran.
+        self._apt = weakref.ref(apt)
+        self.cluster = cluster
+        config = apt.config
+        if partition is None:
+            partition = _partition(apt, cluster)
+        self.parts, self.node_machine = partition
+        #: the profiled operator bandwidths of ``cluster`` (the Prepare
+        #: trials); a re-plan on a degraded cluster profiles it afresh,
+        #: which is how drift gets absorbed into new estimates
+        self.cost_model = CostModel(
+            cluster,
+            apt.dataset.feature_dim,
+            bandwidth_noise=config.bandwidth_noise,
+            noise_seed=config.seed,
+            include_compute_skew=config.compute_skew,
+        )
+
+    @cached_property
+    def dryrun(self) -> DryRun:
+        """Built on first use: it takes the task's access census, which
+        costs one sampling pass that ``prepare()`` does not pay."""
+        apt = self._apt()
+        config = apt.config
+        return DryRun(
+            apt.dataset,
+            self.cluster,
+            apt.model,
+            config.fanouts,
+            parts=self.parts,
+            node_machine=self.node_machine,
+            global_batch_size=config.global_batch_size,
+            sampler_seed=config.seed,
+            shuffle_seed=config.seed,
+            sample_cache=apt.sample_cache,
+            reuse_samples=apt.sample_cache is not None,
+            disk_promote_bytes=_disk_promote_bytes(config),
+            access_freq=apt.access_freq,
+        )
+
+    def on(self, cluster: ClusterSpec) -> "PlanContext":
+        """A context for ``cluster`` under this context's partition."""
+        return PlanContext(self._apt(), cluster, (self.parts, self.node_machine))
+
+    def estimate(self, spec: str) -> CostEstimate:
+        """The epoch cost estimate of one strategy spec."""
+        return self.cost_model.estimate(self.dryrun.run(spec))
+
+    def select(self, strategies: Sequence[str]) -> PlanReport:
+        """Dry-run ``strategies`` and pick the fastest (a re-plan)."""
+        return Planner(self.cost_model).select(
+            {s: self.dryrun.run(s) for s in strategies}
+        )
+
+    def execution_context(
+        self,
+        cluster: Optional[ClusterSpec] = None,
+        *,
+        numerics: bool = True,
+        telemetry: Optional[TelemetryCollector] = None,
+        backend=None,
+    ) -> ExecutionContext:
+        """Fresh ledgers for executing under this partition on ``cluster``
+        (default: this context's; a run passes the effective, possibly
+        degraded, cluster)."""
+        apt = self._apt()
+        config = apt.config
+        return ExecutionContext.build(
+            apt.dataset,
+            cluster if cluster is not None else self.cluster,
+            apt.model,
+            config.fanouts,
+            parts=self.parts,
+            node_machine=self.node_machine,
+            access_freq=apt.access_freq,
+            global_batch_size=config.global_batch_size,
+            sampler_seed=config.seed,
+            shuffle_seed=config.seed,
+            cpu_sampling=config.cpu_sampling,
+            numerics=numerics,
+            overlap=config.overlap,
+            telemetry=telemetry,
+            sample_cache=apt.sample_cache,
+            backend=backend,
+            disk_promote_bytes=_disk_promote_bytes(config),
+        )
+
+
+def _disk_promote_bytes(config: APTConfig) -> Optional[float]:
+    mb = config.disk_promote_mb
+    return None if mb is None else float(mb) * 2**20
+
+
+def _partition(
+    apt: "APT", cluster: ClusterSpec
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The configured partition of ``apt``'s graph for ``cluster``, and the
+    machine hosting each node under it."""
+    partition = apt.config.partition
+    seed = apt.config.seed
+    weights = partition_weights(cluster)
+    if isinstance(partition, np.ndarray):
+        parts = np.asarray(partition, dtype=np.int64)
+        if parts.size and int(parts.max()) >= cluster.num_devices:
+            raise ValueError(
+                f"explicit partition assigns device "
+                f"{int(parts.max())} but the cluster has "
+                f"{cluster.num_devices} device(s); explicit partitions "
+                f"cannot follow elastic membership changes — use a "
+                f"named partition mode"
+            )
+    elif partition == "metis":
+        parts = metis_like_partition(
+            apt.dataset.graph, cluster.num_devices, weights=weights,
+            hierarchy=apt.hierarchy,
+        )
+    elif partition == "streaming":
+        parts = streaming_partition(
+            apt.dataset.graph, cluster.num_devices, seed=seed, weights=weights,
+        )
+    elif partition == "random":
+        parts = random_partition(
+            apt.dataset.num_nodes, cluster.num_devices, seed=seed,
+            weights=weights,
+        )
+    else:
+        raise ValueError(f"unknown partition mode {partition!r}")
+    machine_of_device = np.array(
+        [cluster.machine_of(d) for d in range(cluster.num_devices)],
+        dtype=np.int64,
+    )
+    return parts, machine_of_device[parts]
 
 
 class APT:
@@ -96,21 +274,12 @@ class APT:
         self.cluster = cluster
 
         self._initial_state = model.state_dict()
-        self.parts: Optional[np.ndarray] = None
-        self.node_machine: Optional[np.ndarray] = None
-        #: device count ``self.parts`` was computed for; a mismatch with
-        #: the epoch's effective cluster triggers the elastic transition
-        self._partitioned_devices: Optional[int] = None
-        #: the "metis" mode's coarsening of ``(graph, seed)``, shared by the
-        #: full-cluster partition, the cost planner's device subsets, and
-        #: every elastic re-partition (it does not depend on the part count)
+        self._context: Optional[PlanContext] = None
         self._hierarchy: Optional[CoarseningHierarchy] = None
-        self.dryrun: Optional[DryRun] = None
-        self.dryrun_stats: Dict[str, DryRunStats] = {}
+        self._access_freq: Optional[np.ndarray] = None
+        #: the last epoch-, cost- or layerwise-objective plan; ``run()``
+        #: adopts its choice
         self.plan_report: Optional[PlanReport] = None
-        self.serve_plan_report: Optional[PlanReport] = None
-        #: telemetry from the most recent :meth:`plan` (pareto_select)
-        self.plan_collector: Optional[TelemetryCollector] = None
         #: one sampled-epoch cache shared by every dry-run, census, and
         #: training context of this task (same graph, fanouts, and seed —
         #: the planner's 4 strategy dry-runs re-visit identical epochs)
@@ -121,192 +290,62 @@ class APT:
         )
 
     # ------------------------------------------------------------------ #
-    # config delegation (kept as attributes for source compatibility)
-    # ------------------------------------------------------------------ #
-    @property
-    def fanouts(self) -> List[int]:
-        return list(self.config.fanouts)
-
-    @fanouts.setter
-    def fanouts(self, value) -> None:
-        self.config.fanouts = tuple(value)
-
-    @property
-    def global_batch_size(self) -> int:
-        return self.config.global_batch_size
-
-    @global_batch_size.setter
-    def global_batch_size(self, value) -> None:
-        self.config.global_batch_size = int(value)
-
-    @property
-    def partition(self):
-        return self.config.partition
-
-    @partition.setter
-    def partition(self, value) -> None:
-        # No eager validation: prepare() reports bad modes (legacy behavior).
-        self.config.partition = value
-
-    @property
-    def seed(self) -> int:
-        return self.config.seed
-
-    @property
-    def bandwidth_noise(self) -> float:
-        return self.config.bandwidth_noise
-
-    @property
-    def cpu_sampling(self) -> bool:
-        return self.config.cpu_sampling
-
-    @property
-    def compute_skew(self) -> bool:
-        return self.config.compute_skew
-
-    @property
-    def overlap(self) -> bool:
-        return self.config.overlap
-
-    # ------------------------------------------------------------------ #
     # Prepare
     # ------------------------------------------------------------------ #
-    def prepare(self) -> None:
-        """Partition the graph and lay out features across machines.
+    def prepare(self, cluster: Optional[ClusterSpec] = None) -> PlanContext:
+        """Partition the graph for ``cluster`` (default: the task's) and make
+        that the current :attr:`context`.
 
         The node->device partition feeds SNP/DNP; grouping it by hosting
         machine yields the feature placement every strategy shares (the
-        paper partitions features across machines without overlap).
+        paper partitions features across machines without overlap).  A
+        membership change calls this with the surviving cluster.
         """
-        self._partition_for(self.cluster)
-        self.dryrun = self._make_dryrun(self.cluster)
-
-    @staticmethod
-    def _partition_weights(cluster: ClusterSpec) -> Optional[List[float]]:
-        """Per-device speed weights, or ``None`` on a homogeneous cluster.
-
-        ``None`` selects the partitioners' historical equal-share paths, so
-        homogeneous digests are bit-for-bit unchanged; a mixed fleet (or a
-        ``host_join`` that brought a different device class) cuts parts
-        proportional to sustained device throughput.
-        """
-        if cluster.num_devices > 1 and cluster.is_heterogeneous:
-            return cluster.device_weights()
-        return None
-
-    def _compute_partition(
-        self, cluster: ClusterSpec
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Pure partition computation for ``cluster`` (no state mutation).
-
-        For the named modes this is a pure function of ``(graph,
-        num_devices, device weights, seed)`` — the elastic transition
-        relies on it: re-partitioning after a membership change yields
-        exactly the partition a fresh run on the post-change cluster
-        computes.  The planner's device-subset sweep relies on the purity
-        too: candidate subsets are partitioned without touching the
-        task's active partition.
-        """
-        partition = self.config.partition
-        weights = self._partition_weights(cluster)
-        if isinstance(partition, np.ndarray):
-            parts = np.asarray(partition, dtype=np.int64)
-            if parts.size and int(parts.max()) >= cluster.num_devices:
-                raise ValueError(
-                    f"explicit partition assigns device "
-                    f"{int(parts.max())} but the cluster has "
-                    f"{cluster.num_devices} device(s); explicit partitions "
-                    f"cannot follow elastic membership changes — use a "
-                    f"named partition mode"
-                )
-        elif partition == "metis":
-            if self._hierarchy is None or self._hierarchy.seed != self.seed:
-                self._hierarchy = CoarseningHierarchy(
-                    self.dataset.graph, self.seed
-                )
-            parts = metis_like_partition(
-                self.dataset.graph, cluster.num_devices, weights=weights,
-                hierarchy=self._hierarchy,
-            )
-        elif partition == "streaming":
-            parts = streaming_partition(
-                self.dataset.graph, cluster.num_devices, seed=self.seed,
-                weights=weights,
-            )
-        elif partition == "random":
-            parts = random_partition(
-                self.dataset.num_nodes, cluster.num_devices, seed=self.seed,
-                weights=weights,
-            )
-        else:
-            raise ValueError(f"unknown partition mode {partition!r}")
-        machine_of_device = np.array(
-            [cluster.machine_of(d) for d in range(cluster.num_devices)],
-            dtype=np.int64,
+        self._context = PlanContext(
+            self, cluster if cluster is not None else self.cluster
         )
-        return parts, machine_of_device[parts]
+        return self._context
 
-    def _partition_for(self, cluster: ClusterSpec) -> None:
-        """(Re)compute the node->device partition for ``cluster``."""
-        self.parts, self.node_machine = self._compute_partition(cluster)
-        self._partitioned_devices = cluster.num_devices
-
-    def _disk_promote_bytes(self) -> Optional[float]:
-        mb = self.config.disk_promote_mb
-        return None if mb is None else float(mb) * 2**20
-
-    def _make_dryrun(
-        self,
-        cluster: ClusterSpec,
-        parts: Optional[np.ndarray] = None,
-        node_machine: Optional[np.ndarray] = None,
-        *,
-        access_freq: Optional[np.ndarray] = None,
-    ) -> DryRun:
-        """A dry-run on ``cluster`` under the given (default: the active)
-        partition.  The access census depends only on the sampler, not the
-        hardware or the partition: re-plans pass the prepared dry-run's
-        ``access_freq`` instead of re-counting it."""
-        return DryRun(
-            self.dataset,
-            cluster,
-            self.model,
-            self.fanouts,
-            parts=self.parts if parts is None else parts,
-            node_machine=(
-                self.node_machine if node_machine is None else node_machine
-            ),
-            global_batch_size=self.global_batch_size,
-            sampler_seed=self.seed,
-            shuffle_seed=self.seed,
-            sample_cache=self.sample_cache,
-            reuse_samples=self.sample_cache is not None,
-            disk_promote_bytes=self._disk_promote_bytes(),
-            access_freq=access_freq,
-        )
-
-    def _require_prepared(self) -> None:
-        if self.dryrun is None:
+    @property
+    def context(self) -> PlanContext:
+        """The current plan context (prepared on first use)."""
+        if self._context is None:
             self.prepare()
+        return self._context
+
+    @property
+    def hierarchy(self) -> CoarseningHierarchy:
+        """The "metis" mode's coarsening of ``(graph, seed)``, shared by every
+        context's partition (it does not depend on the part count)."""
+        if self._hierarchy is None or self._hierarchy.seed != self.config.seed:
+            self._hierarchy = CoarseningHierarchy(
+                self.dataset.graph, self.config.seed
+            )
+        return self._hierarchy
+
+    @property
+    def access_freq(self) -> np.ndarray:
+        """Per-node feature-access census of one sampled epoch (§3.2),
+        counted once: it depends on the sampler, not the cluster."""
+        if self._access_freq is None:
+            self._access_freq = access_frequency_census(
+                self.dataset,
+                self.config.fanouts,
+                self.config.global_batch_size,
+                sampler_seed=self.config.seed,
+                shuffle_seed=self.config.seed,
+                sample_cache=self.sample_cache,
+            )
+        return self._access_freq
+
+    @access_freq.setter
+    def access_freq(self, value: np.ndarray) -> None:
+        # Ablations swap in another hotness ranking for the cache policies.
+        self._access_freq = value
 
     # ------------------------------------------------------------------ #
     # Plan
     # ------------------------------------------------------------------ #
-    def _cost_model(self, cluster: ClusterSpec) -> CostModel:
-        """Profile ``cluster``'s operator bandwidths (the Prepare trials).
-
-        Re-planning calls this against the *currently effective* (possibly
-        degraded) cluster — profiling measures whatever the hardware does
-        now, which is exactly how drift gets absorbed into fresh estimates.
-        """
-        return CostModel(
-            cluster,
-            self.dataset.feature_dim,
-            bandwidth_noise=self.bandwidth_noise,
-            noise_seed=self.seed,
-            include_compute_skew=self.compute_skew,
-        )
-
     def plan(
         self,
         strategies: Optional[Sequence[str]] = None,
@@ -315,6 +354,8 @@ class APT:
         budget_seconds: Optional[float] = None,
         budget_dollars: Optional[float] = None,
         device_subsets: Optional[bool] = None,
+        batch_size: int = 32,
+        max_wait_s: float = 0.0,
     ) -> RunReport:
         """Dry-run the candidate strategies and select the best.
 
@@ -327,44 +368,50 @@ class APT:
         ``device_subsets`` defaults to on for the cost objective on
         multi-machine clusters; the full (time, $) Pareto frontier lands
         in ``PlanReport.pareto`` either way (DESIGN.md §5.17).
+
+        ``objective="latency"`` ranks by predicted p99 per-request serving
+        latency at the dynamic-batching shape ``batch_size`` /
+        ``max_wait_s`` (DESIGN.md §5.13).  Its plan seeds
+        :class:`~repro.serve.engine.ServeEngine` and is not kept as
+        :attr:`plan_report`, which is what :meth:`run` adopts.
         """
         self.config.validate()
-        self._require_prepared()
+        ctx = self.context
         strategies = tuple(strategies if strategies is not None else self.config.strategies)
-        self.dryrun_stats = {s: self.dryrun.run(s) for s in strategies}
+        stats = {s: ctx.dryrun.run(s) for s in strategies}
         if device_subsets is None:
-            device_subsets = (
-                objective == "cost" and self.cluster.num_machines > 1
-            )
+            device_subsets = objective == "cost"
         extra: Dict[str, CostEstimate] = {}
         subset_meta: Dict[str, dict] = {}
-        if device_subsets and self.cluster.num_machines > 1:
+        if device_subsets and objective != "latency" and self.cluster.num_machines > 1:
             extra, subset_meta = self._subset_candidates(strategies)
-        self.plan_report = Planner(self._cost_model(self.cluster)).select(
-            self.dryrun_stats,
+        plan = Planner(ctx.cost_model).select(
+            stats,
             objective=objective,
             budget_seconds=budget_seconds,
             budget_dollars=budget_dollars,
             extra_estimates=extra,
+            batch_size=batch_size,
+            seeds_per_epoch=int(len(self.dataset.train_seeds)),
+            max_wait_s=max_wait_s,
         )
-        self.plan_report.subsets = subset_meta
-        report = RunReport(plan=self.plan_report, config=self.config.to_dict())
-        if self.config.telemetry and objective != "latency":
+        plan.subsets = subset_meta
+        report = RunReport(plan=plan, config=self.config.to_dict())
+        if objective == "latency":
+            return report
+        self.plan_report = plan
+        if self.config.telemetry:
             collector = TelemetryCollector()
-            chosen = self.plan_report.estimates[self.plan_report.chosen]
+            chosen = plan.estimates[plan.chosen]
             collector.emit(
                 "pareto_select",
-                chosen=self.plan_report.chosen,
+                chosen=plan.chosen,
                 objective=objective,
                 total=float(chosen.total),
                 dollars=float(chosen.dollars),
-                frontier_size=len(self.plan_report.pareto),
-                dominated=(
-                    len(self.plan_report.estimates)
-                    - len(self.plan_report.pareto)
-                ),
+                frontier_size=len(plan.pareto),
+                dominated=len(plan.estimates) - len(plan.pareto),
             )
-            self.plan_collector = collector
             report.collector = collector
             report.telemetry = collector.summary()
         return report
@@ -374,11 +421,11 @@ class APT:
     ) -> Tuple[Dict[str, CostEstimate], Dict[str, dict]]:
         """Cost estimates for dropping each machine from the cluster.
 
-        Each deduplicated candidate subset gets its own speed-proportional
-        partition and dry-run (sharing the task's SampleCache — sampling
-        is partition-independent, so batches are never re-sampled) and is
-        priced by a cost model profiled on that subset.  Candidate names
-        are ``<strategy>@drop<machine>``.
+        Each deduplicated candidate subset gets a :class:`PlanContext` of
+        its own: a speed-proportional partition, a dry-run (sharing the
+        task's SampleCache and census — sampling is partition-independent,
+        so batches are never re-sampled) and a cost model profiled on that
+        subset.  Candidate names are ``<strategy>@drop<machine>``.
         """
         extra: Dict[str, CostEstimate] = {}
         meta: Dict[str, dict] = {}
@@ -388,18 +435,14 @@ class APT:
             if sub in seen:
                 continue
             seen.add(sub)
-            parts, node_machine = self._compute_partition(sub)
-            dryrun = self._make_dryrun(
-                sub, parts, node_machine, access_freq=self.dryrun.access_freq
-            )
-            cost_model = self._cost_model(sub)
+            ctx = PlanContext(self, sub)
             for s in strategies:
                 try:
-                    stats = dryrun.run(s)
+                    estimate = ctx.estimate(s)
                 except (KeyError, ValueError):
                     continue  # strategy infeasible on this subset shape
                 name = f"{s}@drop{m}"
-                extra[name] = cost_model.estimate(stats)
+                extra[name] = estimate
                 meta[name] = {
                     "strategy": s,
                     "dropped_machine": m,
@@ -414,7 +457,7 @@ class APT:
     ) -> RunReport:
         """Beam-search per-layer strategy compositions (DESIGN.md §5.15).
 
-        Every candidate's dry-run shares ``self.dryrun``: one
+        Every candidate's dry-run shares the context's: one
         :class:`~repro.sampling.cache.SampleCache` (each global batch is
         sampled exactly once), one set of regrouped node-layout blocks, and
         the stats of any spec :meth:`plan` already dry-ran (DESIGN.md
@@ -422,92 +465,21 @@ class APT:
         chosen spec may be either kind and feeds :meth:`run` unchanged.
         """
         self.config.validate()
-        self._require_prepared()
-        self.plan_report = Planner(
-            self._cost_model(self.cluster)
-        ).search_layerwise(
-            self.dryrun.run,
+        ctx = self.context
+        self.plan_report = Planner(ctx.cost_model).search_layerwise(
+            ctx.dryrun.run,
             self.model.num_layers,
             beam_width=beam_width,
             include_singles=include_singles,
         )
         return RunReport(plan=self.plan_report, config=self.config.to_dict())
 
-    def plan_serving(
-        self,
-        *,
-        batch_size: int = 32,
-        max_wait_s: float = 0.0,
-        strategies: Optional[Sequence[str]] = None,
-    ) -> RunReport:
-        """Rank strategies by predicted per-request serving latency.
-
-        Same dry-run statistics as :meth:`plan` (the dry-run keeps them, so
-        nothing is re-run), but scored under the planner's ``"latency"``
-        objective (DESIGN.md §5.13): predicted p99 per-request latency at
-        the given dynamic-batching shape instead of epoch seconds.  The chosen
-        strategy seeds :class:`~repro.serve.engine.ServeEngine` when no
-        strategy (or checkpoint) pins one.
-        """
-        self.config.validate()
-        self._require_prepared()
-        strategies = tuple(
-            strategies if strategies is not None else self.config.strategies
-        )
-        self.serve_plan_report = Planner(self._cost_model(self.cluster)).select(
-            {name: self.dryrun.run(name) for name in strategies},
-            objective="latency",
-            batch_size=batch_size,
-            seeds_per_epoch=int(len(self.dataset.train_seeds)),
-            max_wait_s=max_wait_s,
-        )
-        return RunReport(
-            plan=self.serve_plan_report, config=self.config.to_dict()
-        )
-
-    def _replan(
-        self, cluster: ClusterSpec, strategies: Tuple[str, ...]
-    ) -> PlanReport:
-        """Fresh dry-run + profiling against the currently effective spec."""
-        dryrun = self._make_dryrun(
-            cluster, access_freq=self.dryrun.access_freq
-        )
-        stats = {s: dryrun.run(s) for s in strategies}
-        return Planner(self._cost_model(cluster)).select(stats)
-
     # ------------------------------------------------------------------ #
     # Adapt + Run
     # ------------------------------------------------------------------ #
-    def _build_context(
-        self,
-        cluster: Optional[ClusterSpec] = None,
-        numerics: bool = True,
-        telemetry: Optional[TelemetryCollector] = None,
-        backend=None,
-    ) -> ExecutionContext:
-        return ExecutionContext.build(
-            self.dataset,
-            cluster if cluster is not None else self.cluster,
-            self.model,
-            self.fanouts,
-            parts=self.parts,
-            node_machine=self.node_machine,
-            access_freq=self.dryrun.access_freq if self.dryrun else None,
-            global_batch_size=self.global_batch_size,
-            sampler_seed=self.seed,
-            shuffle_seed=self.seed,
-            cpu_sampling=self.cpu_sampling,
-            numerics=numerics,
-            overlap=self.overlap,
-            telemetry=telemetry,
-            sample_cache=self.sample_cache,
-            backend=backend,
-            disk_promote_bytes=self._disk_promote_bytes(),
-        )
-
     def run_strategy(
         self,
-        name: str,
+        name: Optional[str],
         num_epochs: int = 1,
         *,
         lr: float = 1e-3,
@@ -528,9 +500,13 @@ class APT:
         ``resume`` continues a checkpointed run from the given directory:
         the remaining epochs execute bit-identically to the uninterrupted
         run (``config.checkpoint_dir`` enables writing checkpoints; see
-        DESIGN.md §5.11).
+        DESIGN.md §5.11).  ``name=None`` is allowed only with ``resume``:
+        it continues under the strategy the checkpointed run was given.
         """
-        if name not in STRATEGIES:
+        if name is None:
+            if resume is None:
+                raise ValueError("a strategy name is required unless resuming")
+        elif name not in STRATEGIES:
             if not is_layerwise_spec(name):
                 raise KeyError(f"unknown strategy {name!r}")
             names = parse_layerwise(name)  # raises ValueError if malformed
@@ -540,7 +516,6 @@ class APT:
                     f"but the model has {self.model.num_layers}"
                 )
         self.config.validate()
-        self._require_prepared()
         if reset_model and resume is None:
             self.model.load_state_dict(self._initial_state)
         run = TrainingRun(
@@ -583,12 +558,7 @@ class APT:
         the resumed run re-adopts its checkpointed strategy, so planning is
         skipped.
         """
-        if resume is not None and strategy is None:
-            # The checkpoint knows what was running; don't re-plan over it.
-            strategy = CheckpointManager(resume).load().manifest["run_args"][
-                "strategy"
-            ]
-        if strategy is None:
+        if strategy is None and resume is None:
             if self.plan_report is None:
                 self.plan()
             strategy = self.plan_report.chosen
@@ -611,18 +581,6 @@ class APT:
             numerics=numerics,
             resume=resume,
         )
-
-    # ------------------------------------------------------------------ #
-    def _active_estimate(
-        self, strategy: str, replan: bool
-    ) -> Optional[CostEstimate]:
-        """The estimate the drift detector trusts at run start."""
-        if not replan:
-            return None
-        if self.plan_report is not None and strategy in self.plan_report.estimates:
-            return self.plan_report.estimates[strategy]
-        stats = self.dryrun.run(strategy)
-        return self._cost_model(self.cluster).estimate(stats)
 
     # ------------------------------------------------------------------ #
     def compare_all(

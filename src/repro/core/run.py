@@ -38,6 +38,7 @@ from repro.cluster.spec import ClusterSpec
 from repro.cluster.timeline import Timeline
 from repro.config import ElasticPolicy
 from repro.core.checkpoint import (
+    Checkpoint,
     CheckpointManager,
     recorder_state,
     restore_recorder,
@@ -59,13 +60,20 @@ class TrainingRun:
 
     Built fresh, or — with ``resume`` — from the newest valid checkpoint
     of that directory, in which case the remaining epochs continue the
-    checkpointed run bit for bit (DESIGN.md §5.11).
+    checkpointed run bit for bit (DESIGN.md §5.11); ``strategy=None`` then
+    means the strategy the checkpointed run was given.
+
+    Plan-step state comes from ``apt.context`` (a
+    :class:`~repro.core.apt.PlanContext`): its partition and execution
+    context build the trainers, a membership change replaces it through
+    ``apt.prepare(cluster)``, and a drift re-plan dry-runs a throwaway
+    context on the degraded cluster.
     """
 
     def __init__(
         self,
         apt,
-        strategy: str,
+        strategy: Optional[str],
         num_epochs: int,
         *,
         lr: float,
@@ -76,6 +84,12 @@ class TrainingRun:
     ):
         self.apt = apt
         self.config = apt.config
+        checkpoint: Optional[Checkpoint] = None
+        if resume is not None:
+            loader = CheckpointManager(resume, keep=self.config.checkpoint_keep)
+            checkpoint = loader.load()
+            if strategy is None:
+                strategy = checkpoint.manifest["run_args"]["strategy"]
         self.num_epochs = int(num_epochs)
         self.numerics = numerics
         self.faults = faults
@@ -111,10 +125,15 @@ class TrainingRun:
         #: checkpoint state whose ledgers the first trainer may continue
         self._resumed: Optional[Dict[str, object]] = None
         self.backend = None
-        if resume is not None:
-            self._load(resume)
-        else:
-            self.estimate = apt._active_estimate(strategy, replan)
+        if checkpoint is not None:
+            self._load(loader, checkpoint)
+        elif replan:
+            plan = apt.plan_report
+            self.estimate = (
+                plan.estimates[strategy]
+                if plan is not None and strategy in plan.estimates
+                else apt.context.estimate(strategy)
+            )
         checkpoint_dir = self.config.checkpoint_dir or resume
         self.manager: Optional[CheckpointManager] = (
             CheckpointManager(checkpoint_dir, keep=self.config.checkpoint_keep)
@@ -127,10 +146,8 @@ class TrainingRun:
         if self.collector is not None:
             self.collector.emit(kind, **data)
 
-    def _load(self, directory: str) -> None:
-        """Adopt the newest valid checkpoint under ``directory``."""
-        manager = CheckpointManager(directory, keep=self.config.checkpoint_keep)
-        checkpoint = manager.load()
+    def _load(self, manager: CheckpointManager, checkpoint: Checkpoint) -> None:
+        """Adopt ``checkpoint``, the newest valid one ``manager`` found."""
         manager.verify_config(checkpoint, self.config.to_dict())
         if checkpoint.epochs_completed >= self.num_epochs:
             raise ValueError(
@@ -191,7 +208,7 @@ class TrainingRun:
         """One epoch and the boundary decisions around it, in the order
         the module docstring fixes."""
         cluster = self._apply_faults(epoch)
-        if cluster.num_devices != self.apt._partitioned_devices:
+        if cluster.num_devices != self.apt.context.cluster.num_devices:
             self._membership_change(cluster, epoch)
         if self.trainer is None or cluster != self.cluster:
             # (Re)build the engine on the currently effective hardware;
@@ -204,7 +221,7 @@ class TrainingRun:
         self.report.strategy_by_epoch.append(self.strategy)
         for key, value in result.breakdown.items():
             self.breakdown[key] = self.breakdown.get(key, 0.0) + value
-        self._drift_replan(epoch, result)
+        self._replan_on_drift(epoch, result)
         if self.manager is not None and (
             (epoch + 1) % self.config.checkpoint_every == 0
             or epoch == self.num_epochs - 1
@@ -238,7 +255,7 @@ class TrainingRun:
         """
         apt = self.apt
         policy = self.config.elastic_policy or ElasticPolicy()
-        before = apt._partitioned_devices
+        before = apt.context.cluster.num_devices
         after = cluster.num_devices
         if not policy.enabled:
             raise RuntimeError(
@@ -282,13 +299,11 @@ class TrainingRun:
             and self.manager.latest_epoch() != epoch
         ):
             self._checkpoint(epoch, epochs_completed=epoch)
-        # (3) re-partition for the surviving device set.  The shm export
-        # needs no rebuild: it carries the graph and features only, and
-        # per-device seed chunks ride in each task payload.
-        apt._partition_for(cluster)
-        apt.dryrun = apt._make_dryrun(
-            cluster, access_freq=apt.dryrun.access_freq
-        )
+        # (3) re-partition for the surviving device set: a new plan context
+        # replaces the old one whole.  The shm export needs no rebuild: it
+        # carries the graph and features only, and per-device seed chunks
+        # ride in each task payload.
+        context = apt.prepare(cluster)
         self._emit(
             "repartition",
             epoch=epoch,
@@ -304,7 +319,7 @@ class TrainingRun:
         # replan flag so fixed-strategy runs stay on their strategy (they
         # still survive the change).
         if self.replan and policy.replan:
-            plan = apt._replan(cluster, self.config.strategies)
+            plan = context.select(self.config.strategies)
             self._emit(
                 "elastic_replan",
                 epoch=epoch,
@@ -315,7 +330,7 @@ class TrainingRun:
             self._adopt(plan)
 
     def _build_trainer(self) -> None:
-        ctx = self.apt._build_context(
+        ctx = self.apt.context.execution_context(
             self.cluster,
             numerics=self.numerics,
             telemetry=self.collector,
@@ -344,7 +359,7 @@ class TrainingRun:
                 -1, Timeline.from_state_dict(saved["timeline"])
             )
 
-    def _drift_replan(self, epoch: int, result: EpochResult) -> None:
+    def _replan_on_drift(self, epoch: int, result: EpochResult) -> None:
         """Re-profile, re-plan, and hot-switch if the planner says so."""
         if (
             not self.replan
@@ -358,7 +373,8 @@ class TrainingRun:
         reading = self.detector.reading(epoch, self.estimate, result.phases)
         if not reading.exceeded:
             return
-        plan = self.apt._replan(self.cluster, self.config.strategies)
+        # Profile the hardware as it is now, under the current partition.
+        plan = self.apt.context.on(self.cluster).select(self.config.strategies)
         old = self.strategy
         self.report.replans.append(
             ReplanEvent(

@@ -78,7 +78,7 @@ class ServeEngine:
     strategy:
         Strategy to serve with.  ``None`` resolves, in order, to the
         checkpoint's running strategy, else to the latency-objective
-        planner's choice (:meth:`APT.plan_serving`).
+        planner's choice (``APT.plan(objective="latency")``).
     checkpoint_dir:
         Directory of a checkpointed training run; its latest checkpoint's
         model weights (and strategy, unless overridden) are loaded.
@@ -95,7 +95,6 @@ class ServeEngine:
         self.apt = apt
         self.config = (config if config is not None else ServeConfig()).validate()
         apt.config.validate()
-        apt._require_prepared()
 
         self.checkpoint: Optional[Checkpoint] = None
         if checkpoint_dir is not None:
@@ -106,7 +105,8 @@ class ServeEngine:
 
         self.predicted: Optional[Dict[str, object]] = None
         if strategy is None:
-            plan = apt.plan_serving(
+            plan = apt.plan(
+                objective="latency",
                 batch_size=self.config.max_batch_size,
                 max_wait_s=self.config.max_wait_s,
             ).plan
@@ -123,7 +123,7 @@ class ServeEngine:
         self.collector: Optional[TelemetryCollector] = (
             TelemetryCollector() if apt.config.telemetry else None
         )
-        self.ctx = apt._build_context(telemetry=self.collector)
+        self.ctx = apt.context.execution_context(telemetry=self.collector)
         self.strategy = make_strategy(strategy)
         # Census-keyed caches first (the training policy) — the adaptive
         # hotness cache re-keys the same tier once traffic is observed.

@@ -32,24 +32,24 @@ class TestPrepare:
     def test_metis_partition_built(self, ds):
         apt = make_apt(ds)
         apt.prepare()
-        assert apt.parts.shape == (ds.num_nodes,)
-        assert apt.parts.max() == 3
+        assert apt.context.parts.shape == (ds.num_nodes,)
+        assert apt.context.parts.max() == 3
 
     def test_random_partition_mode(self, ds):
         apt = make_apt(ds, partition="random")
         apt.prepare()
-        assert len(np.unique(apt.parts)) == 4
+        assert len(np.unique(apt.context.parts)) == 4
 
     def test_explicit_partition_array(self, ds):
         parts = metis_like_partition(ds.graph, 4, seed=9)
         apt = make_apt(ds)
-        apt.partition = parts
+        apt.config.partition = parts
         apt.prepare()
-        np.testing.assert_array_equal(apt.parts, parts)
+        np.testing.assert_array_equal(apt.context.parts, parts)
 
     def test_unknown_partition_mode(self, ds):
         apt = make_apt(ds)
-        apt.partition = "bogus"
+        apt.config.partition = "bogus"
         with pytest.raises(ValueError):
             apt.prepare()
 
@@ -59,8 +59,8 @@ class TestPrepare:
         apt.prepare()
         # Nodes in device-partition d live on machine_of(d).
         for d in range(4):
-            nodes = apt.parts == d
-            assert np.all(apt.node_machine[nodes] == cluster.machine_of(d))
+            nodes = apt.context.parts == d
+            assert np.all(apt.context.node_machine[nodes] == cluster.machine_of(d))
 
     def test_fanout_layer_mismatch_rejected(self, ds):
         model = GraphSAGE(ds.feature_dim, 8, ds.num_classes, 3, seed=1)

@@ -86,8 +86,10 @@ class TestAPTConstruction:
         cfg = APTConfig(fanouts=(4, 4), global_batch_size=256)
         apt = APT(ds, model, cluster, cfg)
         assert apt.config is cfg
-        assert apt.fanouts == [4, 4]
-        assert apt.global_batch_size == 256
+        for name in ("fanouts", "global_batch_size", "partition", "seed",
+                     "bandwidth_noise", "cpu_sampling", "compute_skew",
+                     "overlap"):
+            assert not hasattr(apt, name), name  # read apt.config instead
 
     def test_legacy_positional_fanouts_raise(self, task):
         ds, model, cluster = task

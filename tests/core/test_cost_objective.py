@@ -8,6 +8,7 @@ import pytest
 from repro.cluster import multi_machine_cluster, parse_cluster_spec
 from repro.config import APTConfig
 from repro.core import APT
+from repro.core.apt import partition_weights
 from repro.core.costmodel import CostEstimate, CostModel
 from repro.core.planner import Planner, pareto_frontier
 from repro.graph.datasets import small_dataset
@@ -38,7 +39,7 @@ class TestDollars:
         cluster = parse_cluster_spec(HET)
         apt = _apt(cluster)
         cm = CostModel(cluster, DS.feature_dim, bandwidth_noise=0.0)
-        est = cm.estimate(apt.dryrun.run("gdp"))
+        est = cm.estimate(apt.context.dryrun.run("gdp"))
         expected = est.total * cluster.dollars_per_hour() / 3600.0
         assert est.dollars == pytest.approx(expected)
         assert est.dollars > 0.0
@@ -68,12 +69,12 @@ class TestParetoFrontier:
 class TestCostObjectiveSelection:
     def _stats(self, cluster):
         apt = _apt(cluster)
-        return apt, {s: apt.dryrun.run(s) for s in ("gdp", "snp")}
+        return apt, {s: apt.context.dryrun.run(s) for s in ("gdp", "snp")}
 
     def test_ranks_by_dollars(self):
         cluster = parse_cluster_spec(HET)
         apt, stats = self._stats(cluster)
-        planner = Planner(apt._cost_model(cluster))
+        planner = Planner(apt.context.cost_model)
         report = planner.select(stats, objective="cost")
         d = {n: report.estimates[n].dollars for n in report.ranking}
         assert report.ranking == sorted(report.ranking, key=lambda n: (d[n],))
@@ -201,9 +202,9 @@ class TestHeterogeneityTelemetry:
 
     def test_new_kinds_round_trip_chrome_trace(self):
         apt = _apt(parse_cluster_spec(HET))
-        apt.plan(strategies=("gdp",), objective="cost")
+        plan_report = apt.plan(strategies=("gdp",), objective="cost")
         run_report = apt.run_strategy("snp", 1)
-        merged = apt.plan_collector.merged(run_report.collector)
+        merged = plan_report.collector.merged(run_report.collector)
         trace = merged.to_chrome_trace()
         names = {t["name"] for t in trace if t["ph"] == "i"}
         assert {"pareto_select", "device_imbalance"} <= names
@@ -217,10 +218,10 @@ class TestHeterogeneityTelemetry:
 class TestWeightedPartitionInAPT:
     def test_heterogeneous_cluster_gets_uneven_parts(self):
         apt = _apt(parse_cluster_spec(HET))
-        counts = np.bincount(apt.parts, minlength=4)
+        counts = np.bincount(apt.context.parts, minlength=4)
         # a100 devices (0, 1) should own substantially more nodes
         assert counts[:2].min() > 1.5 * counts[2:].max()
 
     def test_homogeneous_cluster_unchanged(self):
         apt = _apt(multi_machine_cluster(2, 2))
-        assert apt._partition_weights(apt.cluster) is None
+        assert partition_weights(apt.cluster) is None

@@ -209,7 +209,7 @@ def test_planner_calls_in_sequence_equal_each_on_a_fresh_apt(ds):
 
 def test_each_spec_is_dry_run_once_per_dryrun(ds, monkeypatch):
     """``DryRun.run`` is a pure function of the constructor inputs: across
-    plan / plan_layerwise / plan(cost) / plan_serving and the run-start
+    plan / plan_layerwise / plan(cost) / plan(latency) and the run-start
     estimate, no ``(DryRun, spec, epoch)`` body executes twice."""
     executed = []
     real_execute = DryRun._execute
@@ -223,11 +223,11 @@ def test_each_spec_is_dry_run_once_per_dryrun(ds, monkeypatch):
     apt = _make_apt(ds)
     for call in PLANNER_CALLS.values():
         call(apt)
-    apt.plan_serving()
+    apt.plan(objective="latency")
     apt.plan_report = None  # force the run-start estimate to ask the dry-run
-    apt._active_estimate("gdp", replan=True)
+    apt.run_strategy("gdp", 1, numerics=False, replan=True)
     assert len(executed) == len(set(executed))
-    on_full_cluster = [e for e in executed if e[0] == id(apt.dryrun)]
+    on_full_cluster = [e for e in executed if e[0] == id(apt.context.dryrun)]
     assert {spec for _, spec, _ in on_full_cluster} >= {"gdp", "nfp", "snp", "dnp"}
     assert len(on_full_cluster) < len(executed)  # the subset sweep ran too
 
@@ -303,9 +303,10 @@ def test_coarsening_runs_once_per_graph_and_seed(monkeypatch):
     assert len(per_hierarchy) >= 2  # one matching per coarsened level
     report = apt.plan(objective="cost")
     assert report.plan.subsets  # device subsets were partitioned and priced
-    apt._partition_for(apt.cluster.without_machine(1))  # elastic re-partition
+    apt.prepare(apt.cluster.without_machine(1))  # elastic re-partition
     assert matchings == per_hierarchy
     # ... and the reused hierarchy gives the from-scratch partition
     assert np.array_equal(
-        apt.parts, metis_like_partition(big.graph, 2, seed=apt.seed)
+        apt.context.parts,
+        metis_like_partition(big.graph, 2, seed=apt.config.seed),
     )

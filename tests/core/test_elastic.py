@@ -133,13 +133,15 @@ class TestMembershipPaths:
         base = multi_machine_cluster(2, 2)
         apt = make(base)
         apt.run_strategy("gdp", 3, faults=_leave(epoch=1), numerics=False)
-        assert len(apt._hierarchy.levels()) > 1  # the graph was coarsened
+        assert len(apt.hierarchy.levels()) > 1  # the graph was coarsened
         fresh = make(base.without_machine(1))
         fresh.prepare()
-        np.testing.assert_array_equal(apt.parts, fresh.parts)
-        np.testing.assert_array_equal(apt.node_machine, fresh.node_machine)
+        np.testing.assert_array_equal(apt.context.parts, fresh.context.parts)
         np.testing.assert_array_equal(
-            apt.parts, metis_like_partition(big.graph, 2, seed=0)
+            apt.context.node_machine, fresh.context.node_machine
+        )
+        np.testing.assert_array_equal(
+            apt.context.parts, metis_like_partition(big.graph, 2, seed=0)
         )
 
     def test_host_join_grows_the_run(self):

@@ -40,7 +40,7 @@ class TestWeightedRejoin:
         apt = _make_apt(base)
         apt.run_strategy("snp", N, faults=_join("v100"))
 
-        counts = np.bincount(apt.parts, minlength=6).astype(float)
+        counts = np.bincount(apt.context.parts, minlength=6).astype(float)
         assert counts.size == 6 and counts.min() > 0
         t4_mean = counts[:4].mean()
         joiner_mean = counts[4:].mean()
@@ -54,7 +54,7 @@ class TestWeightedRejoin:
         base = multi_machine_cluster(2, 2)
         apt = _make_apt(base)
         apt.run_strategy("snp", N, faults=_join("t4"))
-        counts = np.bincount(apt.parts, minlength=6).astype(float)
+        counts = np.bincount(apt.context.parts, minlength=6).astype(float)
         assert counts.max() / counts.min() < 1.3
 
     def test_join_emits_repartition_event(self):

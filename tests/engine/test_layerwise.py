@@ -243,13 +243,13 @@ class TestBeamSearchPlanner:
         apt, _ = _build_apt(tiny_dataset, layers=2)
         apt.prepare()
         evaluated = []
-        real_run = apt.dryrun.run
+        real_run = apt.context.dryrun.run
 
         def counting_run(spec, epoch=0):
             evaluated.append(spec)
             return real_run(spec, epoch)
 
-        apt.dryrun.run = counting_run
+        apt.context.dryrun.run = counting_run
         apt.plan_layerwise(beam_width=4)
         assert len(evaluated) == len(set(evaluated))
         assert "layerwise:nfp,gdp" not in evaluated  # canonical: plain nfp

@@ -55,7 +55,7 @@ class TestLayerwiseWithAPT:
         apt.prepare()
         # Swap the sampler under the execution context.
         sampler = LayerWiseSampler(ds.graph, [128, 128], global_seed=0)
-        ctx = apt._build_context()
+        ctx = apt.context.execution_context()
         ctx.sampler = sampler
         from repro.engine import ParallelTrainer, make_strategy
         from repro.tensor.optim import Adam

@@ -49,7 +49,7 @@ def _epoch_facts(report):
 class TestUnevenPartsFlow:
     def test_partition_is_speed_proportional(self, tiny_dataset):
         apt, _, _ = _run(tiny_dataset, "serial", "gdp", epochs=1)
-        counts = np.bincount(apt.parts, minlength=4)
+        counts = np.bincount(apt.context.parts, minlength=4)
         assert counts[:2].min() > counts[2:].max()
 
 
@@ -81,7 +81,7 @@ class TestSameConfigSameDigest:
     def test_repeat_runs_identical(self, tiny_dataset, strategy):
         apt_a, r_a, m_a = _run(tiny_dataset, "serial", strategy)
         apt_b, r_b, m_b = _run(tiny_dataset, "serial", strategy)
-        np.testing.assert_array_equal(apt_a.parts, apt_b.parts)
+        np.testing.assert_array_equal(apt_a.context.parts, apt_b.context.parts)
         assert _epoch_facts(r_a) == _epoch_facts(r_b)
         for k, v in m_a.state_dict().items():
             np.testing.assert_array_equal(v, m_b.state_dict()[k])

@@ -159,7 +159,7 @@ class TestCachePolicy:
 class TestLatencyPlanner:
     def test_ranking_matches_cost_model_prediction(self, tiny_dataset):
         apt = build_apt(tiny_dataset)
-        report = apt.plan_serving(batch_size=16, max_wait_s=0.002)
+        report = apt.plan(objective="latency", batch_size=16, max_wait_s=0.002)
         plan = report.plan
         assert plan.objective == "latency"
         est = plan.estimates
