@@ -89,8 +89,7 @@ def _apt(parts=None):
         seed=0,
     )
     apt = APT(ds, model, cluster, cfg)
-    if apt.sample_cache is not None:
-        apt.sample_cache = common.shared_sample_cache()
+    apt.sample_cache = common.shared_sample_cache()
     apt.prepare()
     return apt
 

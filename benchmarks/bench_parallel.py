@@ -7,15 +7,12 @@ at the repository root.  The two backends are bit-identical in simulation
 (losses, parameters, Timeline — pinned by ``tests/parallel``); this file
 only measures the host time the backend is allowed to change.
 
-The process backend wins on three axes:
+The process backend wins on two axes:
 
 * **work reduction** — one worker task samples the *union* of a global
   batch's per-device seed chunks once and restricts each device's
   minibatch out of it, instead of sampling every overlapping per-device
   frontier from scratch (the dominant effect on few-core hosts);
-* **gather offload** — with ``gather_prefetch``, the dense feature
-  gather for each minibatch is done in the worker against the
-  shared-memory feature matrix and shipped back zero-copy;
 * **overlap** — with ``prefetch_depth > 0``, batch ``k+1`` is sampled in
   workers while batch ``k`` runs numerics on the main process (grows with
   core count).
@@ -60,9 +57,7 @@ STRATEGY_GPUS, STRATEGY_BATCH, STRATEGY_FANOUTS = 8, 1024, (10, 10)
 SHOWCASE_GPUS, SHOWCASE_BATCH, SHOWCASE_FANOUTS = 16, 2048, (10, 10, 10)
 
 
-def _build_apt(
-    ds, num_gpus, batch, fanouts, backend, prefetch_depth=2, gather=False
-):
+def _build_apt(ds, num_gpus, batch, fanouts, backend, prefetch_depth=2):
     cluster = single_machine_cluster(
         num_gpus=num_gpus, gpu_cache_bytes=ds.feature_bytes * 0.02
     )
@@ -74,7 +69,6 @@ def _build_apt(
         execution_backend=backend,
         num_workers=2,
         prefetch_depth=prefetch_depth,
-        gather_prefetch=gather,
     )
     apt = APT(ds, model, cluster, config)
     apt.prepare()
@@ -149,9 +143,10 @@ def bench_strategies(results, ds, epochs):
 def bench_showcase(results, ds, epochs, reps):
     """Sampling-dominated workload (timing-only, 16 devices) + ablation.
 
-    The pipelined arm uses ``prefetch_depth=1`` with gather offload — the
-    sweet spot on few-core hosts, where deeper prefetch queues only add
-    time-slicing contention between the workers and the main process.
+    The pipelined arm uses ``prefetch_depth=1`` — the sweet spot on
+    few-core hosts, where deeper prefetch queues only add time-slicing
+    contention between the workers and the main process.  Timing-only
+    runs gather no feature rows, so worker-side gather never applies here.
     """
     t_serial, _ = _timed_run(
         lambda: _build_apt(
@@ -162,7 +157,7 @@ def bench_showcase(results, ds, epochs, reps):
     t_piped, _ = _timed_run(
         lambda: _build_apt(
             ds, SHOWCASE_GPUS, SHOWCASE_BATCH, SHOWCASE_FANOUTS, "process",
-            prefetch_depth=1, gather=True,
+            prefetch_depth=1,
         ),
         "gdp", epochs, numerics=False, reps=reps,
     )
@@ -170,13 +165,13 @@ def bench_showcase(results, ds, epochs, reps):
         results, "gdp_timing_pipelined", t_piped, t_serial,
         gpus=SHOWCASE_GPUS, batch=SHOWCASE_BATCH,
         fanouts=list(SHOWCASE_FANOUTS), numerics=False, epochs=epochs,
-        prefetch_depth=1, gather_prefetch=True,
+        prefetch_depth=1,
     )
 
     t_off, _ = _timed_run(
         lambda: _build_apt(
             ds, SHOWCASE_GPUS, SHOWCASE_BATCH, SHOWCASE_FANOUTS, "process",
-            prefetch_depth=0, gather=True,
+            prefetch_depth=0,
         ),
         "gdp", epochs, numerics=False, reps=reps,
     )
@@ -184,7 +179,7 @@ def bench_showcase(results, ds, epochs, reps):
         results, "gdp_timing_pipeline_off", t_off, t_serial,
         gpus=SHOWCASE_GPUS, batch=SHOWCASE_BATCH,
         fanouts=list(SHOWCASE_FANOUTS), numerics=False, epochs=epochs,
-        prefetch_depth=0, gather_prefetch=True,
+        prefetch_depth=0,
     )
 
 

@@ -121,8 +121,7 @@ def build_apt(
     )
     # Share sampled epochs across every APT in the benchmark session
     # (install before prepare(), which builds the dry-run on the cache).
-    if apt.sample_cache is not None:
-        apt.sample_cache = shared_sample_cache()
+    apt.sample_cache = shared_sample_cache()
     apt.prepare()
     return apt
 

@@ -86,7 +86,7 @@ def _add_task_args(p: argparse.ArgumentParser) -> None:
                         "defaults to the coarsen-once streaming partitioner)")
     p.add_argument("--disk-promote-mb", type=int, default=None,
                    help="hot-row promotion budget of the disk tier in MiB "
-                        "(default: REPRO_DISK_PROMOTE_MB env var or 64)")
+                        "(default 64; 0 disables promotion)")
     p.add_argument("--model", choices=("sage", "gat", "gcn"), default="sage")
     p.add_argument("--hidden", type=int, default=32,
                    help="hidden dim (GAT: per-head dim)")
@@ -209,7 +209,7 @@ def _build(args, quiet: bool = False) -> APT:
         global_batch_size=cluster.num_devices * args.batch_per_gpu,
         seed=args.seed,
     )
-    # Only override the env-var-driven defaults when flags were given.
+    # Only override the config's defaults when flags were given.
     if args.backend is not None:
         config_kwargs["execution_backend"] = args.backend
     if args.workers is not None:
@@ -223,7 +223,7 @@ def _build(args, quiet: bool = False) -> APT:
     if getattr(args, "checkpoint_keep", None) is not None:
         config_kwargs["checkpoint_keep"] = args.checkpoint_keep
     if getattr(args, "no_elastic", False):
-        config_kwargs["elastic_policy"] = {"enabled": False}
+        config_kwargs["elastic"] = False
     if getattr(args, "partition", None) is not None:
         config_kwargs["partition"] = args.partition
     elif dataset_dir is not None:
@@ -283,15 +283,24 @@ def _strategy_spec(value: str) -> str:
     )
 
 
+def _batching_policy(text: str):
+    """``--policy`` parsed, or a one-line ``error:`` exit."""
+    from repro.serve import BatchingPolicy
+
+    try:
+        return BatchingPolicy.parse(text)
+    except ValueError as exc:
+        raise SystemExit(f"error: {exc}")
+
+
 def cmd_plan(args) -> int:
+    if args.objective == "latency":
+        policy = _batching_policy(args.policy)
     apt = _build(args, quiet=args.json)
     candidates = None
     if args.strategy:
         candidates = [s for s in args.strategy if s != "auto"] or None
     if args.objective == "latency":
-        from repro.serve import BatchingPolicy
-
-        policy = BatchingPolicy.parse(args.policy)
         report = apt.plan(
             strategies=candidates,
             objective="latency",
@@ -374,9 +383,10 @@ def cmd_run(args) -> int:
             replan=True if args.replan else None,
             resume=args.resume,
         )
-    except RuntimeError as exc:
-        # e.g. a membership change with elastic execution disabled, or
-        # one that falls below the min_devices floor
+    except (RuntimeError, ValueError, FileNotFoundError) as exc:
+        # e.g. a membership change with elastic execution disabled, or a
+        # --resume directory without a checkpoint (FileNotFoundError) or
+        # with one written under other result-determining flags (ValueError)
         raise SystemExit(f"error: {exc}")
     if args.trace:
         _write_trace(report, args.trace)
@@ -510,12 +520,9 @@ def cmd_trace(args) -> int:
 def cmd_serve(args) -> int:
     from repro.config import ServeConfig
     from repro.core.checkpoint import CheckpointManager
-    from repro.serve import BatchingPolicy, ServeEngine
+    from repro.serve import ServeEngine
 
-    try:
-        policy = BatchingPolicy.parse(args.policy)
-    except ValueError as exc:
-        raise SystemExit(f"error: {exc}")
+    policy = _batching_policy(args.policy)
     apt = _build(args, quiet=args.json)
     checkpoint_dir = args.checkpoint_dir
     if checkpoint_dir is not None and CheckpointManager(

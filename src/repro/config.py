@@ -6,6 +6,13 @@ mode, the seeds, and the online-adaptivity knobs (telemetry, drift
 threshold, re-plan candidates).  ``APT(dataset, model, cluster, config)``
 is the only surface; ``APT`` accepts no other keyword arguments.
 
+Every option has one place to be set: its field (or the CLI flag that
+fills it).  Four ``REPRO_*`` environment variables remain, each because a
+CI leg runs a whole suite under it: ``REPRO_EXECUTION_BACKEND`` and
+``REPRO_NUM_WORKERS`` here, ``REPRO_TASK_DEADLINE_S`` in
+:class:`~repro.parallel.supervisor.FaultPolicy` and ``REPRO_CHAOS`` in
+:mod:`repro.parallel.chaos` (pinned by ``tests/test_env_knobs.py``).
+
 The experiment-scale constants below are shared by benchmarks and
 examples.  The analog datasets are ~1000x smaller than the paper's graphs,
 so byte budgets are expressed as *fractions of the dataset's feature
@@ -24,66 +31,11 @@ from typing import Any, Dict, Optional, Tuple, Union
 
 import numpy as np
 
+from repro.featurestore.store import DISK_PROMOTE_MB
 from repro.graph.datasets import GraphDataset
 
 #: Strategies the planner may choose from (paper's candidate set).
 PLAN_STRATEGIES = ("gdp", "nfp", "snp", "dnp")
-
-
-def _env_flag(name: str, default: bool) -> bool:
-    raw = os.environ.get(name)
-    if raw is None:
-        return default
-    return raw.strip().lower() not in ("0", "false", "no", "off", "")
-
-
-@dataclass
-class ElasticPolicy:
-    """How the run loop reacts to cluster-membership faults (§5.16).
-
-    A ``host_leave``/``host_join`` event changes the device count, which
-    invalidates the node->device partition.  When ``enabled``, the run
-    loop quiesces the backend, checkpoints, re-partitions for the new
-    device set, and (when ``replan`` is also set) re-runs the planner
-    against the new :class:`~repro.cluster.spec.ClusterSpec`, hot-switching
-    strategy if the ranking changed.  When disabled, a membership event
-    raises instead of silently training on a stale partition.
-    """
-
-    #: survive membership changes (env ``REPRO_ELASTIC``; default on)
-    enabled: bool = field(
-        default_factory=lambda: _env_flag("REPRO_ELASTIC", True)
-    )
-    #: re-run the planner after a membership change and hot-switch if the
-    #: ranking changed (env ``REPRO_ELASTIC_REPLAN``; default on).  Only
-    #: consulted when the run itself has ``replan`` candidates enabled.
-    replan: bool = field(
-        default_factory=lambda: _env_flag("REPRO_ELASTIC_REPLAN", True)
-    )
-    #: take (or reuse) an atomic epoch checkpoint before re-partitioning,
-    #: so the post-change tail is resumable/bit-reproducible
-    checkpoint_on_change: bool = True
-    #: refuse to shrink below this many devices
-    min_devices: int = 1
-
-    def __post_init__(self) -> None:
-        self.validate()
-
-    def validate(self) -> "ElasticPolicy":
-        self.enabled = bool(self.enabled)
-        self.replan = bool(self.replan)
-        self.checkpoint_on_change = bool(self.checkpoint_on_change)
-        if int(self.min_devices) < 1:
-            raise ValueError(
-                f"min_devices must be >= 1, got {self.min_devices}"
-            )
-        self.min_devices = int(self.min_devices)
-        return self
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            f.name: getattr(self, f.name) for f in dataclasses.fields(self)
-        }
 
 
 @dataclass
@@ -106,16 +58,9 @@ class APTConfig:
     #: out-of-core default), ``"random"``, or an explicit node->device array
     partition: Union[str, np.ndarray] = "metis"
     seed: int = 0
-    #: relative measurement error of the bandwidth-profiling trials
-    bandwidth_noise: float = 0.02
     # ---- engine modes ------------------------------------------------ #
     cpu_sampling: bool = False
-    compute_skew: bool = True
     overlap: bool = False
-    #: byte budget (MiB) of the sampled-epoch reuse cache shared by the
-    #: dry-runs, census, and training runs; 0 disables reuse entirely.
-    #: Wall-clock only — cached batches are bit-identical to fresh ones.
-    sample_cache_mb: int = 256
     # ---- execution backend (host wall-clock only, DESIGN.md §5.10) --- #
     #: ``"serial"`` (default) runs every per-device loop inline;
     #: ``"process"`` fans sampling out to a shared-memory worker pool with
@@ -132,23 +77,20 @@ class APTConfig:
     )
     #: global batches sampled ahead of the training loop (process backend);
     #: 0 disables pipelining but keeps the worker-pool sampling path.
-    prefetch_depth: int = field(
-        default_factory=lambda: int(os.environ.get("REPRO_PREFETCH_DEPTH", "2"))
-    )
+    prefetch_depth: int = 2
     #: also prefetch ``features[input_nodes]`` in workers for strategies
     #: whose load set is the input set (GDP).  Pays off only when workers
     #: overlap a numerics-bound main process, hence off by default.
     gather_prefetch: bool = False
     # ---- out-of-core feature tier (DESIGN.md §5.14) ------------------- #
     #: byte budget (MiB) of CPU-resident hot rows promoted out of the disk
-    #: tier for memmap-backed datasets; 0 disables promotion entirely and
-    #: ``None`` defers to ``REPRO_DISK_PROMOTE_MB`` (default 64).  In-RAM
-    #: datasets ignore this field.
-    disk_promote_mb: Optional[int] = None
+    #: tier for memmap-backed datasets; 0 disables promotion entirely.
+    #: In-RAM datasets ignore this field.
+    disk_promote_mb: int = DISK_PROMOTE_MB
     # ---- fault tolerance (process backend + checkpointing) ----------- #
     #: supervision knobs of the process backend — a
     #: :class:`~repro.parallel.supervisor.FaultPolicy` or a dict of its
-    #: fields; ``None`` uses the policy's env-overridable defaults.
+    #: fields; ``None`` uses the policy's defaults.
     fault_policy: Optional[Any] = None
     #: deliberate host-fault schedule for the process backend — a
     #: :class:`~repro.parallel.chaos.HostFaultSchedule`, a dict, or a
@@ -162,10 +104,12 @@ class APTConfig:
     checkpoint_every: int = 1
     #: checkpoints retained per directory (keep-last-N pruning)
     checkpoint_keep: int = 3
-    #: elastic-membership behavior — an :class:`ElasticPolicy` or a dict
-    #: of its fields; ``None`` means the policy's env-overridable defaults
-    #: (elastic on, re-plan on).  See DESIGN.md §5.16.
-    elastic_policy: Optional[Any] = None
+    #: survive ``host_leave``/``host_join`` membership changes: quiesce the
+    #: backend, checkpoint, re-partition for the new device set and, in a
+    #: run with ``replan``, re-plan against the new cluster.  ``False``
+    #: (``repro run --no-elastic``) makes a membership change raise
+    #: instead of training on a stale partition.  See DESIGN.md §5.16.
+    elastic: bool = True
     # ---- online adaptivity ------------------------------------------- #
     #: attach a TelemetryCollector to every run (pure observation)
     telemetry: bool = True
@@ -203,10 +147,6 @@ class APTConfig:
             if self.partition.ndim != 1:
                 raise ValueError("explicit partition must be a 1-D node->device array")
         self.seed = int(self.seed)
-        if not 0.0 <= float(self.bandwidth_noise) < 0.5:
-            raise ValueError(
-                f"bandwidth_noise must be in [0, 0.5), got {self.bandwidth_noise}"
-            )
         if float(self.drift_threshold) <= 0.0:
             raise ValueError(
                 f"drift_threshold must be positive, got {self.drift_threshold}"
@@ -234,12 +174,6 @@ class APTConfig:
                 f"replan_cooldown must be >= 0, got {self.replan_cooldown}"
             )
         self.replan_cooldown = int(self.replan_cooldown)
-        if int(self.sample_cache_mb) < 0:
-            raise ValueError(
-                f"sample_cache_mb must be >= 0 (0 disables reuse), got "
-                f"{self.sample_cache_mb}"
-            )
-        self.sample_cache_mb = int(self.sample_cache_mb)
         if self.execution_backend not in ("serial", "process"):
             raise ValueError(
                 f"execution_backend must be 'serial' or 'process', got "
@@ -260,18 +194,18 @@ class APTConfig:
             maximum=256,
             hint="0 disables pipelining; each unit preallocates one "
             "shared-memory result slot, so large values exhaust /dev/shm — "
-            "set via --prefetch-depth or REPRO_PREFETCH_DEPTH",
+            "set via --prefetch-depth",
         )
         self.gather_prefetch = bool(self.gather_prefetch)
-        if self.disk_promote_mb is not None:
-            self.disk_promote_mb = self._int_field(
-                "disk_promote_mb",
-                self.disk_promote_mb,
-                minimum=0,
-                maximum=1_048_576,
-                hint="MiB of hot disk-tier rows kept CPU-resident; 0 disables "
-                "promotion, None defers to REPRO_DISK_PROMOTE_MB",
-            )
+        self.disk_promote_mb = self._int_field(
+            "disk_promote_mb",
+            self.disk_promote_mb,
+            minimum=0,
+            maximum=1_048_576,
+            hint="MiB of hot disk-tier rows kept CPU-resident; 0 disables "
+            "promotion; set via --disk-promote-mb",
+        )
+        self.elastic = bool(self.elastic)
         self._validate_fault_fields()
         return self
 
@@ -337,15 +271,6 @@ class APTConfig:
             hint="checkpoints retained per directory; set via "
             "--checkpoint-keep",
         )
-        if self.elastic_policy is not None:
-            if isinstance(self.elastic_policy, dict):
-                self.elastic_policy = ElasticPolicy(**self.elastic_policy)
-            elif not isinstance(self.elastic_policy, ElasticPolicy):
-                raise ValueError(
-                    f"elastic_policy must be an ElasticPolicy or a dict of "
-                    f"its fields, got {type(self.elastic_policy).__name__}"
-                )
-            self.elastic_policy.validate()
 
     def replace(self, **changes: Any) -> "APTConfig":
         """Validated copy with ``changes`` applied."""
@@ -364,8 +289,6 @@ class APTConfig:
             out["fault_policy"] = self.fault_policy.to_dict()
         if self.host_chaos is not None:
             out["host_chaos"] = self.host_chaos.to_dict()
-        if self.elastic_policy is not None:
-            out["elastic_policy"] = self.elastic_policy.to_dict()
         return out
 
 #: Serve-side cache policies (see repro.serve.cache).
@@ -393,8 +316,6 @@ class ServeConfig:
     drift_threshold: float = 0.35
     #: batches per drift-detection window
     drift_window: int = 8
-    #: hotness-count decay applied at each cache refresh (sliding window)
-    cache_decay: float = 0.5
 
     def __post_init__(self) -> None:
         self.validate()
@@ -424,10 +345,6 @@ class ServeConfig:
                 f"drift_window must be positive, got {self.drift_window}"
             )
         self.drift_window = int(self.drift_window)
-        if not 0.0 <= float(self.cache_decay) <= 1.0:
-            raise ValueError(
-                f"cache_decay must be in [0, 1], got {self.cache_decay}"
-            )
         return self
 
     def replace(self, **changes: Any) -> "ServeConfig":

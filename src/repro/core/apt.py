@@ -68,6 +68,10 @@ from repro.sampling.cache import SampleCache
 
 __all__ = ["APT", "PlanContext"]
 
+#: relative measurement error of the Prepare step's bandwidth-profiling
+#: trials (ablations set ``CostModel``'s own parameter directly)
+BANDWIDTH_NOISE = 0.02
+
 
 def partition_weights(cluster: ClusterSpec) -> Optional[List[float]]:
     """Per-device speed weights, or ``None`` on a homogeneous cluster.
@@ -117,9 +121,8 @@ class PlanContext:
         self.cost_model = CostModel(
             cluster,
             apt.dataset.feature_dim,
-            bandwidth_noise=config.bandwidth_noise,
+            bandwidth_noise=BANDWIDTH_NOISE,
             noise_seed=config.seed,
-            include_compute_skew=config.compute_skew,
         )
 
     @cached_property
@@ -139,7 +142,6 @@ class PlanContext:
             sampler_seed=config.seed,
             shuffle_seed=config.seed,
             sample_cache=apt.sample_cache,
-            reuse_samples=apt.sample_cache is not None,
             disk_promote_bytes=_disk_promote_bytes(config),
             access_freq=apt.access_freq,
         )
@@ -192,9 +194,8 @@ class PlanContext:
         )
 
 
-def _disk_promote_bytes(config: APTConfig) -> Optional[float]:
-    mb = config.disk_promote_mb
-    return None if mb is None else float(mb) * 2**20
+def _disk_promote_bytes(config: APTConfig) -> float:
+    return float(config.disk_promote_mb) * 2**20
 
 
 def _partition(
@@ -282,12 +283,9 @@ class APT:
         self.plan_report: Optional[PlanReport] = None
         #: one sampled-epoch cache shared by every dry-run, census, and
         #: training context of this task (same graph, fanouts, and seed —
-        #: the planner's 4 strategy dry-runs re-visit identical epochs)
-        self.sample_cache: Optional[SampleCache] = (
-            SampleCache(max_bytes=self.config.sample_cache_mb * 1024 * 1024)
-            if self.config.sample_cache_mb > 0
-            else None
-        )
+        #: the planner's 4 strategy dry-runs re-visit identical epochs).
+        #: Wall-clock only: cached batches are bit-identical to fresh ones.
+        self.sample_cache = SampleCache()
 
     # ------------------------------------------------------------------ #
     # Prepare
@@ -452,9 +450,7 @@ class APT:
                 }
         return extra, meta
 
-    def plan_layerwise(
-        self, *, beam_width: int = 3, include_singles: bool = True
-    ) -> RunReport:
+    def plan_layerwise(self, *, beam_width: int = 3) -> RunReport:
         """Beam-search per-layer strategy compositions (DESIGN.md §5.15).
 
         Every candidate's dry-run shares the context's: one
@@ -470,7 +466,6 @@ class APT:
             ctx.dryrun.run,
             self.model.num_layers,
             beam_width=beam_width,
-            include_singles=include_singles,
         )
         return RunReport(plan=self.plan_report, config=self.config.to_dict())
 

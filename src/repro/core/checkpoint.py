@@ -77,7 +77,6 @@ _HOST_ONLY_FIELDS = frozenset(
         "checkpoint_every",
         "checkpoint_keep",
         "telemetry",
-        "sample_cache_mb",
     }
 )
 

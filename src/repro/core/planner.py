@@ -30,6 +30,10 @@ from repro.engine.layerwise import (
 #: Planner objectives and the estimate type each ranks by.
 OBJECTIVES = ("epoch", "latency", "cost")
 
+#: layouts the layerwise search assigns above layer 0: replicated and
+#: node-partitioned (see :meth:`Planner.search_layerwise`)
+UPPER_LAYOUTS = ("gdp", "snp")
+
 
 def pareto_frontier(estimates: Dict[str, object]) -> List[str]:
     """Non-dominated candidates in the (time, dollars) plane.
@@ -230,9 +234,6 @@ class Planner:
         num_layers: int,
         *,
         beam_width: int = 3,
-        include_singles: bool = True,
-        first_layer=LAYER_STRATEGIES,
-        upper_layers=("gdp", "snp"),
     ) -> PlanReport:
         """Beam-search per-layer strategy assignments (DESIGN.md §5.15).
 
@@ -277,15 +278,14 @@ class Planner:
                 return float("inf")
             return self.cost_model.estimate(stats).total
 
-        beam = [(s,) for s in first_layer]
+        beam = [(s,) for s in LAYER_STRATEGIES]
         beam = sorted(beam, key=score)[:beam_width]
         for _ in range(1, num_layers):
-            frontier = [p + (u,) for p in beam for u in upper_layers]
+            frontier = [p + (u,) for p in beam for u in UPPER_LAYOUTS]
             beam = sorted(frontier, key=score)[:beam_width]
 
         finalists = {canonical_spec(completed(p)) for p in beam}
-        if include_singles:
-            finalists |= {(s,) for s in first_layer}
+        finalists |= {(s,) for s in LAYER_STRATEGIES}
         stats_map = {}
         # Sorted, so exact cost ties rank by spec rather than by the set's
         # PYTHONHASHSEED-dependent iteration order (select's sort is stable).

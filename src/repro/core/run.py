@@ -36,7 +36,6 @@ import numpy as np
 from repro.cluster.faults import MEMBERSHIP_KINDS, FaultSchedule
 from repro.cluster.spec import ClusterSpec
 from repro.cluster.timeline import Timeline
-from repro.config import ElasticPolicy
 from repro.core.checkpoint import (
     Checkpoint,
     CheckpointManager,
@@ -254,21 +253,14 @@ class TrainingRun:
         oracle.
         """
         apt = self.apt
-        policy = self.config.elastic_policy or ElasticPolicy()
         before = apt.context.cluster.num_devices
         after = cluster.num_devices
-        if not policy.enabled:
+        if not self.config.elastic:
             raise RuntimeError(
                 f"cluster membership changed at epoch {epoch} "
                 f"({before} -> {after} devices) but elastic execution is "
-                f"disabled; set elastic_policy.enabled (REPRO_ELASTIC=1) "
-                f"to survive host_leave/host_join events"
-            )
-        if after < policy.min_devices:
-            raise RuntimeError(
-                f"membership change at epoch {epoch} leaves {after} "
-                f"device(s), below elastic_policy.min_devices="
-                f"{policy.min_devices}"
+                f"disabled; set APTConfig.elastic (drop --no-elastic) to "
+                f"survive host_leave/host_join events"
             )
         for event in self.faults.events_at(epoch) if self.faults else ():
             if event.kind not in MEMBERSHIP_KINDS:
@@ -295,7 +287,6 @@ class TrainingRun:
         if (
             self.trainer is not None
             and self.manager is not None
-            and policy.checkpoint_on_change
             and self.manager.latest_epoch() != epoch
         ):
             self._checkpoint(epoch, epochs_completed=epoch)
@@ -318,7 +309,7 @@ class TrainingRun:
         # (4) re-plan against the new cluster.  Gated on the run's own
         # replan flag so fixed-strategy runs stay on their strategy (they
         # still survive the change).
-        if self.replan and policy.replan:
+        if self.replan:
             plan = context.select(self.config.strategies)
             self._emit(
                 "elastic_replan",

@@ -22,7 +22,6 @@ is also how :func:`ranged_gather` materializes them from the memmap.
 from __future__ import annotations
 
 import enum
-import os
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence, Tuple
 
@@ -52,6 +51,10 @@ def is_disk_backed(features) -> bool:
 #: Runs of sorted ids separated by at most this many rows are coalesced
 #: into one ranged read (reading a few dead rows beats a second seek).
 COALESCE_GAP = 8
+
+#: Default budget (MiB) of the disk tier's CPU-resident promoted rows
+#: (``APTConfig.disk_promote_mb``).
+DISK_PROMOTE_MB = 64
 
 
 def coalesce_ranges(sorted_ids: np.ndarray, gap: int = COALESCE_GAP) -> np.ndarray:
@@ -274,7 +277,7 @@ class UnifiedFeatureStore:
         """Activate the disk tier: rows live on disk until promoted.
 
         ``promote_bytes`` bounds the CPU-resident side buffer holding
-        promoted hot rows (default ``REPRO_DISK_PROMOTE_MB``, 64 MiB);
+        promoted hot rows (default :data:`DISK_PROMOTE_MB` MiB);
         every ``promote_every`` disk-touching classifies the hottest rows
         are re-promoted from decayed access counts — the same
         decayed-hotness scheme :class:`repro.serve.cache.HotnessCache`
@@ -285,9 +288,7 @@ class UnifiedFeatureStore:
         """
         n = self.dataset.num_nodes
         if promote_bytes is None:
-            promote_bytes = (
-                float(os.environ.get("REPRO_DISK_PROMOTE_MB", "64")) * 2**20
-            )
+            promote_bytes = DISK_PROMOTE_MB * 2**20
         row_bytes = max(self.dataset.feature_dim * 8, 1)
         self._promote_capacity = max(int(promote_bytes // row_bytes), 0)
         self._promote_every = max(int(promote_every), 1)

@@ -475,13 +475,8 @@ class ProcessPoolBackend(ExecutionBackend):
         """Recompute the slot digest the worker reported; True = intact."""
         if not result.get("via_shm") or slot is None or self._slots is None:
             return True  # pickled results carry the arrays themselves
-        want = result.get("digest")
-        if not want:
-            return True
-        got = slot_digest(
-            self._slots.buffer(slot), int(result.get("packed_bytes", 0))
-        )
-        return got == want
+        got = slot_digest(self._slots.buffer(slot), result["packed_bytes"])
+        return got == result["digest"]
 
     def _degrade(self, reason: str) -> None:
         """Fall back to inline serial sampling for the rest of the run."""

@@ -33,7 +33,7 @@ holds everything a run may count or configure:
   pipe; the flight the dead worker held fails immediately.
 * **bounded retry with exponential backoff** — a failed task (timeout,
   crash, worker exception, corrupt slot) is resubmitted up to
-  ``max_retries`` times, waiting ``backoff_base_s * backoff_factor**n``
+  ``max_retries`` times, waiting ``backoff_base_s * 2**n``
   between attempts.  Resubmissions strip any chaos directive
   (:mod:`repro.parallel.chaos` faults fire on first attempts only) and
   move to a fresh result slot; the abandoned slot is quarantined.
@@ -92,46 +92,33 @@ __all__ = [
 # ---------------------------------------------------------------------- #
 # policy
 # ---------------------------------------------------------------------- #
-def _env_float(name: str, default: str) -> float:
-    return float(os.environ.get(name, default))
-
-
-def _env_int(name: str, default: str) -> int:
-    return int(os.environ.get(name, default))
-
-
 @dataclass
 class FaultPolicy:
     """Supervision knobs of one process-backend run (``APTConfig.fault_policy``).
 
-    Defaults are env-overridable (``REPRO_TASK_DEADLINE_S``,
-    ``REPRO_MAX_RETRIES``, ``REPRO_FAILURE_BUDGET``) so CI legs can tighten
-    them without code changes.
+    ``task_deadline_s`` defaults from ``REPRO_TASK_DEADLINE_S`` so CI's
+    chaos legs can tighten it for a whole suite.  Every result slot's
+    BLAKE2b digest is always verified.
     """
 
     #: seconds a task may take from (re)submission to result
     task_deadline_s: float = field(
-        default_factory=lambda: _env_float("REPRO_TASK_DEADLINE_S", "30.0")
+        default_factory=lambda: float(
+            os.environ.get("REPRO_TASK_DEADLINE_S", "30.0")
+        )
     )
     #: resubmissions allowed per task before giving up
-    max_retries: int = field(
-        default_factory=lambda: _env_int("REPRO_MAX_RETRIES", "3")
-    )
+    max_retries: int = 3
     #: lifetime failures (timeouts + crashes + corruptions) before the
     #: backend degrades to serial sampling
-    failure_budget: int = field(
-        default_factory=lambda: _env_int("REPRO_FAILURE_BUDGET", "16")
-    )
-    #: first retry's backoff; attempt ``n`` waits ``base * factor**n``
+    failure_budget: int = 16
+    #: first retry's backoff; attempt ``n`` waits ``base * 2**n``
     backoff_base_s: float = 0.05
-    backoff_factor: float = 2.0
     #: cap on any single backoff sleep
     backoff_max_s: float = 2.0
     #: longest an epoch drain waits per abandoned prefetch before
     #: quarantining its slot
     drain_timeout_s: float = 5.0
-    #: verify the BLAKE2b digest of every shared-memory result slot
-    validate_digests: bool = True
 
     def __post_init__(self) -> None:
         self.validate()
@@ -152,10 +139,6 @@ class FaultPolicy:
             )
         if float(self.backoff_base_s) < 0.0 or float(self.backoff_max_s) < 0.0:
             raise ValueError("backoff seconds must be >= 0")
-        if float(self.backoff_factor) < 1.0:
-            raise ValueError(
-                f"backoff_factor must be >= 1, got {self.backoff_factor}"
-            )
         if not float(self.drain_timeout_s) > 0.0:
             raise ValueError(
                 f"drain_timeout_s must be positive, got {self.drain_timeout_s}"
@@ -164,17 +147,14 @@ class FaultPolicy:
         self.max_retries = int(self.max_retries)
         self.failure_budget = int(self.failure_budget)
         self.backoff_base_s = float(self.backoff_base_s)
-        self.backoff_factor = float(self.backoff_factor)
         self.backoff_max_s = float(self.backoff_max_s)
         self.drain_timeout_s = float(self.drain_timeout_s)
-        self.validate_digests = bool(self.validate_digests)
         return self
 
     def backoff_at(self, attempt: int) -> float:
         """Backoff before resubmission number ``attempt`` (0-based)."""
         return min(
-            self.backoff_base_s * self.backoff_factor ** max(attempt, 0),
-            self.backoff_max_s,
+            self.backoff_base_s * 2.0 ** max(attempt, 0), self.backoff_max_s
         )
 
     def to_dict(self) -> Dict[str, Any]:
@@ -468,8 +448,6 @@ class WorkerSupervisor:
                 continue
             flight = self._queue.popleft()
             task = dict(flight.payload, slot=flight.slot, ring=self._ring)
-            if self.policy.validate_digests:
-                task["digest"] = True
             worker.flight = flight
             flight.worker = index
             try:
@@ -586,11 +564,7 @@ class WorkerSupervisor:
                 result = self._wait(
                     flight, flight.submitted_at + self.policy.task_deadline_s
                 )
-                if (
-                    validate is not None
-                    and self.policy.validate_digests
-                    and not validate(result, flight.slot)
-                ):
+                if validate is not None and not validate(result, flight.slot):
                     raise SlotCorruption(
                         f"result slot {flight.slot!r} failed digest validation"
                     )

@@ -24,9 +24,9 @@ backend as ``parallel.slot_overflow``).
 Supervision hooks (see :mod:`repro.parallel.supervisor`): each worker
 is given one cell of a shared *heartbeat board* and stamps it
 ``+monotonic()`` on task entry, ``-monotonic()`` on exit, so the main
-process can tell hung workers from starved queues.  When a task's payload
-asks for it, the worker returns a BLAKE2b digest of the packed slot bytes
-for end-to-end validation.  A ``chaos`` directive in the payload
+process can tell hung workers from starved queues.  Every result written
+to a slot comes back with a BLAKE2b digest of the packed slot bytes for
+end-to-end validation.  A ``chaos`` directive in the payload
 (:mod:`repro.parallel.chaos`) makes the worker fault itself on purpose —
 die, sleep, or corrupt its slot *after* digesting — to drive the
 supervision paths deterministically.
@@ -186,8 +186,7 @@ def sample_task(payload: Dict) -> Dict:
     ``None``), ``fanouts``, ``global_seed``, ``gather`` (also ship
     ``features[input_nodes]`` per device, from the matrix ``features``
     locates), ``slot`` (result segment name, or ``None`` to force pickled
-    results — used before slots are sized) of slot ring ``ring``,
-    ``digest`` (return a BLAKE2b digest of the packed slot bytes), and
+    results — used before slots are sized) of slot ring ``ring``, and
     ``chaos`` (an armed ``{"kind", "seconds"}`` host-fault directive).
     """
     t0 = time.perf_counter()
@@ -251,11 +250,10 @@ def sample_task(payload: Dict) -> Dict:
                 specs.append(dev_specs)
             result["devices"] = specs
             result["via_shm"] = True
-            if payload.get("digest"):
-                h = hashlib.blake2b(digest_size=16)
-                h.update(buf[:offset])
-                result["digest"] = h.hexdigest()
-                result["packed_bytes"] = int(offset)
+            h = hashlib.blake2b(digest_size=16)
+            h.update(buf[:offset])
+            result["digest"] = h.hexdigest()
+            result["packed_bytes"] = int(offset)
             if chaos is not None and chaos["kind"] == "corrupt":
                 # Tear the slot *after* digesting, like a partial write
                 # racing the reader: the main process must catch the

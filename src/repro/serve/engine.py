@@ -136,7 +136,6 @@ class ServeEngine:
                 apt.dataset.feature_dim,
                 self.ctx.num_devices,
                 dim_fraction=self.strategy_report.dim_fraction,
-                decay=self.config.cache_decay,
             )
         self.queue = RequestQueue(
             BatchingPolicy(

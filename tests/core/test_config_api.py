@@ -35,12 +35,6 @@ class TestAPTConfigValidation:
         with pytest.raises(ValueError):
             APTConfig(partition=[[0, 1], [1, 0]])
 
-    def test_bandwidth_noise_range(self):
-        with pytest.raises(ValueError):
-            APTConfig(bandwidth_noise=0.5)
-        with pytest.raises(ValueError):
-            APTConfig(bandwidth_noise=-0.1)
-
     def test_drift_threshold_positive(self):
         with pytest.raises(ValueError):
             APTConfig(drift_threshold=0.0)

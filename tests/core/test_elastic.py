@@ -16,7 +16,7 @@ import pytest
 
 from repro.cluster import multi_machine_cluster
 from repro.cluster.faults import FaultEvent, FaultSchedule
-from repro.config import APTConfig, ElasticPolicy
+from repro.config import APTConfig
 from repro.core import APT
 from repro.core.checkpoint import CheckpointManager
 from repro.graph.datasets import small_dataset
@@ -202,18 +202,8 @@ class TestMembershipPaths:
 # ---------------------------------------------------------------------- #
 class TestElasticPolicy:
     def test_disabled_raises(self):
-        apt = _make_apt(
-            multi_machine_cluster(2, 2), elastic_policy={"enabled": False}
-        )
+        apt = _make_apt(multi_machine_cluster(2, 2), elastic=False)
         with pytest.raises(RuntimeError, match="elastic execution is disabled"):
-            apt.run_strategy("gdp", N, faults=_leave())
-
-    def test_min_devices_floor(self):
-        apt = _make_apt(
-            multi_machine_cluster(2, 2),
-            elastic_policy=ElasticPolicy(min_devices=3),
-        )
-        with pytest.raises(RuntimeError, match="min_devices"):
             apt.run_strategy("gdp", N, faults=_leave())
 
     def test_explicit_partition_cannot_follow_membership(self):
@@ -221,11 +211,3 @@ class TestElasticPolicy:
         apt = _make_apt(multi_machine_cluster(2, 2), partition=parts)
         with pytest.raises(ValueError, match="explicit partitions"):
             apt.run_strategy("gdp", N, faults=_leave())
-
-    def test_env_toggle(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ELASTIC", "0")
-        assert ElasticPolicy().enabled is False
-        monkeypatch.setenv("REPRO_ELASTIC", "1")
-        assert ElasticPolicy().enabled is True
-        monkeypatch.setenv("REPRO_ELASTIC_REPLAN", "0")
-        assert ElasticPolicy().replan is False

@@ -88,6 +88,39 @@ class TestCommands:
         end_us = max(e["ts"] + e["dur"] for e in events)
         assert end_us == pytest.approx(sum(seconds) * 1e6)
 
+    @staticmethod
+    def _one_error_line(argv) -> str:
+        """Run ``argv``; it must exit 1 with a single ``error:`` line."""
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        message = exc.value.code
+        assert isinstance(message, str)  # a str code exits with status 1
+        assert message.startswith("error: ") and "\n" not in message
+        return message
+
+    def test_plan_bad_policy_exits_cleanly(self):
+        message = self._one_error_line(
+            ["plan", "--objective", "latency", "--policy", "bogus"] + self.BASE
+        )
+        assert "bad batching policy" in message
+
+    def test_resume_without_checkpoint_exits_cleanly(self, tmp_path):
+        message = self._one_error_line(
+            ["run", "--epochs", "2", "--resume", str(tmp_path / "ck")]
+            + self.BASE
+        )
+        assert "no checkpoint found" in message
+
+    def test_resume_under_other_flags_exits_cleanly(self, capsys, tmp_path):
+        ck = str(tmp_path / "ck")
+        assert main(["run", "--strategy", "gdp", "--epochs", "1",
+                     "--checkpoint-dir", ck] + self.BASE) == 0
+        message = self._one_error_line(
+            ["run", "--strategy", "gdp", "--epochs", "2", "--resume", ck,
+             "--seed", "1"] + self.BASE
+        )
+        assert "different result-determining config" in message
+
     def test_compare_with_hybrid(self, capsys):
         assert main(
             ["compare", "--hybrid"] + self.BASE + ["--machines", "2"]
