@@ -7,15 +7,14 @@ at the repository root.  The two backends are bit-identical in simulation
 (losses, parameters, Timeline — pinned by ``tests/parallel``); this file
 only measures the host time the backend is allowed to change.
 
-The process backend wins on two axes:
-
-* **work reduction** — one worker task samples the *union* of a global
-  batch's per-device seed chunks once and restricts each device's
-  minibatch out of it, instead of sampling every overlapping per-device
-  frontier from scratch (the dominant effect on few-core hosts);
-* **overlap** — with ``prefetch_depth > 0``, batch ``k+1`` is sampled in
-  workers while batch ``k`` runs numerics on the main process (grows with
-  core count).
+Both backends do the same sampling work — one union sample per global
+batch, restricted per device (``repro.sampling.cache.
+sample_device_batches``) — so the process backend's only lever is
+**overlap**: with ``prefetch_depth > 0``, batch ``k+1`` is sampled in
+workers while batch ``k`` runs numerics on the main process, which pays
+only when the host has cores to spare.  (The showcase's former 1.7x on a
+2-vCPU host was the serial backend sampling every overlapping per-device
+frontier separately; with that gone it measures about 0.5x there.)
 
 Usage::
 
@@ -25,8 +24,9 @@ Usage::
 
 ``--check`` compares each workload's process-backend seconds against the
 committed baseline (fails past ``--threshold``, default 2.0x) and requires
-the showcase workload to keep a ``--min-speedup`` (default 1.3x) over
-serial on the current machine.
+the showcase to keep a serial/process speedup of at least
+``_MIN_SHOWCASE_SPEEDUP`` on the current machine: a floor under the
+process backend's overhead, not a promise that it wins.
 """
 
 from __future__ import annotations
@@ -216,12 +216,18 @@ _CHECK_FLOOR_SECONDS = 1e-2
 #: workload whose serial-vs-process speedup the check gate enforces
 _SHOWCASE_OP = "gdp_timing_pipelined"
 
+#: serial/process speedup floor of the showcase.  With both backends
+#: sampling each global batch once, six ``--quick`` runs on a 2-vCPU host
+#: measured 0.45-0.59x (the process backend pays shipping 16 device
+#: minibatches per batch through shared memory, and has no spare core to
+#: overlap on); a process backend a quarter slower than the slowest of
+#: those fails.
+_MIN_SHOWCASE_SPEEDUP = 0.35
 
-def check_regressions(
-    measured: dict, baseline: dict, threshold: float, min_speedup: float
-) -> int:
+
+def check_regressions(measured: dict, baseline: dict, threshold: float) -> int:
     """Count workloads slower than ``threshold`` x the committed baseline,
-    plus a showcase-speedup floor on the current machine."""
+    plus the showcase-speedup floor on the current machine."""
     failures = 0
     for name, base in baseline.get("ops", {}).items():
         cur = measured["ops"].get(name)
@@ -239,10 +245,10 @@ def check_regressions(
         failures += ratio > threshold
     showcase = measured["ops"].get(_SHOWCASE_OP, {})
     speedup = showcase.get("speedup", 0.0)
-    if speedup < min_speedup:
+    if speedup < _MIN_SHOWCASE_SPEEDUP:
         print(
             f"  {_SHOWCASE_OP}: speedup {speedup:.2f}x "
-            f"below the {min_speedup:.2f}x floor REGRESSED"
+            f"below the {_MIN_SHOWCASE_SPEEDUP:.2f}x floor REGRESSED"
         )
         failures += 1
     else:
@@ -263,11 +269,6 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--threshold", type=float, default=2.0,
         help="regression factor that fails --check (default 2.0)",
-    )
-    parser.add_argument(
-        "--min-speedup", type=float, default=1.3,
-        help="required serial/process speedup of the showcase workload "
-        "(default 1.3; the committed full-run baseline shows >=2x)",
     )
     parser.add_argument(
         "--baseline", type=pathlib.Path, default=BASELINE_PATH,
@@ -302,9 +303,7 @@ def main(argv=None) -> int:
         with open(args.baseline) as fh:
             baseline = json.load(fh)
         print(f"\nregression check vs {args.baseline} (>{args.threshold}x fails)")
-        failures = check_regressions(
-            measured, baseline, args.threshold, args.min_speedup
-        )
+        failures = check_regressions(measured, baseline, args.threshold)
         if failures:
             print(f"{failures} workload(s) regressed")
             return 1

@@ -128,8 +128,8 @@ class DryRun:
         # One cache shared by the census and every strategy's context: the
         # census samples each whole global batch once, and the per-strategy
         # seed chunks are then derived by restriction (never re-sampled).
-        # ``reuse_samples=False`` turns reuse off — the perf-regression
-        # benchmark uses it to measure the cache's wall-clock win.
+        # ``reuse_samples=False`` turns reuse off: the cache-off reference
+        # the tests compare the cached plan step against.
         if sample_cache is None and reuse_samples:
             sample_cache = SampleCache()
         self.sample_cache = sample_cache

@@ -404,7 +404,6 @@ class TrainingRun:
     def _checkpoint(self, epoch: int, *, epochs_completed: int) -> None:
         """Persist everything a resumed run needs to continue bit for bit."""
         ctx = self.trainer.ctx
-        cache = self.apt.sample_cache
         path = self.manager.save(
             epochs_completed=epochs_completed,
             config_dict=self.config.to_dict(),
@@ -426,9 +425,6 @@ class TrainingRun:
                 "timeline": ctx.timeline.state_dict(),
                 "recorder": recorder_state(ctx.recorder),
                 "segments": [t.state_dict() for t in self.timelines[:-1]],
-                "sample_cache_keys": (
-                    cache.export_keys() if cache is not None else []
-                ),
             },
         )
         self._emit("checkpoint", epoch=epoch, path=path)

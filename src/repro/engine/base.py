@@ -238,6 +238,15 @@ def sample_batches(
     batches = resolve_backend(ctx).sample_device_chunks(
         ctx, seeds_per_device, epoch
     )
+    charge_sampling(ctx, batches)
+    return batches
+
+
+def charge_sampling(
+    ctx: ExecutionContext, batches: List[Optional[MiniBatch]]
+) -> None:
+    """Charge each device the simulated seconds of sampling its minibatch
+    (from the batch's edge count — how it was sampled does not matter)."""
     for d, mb in enumerate(batches):
         if mb is None:
             continue
@@ -246,7 +255,6 @@ def sample_batches(
         else:
             ctx.charger.gpu_sampling(d, mb.total_edges())
         ctx.count("sampled_edges", mb.total_edges(), device=d, phase="sample")
-    return batches
 
 
 def read_features(

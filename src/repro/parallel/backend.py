@@ -9,7 +9,9 @@ minibatches, losses, parameters, and simulated Timeline charges (pinned by
 
 :class:`SerialBackend`
     The default.  Samples inline on the main process, through the
-    context's :class:`~repro.sampling.cache.SampleCache` when present.
+    context's :class:`~repro.sampling.cache.SampleCache` when present:
+    one union sample per global batch, restricted to each device
+    (:func:`~repro.sampling.cache.sample_device_batches`).
 
 :class:`ProcessPoolBackend`
     Fans sampling out to worker processes that hold zero-copy
@@ -20,10 +22,9 @@ minibatches, losses, parameters, and simulated Timeline charges (pinned by
     may carry from run to run is nothing).  The epoch loop is pipelined: up to
     ``prefetch_depth`` future global batches are being sampled in workers
     while the current batch runs numerics on the main process.  One task
-    covers one whole global batch — the worker samples the union of the
-    per-device seed chunks once and *restricts* each device's minibatch
-    out of it, so the backend also does strictly less sampling work than
-    the serial per-device loop (their frontiers overlap).  Results return
+    covers one whole global batch, sampled by the same
+    :func:`~repro.sampling.cache.sample_device_batches` as the serial
+    backend (the union once, restricted per device).  Results return
     through preallocated shared-memory slots; prefetched batches bypass
     the sample cache (slot buffers are recycled, cache entries must not
     alias them).
@@ -66,6 +67,7 @@ from repro.parallel.supervisor import (
     slot_digest,
 )
 from repro.sampling.block import Block, MiniBatch
+from repro.sampling.cache import sample_device_batches
 
 __all__ = [
     "ExecutionBackend",
@@ -146,16 +148,9 @@ class SerialBackend(ExecutionBackend):
     name = "serial"
 
     def sample_device_chunks(self, ctx, seeds_per_device, epoch):
-        batches: List[Optional[MiniBatch]] = []
-        for seeds in seeds_per_device:
-            if seeds is None or len(seeds) == 0:
-                batches.append(None)
-                continue
-            if ctx.sample_cache is not None:
-                batches.append(ctx.sample_cache.sample(ctx.sampler, seeds, epoch=epoch))
-            else:
-                batches.append(ctx.sampler.sample(seeds, epoch=epoch))
-        return batches
+        return sample_device_batches(
+            ctx.sampler, seeds_per_device, epoch, ctx.sample_cache
+        )
 
 
 #: Fallback backend for contexts constructed without one.
@@ -249,8 +244,8 @@ class ProcessPoolBackend(ExecutionBackend):
         Worker processes (``None`` = auto: ``min(4, cpu_count)``).
     prefetch_depth:
         Global batches sampled ahead of the training loop.  ``0`` disables
-        pipelining (each batch is still sampled in a worker — the
-        union-sampling work reduction applies, overlap does not).
+        pipelining (each batch is still sampled in a worker, without
+        overlap).
     gather_prefetch:
         Also ship ``features[input_nodes]`` per device for strategies that
         declare ``gather_prefetch`` (GDP — its load set *is* the input

@@ -5,15 +5,11 @@ attaches the shared graph once (:func:`worker_main`) and then serves
 sampling tasks from its own pipe, one at a time, until the pipe reaches
 end-of-file — which is also how a killed coordinator's workers end.  It
 outlives runs: nothing a task leaves behind may belong to one (see
-:func:`_slot_buffer`).  One task covers one *global batch* — the
-worker samples the union of the batch's per-device seed chunks in a single
-pass and derives each device's minibatch by layerwise *restriction*
-(:func:`repro.sampling.cache._restrict`), which is bit-identical to
-sampling each chunk directly because the counter-based hash sampler is
-per-node deterministic.  Sampling the union once does strictly less work
-than sampling the chunks separately (their frontiers overlap heavily),
-which is where the process backend's wall-clock win comes from even on a
-single core; on multi-core hosts the workers add true overlap on top.
+:func:`_slot_buffer`).  One task covers one *global batch*, sampled by
+:func:`repro.sampling.cache.sample_device_batches` exactly as the serial
+backend samples it — the union of the per-device seed chunks in one pass,
+each device's minibatch restricted out of it — so what the workers add is
+overlap with the training thread, not less sampling work.
 
 Results are packed into the main-process-owned shared-memory slot named by
 the task; only small :class:`~repro.parallel.shm.ArraySpec` descriptors
@@ -50,7 +46,7 @@ from repro.parallel.shm import (
     attach_task_data,
     write_array,
 )
-from repro.sampling.cache import _restrict, _sorted_unique
+from repro.sampling.cache import sample_device_batches
 from repro.sampling.neighbor import NeighborSampler
 
 #: Per-process state installed by :func:`init_worker`.
@@ -206,19 +202,7 @@ def sample_task(payload: Dict) -> Dict:
     features = _features(payload.get("features")) if gather else None
     sampler = _sampler(payload["fanouts"], payload["global_seed"])
 
-    active = [(d, c) for d, c in enumerate(chunks) if c is not None and len(c)]
-    per_device: List[Optional[object]] = [None] * len(chunks)
-    if len(active) == 1:
-        d, chunk = active[0]
-        per_device[d] = sampler.sample(chunk, epoch=epoch)
-    elif active:
-        union = np.concatenate([c for _, c in active])
-        whole = sampler.sample(union, epoch=epoch)
-        for d, chunk in active:
-            mb = _restrict(whole, _sorted_unique(np.asarray(chunk, dtype=np.int64)))
-            if mb is None:  # pragma: no cover - union always covers chunks
-                mb = sampler.sample(chunk, epoch=epoch)
-            per_device[d] = mb
+    per_device = sample_device_batches(sampler, chunks, epoch)
 
     device_arrays = [
         None if mb is None else _batch_arrays(mb, features) for mb in per_device

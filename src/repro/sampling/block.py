@@ -18,6 +18,23 @@ import numpy as np
 from repro.tensor.sparse import SegmentIndex, _is_nondecreasing
 
 
+def sorted_unique(ids: np.ndarray) -> np.ndarray:
+    """``np.unique`` of an int id array, via sort + dedup mask.
+
+    Returns ``ids`` itself when it is already strictly increasing (every
+    sampler frontier after the first layer is).  NumPy 2's hash-based
+    ``np.unique`` is several times slower than a sort at the 10^2–10^4 ids
+    of a block; the results are identical.
+    """
+    if ids.size <= 1 or bool((ids[1:] > ids[:-1]).all()):
+        return ids
+    s = np.sort(ids)
+    keep = np.empty(s.size, dtype=bool)
+    keep[0] = True
+    np.not_equal(s[1:], s[:-1], out=keep[1:])
+    return s[keep]
+
+
 @dataclass
 class Block:
     """One layer's bipartite sampled graph.
@@ -125,18 +142,24 @@ class Block:
 
     @classmethod
     def from_global_edges(
-        cls, edge_src_global: np.ndarray, edge_dst_global: np.ndarray
+        cls,
+        edge_src_global: np.ndarray,
+        edge_dst_global: np.ndarray,
+        dst_nodes: Optional[np.ndarray] = None,
     ) -> "Block":
         """Build a block from global-id edge endpoints.
 
-        Destinations are the unique ``edge_dst_global``; sources are the
-        unique union of both endpoint sets (ensuring destinations appear as
-        sources).  Edges come out sorted by destination.
+        Destinations are the unique ``edge_dst_global`` (pass them as
+        ``dst_nodes`` when the caller already holds them sorted and
+        unique); sources are the unique union of both endpoint sets
+        (ensuring destinations appear as sources).  Edges come out sorted
+        by destination.
         """
         edge_src_global = np.asarray(edge_src_global, dtype=np.int64)
         edge_dst_global = np.asarray(edge_dst_global, dtype=np.int64)
-        dst_nodes = np.unique(edge_dst_global)
-        src_nodes = np.unique(np.concatenate([edge_src_global, dst_nodes]))
+        if dst_nodes is None:
+            dst_nodes = sorted_unique(edge_dst_global)
+        src_nodes = sorted_unique(np.concatenate([edge_src_global, dst_nodes]))
         # One merged lookup serves both the per-edge sources and the
         # dst-within-src positions.
         ne = edge_src_global.shape[0]

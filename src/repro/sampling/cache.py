@@ -1,27 +1,24 @@
-"""Sampled-epoch reuse: a keyed, byte-bounded cache of minibatches.
+"""Sample each global batch once: union sampling and a keyed batch cache.
 
-The counter-based hash sampler makes every sampled epoch a pure function of
-``(global_seed, epoch, fanouts, seeds)`` — yet the engine re-samples
-identical epochs from scratch once per dry-run strategy, once more for the
-access census, and again at every benchmark sweep point.  ``SampleCache``
-memoizes :class:`~repro.sampling.block.MiniBatch` objects under exactly
-that key (the shuffle seed is folded in through the seed arrays
-themselves), with an explicit byte budget and LRU eviction so memory stays
-bounded.
+The counter-based hash sampler makes every draw a pure function of
+``(global_seed, epoch, layer, node, draw)`` — independent of the rest of the
+frontier (``NeighborSampler.per_node_deterministic``).  Two consequences
+are used here, both **bit-identical** to sampling directly (pinned by
+``tests/sampling/test_cache.py``):
 
-Two lookup paths serve a request:
-
-* **exact hit** — the same unique seed set was sampled before under the
-  same ``(graph, sampler type, fanouts, global_seed, epoch)`` scope; the
-  cached batch is returned as-is.
-* **restriction** — some cached batch in the scope covers a *superset* of
-  the requested seeds and the sampler is per-node deterministic
-  (:class:`~repro.sampling.neighbor.NeighborSampler`).  Because every
-  node's draws are independent of the rest of the frontier, the subset's
-  minibatch equals the layerwise restriction of the superset batch to the
-  destinations reachable from the requested seeds — computed with a few
-  gathers instead of a full sampling pass, and **bit-identical** to direct
-  sampling (pinned by ``tests/sampling/test_cache.py``).
+* **union, then restrict** — :func:`sample_device_batches` samples the
+  union of a global batch's per-device seed chunks once and derives each
+  device's minibatch by layerwise *restriction* (:func:`_restrict`: a few
+  gathers per layer instead of a sampling pass).  The serial backend, the
+  process backend's workers and the serve engine all sample through it.
+* **one entry per global batch** — ``SampleCache`` memoizes the union
+  batches under ``(graph, sampler type, fanouts, global_seed, epoch,
+  seeds)`` with an explicit byte budget and LRU eviction.  The engine
+  meets the same batch many times over — the access census, one dry-run
+  per candidate strategy, every planner call, the first training epoch —
+  so a device split is stored on its global batch's entry once that
+  entry is *revisited*, and served from there afterwards; a batch used
+  once (a training epoch past the first) stores none.
 
 The cache is a wall-clock optimization only: callers charge simulated
 sampling time from the returned batch exactly as before, and cached batches
@@ -34,11 +31,11 @@ from __future__ import annotations
 import hashlib
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.sampling.block import Block, MiniBatch
+from repro.sampling.block import Block, MiniBatch, sorted_unique
 
 #: Default byte budget (index arrays only) — a few hundred analog-scale
 #: epochs; real deployments would size this against host memory.
@@ -47,7 +44,13 @@ DEFAULT_MAX_BYTES = 256 * 1024 * 1024
 
 @dataclass
 class SampleCacheStats:
-    """Counters of one cache's lifetime (observability / tests)."""
+    """Counters of one cache's lifetime (observability / tests).
+
+    A global batch looked up is a hit or a miss.  Each device split of a
+    hit is a restriction, or a hit when a stored split is served; the
+    splits of a miss are restricted out of a fresh sample, so the cache
+    served nothing and they are not counted.
+    """
 
     hits: int = 0
     restrictions: int = 0
@@ -70,61 +73,35 @@ class SampleCacheStats:
 #: Budget pools entries can be charged against (see ``SampleCache.sample``).
 CACHE_KINDS = ("train", "eval")
 
-#: Lookup modes folded into the scope key.  Training and evaluation share
-#: one epoch numbering, but serving runs its own epoch-space (one pseudo
-#: epoch per batching window) — keying the scope by mode guarantees a
-#: serving lookup can never alias a training epoch's cached batch even
-#: when the ``(seed, epoch)`` pair collides numerically.
-CACHE_MODES = ("train", "serve")
-
 
 @dataclass
 class _Entry:
     batch: MiniBatch
+    #: bytes of ``batch`` plus every stored split
     nbytes: int
-    scope: Tuple
-    #: sorted unique seeds (== ``batch.seeds``), kept for superset lookup
-    seeds: np.ndarray = field(repr=False, default=None)
+    graph_id: int
     #: budget pool this entry is charged against
     kind: str = "train"
+    #: device splits by seed-set digest, stored on the entry's second use
+    splits: Dict[bytes, MiniBatch] = field(default_factory=dict)
 
 
-def _sorted_unique(a: np.ndarray) -> np.ndarray:
-    """``np.unique`` for int id arrays, via sort + dedup mask.
-
-    Seed chunks are small and usually already duplicate-free, where a plain
-    sort beats the hash-based ``np.unique``; results are identical.
-    """
-    if a.size <= 1 or bool(np.all(a[1:] > a[:-1])):
-        return a
-    s = np.sort(a)
-    keep = np.empty(s.size, dtype=bool)
-    keep[0] = True
-    np.not_equal(s[1:], s[:-1], out=keep[1:])
-    return s[keep]
-
-
-def _restrict(whole: MiniBatch, seeds_u: np.ndarray) -> Optional[MiniBatch]:
+def _restrict(whole: MiniBatch, seeds_u: np.ndarray) -> MiniBatch:
     """Layerwise restriction of ``whole`` to the subset ``seeds_u``.
 
+    ``seeds_u`` must be sorted, unique and contained in ``whole.seeds``.
     Walks the blocks output-to-input: the restricted frontier at each layer
     selects its destinations' complete edge runs out of the parent block
     (edges are dst-sorted, so each destination's in-edges are one
     contiguous slice), and the next frontier is the sorted-unique source
     union — the same construction :meth:`Block.from_global_edges` performs,
-    expressed in parent-local indices.  Returns ``None`` if ``seeds_u``
-    is not covered by ``whole`` (caller falls back to direct sampling).
+    expressed in parent-local indices.
     """
     frontier = seeds_u
     blocks: List[Block] = []
     for wb in reversed(whole.blocks):
         # Positions of the restricted destinations inside the parent block.
         sel = np.searchsorted(wb.dst_nodes, frontier)
-        if sel.size and (
-            sel[-1] >= wb.dst_nodes.size
-            or not np.array_equal(wb.dst_nodes[sel], frontier)
-        ):
-            return None
         ptr = wb.dst_edge_ptr()
         starts = ptr[sel]
         lens = ptr[sel + 1] - starts
@@ -156,19 +133,54 @@ def _restrict(whole: MiniBatch, seeds_u: np.ndarray) -> Optional[MiniBatch]:
     return MiniBatch(seeds=seeds_u, blocks=blocks)
 
 
+def sample_device_batches(
+    sampler,
+    chunks: Sequence[Optional[np.ndarray]],
+    epoch: int,
+    cache: Optional["SampleCache"] = None,
+) -> List[Optional[MiniBatch]]:
+    """Per-device minibatches of one global batch, sampled once.
+
+    ``chunks`` holds one seed array (or ``None``) per device; ``None`` and
+    empty chunks map to ``None``.  The union of the active chunks is
+    sampled in one call — through ``cache`` when given — and each device's
+    minibatch is its restriction, bit-identical to
+    ``sampler.sample(chunk, epoch=epoch)``.  A single active chunk is the
+    union, returned as sampled.  A sampler whose draws depend on the whole
+    frontier (no ``per_node_deterministic``, e.g. LADIES) cannot be
+    restricted and is sampled chunk by chunk.
+    """
+    out: List[Optional[MiniBatch]] = [None] * len(chunks)
+    active = [d for d, c in enumerate(chunks) if c is not None and len(c)]
+    if len(active) > 1 and getattr(sampler, "per_node_deterministic", False):
+        parts = [sorted_unique(np.asarray(chunks[d], dtype=np.int64)) for d in active]
+        if cache is not None:
+            derived = cache._sample_split(sampler, parts, epoch)
+        else:
+            whole = sampler.sample(np.concatenate(parts), epoch=epoch)
+            derived = [_restrict(whole, seeds_u) for seeds_u in parts]
+        for d, mb in zip(active, derived):
+            out[d] = mb
+        return out
+    for d in active:
+        out[d] = (
+            sampler.sample(chunks[d], epoch=epoch)
+            if cache is None
+            else cache.sample(sampler, chunks[d], epoch=epoch)
+        )
+    return out
+
+
 class SampleCache:
-    """LRU cache of sampled minibatches keyed by their pure-function inputs.
+    """LRU cache of sampled global batches keyed by their pure-function inputs.
 
     Parameters
     ----------
     max_bytes:
-        Byte budget over the cached index arrays of **training** batches.
-        Least-recently-used entries are evicted once the budget is
-        exceeded; a batch larger than its whole budget is returned
-        uncached.
-    restrict:
-        Allow deriving subset batches from cached supersets (only ever
-        applied when the sampler declares ``per_node_deterministic``).
+        Byte budget over the cached index arrays of **training** batches
+        (device splits included).  Least-recently-used entries are evicted
+        once the budget is exceeded; a batch larger than its whole budget
+        is returned uncached.
     eval_max_bytes:
         Separate byte budget for ``kind="eval"`` entries (accuracy
         evaluation sweeps a huge pseudo-epoch of batches; giving them
@@ -179,7 +191,6 @@ class SampleCache:
     def __init__(
         self,
         max_bytes: int = DEFAULT_MAX_BYTES,
-        restrict: bool = True,
         eval_max_bytes: Optional[int] = None,
     ):
         if int(max_bytes) <= 0:
@@ -191,13 +202,9 @@ class SampleCache:
                 f"eval_max_bytes must be positive, got {eval_max_bytes}"
             )
         self.max_bytes = int(max_bytes)
-        self.restrict_enabled = bool(restrict)
         self.stats = SampleCacheStats()
         self._budgets = {"train": int(max_bytes), "eval": int(eval_max_bytes)}
         self._entries: "OrderedDict[Tuple, _Entry]" = OrderedDict()
-        #: scope -> entry keys, in insertion order (superset lookup walks
-        #: this newest-first; dead keys are pruned lazily)
-        self._scopes: Dict[Tuple, List[Tuple]] = {}
         #: graph id -> (graph, live entry count).  Holding the reference
         #: keeps ``id()`` from being reused while entries point at it.
         self._graphs: Dict[int, list] = {}
@@ -217,27 +224,8 @@ class SampleCache:
         """Bytes currently charged against the ``kind`` budget pool."""
         return self._kind_bytes[kind]
 
-    def export_keys(self) -> List[Tuple]:
-        """Stable snapshot of the live entry keys (checkpoint metadata).
-
-        The first key component, ``id(graph)``, is process-local, so it is
-        dropped; what remains — sampler type, fanouts, global seed, epoch,
-        seed-set digest (hex), budget pool — identifies each entry across
-        processes.  Entries themselves are never persisted: they are pure
-        functions of these keys and re-fill bit-identically on resume.
-        """
-        out: List[Tuple] = []
-        for key, entry in self._entries.items():
-            _, sampler_type, shape, seed, epoch, mode = key[:-1]
-            out.append(
-                (sampler_type, shape, int(seed), int(epoch), mode,
-                 key[-1].hex(), entry.kind)
-            )
-        return out
-
     def clear(self) -> None:
         self._entries.clear()
-        self._scopes.clear()
         self._graphs.clear()
         self._bytes = 0
         self._kind_bytes = {k: 0 for k in CACHE_KINDS}
@@ -245,7 +233,7 @@ class SampleCache:
 
     # ------------------------------------------------------------------ #
     @staticmethod
-    def _scope_of(sampler, epoch: int, mode: str = "train") -> Tuple:
+    def _key(sampler, epoch: int, seeds_u: np.ndarray) -> Tuple:
         shape = getattr(sampler, "fanouts", None)
         if shape is None:
             shape = getattr(sampler, "layer_budgets", None)
@@ -255,12 +243,8 @@ class SampleCache:
             tuple(shape) if shape is not None else None,
             int(sampler.global_seed),
             int(epoch),
-            mode,
+            _digest(seeds_u),
         )
-
-    @staticmethod
-    def _digest(seeds_u: np.ndarray) -> bytes:
-        return hashlib.blake2b(seeds_u.tobytes(), digest_size=16).digest()
 
     def sample(
         self,
@@ -268,7 +252,6 @@ class SampleCache:
         seeds: np.ndarray,
         epoch: int = 0,
         kind: str = "train",
-        mode: str = "train",
     ) -> MiniBatch:
         """Sampler-compatible entry point: ``sample(sampler, seeds, epoch)``.
 
@@ -276,91 +259,88 @@ class SampleCache:
         ``sampler.sample(seeds, epoch=epoch)`` would.  ``kind`` picks the
         budget pool the inserted entry is charged against — evaluation
         callers pass ``"eval"`` so their one-shot batch sweeps can never
-        evict training entries.  ``mode`` is part of the scope key:
-        serving callers pass ``"serve"`` so their epoch-space can never
-        alias training entries (see :data:`CACHE_MODES`).
+        evict training entries.
         """
         if kind not in CACHE_KINDS:
             raise ValueError(f"kind must be one of {CACHE_KINDS}, got {kind!r}")
-        if mode not in CACHE_MODES:
-            raise ValueError(f"mode must be one of {CACHE_MODES}, got {mode!r}")
-        seeds_u = _sorted_unique(np.asarray(seeds, dtype=np.int64))
-        scope = self._scope_of(sampler, epoch, mode)
-        key = scope + (self._digest(seeds_u),)
+        seeds_u = sorted_unique(np.asarray(seeds, dtype=np.int64))
+        return self._lookup(sampler, seeds_u, epoch, kind)[1]
 
+    def _lookup(
+        self, sampler, seeds_u: np.ndarray, epoch: int, kind: str
+    ) -> Tuple[Optional[_Entry], MiniBatch]:
+        """``(entry, batch)`` for the sorted-unique ``seeds_u``: the entry
+        that was hit, or ``None`` and a freshly sampled (and inserted)
+        batch."""
+        key = self._key(sampler, epoch, seeds_u)
         entry = self._entries.get(key)
         if entry is not None:
             self._entries.move_to_end(key)
             self.stats.hits += 1
-            return entry.batch
+            return entry, entry.batch
+        batch = sampler.sample(seeds_u, epoch=epoch)
+        self.stats.misses += 1
+        self._insert(key, sampler.graph, batch, kind)
+        return None, batch
 
-        batch = None
-        if self.restrict_enabled and getattr(
-            sampler, "per_node_deterministic", False
-        ):
-            parent = self._find_superset(scope, seeds_u)
-            if parent is not None:
-                batch = _restrict(parent.batch, seeds_u)
-        if batch is not None:
-            self.stats.restrictions += 1
-        else:
-            batch = sampler.sample(seeds_u, epoch=epoch)
-            self.stats.misses += 1
-        self._insert(key, scope, sampler.graph, seeds_u, batch, kind)
-        return batch
+    def _sample_split(
+        self, sampler, parts: Sequence[np.ndarray], epoch: int
+    ) -> List[MiniBatch]:
+        """Minibatches of the sorted-unique seed sets ``parts``, each
+        restricted out of one lookup of their union (see
+        :func:`sample_device_batches`).  On a miss the union was sampled
+        fresh: its splits are neither counted nor stored.  On a hit the
+        global batch is being revisited, so each split is served from the
+        entry (a hit) or restricted out of it (a restriction) and stored
+        there, since it will be asked for again."""
+        union = sorted_unique(np.concatenate(parts))
+        entry, whole = self._lookup(sampler, union, epoch, "train")
+        if entry is None:
+            return [_restrict(whole, seeds_u) for seeds_u in parts]
+        out: List[MiniBatch] = []
+        for seeds_u in parts:
+            digest = _digest(seeds_u)
+            mb = entry.splits.get(digest)
+            if mb is not None:
+                self.stats.hits += 1
+            else:
+                mb = _restrict(whole, seeds_u)
+                self.stats.restrictions += 1
+                self._store_split(entry, digest, mb)
+            out.append(mb)
+        return out
 
     # ------------------------------------------------------------------ #
-    def _find_superset(self, scope: Tuple, seeds_u: np.ndarray) -> Optional[_Entry]:
-        keys = self._scopes.get(scope)
-        if not keys:
-            return None
-        live: List[Tuple] = []
-        found: Optional[_Entry] = None
-        for key in keys:
-            entry = self._entries.get(key)
-            if entry is None:
-                continue  # evicted; pruned below
-            live.append(key)
-            if found is not None or entry.seeds.size < seeds_u.size:
-                continue
-            pos = np.searchsorted(entry.seeds, seeds_u)
-            if pos.size == 0 or (
-                pos[-1] < entry.seeds.size
-                and np.array_equal(entry.seeds[pos], seeds_u)
-            ):
-                found = entry
-        if len(live) != len(keys):
-            self._scopes[scope] = live
-        return found
-
-    def _insert(
-        self,
-        key: Tuple,
-        scope: Tuple,
-        graph,
-        seeds_u: np.ndarray,
-        batch: MiniBatch,
-        kind: str,
-    ) -> None:
+    def _insert(self, key: Tuple, graph, batch: MiniBatch, kind: str) -> None:
         nbytes = batch.nbytes()
         if nbytes > self._budgets[kind]:
             return  # larger than this pool's whole budget: serve uncached
         self._entries[key] = _Entry(
-            batch=batch, nbytes=nbytes, scope=scope, seeds=batch.seeds, kind=kind
+            batch=batch, nbytes=nbytes, graph_id=key[0], kind=kind
         )
-        self._scopes.setdefault(scope, []).append(key)
-        gid = scope[0]
-        holder = self._graphs.get(gid)
+        holder = self._graphs.get(key[0])
         if holder is None:
-            self._graphs[gid] = [graph, 1]
+            self._graphs[key[0]] = [graph, 1]
         else:
             holder[1] += 1
+        self._kind_counts[kind] += 1
+        self._charge(kind, nbytes)
+
+    def _store_split(self, entry: _Entry, digest: bytes, mb: MiniBatch) -> None:
+        nbytes = mb.nbytes()
+        if entry.nbytes + nbytes > self._budgets[entry.kind]:
+            return  # the entry alone would outgrow its pool
+        entry.splits[digest] = mb
+        entry.nbytes += nbytes
+        self._charge(entry.kind, nbytes)
+
+    def _charge(self, kind: str, nbytes: int) -> None:
+        """Add ``nbytes`` to ``kind``'s pool, then evict least-recently-used
+        entries *of the same pool* until it fits — eval sweeps stay inside
+        eval_max_bytes and cannot push out training entries (and vice
+        versa).  The newest entry is never evicted by its own charge."""
         self._bytes += nbytes
         self._kind_bytes[kind] += nbytes
-        self._kind_counts[kind] += 1
-        # Evict least-recently-used entries *of the same pool* — eval
-        # sweeps stay inside eval_max_bytes and cannot push out training
-        # entries (and vice versa).
         while (
             self._kind_bytes[kind] > self._budgets[kind]
             and self._kind_counts[kind] > 1
@@ -378,8 +358,12 @@ class SampleCache:
         self._kind_bytes[kind] -= old.nbytes
         self._kind_counts[kind] -= 1
         self.stats.evictions += 1
-        holder = self._graphs.get(old.scope[0])
+        holder = self._graphs.get(old.graph_id)
         if holder is not None:
             holder[1] -= 1
             if holder[1] <= 0:
-                del self._graphs[old.scope[0]]
+                del self._graphs[old.graph_id]
+
+
+def _digest(seeds_u: np.ndarray) -> bytes:
+    return hashlib.blake2b(seeds_u.tobytes(), digest_size=16).digest()

@@ -21,9 +21,9 @@ from typing import List, Sequence
 import numpy as np
 
 from repro.graph.csr import CSRGraph
-from repro.sampling.block import Block, MiniBatch
+from repro.sampling.block import Block, MiniBatch, sorted_unique
 
-_MASK = np.uint64(0xFFFFFFFFFFFFFFFF)
+_MASK64 = 0xFFFFFFFFFFFFFFFF
 _A = np.uint64(0x9E3779B97F4A7C15)
 _B = np.uint64(0xBF58476D1CE4E5B9)
 _C = np.uint64(0x94D049BB133111EB)
@@ -33,11 +33,20 @@ _S31 = np.uint64(31)
 
 
 def _mix64(x: np.ndarray) -> np.ndarray:
-    """Vectorized splitmix64 finalizer over a uint64 array."""
-    x = (x + _A) & _MASK
-    x = ((x ^ (x >> _S30)) * _B) & _MASK
-    x = ((x ^ (x >> _S27)) * _C) & _MASK
+    """Vectorized splitmix64 finalizer over a uint64 array (array
+    arithmetic wraps modulo 2**64 by itself)."""
+    x = x + _A
+    x = (x ^ (x >> _S30)) * _B
+    x = (x ^ (x >> _S27)) * _C
     return x ^ (x >> _S31)
+
+
+def _mix64_int(x: int) -> int:
+    """:func:`_mix64` of one Python int in ``[0, 2**64)``."""
+    x = (x + int(_A)) & _MASK64
+    x = ((x ^ (x >> 30)) * int(_B)) & _MASK64
+    x = ((x ^ (x >> 27)) * int(_C)) & _MASK64
+    return x ^ (x >> 31)
 
 
 @dataclass(frozen=True)
@@ -92,18 +101,15 @@ class NeighborSampler:
         return len(self.fanouts)
 
     def _layer_key(self, epoch: int, layer: int) -> np.uint64:
-        base = np.uint64(self.global_seed & 0xFFFFFFFFFFFFFFFF)
-        with np.errstate(over="ignore"):
-            k = _mix64(np.asarray([base], dtype=np.uint64))[0]
-            k = _mix64(np.asarray([k ^ np.uint64(epoch)], dtype=np.uint64))[0]
-            k = _mix64(np.asarray([k ^ np.uint64(layer)], dtype=np.uint64))[0]
-        return k
+        k = _mix64_int(self.global_seed & _MASK64)
+        k = _mix64_int(k ^ int(epoch))
+        return np.uint64(_mix64_int(k ^ int(layer)))
 
     def _sample_layer(
         self, frontier: np.ndarray, fanout: int, epoch: int, layer: int
     ) -> Block:
         """Sample one layer: ``frontier`` are the destination nodes."""
-        frontier = np.unique(np.asarray(frontier, dtype=np.int64))
+        frontier = sorted_unique(np.asarray(frontier, dtype=np.int64))
         g = self.graph
         starts = g.indptr[frontier]
         degs = g.indptr[frontier + 1] - starts
@@ -126,15 +132,12 @@ class NeighborSampler:
         # --- high-degree nodes draw `fanout` neighbors hash-based ------- #
         samp_nodes = frontier[~full_mask]
         if samp_nodes.size:
-            layer_key = self._layer_key(epoch, layer)
-            with np.errstate(over="ignore"):
-                node_keys = _mix64(samp_nodes.astype(np.uint64) ^ layer_key)
-                draw_ids = np.arange(fanout, dtype=np.uint64)
-                # (n, fanout) grid of independent hashes.
-                vals = _mix64(
-                    (node_keys[:, None] + (draw_ids[None, :] + np.uint64(1)) * _A)
-                    & _MASK
-                )
+            node_keys = _mix64(
+                samp_nodes.astype(np.uint64) ^ self._layer_key(epoch, layer)
+            )
+            draw_ids = np.arange(1, fanout + 1, dtype=np.uint64)
+            # (n, fanout) grid of independent hashes.
+            vals = _mix64(node_keys[:, None] + draw_ids[None, :] * _A)
             samp_degs = degs[~full_mask].astype(np.uint64)
             picks = (vals % samp_degs[:, None]).astype(np.int64)
             samp_starts = starts[~full_mask]
@@ -154,11 +157,13 @@ class NeighborSampler:
         edge_dst = np.concatenate([full_dst, samp_dst])
         # Isolated frontier nodes still need to appear as destinations:
         # give them a degenerate self-edge so downstream shapes line up.
+        # Every frontier node thus has an edge: the destinations are the
+        # frontier itself.
         isolated = frontier[degs == 0]
         if isolated.size:
             edge_src = np.concatenate([edge_src, isolated])
             edge_dst = np.concatenate([edge_dst, isolated])
-        return Block.from_global_edges(edge_src, edge_dst)
+        return Block.from_global_edges(edge_src, edge_dst, dst_nodes=frontier)
 
     # ------------------------------------------------------------------ #
     def sample(self, seeds: np.ndarray, epoch: int = 0) -> MiniBatch:
@@ -166,7 +171,7 @@ class NeighborSampler:
 
         Returns a :class:`MiniBatch` whose ``blocks[0]`` is the input layer.
         """
-        seeds = np.asarray(seeds, dtype=np.int64)
+        seeds = sorted_unique(np.asarray(seeds, dtype=np.int64))
         if seeds.size == 0:
             raise ValueError("cannot sample an empty seed batch")
         blocks: List[Block] = []
@@ -176,7 +181,7 @@ class NeighborSampler:
             blocks.append(block)
             frontier = block.src_nodes
         blocks.reverse()
-        return MiniBatch(seeds=np.unique(seeds), blocks=blocks)
+        return MiniBatch(seeds=seeds, blocks=blocks)
 
     def stats(self, batch: MiniBatch) -> SamplerStats:
         """Workload statistics for a sampled batch."""

@@ -19,9 +19,10 @@ Serving is a discrete-event simulation over a seeded request stream:
    max(ready_time, previous finish)``, and a request's end-to-end latency
    is ``finish - arrival`` (queue wait + service).
 
-Sampled structures are cached under ``mode="serve"`` scope keys
-(:mod:`repro.sampling.cache`), so serving can never alias a training
-epoch's cached batches.  Under the ``"adaptive"`` cache policy a
+Each request batch is sampled once, outside the sample cache
+(:func:`~repro.sampling.cache.sample_device_batches`): the batch index is
+its sampling epoch, so no two batches share a scope and a cache lookup
+could never hit.  Under the ``"adaptive"`` cache policy a
 :class:`~repro.serve.cache.HotnessCache` watches the served feature reads
 and — when the serve-side :class:`~repro.obs.drift.DriftDetector` flags a
 window whose load/sample/shuffle seconds drifted from the calibrated
@@ -40,9 +41,11 @@ import numpy as np
 from repro.config import ServeConfig
 from repro.core.checkpoint import Checkpoint, CheckpointManager
 from repro.engine import make_strategy
+from repro.engine.base import charge_sampling
 from repro.featurestore.store import Tier
 from repro.obs.drift import DriftDetector
 from repro.obs.telemetry import TelemetryCollector
+from repro.sampling.cache import sample_device_batches
 from repro.serve.cache import HotnessCache
 from repro.serve.loadgen import Request
 from repro.serve.queue import BatchingPolicy, RequestBatch, RequestQueue
@@ -148,40 +151,6 @@ class ServeEngine:
     # ------------------------------------------------------------------ #
     # inference
     # ------------------------------------------------------------------ #
-    def _sample(self, seeds_per_device, batch_index: int):
-        """Per-device sampling with serve-scoped cache keys + time charges.
-
-        Mirrors :func:`repro.engine.base.sample_batches` but keys the
-        sample cache with ``mode="serve"`` (and the batch index as the
-        epoch) so serving lookups can never alias training epochs.
-        """
-        ctx = self.ctx
-        batches = []
-        for d, seeds in enumerate(seeds_per_device):
-            if seeds is None:
-                batches.append(None)
-                continue
-            if ctx.sample_cache is not None:
-                mb = ctx.sample_cache.sample(
-                    ctx.sampler,
-                    seeds,
-                    epoch=batch_index,
-                    kind="eval",
-                    mode="serve",
-                )
-            else:
-                mb = ctx.sampler.sample(seeds, epoch=batch_index)
-            batches.append(mb)
-        for d, mb in enumerate(batches):
-            if mb is None:
-                continue
-            if ctx.cpu_sampling:
-                ctx.charger.cpu_sampling(d, mb.total_edges())
-            else:
-                ctx.charger.gpu_sampling(d, mb.total_edges())
-            ctx.count("sampled_edges", mb.total_edges(), device=d, phase="sample")
-        return batches
-
     def _infer(self, nodes: np.ndarray, batch_index: int) -> Dict[int, int]:
         """One forward-only strategy step; returns ``{node: prediction}``.
 
@@ -193,10 +162,12 @@ class ServeEngine:
         ctx = self.ctx
         unique_nodes = np.unique(np.asarray(nodes, dtype=np.int64))
         seeds = self.strategy.assign_seeds(ctx, unique_nodes)
-        batches = self._sample(seeds, batch_index)
-        # The batch index doubles as the sampling epoch (as in _sample), so
-        # a layerwise strategy's regrouped upper blocks reproduce exactly
-        # the per-node-deterministic draws this batch sampled.
+        # One sampling pass per request batch, outside the sample cache:
+        # each batch is its own epoch (its index), so no lookup could hit.
+        # The same epoch lets a layerwise strategy's regrouped upper blocks
+        # reproduce exactly the per-node-deterministic draws sampled here.
+        batches = sample_device_batches(ctx.sampler, seeds, batch_index)
+        charge_sampling(ctx, batches)
         plan = self.strategy.plan_batch(ctx, batches, batch_index)
         predictions: Dict[int, int] = {}
         with no_grad():
@@ -228,7 +199,18 @@ class ServeEngine:
         ]
 
     def serve(self, requests: Sequence[Request]) -> ServeReport:
-        """Answer a request stream; returns the session's ServeReport."""
+        """Answer a request stream; returns the session's ServeReport.
+
+        Raises ``ValueError`` naming the first request whose node id lies
+        outside ``[0, num_nodes)``; nothing is served then.
+        """
+        num_nodes = self.apt.dataset.num_nodes
+        for req in requests:
+            if not 0 <= req.node < num_nodes:
+                raise ValueError(
+                    f"request {req.request_id}: node {req.node} is not in "
+                    f"[0, {num_nodes})"
+                )
         ctx = self.ctx
         batches = self.queue.form_batches(requests)
         cfg = self.config

@@ -310,3 +310,30 @@ def test_coarsening_runs_once_per_graph_and_seed(monkeypatch):
         apt.context.parts,
         metis_like_partition(big.graph, 2, seed=apt.config.seed),
     )
+
+
+def test_serial_epoch_samples_each_global_batch_once(ds, monkeypatch):
+    """On the serial backend a training epoch makes one sampler call per
+    global batch — the union of its device chunks — not one per chunk;
+    epoch 0's batches are the census's, so it makes none."""
+    from repro.config import APTConfig
+    from repro.core import APT
+
+    cluster = single_machine_cluster(4, gpu_cache_bytes=ds.feature_bytes * 0.05)
+    model = GraphSAGE(ds.feature_dim, 8, ds.num_classes, 2, seed=1)
+    apt = APT(ds, model, cluster, APTConfig(
+        fanouts=tuple(FANOUTS), global_batch_size=BATCH, seed=0,
+        execution_backend="serial",
+    ))
+    apt.access_freq  # the census: every epoch-0 batch sampled and cached
+    calls = []
+    real_sample = NeighborSampler.sample
+
+    def counting_sample(self, seeds, epoch=0):
+        calls.append(epoch)
+        return real_sample(self, seeds, epoch=epoch)
+
+    monkeypatch.setattr(NeighborSampler, "sample", counting_sample)
+    apt.run_strategy("dnp", 3)
+    num_batches = len(EpochIterator(ds.train_seeds, BATCH, 0).epoch_batches(0))
+    assert calls == [1] * num_batches + [2] * num_batches

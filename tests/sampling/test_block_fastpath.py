@@ -58,6 +58,18 @@ def test_matches_old_construction(n_edges, id_space, dst_sorted):
     )
 
 
+@pytest.mark.parametrize("dst_sorted", [False, True], ids=["unsorted", "dst-sorted"])
+def test_given_dst_nodes_match_old_construction(dst_sorted):
+    """Samplers pass their frontier as ``dst_nodes`` (it is exactly the
+    sorted-unique destination set); the block must not change."""
+    rng = np.random.default_rng(7)
+    src, dst = random_edges(rng, 600, 90, dst_sorted)
+    assert_blocks_equal(
+        Block.from_global_edges(src, dst, dst_nodes=np.unique(dst)),
+        old_from_global_edges(src, dst),
+    )
+
+
 def test_stable_tie_order_preserved():
     """Parallel edges to the same dst must keep their input order (the old
     stable argsort guaranteed this; the sorted-input skip must too)."""

@@ -1,17 +1,18 @@
-"""Tests for sampled-epoch reuse (:mod:`repro.sampling.cache`).
+"""Tests for sample-once reuse (:mod:`repro.sampling.cache`).
 
-The cache's contract is strict: every batch it returns — exact hit,
-superset restriction, or fresh miss — must be **bit-identical** to what
-``sampler.sample(seeds, epoch=epoch)`` would have produced.  These tests
-pin that contract, the LRU byte budget, and the scope isolation of the
-cache key.
+The contract is strict: every batch returned — exact hit, restriction of
+a global batch, stored split, or fresh miss — must be **bit-identical** to
+what ``sampler.sample(seeds, epoch=epoch)`` would have produced.  These
+tests pin that contract, the second-use rule for device splits, the LRU
+byte budget, and the scope isolation of the cache key.
 """
 
 import numpy as np
 import pytest
 
 from repro.sampling import LayerWiseSampler, NeighborSampler
-from repro.sampling.cache import SampleCache, _sorted_unique
+from repro.sampling.block import sorted_unique as _sorted_unique
+from repro.sampling.cache import SampleCache, sample_device_batches
 
 
 @pytest.fixture(scope="module")
@@ -57,21 +58,24 @@ class TestLookupPaths:
         )
 
     def test_restriction_bitwise_equals_direct_sampling(self, sampler):
-        """A subset derived from a cached superset == sampling it directly."""
-        cache = SampleCache()
+        """Each device split restricted out of one union sample == sampling
+        that chunk directly, with and without a cache."""
         whole = np.arange(0, 600, 3)
-        cache.sample(sampler, whole, epoch=2)
         rng = np.random.default_rng(0)
-        for k in (1, 7, 60, whole.size):
-            subset = rng.choice(whole, size=k, replace=False)
-            restricted = cache.sample(sampler, subset, epoch=2)
-            assert_batches_identical(
-                restricted, sampler.sample(np.unique(subset), epoch=2)
-            )
-        assert cache.stats.misses == 1
-        # the full seed set round-trips as a hit, not a restriction
-        assert cache.stats.hits == 1
-        assert cache.stats.restrictions == 3
+        for cut in ([1], [7, 60], [whole.size - 1], [5, 6, 150]):
+            order = rng.permutation(whole)
+            chunks = np.split(order, cut)
+            cache = SampleCache()
+            for got in (
+                sample_device_batches(sampler, chunks, 2),
+                sample_device_batches(sampler, chunks, 2, cache),
+            ):
+                for chunk, mb in zip(chunks, got):
+                    assert_batches_identical(mb, sampler.sample(chunk, epoch=2))
+            # the union is one lookup (a miss); its splits are not counted
+            assert cache.stats.to_dict() == {
+                "hits": 0, "restrictions": 0, "misses": 1, "evictions": 0,
+            }
 
     def test_no_restriction_for_layerwise_sampler(self, graph):
         """LADIES draws depend on the whole frontier — restriction is unsound
@@ -207,3 +211,149 @@ class TestKindBudgets:
     def test_rejects_nonpositive_eval_budget(self):
         with pytest.raises(ValueError):
             SampleCache(max_bytes=1024, eval_max_bytes=-1)
+
+
+def split_evenly(seeds, n):
+    return np.array_split(np.asarray(seeds, dtype=np.int64), n)
+
+
+class TestDeviceBatches:
+    """``sample_device_batches``: one union sample per global batch."""
+
+    def test_matches_per_chunk_sampling_over_random_splits(self, sampler):
+        rng = np.random.default_rng(3)
+        for trial in range(20):
+            seeds = rng.choice(800, size=int(rng.integers(2, 300)), replace=False)
+            cuts = np.sort(rng.choice(np.arange(1, seeds.size), size=min(
+                int(rng.integers(1, 8)), seeds.size - 1), replace=False))
+            chunks = np.split(seeds, cuts)
+            epoch = int(rng.integers(0, 50))
+            for cache in (None, SampleCache()):
+                got = sample_device_batches(sampler, chunks, epoch, cache)
+                for chunk, mb in zip(chunks, got):
+                    assert_batches_identical(mb, sampler.sample(chunk, epoch=epoch))
+
+    def test_none_and_empty_chunks_map_to_none(self, sampler):
+        empty = np.array([], dtype=np.int64)
+        chunks = [None, np.arange(10, 30), empty, np.arange(40, 45), None]
+        for cache in (None, SampleCache()):
+            got = sample_device_batches(sampler, chunks, 1, cache)
+            assert [mb is None for mb in got] == [True, False, True, False, True]
+            assert_batches_identical(got[1], sampler.sample(chunks[1], epoch=1))
+            assert_batches_identical(got[3], sampler.sample(chunks[3], epoch=1))
+        assert sample_device_batches(sampler, [None, empty], 0) == [None, None]
+        assert sample_device_batches(sampler, [], 0) == []
+
+    def test_duplicate_seeds_within_and_across_chunks(self, sampler):
+        chunks = [np.array([9, 3, 9, 40]), np.array([40, 41, 3]), np.array([7, 7])]
+        for cache in (None, SampleCache()):
+            got = sample_device_batches(sampler, chunks, 4, cache)
+            for chunk, mb in zip(chunks, got):
+                assert_batches_identical(mb, sampler.sample(chunk, epoch=4))
+
+    def test_one_sampler_call_per_global_batch(self, sampler, monkeypatch):
+        calls = []
+        real = NeighborSampler.sample
+
+        def counting(self, seeds, epoch=0):
+            calls.append(np.asarray(seeds).size)
+            return real(self, seeds, epoch=epoch)
+
+        monkeypatch.setattr(NeighborSampler, "sample", counting)
+        chunks = split_evenly(np.arange(0, 400, 2), 4)
+        sample_device_batches(sampler, chunks, 0)
+        sample_device_batches(sampler, chunks, 0, SampleCache())
+        assert calls == [200, 200]
+
+    def test_single_active_chunk_is_the_union(self, sampler):
+        chunk = np.array([31, 5, 17])
+        cache = SampleCache()
+        got = sample_device_batches(sampler, [None, chunk, None], 3, cache)
+        assert_batches_identical(got[1], sampler.sample(chunk, epoch=3))
+        assert cache.stats.to_dict() == {
+            "hits": 0, "restrictions": 0, "misses": 1, "evictions": 0,
+        }
+        # it is the cached global batch itself, not a restriction of it
+        assert cache.sample(sampler, chunk, epoch=3) is got[1]
+
+    def test_layerwise_sampler_sampled_chunk_by_chunk(self, graph):
+        lw = LayerWiseSampler(graph, layer_budgets=[30, 20], global_seed=5)
+        chunks = split_evenly(np.arange(120), 3)
+        cache = SampleCache()
+        for got in (
+            sample_device_batches(lw, chunks, 0),
+            sample_device_batches(lw, chunks, 0, cache),
+        ):
+            for chunk, mb in zip(chunks, got):
+                assert_batches_identical(mb, lw.sample(chunk, epoch=0))
+        assert cache.stats.misses == 3 and cache.stats.restrictions == 0
+
+
+class TestSecondUse:
+    """Device splits are stored on a global batch's entry only once that
+    entry is revisited, charged to it, and evicted with it."""
+
+    def test_first_use_stores_nothing_second_use_stores(self, sampler):
+        seeds = np.arange(0, 500, 5)
+        chunks = split_evenly(seeds, 4)
+        union_bytes = sampler.sample(seeds, epoch=0).nbytes()
+        cache = SampleCache()
+        first = sample_device_batches(sampler, chunks, 0, cache)
+        assert len(cache) == 1 and cache.current_bytes == union_bytes
+        # a miss: the splits come from the fresh sample, none is counted
+        assert cache.stats.to_dict() == {
+            "hits": 0, "restrictions": 0, "misses": 1, "evictions": 0,
+        }
+        second = sample_device_batches(sampler, chunks, 0, cache)
+        assert all(a is not b for a, b in zip(first, second))
+        assert cache.current_bytes == union_bytes + sum(
+            mb.nbytes() for mb in second
+        )
+        third = sample_device_batches(sampler, chunks, 0, cache)
+        assert all(a is b for a, b in zip(second, third))
+        assert len(cache) == 1
+        assert cache.stats.to_dict() == {
+            # lookups: miss, hit, hit; splits: none counted on the miss,
+            # 4 restrictions on the first hit, 4 stored hits on the second
+            "hits": 2 + 4, "restrictions": 4, "misses": 1, "evictions": 0,
+        }
+        for chunk, mb in zip(chunks, third):
+            assert_batches_identical(mb, sampler.sample(chunk, epoch=0))
+
+    def test_second_use_of_a_census_entry_stores_splits(self, sampler):
+        seeds = np.arange(0, 300, 3)
+        chunks = split_evenly(seeds, 3)
+        cache = SampleCache()
+        cache.sample(sampler, seeds, epoch=0)  # the census pass
+        planned = sample_device_batches(sampler, chunks, 0, cache)
+        trained = sample_device_batches(sampler, chunks, 0, cache)
+        assert all(a is b for a, b in zip(planned, trained))
+        assert cache.stats.misses == 1 and cache.stats.restrictions == 3
+
+    def test_split_bytes_stay_within_budget_under_eviction(self, sampler):
+        probe = SampleCache()
+        seeds = np.arange(0, 400, 4)
+        chunks = split_evenly(seeds, 4)
+        probe.sample(sampler, seeds, epoch=0)
+        full = probe.current_bytes + sum(
+            mb.nbytes() for mb in sample_device_batches(sampler, chunks, 0, probe)
+        )
+        cache = SampleCache(max_bytes=int(2.5 * full))
+        for epoch in range(8):
+            for _ in range(3):
+                sample_device_batches(sampler, chunks, epoch, cache)
+                assert cache.current_bytes <= cache.max_bytes
+                assert cache.current_bytes == cache.bytes_of("train")
+        assert cache.stats.evictions > 0
+        assert len(cache) <= 2
+
+    def test_split_that_would_outgrow_the_pool_is_not_stored(self, sampler):
+        seeds = np.arange(0, 400, 4)
+        chunks = split_evenly(seeds, 4)
+        union_bytes = SampleCache().sample(sampler, seeds).nbytes()
+        cache = SampleCache(max_bytes=union_bytes + 8)
+        for _ in range(3):
+            got = sample_device_batches(sampler, chunks, 0, cache)
+            assert cache.current_bytes == union_bytes
+        for chunk, mb in zip(chunks, got):
+            assert_batches_identical(mb, sampler.sample(chunk, epoch=0))

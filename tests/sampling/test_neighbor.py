@@ -147,3 +147,24 @@ class TestDeterminism:
         st = s.stats(mb)
         assert st.edges_sampled == mb.total_edges()
         assert st.frontier_size == mb.input_nodes.shape[0]
+
+
+def reference_layer_key(global_seed, epoch, layer):
+    """The array formulation the Python-int layer key replaced."""
+    from repro.sampling.neighbor import _mix64
+
+    with np.errstate(over="ignore"):
+        k = _mix64(np.asarray([np.uint64(global_seed & 0xFFFFFFFFFFFFFFFF)]))[0]
+        k = _mix64(np.asarray([k ^ np.uint64(epoch)], dtype=np.uint64))[0]
+        k = _mix64(np.asarray([k ^ np.uint64(layer)], dtype=np.uint64))[0]
+    return k
+
+
+@pytest.mark.parametrize("global_seed", [0, 1, 7, 2**40 + 3, 2**64 - 1])
+def test_layer_key_matches_array_hash(dataset, global_seed):
+    s = NeighborSampler(dataset.graph, [3], global_seed=global_seed)
+    for epoch in (0, 1, 499, 10_000, 2**33):
+        for layer in range(4):
+            got = s._layer_key(epoch, layer)
+            assert isinstance(got, np.uint64)
+            assert got == reference_layer_key(global_seed, epoch, layer)

@@ -7,7 +7,8 @@
   bit-identical predictions;
 * the latency-objective planner ranks strategies exactly by the cost
   model's predicted p99, and seeds the engine when nothing pins one;
-* serving sample-cache entries never alias training entries (mode key).
+* each request batch is sampled once, outside the sample cache;
+* request node ids outside the graph are refused up front.
 """
 
 import numpy as np
@@ -16,18 +17,19 @@ import pytest
 from repro.cluster import single_machine_cluster
 from repro.config import APTConfig, ServeConfig
 from repro.core import APT
+from repro.graph import ps_like
 from repro.models import GraphSAGE
 from repro.sampling import NeighborSampler
-from repro.sampling.cache import SampleCache
 from repro.serve import LoadGenerator, ServeEngine
+from repro.serve.loadgen import Request
 
 STRATEGIES = ("gdp", "nfp", "snp", "dnp")
 
 
-def build_apt(dataset, checkpoint_dir=None):
+def build_apt(dataset, checkpoint_dir=None, devices=2):
     model = GraphSAGE(dataset.feature_dim, 8, dataset.num_classes, 2, seed=1)
     cluster = single_machine_cluster(
-        2, gpu_cache_bytes=dataset.feature_bytes * 0.06
+        devices, gpu_cache_bytes=dataset.feature_bytes * 0.06
     )
     cfg = APTConfig(
         fanouts=(4, 4),
@@ -186,25 +188,72 @@ class TestLatencyPlanner:
         assert report.predicted == engine.predicted
 
 
-class TestServeModeIsolation:
-    def test_serve_entries_never_alias_training(self, tiny_dataset):
-        sampler = NeighborSampler(
-            tiny_dataset.graph, fanouts=[4, 4], global_seed=0
+class TestServeSampling:
+    def test_one_sampler_call_per_request_batch_outside_the_cache(
+        self, tiny_dataset, gdp_checkpoint, monkeypatch
+    ):
+        apt = build_apt(tiny_dataset)
+        engine = ServeEngine(
+            apt,
+            config=ServeConfig(max_batch_size=16, max_wait_s=0.002),
+            checkpoint_dir=gdp_checkpoint,
         )
-        cache = SampleCache()
-        seeds = np.arange(32, dtype=np.int64)
-        cache.sample(sampler, seeds, epoch=0, kind="train", mode="train")
-        # Identical sampler/seeds/epoch under serve mode: a distinct entry.
-        cache.sample(sampler, seeds, epoch=0, kind="eval", mode="serve")
-        assert cache.stats.misses == 2
-        cache.sample(sampler, seeds, epoch=0, kind="eval", mode="serve")
-        assert cache.stats.hits == 1
+        cache = apt.sample_cache
+        stats, entries = cache.stats.to_dict(), len(cache)
+        calls = []
+        real = NeighborSampler.sample
 
-    def test_mode_validated(self, tiny_dataset):
-        sampler = NeighborSampler(
-            tiny_dataset.graph, fanouts=[4, 4], global_seed=0
+        def counting(self, seeds, epoch=0):
+            calls.append(epoch)
+            return real(self, seeds, epoch=epoch)
+
+        monkeypatch.setattr(NeighborSampler, "sample", counting)
+        report = engine.serve(stream(tiny_dataset, n=64))
+        # one union sample per batch, the batch index as its epoch
+        assert calls == list(range(report.num_batches))
+        assert cache.stats.to_dict() == stats and len(cache) == entries
+
+
+@pytest.fixture(scope="module")
+def small_graph():
+    return ps_like(500, seed=0)
+
+
+class TestRequestValidation:
+    """Every request node must lie in ``[0, num_nodes)``: before the check,
+    gdp answered node -3 from node 497's wrapped neighbourhood, node -1
+    failed inside numpy and node 500 inside the sampler, and snp raised a
+    KeyError from its routing."""
+
+    @pytest.mark.parametrize(
+        "strategy,node",
+        [("gdp", -3), ("gdp", -1), ("gdp", 500), ("snp", -3)],
+    )
+    def test_out_of_range_node_is_refused(self, small_graph, strategy, node):
+        engine = ServeEngine(
+            build_apt(small_graph, devices=4),
+            config=ServeConfig(max_batch_size=8, max_wait_s=0.002),
+            strategy=strategy,
         )
-        with pytest.raises(ValueError, match="mode"):
-            SampleCache().sample(
-                sampler, np.arange(4), epoch=0, mode="inference"
-            )
+        requests = [
+            Request(request_id=i, node=n, arrival=0.001 * i)
+            for i, n in enumerate([4, 17, node, 250])
+        ]
+        with pytest.raises(ValueError) as err:
+            engine.serve(requests)
+        message = str(err.value)
+        assert "request 2" in message
+        assert f"node {node}" in message
+        assert "[0, 500)" in message
+
+    def test_in_range_edges_are_served(self, small_graph):
+        engine = ServeEngine(
+            build_apt(small_graph, devices=4),
+            config=ServeConfig(max_batch_size=8, max_wait_s=0.002),
+            strategy="gdp",
+        )
+        report = engine.serve(
+            [Request(request_id=0, node=0, arrival=0.0),
+             Request(request_id=1, node=499, arrival=0.0005)]
+        )
+        assert [r.node for r in report.responses] == [0, 499]
