@@ -43,9 +43,7 @@ def main() -> None:
     apt = APT(dataset, model, cluster, APTConfig(fanouts=(5, 5), global_batch_size=512, seed=0))
     apt.prepare()
     report = apt.plan()
-    print("\ncost-model estimates (seconds per epoch, strategy-specific):")
-    print(report.summary())
-    print(f"\nAPT selects: {report.chosen}")
+    print("\n" + report.summary())
 
     # --- Adapt + Run ------------------------------------------------------ #
     result = apt.run(num_epochs=8, lr=5e-3)

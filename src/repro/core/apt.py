@@ -372,7 +372,18 @@ class APT:
         ``max_wait_s`` (DESIGN.md §5.13).  Its plan seeds
         :class:`~repro.serve.engine.ServeEngine` and is not kept as
         :attr:`plan_report`, which is what :meth:`run` adopts.
+
+        A budget the objective does not read raises ``ValueError``.
         """
+        for budget, value, reader in (
+            ("budget_seconds", budget_seconds, "cost"),
+            ("budget_dollars", budget_dollars, "epoch"),
+        ):
+            if value is not None and objective != reader:
+                raise ValueError(
+                    f"{budget} applies to objective={reader!r} only, "
+                    f"not {objective!r}"
+                )
         self.config.validate()
         ctx = self.context
         strategies = tuple(strategies if strategies is not None else self.config.strategies)
@@ -498,6 +509,8 @@ class APT:
         DESIGN.md §5.11).  ``name=None`` is allowed only with ``resume``:
         it continues under the strategy the checkpointed run was given.
         """
+        if num_epochs < 1:
+            raise ValueError(f"num_epochs must be >= 1, got {num_epochs}")
         if name is None:
             if resume is None:
                 raise ValueError("a strategy name is required unless resuming")

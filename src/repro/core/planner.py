@@ -77,9 +77,63 @@ class PlanReport:
     #: device-subset metadata per candidate name: which machine was
     #: dropped and the resulting cluster shape / $-rate (subset sweep only)
     subsets: Dict[str, dict] = field(default_factory=dict)
+    #: the batching policy ``"<max_batch>:<max_wait_ms>"`` the latency
+    #: objective scored (``None`` for the other objectives)
+    policy: Optional[str] = None
+    #: beam width of the layerwise search that produced this plan
+    #: (``None``: a fixed candidate set was ranked)
+    beam_width: Optional[int] = None
 
     def summary(self) -> str:
-        """Human-readable table of per-strategy estimates."""
+        """Human-readable plan: what was ranked, the per-candidate
+        estimates (``*`` marks the choice), the (time, $) Pareto frontier,
+        the per-layer assignments and the selected candidate."""
+        if self.objective == "latency":
+            ranked = (
+                "predicted per-request serving latency at policy "
+                f"{self.policy}"
+            )
+        elif self.beam_width is not None:
+            ranked = (
+                "beam-searched per-layer compositions + single strategies, "
+                "seconds per epoch"
+            )
+        elif self.objective == "cost":
+            ranked = (
+                "two-objective: epoch seconds and dollars per epoch, "
+                "cheapest first"
+            )
+        else:
+            ranked = "strategy-specific seconds per epoch"
+        lines = [f"cost-model estimates ({ranked}):", self._table()]
+        if self.objective == "cost" and self.pareto:
+            lines += ["", "(time, $) Pareto frontier, fastest first:"]
+            for name in self.pareto:
+                e = self.estimates[name]
+                note = ""
+                meta = self.subsets.get(name)
+                if meta is not None:
+                    note = (
+                        f"  [drops machine {meta['dropped_machine']}: "
+                        f"{meta['devices']} device(s) left]"
+                    )
+                lines.append(
+                    f"  {name}: {e.total:.4f}s  ${e.dollars:.3e}/epoch{note}"
+                )
+        if self.layer_assignments:
+            lines += ["", "per-layer assignments:"]
+            for name in self.ranking:
+                if name in self.layer_assignments:
+                    layers = " -> ".join(self.layer_assignments[name])
+                    nbytes = self.relayout_bytes.get(name, 0.0)
+                    lines.append(
+                        f"  {name}: {layers} (re-layout {nbytes / 1e3:.1f} KB)"
+                    )
+        lines += ["", f"APT selects: {self.chosen}"]
+        return "\n".join(lines)
+
+    def _table(self) -> str:
+        """Per-candidate estimate columns of the plan's objective."""
         width = max(10, max((len(n) for n in self.ranking), default=0) + 2)
         if self.objective == "latency":
             lines = [
@@ -225,6 +279,11 @@ class Planner:
             pareto=pareto,
             budget_seconds=budget_seconds,
             budget_dollars=budget_dollars,
+            policy=(
+                f"{batch_size}:{max_wait_s * 1e3:g}"
+                if objective == "latency"
+                else None
+            ),
         )
 
     # ------------------------------------------------------------------ #
@@ -293,4 +352,6 @@ class Planner:
             key, stats = stats_for(key)
             if stats is not None:
                 stats_map[spec_string(key)] = stats
-        return self.select(stats_map)
+        report = self.select(stats_map)
+        report.beam_width = beam_width
+        return report

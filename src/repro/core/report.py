@@ -13,10 +13,11 @@ nests them all:
 * ``config``    — the :class:`~repro.config.APTConfig` snapshot.
 
 For source compatibility the report *delegates* the frequently used
-attributes of both legacy types (``chosen``, ``ranking``, ``estimates``,
-``summary()`` / ``strategy``, ``epochs``, ``epoch_seconds``, ...), raising
-a descriptive error when the nested part is absent — so pre-redesign call
-sites keep working unchanged.
+attributes of both legacy types (``chosen``, ``ranking``, ``estimates`` /
+``strategy``, ``epochs``, ``epoch_seconds``, ...), raising a descriptive
+error when the nested part is absent — so pre-redesign call sites keep
+working unchanged.  ``summary()`` renders every section the report holds
+as text; ``to_json()`` is the same report for machines.
 
 :class:`ReportBase` is the serialization surface every public report
 shares: ``to_dict()`` wraps the subclass payload in a schema-versioned
@@ -229,8 +230,96 @@ class RunReport(ReportBase):
         return self._require("plan").estimates
 
     def summary(self) -> str:
-        """Human-readable planner table (PlanReport delegation)."""
-        return self._require("plan").summary()
+        """Human-readable report of every section it holds: the plan
+        (:meth:`PlanReport.summary`), then the run — epochs, breakdown,
+        per-device utilization, layerwise re-layout traffic, the disk
+        tier, re-plans and membership events."""
+        parts = []
+        if self.plan is not None:
+            parts.append(self.plan.summary())
+        if self.result is not None:
+            parts.append(self._result_text())
+        return "\n\n".join(parts)
+
+    def _result_text(self) -> str:
+        result = self.result
+        lines = [f"ran {len(result.epochs)} epoch(s) with {result.strategy}:"]
+        for e in result.epochs:
+            lines.append(
+                f"  epoch {e.epoch}: loss={e.mean_loss:.4f} "
+                f"simulated={e.wall_seconds * 1e3:.3f} ms "
+                f"({e.num_batches} batches, {e.strategy})"
+            )
+        breakdown = {k: f"{v * 1e3:.3f}ms" for k, v in result.breakdown.items()}
+        lines.append(f"breakdown: {breakdown}")
+        devices = result.timeline.utilization()
+        scope = " of the last trainer segment" if len(result.timelines) > 1 else ""
+        lines.append(
+            f"per-device utilization{scope} "
+            f"(wall {devices['wall_seconds'] * 1e3:.3f} ms):"
+        )
+        for d, (busy, util) in enumerate(
+            zip(devices["busy_seconds"], devices["utilization"])
+        ):
+            lines.append(f"  device {d}: busy {busy * 1e3:.3f} ms ({util:.1%})")
+        lines.append(
+            f"max/min busy imbalance ratio: {devices['imbalance_ratio']:.3f}"
+        )
+        if result.strategy.startswith("layerwise:"):
+            layers = result.strategy[len("layerwise:"):].split(",")
+            per_layer = sorted(result.recorder.relayout_layer_bytes.items())
+            detail = ", ".join(
+                f"layer {layer}: {nbytes / 1e3:.1f} KB"
+                for layer, nbytes in per_layer
+            )
+            lines.append("per-layer strategies: " + " -> ".join(layers))
+            lines.append(
+                "re-layout traffic: "
+                f"{result.recorder.total_relayout_bytes() / 1e3:.1f} KB total "
+                f"({detail or 'all re-layouts device-local'})"
+            )
+        disk = result.disk
+        if disk is not None:
+            lines.append(
+                f"disk tier: {disk['rows']:.0f} rows "
+                f"({disk['bytes'] / 2**20:.1f} MiB) in "
+                f"{disk['ranged_reads']:.0f} ranged reads; "
+                f"{disk['promotions']:.0f} rows promoted over "
+                f"{disk['refreshes']:.0f} refreshes "
+                f"({disk['resident_rows']} resident)"
+            )
+        for rp in self.replans:
+            verb = "switched to" if rp.switched else "re-planned, stayed on"
+            lines.append(
+                f"re-plan after epoch {rp.epoch}: drift {rp.drift.max_abs:.2f} "
+                f"on {rp.drift.worst_term}; {verb} {rp.new_strategy}"
+            )
+        events = self.collector.events if self.collector is not None else ()
+        for ev in events:
+            if ev.kind in ("host_leave", "host_join"):
+                verb = "left" if ev.kind == "host_leave" else "joined"
+                machine = ev.data.get("machine")
+                who = f"machine {machine}" if machine is not None else "a machine"
+                cls = ev.data.get("device_class")
+                if cls is not None:
+                    who += f" ({cls})"
+                lines.append(
+                    f"{who} {verb} at epoch {ev.epoch}: "
+                    f"{ev.data.get('devices_before')} -> "
+                    f"{ev.data.get('devices_after')} devices"
+                )
+            elif ev.kind == "repartition":
+                lines.append(
+                    f"re-partitioned ({ev.data.get('mode')}) for "
+                    f"{ev.data.get('devices_after')} devices at epoch "
+                    f"{ev.epoch}"
+                )
+            elif ev.kind == "elastic_replan" and ev.data.get("switched"):
+                lines.append(
+                    f"elastic re-plan at epoch {ev.epoch}: switched "
+                    f"{ev.data.get('old')} -> {ev.data.get('chosen')}"
+                )
+        return "\n".join(lines)
 
     # ------------------------------------------------------------------ #
     # delegation: APTRunResult surface
@@ -316,12 +405,17 @@ class RunReport(ReportBase):
                         "strategy": e.strategy,
                         "mean_loss": e.mean_loss,
                         "wall_seconds": e.wall_seconds,
-                        "num_batches": e.num_batches,
+                            "num_batches": e.num_batches,
                         "phases": dict(e.phases),
                     }
                     for e in self.result.epochs
                 ],
+                # the last trainer segment's ledger: segments may differ
+                # in device count
+                "devices": self.result.timeline.utilization(),
             }
+            if self.result.disk is not None:
+                out["result"]["disk"] = dict(self.result.disk)
             if self.result.strategy.startswith("layerwise:"):
                 out["result"]["layer_assignment"] = self.result.strategy[
                     len("layerwise:") :

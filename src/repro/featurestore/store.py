@@ -227,7 +227,7 @@ class UnifiedFeatureStore:
         self._promote_capacity = 0
         self._promote_every = 0
         self._disk_classify_calls = 0
-        #: cumulative disk-tier counters (telemetry / `repro trace`)
+        #: cumulative disk-tier counters (telemetry / `repro run`)
         self.disk_stats: Dict[str, float] = {
             "rows": 0.0,
             "bytes": 0.0,

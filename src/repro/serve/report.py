@@ -87,6 +87,25 @@ class ServeReport(ReportBase):
             )
         return h.hexdigest()
 
+    def summary(self) -> str:
+        """Human-readable session report: latency and service percentiles,
+        throughput, cache hits, re-plans and the responses digest."""
+        lat, svc, cfg = self.latency, self.service, self.config
+        policy = f"{cfg['max_batch_size']}:{cfg['max_wait_s'] * 1e3:g}"
+        return "\n".join([
+            f"served {self.num_requests} requests in {self.num_batches} "
+            f"batches with {self.strategy} (policy {policy}, "
+            f"cache {cfg['cache_policy']}):",
+            f"  latency  p50={lat['p50'] * 1e3:.3f}ms "
+            f"p90={lat['p90'] * 1e3:.3f}ms p99={lat['p99'] * 1e3:.3f}ms",
+            f"  service  p50={svc['p50'] * 1e3:.3f}ms "
+            f"p99={svc['p99'] * 1e3:.3f}ms; "
+            f"throughput {self.throughput_rps:.0f} req/s (simulated)",
+            f"  cache hit fraction {self.cache['hit_fraction']:.3f}; "
+            f"{len(self.replans)} drift-triggered re-plan(s)",
+            f"  responses digest {self.responses_digest}",
+        ])
+
     def payload_dict(self) -> Dict[str, Any]:
         out: Dict[str, Any] = {
             "strategy": self.strategy,

@@ -132,6 +132,20 @@ class TestCostObjectiveSelection:
         assert "$/epoch" in text
         assert "time budget" in text
 
+    @pytest.mark.parametrize("objective, budget", [
+        ("epoch", "budget_seconds"),
+        ("latency", "budget_seconds"),
+        ("cost", "budget_dollars"),
+        ("latency", "budget_dollars"),
+    ])
+    def test_budget_the_objective_ignores_is_rejected(self, objective, budget):
+        """``select`` reads budget_seconds only under "cost" and
+        budget_dollars only under "epoch"; any other pairing would return
+        the unconstrained plan without a word."""
+        apt = _apt(multi_machine_cluster(2, 2))
+        with pytest.raises(ValueError, match=budget):
+            apt.plan(objective=objective, **{budget: 1.0})
+
 
 class TestSubsetSweep:
     def test_drop_candidates_priced_and_annotated(self):

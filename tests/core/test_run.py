@@ -47,6 +47,14 @@ def _traced_seconds(events):
     return total
 
 
+class TestZeroEpochs:
+    def test_run_strategy_rejects_zero_epochs(self):
+        """No epoch means no trainer to report on: refused up front, the
+        way resume refuses a checkpoint that covers every epoch."""
+        with pytest.raises(ValueError, match="num_epochs must be >= 1, got 0"):
+            _make_apt().run_strategy("gdp", 0)
+
+
 class TestChromeTraceConservation:
     @pytest.mark.parametrize("faults", [None, _leave()], ids=["plain", "rebuilt"])
     def test_events_sum_to_the_ledgers(self, faults):

@@ -43,6 +43,13 @@ class TestCommands:
         for s in ("gdp", "nfp", "snp", "dnp"):
             assert s in out
 
+    def test_plan_layerwise_renders_the_search(self, capsys):
+        assert main(["plan", "--layerwise"] + self.BASE) == 0
+        out = capsys.readouterr().out
+        assert "(beam-searched per-layer compositions" in out
+        assert "\nper-layer assignments:\n" in out
+        assert out.rstrip().splitlines()[-1].startswith("APT selects: ")
+
     def test_run_fixed_strategy(self, capsys):
         assert main(["run", "--strategy", "gdp", "--epochs", "1"] + self.BASE) == 0
         out = capsys.readouterr().out
@@ -97,6 +104,62 @@ class TestCommands:
         assert isinstance(message, str)  # a str code exits with status 1
         assert message.startswith("error: ") and "\n" not in message
         return message
+
+    @pytest.mark.parametrize("argv, expected", [
+        (["plan", "--layers", "3"], "fanouts has 2 entries"),
+        (["plan", "--strategy", "layerwise:gdp,gdp,gdp"], "the model has 2"),
+        (["run", "--strategy", "layerwise:gdp,gdp,gdp"], "the model has 2"),
+        (["serve", "--requests", "0", "--train-epochs", "0"],
+         "num_requests must be positive"),
+        (["run", "--epochs", "0"], "num_epochs must be >= 1, got 0"),
+        (["plan", "--machines", "3", "--gpus", "8"], "--gpus 8"),
+        (["plan", "--machines", "0"], "--machines 0"),
+        (["plan", "--gpus", "0"], "--gpus 0"),
+        (["plan", "--machines", "2", "--gpus", "1"], "--machines 2"),
+        (["plan", "--layerwise", "--objective", "cost"], "--layerwise"),
+        (["plan", "--layerwise", "--strategy", "gdp"], "--layerwise"),
+        (["plan", "--layerwise", "--budget-dollars", "1"], "--layerwise"),
+        (["plan", "--budget-seconds", "1"], "budget_seconds"),
+        (["plan", "--objective", "cost", "--budget-dollars", "1"],
+         "budget_dollars"),
+    ])
+    def test_bad_input_exits_in_one_line(self, argv, expected, capsys):
+        message = self._one_error_line(argv[:1] + self.BASE + argv[1:])
+        assert expected in message
+        assert capsys.readouterr().out == ""
+
+    def test_serve_zero_train_epochs_on_empty_checkpoint_dir(
+        self, capsys, tmp_path
+    ):
+        """--train-epochs 0 serves the untrained model, checkpoint
+        directory or not."""
+        assert main(["serve", "--requests", "16", "--train-epochs", "0",
+                     "--checkpoint-dir", str(tmp_path / "ck")]
+                    + self.BASE) == 0
+        out = capsys.readouterr().out
+        assert "served 16 requests" in out
+        assert "training" not in out
+
+    def test_config_flags_reach_the_config(self, capsys, tmp_path):
+        import json
+
+        assert main(["run", "--strategy", "gdp", "--epochs", "1",
+                     "--backend", "serial", "--workers", "1",
+                     "--prefetch-depth", "0", "--no-elastic", "--replan",
+                     "--partition", "random", "--disk-promote-mb", "0",
+                     "--checkpoint-dir", str(tmp_path / "ck"),
+                     "--checkpoint-every", "2", "--checkpoint-keep", "1",
+                     "--json"] + self.BASE) == 0
+        config = json.loads(capsys.readouterr().out)["config"]
+        assert config["execution_backend"] == "serial"
+        assert config["num_workers"] == 1
+        assert config["prefetch_depth"] == 0
+        assert config["elastic"] is False
+        assert config["replan"] is True
+        assert config["partition"] == "random"
+        assert config["disk_promote_mb"] == 0
+        assert config["checkpoint_dir"] == str(tmp_path / "ck")
+        assert (config["checkpoint_every"], config["checkpoint_keep"]) == (2, 1)
 
     def test_plan_bad_policy_exits_cleanly(self):
         message = self._one_error_line(
@@ -187,22 +250,23 @@ class TestGenAndDatasetDir:
                      "--classes", "4"]) == 0
         capsys.readouterr()
         trace = tmp_path / "t.json"
-        assert main(["trace", "--dataset-dir", str(out), "--strategy", "gdp",
-                     "--layers", "2", "--fanout", "4", "4", "--gpus", "2",
-                     "--out", str(trace), "--json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["disk"]["rows"] > 0
-        assert payload["disk"]["ranged_reads"] > 0
+        assert main(["run", "--dataset-dir", str(out), "--strategy", "gdp",
+                     "--epochs", "1", "--layers", "2", "--fanout", "4", "4",
+                     "--gpus", "2", "--trace", str(trace), "--json"]) == 0
+        disk = json.loads(capsys.readouterr().out)["result"]["disk"]
+        assert disk["rows"] > 0
+        assert disk["ranged_reads"] > 0
 
     def test_trace_without_disk_tier_omits_counters(self, capsys, tmp_path):
         import json
 
         trace = tmp_path / "t.json"
-        assert main(["trace", "--dataset", "ps", "--nodes", "2500",
-                     "--strategy", "gdp", "--layers", "2", "--fanout", "4",
-                     "4", "--gpus", "2", "--out", str(trace), "--json"]) == 0
+        assert main(["run", "--dataset", "ps", "--nodes", "2500",
+                     "--strategy", "gdp", "--epochs", "1", "--layers", "2",
+                     "--fanout", "4", "4", "--gpus", "2", "--trace",
+                     str(trace), "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert "disk" not in payload
+        assert "disk" not in payload["result"]
 
     def test_bad_dataset_dir_exits_cleanly(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
@@ -212,7 +276,8 @@ class TestGenAndDatasetDir:
 
 
 class TestHeterogeneousCli:
-    """The §5.17 surface: --cluster, --objective cost, trace utilization."""
+    """The §5.17 surface: --cluster, --objective cost, per-device
+    utilization in the run report."""
 
     BASE = ["--dataset", "ps", "--nodes", "2500", "--layers", "2",
             "--fanout", "4", "4", "--batch-per-gpu", "64"]
@@ -266,8 +331,8 @@ class TestHeterogeneousCli:
     def test_trace_reports_device_utilization(self, capsys, tmp_path):
         trace = tmp_path / "t.json"
         assert main(
-            ["trace", "--strategy", "snp", "--out", str(trace)]
-            + self.BASE + self.HET
+            ["run", "--strategy", "snp", "--epochs", "1", "--trace",
+             str(trace)] + self.BASE + self.HET
         ) == 0
         out = capsys.readouterr().out
         assert "per-device utilization" in out
@@ -278,10 +343,10 @@ class TestHeterogeneousCli:
 
         trace = tmp_path / "t.json"
         assert main(
-            ["trace", "--strategy", "snp", "--out", str(trace), "--json"]
-            + self.BASE + self.HET
+            ["run", "--strategy", "snp", "--epochs", "1", "--trace",
+             str(trace), "--json"] + self.BASE + self.HET
         ) == 0
-        devices = json.loads(capsys.readouterr().out)["devices"]
+        devices = json.loads(capsys.readouterr().out)["result"]["devices"]
         assert len(devices["busy_seconds"]) == 4
         assert devices["imbalance_ratio"] >= 1.0
         assert max(devices["utilization"]) <= 1.0 + 1e-9
