@@ -44,6 +44,21 @@ class Communicator:
             )
         self.cluster = cluster
         self.timeline = timeline
+        # Per-cluster constants of the pairwise model, built once
+        # (``ClusterSpec`` is frozen): off-diagonal pairs on one machine
+        # (intra) or across machines (inter), and each device's links.
+        C = cluster.num_devices
+        machine = np.array([cluster.machine_of(d) for d in range(C)])
+        same = machine[:, None] == machine[None, :]
+        self._off_diag = ~np.eye(C, dtype=bool)
+        self._intra = self._off_diag & same
+        self._inter = self._off_diag & ~same
+        peer = [cluster.machine_spec(d).gpu_peer_link() for d in range(C)]
+        self._peer_bw = np.array([link.bandwidth for link in peer])
+        self._peer_latency = np.array([link.latency for link in peer])
+        self._inter_bw = np.array(
+            [cluster.inter_machine_link_per_gpu(d).bandwidth for d in range(C)]
+        )
 
     # ------------------------------------------------------------------ #
     # cost primitives
@@ -60,24 +75,22 @@ class Communicator:
         C = self.cluster.num_devices
         if B.shape != (C, C):
             raise ValueError(f"bytes matrix must be ({C}, {C}), got {B.shape}")
-        machines = np.array([self.cluster.machine_of(d) for d in range(C)])
-        same = machines[:, None] == machines[None, :]
-        off_diag = ~np.eye(C, dtype=bool)
+        # Per device: bottleneck of send/receive volume over its peer link
+        # and over its share of the NIC, plus per-message latency.  Byte
+        # payloads are integer-valued, so these sums are exact in any order
+        # and equal a per-device loop bit for bit (both pinned in
+        # tests/engine/test_host_path_pin.py and tests/cluster/test_comm.py).
+        intra = B * self._intra
+        inter = B * self._inter
+        msgs = (B > 0) & self._off_diag
+        n_msgs = msgs.sum(axis=1) + msgs.sum(axis=0)
+        secs = (
+            np.maximum(intra.sum(axis=1), intra.sum(axis=0)) / self._peer_bw
+            + np.maximum(inter.sum(axis=1), inter.sum(axis=0)) / self._inter_bw
+            + n_msgs * self._peer_latency
+        )
         for i in range(C):
-            row_mask = off_diag[i]
-            send_intra = B[i, row_mask & same[i]].sum()
-            send_inter = B[i, row_mask & ~same[i]].sum()
-            recv_intra = B[row_mask & same[i], i].sum()
-            recv_inter = B[row_mask & ~same[i], i].sum()
-            peer = self.cluster.machine_spec(i).gpu_peer_link()
-            inter = self.cluster.inter_machine_link_per_gpu(i)
-            n_msgs = int((B[i, row_mask] > 0).sum() + (B[row_mask, i] > 0).sum())
-            secs = (
-                max(send_intra, recv_intra) / peer.bandwidth
-                + max(send_inter, recv_inter) / inter.bandwidth
-                + n_msgs * peer.latency
-            )
-            self.timeline.charge(i, phase, secs)
+            self.timeline.charge(i, phase, secs[i])
         telemetry = self.timeline.telemetry
         if telemetry is not None:
             telemetry.count("comm.pairwise_bytes", float(B.sum()), phase=phase)

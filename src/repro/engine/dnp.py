@@ -40,6 +40,7 @@ from repro.sampling.block import Block
 from repro.tensor import concat as tensor_concat
 from repro.tensor.sparse import segment_sum
 from repro.tensor.tensor import Tensor
+from repro.utils.ids import sorted_unique
 
 
 @dataclass
@@ -118,9 +119,9 @@ class DNPStrategy(Strategy):
             # place it is read.  Replaces a per-owner sorted-id lookup.
             inv = np.empty(block.num_dst, dtype=np.int64)
             # Distinct sources per owner in one pass over (owner, src)
-            # keys — same counts as a per-owner ``np.unique(e_src).size``.
+            # keys — same counts as a per-owner unique ``e_src`` size.
             n_nodes = np.int64(ctx.dataset.num_nodes)
-            uniq_keys = np.unique(dst_owner_per_edge * n_nodes + src_g)
+            uniq_keys = sorted_unique(dst_owner_per_edge * n_nodes + src_g)
             src_uniq = np.bincount(uniq_keys // n_nodes, minlength=C)
             for o in range(C):
                 sel_idx = np.flatnonzero(dst_owner == o)

@@ -56,6 +56,7 @@ from repro.engine.snp import SNPStrategy
 from repro.sampling.block import Block, MiniBatch
 from repro.tensor import concat as tensor_concat
 from repro.tensor.tensor import Tensor
+from repro.utils.ids import sorted_unique
 
 #: spec prefix understood by ``make_strategy`` and the CLI
 SPEC_PREFIX = "layerwise:"
@@ -378,7 +379,7 @@ class LayerwiseStrategy(Strategy):
                     if mb is not None
                 ]
                 V = (
-                    np.unique(np.concatenate(dsts))
+                    sorted_unique(np.concatenate(dsts))
                     if dsts
                     else np.empty(0, np.int64)
                 )

@@ -45,6 +45,7 @@ from repro.models.gat import GATLayer
 from repro.models.sage import SAGELayer
 from repro.tensor.sparse import SegmentIndex, segment_mean
 from repro.tensor.tensor import Tensor
+from repro.utils.ids import sorted_unique
 
 
 @dataclass
@@ -117,7 +118,7 @@ class NFPStrategy(Strategy):
             ctx.recorder.record_structure(dev, b * (C - 1))
 
         all_src = [mb.blocks[0].src_nodes for mb in batches if mb is not None]
-        union = np.unique(np.concatenate(all_src)) if all_src else np.empty(0, np.int64)
+        union = sorted_unique(np.concatenate(all_src)) if all_src else np.empty(0, np.int64)
         src_idx: List[Optional[np.ndarray]] = []
         for mb in batches:
             src_idx.append(

@@ -48,6 +48,7 @@ from repro.models.sage import SAGELayer
 from repro.tensor import concat as tensor_concat
 from repro.tensor.sparse import SegmentIndex, segment_sum
 from repro.tensor.tensor import Tensor
+from repro.utils.ids import sorted_unique
 
 
 @dataclass
@@ -220,7 +221,7 @@ class SNPStrategy(Strategy):
             score_pattern = np.zeros((C, C))
             for task in plan.tasks:
                 owners = self.server_of_nodes(task.vdst, task.requester)
-                for o in np.unique(owners):
+                for o in sorted_unique(owners):
                     if o != task.server:
                         score_pattern[o, task.server] = 1.0
             ctx.recorder.record_message_pattern(score_pattern, calls=1)

@@ -30,6 +30,7 @@ import numpy as np
 from repro.cluster.spec import ClusterSpec
 from repro.cluster.timeline import Timeline
 from repro.graph.datasets import GraphDataset
+from repro.utils.ids import sorted_unique
 
 
 def gather_rows(features: np.ndarray, node_ids: np.ndarray) -> np.ndarray:
@@ -298,7 +299,7 @@ class UnifiedFeatureStore:
         self._disk_rows_buf = None
         self._disk_classify_calls = 0
         if resident_nodes is not None and np.asarray(resident_nodes).size:
-            pinned = np.unique(np.asarray(resident_nodes, dtype=np.int64))
+            pinned = sorted_unique(np.asarray(resident_nodes, dtype=np.int64))
             pinned = pinned[: self._promote_capacity] if self._promote_capacity else pinned[:0]
             self._install_resident(pinned)
 
@@ -410,7 +411,9 @@ class UnifiedFeatureStore:
         if not reqs:
             return None
         total = int(sum(r.size for r in reqs))
-        uniq = np.unique(np.concatenate(reqs)) if len(reqs) > 1 else np.unique(reqs[0])
+        # concatenate copies even one request: the staged union must not
+        # alias a caller's array (sorted_unique returns sorted input as is).
+        uniq = sorted_unique(np.concatenate(reqs))
         self._shared_rows = self._materialize(uniq)
         self._shared_uniq = uniq
         return total, int(uniq.size)

@@ -137,8 +137,6 @@ class CSRGraph:
         starts, stops = self.neighbor_slices(nodes)
         lens = stops - starts
         total = int(lens.sum())
-        if total == 0:
-            return np.unique(nodes)
         # Vectorized ragged gather: absolute indices of every neighbor slot.
         offsets = np.cumsum(lens) - lens
         flat = np.repeat(starts - offsets, lens) + np.arange(total)

@@ -31,6 +31,7 @@ from typing import Optional
 import numpy as np
 
 from repro.graph.csr import CSRGraph
+from repro.utils.ids import sorted_unique
 from repro.utils.random import rng_from
 from repro.utils.validation import check_positive, check_probability
 
@@ -49,9 +50,9 @@ def _canonical_edge_keys(src: np.ndarray, dst: np.ndarray, n: int) -> np.ndarray
 class _EdgeAccumulator:
     """Incremental undirected-edge dedup in bounded memory.
 
-    Each chunk is deduplicated locally (``np.unique``) then merged into the
-    accumulated sorted key set (``np.union1d``), so peak memory is one chunk
-    plus the running unique-edge set — never the raw multi-set of all draws.
+    Each chunk is deduplicated locally, then merged into the accumulated
+    sorted key set, so peak memory is one chunk plus the running unique-edge
+    set — never the raw multi-set of all draws.
     """
 
     def __init__(self, n: int):
@@ -61,8 +62,11 @@ class _EdgeAccumulator:
         self.keys = np.empty(0, dtype=np.int64)
 
     def add(self, src: np.ndarray, dst: np.ndarray) -> None:
-        fresh = np.unique(_canonical_edge_keys(src, dst, self.n))
-        self.keys = fresh if self.keys.size == 0 else np.union1d(self.keys, fresh)
+        fresh = sorted_unique(_canonical_edge_keys(src, dst, self.n))
+        self.keys = (
+            fresh if self.keys.size == 0
+            else sorted_unique(np.concatenate([self.keys, fresh]))
+        )
 
     def edges(self):
         """The deduplicated edge list as ``(src, dst)`` with ``src <= dst``."""

@@ -11,6 +11,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.graph.csr import CSRGraph
+from repro.utils.ids import sorted_unique
 
 
 def edge_cut_fraction(graph: CSRGraph, parts: np.ndarray) -> float:
@@ -46,7 +47,7 @@ def replication_factor(graph: CSRGraph, parts: np.ndarray) -> float:
     # Distinct (dst-node, src-part) pairs, plus the node's own part.
     key = src * np.int64(num_parts) + parts[graph.indices]
     own = np.arange(graph.num_nodes, dtype=np.int64) * num_parts + parts
-    distinct = np.unique(np.concatenate([key, own]))
+    distinct = sorted_unique(np.concatenate([key, own]))
     return distinct.size / graph.num_nodes
 
 

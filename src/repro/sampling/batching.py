@@ -15,6 +15,7 @@ from typing import Iterator, List
 
 import numpy as np
 
+from repro.utils.ids import sorted_unique
 from repro.utils.random import rng_from
 
 
@@ -39,7 +40,8 @@ class EpochIterator:
         global_batch_size: int,
         shuffle_seed: int = 0,
     ):
-        self.seeds = np.unique(np.asarray(seeds, dtype=np.int64))
+        # np.array copies: the stored seeds never alias the caller's array.
+        self.seeds = sorted_unique(np.array(seeds, dtype=np.int64))
         if self.seeds.size == 0:
             raise ValueError("seed set is empty")
         if global_batch_size <= 0:

@@ -16,23 +16,7 @@ from typing import List, Optional
 import numpy as np
 
 from repro.tensor.sparse import SegmentIndex, _is_nondecreasing
-
-
-def sorted_unique(ids: np.ndarray) -> np.ndarray:
-    """``np.unique`` of an int id array, via sort + dedup mask.
-
-    Returns ``ids`` itself when it is already strictly increasing (every
-    sampler frontier after the first layer is).  NumPy 2's hash-based
-    ``np.unique`` is several times slower than a sort at the 10^2–10^4 ids
-    of a block; the results are identical.
-    """
-    if ids.size <= 1 or bool((ids[1:] > ids[:-1]).all()):
-        return ids
-    s = np.sort(ids)
-    keep = np.empty(s.size, dtype=bool)
-    keep[0] = True
-    np.not_equal(s[1:], s[:-1], out=keep[1:])
-    return s[keep]
+from repro.utils.ids import sorted_unique
 
 
 @dataclass

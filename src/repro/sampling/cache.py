@@ -35,7 +35,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.sampling.block import Block, MiniBatch, sorted_unique
+from repro.sampling.block import Block, MiniBatch
+from repro.utils.ids import sorted_unique
 
 #: Default byte budget (index arrays only) — a few hundred analog-scale
 #: epochs; real deployments would size this against host memory.

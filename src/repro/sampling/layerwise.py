@@ -26,6 +26,7 @@ import numpy as np
 
 from repro.graph.csr import CSRGraph
 from repro.sampling.block import Block, MiniBatch
+from repro.utils.ids import sorted_unique
 from repro.utils.random import rng_from
 
 
@@ -98,10 +99,10 @@ class LayerWiseSampler:
             return np.empty(0, dtype=np.int64)
         offsets = np.cumsum(lens) - lens
         flat = np.repeat(starts - offsets, lens) + np.arange(total)
-        return np.unique(g.indices[flat])
+        return sorted_unique(g.indices[flat])
 
     def _sample_layer(self, frontier: np.ndarray, budget: int, epoch: int, layer: int) -> Block:
-        frontier = np.unique(np.asarray(frontier, dtype=np.int64))
+        frontier = sorted_unique(np.asarray(frontier, dtype=np.int64))
         pool = self._candidate_pool(frontier)
         if pool.size > budget:
             rng = self._rng(frontier, epoch, layer)
@@ -133,7 +134,7 @@ class LayerWiseSampler:
         # Destinations left without any sampled source still need output
         # rows: give them a degenerate self-edge (they read their own input).
         covered = np.zeros(frontier.size, dtype=bool)
-        covered[np.searchsorted(frontier, np.unique(edge_dst))] = True
+        covered[np.searchsorted(frontier, sorted_unique(edge_dst))] = True
         uncovered = frontier[~covered]
         if uncovered.size:
             edge_src = np.concatenate([edge_src, uncovered])
@@ -155,4 +156,4 @@ class LayerWiseSampler:
             blocks.append(block)
             frontier = block.src_nodes
         blocks.reverse()
-        return MiniBatch(seeds=np.unique(seeds), blocks=blocks)
+        return MiniBatch(seeds=sorted_unique(seeds), blocks=blocks)

@@ -21,7 +21,8 @@ from typing import List, Sequence
 import numpy as np
 
 from repro.graph.csr import CSRGraph
-from repro.sampling.block import Block, MiniBatch, sorted_unique
+from repro.sampling.block import Block, MiniBatch
+from repro.utils.ids import sorted_unique
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 _A = np.uint64(0x9E3779B97F4A7C15)

@@ -160,6 +160,10 @@ class ServeEngine:
         left open — the caller closes it to obtain the service time.
         """
         ctx = self.ctx
+        # Plain np.unique kept on purpose (DESIGN.md §5.9): a request batch
+        # holds 1-8 ids (mean 4), where it takes 4.1 us per batch against
+        # 5.4 us for utils.ids.sorted_unique (serve workload, 499 batches,
+        # 2-vCPU Xeon host).
         unique_nodes = np.unique(np.asarray(nodes, dtype=np.int64))
         seeds = self.strategy.assign_seeds(ctx, unique_nodes)
         # One sampling pass per request batch, outside the sample cache:

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from repro.cluster import Communicator, Timeline, multi_machine_cluster, single_machine_cluster
+from repro.cluster.spec import parse_cluster_spec
 from repro.tensor import Tensor
+from tests.host_reference import charge_pairwise_rebuild
 
 
 def make_comm(cluster):
@@ -139,3 +141,29 @@ class TestCommunicatorValidation:
         cluster = single_machine_cluster(2)
         with pytest.raises(ValueError):
             Communicator(cluster, Timeline(3))
+
+
+class TestCachedConstants:
+    """Constants built once in ``__init__`` plus whole-matrix sums must
+    charge exactly what the per-call rebuild with a per-device loop did."""
+
+    @pytest.mark.parametrize(
+        "spec", ["1x2:a100,1x2:t4", "1x4", "2x4", "1x2:a100,1x4:t4"]
+    )
+    def test_charges_equal_a_per_call_rebuild(self, spec):
+        cluster = parse_cluster_spec(spec)
+        C = cluster.num_devices
+        rng = np.random.default_rng(C)
+        for trial in range(40):
+            # integer byte counts, some pairs silent, up to 2^40 bytes
+            B = rng.integers(0, 2 ** rng.integers(1, 41), size=(C, C))
+            B = (B * (rng.random((C, C)) < 0.7)).astype(np.float64)
+            factor = (1.0, 2.0)[trial % 2]
+            comm, t = make_comm(cluster)
+            comm._charge_pairwise(B, "shuffle", factor)
+            ref_comm, ref = make_comm(cluster)
+            charge_pairwise_rebuild(ref_comm, B, "shuffle", factor)
+            for d in range(C):
+                assert t.device_phase_seconds(d, "shuffle") == ref.device_phase_seconds(
+                    d, "shuffle"
+                )

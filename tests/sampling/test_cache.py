@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 from repro.sampling import LayerWiseSampler, NeighborSampler
-from repro.sampling.block import sorted_unique as _sorted_unique
 from repro.sampling.cache import SampleCache, sample_device_batches
+from repro.utils.ids import sorted_unique as _sorted_unique
 
 
 @pytest.fixture(scope="module")
