@@ -604,8 +604,8 @@ class APT:
 
         Defaults to the paper's four; pass ``strategies=(..., "hyb")`` to
         include the future-work hybrid.  A ``faults`` schedule applies
-        identically to every strategy — the baseline mode of
-        ``benchmarks/bench_online_replan.py``.
+        identically to every strategy — the baseline mode of the
+        ``online_replan`` case of ``benchmarks/cases.py``.
         """
         if strategies is None:
             strategies = ("gdp", "nfp", "snp", "dnp")

@@ -68,7 +68,8 @@ class CostEstimate:
     inherit first-layer compute skew from source/destination popularity.
     ``t_skew`` estimates that excess (max-device minus mean-device layer-1
     time); set ``include_compute_skew=False`` on the model to reproduce the
-    paper's exact formulation (ablated in ``bench_ablation_planner.py``).
+    paper's exact formulation (ablated by the ``ablation_planner`` case of
+    ``benchmarks/cases.py``).
     """
 
     strategy: str

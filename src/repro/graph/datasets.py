@@ -15,8 +15,9 @@ IGB260M (IM)   269M     3.9B    128          intermediate — top 1% take 31.1%
 Hosting these is impossible here (52-128 GB of features), so each analog is
 a ~40-60k-node community-structured power-law graph whose *degree-skew knob*
 (power-law exponent, hub cap) is tuned so that fanout-sampling access
-frequencies land in the same skewness band.  ``benchmarks/bench_table3_skewness.py``
-regenerates paper Table 3 against these analogs as a calibration check.
+frequencies land in the same skewness band.  The ``table3_skewness`` case of
+``benchmarks/cases.py`` regenerates paper Table 3 against these analogs as a
+calibration check.
 
 Every analog also carries learnable structure: labels follow planted
 communities and features are noisy class centroids, so the accuracy sanity

@@ -145,5 +145,6 @@ class TestCostModel:
             assert est.total <= upper * 1.5, name
             # The planner deliberately ignores per-batch barrier effects,
             # so it may undershoot — but not collapse.
-            # (bench_fig12 validates tight accuracy at realistic scale.)
+            # (the fig12_cost_model benchmark case validates tight
+            # accuracy at realistic scale.)
             assert est.total >= lower * 0.2, name
