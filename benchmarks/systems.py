@@ -46,7 +46,13 @@ from repro.graph.datasets import GraphDataset
 from repro.models import GraphSAGE
 from repro.parallel import FaultPolicy, HostFaultSchedule
 from repro.serve import BatchingPolicy, LoadGenerator, ServeEngine
-from repro.tensor.sparse import SegmentIndex, _rowsum_csr_direct, _rowsum_csr_public
+from repro.tensor import Tensor
+from repro.tensor.sparse import (
+    SegmentIndex,
+    _rowsum_csr_direct,
+    _rowsum_csr_public,
+    gather_segment_sum,
+)
 
 #: the committed per-op seconds ``parallel``'s check compares against;
 #: regenerate with ``cases.py --case parallel --output <this path>``
@@ -373,7 +379,8 @@ class FaultTolerance(Case):
 
 
 class SegmentShapes(Case):
-    """Shape -> path table behind ``repro.tensor.sparse._segment_sum_array``.
+    """Shape -> path table behind ``repro.tensor.sparse._segment_sum_array``
+    and the fused ``gather_segment_sum``.
 
     Times every candidate segment-sum kernel at the operand shapes the
     end-to-end workloads actually produce (recorded from ``benchmarks/e2e``:
@@ -381,7 +388,10 @@ class SegmentShapes(Case):
     block 100-900 rows of 32/128, GAT scores ``E x heads``) plus the
     200,000-row shape the earlier thresholds were tuned on, and checks each
     one bit-identical to sequential ``np.add.at``.  DESIGN.md 5.9 quotes
-    this table; its timings gate nothing.
+    this table; its timings gate nothing.  The check: at every shape the
+    fused gather→sum node equals the composed chain (gather the messages,
+    then ``np.add.at``) bit for bit, forward and ``x.grad`` — deterministic,
+    so it holds in CI.
 
     Columns (best-of-7 microseconds per call, validated ids in every one):
 
@@ -391,6 +401,10 @@ class SegmentShapes(Case):
     ``public``    ``scipy.sparse.csr_matrix((ones, cols, indptr)) @ data``
     ``direct``    ``csr_matvecs`` on the same three arrays, index built per call
     ``shared``    the same, index built once and reused (``Block.dst_index()``)
+    ``gather+direct``  the composed aggregation: gather the rows-many
+                  messages out of a ``rows/2``-row table, then ``direct``
+    ``fused``     ``gather_segment_sum`` forward on the same table and ids,
+                  index built per call (its ``np.add.at`` path under the cutoff)
     """
 
     name = "segment_shapes"
@@ -408,7 +422,9 @@ class SegmentShapes(Case):
         (200_000, (4,), "former tuning shape, softmax"),
         (200_000, (32,), "former tuning shape"),
     ]
-    COLUMNS = ("add.at", "colwise", "public", "direct", "shared")
+    COLUMNS = (
+        "add.at", "colwise", "public", "direct", "shared", "gather+direct", "fused"
+    )
 
     @staticmethod
     def add_at(data, ids, n):
@@ -430,11 +446,34 @@ class SegmentShapes(Case):
 
     @staticmethod
     def public(data, ids, n):
-        return _rowsum_csr_public(SegmentIndex(ids, n), data.reshape(len(ids), -1))
+        index = SegmentIndex(ids, n)
+        return _rowsum_csr_public(index.indptr, index.cols, data.reshape(len(ids), -1))
 
     @staticmethod
     def direct(data, ids, n):
-        return _rowsum_csr_direct(SegmentIndex(ids, n), data.reshape(len(ids), -1))
+        index = SegmentIndex(ids, n)
+        return _rowsum_csr_direct(index.indptr, index.cols, data.reshape(len(ids), -1))
+
+    @classmethod
+    def gather_direct(cls, table, src, ids, n):
+        return cls.direct(table[SegmentIndex(src, len(table)).ids], ids, n)
+
+    @staticmethod
+    def fused(table, src, ids, n):
+        return gather_segment_sum(Tensor(table), src, ids, n).data
+
+    @classmethod
+    def fused_bitwise(cls, table, src, ids, n, g) -> bool:
+        """Forward and ``x.grad`` of the fused node equal the composed chain."""
+        x = Tensor(table.copy(), requires_grad=True)
+        out = gather_segment_sum(x, src, ids, n)
+        out.backward(g)
+        grad_ref = np.zeros_like(table)
+        np.add.at(grad_ref, src, g[ids])
+        return bool(
+            np.array_equal(out.data, cls.add_at(table[src], ids, n))
+            and np.array_equal(x.grad, grad_ref)
+        )
 
     @staticmethod
     def best_us(fn, *args) -> float:
@@ -445,6 +484,7 @@ class SegmentShapes(Case):
 
     def run(self, quick: bool) -> dict:
         rng = np.random.default_rng(0)
+        fused_rng = np.random.default_rng(1)  # keeps the earlier columns' data
         kernels = (self.add_at, self.colwise, self.public, self.direct)
         rows_out = []
         for rows, trailing, source in self.SHAPES:
@@ -459,25 +499,40 @@ class SegmentShapes(Case):
                     assert np.array_equal(fn(data, ids, n).reshape(ref.shape), ref), fn
                 index = SegmentIndex(ids, n)
                 flat = data.reshape(rows, -1)
-                _rowsum_csr_direct(index, flat)  # build the structure once
                 cells = [self.best_us(fn, data, ids, n) for fn in kernels]
-                cells.append(self.best_us(_rowsum_csr_direct, index, flat))
+                cells.append(
+                    self.best_us(_rowsum_csr_direct, index.indptr, index.cols, flat)
+                )
+                table = data[: max(1, rows // 2)]
+                src = fused_rng.integers(0, len(table), rows)
+                gathered = (table, src, ids, n)
+                cells += [
+                    self.best_us(fn, *gathered) for fn in (self.gather_direct, self.fused)
+                ]
+                g = fused_rng.normal(size=(n,) + trailing)
                 rows_out.append({
                     "shape": "x".join(str(v) for v in (rows,) + trailing),
                     "ids": label,
                     "us": dict(zip(self.COLUMNS, cells)),
+                    "fused_bitwise": self.fused_bitwise(*gathered, g),
                     "source": source,
                 })
         return {"rows": rows_out}
 
     def table(self, result: dict) -> List[str]:
-        header = "".join(f"{c:>10}" for c in self.COLUMNS)
+        header = "".join(f"{c:>14}" for c in self.COLUMNS)
         return [f"{'shape':<14}{'ids':<10}{header}  source"] + [
             f"{r['shape']:<14}{r['ids']:<10}"
-            + "".join(f"{r['us'][c]:>10.1f}" for c in self.COLUMNS)
+            + "".join(f"{r['us'][c]:>14.1f}" for c in self.COLUMNS)
             + f"  {r['source']}"
             for r in result["rows"]
         ]
+
+    def check(self, result: dict) -> None:
+        differ = [
+            f"{r['shape']} {r['ids']}" for r in result["rows"] if not r["fused_bitwise"]
+        ]
+        assert not differ, f"fused gather_segment_sum != composed chain at {differ}"
 
 
 class Elastic(Case):

@@ -43,7 +43,7 @@ from repro.featurestore.store import Tier, count_ranges
 from repro.models.base import extend_with_self_edges
 from repro.models.gat import GATLayer
 from repro.models.sage import SAGELayer
-from repro.tensor.sparse import SegmentIndex, segment_mean
+from repro.tensor import sparse
 from repro.tensor.tensor import Tensor
 from repro.utils.ids import sorted_unique
 
@@ -56,6 +56,26 @@ class NFPPlan:
     union_nodes: np.ndarray
     #: per requester: positions of its block-0 sources within the union
     src_idx_in_union: List[Optional[np.ndarray]]
+
+
+def union_columns(
+    union_rows: np.ndarray, edge_src: np.ndarray, num_union: int
+) -> sparse.SegmentIndex:
+    """Union row of every edge's source: ``union_rows[edge_src]``.
+
+    Gathering ``z_union`` through these equals gathering the block's rows
+    (``union_rows``) and then the edges' sources, bit for bit, forward and
+    backward — but only because ``union_rows`` (the positions of a block's
+    distinct sources in the union) is injective: the adjoint of the first
+    gather then scatters each block row's gradient into a row of its own.
+    """
+    hits = np.bincount(union_rows, minlength=num_union)
+    if hits.size and hits.max() > 1:
+        raise AssertionError(
+            "NFP union rows repeat a union position: the block's sources "
+            "are not distinct"
+        )
+    return sparse.SegmentIndex(union_rows[edge_src], num_union)
 
 
 class NFPStrategy(Strategy):
@@ -205,8 +225,9 @@ class NFPStrategy(Strategy):
         ]
         shuffle_bytes = np.zeros((C, C))
         self_in_agg = layer.self_loop_in_aggregation
-        # Every shard holder aggregates every owner's block through the
-        # same index arrays: one segment index per (owner, array), built
+        # Every shard holder aggregates every owner's block straight from
+        # its union projection: one pair of segment indices per owner
+        # (union columns of the edges' sources, edge destinations), built
         # here (or cached on the block) and shared by all C holders,
         # forward and backward.
         routes: List[Optional[tuple]] = [None] * C
@@ -219,14 +240,11 @@ class NFPStrategy(Strategy):
                 if self_in_agg:
                     # GCN: the self loop is one more aggregation edge.
                     es, ed = extend_with_self_edges(block)
-                    edges = (
-                        SegmentIndex(es, block.num_src),
-                        SegmentIndex(ed, block.num_dst),
-                    )
+                    dst = sparse.SegmentIndex(ed, block.num_dst)
                 else:
-                    edges = (block.src_index(), block.dst_index())
+                    es, dst = block.edge_src, block.dst_index()
                 dst_rows = None if self_in_agg else idx[block.dst_in_src]
-                routes[o] = (SegmentIndex(idx, union.size), *edges, dst_rows)
+                routes[o] = (union_columns(idx, es, union.size), dst, dst_rows)
         x_union: Optional[np.ndarray] = None
         for c in range(C):
             lo, hi = self.shard(c)
@@ -256,11 +274,8 @@ class NFPStrategy(Strategy):
                     continue
                 block = mb.blocks[0]
                 if ctx.numerics:
-                    union_rows, edge_src, edge_dst, dst_rows = routes[o]
-                    neigh = segment_mean(
-                        z_union.index_rows(union_rows).index_rows(edge_src),
-                        edge_dst,
-                    )
+                    cols, dst, dst_rows = routes[o]
+                    neigh = sparse.gather_segment_mean(z_union, cols, dst)
                     if not self_in_agg:
                         neigh = neigh + (x_shard.index_rows(dst_rows) @ ws)
                     contributions[c][o] = neigh

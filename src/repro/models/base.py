@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.sampling.block import Block, MiniBatch
+from repro.tensor import fused, sparse
 from repro.tensor.module import Module, ModuleList
 from repro.tensor.tensor import Tensor
 
@@ -40,6 +41,62 @@ class GNNLayer(Module):
     def forward_flops(self, block: Block) -> float:
         """Forward FLOPs of :meth:`full_forward` (for the timeline model)."""
         raise NotImplementedError
+
+
+class PartialMeanLayer(GNNLayer):
+    """A mean-aggregation layer on the partial-mean protocol (SNP / NFP).
+
+    ``W * mean(x_u) = (sum_p sum W x_u^{(p)}) / (sum_p count_p)`` over
+    partial edge sets ``p``: each device aggregates the projected messages
+    of its edges into a per-destination (sum, count) pair, the pairs add
+    across devices, and :meth:`combine_partials` divides once.  Subclasses
+    carry ``bias`` and the ``activation`` flag (ReLU when set).
+    """
+
+    @property
+    def _act(self) -> Optional[str]:
+        return "relu" if self.activation else None
+
+    def partial_aggregate(
+        self,
+        z_src: Tensor,
+        edge_src: np.ndarray,
+        edge_dst: np.ndarray,
+        num_dst: int,
+    ) -> Tuple[Tensor, np.ndarray]:
+        """Per-destination partial sum of the projected messages over one
+        edge subset, and the per-destination edge count."""
+        dst = sparse.SegmentIndex(edge_dst, num_dst)
+        return sparse.gather_segment_sum(z_src, edge_src, dst), sparse.segment_count(dst)
+
+    def combine_partials(
+        self,
+        psum_total: Tensor,
+        counts_total: np.ndarray,
+        self_term: Optional[Tensor] = None,
+    ) -> Tensor:
+        """Reconstruct the exact layer output from summed partials.
+
+        A layer with a self weight (GraphSAGE) always receives the self
+        term — each destination's owner ships ``W_self x_v``; one that
+        folds the self loop into the aggregation (GCN) routed it as an edge.
+        """
+        if self_term is None and not self.self_loop_in_aggregation:
+            raise ValueError(f"{type(self).__name__} partials require the self term")
+        safe = np.maximum(counts_total, 1.0).reshape(-1, 1)
+        terms = [psum_total * Tensor(1.0 / safe)]
+        if self_term is not None:
+            terms.append(self_term)
+        return fused.add_bias_act(terms, self.bias, activation=self._act)
+
+    def finalize_sum(self, total: Tensor) -> Tensor:
+        """Bias + activation over an already-summed pre-activation.
+
+        NFP's dimension shards each produce their share of the projected
+        mean (global edge counts are known on every device, so the division
+        happens before the reduce); their sum is the full pre-activation.
+        """
+        return fused.add_bias_act([total], self.bias, activation=self._act)
 
 
 class GNNModel(Module):

@@ -14,31 +14,26 @@ the SNP router realizes as a self-edge materialized at the destination's
 partition owner (``self_loop_in_aggregation``).
 
 The cross-device decomposition uses the same exact (sum, count) algebra as
-GraphSAGE — see :class:`repro.models.sage.SAGELayer`.
+GraphSAGE — see :class:`repro.models.base.PartialMeanLayer`.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
-from repro.models.base import GNNLayer, GNNModel, extend_with_self_edges
+from repro.models.base import GNNModel, PartialMeanLayer, extend_with_self_edges
 from repro.sampling.block import Block
 from repro.tensor import fused
 from repro.tensor import init as tinit
 from repro.tensor.module import Parameter
-from repro.tensor.sparse import (
-    SegmentIndex,
-    segment_count,
-    segment_mean,
-    segment_sum,
-)
+from repro.tensor.sparse import gather_segment_mean
 from repro.tensor.tensor import Tensor
 from repro.utils.random import rng_from
 
 
-class GCNLayer(GNNLayer):
+class GCNLayer(PartialMeanLayer):
     """One mean-normalized GCN layer (self-loop folded into aggregation)."""
 
     self_loop_in_aggregation = True
@@ -86,20 +81,12 @@ class GCNLayer(GNNLayer):
         edge_src, edge_dst = extend_with_self_edges(block)
         if src_index is not None:
             edge_src = src_index[edge_src]
-        msgs = h_src.index_rows(edge_src)
-        mean = segment_mean(msgs, edge_dst, block.num_dst)
+        mean = gather_segment_mean(h_src, edge_src, edge_dst, block.num_dst)
         # Single fused projection+bias+activation node (bit-identical to
         # the composed `mean @ W` -> `+ b` -> `relu` chain).
         return fused.linear(
             mean, self.weight, self.bias, activation=self._act
         )
-
-    @property
-    def _act(self) -> Optional[str]:
-        return "relu" if self.activation else None
-
-    def _finish(self, pre: Tensor) -> Tensor:
-        return fused.add_bias_act([pre], self.bias, activation=self._act)
 
     def forward_flops(self, block: Block) -> float:
         agg = 2.0 * (block.num_edges + block.num_dst) * self.in_dim
@@ -107,42 +94,11 @@ class GCNLayer(GNNLayer):
         return agg + proj
 
     # ------------------------------------------------------------------ #
-    # partial-mean protocol (shared with SAGELayer; see engine/snp.py)
+    # partial-mean protocol (PartialMeanLayer; see engine/snp.py)
     # ------------------------------------------------------------------ #
     def project_neigh(self, x: Tensor) -> Tensor:
         """Project source inputs (``W x``); mean and projection commute."""
         return x @ self.weight
-
-    def partial_aggregate(
-        self,
-        z_src: Tensor,
-        edge_src: np.ndarray,
-        edge_dst: np.ndarray,
-        num_dst: int,
-    ) -> Tuple[Tensor, np.ndarray]:
-        """Partial (sum, count) over an edge subset — identical algebra to
-        :meth:`SAGELayer.partial_aggregate`."""
-        msgs = z_src.index_rows(edge_src)
-        dst = SegmentIndex(edge_dst, num_dst)
-        return segment_sum(msgs, dst), segment_count(dst)
-
-    def combine_partials(
-        self,
-        psum_total: Tensor,
-        counts_total: np.ndarray,
-        self_term: Optional[Tensor] = None,
-    ) -> Tensor:
-        """Exact reconstruction; GCN has no separate self term (the
-        self-loop was routed as an edge)."""
-        safe = np.maximum(counts_total, 1.0).reshape(-1, 1)
-        out = psum_total * Tensor(1.0 / safe)
-        if self_term is not None:
-            out = out + self_term
-        return self._finish(out)
-
-    def finalize_sum(self, total: Tensor) -> Tensor:
-        """Bias + activation over summed NFP shard contributions."""
-        return self._finish(total)
 
 
 class GCN(GNNModel):

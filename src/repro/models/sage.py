@@ -14,26 +14,21 @@ dimension shards (NFP).  Both reconstructions are exact.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
-from repro.models.base import GNNLayer, GNNModel
+from repro.models.base import GNNModel, PartialMeanLayer
 from repro.sampling.block import Block
 from repro.tensor import fused
 from repro.tensor import init as tinit
 from repro.tensor.module import Parameter
-from repro.tensor.sparse import (
-    SegmentIndex,
-    segment_count,
-    segment_mean,
-    segment_sum,
-)
+from repro.tensor.sparse import gather_segment_mean
 from repro.tensor.tensor import Tensor
 from repro.utils.random import rng_from
 
 
-class SAGELayer(GNNLayer):
+class SAGELayer(PartialMeanLayer):
     """One GraphSAGE-mean layer.
 
     Parameters
@@ -95,8 +90,7 @@ class SAGELayer(GNNLayer):
             dst_in_src = src_index[block.dst_in_src]
         # Aggregate raw inputs, then project: cheaper than projecting every
         # source when out_dim < in_dim, and exactly equal either way.
-        msgs = h_src.index_rows(edge_src)
-        neigh_mean = segment_mean(msgs, block.dst_index())
+        neigh_mean = gather_segment_mean(h_src, edge_src, block.dst_index())
         h_dst_in = h_src.index_rows(dst_in_src)
         return self.combine(neigh_mean @ self.w_neigh, h_dst_in @ self.w_self)
 
@@ -104,9 +98,7 @@ class SAGELayer(GNNLayer):
         """Final affine combination plus optional activation (one fused
         node; bit-identical to the composed add/add/relu chain)."""
         return fused.add_bias_act(
-            [neigh_term, self_term],
-            self.bias,
-            activation="relu" if self.activation else None,
+            [neigh_term, self_term], self.bias, activation=self._act
         )
 
     def forward_flops(self, block: Block) -> float:
@@ -124,53 +116,6 @@ class SAGELayer(GNNLayer):
     def project_self(self, x: Tensor) -> Tensor:
         """Project destination inputs with the self weight (``W_self x``)."""
         return x @ self.w_self
-
-    def partial_aggregate(
-        self,
-        z_src: Tensor,
-        edge_src: np.ndarray,
-        edge_dst: np.ndarray,
-        num_dst: int,
-    ) -> Tuple[Tensor, np.ndarray]:
-        """Partial neighbor aggregation over a subset of a block's edges.
-
-        Returns the per-destination partial sum of projected messages and
-        the per-destination edge count.  Partials from different devices
-        add: ``mean = sum(partial_sums) / sum(counts)``.
-        """
-        msgs = z_src.index_rows(edge_src)
-        dst = SegmentIndex(edge_dst, num_dst)
-        return segment_sum(msgs, dst), segment_count(dst)
-
-    def finalize_sum(self, total: Tensor) -> Tensor:
-        """Bias + activation over an already-summed (neigh + self) term.
-
-        NFP's dimension shards each produce ``mean_c(W_n^c x^c) + W_s^c x^c``
-        (global edge counts are known on every device, so the division
-        happens before the reduce); their sum is the full pre-activation.
-        """
-        return fused.add_bias_act(
-            [total], self.bias, activation="relu" if self.activation else None
-        )
-
-    def combine_partials(
-        self,
-        psum_total: Tensor,
-        counts_total: np.ndarray,
-        self_term: Optional[Tensor] = None,
-    ) -> Tensor:
-        """Reconstruct the exact layer output from summed partials.
-
-        GraphSAGE always receives a self term (each destination's owner
-        ships ``W_self x_v``); the optional signature keeps the partial-
-        mean protocol uniform with layers that fold the self loop into the
-        aggregation (GCN).
-        """
-        safe = np.maximum(counts_total, 1.0).reshape(-1, 1)
-        neigh_term = psum_total * Tensor(1.0 / safe)
-        if self_term is None:
-            raise ValueError("GraphSAGE partials require the self term")
-        return self.combine(neigh_term, self_term)
 
 
 class GraphSAGE(GNNModel):

@@ -48,7 +48,6 @@ class Block:
     # Derived structures, built on first use and reused for the lifetime of
     # the block (blocks are immutable once constructed).
     _dst_index: Optional[SegmentIndex] = field(default=None, repr=False, compare=False)
-    _src_index: Optional[SegmentIndex] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.dst_in_src.shape != self.dst_nodes.shape:
@@ -79,15 +78,6 @@ class Block:
         if self._dst_index is None:
             self._dst_index = SegmentIndex(self.edge_dst, self.num_dst)
         return self._dst_index
-
-    def src_index(self) -> SegmentIndex:
-        """``edge_src`` as a row index over the sources — the gather of
-        per-edge messages, whose adjoint scatters into ``num_src`` rows.
-        For callers that gather through one block repeatedly (NFP); a
-        single gather passes ``edge_src`` itself and keeps nothing."""
-        if self._src_index is None:
-            self._src_index = SegmentIndex(self.edge_src, self.num_src)
-        return self._src_index
 
     def dst_edge_ptr(self) -> np.ndarray:
         """``(num_dst + 1,)`` CSR-style pointer into the dst-sorted edges.

@@ -8,10 +8,10 @@ substrate the strategies need:
   arrays (dense ops, broadcasting, indexing/gather, concatenation).
 * :mod:`~repro.tensor.functional` — activations, softmax/log-softmax,
   dropout, and the cross-entropy loss used for node classification.
-* :mod:`~repro.tensor.sparse` — CSR sparse-dense matmul (SpMM) and segment
-  operations (sum / mean / softmax over edge groups, grouped by a reusable
-  ``SegmentIndex``), the kernels a GNN layer is made of.  These mirror
-  DGL's SpMM/SDDMM kernel roles.
+* :mod:`~repro.tensor.sparse` — segment operations (sum / mean / softmax
+  over edge groups, grouped by a reusable ``SegmentIndex``) and the fused
+  gather→sum ``gather_segment_sum``, the kernels a GNN layer is made of.
+  These mirror DGL's g-SpMM/SDDMM kernel roles.
 * :mod:`~repro.tensor.module` — ``Module`` / ``Parameter`` containers.
 * :mod:`~repro.tensor.optim` — SGD and Adam optimizers.
 
@@ -37,11 +37,11 @@ from repro.tensor.optim import (
 from repro.tensor.sparse import (
     SegmentIndex,
     gather_rows,
+    gather_segment_sum,
     segment_max,
     segment_mean,
     segment_softmax,
     segment_sum,
-    spmm,
 )
 
 __all__ = [
@@ -65,8 +65,8 @@ __all__ = [
     "LRScheduler",
     "StepLR",
     "CosineAnnealingLR",
-    "spmm",
     "gather_rows",
+    "gather_segment_sum",
     "SegmentIndex",
     "segment_sum",
     "segment_mean",

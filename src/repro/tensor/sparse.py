@@ -8,19 +8,20 @@ with *segment operations*: edge values grouped by destination index.
 All kernels here are autograd-aware and fully vectorized
 (``np.add.at`` / ``np.ufunc.reduceat`` style), with exact adjoints:
 
-===============   =======================================================
-forward           backward
-===============   =======================================================
-gather_rows       scatter-add
-segment_sum       gather
-segment_mean      gather / count
-segment_softmax   softmax Jacobian within each segment
-spmm (CSR @ X)    CSR^T @ dY
-===============   =======================================================
+==================   ====================================================
+forward              backward
+==================   ====================================================
+gather_rows          scatter-add
+segment_sum          gather
+segment_mean         gather / count
+segment_softmax      softmax Jacobian within each segment
+gather_segment_sum   the transposed selection product (g-SpMM's adjoint)
+==================   ====================================================
 """
 
 from __future__ import annotations
 
+import math
 from typing import Optional, Union
 
 import numpy as np
@@ -159,29 +160,30 @@ def _as_index(
 _ADD_AT_MAX_SIZE = 1024
 
 
-def _rowsum_csr_direct(index: SegmentIndex, flat: np.ndarray) -> np.ndarray:
+def _rowsum_csr_direct(indptr, cols, flat: np.ndarray) -> np.ndarray:
     """``S @ flat`` for the 0/1 selection CSR ``(ones, cols, indptr)``,
     through the C routine scipy's own ``csr_matrix @ dense`` ends in —
     without building (and validating) a ``csr_matrix`` per call."""
     n_rows, n_cols = flat.shape
-    out = np.zeros((index.num_segments, n_cols), dtype=flat.dtype)
-    # The routine reads raw buffers: C-contiguous, one value dtype, one
-    # index dtype.  ``cols``/``indptr`` are int64 and consistent with
-    # ``n_rows`` by construction (SegmentIndex built them from checked ids).
+    n_out = indptr.shape[0] - 1
+    out = np.zeros((n_out, n_cols), dtype=flat.dtype)
+    # The routine reads raw buffers with no bounds check: C-contiguous, one
+    # value dtype, one index dtype.  ``cols``/``indptr`` are int64 and in
+    # range by construction (built from checked ids).
     _csr_matvecs(
-        index.num_segments, n_rows, n_cols,
-        index.indptr, index.cols, np.ones(n_rows, dtype=flat.dtype),
+        n_out, n_rows, n_cols,
+        indptr, np.ascontiguousarray(cols), np.ones(cols.shape[0], dtype=flat.dtype),
         np.ascontiguousarray(flat).reshape(-1), out.reshape(-1),
     )
     return out
 
 
-def _rowsum_csr_public(index: SegmentIndex, flat: np.ndarray) -> np.ndarray:
+def _rowsum_csr_public(indptr, cols, flat: np.ndarray) -> np.ndarray:
     """The same product through scipy's public API (~50 us of constructor
     and validation per call); used only where the private routine is gone."""
     sel = sp.csr_matrix(
-        (np.ones(flat.shape[0], dtype=flat.dtype), index.cols, index.indptr),
-        shape=(index.num_segments, flat.shape[0]),
+        (np.ones(cols.shape[0], dtype=flat.dtype), cols, indptr),
+        shape=(indptr.shape[0] - 1, flat.shape[0]),
     )
     return sel @ flat
 
@@ -215,7 +217,8 @@ def _segment_sum_array(data: np.ndarray, index: SegmentIndex) -> np.ndarray:
         out = np.zeros(out_shape, dtype=data.dtype)
         np.add.at(out, index.ids, data)
         return out
-    return _rowsum_csr(index, data.reshape(n_rows, -1)).reshape(out_shape)
+    flat = _rowsum_csr(index.indptr, index.cols, data.reshape(n_rows, -1))
+    return flat.reshape(out_shape)
 
 
 def _segment_sum_tensor(values: Tensor, index: SegmentIndex) -> Tensor:
@@ -254,10 +257,92 @@ def segment_mean(
 ) -> Tensor:
     """Per-segment mean; empty segments yield zero rows."""
     index = _as_index(segment_ids, num_segments)
+    return _divide_by_counts(_segment_sum_tensor(values, index), index)
+
+
+def _divide_by_counts(total: Tensor, index: SegmentIndex) -> Tensor:
+    """``total`` row ``s`` times ``1 / max(count_s, 1)``: a node of its own,
+    since ``(sum v) * inv`` and ``sum(v * inv)`` differ in the last bits."""
     safe = np.maximum(index.counts, 1)
-    total = _segment_sum_tensor(values, index)
-    inv = (1.0 / safe).reshape((index.num_segments,) + (1,) * (values.data.ndim - 1))
+    inv = (1.0 / safe).reshape((index.num_segments,) + (1,) * (total.data.ndim - 1))
     return total * Tensor(inv)
+
+
+def gather_segment_sum(
+    x: Tensor,
+    src_ids: IndexLike,
+    dst_index: IndexLike,
+    num_segments: Optional[int] = None,
+) -> Tensor:
+    """``segment_sum(x.index_rows(src_ids), dst_index)`` as one tape node.
+
+    DGL's g-SpMM "copy source, sum at destination": a selection CSR with
+    columns ``src_ids[dst.cols]`` (``src_ids`` itself for sorted
+    destinations) reads ``x`` directly, so the ``E x d`` message tensor is
+    never built; the adjoint is the transposed product, columns
+    ``dst.ids[src.cols]``.  Both add each output row's terms sequentially
+    in edge order, as the composed chain does, so values and gradients
+    are its own bit for bit (DESIGN.md 5.9); under ``_ADD_AT_MAX_SIZE``
+    message elements, or for 1-D ``x``, both directions run that chain's
+    ``np.add.at`` inside the node.  ``src_ids`` is a raw row-id array or a
+    :class:`SegmentIndex` over ``x``'s rows (callers gathering through the
+    same ids repeatedly pass one, so the adjoint's grouping is built once).
+    """
+    dst = _as_index(dst_index, num_segments)
+    data = x.data
+    n_rows = data.shape[0]
+    if isinstance(src_ids, SegmentIndex):
+        if src_ids.num_segments != n_rows:
+            raise ValueError(
+                f"row index covers {src_ids.num_segments} rows, tensor has {n_rows}"
+            )
+        src_index, src = src_ids, src_ids.ids
+    else:
+        src_index, src = None, np.asarray(src_ids, dtype=np.int64)
+    n_edges = src.shape[0]
+    if dst.ids.shape[0] != n_edges:
+        raise ValueError(
+            f"{n_edges} source ids, destination index has {dst.ids.shape[0]}"
+        )
+    out_shape = (dst.num_segments,) + data.shape[1:]
+    small = data.ndim == 1 or n_edges * math.prod(data.shape[1:]) < _ADD_AT_MAX_SIZE
+    if small:
+        # The gather checks the ids, as ``index_rows`` does; a one-off
+        # index would cost this path more than its scatter-add.
+        out = np.zeros(out_shape, dtype=data.dtype)
+        np.add.at(out, dst.ids, data[src])
+    else:
+        if src_index is None:  # the C routine reads ``x`` unchecked
+            src_index = SegmentIndex(src, n_rows)
+        cols = src if dst.is_sorted else src[dst.cols]
+        out = _rowsum_csr(dst.indptr, cols, data.reshape(n_rows, -1))
+        out = out.reshape(out_shape)
+
+    def backward_fn(g: np.ndarray) -> None:
+        if not x.requires_grad:
+            return
+        if small:
+            buf = np.zeros(data.shape, dtype=g.dtype)
+            np.add.at(buf, _check_segments(src, n_rows), g[dst.ids])
+        else:
+            cols = dst.ids if src_index.is_sorted else dst.ids[src_index.cols]
+            flat = _rowsum_csr(src_index.indptr, cols, g.reshape(dst.num_segments, -1))
+            buf = flat.reshape(data.shape)
+        x._accumulate_owned(buf)
+
+    return Tensor._make(out, (x,), backward_fn, "gather_segment_sum")
+
+
+def gather_segment_mean(
+    x: Tensor,
+    src_ids: IndexLike,
+    dst_index: IndexLike,
+    num_segments: Optional[int] = None,
+) -> Tensor:
+    """``segment_mean(x.index_rows(src_ids), dst_index)``: the fused sum,
+    then the per-segment ``1 / count`` node (empty segments yield zeros)."""
+    dst = _as_index(dst_index, num_segments)
+    return _divide_by_counts(gather_segment_sum(x, src_ids, dst), dst)
 
 
 def _segment_max_array(values: np.ndarray, index: SegmentIndex) -> np.ndarray:
@@ -331,70 +416,3 @@ def segment_softmax(
     denom = _segment_sum_tensor(expd, index)
     # Gather per-edge denominator and divide.
     return expd / denom.index_rows(index)
-
-
-class CSRMatrix:
-    """An immutable CSR adjacency operand for :func:`spmm`.
-
-    Wraps ``scipy.sparse.csr_matrix``; the transpose (needed only by the
-    backward pass) is built lazily on first access, so forward-only and
-    timing-only paths never pay for it.  The matrix itself is structural
-    (not a differentiable quantity), matching how GNN frameworks treat
-    sampled adjacencies.
-    """
-
-    __slots__ = ("mat", "_mat_t")
-
-    def __init__(self, mat: sp.csr_matrix):
-        self.mat = mat.tocsr()
-        self._mat_t = None
-
-    @property
-    def mat_t(self) -> sp.csr_matrix:
-        """``A^T`` in CSR form, built on first use and cached."""
-        if self._mat_t is None:
-            self._mat_t = self.mat.T.tocsr()
-        return self._mat_t
-
-    @classmethod
-    def from_edges(
-        cls,
-        edge_dst: np.ndarray,
-        edge_src: np.ndarray,
-        shape: tuple,
-        values: Optional[np.ndarray] = None,
-    ) -> "CSRMatrix":
-        """Build an ``(n_dst, n_src)`` CSR matrix from edge index arrays."""
-        edge_dst = np.asarray(edge_dst, dtype=np.int64)
-        edge_src = np.asarray(edge_src, dtype=np.int64)
-        if values is None:
-            values = np.ones(edge_dst.shape[0], dtype=np.float64)
-        mat = sp.csr_matrix((values, (edge_dst, edge_src)), shape=shape)
-        return cls(mat)
-
-    @property
-    def shape(self) -> tuple:
-        return self.mat.shape
-
-    @property
-    def nnz(self) -> int:
-        return self.mat.nnz
-
-
-def spmm(adj: CSRMatrix, x: Tensor) -> Tensor:
-    """Sparse-dense product ``adj @ x`` with autograd on the dense side.
-
-    Backward: ``dX = adj^T @ dY`` (exact adjoint of a linear map).
-    """
-    if adj.shape[1] != x.data.shape[0]:
-        raise ValueError(
-            f"spmm shape mismatch: adj is {adj.shape}, x has "
-            f"{x.data.shape[0]} rows"
-        )
-    out = adj.mat @ x.data
-
-    def backward_fn(g: np.ndarray) -> None:
-        if x.requires_grad:
-            x._accumulate(adj.mat_t @ g)
-
-    return Tensor._make(out, (x,), backward_fn, "spmm")

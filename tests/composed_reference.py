@@ -1,12 +1,13 @@
 """The composed forms the compute path is pinned against, bit for bit.
 
 ``repro.tensor`` runs one compute path: fused tape nodes, the segment-sum
-adjoint of ``Tensor.index_rows``, and the trainer's cross-device shared
-gather.  Each function here is the chain that path replaces — the
-primitive tape nodes of ``act(x @ w + b)``, ``act(sum(terms) + b)`` and the
-log-softmax cross entropy, the n-D ``np.add.at`` adjoint of a row gather,
-and one direct feature gather per device — and the tests require the
-production path to match it exactly (DESIGN.md §5.12).
+adjoint of ``Tensor.index_rows``, the fused gather→aggregate node and the
+trainer's cross-device shared gather.  Each function here is the chain that
+path replaces — the primitive tape nodes of ``act(x @ w + b)``,
+``act(sum(terms) + b)``, the log-softmax cross entropy and
+``segment_sum(x.index_rows(src), dst)``, the n-D ``np.add.at`` adjoint of a
+row gather, and one direct feature gather per device — and the tests
+require the production path to match it exactly (DESIGN.md §5.12).
 
 :func:`install_composed_kernels` and :func:`install_direct_gather` swap the
 references in through a ``pytest.MonkeyPatch``; every caller in ``src/``
@@ -19,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.featurestore.store import UnifiedFeatureStore
-from repro.tensor import fused
+from repro.tensor import fused, sparse
 from repro.tensor import functional as F
 from repro.tensor.sparse import SegmentIndex
 from repro.tensor.tensor import Tensor
@@ -80,10 +81,16 @@ def index_rows(self, idx):
     return Tensor._make(self.data[idx], (self,), backward_fn, "index_rows")
 
 
+def gather_segment_sum(x, src_ids, dst_index, num_segments=None):
+    """``sparse.gather_segment_sum`` as a row gather, then a segment sum."""
+    return sparse.segment_sum(x.index_rows(src_ids), dst_index, num_segments)
+
+
 def install_composed_kernels(mp) -> None:
     """Route every fused kernel and the gather adjoint to its composed form."""
     mp.setattr(fused, "linear", linear)
     mp.setattr(fused, "add_bias_act", add_bias_act)
+    mp.setattr(sparse, "gather_segment_sum", gather_segment_sum)
     mp.setattr(F, "cross_entropy", cross_entropy)
     mp.setattr(Tensor, "index_rows", index_rows)
 

@@ -15,7 +15,8 @@ from repro.cluster import multi_machine_cluster
 from repro.config import APTConfig
 from repro.core import APT
 from repro.graph.datasets import small_dataset
-from repro.models import GraphSAGE
+from repro.models import GCN, GraphSAGE
+from repro.tensor import sparse
 from tests import composed_reference as reference
 
 STRATEGIES = ("gdp", "nfp", "snp", "dnp")
@@ -26,8 +27,11 @@ def ds():
     return small_dataset(n=1500, feature_dim=16, num_classes=4, seed=7)
 
 
-def _run(ds, strategy, *, composed, direct_gather, backend="serial", gather=False):
-    model = GraphSAGE(ds.feature_dim, 8, ds.num_classes, 2, seed=1)
+def _run(
+    ds, strategy, *, composed, direct_gather, backend="serial", gather=False,
+    model_cls=GraphSAGE, fused_aggregation=True,
+):
+    model = model_cls(ds.feature_dim, 8, ds.num_classes, 2, seed=1)
     cluster = multi_machine_cluster(
         2, 2, gpu_cache_bytes=ds.feature_bytes * 0.06
     )
@@ -46,6 +50,8 @@ def _run(ds, strategy, *, composed, direct_gather, backend="serial", gather=Fals
             reference.install_composed_kernels(mp)
         if direct_gather:
             reference.install_direct_gather(mp)
+        if not fused_aggregation:
+            mp.setattr(sparse, "gather_segment_sum", reference.gather_segment_sum)
         report = apt.run_strategy(strategy, 2, numerics=True)
     return report, model
 
@@ -95,6 +101,20 @@ def test_each_optimization_alone_is_bitwise_identical(
     rb, mb = _reference(ds, strategy)
     ro, mo = _run(ds, strategy, composed=composed, direct_gather=direct_gather)
     _assert_identical(rb, mb, ro, mo)
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES + ("layerwise:gdp,snp",))
+@pytest.mark.parametrize("model_cls", [GraphSAGE, GCN], ids=["sage", "gcn"])
+def test_fused_aggregation_bitwise_identical(ds, model_cls, strategy):
+    # Only the gather→aggregate node differs: every mean/sum aggregation
+    # (full forward, SNP partials, NFP's union columns) against the
+    # composed gather + segment sum.
+    runs = [
+        _run(ds, strategy, composed=False, direct_gather=False,
+             model_cls=model_cls, fused_aggregation=fused)
+        for fused in (False, True)
+    ]
+    _assert_identical(*runs[0], *runs[1])
 
 
 def test_dedup_with_process_backend_gather_prefetch(ds):

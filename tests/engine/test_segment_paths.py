@@ -1,9 +1,11 @@
 """Which segment kernel the training path takes, and how often it indexes.
 
 Two counts over real batches (DESIGN.md §5.9): no n-D operand at or above
-the element cutoff reaches ``np.add.at`` under any strategy, and NFP —
-where every shard holder aggregates every owner's block — builds the
-grouping structure of an id array once, not once per holder.
+the element cutoff reaches ``np.add.at`` under any strategy (the fused
+gather→aggregate node included), and NFP — where every shard holder
+aggregates every owner's block — builds each owner's fused union columns,
+and the grouping structure of any id array, once per batch, not once per
+holder.
 """
 
 from collections import Counter
@@ -14,6 +16,7 @@ import pytest
 from repro.cluster import single_machine_cluster
 from repro.config import APTConfig
 from repro.core import APT
+from repro.engine import nfp
 from repro.graph.datasets import small_dataset
 from repro.models import GraphSAGE
 from repro.tensor import sparse
@@ -95,8 +98,33 @@ def test_nfp_indexes_each_id_array_once(ds, monkeypatch):
         sparse, "_is_nondecreasing", counting(sparse._is_nondecreasing)
     )
     monkeypatch.setattr(sparse, "_stable_order", counting(sparse._stable_order))
+    columns, aggregations = [], Counter()  # fused columns; reads per columns
+    union_columns, gather_segment_sum = nfp.union_columns, sparse.gather_segment_sum
+
+    def counting_columns(*args):
+        columns.append(union_columns(*args))
+        return columns[-1]
+
+    def counting_aggregation(x, src, *args):
+        aggregations[id(src)] += 1
+        return gather_segment_sum(x, src, *args)
+
+    monkeypatch.setattr(nfp, "union_columns", counting_columns)
+    monkeypatch.setattr(sparse, "gather_segment_sum", counting_aggregation)
     _one_epoch(ds, "nfp")
-    # Four shard holders aggregate four owners' blocks: far more kernel
-    # calls than index builds, and no id array is indexed twice.
+    # Four shard holders aggregate four owners' blocks: one set of fused
+    # columns per owner, read by all four holders, and no id array is
+    # indexed twice.
+    assert [aggregations[id(c)] for c in columns] == [4, 4, 4, 4]
     assert built and max(built.values()) == 1, built.most_common(3)
     assert checks and max(checks.values()) == 1, checks.most_common(3)
+
+
+def test_nfp_union_columns_reject_repeated_union_rows():
+    # The composite columns equal the two chained gathers only when the
+    # block's union rows are distinct (each block row owns its union row).
+    edge_src = np.array([0, 1, 2, 1])
+    cols = nfp.union_columns(np.array([5, 0, 3]), edge_src, 6)
+    assert np.array_equal(cols.ids, [5, 0, 3, 0]) and cols.num_segments == 6
+    with pytest.raises(AssertionError, match="repeat a union position"):
+        nfp.union_columns(np.array([5, 0, 5]), edge_src, 6)

@@ -47,9 +47,9 @@ class TestFromGlobalEdges:
 class TestBlockDerived:
     def test_segment_index_shape_and_values(self):
         b = simple_block()
-        dst, src = b.dst_index(), b.src_index()
-        assert (dst.num_segments, src.num_segments) == (2, 5)
-        assert dst.ids.shape == src.ids.shape == (3,)
+        dst = b.dst_index()
+        assert dst.num_segments == 2
+        assert dst.ids.shape == (3,)
         np.testing.assert_array_equal(dst.indptr, [0, 2, 3])
         np.testing.assert_array_equal(dst.counts, [2.0, 1.0])
 

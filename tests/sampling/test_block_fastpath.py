@@ -99,14 +99,11 @@ def test_segment_index_cached_per_block():
     rng = np.random.default_rng(2)
     src, dst = random_edges(rng, 120, 30, dst_sorted=False)
     block = Block.from_global_edges(src, dst)
-    dst_index, src_index = block.dst_index(), block.src_index()
+    dst_index = block.dst_index()
     assert block.dst_index() is dst_index
-    assert block.src_index() is src_index
     assert block.dst_edge_ptr() is dst_index.indptr  # one structure, not two
-    assert (dst_index.num_segments, src_index.num_segments) == (
-        block.num_dst, block.num_src
-    )
-    assert dst_index.ids is block.edge_dst and src_index.ids is block.edge_src
-    # every edge lands in exactly one destination run / source bucket
-    assert dst_index.indptr[-1] == src_index.indptr[-1] == block.num_edges
+    assert dst_index.num_segments == block.num_dst
+    assert dst_index.ids is block.edge_dst
+    # every edge lands in exactly one destination run
+    assert dst_index.indptr[-1] == block.num_edges
     assert dst_index.is_sorted

@@ -2,8 +2,7 @@
 
 The hot-path pass replaced ``np.add.at`` / ``np.maximum.at`` with faster
 kernels (a selection-CSR accumulation, column-wise 1-D max loops, reduceat
-on sorted runs, a fused exp-shift node) and made the SpMM transpose lazy.
-All of them are advertised as **bit-identical** to the original
+on sorted runs, a fused exp-shift node).  All of them are advertised as **bit-identical** to the original
 implementations — these tests hold that line, for forward values AND
 gradients, across the shape-selected paths (1-D, under / over
 ``_ADD_AT_MAX_SIZE`` elements), the operand shapes recorded from the
@@ -25,13 +24,7 @@ from repro.tensor import (
     segment_sum,
     sparse,
 )
-from repro.tensor.sparse import (
-    _segment_sum_array,
-    _stable_order,
-    CSRMatrix,
-    SegmentIndex,
-    spmm,
-)
+from repro.tensor.sparse import _segment_sum_array, _stable_order, SegmentIndex
 
 # Row / column counts the cases below were written around (dispatch
 # thresholds of an earlier kernel); kept so the pinned cases stay the same.
@@ -213,45 +206,6 @@ def test_stable_order_matches_stable_argsort(n_edges, n_seg, seed):
     )
 
 
-# --------------------------------------------------------------------- #
-# SpMM: lazy transpose must not change forward or backward
-# --------------------------------------------------------------------- #
-def test_spmm_lazy_transpose_bitwise():
-    rng = np.random.default_rng(3)
-    n_dst, n_src, nnz, d = 40, 70, 300, 16
-    adj = CSRMatrix.from_edges(
-        rng.integers(0, n_dst, nnz), rng.integers(0, n_src, nnz), (n_dst, n_src)
-    )
-    x_data = rng.normal(size=(n_src, d))
-    g = rng.normal(size=(n_dst, d))
-
-    assert adj._mat_t is None  # transpose not built by construction
-    x = Tensor(x_data.copy(), requires_grad=True)
-    out = spmm(adj, x)
-    assert adj._mat_t is None  # ...nor by the forward pass
-    out.backward(g)
-    assert adj._mat_t is not None
-
-    # Reference: eagerly transposed operand, original op-by-op math.
-    mat_t = adj.mat.T.tocsr()
-    assert np.array_equal(out.data, adj.mat @ x_data)
-    assert np.array_equal(x.grad, mat_t @ g)
-    # The cached transpose is exactly A^T.
-    assert (adj.mat_t != mat_t).nnz == 0
-
-
-def test_spmm_repeated_backward_reuses_transpose():
-    rng = np.random.default_rng(4)
-    adj = CSRMatrix.from_edges(
-        rng.integers(0, 10, 50), rng.integers(0, 20, 50), (10, 20)
-    )
-    x = Tensor(rng.normal(size=(20, 4)), requires_grad=True)
-    spmm(adj, x).backward(np.ones((10, 4)))
-    first = adj.mat_t
-    spmm(adj, x).backward(np.ones((10, 4)))
-    assert adj.mat_t is first  # built once, reused
-
-
 def test_selection_csr_equals_sequential_add_at_not_reduceat():
     """The kernel must reproduce *sequential* accumulation order.
 
@@ -280,18 +234,6 @@ def test_selection_csr_equals_sequential_add_at_not_reduceat():
 # --------------------------------------------------------------------- #
 WORKLOAD_ROWS = (1, 7, 31, 32, 33, 250, 400, 900, 1023, 1024, 1500)
 WORKLOAD_TRAILING = ((16,), (32,), (64,), (128,), (4, 8))
-
-
-@pytest.fixture(params=["direct", "public"])
-def csr_entry(request, monkeypatch):
-    """Both entries into scipy's CSR accumulation: the private routine, and
-    the public product the module falls back to at import when the private
-    symbol is missing (forced here)."""
-    if request.param == "public":
-        monkeypatch.setattr(sparse, "_rowsum_csr", sparse._rowsum_csr_public)
-    else:
-        assert sparse._rowsum_csr is sparse._rowsum_csr_direct
-    return request.param
 
 
 @pytest.mark.parametrize("sorted_ids", [True, False], ids=["sorted", "unsorted"])

@@ -1,4 +1,4 @@
-"""Tests for sparse/segment kernels (SpMM, segment ops, edge softmax)."""
+"""Tests for sparse/segment kernels (segment ops, edge softmax, gathers)."""
 
 import numpy as np
 import pytest
@@ -6,12 +6,13 @@ import pytest
 from repro.tensor import (
     Tensor,
     gather_rows,
+    gather_segment_sum,
     segment_max,
     segment_mean,
     segment_softmax,
     segment_sum,
 )
-from repro.tensor.sparse import CSRMatrix, segment_count, spmm
+from repro.tensor.sparse import segment_count
 from tests.tensor.test_autograd import numeric_grad
 
 
@@ -124,37 +125,41 @@ class TestSegmentSoftmax:
         np.testing.assert_allclose(t.grad, num, rtol=1e-5, atol=1e-8)
 
 
-class TestSpMM:
+class TestGatherSegmentSum:
+    """The fused gather→sum is the dense product ``A @ x`` of the edges'
+    adjacency (one entry per edge, repeated edges counted twice)."""
+
+    @staticmethod
+    def adjacency(dst, src, shape):
+        adj = np.zeros(shape)
+        np.add.at(adj, (dst, src), 1.0)
+        return adj
+
     def test_matches_dense(self):
         rng = np.random.default_rng(0)
-        dense = (rng.random((4, 6)) < 0.4).astype(float)
-        import scipy.sparse as sp
-
-        adj = CSRMatrix(sp.csr_matrix(dense))
+        src, dst = rng.integers(0, 6, 9), rng.integers(0, 4, 9)
         x = rng.normal(size=(6, 3))
-        out = spmm(adj, Tensor(x))
-        np.testing.assert_allclose(out.data, dense @ x)
+        out = gather_segment_sum(Tensor(x), src, dst, 4)
+        np.testing.assert_allclose(out.data, self.adjacency(dst, src, (4, 6)) @ x)
 
-    def test_grad_is_transpose_spmm(self):
+    def test_grad_is_transpose_product(self):
         rng = np.random.default_rng(1)
-        adj = CSRMatrix.from_edges(
-            np.array([0, 1, 1, 2]), np.array([1, 0, 2, 2]), (3, 3)
-        )
+        src, dst = np.array([1, 0, 2, 2]), np.array([0, 1, 1, 2])
         x = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
         g = rng.normal(size=(3, 2))
-        spmm(adj, x).backward(g)
-        np.testing.assert_allclose(x.grad, adj.mat.toarray().T @ g)
+        gather_segment_sum(x, src, dst, 3).backward(g)
+        np.testing.assert_allclose(x.grad, self.adjacency(dst, src, (3, 3)).T @ g)
 
     def test_shape_mismatch_raises(self):
-        adj = CSRMatrix.from_edges(np.array([0]), np.array([1]), (2, 3))
-        with pytest.raises(ValueError):
-            spmm(adj, Tensor(np.ones((4, 2))))
+        with pytest.raises(ValueError, match="2 source ids"):
+            gather_segment_sum(Tensor(np.ones((4, 2))), [0, 1], [0], 2)
+        with pytest.raises(IndexError):
+            gather_segment_sum(Tensor(np.ones((4, 2))), [0, 4], [0, 1], 2)
 
-    def test_from_edges_duplicate_weights_accumulate(self):
-        adj = CSRMatrix.from_edges(
-            np.array([0, 0]), np.array([1, 1]), (2, 2)
-        )
-        assert adj.mat[0, 1] == 2.0
+    def test_duplicate_edges_accumulate(self):
+        x = Tensor(np.array([[1.0], [10.0]]))
+        out = gather_segment_sum(x, np.array([1, 1]), np.array([0, 0]), 2)
+        np.testing.assert_array_equal(out.data, [[20.0], [0.0]])
 
 
 class TestGatherRows:
