@@ -50,6 +50,7 @@ CASES: List[figures.Case] = [
     figures.Table4AptSpeedup(),
     figures.Fig10Gat(),
     figures.Fig11RandomPartition(),
+    figures.PartitionQuality(),
     figures.Fig12CostModel(),
     figures.AblationCachePolicy(),
     figures.AblationNvlinkCache(),

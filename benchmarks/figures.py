@@ -34,7 +34,14 @@ from repro.config import PAPER_CACHE_GB, APTConfig, scaled_gpu_cache_bytes
 from repro.core import APT, CostModel, Planner, access_frequency_census
 from repro.engine.context import ExecutionContext
 from repro.engine.trainer import evaluate_accuracy
-from repro.graph import fs_like, im_like, metis_like_partition, ps_like
+from repro.graph import (
+    CoarseningHierarchy,
+    edge_cut_fraction,
+    fs_like,
+    im_like,
+    metis_like_partition,
+    ps_like,
+)
 from repro.graph.datasets import GraphDataset, small_dataset
 from repro.graph.metrics import access_skewness_table
 from repro.graph.partition import random_partition
@@ -861,6 +868,73 @@ class Fig11RandomPartition(SweepCase):
             for n in DATASETS
         ])
         assert mean_snp > 1.15
+
+
+class PartitionQuality(Case):
+    """The METIS stand-in's partition quality, the baseline its coarsening
+    changes are held to.
+
+    For each analog at 2 / 4 / 8 parts, even and weighted (half the parts
+    twice as fast), the table records the edge-cut fraction against a
+    random partition's, the largest part's overload of its target share,
+    and the coarsening level sizes.  The claim is only what holds today:
+    the cut is below random's and no part exceeds its share by more than
+    ``balance_tol``.  ``fs`` does not coarsen at all (its first matching
+    stalls), and ``ps`` / ``im`` stop far above the 4,000-node target.
+    """
+
+    name = "partition_quality"
+    PARTS = (2, 4, 8)
+    BALANCE_TOL = 0.08  # metis_like_partition's default
+
+    def run(self, quick: bool) -> dict:
+        records = []
+        for name in DATASETS:
+            graph = dataset(name).graph
+            hierarchy = CoarseningHierarchy(graph, seed=0)
+            for k in self.PARTS:
+                for weighted in (False, True):
+                    weights = [2.0] * (k // 2) + [1.0] * (k // 2) if weighted else None
+                    share = (
+                        np.full(k, 1.0 / k) if weights is None
+                        else np.array(weights) / sum(weights)
+                    )
+                    parts = metis_like_partition(
+                        graph, k, weights=weights, hierarchy=hierarchy,
+                        balance_tol=self.BALANCE_TOL,
+                    )
+                    rand = random_partition(graph.num_nodes, k, seed=0, weights=weights)
+                    load = np.bincount(parts, minlength=k) / (graph.num_nodes * share)
+                    records.append({
+                        "dataset": name, "parts": k, "weighted": weighted,
+                        "cut": edge_cut_fraction(graph, parts),
+                        "random_cut": edge_cut_fraction(graph, rand),
+                        "imbalance": float(load.max() - 1.0),
+                        **hierarchy.summary(),
+                    })
+        return {"records": records, "balance_tol": self.BALANCE_TOL}
+
+    def table(self, result: dict) -> List[str]:
+        out = []
+        for r in result["records"]:
+            levels = " -> ".join(str(n) for n in r["levels"])
+            stop = ", stalled" if r["stalled"] else ""
+            out.append(
+                f"{r['dataset']} {r['parts']} parts "
+                f"{'weighted' if r['weighted'] else 'even':<8} "
+                f"cut {r['cut']:.4f} (random {r['random_cut']:.4f})  "
+                f"imbalance {r['imbalance']:+.4f}  levels {levels} "
+                f"(target {r['target']}{stop})"
+            )
+        return out
+
+    def check(self, result: dict) -> None:
+        tol = result["balance_tol"]
+        for r in result["records"]:
+            case = f"{r['dataset']} {r['parts']} parts weighted={r['weighted']}"
+            assert r["cut"] < r["random_cut"], case
+            # the refinement's own bound, up to the rounding of the ratio
+            assert r["imbalance"] <= tol + 1e-9, case
 
 
 class Fig12CostModel(Case):

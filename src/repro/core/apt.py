@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import weakref
 from functools import cached_property
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -405,6 +405,7 @@ class APT:
             max_wait_s=max_wait_s,
         )
         plan.subsets = subset_meta
+        plan.coarsening = self._coarsening()
         report = RunReport(plan=plan, config=self.config.to_dict())
         if objective == "latency":
             return report
@@ -424,6 +425,14 @@ class APT:
             report.collector = collector
             report.telemetry = collector.summary()
         return report
+
+    def _coarsening(self) -> Optional[Dict[str, Any]]:
+        """What the "metis" partitioner coarsened, for the plan report."""
+        partition = self.config.partition
+        if isinstance(partition, str) and partition == "metis":
+            if self._hierarchy is not None:
+                return self._hierarchy.summary()
+        return None
 
     def _subset_candidates(
         self, strategies: Tuple[str, ...]
@@ -478,6 +487,7 @@ class APT:
             self.model.num_layers,
             beam_width=beam_width,
         )
+        self.plan_report.coarsening = self._coarsening()
         return RunReport(plan=self.plan_report, config=self.config.to_dict())
 
     # ------------------------------------------------------------------ #

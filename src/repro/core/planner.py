@@ -15,7 +15,7 @@ type the objective produced (each exposes ``.total`` and ``.as_dict()``).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Any, Dict, List, Optional
 
 from repro.core.costmodel import CostModel
 from repro.core.dryrun import DryRunStats
@@ -83,6 +83,10 @@ class PlanReport:
     #: beam width of the layerwise search that produced this plan
     #: (``None``: a fixed candidate set was ranked)
     beam_width: Optional[int] = None
+    #: the "metis" partitioner's coarsening of the planned graph
+    #: (:meth:`~repro.graph.partition.CoarseningHierarchy.summary`);
+    #: ``None`` for other partition modes
+    coarsening: Optional[Dict[str, Any]] = None
 
     def summary(self) -> str:
         """Human-readable plan: what was ranked, the per-candidate
@@ -129,6 +133,14 @@ class PlanReport:
                     lines.append(
                         f"  {name}: {layers} (re-layout {nbytes / 1e3:.1f} KB)"
                     )
+        if self.coarsening is not None:
+            c = self.coarsening
+            stop = ", stalled" if c["stalled"] else ""
+            lines += [
+                "",
+                "coarsening: " + " -> ".join(str(n) for n in c["levels"])
+                + f" (target {c['target']}{stop})",
+            ]
         lines += ["", f"APT selects: {self.chosen}"]
         return "\n".join(lines)
 

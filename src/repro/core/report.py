@@ -392,6 +392,8 @@ class RunReport(ReportBase):
                 }
             if self.plan.relayout_bytes:
                 out["plan"]["relayout_bytes"] = dict(self.plan.relayout_bytes)
+            if self.plan.coarsening is not None:
+                out["plan"]["coarsening"] = dict(self.plan.coarsening)
         if self.result is not None:
             out["result"] = {
                 "strategy": self.result.strategy,

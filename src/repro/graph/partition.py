@@ -22,7 +22,7 @@ paper Fig. 11 exercises.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -96,6 +96,20 @@ class _Level:
         return self.indptr.shape[0] - 1
 
 
+def _last_argmax(values: np.ndarray, starts: np.ndarray, lengths: np.ndarray):
+    """Each segment's maximum and the last position holding it.
+
+    The segments ``[starts[i], starts[i] + lengths[i])`` are non-empty and
+    tile ``values`` in order.  The position is the one a stable sort by
+    (segment, value) would put last in its segment.
+    """
+    top = np.maximum.reduceat(values, starts)
+    at_top = np.where(
+        values == np.repeat(top, lengths), np.arange(values.size), -1
+    )
+    return top, np.maximum.reduceat(at_top, starts)
+
+
 def _heavy_edge_matching(
     level: _Level, rng: np.random.Generator, rounds: int = 5
 ) -> np.ndarray:
@@ -111,25 +125,25 @@ def _heavy_edge_matching(
     indptr, indices, ew = level.indptr, level.indices, level.edge_weights
     match = np.arange(n, dtype=np.int64)  # self-matched by default
     unmatched = np.ones(n, dtype=bool)
-    src = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
+    deg = np.diff(indptr)
+    src = np.repeat(np.arange(n, dtype=np.int64), deg)
     noise = rng.random(ew.shape[0]) * 1e-6
+    # CSR rows are contiguous, so each non-empty row's nomination is a
+    # segmented reduction over its own slice: no per-round edge sort.
+    rows = np.flatnonzero(deg)
+    row_start = indptr[rows]
+    row_deg = deg[rows]
     for _ in range(rounds):
         valid = unmatched[src] & unmatched[indices] & (src != indices)
         if not valid.any():
             break
         w = np.where(valid, ew + noise, -np.inf)
-        # Per-row argmax: sort by (row, weight); the last entry per row wins.
-        order = np.lexsort((w, src))
-        sorted_src = src[order]
-        row_last = np.nonzero(
-            np.r_[sorted_src[1:] != sorted_src[:-1], True]
-        )[0]
-        rows = sorted_src[row_last]
-        best_edge = order[row_last]
-        has_valid = np.isfinite(w[best_edge])
-        rows, best_edge = rows[has_valid], best_edge[has_valid]
+        # Ties to the last position: the entry a stable sort by
+        # (row, weight) would put last in the row.
+        row_max, best_edge = _last_argmax(w, row_start, row_deg)
+        has_valid = np.isfinite(row_max)
         best = np.full(n, -1, dtype=np.int64)
-        best[rows] = indices[best_edge]
+        best[rows[has_valid]] = indices[best_edge[has_valid]]
         # Mutual nominations become matches.
         cand = np.nonzero(best >= 0)[0]
         mutual = cand[best[best[cand]] == cand]
@@ -192,57 +206,63 @@ def _initial_partition(
     historical equal-share behavior bit-for-bit.
     """
     n = level.num_nodes
-    total_w = level.node_weights.sum()
+    indptr, indices = level.indptr, level.indices
+    node_weights = level.node_weights
+    total_w = node_weights.sum()
+    # ``parts`` and ``loads`` are Python lists and ``cap`` Python floats:
+    # the growth loop touches one element at a time, and a NumPy scalar
+    # read or write costs several times a list's.  Python float arithmetic
+    # is the same IEEE double arithmetic, so every load is unchanged.
     if targets is None:
         # Scalar share broadcast per part: identical values to the old
         # scalar cap, so the unweighted path is bitwise unchanged.
-        cap = np.full(num_parts, total_w / num_parts * 1.05)
-        fill = lambda: loads  # noqa: E731 — ordering key for part growth
+        cap = [float(total_w / num_parts * 1.05)] * num_parts
+        fill = lambda: np.array(loads)  # noqa: E731 — ordering key for part growth
     else:
         goal = total_w * targets
-        cap = goal * 1.05
-        fill = lambda: loads / goal  # noqa: E731
-    parts = np.full(n, -1, dtype=np.int64)
-    loads = np.zeros(num_parts)
-    degree_order = np.argsort(-np.diff(level.indptr))
+        cap = (goal * 1.05).tolist()
+        fill = lambda: np.array(loads) / goal  # noqa: E731
+    parts = [-1] * n
+    loads = [0.0] * num_parts
+    degree_order = np.argsort(-np.diff(indptr))
     frontier_sets: List[List[int]] = [[] for _ in range(num_parts)]
     seeds_iter = iter(degree_order)
     for p in range(num_parts):
         for s in seeds_iter:
+            s = int(s)
             if parts[s] == -1:
                 parts[s] = p
-                loads[p] += level.node_weights[s]
-                frontier_sets[p].extend(
-                    level.indices[level.indptr[s] : level.indptr[s + 1]].tolist()
-                )
+                loads[p] += float(node_weights[s])
+                frontier_sets[p].extend(indices[indptr[s] : indptr[s + 1]].tolist())
                 break
     # Round-robin BFS growth, least-filled part first.
     active = True
     while active:
         active = False
-        for p in np.argsort(fill()):
+        for p in np.argsort(fill()).tolist():
             if loads[p] >= cap[p]:
                 continue
             frontier = frontier_sets[p]
-            grabbed = False
             while frontier:
                 v = frontier.pop()
                 if parts[v] == -1:
                     parts[v] = p
-                    loads[p] += level.node_weights[v]
-                    frontier_sets[p].extend(
-                        level.indices[level.indptr[v] : level.indptr[v + 1]].tolist()
-                    )
-                    grabbed = True
+                    loads[p] += float(node_weights[v])
+                    frontier.extend(indices[indptr[v] : indptr[v + 1]].tolist())
+                    active = True
                     break
-            if grabbed:
-                active = True
     # Any disconnected leftovers go to the least-filled parts.
+    parts = np.array(parts, dtype=np.int64)
     for v in np.nonzero(parts == -1)[0]:
         p = int(np.argmin(fill()))
         parts[v] = p
-        loads[p] += level.node_weights[v]
+        loads[p] += float(node_weights[v])
     return parts
+
+
+# Refinement candidates converted to Python lists at a time: converting a
+# whole pass at once costs megabytes of list objects on a 120k-node graph.
+_REFINE_BLOCK = 4_096
 
 
 def _refine(
@@ -264,16 +284,17 @@ def _refine(
     """
     n = level.num_nodes
     indptr, indices, ew = level.indptr, level.indices, level.edge_weights
+    node_weights = level.node_weights
     src = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
-    loads = np.bincount(parts, weights=level.node_weights, minlength=num_parts)
-    total_w = level.node_weights.sum()
+    loads = np.bincount(parts, weights=node_weights, minlength=num_parts).tolist()
+    total_w = node_weights.sum()
     if targets is None:
-        cap = np.full(num_parts, total_w / num_parts * (1.0 + balance_tol))
-        floor = np.full(num_parts, total_w / num_parts * (1.0 - balance_tol))
+        cap = [float(total_w / num_parts * (1.0 + balance_tol))] * num_parts
+        floor = [float(total_w / num_parts * (1.0 - balance_tol))] * num_parts
     else:
         goal = total_w * targets
-        cap = goal * (1.0 + balance_tol)
-        floor = goal * (1.0 - balance_tol)
+        cap = (goal * (1.0 + balance_tol)).tolist()
+        floor = (goal * (1.0 - balance_tol)).tolist()
     for _ in range(passes):
         # Adjacency weight of every node to every part, in one bincount.
         key = src * np.int64(num_parts) + parts[indices]
@@ -287,18 +308,27 @@ def _refine(
         if cand.size == 0:
             break
         # Apply moves greedily by descending gain, maintaining balance.
+        # Each candidate reads only its own pre-pass part, and appears
+        # once, so the loop runs over Python lists a block at a time and
+        # writes a block's accepted moves after it.
         cand = cand[np.argsort(-gain[cand])]
-        moved = 0
-        for v in cand:
-            b, c = int(best[v]), int(parts[v])
-            wv = level.node_weights[v]
-            if loads[b] + wv > cap[b] or loads[c] - wv < floor[c]:
-                continue
-            parts[v] = b
-            loads[b] += wv
-            loads[c] -= wv
-            moved += 1
-        if moved == 0:
+        moved_any = False
+        for lo in range(0, cand.size, _REFINE_BLOCK):
+            block = cand[lo : lo + _REFINE_BLOCK]
+            moved = []
+            for v, b, c, wv in zip(
+                block.tolist(), best[block].tolist(), parts[block].tolist(),
+                node_weights[block].tolist(),
+            ):
+                if loads[b] + wv > cap[b] or loads[c] - wv < floor[c]:
+                    continue
+                moved.append(v)
+                loads[b] += wv
+                loads[c] -= wv
+            if moved:
+                parts[moved] = best[moved]
+                moved_any = True
+        if not moved_any:
             break
     return parts
 
@@ -339,6 +369,7 @@ class CoarseningHierarchy:
         self.coarsen_until = int(coarsen_until)
         self.max_levels = int(max_levels)
         self._coarse: Optional[List[_Level]] = None
+        self._stalled = False
 
     def levels(self) -> List[_Level]:
         """Finest-to-coarsest levels (the base level is rebuilt per call:
@@ -352,12 +383,25 @@ class CoarseningHierarchy:
                 and len(levels) < self.max_levels
             ):
                 matching = _heavy_edge_matching(levels[-1], rng)
-                coarse = _coarsen(levels[-1], matching)
-                if coarse.num_nodes >= levels[-1].num_nodes * 0.95:
-                    break  # matching stalled; stop coarsening
-                levels.append(coarse)
+                if int(matching.max()) + 1 >= levels[-1].num_nodes * 0.95:
+                    self._stalled = True  # contract nothing, stop
+                    break
+                levels.append(_coarsen(levels[-1], matching))
             self._coarse = levels[1:]
         return [base] + self._coarse
+
+    def summary(self) -> Optional[Dict[str, Any]]:
+        """The coarsening in integers, once built (``None`` before): every
+        level's node count, finest first, the ``coarsen_until`` target, and
+        whether matching stalled above the target."""
+        if self._coarse is None:
+            return None
+        sizes = [self.graph.num_nodes] + [lv.num_nodes for lv in self._coarse]
+        return {
+            "levels": sizes,
+            "target": self.coarsen_until,
+            "stalled": self._stalled,
+        }
 
 
 def metis_like_partition(
@@ -430,6 +474,59 @@ def metis_like_partition(
 # --------------------------------------------------------------------- #
 # coarsen-once streaming partitioner (out-of-core scale)
 # --------------------------------------------------------------------- #
+# Edges one plurality vote reads at a time.  A vote builds several
+# edge-sized temporaries, so it runs over node slices of at most this many
+# edges (a node with more gets a slice of its own): the vote's memory stays
+# bounded however many nodes a chunk holds.
+_VOTE_EDGES = 1 << 16
+
+
+def _edge_slices(indptr: np.ndarray, start: int, stop: int):
+    """Consecutive node ranges covering ``[start, stop)``, each holding at
+    most :data:`_VOTE_EDGES` edges or a single node.  Ranges without edges
+    (edgeless nodes before a node over the budget) cast no vote and are
+    skipped."""
+    while start < stop:
+        end = int(np.searchsorted(indptr, indptr[start] + _VOTE_EDGES, "right")) - 1
+        end = min(max(end, start + 1), stop)
+        if indptr[end] > indptr[start]:
+            yield start, end
+        start = end
+
+
+def _plurality_moves(
+    graph: CSRGraph, labels: np.ndarray, start: int, stop: int, C: int
+):
+    """The nodes of ``[start, stop)`` whose plurality neighbour label
+    differs from their own, in node order, and that label.
+
+    Ties go to the largest label.  Reads only the slice's own edges and
+    ``labels``, so slicing a chunk finer leaves every vote unchanged.
+    """
+    indptr = graph.indptr
+    lo, hi = int(indptr[start]), int(indptr[stop])
+    nbr_lab = labels[np.asarray(graph.indices[lo:hi])]
+    deg = np.diff(indptr[start : stop + 1])
+    local = np.repeat(np.arange(stop - start, dtype=np.int64), deg)
+    # Run-length count the sorted (node, label) pairs; each node's runs are
+    # contiguous, so its heaviest run (the last of equal ones) is a
+    # segmented "maximum, then last position equal to it".
+    key = local * np.int64(C) + nbr_lab
+    key.sort()
+    run_start = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+    run_key = key[run_start]
+    run_count = np.diff(np.r_[run_start, key.size])
+    run_local = run_key // C
+    node_start = np.flatnonzero(np.r_[True, run_local[1:] != run_local[:-1]])
+    _, best_run = _last_argmax(
+        run_count, node_start, np.diff(np.r_[node_start, run_count.size])
+    )
+    best_lab = run_key[best_run] % C
+    nodes = start + run_local[node_start]
+    want = best_lab != labels[nodes]
+    return nodes[want], best_lab[want]
+
+
 def _cluster_label_propagation(
     graph: CSRGraph,
     num_clusters: int,
@@ -443,7 +540,9 @@ def _cluster_label_propagation(
     node-range chunks (one contiguous ``indices`` slice per chunk — memmap
     friendly) and moves every node toward the cluster holding the plurality
     of its neighbors, as long as the target stays under ``slack`` times the
-    even share.  Deterministic: no randomness, fixed chunk order.
+    even share.  A chunk's votes all read the labels at the chunk's start
+    and are admitted together.  Deterministic: no randomness, fixed chunk
+    order.
     """
     n = graph.num_nodes
     C = int(num_clusters)
@@ -455,30 +554,16 @@ def _cluster_label_propagation(
         moved_any = False
         for start in range(0, n, chunk_nodes):
             stop = min(start + chunk_nodes, n)
-            lo, hi = int(indptr[start]), int(indptr[stop])
-            if hi == lo:
+            if indptr[stop] == indptr[start]:
                 continue
-            nbr_lab = labels[np.asarray(graph.indices[lo:hi])]
-            deg = np.diff(indptr[start : stop + 1])
-            local = np.repeat(np.arange(stop - start, dtype=np.int64), deg)
-            # Plurality neighbor label per node: run-length count the sorted
-            # (node, label) pairs, then keep each node's heaviest run.
-            key = local * np.int64(C) + nbr_lab
-            key.sort()
-            run_start = np.r_[True, key[1:] != key[:-1]]
-            run_key = key[run_start]
-            run_count = np.diff(np.r_[np.flatnonzero(run_start), key.size])
-            run_local = run_key // C
-            order = np.lexsort((run_count, run_local))
-            last = np.r_[run_local[order][1:] != run_local[order][:-1], True]
-            best_rows = run_local[order][last]
-            best_lab = (run_key % C)[order][last]
-            cur = labels[start + best_rows]
-            want = best_lab != cur
-            if not want.any():
+            votes = [
+                _plurality_moves(graph, labels, a, b, C)
+                for a, b in _edge_slices(indptr, start, stop)
+            ]
+            nodes = np.concatenate([v[0] for v in votes])
+            if nodes.size == 0:
                 continue
-            nodes = start + best_rows[want]
-            target = best_lab[want]
+            target = np.concatenate([v[1] for v in votes])
             # Admit moves per target up to remaining capacity, in node order.
             t_order = np.argsort(target, kind="stable")
             nodes, target = nodes[t_order], target[t_order]
@@ -528,9 +613,11 @@ def streaming_partition(
 
     Edge-cut quality lands within a modest factor of the in-memory
     partitioner (pinned by ``tests/graph/test_streaming_partition.py``)
-    while peak memory stays ``O(chunk + num_clusters**2)``.  Every step is
-    deterministic and draws nothing: ``seed`` is accepted only so the
-    partitioners share one call signature.
+    while, besides the per-node labels, the coarsening holds
+    ``O(chunk + num_clusters**2)``: every edge-sized temporary is bounded
+    by :data:`_VOTE_EDGES` (the fine refinement pass, when it runs, is
+    ``O(E)``).  Every step is deterministic and draws nothing: ``seed`` is
+    accepted only so the partitioners share one call signature.
     """
     check_positive("num_parts", num_parts)
     check_positive("chunk_nodes", chunk_nodes)
@@ -552,11 +639,8 @@ def streaming_partition(
     # Weighted cluster graph, accumulated densely (C is small by design).
     conn = np.zeros((C, C), dtype=np.float64)
     indptr = graph.indptr
-    for start in range(0, n, int(chunk_nodes)):
-        stop = min(start + int(chunk_nodes), n)
+    for start, stop in _edge_slices(indptr, 0, n):
         lo, hi = int(indptr[start]), int(indptr[stop])
-        if hi == lo:
-            continue
         deg = np.diff(indptr[start : stop + 1])
         cu = np.repeat(labels[start:stop], deg)
         cv = labels[np.asarray(graph.indices[lo:hi])]

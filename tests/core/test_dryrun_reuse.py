@@ -312,6 +312,29 @@ def test_coarsening_runs_once_per_graph_and_seed(monkeypatch):
     )
 
 
+def test_plan_reports_the_metis_coarsening():
+    """Every planner call of a "metis"-mode APT carries the hierarchy's
+    level sizes, in its JSON and its text; other modes carry none."""
+    from repro.graph import ps_like
+
+    big = ps_like(6000, feature_dim=8, train_fraction=0.02, seed=1)
+    apt = _make_apt(big, layers=2)
+    for call in PLANNER_CALLS.values():
+        report = call(apt)
+        summary = apt.hierarchy.summary()
+        assert len(summary["levels"]) >= 2  # the graph was coarsened
+        assert report.plan.coarsening == summary
+        assert report.to_dict()["plan"]["coarsening"] == summary
+        line = "coarsening: " + " -> ".join(map(str, summary["levels"]))
+        assert line in report.summary()
+    apt = _make_apt(big, layers=2)
+    apt.config.partition = "random"
+    report = apt.plan()
+    assert report.plan.coarsening is None
+    assert "coarsening" not in report.to_dict()["plan"]
+    assert "coarsening:" not in report.summary()
+
+
 def test_serial_epoch_samples_each_global_batch_once(ds, monkeypatch):
     """On the serial backend a training epoch makes one sampler call per
     global batch — the union of its device chunks — not one per chunk;

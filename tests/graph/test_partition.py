@@ -11,6 +11,7 @@ from repro.graph import (
     metis_like_partition,
     partition_balance,
     power_law_graph,
+    ps_like,
     random_partition,
 )
 
@@ -126,6 +127,44 @@ class TestCoarseningHierarchy:
         for k in (2, 4, 8):
             metis_like_partition(graph, k, hierarchy=h)
         assert calls == once
+
+    def test_a_stalled_matching_is_not_contracted(self, monkeypatch):
+        """The 5 % rule reads the matching's coarse node count, so only a
+        level that is kept pays for its contraction."""
+        from repro.graph import partition as mod
+
+        graph = ps_like(6000, feature_dim=4).graph  # stalls above 4,000
+        matchings, contractions = [], []
+        real_match, real_coarsen = mod._heavy_edge_matching, mod._coarsen
+        monkeypatch.setattr(
+            mod, "_heavy_edge_matching",
+            lambda level, rng: matchings.append(level.num_nodes)
+            or real_match(level, rng),
+        )
+        monkeypatch.setattr(
+            mod, "_coarsen",
+            lambda level, m: contractions.append(level.num_nodes)
+            or real_coarsen(level, m),
+        )
+        h = CoarseningHierarchy(graph, seed=0)
+        levels = h.levels()
+        assert h.summary()["stalled"]
+        assert len(matchings) == len(levels)  # the last one stalled
+        assert contractions == matchings[:-1]
+        for k in (2, 4):
+            metis_like_partition(graph, k, hierarchy=h)
+        assert len(contractions) == len(levels) - 1
+
+    def test_summary_is_the_level_sizes(self, graph, hierarchy):
+        assert CoarseningHierarchy(graph).summary() is None  # not built yet
+        summary = hierarchy.summary()
+        sizes = [lv.num_nodes for lv in hierarchy.levels()]
+        assert summary == {
+            "levels": sizes,
+            "target": 500,
+            "stalled": sizes[-1] > 500 and len(sizes) < hierarchy.max_levels,
+        }
+        assert all(type(n) is int for n in summary["levels"])
 
     def test_rejects_a_hierarchy_of_another_graph(self, hierarchy):
         other = community_graph(600, 6.0, 4, 0.9, seed=2)

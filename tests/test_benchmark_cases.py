@@ -18,9 +18,10 @@ REAL_CASES = {
     "fig01_motivation", "fig06_sanity_accuracy", "fig07_sanity_time",
     "table3_skewness", "fig08a_hidden_dim", "fig08b_fanout",
     "fig08c_cache_size", "fig09_multimachine", "table4_apt_speedup",
-    "fig10_gat", "fig11_random_partition", "fig12_cost_model",
-    "ablation_cache_policy", "ablation_nvlink_cache", "ablation_overlap",
-    "ablation_planner", "generality_gcn", "hybrid_strategy", "online_replan",
+    "fig10_gat", "fig11_random_partition", "partition_quality",
+    "fig12_cost_model", "ablation_cache_policy", "ablation_nvlink_cache",
+    "ablation_overlap", "ablation_planner", "generality_gcn",
+    "hybrid_strategy", "online_replan",
     "parallel", "fault_tolerance", "segment_shapes", "elastic", "hetero",
     "hybrid", "outofcore", "serving", "outofcore_1m",
 }
