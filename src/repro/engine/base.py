@@ -11,6 +11,7 @@ import numpy as np
 from repro.engine.context import ExecutionContext
 from repro.parallel.backend import resolve_backend
 from repro.sampling.block import MiniBatch
+from repro.tensor.sparse import SegmentIndex, segment_sum
 from repro.tensor.tensor import Tensor
 
 
@@ -284,3 +285,38 @@ def local_index_of(sorted_ids: np.ndarray, queries: np.ndarray) -> np.ndarray:
     ):
         raise KeyError("queries contain ids missing from the sorted array")
     return idx
+
+
+def split_rows(
+    stacked: Tensor, batches, device, ptr, positions, arrivals: list
+) -> List[Optional[Tensor]]:
+    """Each device's ``segment_sum`` of its tasks' rows of a task-stacked
+    first layer, one tape node per device.
+
+    Task ``t``'s rows ``ptr[t]:ptr[t + 1]`` go to ``device[t]`` (a device's
+    tasks are contiguous) at ``positions[t]`` of its ``blocks[0]``
+    destinations.  Devices own disjoint rows, so a node's adjoint writes
+    its rows of ``stacked``'s gradient directly and appends the device to
+    ``arrivals``: the order the tape reaches the devices, which a
+    segment-ordered adjoint replays (DESIGN.md §5.18).
+    """
+    out: List[Optional[Tensor]] = []
+    for d, mb in enumerate(batches):
+        ts = np.flatnonzero(device == d)
+        if mb is None or not ts.size:
+            out.append(None)
+            continue
+        rows = slice(ptr[ts[0]], ptr[ts[-1] + 1])
+        index = SegmentIndex(
+            np.concatenate([positions[t] for t in ts]), mb.blocks[0].num_dst
+        )
+
+        def backward_fn(g, d=d, rows=rows, ids=index.ids) -> None:
+            if stacked.grad is None:
+                stacked.grad = np.zeros_like(stacked.data)
+            stacked.grad[rows] = g[ids]
+            arrivals.append(d)
+
+        total = segment_sum(Tensor(stacked.data[rows]), index).data
+        out.append(Tensor._make(total, (stacked,), backward_fn, "split_rows"))
+    return out

@@ -16,12 +16,16 @@ Consequences the paper highlights (§3.3):
 * DNP can exploit *excess* cache beyond ``1/C`` of the features (the halo),
   but with a small cache it loads more rows than SNP because the per-device
   input set (partition + halo) is larger.
+
+GraphSAGE/GCN run every (owner, requester) task's layer at once over a
+block-diagonal "batch block"; its adjoint reduces each task's rows on their
+own, in tape order, bit for bit, and charges stay per task (DESIGN.md §5.18).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -32,13 +36,16 @@ from repro.engine.base import (
     local_index_of,
     read_features,
     split_by_partition,
+    split_rows,
 )
 from repro.engine.context import ExecutionContext
 from repro.featurestore.cache import cache_capacity_nodes, dnp_cache_nodes
 from repro.featurestore.store import Tier, count_ranges
+from repro.models.gat import GATLayer
 from repro.sampling.block import Block
 from repro.tensor import concat as tensor_concat
-from repro.tensor.sparse import segment_sum
+from repro.tensor import fused
+from repro.tensor.sparse import gather_segment_mean, segment_sum
 from repro.tensor.tensor import Tensor
 from repro.utils.ids import sorted_unique
 
@@ -199,61 +206,105 @@ class DNPStrategy(Strategy):
     def execute_batch(self, ctx, plan: DNPPlan, batches) -> List[Optional[Tensor]]:
         C = ctx.num_devices
         layer = ctx.model.first_layer
-
-        xs: List[Optional[Tensor]] = []
-        for o, nodes in enumerate(plan.owner_nodes):
-            if nodes is None:
-                xs.append(None)
-                continue
-            x_rows, _ = read_features(ctx, o, nodes)
-            xs.append(Tensor(x_rows) if ctx.numerics else None)
-
+        tasks = plan.tasks
+        xs = [
+            None if nodes is None else read_features(ctx, o, nodes)[0]
+            for o, nodes in enumerate(plan.owner_nodes)
+        ]
+        bb, subs = batch_block(tasks, ctx.dataset.num_nodes)
         # Owners compute complete layer-1 embeddings per task.
-        h_grid = [[None] * C for _ in range(C)]
-        task_info: Dict[Tuple[int, int], DNPTask] = {}
         hidden_bytes = np.zeros((C, C))
-        for task in plan.tasks:
+        for task, sub in zip(tasks, subs):
             o, r = task.owner, task.requester
-            sub = Block.from_global_edges(task.edge_src, task.vdst[task.edge_dst])
-            if not np.array_equal(sub.dst_nodes, task.vdst):
-                raise AssertionError(
-                    "DNP sub-block destinations diverged from the routed set"
-                )
             ctx.charger.dense(o, layer.forward_flops(sub))
             ctx.recorder.record_intermediate(
                 o,
                 8.0 * (sub.num_src * layer.in_dim + sub.num_dst * layer.out_dim),
             )
-            if ctx.numerics:
-                rows = local_index_of(plan.owner_nodes[o], sub.src_nodes)
-                h_grid[o][r] = layer.full_forward(sub, xs[o].index_rows(rows))
             if o != r:
                 hidden_bytes[o, r] += task.vdst.size * layer.out_dim * 8.0
-            task_info[(o, r)] = task
+        ctx.comm.alltoall_bytes(hidden_bytes, phase="shuffle", count_backward=True)
+        if not ctx.numerics:
+            return [None] * C
 
-        if ctx.numerics:
-            recv = ctx.comm.alltoall_tensors(h_grid, phase="shuffle")
+        requester = np.array([t.requester for t in tasks])
+        if isinstance(layer, GATLayer):
+            # Not stacked (DESIGN.md §5.18): one layer forward per task,
+            # each requester's rows assembled in owner order.
+            pieces = [
+                layer.full_forward(sub, Tensor(xs[t.owner][
+                    local_index_of(plan.owner_nodes[t.owner], sub.src_nodes)
+                ]))
+                for t, sub in zip(tasks, subs)
+            ]
+            h1: List[Optional[Tensor]] = []
+            for r, mb in enumerate(batches):
+                ts = np.flatnonzero(requester == r)
+                h1.append(None if mb is None else segment_sum(
+                    tensor_concat([pieces[t] for t in ts], axis=0),
+                    np.concatenate([tasks[t].vdst_req_idx for t in ts]),
+                    mb.blocks[0].num_dst,
+                ))
+            return h1
+        # The batch block: one aggregation of every task's raw inputs, one
+        # segment-linear over every task's rows, one node per requester.
+        n = np.int64(ctx.dataset.num_nodes)
+        owners = [o for o in range(C) if xs[o] is not None]
+        task_owner = np.array([t.owner for t in tasks])
+        x_rows = local_index_of(
+            np.concatenate([o * n + plan.owner_nodes[o] for o in owners]),
+            task_owner[bb.src_nodes // n] * n + bb.src_nodes % n,
+        )
+        x = Tensor(np.concatenate([xs[o] for o in owners]))
+        self_rows = x_rows[bb.dst_in_src]
+        cols, dst = x_rows[bb.edge_src], bb.edge_dst
+        if layer.self_loop_in_aggregation:
+            cols = np.concatenate([cols, self_rows])
+            dst = np.concatenate([dst, np.arange(bb.num_dst)])
+        agg = gather_segment_mean(x, cols, dst, bb.num_dst).data
+        v_ptr = np.cumsum([0] + [t.vdst.size for t in tasks])
+        spans = [slice(a, b) for a, b in zip(v_ptr[:-1], v_ptr[1:])]
+        if layer.self_loop_in_aggregation:
+            terms = [([agg[s] for s in spans], layer.weight)]
         else:
-            ctx.comm.alltoall_bytes(
-                hidden_bytes, phase="shuffle", count_backward=True
-            )
+            x_dst = x.data[self_rows]
+            terms = [([agg[s] for s in spans], layer.w_neigh),
+                     ([x_dst[s] for s in spans], layer.w_self)]
+        arrivals: List[int] = []
+        h = fused.segment_linear(
+            terms, layer.bias, layer._act,
+            lambda: [t for r in arrivals for t in np.flatnonzero(requester == r)],
+        )
+        return split_rows(h, batches, requester, v_ptr,
+                          [t.vdst_req_idx for t in tasks], arrivals)
 
-        # Assemble each requester's layer-1 output (each row arrives once).
-        h1: List[Optional[Tensor]] = [None] * C
-        for r, mb in enumerate(batches):
-            if mb is None or not ctx.numerics:
-                continue
-            block = mb.blocks[0]
-            pieces, idx = [], []
-            for o in range(C):
-                task = task_info.get((o, r))
-                if task is None:
-                    continue
-                pieces.append(recv[r][o])
-                idx.append(task.vdst_req_idx)
-            h1[r] = segment_sum(
-                tensor_concat(pieces, axis=0),
-                np.concatenate(idx),
-                block.num_dst,
-            )
-        return h1
+
+def batch_block(tasks: List[DNPTask], num_nodes: int) -> Tuple[Block, List[Block]]:
+    """Every task's sub-block at once: a block-diagonal "batch block" built
+    by one ``Block.from_global_edges`` over task-keyed ids
+    (``t * num_nodes + id``), and each task's own slice of it."""
+    n = np.int64(num_nodes)
+    ne = [t.edge_src.size for t in tasks]
+    nv = [t.vdst.size for t in tasks]
+    tid = np.arange(len(tasks), dtype=np.int64)
+    v_key = np.repeat(tid, nv) * n + np.concatenate([t.vdst for t in tasks])
+    v_ptr = np.cumsum([0] + nv)
+    e_ptr = np.cumsum([0] + ne)
+    dst = np.repeat(v_ptr[:-1], ne) + np.concatenate([t.edge_dst for t in tasks])
+    bb = Block.from_global_edges(
+        np.repeat(tid, ne) * n + np.concatenate([t.edge_src for t in tasks]),
+        v_key[dst],
+        dst_nodes=v_key,
+    )
+    s_ptr = np.searchsorted(bb.src_nodes, np.arange(len(tasks) + 1) * n)
+    subs = [
+        Block(
+            src_nodes=bb.src_nodes[s_ptr[t] : s_ptr[t + 1]] - t * n,
+            dst_nodes=task.vdst,
+            dst_in_src=bb.dst_in_src[v_ptr[t] : v_ptr[t + 1]] - s_ptr[t],
+            edge_src=bb.edge_src[e_ptr[t] : e_ptr[t + 1]] - s_ptr[t],
+            edge_dst=task.edge_dst,
+        )
+        for t, task in enumerate(tasks)
+    ]
+    return bb, subs

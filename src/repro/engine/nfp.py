@@ -20,6 +20,10 @@ The first-layer weights are sharded, so NFP's DDP gradient sync excludes
 them.  Cache policy: the globally hottest nodes, but only the local
 dimension shard of each — the same byte budget covers ``C`` times more
 nodes than GDP (§3.2).
+
+GraphSAGE/GCN column-stack the shard projections ``[z_0 | ... | z_{C-1}]``:
+each owner aggregates and reduces every shard in two ops, bit for bit the
+per-shard ones; charges stay per pair (DESIGN.md §5.18).
 """
 
 from __future__ import annotations
@@ -40,9 +44,8 @@ from repro.engine.base import (
 from repro.engine.context import ExecutionContext
 from repro.featurestore.cache import cache_capacity_nodes, hot_cache_nodes
 from repro.featurestore.store import Tier, count_ranges
-from repro.models.base import extend_with_self_edges
+from repro.models.base import PartialMeanLayer, extend_with_self_edges
 from repro.models.gat import GATLayer
-from repro.models.sage import SAGELayer
 from repro.tensor import sparse
 from repro.tensor.tensor import Tensor
 from repro.utils.ids import sorted_unique
@@ -208,77 +211,34 @@ class NFPStrategy(Strategy):
         layer = ctx.model.first_layer
         if isinstance(layer, GATLayer):
             return self._execute_gat(ctx, plan, batches, layer)
-        if hasattr(layer, "partial_aggregate"):
+        if isinstance(layer, PartialMeanLayer):
             # The partial-mean protocol (GraphSAGE, GCN, ...).
             return self._execute_sage(ctx, plan, batches, layer)
         raise TypeError(
             f"NFP does not know how to decompose layer type {type(layer).__name__}"
         )
 
-    def _execute_sage(self, ctx, plan, batches, layer: SAGELayer):
+    def _execute_sage(self, ctx, plan, batches, layer: PartialMeanLayer):
         C = ctx.num_devices
         union = plan.union_nodes
         d_hidden = layer.out_dim
-        # contributions[c][o]: device c's shard contribution for owner o.
-        contributions: List[List[Optional[Tensor]]] = [
-            [None] * C for _ in range(C)
-        ]
         shuffle_bytes = np.zeros((C, C))
-        self_in_agg = layer.self_loop_in_aggregation
-        # Every shard holder aggregates every owner's block straight from
-        # its union projection: one pair of segment indices per owner
-        # (union columns of the edges' sources, edge destinations), built
-        # here (or cached on the block) and shared by all C holders,
-        # forward and backward.
-        routes: List[Optional[tuple]] = [None] * C
-        if ctx.numerics:
-            for o, mb in enumerate(batches):
-                if mb is None:
-                    continue
-                block = mb.blocks[0]
-                idx = plan.src_idx_in_union[o]
-                if self_in_agg:
-                    # GCN: the self loop is one more aggregation edge.
-                    es, ed = extend_with_self_edges(block)
-                    dst = sparse.SegmentIndex(ed, block.num_dst)
-                else:
-                    es, dst = block.edge_src, block.dst_index()
-                dst_rows = None if self_in_agg else idx[block.dst_in_src]
-                routes[o] = (union_columns(idx, es, union.size), dst, dst_rows)
         x_union: Optional[np.ndarray] = None
         for c in range(C):
             lo, hi = self.shard(c)
-            if ctx.numerics:
+            if ctx.numerics and x_union is not None:
                 # Every shard holder reads the same union rows: gather the
                 # dense block once, charge each device's (cache-dependent)
                 # simulated load as before — host wall-clock only.
-                if x_union is None:
-                    x_union, _ = read_features(ctx, c, union)
-                else:
-                    ctx.store.charge_load(c, union, ctx.timeline)
-                x_shard = Tensor(x_union[:, lo:hi])
-                w_param = layer.weight if self_in_agg else layer.w_neigh
-                wn = w_param.index_rows(np.arange(lo, hi))
-                ws = (
-                    None
-                    if self_in_agg
-                    else layer.w_self.index_rows(np.arange(lo, hi))
-                )
-                z_union = x_shard @ wn
+                ctx.store.charge_load(c, union, ctx.timeline)
             else:
-                read_features(ctx, c, union)
+                x_union, _ = read_features(ctx, c, union)
             ctx.charger.dense(c, 2.0 * union.size * (hi - lo) * d_hidden)
             inter = 0.0
             for o, mb in enumerate(batches):
                 if mb is None:
                     continue
                 block = mb.blocks[0]
-                if ctx.numerics:
-                    cols, dst, dst_rows = routes[o]
-                    neigh = sparse.gather_segment_mean(z_union, cols, dst)
-                    if not self_in_agg:
-                        neigh = neigh + (x_shard.index_rows(dst_rows) @ ws)
-                    contributions[c][o] = neigh
                 if c != o:
                     shuffle_bytes[c, o] += block.num_dst * d_hidden * 8.0
                 ctx.charger.dense(
@@ -290,13 +250,38 @@ class NFPStrategy(Strategy):
             ctx.recorder.record_intermediate(
                 c, inter + union.size * (hi - lo) * 8.0
             )
-        if ctx.numerics:
-            totals = ctx.comm.scatter_reduce(contributions, phase="shuffle")
-            return [
-                layer.finalize_sum(t) if t is not None else None for t in totals
-            ]
+        # The SparseAllreduce of every shard's partial pre-activations.
         ctx.comm.alltoall_bytes(shuffle_bytes, phase="shuffle", count_backward=True)
-        return [None] * C
+        if not ctx.numerics:
+            return [None] * C
+        # Column-stacked shard projections [z_0 | ... | z_{C-1}]: each owner
+        # aggregates every shard at once (DESIGN.md §5.18).
+        self_in_agg = layer.self_loop_in_aggregation
+        bounds = self._shard_bounds
+        z = _shard_products(
+            x_union, layer.weight if self_in_agg else layer.w_neigh, bounds
+        )
+        h1: List[Optional[Tensor]] = [None] * C
+        for o, mb in enumerate(batches):
+            if mb is None:
+                continue
+            block = mb.blocks[0]
+            idx = plan.src_idx_in_union[o]
+            if self_in_agg:
+                # GCN: the self loop is one more aggregation edge.
+                es, ed = extend_with_self_edges(block)
+                dst = sparse.SegmentIndex(ed, block.num_dst)
+            else:
+                es, dst = block.edge_src, block.dst_index()
+            neigh = sparse.gather_segment_sum(
+                z, union_columns(idx, es, union.size), dst
+            )
+            selfs = None if self_in_agg else _shard_products(
+                x_union[idx[block.dst_in_src]], layer.w_self, bounds
+            )
+            inv = 1.0 / np.maximum(dst.counts, 1).reshape(-1, 1)
+            h1[o] = layer.finalize_sum(_shard_sum(neigh, inv, selfs, C))
+        return h1
 
     def _execute_gat(self, ctx, plan, batches, layer: GATLayer):
         C = ctx.num_devices
@@ -349,3 +334,46 @@ class NFPStrategy(Strategy):
             )
             h1.append(layer.attend(block, z_totals[o]) if ctx.numerics else None)
         return h1
+
+
+def _shard_products(x: np.ndarray, w: Tensor, bounds: np.ndarray) -> Tensor:
+    """``[x[:, s] @ w[s] for each dimension shard s]`` column-stacked, one
+    node: each block is its shard holder's product, and the adjoint fills
+    each shard's (disjoint) rows of ``w`` from its own block."""
+    d_out = w.data.shape[1]
+    shards = list(zip(bounds[:-1], bounds[1:]))
+    out = np.empty((x.shape[0], len(shards) * d_out))
+    for c, (lo, hi) in enumerate(shards):
+        out[:, c * d_out : (c + 1) * d_out] = x[:, lo:hi] @ w.data[lo:hi]
+
+    def backward_fn(g: np.ndarray) -> None:
+        buf = np.zeros_like(w.data)
+        for c, (lo, hi) in enumerate(shards):
+            buf[lo:hi] += x[:, lo:hi].T @ g[:, c * d_out : (c + 1) * d_out]
+        w._accumulate_owned(buf)
+
+    return Tensor._make(out, (w,), backward_fn, "shard_products")
+
+
+def _shard_sum(
+    neigh: Tensor, inv: np.ndarray, selfs: Optional[Tensor], num_shards: int
+) -> Tensor:
+    """One owner's SparseAllreduce, one node: the column blocks of
+    ``neigh * inv (+ selfs)`` added in shard order, as each shard's mean
+    (and self) partial was."""
+    blocks = np.split(neigh.data * inv, num_shards, axis=1)
+    if selfs is not None:
+        self_blocks = np.split(selfs.data, num_shards, axis=1)
+        blocks = [b + s for b, s in zip(blocks, self_blocks)]
+    total = blocks[0].copy()
+    for b in blocks[1:]:
+        total += b
+
+    def backward_fn(g: np.ndarray) -> None:
+        tiled = np.tile(g, num_shards)
+        neigh._accumulate_owned(tiled * inv)
+        if selfs is not None:
+            selfs._accumulate_owned(tiled)
+
+    parents = (neigh,) if selfs is None else (neigh, selfs)
+    return Tensor._make(total, parents, backward_fn, "shard_sum")

@@ -23,6 +23,10 @@ Cache policy: the hottest nodes of the device's own partition — the read
 set of an SNP server is a subset of its partition, so a quality partition
 makes the cache extremely effective (and a random one destroys it,
 paper Fig. 11).
+
+GraphSAGE/GCN row-stack every (server, requester) task into a few ops per
+batch whose adjoints replay the per-task reductions in tape order, bit for
+bit; charges stay per pair (DESIGN.md §5.18).
 """
 
 from __future__ import annotations
@@ -39,13 +43,15 @@ from repro.engine.base import (
     local_index_of,
     read_features,
     split_by_partition,
+    split_rows,
 )
 from repro.engine.context import ExecutionContext
 from repro.featurestore.cache import cache_capacity_nodes, snp_cache_nodes
 from repro.featurestore.store import Tier, count_ranges
+from repro.models.base import PartialMeanLayer
 from repro.models.gat import GATLayer
-from repro.models.sage import SAGELayer
 from repro.tensor import concat as tensor_concat
+from repro.tensor import fused, sparse
 from repro.tensor.sparse import SegmentIndex, segment_sum
 from repro.tensor.tensor import Tensor
 from repro.utils.ids import sorted_unique
@@ -263,7 +269,7 @@ class SNPStrategy(Strategy):
         layer = ctx.model.first_layer
         if isinstance(layer, GATLayer):
             return self._execute_gat(ctx, plan, batches, layer)
-        if hasattr(layer, "partial_aggregate"):
+        if isinstance(layer, PartialMeanLayer):
             # The partial-mean protocol (GraphSAGE, GCN, ...).
             return self._execute_sage(ctx, plan, batches, layer)
         raise TypeError(
@@ -281,112 +287,105 @@ class SNPStrategy(Strategy):
         return xs
 
     # ------------------------------------------------------------------ #
-    def _execute_sage(self, ctx, plan, batches, layer: SAGELayer):
+    def _execute_sage(self, ctx, plan, batches, layer: PartialMeanLayer):
         C = ctx.num_devices
         xs = self._load_servers(ctx, plan)
         d_hidden = layer.out_dim
-        # Projected neighbors once per server.
-        z_servers: List[Optional[Tensor]] = []
-        for p in range(C):
-            if plan.server_nodes[p] is None:
-                z_servers.append(None)
-                continue
-            z_servers.append(
-                layer.project_neigh(xs[p]) if ctx.numerics else None
-            )
-            ctx.charger.dense(
-                p, 2.0 * plan.server_nodes[p].size * layer.in_dim * d_hidden
-            )
-            ctx.recorder.record_intermediate(
-                p,
-                plan.server_nodes[p].size * (layer.in_dim + d_hidden) * 8.0,
-            )
-
-        # Partials per task, shipped through an alltoall grid.
-        psum_grid = [[None] * C for _ in range(C)]
-        self_grid = [[None] * C for _ in range(C)]
-        task_info: Dict[Tuple[int, int], SNPTask] = {}
-        counts_grid: Dict[Tuple[int, int], np.ndarray] = {}
+        servers = [p for p in range(C) if plan.server_nodes[p] is not None]
+        for p in servers:
+            rows = plan.server_nodes[p].size
+            ctx.charger.dense(p, 2.0 * rows * layer.in_dim * d_hidden)
+            ctx.recorder.record_intermediate(p, rows * (layer.in_dim + d_hidden) * 8.0)
+        # Partials and self terms ship as one message per pair, then counts.
+        tasks = plan.tasks
+        ships_self = not layer.self_loop_in_aggregation
+        n_self = [int(t.self_mask.sum()) if ships_self else 0 for t in tasks]
         counts_bytes = np.zeros((C, C))
         partial_bytes = np.zeros((C, C))
-        ships_self = not layer.self_loop_in_aggregation
-        for task in plan.tasks:
+        for task, ns in zip(tasks, n_self):
             p, r = task.server, task.requester
-            self_nodes = (
-                task.vdst[task.self_mask] if ships_self else np.empty(0, np.int64)
-            )
-            if ctx.numerics:
-                src_idx = local_index_of(plan.server_nodes[p], task.edge_src)
-                psum, counts = layer.partial_aggregate(
-                    z_servers[p], src_idx, task.edge_dst, task.vdst.size
-                )
-                psum_grid[p][r] = psum
-                counts_grid[(p, r)] = counts
-                if self_nodes.size:
-                    x_self = xs[p].index_rows(
-                        local_index_of(plan.server_nodes[p], self_nodes)
-                    )
-                    self_grid[p][r] = layer.project_self(x_self)
             if p != r:
-                partial_bytes[p, r] += (
-                    task.vdst.size + self_nodes.size
-                ) * d_hidden * 8.0
+                partial_bytes[p, r] += (task.vdst.size + ns) * d_hidden * 8.0
                 counts_bytes[p, r] += task.vdst.size * 8.0
             ctx.charger.dense(p, 2.0 * task.edge_src.size * d_hidden)
-            if self_nodes.size:
-                ctx.charger.dense(
-                    p, 2.0 * self_nodes.size * layer.in_dim * d_hidden
-                )
-            task_info[(p, r)] = task
-
-        if ctx.numerics:
-            recv_psum, recv_self = ctx.comm.alltoall_many(
-                [psum_grid, self_grid], phase="shuffle"
-            )
-        else:
-            ctx.comm.alltoall_bytes(
-                partial_bytes, phase="shuffle", count_backward=True
-            )
+            if ns:
+                ctx.charger.dense(p, 2.0 * ns * layer.in_dim * d_hidden)
+        ctx.comm.alltoall_bytes(partial_bytes, phase="shuffle", count_backward=True)
         ctx.comm.alltoall_bytes(counts_bytes, phase="shuffle")
-
-        # GroupReduce at each requester.
-        h1: List[Optional[Tensor]] = [None] * C
         for r, mb in enumerate(batches):
-            if mb is None:
-                continue
-            block = mb.blocks[0]
-            ctx.charger.dense(r, 4.0 * block.num_dst * d_hidden)
-            if not ctx.numerics:
-                continue
-            psums, pidx = [], []
-            selfs, sidx = [], []
-            counts_tot = np.zeros(block.num_dst)
-            for p in range(C):
-                task = task_info.get((p, r))
-                if task is None:
-                    continue
-                psums.append(recv_psum[r][p])
-                pidx.append(task.vdst_req_idx)
-                np.add.at(counts_tot, task.vdst_req_idx, counts_grid[(p, r)])
-                if recv_self[r][p] is not None:
-                    selfs.append(recv_self[r][p])
-                    sidx.append(task.vdst_req_idx[task.self_mask])
-            psum_tot = segment_sum(
-                tensor_concat(psums, axis=0),
-                np.concatenate(pidx),
-                block.num_dst,
+            if mb is not None:
+                ctx.charger.dense(r, 4.0 * mb.blocks[0].num_dst * d_hidden)
+        if not ctx.numerics:
+            return [None] * C
+
+        # Row-stacked: the servers' inputs and projections, every task's
+        # partial rows and every shipped self row (DESIGN.md §5.18).
+        n = np.int64(ctx.dataset.num_nodes)
+        x = np.concatenate([xs[p].data for p in servers])
+        keys = np.concatenate([p * n + plan.server_nodes[p] for p in servers])
+        z_ptr = np.cumsum([0] + [plan.server_nodes[p].size for p in servers])
+        server = np.array([t.server for t in tasks])
+        requester = np.array([t.requester for t in tasks])
+        v_ptr = np.cumsum([0] + [t.vdst.size for t in tasks])
+        edge_task = np.repeat(np.arange(len(tasks)), [t.edge_src.size for t in tasks])
+        cols = local_index_of(
+            keys, server[edge_task] * n + np.concatenate([t.edge_src for t in tasks])
+        )
+        dst = SegmentIndex(
+            v_ptr[edge_task] + np.concatenate([t.edge_dst for t in tasks]),
+            v_ptr[-1],
+        )
+        z_order: List[int] = []
+        z = fused.segment_linear(
+            [([x[a:b] for a, b in zip(z_ptr[:-1], z_ptr[1:])],
+              layer.w_neigh if ships_self else layer.weight)],
+            order=lambda: z_order,
+        )
+        arrivals: List[int] = []
+
+        def task_rank() -> np.ndarray:
+            # The tape reaches each requester's tasks in its arrival, and a
+            # server's projection in the arrival of its last requester
+            # (servers ascending among equals).
+            rank = np.full(C, -1)
+            rank[arrivals] = np.arange(len(arrivals))
+            last = np.full(len(servers), -1)
+            np.maximum.at(last, np.searchsorted(servers, server), rank[requester])
+            z_order[:] = [s for s in np.argsort(last, kind="stable") if last[s] >= 0]
+            return rank[requester]
+
+        req_idx = [t.vdst_req_idx for t in tasks]
+        psums = split_rows(_ordered_aggregate(z, cols, dst, edge_task, task_rank),
+                           batches, requester, v_ptr, req_idx, arrivals)
+        counts = np.bincount(dst.ids, minlength=dst.num_segments).astype(np.float64)
+        totals = split_rows(Tensor(counts), batches, requester, v_ptr, req_idx, [])
+        shipping = np.flatnonzero(n_self)
+        selfs: List[Optional[Tensor]] = [None] * C
+        if shipping.size:
+            s_ptr = np.cumsum([0] + [n_self[t] for t in shipping])
+            masks = [tasks[t].self_mask for t in shipping]
+            x_self = x[local_index_of(keys, np.concatenate([
+                server[t] * n + tasks[t].vdst[m] for t, m in zip(shipping, masks)
+            ]))]
+            s_arrivals: List[int] = []
+            selfs = split_rows(
+                fused.segment_linear(
+                    [([x_self[a:b] for a, b in zip(s_ptr[:-1], s_ptr[1:])],
+                      layer.w_self)],
+                    order=lambda: [
+                        k for r in s_arrivals
+                        for k in np.flatnonzero(requester[shipping] == r)
+                    ],
+                ),
+                batches, requester[shipping], s_ptr,
+                [req_idx[t][m] for t, m in zip(shipping, masks)], s_arrivals,
             )
-            self_tot = (
-                segment_sum(
-                    tensor_concat(selfs, axis=0),
-                    np.concatenate(sidx),
-                    block.num_dst,
-                )
-                if selfs
-                else None
-            )
-            h1[r] = layer.combine_partials(psum_tot, counts_tot, self_tot)
-        return h1
+        # GroupReduce at each requester.
+        return [
+            None if psum is None
+            else layer.combine_partials(psum, total.data, self_term)
+            for psum, total, self_term in zip(psums, totals, selfs)
+        ]
 
     # ------------------------------------------------------------------ #
     def _execute_gat(self, ctx, plan, batches, layer: GATLayer):
@@ -517,3 +516,25 @@ class SNPStrategy(Strategy):
             den_tot = segment_sum(tensor_concat(dens, axis=0), idx_cat)
             h1[r] = layer.combine_attention_partials(num_tot, den_tot)
         return h1
+
+
+def _ordered_aggregate(z, cols, dst: SegmentIndex, edge_task, task_rank):
+    """``gather_segment_sum(z, cols, dst)`` over every task's edges, one
+    node whose adjoint forms each task's source sums separately and adds
+    them per row in ``task_rank()`` order (-1: never reached), as the
+    per-task nodes' adjoints accumulated (DESIGN.md §5.18)."""
+    out = sparse.gather_segment_sum(Tensor(z.data), cols, dst).data
+
+    def backward_fn(g: np.ndarray) -> None:
+        rank = task_rank()[edge_task]
+        keep = rank >= 0
+        n_rows = z.data.shape[0]
+        keys = rank[keep] * n_rows + cols[keep]
+        pairs = sorted_unique(keys)
+        sums = sparse.gather_segment_sum(
+            Tensor(g), dst.ids[keep],
+            SegmentIndex(np.searchsorted(pairs, keys), pairs.size),
+        )
+        z._accumulate_owned(segment_sum(sums, pairs % n_rows, n_rows).data)
+
+    return Tensor._make(out, (z,), backward_fn, "ordered_aggregate")

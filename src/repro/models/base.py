@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 import numpy as np
 
 from repro.sampling.block import Block, MiniBatch
-from repro.tensor import fused, sparse
+from repro.tensor import fused
 from repro.tensor.module import Module, ModuleList
 from repro.tensor.tensor import Tensor
 
@@ -50,24 +50,14 @@ class PartialMeanLayer(GNNLayer):
     partial edge sets ``p``: each device aggregates the projected messages
     of its edges into a per-destination (sum, count) pair, the pairs add
     across devices, and :meth:`combine_partials` divides once.  Subclasses
-    carry ``bias`` and the ``activation`` flag (ReLU when set).
+    carry ``bias``, the ``activation`` flag (ReLU when set) and the
+    projection weights: ``weight`` when the self loop rides in the
+    aggregation (GCN), ``w_neigh`` and ``w_self`` otherwise (GraphSAGE).
     """
 
     @property
     def _act(self) -> Optional[str]:
         return "relu" if self.activation else None
-
-    def partial_aggregate(
-        self,
-        z_src: Tensor,
-        edge_src: np.ndarray,
-        edge_dst: np.ndarray,
-        num_dst: int,
-    ) -> Tuple[Tensor, np.ndarray]:
-        """Per-destination partial sum of the projected messages over one
-        edge subset, and the per-destination edge count."""
-        dst = sparse.SegmentIndex(edge_dst, num_dst)
-        return sparse.gather_segment_sum(z_src, edge_src, dst), sparse.segment_count(dst)
 
     def combine_partials(
         self,

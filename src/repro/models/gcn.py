@@ -93,13 +93,6 @@ class GCNLayer(PartialMeanLayer):
         proj = 2.0 * block.num_dst * self.in_dim * self.out_dim
         return agg + proj
 
-    # ------------------------------------------------------------------ #
-    # partial-mean protocol (PartialMeanLayer; see engine/snp.py)
-    # ------------------------------------------------------------------ #
-    def project_neigh(self, x: Tensor) -> Tensor:
-        """Project source inputs (``W x``); mean and projection commute."""
-        return x @ self.weight
-
 
 class GCN(GNNModel):
     """A K-layer GCN for node classification."""

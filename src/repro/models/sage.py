@@ -106,17 +106,6 @@ class SAGELayer(PartialMeanLayer):
         proj = 2.0 * block.num_dst * self.in_dim * self.out_dim * 2  # self+neigh
         return agg + proj
 
-    # ------------------------------------------------------------------ #
-    # decomposition primitives (SNP / NFP first-layer paths)
-    # ------------------------------------------------------------------ #
-    def project_neigh(self, x: Tensor) -> Tensor:
-        """Project source inputs with the neighbor weight (``W_neigh x``)."""
-        return x @ self.w_neigh
-
-    def project_self(self, x: Tensor) -> Tensor:
-        """Project destination inputs with the self weight (``W_self x``)."""
-        return x @ self.w_self
-
 
 class GraphSAGE(GNNModel):
     """A K-layer GraphSAGE-mean model for node classification.

@@ -90,13 +90,17 @@ class Block:
         return self.dst_index().indptr
 
     def nbytes(self) -> int:
-        """Resident bytes of the index arrays (sample-cache accounting)."""
+        """Resident bytes of the index arrays (sample-cache accounting),
+        built or not: :meth:`dst_index` adds per-destination counts and a
+        row pointer (its ids are ``edge_dst``; dst-sorted edges need no
+        column order)."""
         return int(
             self.src_nodes.nbytes
             + self.dst_nodes.nbytes
             + self.dst_in_src.nbytes
             + self.edge_src.nbytes
             + self.edge_dst.nbytes
+            + 8 * (2 * self.num_dst + 1)
         )
 
     def structure_bytes(self) -> int:

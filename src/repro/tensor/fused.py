@@ -25,7 +25,7 @@ the reference the bitwise tests compare against.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -133,3 +133,48 @@ def add_bias_act(
 
     parents: List[Tensor] = [*terms, bias]
     return Tensor._make(out_data, parents, backward_fn, "fused_add_bias_act")
+
+
+def segment_linear(
+    terms: Sequence[Tuple[Sequence[np.ndarray], Tensor]],
+    bias: Optional[Tensor] = None,
+    activation: Optional[str] = None,
+    order: Optional[Callable[[], Sequence[int]]] = None,
+) -> Tensor:
+    """Fused ``act(sum_k x_k[s] @ w_k + b)`` over row segments ``s``, one node.
+
+    Each term pairs one plain input per segment with a weight; the output
+    stacks the segments' rows.  Every product is the per-segment BLAS call
+    and the epilogue is elementwise, so values match one ``linear`` /
+    ``add_bias_act`` chain per segment bit for bit.  The adjoint is
+    segment-ordered: each segment's weight and bias gradients are reduced
+    over its own rows and accumulated in ``order()`` (ascending when
+    omitted), the order the tape reached the per-segment nodes
+    (DESIGN.md §5.18).
+    """
+    spans = np.cumsum([0] + [x.shape[0] for x in terms[0][0]])
+    outs = []
+    for xs, w in terms:
+        out = np.empty((spans[-1], w.data.shape[1]))
+        for x, a, b in zip(xs, spans[:-1], spans[1:]):
+            out[a:b] = x @ w.data
+        outs.append(out)
+    pre = outs[0] + outs[1] if len(outs) > 1 else outs[0]
+    for out in outs[2:]:
+        pre += out
+    if bias is not None:
+        pre += bias.data
+    out_data, dact = _forward_activation(pre, activation)
+
+    def backward_fn(g: np.ndarray) -> None:
+        ga = g * dact if dact is not None else g
+        for s in order() if order is not None else range(len(spans) - 1):
+            rows = slice(spans[s], spans[s + 1])
+            for xs, w in terms:
+                if w.requires_grad:
+                    w._accumulate_owned(xs[s].T @ ga[rows])
+            if bias is not None and bias.requires_grad:
+                bias._accumulate_owned(_unbroadcast(ga[rows], bias.data.shape))
+
+    parents = [w for _, w in terms] + ([] if bias is None else [bias])
+    return Tensor._make(out_data, parents, backward_fn, "segment_linear")

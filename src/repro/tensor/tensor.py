@@ -408,19 +408,6 @@ class Tensor:
 
         return Tensor._make(out_data, (self,), backward_fn, "index_rows")
 
-    def slice_cols(self, start: int, stop: int) -> "Tensor":
-        """Return columns ``[start:stop]`` (used by NFP feature sharding)."""
-        out_data = self.data[:, start:stop]
-        full_shape = self.data.shape
-
-        def backward_fn(g: np.ndarray) -> None:
-            if self.requires_grad:
-                buf = np.zeros(full_shape, dtype=self.data.dtype)
-                buf[:, start:stop] = g
-                self._accumulate_owned(buf)
-
-        return Tensor._make(out_data, (self,), backward_fn, "slice_cols")
-
     # ------------------------------------------------------------------ #
     # reductions
     # ------------------------------------------------------------------ #

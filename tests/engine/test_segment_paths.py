@@ -2,10 +2,9 @@
 
 Two counts over real batches (DESIGN.md §5.9): no n-D operand at or above
 the element cutoff reaches ``np.add.at`` under any strategy (the fused
-gather→aggregate node included), and NFP — where every shard holder
-aggregates every owner's block — builds each owner's fused union columns,
-and the grouping structure of any id array, once per batch, not once per
-holder.
+gather→aggregate node included), and NFP — where every owner's block is
+aggregated over all shards at once — builds each owner's fused union
+columns, and the grouping structure of any id array, once per batch.
 """
 
 from collections import Counter
@@ -112,10 +111,10 @@ def test_nfp_indexes_each_id_array_once(ds, monkeypatch):
     monkeypatch.setattr(nfp, "union_columns", counting_columns)
     monkeypatch.setattr(sparse, "gather_segment_sum", counting_aggregation)
     _one_epoch(ds, "nfp")
-    # Four shard holders aggregate four owners' blocks: one set of fused
-    # columns per owner, read by all four holders, and no id array is
-    # indexed twice.
-    assert [aggregations[id(c)] for c in columns] == [4, 4, 4, 4]
+    # Four owners' blocks over the column-stacked shard projections: one
+    # set of fused columns per owner, read by one aggregation that covers
+    # all four shards, and no id array is indexed twice.
+    assert [aggregations[id(c)] for c in columns] == [1, 1, 1, 1]
     assert built and max(built.values()) == 1, built.most_common(3)
     assert checks and max(checks.values()) == 1, checks.most_common(3)
 

@@ -8,6 +8,7 @@ from repro.sampling import NeighborSampler
 from repro.sampling.block import Block
 from repro.graph.datasets import small_dataset
 from repro.tensor import Tensor, functional as F
+from repro.tensor.sparse import SegmentIndex, gather_segment_sum
 from tests.tensor.test_autograd import numeric_grad
 
 
@@ -70,17 +71,15 @@ class TestPartialIdentity:
         full = layer.full_forward(block, x).data
 
         # Split edges into two "devices" by parity.
-        z = layer.project_neigh(x)
+        z = x @ layer.w_neigh
         halves = [block.edge_src % 2 == 0, block.edge_src % 2 == 1]
         psum_tot = np.zeros((block.num_dst, 3))
         counts_tot = np.zeros(block.num_dst)
         for mask in halves:
-            psum, counts = layer.partial_aggregate(
-                z, block.edge_src[mask], block.edge_dst[mask], block.num_dst
-            )
-            psum_tot += psum.data
-            counts_tot += counts
-        self_term = layer.project_self(x.index_rows(block.dst_in_src))
+            dst = SegmentIndex(block.edge_dst[mask], block.num_dst)
+            psum_tot += gather_segment_sum(z, block.edge_src[mask], dst).data
+            counts_tot += dst.counts
+        self_term = x.index_rows(block.dst_in_src) @ layer.w_self
         recon = layer.combine_partials(
             Tensor(psum_tot), counts_tot, self_term
         ).data

@@ -121,6 +121,36 @@ class TestBudget:
         cache.sample(sampler, np.arange(100), epoch=0)
         assert cache.stats.misses == 9
 
+    def test_current_bytes_count_every_entry_and_its_built_indexes(self, sampler):
+        # Restricting splits out of a cached batch builds each parent
+        # block's destination index; the budget must already have counted
+        # it, so the charge equals what the entries hold once built.
+        cache = SampleCache()
+        chunks = split_evenly(np.arange(0, 600, 3), 4)
+        for epoch in (0, 1):
+            for _ in range(2):  # the second use stores the splits
+                sample_device_batches(sampler, chunks, epoch, cache)
+        entries = list(cache._entries.values())
+        assert len(entries) == 2 and all(len(e.splits) == 4 for e in entries)
+
+        def held(block):
+            index = block._dst_index
+            built = 0 if index is None else sum(
+                a.nbytes for a in (index._counts, index._indptr, index._cols)
+                if a is not None
+            )
+            arrays = (block.src_nodes, block.dst_nodes, block.dst_in_src,
+                      block.edge_src, block.edge_dst)
+            return sum(a.nbytes for a in arrays) + built
+
+        for e in entries:
+            batches = [e.batch, *e.splits.values()]
+            assert e.nbytes == sum(mb.nbytes() for mb in batches)
+            for block in (b for mb in batches for b in mb.blocks):
+                block.dst_index().indptr  # built now, if nothing built it yet
+                assert held(block) == block.nbytes()
+        assert cache.current_bytes == sum(e.nbytes for e in entries)
+
     def test_oversized_batch_served_uncached(self, sampler):
         cache = SampleCache(max_bytes=64)  # smaller than any real batch
         got = cache.sample(sampler, np.arange(100), epoch=0)

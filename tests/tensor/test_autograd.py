@@ -95,13 +95,6 @@ class TestShapeOps:
         x.index_rows(idx).sum().backward()
         np.testing.assert_allclose(x.grad, [[1, 1], [2, 2], [1, 1]])
 
-    def test_slice_cols_grad(self):
-        x = Tensor(np.ones((2, 5)), requires_grad=True)
-        x.slice_cols(1, 3).sum().backward()
-        expected = np.zeros((2, 5))
-        expected[:, 1:3] = 1.0
-        np.testing.assert_allclose(x.grad, expected)
-
     def test_concat_grad(self):
         a = Tensor(np.ones((2, 3)), requires_grad=True)
         b = Tensor(np.ones((4, 3)), requires_grad=True)

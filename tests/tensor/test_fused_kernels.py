@@ -66,6 +66,40 @@ def test_fused_linear_bitwise(activation, with_bias):
     _assert_bitwise(_run_both(build))
 
 
+@pytest.mark.parametrize("order", [None, [2, 0, 3, 1]], ids=["ascending", "given"])
+@pytest.mark.parametrize("terms", [1, 2])
+def test_segment_linear_equals_one_chain_per_segment(terms, order):
+    # Segments of 1 row (a gemv product) and several rows; the per-segment
+    # chains add their weight and bias gradients in ``order``.
+    rng = np.random.default_rng(terms)
+    rows = [3, 1, 5, 2]
+    xs = [[rng.standard_normal((n, 4)) for n in rows] for _ in range(terms)]
+    g = rng.standard_normal((sum(rows), 3))
+
+    def params():
+        local = np.random.default_rng(7)
+        ws = [Tensor(local.standard_normal((4, 3)), requires_grad=True)
+              for _ in range(terms)]
+        return ws, Tensor(local.standard_normal(3), requires_grad=True)
+
+    ws, b = params()
+    out = fused.segment_linear(
+        list(zip(xs, ws)), b, "relu", None if order is None else lambda: order
+    )
+    out.backward(g)
+    ref_ws, ref_b = params()
+    chains = [
+        fused.add_bias_act([Tensor(x[s]) @ w for x, w in zip(xs, ref_ws)], ref_b, "relu")
+        for s in range(len(rows))
+    ]
+    starts = np.cumsum([0] + rows)
+    for s in order if order is not None else range(len(rows)):
+        chains[s].backward(g[starts[s] : starts[s + 1]])
+    assert np.array_equal(out.data, np.concatenate([c.data for c in chains]))
+    for got, want in zip(ws + [b], ref_ws + [ref_b]):
+        assert np.array_equal(got.grad, want.grad)
+
+
 def test_fused_linear_negative_inputs_relu_mask():
     # Exercise the relu dead zone explicitly: grads must be exactly zero
     # in masked positions under both paths.

@@ -33,18 +33,17 @@ def test_backward_drops_interior_grads_and_leaves_keep_theirs():
     # Once a node's closure has run no later closure reads its gradient,
     # so backward frees it; leaves (no closure) keep theirs for the
     # optimizer.  Covers copying (_accumulate) and adopting
-    # (_accumulate_owned) adjoints: fused linear, slice, gather, loss.
+    # (_accumulate_owned) adjoints: fused linear, gather, loss.
     rng = np.random.default_rng(1)
     x = Tensor(rng.standard_normal((6, 5)), requires_grad=True)
     w = Tensor(rng.standard_normal((5, 4)), requires_grad=True)
     b = Tensor(rng.standard_normal(4), requires_grad=True)
     h = fused.linear(x, w, b, activation="relu")
-    cols = h.slice_cols(1, 3)
-    rows = cols.index_rows(np.array([0, 2, 2, 5]))
+    rows = h.index_rows(np.array([0, 2, 2, 5]))
     scaled = rows * 2.0
     loss = F.cross_entropy(scaled, np.array([0, 1, 1, 0]))
     loss.backward()
-    for node in (h, cols, rows, scaled, loss):
+    for node in (h, rows, scaled, loss):
         assert node.grad is None, node._op
     for leaf in (x, w, b):
         assert leaf.grad is not None and leaf.grad.shape == leaf.shape
