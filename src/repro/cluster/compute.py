@@ -4,7 +4,7 @@ Strategies execute real numerics but charge *simulated* kernel times derived
 from workload counts:
 
 * dense GEMM — FLOPs over achieved throughput;
-* SpMM / gather / scatter — memory-bound, bytes over HBM bandwidth;
+* row gathers — memory-bound, bytes over HBM bandwidth;
 * neighbor sampling — edges over the device's sampling throughput (or the
   machine's CPU throughput for the DistDGL-style baseline).
 
@@ -22,8 +22,6 @@ from repro.cluster.timeline import Timeline
 
 #: forward + backward FLOP multiple of a training step.
 TRAIN_FLOP_FACTOR = 3.0
-#: bytes read+written per edge per feature element in an SpMM-style kernel.
-SPMM_BYTES_PER_ELEMENT = 2 * 8
 
 
 class ComputeCharger:
@@ -44,20 +42,6 @@ class ComputeCharger:
         spec = self.cluster.device_spec(device)
         factor = TRAIN_FLOP_FACTOR if include_backward else 1.0
         self.timeline.charge(device, phase, spec.dense_seconds(flops * factor))
-
-    def spmm(
-        self,
-        device: int,
-        num_edges: int,
-        dim: int,
-        phase: str = "train",
-        include_backward: bool = True,
-    ) -> None:
-        """Charge an SpMM/segment aggregation over ``num_edges`` messages."""
-        spec = self.cluster.device_spec(device)
-        nbytes = num_edges * dim * SPMM_BYTES_PER_ELEMENT
-        factor = 2.0 if include_backward else 1.0  # backward is one more SpMM
-        self.timeline.charge(device, phase, spec.memory_bound_seconds(nbytes * factor))
 
     def gather(self, device: int, rows: int, dim: int, phase: str = "load") -> None:
         """Charge a row-gather of ``rows x dim`` float64 elements."""

@@ -1,16 +1,28 @@
-"""Strategy base class and shared engine machinery."""
+"""Strategy base class and shared engine machinery.
+
+Besides the :class:`Strategy` lifecycle this module holds what several
+strategies share: seed splits, sampling charges, feature reads, the
+per-device load-set stage (:func:`record_loads`, :func:`read_load_sets`)
+that all four strategies record through, and the one first-layer router
+(:func:`route_first_layer`) of SNP, DNP and hyb.  Those three differ only
+in the key that sends a sampled edge to a server — its source's owner
+(SNP, hyb within the requester's machine) or its destination's owner
+(DNP) — and each keeps its own flops, payloads, message patterns and
+execute path (DESIGN.md §5.19).
+"""
 
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass
-from typing import List, Optional
+from dataclasses import dataclass, field
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
 from repro.engine.context import ExecutionContext
+from repro.featurestore.store import Tier, count_ranges
 from repro.parallel.backend import resolve_backend
-from repro.sampling.block import MiniBatch
+from repro.sampling.block import Block, MiniBatch
 from repro.tensor.sparse import SegmentIndex, segment_sum
 from repro.tensor.tensor import Tensor
 
@@ -30,14 +42,9 @@ class StrategyReport:
 #: every device computes its own seeds' destinations end to end (GDP, and
 #: the upper layers of every single strategy)
 LAYOUT_REPLICATED = "replicated"
-#: the layer's input rows are partitioned by feature dimension (NFP)
-LAYOUT_FEATURE = "feature"
 #: each destination node is computed once, at the device owning it in the
 #: node->device partition (SNP/DNP first layers; partitioned upper layers)
 LAYOUT_NODE = "node"
-#: slot-partitioned within each machine, replicated across machines (the
-#: hyb strategy's cache-partitioned layout)
-LAYOUT_CACHE = "cache"
 
 
 class Strategy(abc.ABC):
@@ -62,10 +69,6 @@ class Strategy(abc.ABC):
 
     #: paper abbreviation ("gdp", "nfp", "snp", "dnp")
     name: str = "base"
-    #: partition layout of the layer(s) this strategy repartitions (one of
-    #: the ``LAYOUT_*`` constants) — the re-layout algebra of
-    #: :mod:`repro.engine.layerwise` composes strategies by these layouts
-    layout: str = LAYOUT_REPLICATED
     #: how the strategy splits a global seed batch over devices
     #: ("round_robin" or "partition"); the layerwise driver follows the
     #: *top* layer's policy so its output layout needs no final re-layout
@@ -149,9 +152,10 @@ class Strategy(abc.ABC):
 
         Used by the trainer's shared-gather dedup (DESIGN.md §5.12): the
         union of these id arrays is materialized once per global batch and
-        each ``store.read`` served from it.  Strategies that don't declare
-        their load sets return ``None`` and keep per-device gathers; tier
-        accounting is per-device and unchanged either way.
+        GDP's layers read their rows from it through ``shared_positions``.
+        Strategies that don't declare their load sets return ``None`` and
+        keep per-device gathers; tier accounting is per-device and
+        unchanged either way.
         """
         return None
 
@@ -275,6 +279,145 @@ def read_features(
     if rows is not None:
         return rows, ctx.store.charge_load(device, node_ids, ctx.timeline, phase)
     return ctx.store.read(device, node_ids, ctx.timeline, phase)
+
+
+# ---------------------------------------------------------------------- #
+# first-layer routing and load sets
+# ---------------------------------------------------------------------- #
+@dataclass
+class RouteTask:
+    """One (requester, server) first-layer routing entry of a batch."""
+
+    requester: int
+    server: int
+    #: destinations hosted at ``server`` (global ids, in block order)
+    vdst: np.ndarray
+    #: position of each in the requester's block-0 dst list
+    vdst_req_idx: np.ndarray
+    #: routed edges: global source ids -> local index into ``vdst``
+    edge_src: np.ndarray
+    edge_dst: np.ndarray
+    #: destinations ``server`` owns (all of them under DNP's key)
+    self_mask: np.ndarray
+
+
+@dataclass
+class RoutePlan:
+    """A batch's first-layer plan: each device's feature-load set (``None``:
+    the device reads nothing) and the routed tasks (none under GDP)."""
+
+    load_nodes: List[Optional[np.ndarray]]
+    tasks: List[RouteTask] = field(default_factory=list)
+
+
+def route_first_layer(
+    ctx: ExecutionContext,
+    batches: List[Optional[MiniBatch]],
+    owners: Callable[[int, Block, np.ndarray], Tuple[np.ndarray, np.ndarray]],
+    self_as_edge: bool,
+) -> RoutePlan:
+    """Route every requester's first-layer edges to their servers.
+
+    ``owners(requester, block, src_ids)`` returns the server of every
+    block-0 edge (``src_ids`` are its global sources) and the owner of
+    every destination.  One task per (requester, server) pair that hosts
+    anything: the edges keyed to the server and the destinations it owns,
+    plus — if ``self_as_edge`` — an owner-held self edge ``(v, v)`` per
+    owned destination.  Records ``N_d``, the virtual nodes, the structure
+    shuffle (charged as one alltoall) and each server's load set: the
+    sorted union of its tasks' sources and owned destinations.
+    """
+    C = ctx.num_devices
+    plan = RoutePlan(load_nodes=[None] * C)
+    need: List[List[np.ndarray]] = [[] for _ in range(C)]
+    struct_bytes = np.zeros((C, C))
+    for r, mb in enumerate(batches):
+        if mb is None:
+            continue
+        block = mb.blocks[0]
+        ctx.recorder.n_dst += block.num_dst
+        src_g = block.src_nodes[block.edge_src]
+        edge_server, dst_owner = owners(r, block, src_g)
+        # hosted[p, v]: block-local destination v has an edge keyed to p or
+        # is owned by p — one mask per requester, not one pass per task.
+        hosted = np.zeros((C, block.num_dst), dtype=bool)
+        hosted[edge_server, block.edge_dst] = True
+        hosted[dst_owner, np.arange(block.num_dst)] = True
+        inv = np.empty(block.num_dst, dtype=np.int64)
+        for p in range(C):
+            vdst_l = np.flatnonzero(hosted[p])
+            if vdst_l.size == 0:
+                continue
+            e_mask = edge_server == p
+            e_src = src_g[e_mask]
+            ldst = block.edge_dst[e_mask]
+            vdst = block.dst_nodes[vdst_l]
+            self_mask = dst_owner[vdst_l] == p
+            owned = vdst[self_mask]
+            if self_as_edge:
+                e_src = np.concatenate([e_src, owned])
+                ldst = np.concatenate([ldst, vdst_l[self_mask]])
+            inv[vdst_l] = np.arange(vdst_l.size, dtype=np.int64)
+            plan.tasks.append(RouteTask(
+                requester=r, server=p, vdst=vdst, vdst_req_idx=vdst_l,
+                edge_src=e_src, edge_dst=inv[ldst], self_mask=self_mask,
+            ))
+            need[p] += [e_src, owned]
+            if p != r:
+                ctx.recorder.n_virtual += vdst.size
+                struct_bytes[r, p] += 8.0 * (2 * e_src.size + vdst.size)
+
+    ctx.comm.alltoall_bytes(struct_bytes, phase="sample")
+    for dev in range(C):
+        ctx.recorder.record_structure(dev, float(struct_bytes[dev].sum()))
+    # Per-server union via a presence mask over the node space: the same
+    # sorted-unique ids as unique(concatenate(...)), fewer sorts.
+    node_mask = np.empty(ctx.dataset.num_nodes, dtype=bool)
+    for p in range(C):
+        if need[p]:
+            node_mask[:] = False
+            for ids in need[p]:
+                node_mask[ids] = True
+            plan.load_nodes[p] = np.flatnonzero(node_mask)
+    record_loads(ctx, plan.load_nodes)
+    return plan
+
+
+def pair_pattern(tasks: List[RouteTask], num_devices: int) -> np.ndarray:
+    """``[requester, server]`` ones wherever a task routes a batch's edges
+    (a message pattern for :meth:`VolumeRecorder.record_message_pattern`)."""
+    pattern = np.zeros((num_devices, num_devices))
+    for t in tasks:
+        pattern[t.requester, t.server] = 1.0
+    return pattern
+
+
+def record_loads(
+    ctx: ExecutionContext, load_nodes: List[Optional[np.ndarray]]
+) -> None:
+    """Record each device's load set by the tier it reads each row from
+    (the T_load volumes) — the load-set stage of every strategy."""
+    for d, nodes in enumerate(load_nodes):
+        if nodes is None:
+            continue
+        split = ctx.store.classify(d, nodes)
+        ctx.recorder.record_load(
+            d,
+            {t: ids.size for t, ids in split.items()},
+            ranged_reads=count_ranges(split[Tier.DISK]),
+        )
+        for t, ids in split.items():
+            ctx.count(f"load_rows.{t.value}", ids.size, device=d, phase="load")
+
+
+def read_load_sets(ctx: ExecutionContext, plan: RoutePlan) -> List[Optional[Tensor]]:
+    """Each device reads its load set: the rows as a leaf tensor, ``None``
+    for a device without one and everywhere in timing-only mode."""
+    xs: List[Optional[Tensor]] = []
+    for d, nodes in enumerate(plan.load_nodes):
+        rows = None if nodes is None else read_features(ctx, d, nodes)[0]
+        xs.append(None if rows is None else Tensor(rows))
+    return xs
 
 
 def local_index_of(sorted_ids: np.ndarray, queries: np.ndarray) -> np.ndarray:

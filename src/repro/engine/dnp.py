@@ -17,6 +17,12 @@ Consequences the paper highlights (§3.3):
   but with a small cache it loads more rows than SNP because the per-device
   input set (partition + halo) is larger.
 
+Routing is SNP's router (:func:`~repro.engine.base.route_first_layer`)
+with each edge keyed by its destination's owner and no self edges: a
+task's server is the owner of all its destinations, and its load set is
+their sources plus themselves.  DNP keeps its own full-layer flops,
+finished-row payloads and message pattern (DESIGN.md §5.19).
+
 GraphSAGE/GCN run every (owner, requester) task's layer at once over a
 block-diagonal "batch block"; its adjoint reduces each task's rows on their
 own, in tape order, bit for bit, and charges stay per task (DESIGN.md §5.18).
@@ -24,23 +30,24 @@ own, in tape order, bit for bit, and charges stay per task (DESIGN.md §5.18).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 import numpy as np
 
 from repro.engine.base import (
-    LAYOUT_NODE,
+    RoutePlan,
+    RouteTask,
     Strategy,
     StrategyReport,
     local_index_of,
-    read_features,
+    pair_pattern,
+    read_load_sets,
+    route_first_layer,
     split_by_partition,
     split_rows,
 )
 from repro.engine.context import ExecutionContext
 from repro.featurestore.cache import cache_capacity_nodes, dnp_cache_nodes
-from repro.featurestore.store import Tier, count_ranges
 from repro.models.gat import GATLayer
 from repro.sampling.block import Block
 from repro.tensor import concat as tensor_concat
@@ -50,30 +57,8 @@ from repro.tensor.tensor import Tensor
 from repro.utils.ids import sorted_unique
 
 
-@dataclass
-class DNPTask:
-    """One (requester, owner) routing entry for a batch."""
-
-    requester: int
-    owner: int
-    #: destination nodes managed by ``owner`` (global ids, sorted)
-    vdst: np.ndarray
-    #: position of each in the requester's block-0 dst list
-    vdst_req_idx: np.ndarray
-    #: the complete sampled in-edges of those destinations
-    edge_src: np.ndarray  # global ids
-    edge_dst: np.ndarray  # local index into vdst
-
-
-@dataclass
-class DNPPlan:
-    tasks: List[DNPTask] = field(default_factory=list)
-    owner_nodes: List[Optional[np.ndarray]] = field(default_factory=list)
-
-
 class DNPStrategy(Strategy):
     name = "dnp"
-    layout = LAYOUT_NODE
     seed_split = "partition"
     requires_partition = True
 
@@ -104,98 +89,36 @@ class DNPStrategy(Strategy):
     # ------------------------------------------------------------------ #
     def plan_batch(
         self, ctx: ExecutionContext, batches, epoch: int = 0
-    ) -> DNPPlan:
+    ) -> RoutePlan:
         C = ctx.num_devices
-        parts = self._parts
         layer = ctx.model.first_layer
         d_hidden = layer.out_dim
-        plan = DNPPlan(owner_nodes=[None] * C)
-        need: List[List[np.ndarray]] = [[] for _ in range(C)]
-        struct_bytes = np.zeros((C, C))
-
-        for r, mb in enumerate(batches):
-            if mb is None:
-                continue
-            block = mb.blocks[0]
-            ctx.recorder.n_dst += block.num_dst
-            src_g = block.src_nodes[block.edge_src]
-            dst_owner = parts[block.dst_nodes]
-            dst_owner_per_edge = dst_owner[block.edge_dst]
-            # Block-local dst index -> position within its owner's vdst
-            # list; valid wherever the owner matches, which is the only
-            # place it is read.  Replaces a per-owner sorted-id lookup.
-            inv = np.empty(block.num_dst, dtype=np.int64)
-            # Distinct sources per owner in one pass over (owner, src)
-            # keys — same counts as a per-owner unique ``e_src`` size.
-            n_nodes = np.int64(ctx.dataset.num_nodes)
-            uniq_keys = sorted_unique(dst_owner_per_edge * n_nodes + src_g)
-            src_uniq = np.bincount(uniq_keys // n_nodes, minlength=C)
-            for o in range(C):
-                sel_idx = np.flatnonzero(dst_owner == o)
-                if sel_idx.size == 0:
-                    continue
-                vdst = block.dst_nodes[sel_idx]
-                inv[sel_idx] = np.arange(sel_idx.size, dtype=np.int64)
-                e_mask = dst_owner_per_edge == o
-                e_src = src_g[e_mask]
-                task = DNPTask(
-                    requester=r,
-                    owner=o,
-                    vdst=vdst,
-                    vdst_req_idx=sel_idx,
-                    edge_src=e_src,
-                    edge_dst=inv[block.edge_dst[e_mask]],
+        plan = route_first_layer(ctx, batches, self._owners, self_as_edge=False)
+        for task in plan.tasks:
+            o, r = task.server, task.requester
+            n_edges, n_vdst = task.edge_src.size, task.vdst.size
+            # Owner-side full layer-1 work estimate.
+            if layer.is_attention:
+                n_src = sorted_unique(task.edge_src).size + n_vdst
+                flops = (
+                    2.0 * n_src * layer.in_dim * layer.heads * layer.head_dim
+                    + (n_edges + n_vdst) * layer.heads * (layer.head_dim + 6.0)
                 )
-                plan.tasks.append(task)
-                need[o].append(e_src)
-                need[o].append(vdst)
-                # Owner-side full layer-1 work estimate.
-                n_src = int(src_uniq[o]) + vdst.size
-                if layer.is_attention:
-                    flops = (
-                        2.0 * n_src * layer.in_dim * layer.heads * layer.head_dim
-                        + (e_src.size + vdst.size)
-                        * layer.heads
-                        * (layer.head_dim + 6.0)
-                    )
-                else:
-                    flops = (
-                        2.0 * e_src.size * layer.in_dim
-                        + 4.0 * vdst.size * layer.in_dim * d_hidden
-                    )
-                ctx.recorder.record_layer1_flops(o, flops)
-                if o != r:
-                    ctx.recorder.n_virtual += vdst.size
-                    struct_bytes[r, o] += 8.0 * (2 * e_src.size + vdst.size)
-                    ctx.recorder.record_hidden(o, r, vdst.size * d_hidden * 8.0)
-
-        ctx.comm.alltoall_bytes(struct_bytes, phase="sample")
-        for dev in range(C):
-            ctx.recorder.record_structure(dev, float(struct_bytes[dev].sum()))
+            else:
+                flops = (
+                    2.0 * n_edges * layer.in_dim
+                    + 4.0 * n_vdst * layer.in_dim * d_hidden
+                )
+            ctx.recorder.record_layer1_flops(o, flops)
+            ctx.recorder.record_hidden(o, r, n_vdst * d_hidden * 8.0)
         # One hidden-embedding alltoall per batch along the task pattern.
-        ctx.recorder.record_message_pattern(struct_bytes, calls=1)
-
-        # Per-owner union of feature reads via a presence mask — same
-        # sorted-unique ids as unique(concatenate(...)), fewer sorts.
-        node_mask = np.empty(ctx.dataset.num_nodes, dtype=bool)
-        for o in range(C):
-            if need[o]:
-                node_mask[:] = False
-                for ids in need[o]:
-                    node_mask[ids] = True
-                nodes = np.flatnonzero(node_mask)
-                plan.owner_nodes[o] = nodes
-                split = ctx.store.classify(o, nodes)
-                ctx.recorder.record_load(
-                    o,
-                    {t: ids.size for t, ids in split.items()},
-                    ranged_reads=count_ranges(split[Tier.DISK]),
-                )
-                for t, ids in split.items():
-                    ctx.count(
-                        f"load_rows.{t.value}", ids.size, device=o, phase="load"
-                    )
+        ctx.recorder.record_message_pattern(pair_pattern(plan.tasks, C), calls=1)
         return plan
+
+    def _owners(self, requester: int, block, src_ids: np.ndarray):
+        """DNP's key: an edge goes to its destination's owner."""
+        dst_owner = self._parts[block.dst_nodes]
+        return dst_owner[block.edge_dst], dst_owner
 
     # load_requests intentionally stays at the base default (None): owner
     # input sets (partition + halo) overlap too little across devices for
@@ -203,19 +126,16 @@ class DNPStrategy(Strategy):
     # per unique row — the re-gather would cost more than it saves).
 
     # ------------------------------------------------------------------ #
-    def execute_batch(self, ctx, plan: DNPPlan, batches) -> List[Optional[Tensor]]:
+    def execute_batch(self, ctx, plan: RoutePlan, batches) -> List[Optional[Tensor]]:
         C = ctx.num_devices
         layer = ctx.model.first_layer
         tasks = plan.tasks
-        xs = [
-            None if nodes is None else read_features(ctx, o, nodes)[0]
-            for o, nodes in enumerate(plan.owner_nodes)
-        ]
+        xs = read_load_sets(ctx, plan)
         bb, subs = batch_block(tasks, ctx.dataset.num_nodes)
         # Owners compute complete layer-1 embeddings per task.
         hidden_bytes = np.zeros((C, C))
         for task, sub in zip(tasks, subs):
-            o, r = task.owner, task.requester
+            o, r = task.server, task.requester
             ctx.charger.dense(o, layer.forward_flops(sub))
             ctx.recorder.record_intermediate(
                 o,
@@ -232,8 +152,8 @@ class DNPStrategy(Strategy):
             # Not stacked (DESIGN.md §5.18): one layer forward per task,
             # each requester's rows assembled in owner order.
             pieces = [
-                layer.full_forward(sub, Tensor(xs[t.owner][
-                    local_index_of(plan.owner_nodes[t.owner], sub.src_nodes)
+                layer.full_forward(sub, Tensor(xs[t.server].data[
+                    local_index_of(plan.load_nodes[t.server], sub.src_nodes)
                 ]))
                 for t, sub in zip(tasks, subs)
             ]
@@ -250,12 +170,12 @@ class DNPStrategy(Strategy):
         # segment-linear over every task's rows, one node per requester.
         n = np.int64(ctx.dataset.num_nodes)
         owners = [o for o in range(C) if xs[o] is not None]
-        task_owner = np.array([t.owner for t in tasks])
+        task_owner = np.array([t.server for t in tasks])
         x_rows = local_index_of(
-            np.concatenate([o * n + plan.owner_nodes[o] for o in owners]),
+            np.concatenate([o * n + plan.load_nodes[o] for o in owners]),
             task_owner[bb.src_nodes // n] * n + bb.src_nodes % n,
         )
-        x = Tensor(np.concatenate([xs[o] for o in owners]))
+        x = Tensor(np.concatenate([xs[o].data for o in owners]))
         self_rows = x_rows[bb.dst_in_src]
         cols, dst = x_rows[bb.edge_src], bb.edge_dst
         if layer.self_loop_in_aggregation:
@@ -279,7 +199,7 @@ class DNPStrategy(Strategy):
                           [t.vdst_req_idx for t in tasks], arrivals)
 
 
-def batch_block(tasks: List[DNPTask], num_nodes: int) -> Tuple[Block, List[Block]]:
+def batch_block(tasks: List[RouteTask], num_nodes: int) -> Tuple[Block, List[Block]]:
     """Every task's sub-block at once: a block-diagonal "batch block" built
     by one ``Block.from_global_edges`` over task-keyed ids
     (``t * num_nodes + id``), and each task's own slice of it."""

@@ -11,16 +11,14 @@ accesses are scattered (FS).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Optional
 
-import numpy as np
-
 from repro.engine.base import (
-    LAYOUT_REPLICATED,
+    RoutePlan,
     Strategy,
     StrategyReport,
     read_features,
+    record_loads,
     split_round_robin,
 )
 from repro.engine.context import ExecutionContext
@@ -29,20 +27,11 @@ from repro.featurestore.cache import (
     hot_cache_nodes,
     unified_cache_nodes,
 )
-from repro.featurestore.store import Tier, count_ranges
 from repro.tensor.tensor import Tensor
-
-
-@dataclass
-class GDPPlan:
-    """Per-device feature-load sets (GDP has no routing to plan)."""
-
-    load_nodes: List[Optional[np.ndarray]]
 
 
 class GDPStrategy(Strategy):
     name = "gdp"
-    layout = LAYOUT_REPLICATED
     requires_partition = False
     #: GDP's per-device load set is exactly ``blocks[0].src_nodes``, so a
     #: pipelined backend can gather the rows in workers alongside sampling.
@@ -80,29 +69,20 @@ class GDPStrategy(Strategy):
     # ------------------------------------------------------------------ #
     def plan_batch(
         self, ctx: ExecutionContext, batches, epoch: int = 0
-    ) -> GDPPlan:
-        load_nodes: List[Optional[np.ndarray]] = []
+    ) -> RoutePlan:
+        # No routing: each device loads its own sampled inputs.
+        load_nodes = [None if mb is None else mb.input_nodes for mb in batches]
+        record_loads(ctx, load_nodes)
         for d, mb in enumerate(batches):
             if mb is None:
-                load_nodes.append(None)
                 continue
-            nodes = mb.input_nodes
-            split = ctx.store.classify(d, nodes)
-            ctx.recorder.record_load(
-                d,
-                {t: ids.size for t, ids in split.items()},
-                ranged_reads=count_ranges(split[Tier.DISK]),
-            )
-            for t, ids in split.items():
-                ctx.count(f"load_rows.{t.value}", ids.size, device=d, phase="load")
             ctx.recorder.n_dst += mb.blocks[0].num_dst
             ctx.recorder.record_layer1_flops(
                 d, ctx.model.first_layer.forward_flops(mb.blocks[0])
             )
-            load_nodes.append(nodes)
-        return GDPPlan(load_nodes=load_nodes)
+        return RoutePlan(load_nodes=load_nodes)
 
-    def load_requests(self, ctx, plan: GDPPlan, batches):
+    def load_requests(self, ctx, plan: RoutePlan, batches):
         # Aggregation layers consume the staged union through an index
         # indirection (src_index), skipping the per-device row gather
         # entirely.  Attention layers would re-materialize their rows
@@ -112,7 +92,7 @@ class GDPStrategy(Strategy):
         return plan.load_nodes
 
     def execute_batch(
-        self, ctx: ExecutionContext, plan: GDPPlan, batches
+        self, ctx: ExecutionContext, plan: RoutePlan, batches
     ) -> List[Optional[Tensor]]:
         layer = ctx.model.first_layer
         h1: List[Optional[Tensor]] = []

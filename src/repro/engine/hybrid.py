@@ -21,9 +21,10 @@ single-machine SNP while the expensive NIC carries no hidden embeddings.
 
 The implementation subclasses :class:`~repro.engine.snp.SNPStrategy` and
 overrides only the ownership function (:meth:`server_of_nodes` resolves
-within the requester's machine), the seed assignment, and the cache
-policy; the Permute/Shuffle/Execute/Reshuffle machinery — including the
-exact partial-aggregation algebra for GraphSAGE, GCN, and GAT — is reused
+within the requester's machine, which is the key SNP hands the shared
+first-layer router), the seed assignment, and the cache policy; the
+Permute/Shuffle/Execute/Reshuffle machinery — including the exact
+partial-aggregation algebra for GraphSAGE, GCN, and GAT — is reused
 verbatim, so the hybrid strategy is semantically equivalent to the other
 four (covered by the equivalence tests).
 """
@@ -34,7 +35,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.engine.base import LAYOUT_CACHE, StrategyReport
+from repro.engine.base import StrategyReport
 from repro.engine.context import ExecutionContext
 from repro.engine.snp import SNPStrategy
 from repro.featurestore.cache import cache_capacity_nodes, snp_cache_nodes
@@ -44,7 +45,6 @@ class HybridGDPSNPStrategy(SNPStrategy):
     """GDP between machines + SNP inside each machine (paper future work)."""
 
     name = "hyb"
-    layout = LAYOUT_CACHE
     requires_partition = True
 
     def __init__(self):

@@ -269,7 +269,6 @@ class LayerwiseStrategy(Strategy):
         self.homogeneous = all(n == names[0] for n in names)
         self.base = _BASE[names[0]]()
         self.name = format_spec(names)
-        self.layout = self.base.layout
         self.seed_split = (
             "partition" if names[-1] in ("snp", "dnp") else "round_robin"
         )

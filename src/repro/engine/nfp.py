@@ -34,16 +34,15 @@ from typing import List, Optional
 import numpy as np
 
 from repro.engine.base import (
-    LAYOUT_FEATURE,
     Strategy,
     StrategyReport,
     local_index_of,
     read_features,
+    record_loads,
     split_round_robin,
 )
 from repro.engine.context import ExecutionContext
 from repro.featurestore.cache import cache_capacity_nodes, hot_cache_nodes
-from repro.featurestore.store import Tier, count_ranges
 from repro.models.base import PartialMeanLayer, extend_with_self_edges
 from repro.models.gat import GATLayer
 from repro.tensor import sparse
@@ -83,7 +82,6 @@ def union_columns(
 
 class NFPStrategy(Strategy):
     name = "nfp"
-    layout = LAYOUT_FEATURE
     requires_partition = False
 
     def __init__(self):
@@ -149,15 +147,7 @@ class NFPStrategy(Strategy):
             )
 
         # Every device loads its dimension shard of the whole union.
-        for dev in range(C):
-            split = ctx.store.classify(dev, union)
-            ctx.recorder.record_load(
-                dev,
-                {t: ids.size for t, ids in split.items()},
-                ranged_reads=count_ranges(split[Tier.DISK]),
-            )
-            for t, ids in split.items():
-                ctx.count(f"load_rows.{t.value}", ids.size, device=dev, phase="load")
+        record_loads(ctx, [union] * C)
 
         # Hidden-embedding reduce volumes: every non-owner contributor ships
         # one d'-vector per destination (SAGE) or per source (GAT).
@@ -198,11 +188,6 @@ class NFPStrategy(Strategy):
                         + 2.0 * block.num_dst * shard * d_hidden,
                     )
         return NFPPlan(union_nodes=union, src_idx_in_union=src_idx)
-
-    def load_requests(self, ctx, plan: NFPPlan, batches):
-        # Every shard holder reads the same (sorted unique) union — the
-        # staged buffer is served zero-copy via the exact-match path.
-        return [plan.union_nodes]
 
     # ------------------------------------------------------------------ #
     def execute_batch(

@@ -24,6 +24,12 @@ set of an SNP server is a subset of its partition, so a quality partition
 makes the cache extremely effective (and a random one destroys it,
 paper Fig. 11).
 
+Routing is the shared first-layer router
+(:func:`~repro.engine.base.route_first_layer`) keyed by each edge's source
+server (:meth:`SNPStrategy.server_of_nodes`); GAT and GCN also route each
+destination's self edge to its owner.  SNP keeps its own partial-work
+flops, partial payloads and message patterns (DESIGN.md §5.19).
+
 GraphSAGE/GCN row-stack every (server, requester) task into a few ops per
 batch whose adjoints replay the per-task reductions in tape order, bit for
 bit; charges stay per pair (DESIGN.md §5.18).
@@ -31,23 +37,24 @@ bit; charges stay per pair (DESIGN.md §5.18).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.engine.base import (
-    LAYOUT_NODE,
+    RoutePlan,
+    RouteTask,
     Strategy,
     StrategyReport,
     local_index_of,
-    read_features,
+    pair_pattern,
+    read_load_sets,
+    route_first_layer,
     split_by_partition,
     split_rows,
 )
 from repro.engine.context import ExecutionContext
 from repro.featurestore.cache import cache_capacity_nodes, snp_cache_nodes
-from repro.featurestore.store import Tier, count_ranges
 from repro.models.base import PartialMeanLayer
 from repro.models.gat import GATLayer
 from repro.tensor import concat as tensor_concat
@@ -57,33 +64,8 @@ from repro.tensor.tensor import Tensor
 from repro.utils.ids import sorted_unique
 
 
-@dataclass
-class SNPTask:
-    """One (requester, server) routing entry for a batch."""
-
-    requester: int
-    server: int
-    #: virtual destination nodes hosted at ``server`` (global ids, sorted)
-    vdst: np.ndarray
-    #: position of each virtual node in the requester's block-0 dst list
-    vdst_req_idx: np.ndarray
-    #: routed edges: global source ids -> local index into ``vdst``
-    edge_src: np.ndarray
-    edge_dst: np.ndarray
-    #: virtual nodes whose self term this server owns (parts[v] == server)
-    self_mask: np.ndarray
-
-
-@dataclass
-class SNPPlan:
-    tasks: List[SNPTask] = field(default_factory=list)
-    #: per-server union of feature nodes to load
-    server_nodes: List[Optional[np.ndarray]] = field(default_factory=list)
-
-
 class SNPStrategy(Strategy):
     name = "snp"
-    layout = LAYOUT_NODE
     seed_split = "partition"
     requires_partition = True
 
@@ -123,14 +105,10 @@ class SNPStrategy(Strategy):
     # ------------------------------------------------------------------ #
     def plan_batch(
         self, ctx: ExecutionContext, batches, epoch: int = 0
-    ) -> SNPPlan:
+    ) -> RoutePlan:
         C = ctx.num_devices
-        parts = self._parts
         layer = ctx.model.first_layer
         is_attention = layer.is_attention
-        plan = SNPPlan(server_nodes=[None] * C)
-        need: List[List[np.ndarray]] = [[] for _ in range(C)]
-        struct_bytes = np.zeros((C, C))
         d_hidden = (
             layer.heads * layer.head_dim if is_attention else layer.out_dim
         )
@@ -138,92 +116,38 @@ class SNPStrategy(Strategy):
         # aggregation (a self-edge routed to the owner); SAGE ships a
         # separate self term instead.
         self_as_edge = is_attention or layer.self_loop_in_aggregation
+        plan = route_first_layer(ctx, batches, self._owners, self_as_edge)
 
-        for r, mb in enumerate(batches):
-            if mb is None:
-                continue
-            block = mb.blocks[0]
-            ctx.recorder.n_dst += block.num_dst
-            src_g = block.src_nodes[block.edge_src]
-            edge_owner = self.server_of_nodes(src_g, r)
-            dst_owner = self.server_of_nodes(block.dst_nodes, r)
-            # Scratch arrays reused across servers: virtual destinations are
-            # tracked as *block-local* dst indices, so the per-server unique
-            # and id lookups collapse to boolean-mask bookkeeping.
-            present = np.empty(block.num_dst, dtype=bool)
-            inv = np.empty(block.num_dst, dtype=np.int64)
-            for p in range(C):
-                e_mask = edge_owner == p
-                owned_l = np.flatnonzero(dst_owner == p)
-                owned = block.dst_nodes[owned_l]
-                e_src = src_g[e_mask]
-                ldst = block.edge_dst[e_mask]
-                if self_as_edge and owned_l.size:
-                    # Owners also hold the self edges (v, v) of their nodes.
-                    e_src = np.concatenate([e_src, owned])
-                    ldst = np.concatenate([ldst, owned_l])
-                if e_src.size == 0 and owned_l.size == 0:
-                    continue
-                present[:] = False
-                present[ldst] = True
-                present[owned_l] = True
-                vdst_l = np.flatnonzero(present)
-                inv[vdst_l] = np.arange(vdst_l.size, dtype=np.int64)
-                vdst = block.dst_nodes[vdst_l]
-                task = SNPTask(
-                    requester=r,
-                    server=p,
-                    vdst=vdst,
-                    vdst_req_idx=vdst_l,
-                    edge_src=e_src,
-                    edge_dst=inv[ldst],
-                    self_mask=dst_owner[vdst_l] == p,
-                )
-                plan.tasks.append(task)
-                need[p].append(e_src)
-                need[p].append(vdst[task.self_mask])
-                # Server-side partial work estimate (projection handled
-                # below once the server load sets are known).
-                edge_flops = (
-                    e_src.size * layer.heads * (layer.head_dim + 6.0)
-                    if is_attention
-                    else 2.0 * e_src.size * d_hidden
-                )
-                self_flops = (
-                    0.0
-                    if self_as_edge
-                    else 2.0 * int(task.self_mask.sum()) * layer.in_dim * d_hidden
-                )
-                ctx.recorder.record_layer1_flops(p, edge_flops + self_flops)
-                ctx.recorder.record_layer1_flops(r, 4.0 * vdst.size * d_hidden)
-                if p != r:
-                    ctx.recorder.n_virtual += vdst.size
-                    struct_bytes[r, p] += 8.0 * (2 * e_src.size + vdst.size)
-                    # Hidden partial payload: GraphSAGE ships (psum, count,
-                    # self); GAT ships (numerator, denominator) and receives
-                    # the destination scores beforehand.
-                    if is_attention:
-                        payload = vdst.size * (
-                            d_hidden + 2 * layer.heads
-                        ) * 8.0
-                    else:
-                        self_rows = (
-                            0 if self_as_edge else int(task.self_mask.sum())
-                        )
-                        payload = (
-                            vdst.size * (d_hidden + 1) + self_rows * d_hidden
-                        ) * 8.0
-                    ctx.recorder.record_hidden(p, r, payload)
-
-        ctx.comm.alltoall_bytes(struct_bytes, phase="sample")
-        for dev in range(C):
-            ctx.recorder.record_structure(dev, float(struct_bytes[dev].sum()))
+        for task in plan.tasks:
+            p, r = task.server, task.requester
+            n_edges, n_vdst = task.edge_src.size, task.vdst.size
+            n_self = 0 if self_as_edge else int(task.self_mask.sum())
+            # Server-side partial work estimate (projection added below,
+            # per load set).
+            edge_flops = (
+                n_edges * layer.heads * (layer.head_dim + 6.0)
+                if is_attention
+                else 2.0 * n_edges * d_hidden
+            )
+            ctx.recorder.record_layer1_flops(
+                p, edge_flops + 2.0 * n_self * layer.in_dim * d_hidden
+            )
+            ctx.recorder.record_layer1_flops(r, 4.0 * n_vdst * d_hidden)
+            # Hidden partial payload: GraphSAGE ships (psum, count, self);
+            # GAT ships (numerator, denominator) and receives the
+            # destination scores beforehand.
+            payload = (
+                n_vdst * (d_hidden + 2 * layer.heads) if is_attention
+                else n_vdst * (d_hidden + 1) + n_self * d_hidden
+            )
+            ctx.recorder.record_hidden(p, r, payload * 8.0)
 
         # Message patterns of the Reshuffle stage (latency estimation).
+        pairs = pair_pattern(plan.tasks, C)
         if is_attention:
             # one fused (numerator, denominator) exchange per task pair,
             # plus the owner -> server destination-score distribution.
-            ctx.recorder.record_message_pattern(struct_bytes, calls=1)
+            ctx.recorder.record_message_pattern(pairs, calls=1)
             score_pattern = np.zeros((C, C))
             for task in plan.tasks:
                 owners = self.server_of_nodes(task.vdst, task.requester)
@@ -233,39 +157,27 @@ class SNPStrategy(Strategy):
             ctx.recorder.record_message_pattern(score_pattern, calls=1)
         else:
             # fused (psum, self) exchange plus the counts exchange.
-            ctx.recorder.record_message_pattern(struct_bytes, calls=2)
-
-        # Per-server union of feature reads: a presence mask over the node
-        # space replaces unique(concatenate(...)) — same sorted-unique ids.
-        node_mask = np.empty(ctx.dataset.num_nodes, dtype=bool)
-        for p in range(C):
-            if need[p]:
-                node_mask[:] = False
-                for ids in need[p]:
-                    node_mask[ids] = True
-                nodes = np.flatnonzero(node_mask)
-                plan.server_nodes[p] = nodes
-                split = ctx.store.classify(p, nodes)
-                ctx.recorder.record_load(
-                    p,
-                    {t: ids.size for t, ids in split.items()},
-                    ranged_reads=count_ranges(split[Tier.DISK]),
-                )
-                for t, ids in split.items():
-                    ctx.count(
-                        f"load_rows.{t.value}", ids.size, device=p, phase="load"
-                    )
+            ctx.recorder.record_message_pattern(pairs, calls=2)
+        for p, nodes in enumerate(plan.load_nodes):
+            if nodes is not None:
                 ctx.recorder.record_layer1_flops(
                     p, 2.0 * nodes.size * layer.in_dim * d_hidden
                 )
         return plan
+
+    def _owners(self, requester: int, block, src_ids: np.ndarray):
+        """SNP's key: an edge goes to its source's server."""
+        return (
+            self.server_of_nodes(src_ids, requester),
+            self.server_of_nodes(block.dst_nodes, requester),
+        )
 
     # load_requests intentionally stays at the base default (None): each
     # server reads its own partition slice, so per-device requests are
     # nearly disjoint and a staged union would just double-copy the rows.
 
     # ------------------------------------------------------------------ #
-    def execute_batch(self, ctx, plan: SNPPlan, batches) -> List[Optional[Tensor]]:
+    def execute_batch(self, ctx, plan: RoutePlan, batches) -> List[Optional[Tensor]]:
         layer = ctx.model.first_layer
         if isinstance(layer, GATLayer):
             return self._execute_gat(ctx, plan, batches, layer)
@@ -276,24 +188,14 @@ class SNPStrategy(Strategy):
             f"SNP does not know how to decompose layer type {type(layer).__name__}"
         )
 
-    def _load_servers(self, ctx, plan: SNPPlan) -> List[Optional[Tensor]]:
-        xs: List[Optional[Tensor]] = []
-        for p, nodes in enumerate(plan.server_nodes):
-            if nodes is None:
-                xs.append(None)
-                continue
-            x_rows, _ = read_features(ctx, p, nodes)
-            xs.append(Tensor(x_rows) if ctx.numerics else None)
-        return xs
-
     # ------------------------------------------------------------------ #
     def _execute_sage(self, ctx, plan, batches, layer: PartialMeanLayer):
         C = ctx.num_devices
-        xs = self._load_servers(ctx, plan)
+        xs = read_load_sets(ctx, plan)
         d_hidden = layer.out_dim
-        servers = [p for p in range(C) if plan.server_nodes[p] is not None]
+        servers = [p for p in range(C) if plan.load_nodes[p] is not None]
         for p in servers:
-            rows = plan.server_nodes[p].size
+            rows = plan.load_nodes[p].size
             ctx.charger.dense(p, 2.0 * rows * layer.in_dim * d_hidden)
             ctx.recorder.record_intermediate(p, rows * (layer.in_dim + d_hidden) * 8.0)
         # Partials and self terms ship as one message per pair, then counts.
@@ -322,8 +224,8 @@ class SNPStrategy(Strategy):
         # partial rows and every shipped self row (DESIGN.md §5.18).
         n = np.int64(ctx.dataset.num_nodes)
         x = np.concatenate([xs[p].data for p in servers])
-        keys = np.concatenate([p * n + plan.server_nodes[p] for p in servers])
-        z_ptr = np.cumsum([0] + [plan.server_nodes[p].size for p in servers])
+        keys = np.concatenate([p * n + plan.load_nodes[p] for p in servers])
+        z_ptr = np.cumsum([0] + [plan.load_nodes[p].size for p in servers])
         server = np.array([t.server for t in tasks])
         requester = np.array([t.requester for t in tasks])
         v_ptr = np.cumsum([0] + [t.vdst.size for t in tasks])
@@ -390,14 +292,13 @@ class SNPStrategy(Strategy):
     # ------------------------------------------------------------------ #
     def _execute_gat(self, ctx, plan, batches, layer: GATLayer):
         C = ctx.num_devices
-        parts = self._parts
-        xs = self._load_servers(ctx, plan)
+        xs = read_load_sets(ctx, plan)
         heads, d_proj = layer.heads, layer.heads * layer.head_dim
 
         z_servers: List[Optional[Tensor]] = []
         sl_servers: List[Optional[Tensor]] = []
         for p in range(C):
-            if plan.server_nodes[p] is None:
+            if plan.load_nodes[p] is None:
                 z_servers.append(None)
                 sl_servers.append(None)
                 continue
@@ -410,11 +311,11 @@ class SNPStrategy(Strategy):
                 sl_servers.append(None)
             ctx.charger.dense(
                 p,
-                2.0 * plan.server_nodes[p].size * layer.in_dim * d_proj
-                + 4.0 * plan.server_nodes[p].size * d_proj,
+                2.0 * plan.load_nodes[p].size * layer.in_dim * d_proj
+                + 4.0 * plan.load_nodes[p].size * d_proj,
             )
             ctx.recorder.record_intermediate(
-                p, plan.server_nodes[p].size * (layer.in_dim + d_proj) * 8.0
+                p, plan.load_nodes[p].size * (layer.in_dim + d_proj) * 8.0
             )
 
         # --- destination-score distribution (the attention extra comm) --- #
@@ -435,7 +336,7 @@ class SNPStrategy(Strategy):
                     if owned_idx.size == 0:
                         continue
                     owned_nodes = block.dst_nodes[owned_idx]
-                    rows = local_index_of(plan.server_nodes[o], owned_nodes)
+                    rows = local_index_of(plan.load_nodes[o], owned_nodes)
                     pieces.append(
                         layer.dst_scores(z_servers[o].index_rows(rows))
                     )
@@ -459,12 +360,12 @@ class SNPStrategy(Strategy):
         # --- partial attention at each server ---------------------------- #
         num_grid = [[None] * C for _ in range(C)]
         den_grid = [[None] * C for _ in range(C)]
-        task_info: Dict[Tuple[int, int], SNPTask] = {}
+        task_info: Dict[Tuple[int, int], RouteTask] = {}
         partial_bytes = np.zeros((C, C))
         for task in plan.tasks:
             p, r = task.server, task.requester
             if ctx.numerics:
-                src_idx = local_index_of(plan.server_nodes[p], task.edge_src)
+                src_idx = local_index_of(plan.load_nodes[p], task.edge_src)
                 s_r_task = s_r_full[r].index_rows(task.vdst_req_idx)
                 shift_task = shift_full[r][task.vdst_req_idx]
                 num, den = layer.partial_attention(

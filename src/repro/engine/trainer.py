@@ -81,7 +81,7 @@ class ParallelTrainer:
         plan = self.strategy.plan_batch(ctx, batches, epoch)
 
         # Cross-device gather dedup: stage the union of the strategy's
-        # per-device row requests once; store.read serves slices of it.
+        # per-device row requests once; GDP reads its rows through it.
         # Skipped when a pipelined backend already serves gathers from
         # worker shared memory.
         shared = None

@@ -394,10 +394,9 @@ class UnifiedFeatureStore:
 
         ``requests`` is the strategy's per-device load sets for one global
         batch (``None`` entries allowed).  Until :meth:`end_shared_gather`,
-        :meth:`read` serves any subset of the union from the staged buffer
-        — the exact-match case (NFP's shared union read) is zero-copy, the
-        general case a positional re-gather.  Served rows are bit-identical
-        to a direct ``gather_rows`` (row copies of the same float64 data).
+        a caller that consumes rows through an index indirection (GDP's
+        ``src_index`` path) reads them from :meth:`shared_rows` at
+        :meth:`shared_positions`; :meth:`read` always gathers directly.
 
         Returns ``(requested_rows, unique_rows)`` for telemetry, or ``None``
         when there is nothing to stage.  Tier accounting is unaffected:
@@ -445,21 +444,6 @@ class UnifiedFeatureStore:
         ):
             return None
         return pos
-
-    def _shared_lookup(self, node_ids: np.ndarray) -> Optional[np.ndarray]:
-        """Rows for ``node_ids`` from the staged union, or ``None``."""
-        uniq = self._shared_uniq
-        ids = np.asarray(node_ids, dtype=np.int64)
-        if ids.size == uniq.size and (
-            ids.size == 0 or (ids[0] == uniq[0] and np.array_equal(ids, uniq))
-        ):
-            return self._shared_rows  # the union itself: zero-copy
-        pos = np.searchsorted(uniq, ids)
-        if ids.size and (
-            pos.max() >= uniq.size or not np.array_equal(uniq[pos], ids)
-        ):
-            return None  # ids outside the staged union: direct gather
-        return self._shared_rows[pos]
 
     # ------------------------------------------------------------------ #
     # reads
@@ -522,12 +506,7 @@ class UnifiedFeatureStore:
         Simulated load seconds are charged to ``timeline`` when given.
         """
         report = self.charge_load(device, node_ids, timeline, phase)
-        features = None
-        if self._shared_uniq is not None:
-            features = self._shared_lookup(node_ids)
-        if features is None:
-            features = self._materialize(node_ids)
-        return features, report
+        return self._materialize(node_ids), report
 
     def charge_load(
         self,
@@ -578,32 +557,3 @@ class UnifiedFeatureStore:
         if timeline is not None:
             timeline.charge(device, phase, report.seconds)
         return report
-
-    # ------------------------------------------------------------------ #
-    def estimate_load_seconds(
-        self, device: int, rows_per_tier: Dict[Tier, float]
-    ) -> float:
-        """Cost-model helper: load time for hypothetical per-tier row counts.
-
-        Used by the APT planner, which knows expected tier row counts from
-        dry-run statistics without performing the reads.
-        """
-        row_bytes = self.dataset.feature_dim * 8.0 * self.dim_fraction
-        mspec = self.cluster.machine_spec(device)
-        dspec = self.cluster.device_spec(device)
-        total = 0.0
-        for tier, rows in rows_per_tier.items():
-            nbytes = rows * row_bytes
-            if nbytes <= 0:
-                continue
-            if tier is Tier.GPU_CACHE:
-                total += dspec.memory_bound_seconds(nbytes)
-            elif tier is Tier.PEER_GPU:
-                total += mspec.gpu_peer_link().seconds(nbytes)
-            elif tier is Tier.LOCAL_CPU:
-                total += mspec.pcie.seconds(nbytes)
-            elif tier is Tier.DISK:
-                total += mspec.disk.seconds(nbytes)
-            else:
-                total += self.cluster.inter_machine_link_per_gpu(device).seconds(nbytes)
-        return total

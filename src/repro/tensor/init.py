@@ -1,4 +1,4 @@
-"""Parameter initializers (Glorot/Xavier and Kaiming/He schemes)."""
+"""Parameter initializers (Glorot/Xavier uniform, zeros)."""
 
 from __future__ import annotations
 
@@ -20,13 +20,6 @@ def xavier_uniform(shape: tuple, rng: np.random.Generator, gain: float = 1.0) ->
         fan_in = shape[0] * receptive
         fan_out = shape[1] * receptive
     bound = gain * math.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-bound, bound, size=shape)
-
-
-def kaiming_uniform(shape: tuple, rng: np.random.Generator) -> np.ndarray:
-    """He et al. (2015) uniform initializer for ReLU networks."""
-    fan_in = shape[0] if len(shape) >= 1 else 1
-    bound = math.sqrt(6.0 / max(fan_in, 1))
     return rng.uniform(-bound, bound, size=shape)
 
 

@@ -42,11 +42,6 @@ def no_grad():
         _GRAD_ENABLED = prev
 
 
-def grad_enabled() -> bool:
-    """Return whether autograd taping is currently enabled."""
-    return _GRAD_ENABLED
-
-
 # repro.tensor.sparse, bound on first use: importing it at module scope
 # would be circular (sparse builds on Tensor), and ``index_rows`` is called
 # too often to pay for an import statement per call.

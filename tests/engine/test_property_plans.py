@@ -3,23 +3,28 @@
 For random graphs, partitions, and seed sets, every strategy's Permute
 stage must conserve the sampled computation graph: each first-layer edge
 routed exactly once, each destination produced exactly once, everything
-within ownership constraints.
+within ownership constraints.  SNP, hyb and DNP share one router with
+two keys, so the same checks run over GraphSAGE and GCN (whose self
+edges SNP routes to each destination's owner), hyb on two machines, and
+every server's load set.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.cluster import single_machine_cluster
-from repro.engine import DNPStrategy, SNPStrategy
+from repro.cluster import multi_machine_cluster, single_machine_cluster
+from repro.engine import DNPStrategy, HybridGDPSNPStrategy, SNPStrategy
 from repro.engine.base import sample_batches
 from repro.engine.context import ExecutionContext
 from repro.graph import CSRGraph
 from repro.graph.partition import random_partition
-from repro.models import GraphSAGE
+from repro.models import GCN, GraphSAGE
+
+MODELS = {"sage": GraphSAGE, "gcn": GCN}
 
 
-def build_case(n, avg_deg, num_devices, seed):
+def build_case(n, avg_deg, num_devices, seed, model="sage", machines=1):
     rng = np.random.default_rng(seed)
     m = max(int(n * avg_deg / 2), 1)
     graph = CSRGraph.from_edges(
@@ -36,13 +41,40 @@ def build_case(n, avg_deg, num_devices, seed):
         train_seeds=np.sort(rng.choice(n, size=max(n // 5, 4), replace=False)),
         num_classes=3,
     )
-    cluster = single_machine_cluster(num_devices, gpu_cache_bytes=0.0)
-    model = GraphSAGE(8, 4, 3, 2, seed=0)
-    parts = random_partition(n, num_devices, seed=seed)
+    if machines == 1:
+        cluster = single_machine_cluster(num_devices, gpu_cache_bytes=0.0)
+    else:
+        cluster = multi_machine_cluster(machines, num_devices, gpu_cache_bytes=0.0)
+    model = MODELS[model](8, 4, 3, 2, seed=0)
+    parts = random_partition(n, cluster.num_devices, seed=seed)
     ctx = ExecutionContext.build(
         ds, cluster, model, [3, 3], parts=parts, global_batch_size=64
     )
     return ctx, parts
+
+
+def assert_load_sets_are_task_unions(plan, num_devices):
+    """Each server loads exactly the sorted union of its tasks' sources
+    and the destinations it owns (and nothing without a task)."""
+    for p in range(num_devices):
+        mine = [t for t in plan.tasks if t.server == p]
+        if not mine:
+            assert plan.load_nodes[p] is None
+            continue
+        want = np.unique(np.concatenate(
+            [t.edge_src for t in mine] + [t.vdst[t.self_mask] for t in mine]
+        ))
+        np.testing.assert_array_equal(plan.load_nodes[p], want)
+
+
+def routed_edges(plan, r):
+    """Requester ``r``'s routed (server, source, destination) triples."""
+    triples = [
+        np.stack([np.full(t.edge_src.size, t.server), t.edge_src,
+                  t.vdst[t.edge_dst]])
+        for t in plan.tasks if t.requester == r
+    ]
+    return np.unique(np.concatenate(triples, axis=1), axis=1, return_counts=True)
 
 
 case_params = (
@@ -52,11 +84,14 @@ case_params = (
 )
 
 
-@given(*case_params)
-@settings(max_examples=20, deadline=None)
-def test_snp_plan_invariants(n, num_devices, seed):
-    ctx, parts = build_case(n, 5, num_devices, seed)
-    strategy = SNPStrategy()
+@given(*case_params, st.sampled_from(sorted(MODELS)), st.sampled_from(["snp", "hyb"]))
+@settings(max_examples=40, deadline=None)
+def test_snp_plan_invariants(n, num_devices, seed, model, name):
+    hyb = name == "hyb"
+    ctx, parts = build_case(
+        n, 5, num_devices, seed, model=model, machines=2 if hyb else 1
+    )
+    strategy = HybridGDPSNPStrategy() if hyb else SNPStrategy()
     strategy.prepare(ctx)
     gb = ctx.dataset.train_seeds[:64]
     batches = sample_batches(ctx, strategy.assign_seeds(ctx, gb), 0)
@@ -65,22 +100,46 @@ def test_snp_plan_invariants(n, num_devices, seed):
     sampled_edges = sum(
         mb.blocks[0].num_edges for mb in batches if mb is not None
     )
+    if model == "gcn":  # plus one self edge per destination
+        sampled_edges += sum(
+            mb.blocks[0].num_dst for mb in batches if mb is not None
+        )
     routed = sum(t.edge_src.size for t in plan.tasks)
     assert routed == sampled_edges  # every edge exactly once
     for task in plan.tasks:
         # sources owned by the server; vdst indices valid and aligned.
-        assert np.all(parts[task.edge_src] == task.server)
+        servers = strategy.server_of_nodes(task.edge_src, task.requester)
+        assert np.all(servers == task.server)
         assert task.edge_dst.max(initial=-1) < task.vdst.size
         block = batches[task.requester].blocks[0]
         np.testing.assert_array_equal(
             block.dst_nodes[task.vdst_req_idx], task.vdst
         )
+        if hyb:  # hyb never routes across machines
+            assert ctx.cluster.same_machine(task.requester, task.server)
+    # Each sampled edge goes to its source's server; under GCN each
+    # destination's self edge goes to its owner, exactly once.
+    for r, mb in enumerate(batches):
+        if mb is None:
+            continue
+        block = mb.blocks[0]
+        src = block.src_nodes[block.edge_src]
+        dst = block.dst_nodes[block.edge_dst]
+        if model == "gcn":
+            src = np.concatenate([src, block.dst_nodes])
+            dst = np.concatenate([dst, block.dst_nodes])
+        want = np.stack([strategy.server_of_nodes(src, r), src, dst])
+        got_edges, got_counts = routed_edges(plan, r)
+        want_edges, want_counts = np.unique(want, axis=1, return_counts=True)
+        np.testing.assert_array_equal(got_edges, want_edges)
+        np.testing.assert_array_equal(got_counts, want_counts)
+    assert_load_sets_are_task_unions(plan, ctx.num_devices)
 
 
-@given(*case_params)
+@given(*case_params, st.sampled_from(sorted(MODELS)))
 @settings(max_examples=20, deadline=None)
-def test_dnp_plan_invariants(n, num_devices, seed):
-    ctx, parts = build_case(n, 5, num_devices, seed)
+def test_dnp_plan_invariants(n, num_devices, seed, model):
+    ctx, parts = build_case(n, 5, num_devices, seed, model=model)
     strategy = DNPStrategy()
     strategy.prepare(ctx)
     gb = ctx.dataset.train_seeds[:64]
@@ -95,13 +154,14 @@ def test_dnp_plan_invariants(n, num_devices, seed):
         for t in plan.tasks:
             if t.requester == r:
                 np.add.at(seen, t.vdst_req_idx, 1)
-                assert np.all(parts[t.vdst] == t.owner)
+                assert np.all(parts[t.vdst] == t.server)
         np.testing.assert_array_equal(seen, 1.0)
     # Edge conservation holds too.
     sampled_edges = sum(
         mb.blocks[0].num_edges for mb in batches if mb is not None
     )
     assert sum(t.edge_src.size for t in plan.tasks) == sampled_edges
+    assert_load_sets_are_task_unions(plan, ctx.num_devices)
 
 
 # ---------------------------------------------------------------------- #

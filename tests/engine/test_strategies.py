@@ -188,7 +188,7 @@ class TestSNP:
         s = SNPStrategy()
         s.prepare(ctx)
         plan, _ = plan_one_batch(s, ctx)
-        for p, nodes in enumerate(plan.server_nodes):
+        for p, nodes in enumerate(plan.load_nodes):
             if nodes is not None:
                 assert np.all(parts[nodes] == p)
 
@@ -244,7 +244,7 @@ class TestDNP:
         s.prepare(ctx)
         plan, _ = plan_one_batch(s, ctx)
         for task in plan.tasks:
-            assert np.all(parts[task.vdst] == task.owner)
+            assert np.all(parts[task.vdst] == task.server)
 
     def test_each_dst_exactly_one_task(self, ds, parts):
         ctx = build_ctx(ds, parts)
@@ -277,7 +277,7 @@ class TestDNP:
         s = DNPStrategy()
         s.prepare(ctx)
         plan, _ = plan_one_batch(s, ctx)
-        for o, nodes in enumerate(plan.owner_nodes):
+        for o, nodes in enumerate(plan.load_nodes):
             if nodes is None:
                 continue
             members = np.nonzero(parts == o)[0]

@@ -120,12 +120,6 @@ class TestDiskTierStore:
         store.read(0, np.arange(50), timeline=t)
         assert t.device_phase_seconds(0, "load") > 0
 
-    def test_estimate_includes_disk_term(self, disk_ds):
-        store = UnifiedFeatureStore(disk_ds, single_machine_cluster(1))
-        base = store.estimate_load_seconds(0, {Tier.DISK: 0})
-        est = store.estimate_load_seconds(0, {Tier.DISK: 1000})
-        assert est > base
-
     def test_multi_machine_unpromoted_rows_hit_disk(self, disk_ds):
         """Out of core, every machine reads unpromoted rows from its own
         NVMe copy of the dataset directory — node_machine only decides

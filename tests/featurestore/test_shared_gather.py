@@ -1,11 +1,10 @@
-"""Shared-gather dedup: staged union reads, accounting invariance, laziness.
+"""Shared-gather dedup: staged union, accounting invariance, laziness.
 
 One global batch's per-device requests are materialized once as the sorted
-unique union; each device's read is then served from the staged rows —
-zero-copy when the request *is* the union, a positional re-gather for any
-subset, and a plain direct gather for ids outside the union.  Served rows
-must be bit-identical to ``gather_rows`` in every case, and tier charging
-must not change at all.
+unique union (GDP's layers read it through ``shared_positions``).  Reads
+inside the scope — of a subset, of ids outside the union, of nothing —
+must be bit-identical to ``gather_rows``, and tier charging must not change
+at all.
 """
 
 import numpy as np
@@ -47,18 +46,6 @@ def test_begin_with_no_requests_returns_none(store):
     # No scope was opened; reads behave normally.
     rows, _ = store.read(0, np.array([5]))
     assert np.array_equal(rows, gather_rows(store.dataset.features, [5]))
-
-
-def test_exact_union_read_is_zero_copy(store, ds):
-    union = np.array([2, 9, 17, 33])
-    store.begin_shared_gather([union, union])
-    try:
-        rows_a, _ = store.read(0, union)
-        rows_b, _ = store.read(1, union)
-        assert rows_a is rows_b  # both devices get the staged buffer itself
-        assert np.array_equal(rows_a, gather_rows(ds.features, union))
-    finally:
-        store.end_shared_gather()
 
 
 def test_subset_read_matches_direct_gather(store, ds):

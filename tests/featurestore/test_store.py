@@ -129,12 +129,6 @@ class TestValidation:
         with pytest.raises(ValueError):
             store.configure_caches([np.array([0])], dim_fraction=0.0)
 
-    def test_estimate_load_seconds(self, ds):
-        store = UnifiedFeatureStore(ds, single_machine_cluster(1))
-        est = store.estimate_load_seconds(
-            0, {Tier.LOCAL_CPU: 100, Tier.GPU_CACHE: 0}
-        )
-        assert est > 0
 
 
 class TestClassifyPeerGather:

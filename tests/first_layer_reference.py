@@ -20,7 +20,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.engine.base import local_index_of, read_features
+from repro.engine.base import local_index_of, read_features, read_load_sets
 from repro.engine.dnp import DNPStrategy
 from repro.engine.nfp import NFPStrategy, union_columns
 from repro.engine.snp import SNPStrategy
@@ -123,22 +123,22 @@ def snp_execute_sage(self, ctx, plan, batches, layer):
     aggregation (and self projection) per task, one GroupReduce per
     requester."""
     C = ctx.num_devices
-    xs = self._load_servers(ctx, plan)
+    xs = read_load_sets(ctx, plan)
     d_hidden = layer.out_dim
     w_neigh = layer.weight if layer.self_loop_in_aggregation else layer.w_neigh
     # Projected neighbors once per server.
     z_servers: List[Optional[Tensor]] = []
     for p in range(C):
-        if plan.server_nodes[p] is None:
+        if plan.load_nodes[p] is None:
             z_servers.append(None)
             continue
         z_servers.append(xs[p] @ w_neigh if ctx.numerics else None)
         ctx.charger.dense(
-            p, 2.0 * plan.server_nodes[p].size * layer.in_dim * d_hidden
+            p, 2.0 * plan.load_nodes[p].size * layer.in_dim * d_hidden
         )
         ctx.recorder.record_intermediate(
             p,
-            plan.server_nodes[p].size * (layer.in_dim + d_hidden) * 8.0,
+            plan.load_nodes[p].size * (layer.in_dim + d_hidden) * 8.0,
         )
 
     # Partials per task, shipped through an alltoall grid.
@@ -155,7 +155,7 @@ def snp_execute_sage(self, ctx, plan, batches, layer):
             task.vdst[task.self_mask] if ships_self else np.empty(0, np.int64)
         )
         if ctx.numerics:
-            src_idx = local_index_of(plan.server_nodes[p], task.edge_src)
+            src_idx = local_index_of(plan.load_nodes[p], task.edge_src)
             dst = sparse.SegmentIndex(task.edge_dst, task.vdst.size)
             psum = sparse.gather_segment_sum(z_servers[p], src_idx, dst)
             counts = sparse.segment_count(dst)
@@ -163,7 +163,7 @@ def snp_execute_sage(self, ctx, plan, batches, layer):
             counts_grid[(p, r)] = counts
             if self_nodes.size:
                 x_self = xs[p].index_rows(
-                    local_index_of(plan.server_nodes[p], self_nodes)
+                    local_index_of(plan.load_nodes[p], self_nodes)
                 )
                 self_grid[p][r] = x_self @ layer.w_self
         if p != r:
@@ -235,7 +235,7 @@ def dnp_execute_batch(self, ctx, plan, batches):
     layer = ctx.model.first_layer
 
     xs: List[Optional[Tensor]] = []
-    for o, nodes in enumerate(plan.owner_nodes):
+    for o, nodes in enumerate(plan.load_nodes):
         if nodes is None:
             xs.append(None)
             continue
@@ -247,7 +247,7 @@ def dnp_execute_batch(self, ctx, plan, batches):
     task_info: Dict[Tuple[int, int], object] = {}
     hidden_bytes = np.zeros((C, C))
     for task in plan.tasks:
-        o, r = task.owner, task.requester
+        o, r = task.server, task.requester
         sub = Block.from_global_edges(task.edge_src, task.vdst[task.edge_dst])
         if not np.array_equal(sub.dst_nodes, task.vdst):
             raise AssertionError(
@@ -259,7 +259,7 @@ def dnp_execute_batch(self, ctx, plan, batches):
             8.0 * (sub.num_src * layer.in_dim + sub.num_dst * layer.out_dim),
         )
         if ctx.numerics:
-            rows = local_index_of(plan.owner_nodes[o], sub.src_nodes)
+            rows = local_index_of(plan.load_nodes[o], sub.src_nodes)
             h_grid[o][r] = layer.full_forward(sub, xs[o].index_rows(rows))
         if o != r:
             hidden_bytes[o, r] += task.vdst.size * layer.out_dim * 8.0
