@@ -8,13 +8,17 @@ that all four strategies record through, and the one first-layer router
 in the key that sends a sampled edge to a server — its source's owner
 (SNP, hyb within the requester's machine) or its destination's owner
 (DNP) — and each keeps its own flops, payloads, message patterns and
-execute path (DESIGN.md §5.19).
+execute path (DESIGN.md §5.19).  The router counts first: its
+:class:`RoutePlan` carries per-(requester, server) sizes
+(:class:`PairCounts`) and the load sets, and builds the per-pair
+:class:`RouteTask` id arrays only when the numerics path reads them, so a
+dry-run or a timing-only epoch never builds them.
 """
 
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np
@@ -25,6 +29,7 @@ from repro.parallel.backend import resolve_backend
 from repro.sampling.block import Block, MiniBatch
 from repro.tensor.sparse import SegmentIndex, segment_sum
 from repro.tensor.tensor import Tensor
+from repro.utils.ids import sorted_unique
 
 
 @dataclass
@@ -302,12 +307,154 @@ class RouteTask:
 
 
 @dataclass
+class PairCounts:
+    """The sizes of a batch's route tasks, ``[requester, server]`` matrices
+    (zero where the pair has no task)."""
+
+    #: routed edges, owner-held self edges included
+    edges: np.ndarray
+    #: hosted destinations (``RouteTask.vdst``)
+    vdst: np.ndarray
+    #: destinations the server owns (``RouteTask.self_mask`` set)
+    owned: np.ndarray
+
+    def pairs(self) -> List[Tuple[int, int]]:
+        """``(requester, server)`` of every task, in task order."""
+        r, p = np.nonzero(self.vdst)
+        return list(zip(r.tolist(), p.tolist()))
+
+    def pattern(self) -> np.ndarray:
+        """Ones wherever a task routes a batch's edges (a message pattern
+        for :meth:`VolumeRecorder.record_message_pattern`)."""
+        return (self.vdst > 0).astype(np.float64)
+
+
+@dataclass
+class _Routed:
+    """One requester's routing, kept to materialize its tasks on demand."""
+
+    block: Block
+    #: global source of every block-0 edge, and the server it is keyed to
+    src_g: np.ndarray
+    edge_server: np.ndarray
+    #: owner of every destination
+    dst_owner: np.ndarray
+    #: ``[server, v]``: destination ``v`` has an edge keyed to the server
+    #: or is owned by it
+    hosted: np.ndarray
+
+
 class RoutePlan:
     """A batch's first-layer plan: each device's feature-load set (``None``:
-    the device reads nothing) and the routed tasks (none under GDP)."""
+    the device reads nothing), the routed tasks (none under GDP) and their
+    sizes.
 
-    load_nodes: List[Optional[np.ndarray]]
-    tasks: List[RouteTask] = field(default_factory=list)
+    The router records sizes only (:attr:`counts`, :meth:`source_counts`)
+    and builds the per-pair ``RouteTask`` arrays on the first read of
+    :attr:`tasks`, which the dry-run and timing-only paths of GraphSAGE
+    and GCN never do.  A plan given an explicit task list derives its
+    sizes from the tasks.
+    """
+
+    def __init__(
+        self,
+        load_nodes: List[Optional[np.ndarray]],
+        tasks: Optional[List[RouteTask]] = None,
+        *,
+        counts: Optional[PairCounts] = None,
+        routed: Optional[List[Optional[_Routed]]] = None,
+        self_as_edge: bool = False,
+    ):
+        if tasks is None and routed is None:
+            tasks = []
+        self.load_nodes = load_nodes
+        self._tasks = tasks
+        self._counts = counts
+        self._routed = routed
+        self._self_as_edge = self_as_edge
+        self._sources: Optional[np.ndarray] = None
+
+    @property
+    def tasks(self) -> List[RouteTask]:
+        """One task per (requester, server) pair that hosts anything, in
+        (requester, server) order."""
+        if self._tasks is None:
+            self._tasks = self._materialize()
+        return self._tasks
+
+    @property
+    def counts(self) -> PairCounts:
+        """Every task's edge, destination and owned-destination count."""
+        if self._counts is not None:
+            return self._counts
+        C = len(self.load_nodes)
+        edges, vdst, owned = (np.zeros((C, C), dtype=np.int64) for _ in range(3))
+        for t in self.tasks:
+            edges[t.requester, t.server] = t.edge_src.size
+            vdst[t.requester, t.server] = t.vdst.size
+            owned[t.requester, t.server] = np.count_nonzero(t.self_mask)
+        return PairCounts(edges=edges, vdst=vdst, owned=owned)
+
+    def source_counts(self, num_nodes: int) -> np.ndarray:
+        """``[requester, server]``: distinct ids among each task's sources
+        and destinations (its sub-block's ``num_src``)."""
+        C = len(self.load_nodes)
+        if self._routed is None:
+            out = np.zeros((C, C), dtype=np.int64)
+            for t in self.tasks:
+                out[t.requester, t.server] = sorted_unique(
+                    np.concatenate([t.edge_src, t.vdst])
+                ).size
+            return out
+        if self._sources is None:
+            n = np.int64(num_nodes)
+            self._sources = np.zeros((C, C), dtype=np.int64)
+            for r, rt in enumerate(self._routed):
+                if rt is None:
+                    continue
+                # One sort per requester over server-keyed ids.
+                p, v = np.nonzero(rt.hosted)
+                keys = sorted_unique(np.concatenate([
+                    rt.edge_server * n + rt.src_g,
+                    p * n + rt.block.dst_nodes[v],
+                ]))
+                self._sources[r] = np.bincount(keys // n, minlength=C)
+        return self._sources
+
+    def _materialize(self) -> List[RouteTask]:
+        """Build every task's arrays from the retained per-requester
+        routing: one stable sort of a requester's edges by server, then
+        each server's slice."""
+        tasks: List[RouteTask] = []
+        C = len(self.load_nodes)
+        for r, rt in enumerate(self._routed):
+            if rt is None:
+                continue
+            block = rt.block
+            order = np.argsort(rt.edge_server, kind="stable")
+            e_ptr = np.concatenate(
+                [[0], np.cumsum(np.bincount(rt.edge_server, minlength=C))]
+            )
+            src_by_server = rt.src_g[order]
+            ldst_by_server = block.edge_dst[order]
+            inv = np.empty(block.num_dst, dtype=np.int64)
+            for p in range(C):
+                vdst_l = np.flatnonzero(rt.hosted[p])
+                if vdst_l.size == 0:
+                    continue
+                e_src = src_by_server[e_ptr[p] : e_ptr[p + 1]]
+                ldst = ldst_by_server[e_ptr[p] : e_ptr[p + 1]]
+                vdst = block.dst_nodes[vdst_l]
+                self_mask = rt.dst_owner[vdst_l] == p
+                if self._self_as_edge:
+                    e_src = np.concatenate([e_src, vdst[self_mask]])
+                    ldst = np.concatenate([ldst, vdst_l[self_mask]])
+                inv[vdst_l] = np.arange(vdst_l.size, dtype=np.int64)
+                tasks.append(RouteTask(
+                    requester=r, server=p, vdst=vdst, vdst_req_idx=vdst_l,
+                    edge_src=e_src, edge_dst=inv[ldst], self_mask=self_mask,
+                ))
+        return tasks
 
 
 def route_first_layer(
@@ -326,13 +473,18 @@ def route_first_layer(
     owned destination.  Records ``N_d``, the virtual nodes, the structure
     shuffle (charged as one alltoall) and each server's load set: the
     sorted union of its tasks' sources and owned destinations.
+
+    The pass counts only — one hosted mask and two ``bincount`` per
+    requester, one servers × nodes load mask per batch; the tasks' id
+    arrays are built when :attr:`RoutePlan.tasks` is first read.
     """
     C = ctx.num_devices
-    plan = RoutePlan(load_nodes=[None] * C)
-    need: List[List[np.ndarray]] = [[] for _ in range(C)]
-    struct_bytes = np.zeros((C, C))
+    counts = PairCounts(*(np.zeros((C, C), dtype=np.int64) for _ in range(3)))
+    routed: List[Optional[_Routed]] = []
+    load = np.zeros((C, ctx.dataset.num_nodes), dtype=bool)
     for r, mb in enumerate(batches):
         if mb is None:
+            routed.append(None)
             continue
         block = mb.blocks[0]
         ctx.recorder.n_dst += block.num_dst
@@ -343,53 +495,30 @@ def route_first_layer(
         hosted = np.zeros((C, block.num_dst), dtype=bool)
         hosted[edge_server, block.edge_dst] = True
         hosted[dst_owner, np.arange(block.num_dst)] = True
-        inv = np.empty(block.num_dst, dtype=np.int64)
-        for p in range(C):
-            vdst_l = np.flatnonzero(hosted[p])
-            if vdst_l.size == 0:
-                continue
-            e_mask = edge_server == p
-            e_src = src_g[e_mask]
-            ldst = block.edge_dst[e_mask]
-            vdst = block.dst_nodes[vdst_l]
-            self_mask = dst_owner[vdst_l] == p
-            owned = vdst[self_mask]
-            if self_as_edge:
-                e_src = np.concatenate([e_src, owned])
-                ldst = np.concatenate([ldst, vdst_l[self_mask]])
-            inv[vdst_l] = np.arange(vdst_l.size, dtype=np.int64)
-            plan.tasks.append(RouteTask(
-                requester=r, server=p, vdst=vdst, vdst_req_idx=vdst_l,
-                edge_src=e_src, edge_dst=inv[ldst], self_mask=self_mask,
-            ))
-            need[p] += [e_src, owned]
-            if p != r:
-                ctx.recorder.n_virtual += vdst.size
-                struct_bytes[r, p] += 8.0 * (2 * e_src.size + vdst.size)
+        per_server = np.bincount(edge_server, minlength=C)
+        counts.owned[r] = np.bincount(dst_owner, minlength=C)
+        counts.edges[r] = per_server + counts.owned[r] if self_as_edge else per_server
+        counts.vdst[r] = np.count_nonzero(hosted, axis=1)
+        load[edge_server, src_g] = True
+        load[dst_owner, block.dst_nodes] = True
+        routed.append(_Routed(block, src_g, edge_server, dst_owner, hosted))
 
+    # A task's structure: its edges (two ids each) and its destinations.
+    struct_bytes = 8.0 * (2 * counts.edges + counts.vdst)
+    np.fill_diagonal(struct_bytes, 0.0)
+    ctx.recorder.n_virtual += int(counts.vdst.sum() - np.trace(counts.vdst))
     ctx.comm.alltoall_bytes(struct_bytes, phase="sample")
     for dev in range(C):
         ctx.recorder.record_structure(dev, float(struct_bytes[dev].sum()))
-    # Per-server union via a presence mask over the node space: the same
-    # sorted-unique ids as unique(concatenate(...)), fewer sorts.
-    node_mask = np.empty(ctx.dataset.num_nodes, dtype=bool)
-    for p in range(C):
-        if need[p]:
-            node_mask[:] = False
-            for ids in need[p]:
-                node_mask[ids] = True
-            plan.load_nodes[p] = np.flatnonzero(node_mask)
-    record_loads(ctx, plan.load_nodes)
-    return plan
-
-
-def pair_pattern(tasks: List[RouteTask], num_devices: int) -> np.ndarray:
-    """``[requester, server]`` ones wherever a task routes a batch's edges
-    (a message pattern for :meth:`VolumeRecorder.record_message_pattern`)."""
-    pattern = np.zeros((num_devices, num_devices))
-    for t in tasks:
-        pattern[t.requester, t.server] = 1.0
-    return pattern
+    # Each server's union is its row of the load mask: the same sorted
+    # unique ids as unique(concatenate(...)), no sort.
+    load_nodes = [
+        np.flatnonzero(load[p]) if counts.vdst[:, p].any() else None
+        for p in range(C)
+    ]
+    record_loads(ctx, load_nodes)
+    return RoutePlan(load_nodes, counts=counts, routed=routed,
+                     self_as_edge=self_as_edge)
 
 
 def record_loads(

@@ -21,7 +21,11 @@ Routing is SNP's router (:func:`~repro.engine.base.route_first_layer`)
 with each edge keyed by its destination's owner and no self edges: a
 task's server is the owner of all its destinations, and its load set is
 their sources plus themselves.  DNP keeps its own full-layer flops,
-finished-row payloads and message pattern (DESIGN.md §5.19).
+finished-row payloads and message pattern (DESIGN.md §5.19).  They, and
+the execute charges, read the router's per-pair counts; a task's source
+count comes from one sort per requester in timing-only mode and from the
+batch block the numerics build anyway.  Only GAT's estimate, which counts
+distinct sources, and the numerics read the routed tasks' ids.
 
 GraphSAGE/GCN run every (owner, requester) task's layer at once over a
 block-diagonal "batch block"; its adjoint reduces each task's rows on their
@@ -30,7 +34,7 @@ own, in tape order, bit for bit, and charges stay per task (DESIGN.md §5.18).
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -40,7 +44,6 @@ from repro.engine.base import (
     Strategy,
     StrategyReport,
     local_index_of,
-    pair_pattern,
     read_load_sets,
     route_first_layer,
     split_by_partition,
@@ -55,6 +58,14 @@ from repro.tensor import fused
 from repro.tensor.sparse import gather_segment_mean, segment_sum
 from repro.tensor.tensor import Tensor
 from repro.utils.ids import sorted_unique
+
+
+class BlockSizes(NamedTuple):
+    """The sizes a layer's ``forward_flops`` reads from a :class:`Block`."""
+
+    num_src: int
+    num_dst: int
+    num_edges: int
 
 
 class DNPStrategy(Strategy):
@@ -90,16 +101,20 @@ class DNPStrategy(Strategy):
     def plan_batch(
         self, ctx: ExecutionContext, batches, epoch: int = 0
     ) -> RoutePlan:
-        C = ctx.num_devices
         layer = ctx.model.first_layer
         d_hidden = layer.out_dim
         plan = route_first_layer(ctx, batches, self._owners, self_as_edge=False)
-        for task in plan.tasks:
-            o, r = task.server, task.requester
-            n_edges, n_vdst = task.edge_src.size, task.vdst.size
+        counts = plan.counts
+        # Only GAT's estimate reads distinct sources, hence the tasks' ids.
+        n_uniq = (
+            [sorted_unique(t.edge_src).size for t in plan.tasks]
+            if layer.is_attention else None
+        )
+        for k, (r, o) in enumerate(counts.pairs()):
+            n_edges, n_vdst = int(counts.edges[r, o]), int(counts.vdst[r, o])
             # Owner-side full layer-1 work estimate.
             if layer.is_attention:
-                n_src = sorted_unique(task.edge_src).size + n_vdst
+                n_src = n_uniq[k] + n_vdst
                 flops = (
                     2.0 * n_src * layer.in_dim * layer.heads * layer.head_dim
                     + (n_edges + n_vdst) * layer.heads * (layer.head_dim + 6.0)
@@ -112,7 +127,7 @@ class DNPStrategy(Strategy):
             ctx.recorder.record_layer1_flops(o, flops)
             ctx.recorder.record_hidden(o, r, n_vdst * d_hidden * 8.0)
         # One hidden-embedding alltoall per batch along the task pattern.
-        ctx.recorder.record_message_pattern(pair_pattern(plan.tasks, C), calls=1)
+        ctx.recorder.record_message_pattern(counts.pattern(), calls=1)
         return plan
 
     def _owners(self, requester: int, block, src_ids: np.ndarray):
@@ -129,20 +144,31 @@ class DNPStrategy(Strategy):
     def execute_batch(self, ctx, plan: RoutePlan, batches) -> List[Optional[Tensor]]:
         C = ctx.num_devices
         layer = ctx.model.first_layer
-        tasks = plan.tasks
         xs = read_load_sets(ctx, plan)
-        bb, subs = batch_block(tasks, ctx.dataset.num_nodes)
-        # Owners compute complete layer-1 embeddings per task.
+        counts = plan.counts
+        pairs = counts.pairs()
+        if ctx.numerics:
+            # The batch block's sub-blocks carry each task's source count.
+            tasks = plan.tasks
+            bb, subs = batch_block(tasks, ctx.dataset.num_nodes)
+            n_src = [sub.num_src for sub in subs]
+        else:
+            sources = plan.source_counts(ctx.dataset.num_nodes)
+            n_src = [int(sources[r, o]) for r, o in pairs]
+        # Owners compute complete layer-1 embeddings per task; the charges
+        # read only each task's sub-block sizes.
         hidden_bytes = np.zeros((C, C))
-        for task, sub in zip(tasks, subs):
-            o, r = task.server, task.requester
+        for (r, o), num_src in zip(pairs, n_src):
+            sub = BlockSizes(
+                num_src, int(counts.vdst[r, o]), int(counts.edges[r, o])
+            )
             ctx.charger.dense(o, layer.forward_flops(sub))
             ctx.recorder.record_intermediate(
                 o,
                 8.0 * (sub.num_src * layer.in_dim + sub.num_dst * layer.out_dim),
             )
             if o != r:
-                hidden_bytes[o, r] += task.vdst.size * layer.out_dim * 8.0
+                hidden_bytes[o, r] += sub.num_dst * layer.out_dim * 8.0
         ctx.comm.alltoall_bytes(hidden_bytes, phase="shuffle", count_backward=True)
         if not ctx.numerics:
             return [None] * C

@@ -28,7 +28,10 @@ Routing is the shared first-layer router
 (:func:`~repro.engine.base.route_first_layer`) keyed by each edge's source
 server (:meth:`SNPStrategy.server_of_nodes`); GAT and GCN also route each
 destination's self edge to its owner.  SNP keeps its own partial-work
-flops, partial payloads and message patterns (DESIGN.md §5.19).
+flops, partial payloads and message patterns (DESIGN.md §5.19).  They,
+and the timing-only charges of GraphSAGE/GCN, read the router's
+per-pair counts; only GAT's destination-score terms and the numerics
+read the routed tasks' ids.
 
 GraphSAGE/GCN row-stack every (server, requester) task into a few ops per
 batch whose adjoints replay the per-task reductions in tape order, bit for
@@ -47,7 +50,6 @@ from repro.engine.base import (
     Strategy,
     StrategyReport,
     local_index_of,
-    pair_pattern,
     read_load_sets,
     route_first_layer,
     split_by_partition,
@@ -118,10 +120,10 @@ class SNPStrategy(Strategy):
         self_as_edge = is_attention or layer.self_loop_in_aggregation
         plan = route_first_layer(ctx, batches, self._owners, self_as_edge)
 
-        for task in plan.tasks:
-            p, r = task.server, task.requester
-            n_edges, n_vdst = task.edge_src.size, task.vdst.size
-            n_self = 0 if self_as_edge else int(task.self_mask.sum())
+        counts = plan.counts
+        for r, p in counts.pairs():
+            n_edges, n_vdst = int(counts.edges[r, p]), int(counts.vdst[r, p])
+            n_self = 0 if self_as_edge else int(counts.owned[r, p])
             # Server-side partial work estimate (projection added below,
             # per load set).
             edge_flops = (
@@ -143,10 +145,11 @@ class SNPStrategy(Strategy):
             ctx.recorder.record_hidden(p, r, payload * 8.0)
 
         # Message patterns of the Reshuffle stage (latency estimation).
-        pairs = pair_pattern(plan.tasks, C)
+        pairs = counts.pattern()
         if is_attention:
             # one fused (numerator, denominator) exchange per task pair,
-            # plus the owner -> server destination-score distribution.
+            # plus the owner -> server destination-score distribution
+            # (the one term that reads the tasks' destination ids).
             ctx.recorder.record_message_pattern(pairs, calls=1)
             score_pattern = np.zeros((C, C))
             for task in plan.tasks:
@@ -199,17 +202,18 @@ class SNPStrategy(Strategy):
             ctx.charger.dense(p, 2.0 * rows * layer.in_dim * d_hidden)
             ctx.recorder.record_intermediate(p, rows * (layer.in_dim + d_hidden) * 8.0)
         # Partials and self terms ship as one message per pair, then counts.
-        tasks = plan.tasks
+        counts = plan.counts
+        pairs = counts.pairs()
         ships_self = not layer.self_loop_in_aggregation
-        n_self = [int(t.self_mask.sum()) if ships_self else 0 for t in tasks]
+        n_self = [int(counts.owned[r, p]) if ships_self else 0 for r, p in pairs]
         counts_bytes = np.zeros((C, C))
         partial_bytes = np.zeros((C, C))
-        for task, ns in zip(tasks, n_self):
-            p, r = task.server, task.requester
+        for (r, p), ns in zip(pairs, n_self):
+            n_vdst = int(counts.vdst[r, p])
             if p != r:
-                partial_bytes[p, r] += (task.vdst.size + ns) * d_hidden * 8.0
-                counts_bytes[p, r] += task.vdst.size * 8.0
-            ctx.charger.dense(p, 2.0 * task.edge_src.size * d_hidden)
+                partial_bytes[p, r] += (n_vdst + ns) * d_hidden * 8.0
+                counts_bytes[p, r] += n_vdst * 8.0
+            ctx.charger.dense(p, 2.0 * int(counts.edges[r, p]) * d_hidden)
             if ns:
                 ctx.charger.dense(p, 2.0 * ns * layer.in_dim * d_hidden)
         ctx.comm.alltoall_bytes(partial_bytes, phase="shuffle", count_backward=True)
@@ -222,6 +226,7 @@ class SNPStrategy(Strategy):
 
         # Row-stacked: the servers' inputs and projections, every task's
         # partial rows and every shipped self row (DESIGN.md §5.18).
+        tasks = plan.tasks
         n = np.int64(ctx.dataset.num_nodes)
         x = np.concatenate([xs[p].data for p in servers])
         keys = np.concatenate([p * n + plan.load_nodes[p] for p in servers])
@@ -350,9 +355,11 @@ class SNPStrategy(Strategy):
                 shift_full[r] = s_r.data.copy()  # detached (softmax-invariant)
         # Charge the owner -> server score traffic (forward + gradient).
         for task in plan.tasks:
-            owners = self.server_of_nodes(task.vdst, task.requester)
+            owned = np.bincount(
+                self.server_of_nodes(task.vdst, task.requester), minlength=C
+            )
             for o in range(C):
-                n = int((owners == o).sum())
+                n = int(owned[o])
                 if n and o != task.server:
                     score_bytes[o, task.server] += n * heads * 8.0
         ctx.comm.alltoall_bytes(score_bytes, phase="shuffle", count_backward=True)

@@ -6,7 +6,9 @@ routed exactly once, each destination produced exactly once, everything
 within ownership constraints.  SNP, hyb and DNP share one router with
 two keys, so the same checks run over GraphSAGE and GCN (whose self
 edges SNP routes to each destination's owner), hyb on two machines, and
-every server's load set.
+every server's load set.  The router counts first: its count matrices
+must equal the sizes of the tasks it materializes on read, and the dry-run
+and timing-only paths of GraphSAGE and GCN must never read the tasks.
 """
 
 import numpy as np
@@ -14,10 +16,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cluster import multi_machine_cluster, single_machine_cluster
+from repro.config import APTConfig
+from repro.core import APT
 from repro.engine import DNPStrategy, HybridGDPSNPStrategy, SNPStrategy
-from repro.engine.base import sample_batches
+from repro.engine import dnp as dnp_module
+from repro.engine import snp as snp_module
+from repro.engine.base import RoutePlan, sample_batches
 from repro.engine.context import ExecutionContext
 from repro.graph import CSRGraph
+from repro.graph.datasets import small_dataset
 from repro.graph.partition import random_partition
 from repro.models import GCN, GraphSAGE
 
@@ -67,6 +74,27 @@ def assert_load_sets_are_task_unions(plan, num_devices):
         np.testing.assert_array_equal(plan.load_nodes[p], want)
 
 
+def assert_counts_are_task_sizes(plan, num_nodes):
+    """The router's counts (read before any task exists) equal the sizes
+    of the tasks it materializes, and a plan rebuilt from those tasks
+    derives the same counts."""
+    routed = (plan.counts, plan.source_counts(num_nodes))
+    C = len(plan.load_nodes)
+    want = np.zeros((4, C, C), dtype=np.int64)
+    for t in plan.tasks:
+        want[:, t.requester, t.server] = (
+            t.edge_src.size,
+            t.vdst.size,
+            np.count_nonzero(t.self_mask),
+            np.unique(np.concatenate([t.edge_src, t.vdst])).size,
+        )
+    rebuilt = RoutePlan(plan.load_nodes, plan.tasks)
+    for counts, sources in (routed, (rebuilt.counts, rebuilt.source_counts(num_nodes))):
+        got = np.stack([counts.edges, counts.vdst, counts.owned, sources])
+        np.testing.assert_array_equal(got, want)
+        assert counts.pairs() == [(t.requester, t.server) for t in plan.tasks]
+
+
 def routed_edges(plan, r):
     """Requester ``r``'s routed (server, source, destination) triples."""
     triples = [
@@ -96,6 +124,7 @@ def test_snp_plan_invariants(n, num_devices, seed, model, name):
     gb = ctx.dataset.train_seeds[:64]
     batches = sample_batches(ctx, strategy.assign_seeds(ctx, gb), 0)
     plan = strategy.plan_batch(ctx, batches)
+    assert_counts_are_task_sizes(plan, n)
 
     sampled_edges = sum(
         mb.blocks[0].num_edges for mb in batches if mb is not None
@@ -145,6 +174,7 @@ def test_dnp_plan_invariants(n, num_devices, seed, model):
     gb = ctx.dataset.train_seeds[:64]
     batches = sample_batches(ctx, strategy.assign_seeds(ctx, gb), 0)
     plan = strategy.plan_batch(ctx, batches)
+    assert_counts_are_task_sizes(plan, n)
 
     # Per requester, every destination appears in exactly one task.
     for r, mb in enumerate(batches):
@@ -162,6 +192,37 @@ def test_dnp_plan_invariants(n, num_devices, seed, model):
     )
     assert sum(t.edge_src.size for t in plan.tasks) == sampled_edges
     assert_load_sets_are_task_unions(plan, ctx.num_devices)
+
+
+@pytest.mark.parametrize("model", sorted(MODELS))
+def test_dry_run_and_timing_only_never_materialize_tasks(model, monkeypatch):
+    """What the planner runs reads counts only: a dry-run and a timing-only
+    epoch over snp, dnp and hyb route every batch but build no task."""
+    routes, materialized = [], []
+    for module in (snp_module, dnp_module):
+        def counting_router(*args, _route=module.route_first_layer, **kwargs):
+            routes.append(1)
+            return _route(*args, **kwargs)
+
+        monkeypatch.setattr(module, "route_first_layer", counting_router)
+    materialize = RoutePlan._materialize
+
+    def counting_materialize(self):
+        materialized.append(1)
+        return materialize(self)
+
+    monkeypatch.setattr(RoutePlan, "_materialize", counting_materialize)
+    ds = small_dataset(n=800, feature_dim=8, num_classes=3, seed=2)
+    cluster = multi_machine_cluster(2, 2, gpu_cache_bytes=ds.feature_bytes * 0.05)
+    apt = APT(ds, MODELS[model](8, 4, 3, 2, seed=0), cluster,
+              APTConfig(fanouts=(3, 3), global_batch_size=64, seed=0))
+    dryrun = apt.prepare().dryrun
+    for name in ("snp", "dnp", "hyb"):
+        dryrun.run(name)
+        apt.run_strategy(name, 1, numerics=False)
+    assert routes and not materialized
+    apt.run_strategy("dnp", 1)  # the numerics path does read the tasks
+    assert materialized
 
 
 # ---------------------------------------------------------------------- #
