@@ -19,11 +19,11 @@ per layer":
   into the :class:`~repro.engine.context.VolumeRecorder` so the cost
   model prices them like any other hidden-embedding traffic.
 
-Node-partitioned upper layers rebuild each owner's bipartite block with
-:meth:`NeighborSampler._sample_layer` over the owned frontier — the
-sampler's per-node determinism guarantees each destination gets exactly
-the edge set it had in the per-device minibatches, so regrouping is pure
-re-bucketing, never re-sampling.
+Node-partitioned upper layers rebuild every owner's bipartite block in
+one :meth:`NeighborSampler._sample_layers` pass over the owned frontiers —
+the sampler's per-node determinism guarantees each destination gets
+exactly the edge set it had in the per-device minibatches, so regrouping
+is pure re-bucketing, never re-sampling.
 
 Semantics contract: a spec naming the *same* strategy for every layer
 delegates wholesale to that strategy and is bit-identical to it (losses,
@@ -138,17 +138,63 @@ def canonical_spec(names: Sequence[str]) -> Tuple[str, ...]:
 # ---------------------------------------------------------------------- #
 # plan structures
 # ---------------------------------------------------------------------- #
-@dataclass
 class GatherSpec:
-    """Assemble one target's input rows from the current holders."""
+    """Assemble one target's input rows from the current holders.
 
-    target: int
-    #: global ids the target needs, in consumption order
-    ids: np.ndarray
-    #: ``(holder, positions-within-holder)`` in ascending holder order
-    pieces: List[Tuple[int, np.ndarray]]
-    #: ``concat(piece rows)[perm]`` aligns with ``ids``
-    perm: np.ndarray
+    Built from the holder of each needed id; the per-holder row counts
+    (:attr:`counts`, all a dry-run or timing-only epoch reads) are taken
+    at once, the positions and the permutation on their first read.
+    """
+
+    def __init__(
+        self,
+        target: int,
+        ids: np.ndarray,
+        holder_of: np.ndarray,
+        holder_ids: List[Optional[np.ndarray]],
+    ):
+        #: the device the rows are gathered to
+        self.target = target
+        #: global ids the target needs, in consumption order
+        self.ids = ids
+        #: rows taken from each holder
+        self.counts = np.bincount(holder_of, minlength=len(holder_ids))
+        self._holder_of = holder_of
+        self._holder_ids = holder_ids
+        self._pieces: Optional[List[Tuple[int, np.ndarray]]] = None
+        self._perm: Optional[np.ndarray] = None
+
+    @property
+    def pieces(self) -> List[Tuple[int, np.ndarray]]:
+        """``(holder, positions-within-holder)`` in ascending holder order."""
+        if self._pieces is None:
+            self._materialize()
+        return self._pieces
+
+    @property
+    def perm(self) -> np.ndarray:
+        """``concat(piece rows)[perm]`` aligns with :attr:`ids`."""
+        if self._perm is None:
+            self._materialize()
+        return self._perm
+
+    def add_moves(self, move: np.ndarray, row_bytes: float) -> None:
+        """Charge the rows other holders send the target into ``move``."""
+        col = self.counts * row_bytes
+        col[self.target] = 0.0
+        move[:, self.target] += col
+
+    def _materialize(self) -> None:
+        order = np.argsort(self._holder_of, kind="stable")
+        sorted_ids = self.ids[order]
+        bounds = np.concatenate([[0], np.cumsum(self.counts)])
+        self._pieces = [
+            (h, local_index_of(self._holder_ids[h], sorted_ids[lo:hi]))
+            for h, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:]))
+            if hi > lo
+        ]
+        self._perm = np.empty(self.ids.size, dtype=np.int64)
+        self._perm[order] = np.arange(self.ids.size)
 
 
 @dataclass
@@ -237,26 +283,6 @@ def _first_holders(
     own[index.slots[target]] = True
     holder[own[pos]] = target
     return holder
-
-
-def _gather_spec(
-    target: int,
-    need_ids: np.ndarray,
-    holder_of: np.ndarray,
-    holder_ids: List[Optional[np.ndarray]],
-    num_devices: int,
-) -> GatherSpec:
-    order = np.argsort(holder_of, kind="stable")
-    sorted_ids = need_ids[order]
-    bounds = np.searchsorted(holder_of[order], np.arange(num_devices + 1))
-    pieces: List[Tuple[int, np.ndarray]] = []
-    for h in range(num_devices):
-        chunk = sorted_ids[bounds[h] : bounds[h + 1]]
-        if chunk.size:
-            pieces.append((h, local_index_of(holder_ids[h], chunk)))
-    perm = np.empty(need_ids.size, dtype=np.int64)
-    perm[order] = np.arange(need_ids.size)
-    return GatherSpec(target=target, ids=need_ids, pieces=pieces, perm=perm)
 
 
 # ---------------------------------------------------------------------- #
@@ -364,11 +390,8 @@ class LayerwiseStrategy(Strategy):
                             continue
                         need = mb.blocks[li].src_nodes
                         holder_of = parts[need]
-                        spec = _gather_spec(d, need, holder_of, owned_ids, C)
-                        gathers[d] = spec
-                        for h, idx in spec.pieces:
-                            if h != d:
-                                move[h, d] += idx.size * row_bytes
+                        gathers[d] = GatherSpec(d, need, holder_of, owned_ids)
+                        gathers[d].add_moves(move, row_bytes)
                     mode = "follower"
                 # follower -> replicated needs no re-layout at all.
             else:  # LAYOUT_NODE
@@ -396,11 +419,8 @@ class LayerwiseStrategy(Strategy):
                         holder_of = parts[need]
                     else:
                         holder_of = _first_holders(need, followers, p)
-                    spec = _gather_spec(p, need, holder_of, holder_ids, C)
-                    gathers[p] = spec
-                    for h, idx in spec.pieces:
-                        if h != p:
-                            move[h, p] += idx.size * row_bytes
+                    gathers[p] = GatherSpec(p, need, holder_of, holder_ids)
+                    gathers[p].add_moves(move, row_bytes)
                 self._charge_structure(ctx, batches, li, parts)
                 owned_ids = [
                     blk.dst_nodes if blk is not None else None
@@ -434,11 +454,8 @@ class LayerwiseStrategy(Strategy):
                 if mb is None:
                     continue
                 need = mb.blocks[-1].dst_nodes
-                spec = _gather_spec(d, need, parts[need], owned_ids, C)
-                finals[d] = spec
-                for h, idx in spec.pieces:
-                    if h != d:
-                        move[h, d] += idx.size * row_bytes
+                finals[d] = GatherSpec(d, need, parts[need], owned_ids)
+                finals[d].add_moves(move, row_bytes)
             if move.any():
                 ctx.recorder.record_message_pattern(move, calls=2)
                 for h in range(C):
@@ -466,12 +483,17 @@ class LayerwiseStrategy(Strategy):
             return memo[key]
         owner = self._parts[V]
         blocks: List[Optional[Block]] = [None] * ctx.num_devices
-        for p in range(ctx.num_devices):
-            F = V[owner == p]
-            if F.size:
-                blocks[p] = ctx.sampler._sample_layer(
-                    F, ctx.sampler.fanouts[li], epoch, li
-                )
+        frontiers = [V[owner == p] for p in range(ctx.num_devices)]
+        active = [p for p, F in enumerate(frontiers) if F.size]
+        if active:
+            sampled = ctx.sampler._sample_layers(
+                [frontiers[p] for p in active],
+                ctx.sampler.fanouts[li],
+                [epoch] * len(active),
+                li,
+            )
+            for p, block in zip(active, sampled):
+                blocks[p] = block
         if memo is not None:
             memo[key] = blocks
         return blocks

@@ -9,8 +9,12 @@ are used here, both **bit-identical** to sampling directly (pinned by
 * **union, then restrict** — :func:`sample_device_batches` samples the
   union of a global batch's per-device seed chunks once and derives each
   device's minibatch by layerwise *restriction* (:func:`_restrict`: a few
-  gathers per layer instead of a sampling pass).  The serial backend, the
-  process backend's workers and the serve engine all sample through it.
+  gathers per layer instead of a sampling pass).  The serial backend and
+  the process backend's workers sample through it: training revisits each
+  global batch (census, dry-runs, first epoch), so the union is what the
+  cache keeps.  The serve engine, whose request batches are each used
+  once, instead draws every (batch, device) seed set of a chunk of batches
+  in one ``NeighborSampler.sample_many`` pass.
 * **one entry per global batch** — ``SampleCache`` memoizes the union
   batches under ``(graph, sampler type, fanouts, global_seed, epoch,
   seeds)`` with an explicit byte budget and LRU eviction.  The engine

@@ -19,10 +19,16 @@ Serving is a discrete-event simulation over a seeded request stream:
    max(ready_time, previous finish)``, and a request's end-to-end latency
    is ``finish - arrival`` (queue wait + service).
 
-Each request batch is sampled once, outside the sample cache
-(:func:`~repro.sampling.cache.sample_device_batches`): the batch index is
-its sampling epoch, so no two batches share a scope and a cache lookup
-could never hit.  Under the ``"adaptive"`` cache policy a
+Request batches are sampled ahead, outside the sample cache: the seeds of
+every batch are assigned up front (batches are a pure function of the
+stream, and serving never switches strategy), then every (batch, device)
+seed set of a chunk of consecutive batches — at most
+``SAMPLE_AHEAD_SEEDS`` seeds — is drawn in one
+:meth:`~repro.sampling.neighbor.NeighborSampler.sample_many` pass.  The
+batch index is each batch's sampling epoch, so no two batches share a
+scope and a cache lookup could never hit; the per-node-deterministic
+sampler makes every minibatch bit-identical to sampling its batch alone.
+Under the ``"adaptive"`` cache policy a
 :class:`~repro.serve.cache.HotnessCache` watches the served feature reads
 and — when the serve-side :class:`~repro.obs.drift.DriftDetector` flags a
 window whose load/sample/shuffle seconds drifted from the calibrated
@@ -34,7 +40,7 @@ predictions are bit-identical across cache policies; only latency moves.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Iterator, List, Optional, Sequence
 
 import numpy as np
 
@@ -45,6 +51,7 @@ from repro.engine.base import charge_sampling
 from repro.featurestore.store import Tier
 from repro.obs.drift import DriftDetector
 from repro.obs.telemetry import TelemetryCollector
+from repro.sampling.block import MiniBatch
 from repro.sampling.cache import sample_device_batches
 from repro.serve.cache import HotnessCache
 from repro.serve.loadgen import Request
@@ -55,6 +62,51 @@ from repro.serve.report import (
     latency_percentiles,
 )
 from repro.tensor.tensor import no_grad
+
+
+#: Seeds drawn per ``sample_many`` call when sampling request batches
+#: ahead (DESIGN.md §5.13 has the measurement behind the size).
+SAMPLE_AHEAD_SEEDS = 512
+
+
+def _sample_ahead(
+    sampler, assigned: Sequence[List[Optional[np.ndarray]]]
+) -> Iterator[List[Optional[MiniBatch]]]:
+    """Each request batch's per-device minibatches, in batch order.
+
+    ``assigned[i]`` holds batch ``i``'s per-device seed chunks (``None`` or
+    empty: no minibatch); batch ``i`` is sampled as epoch ``i``.  Chunks
+    of consecutive batches holding at most ``SAMPLE_AHEAD_SEEDS`` seeds
+    (always at least one batch) are drawn in one ``sample_many`` call,
+    each (batch, device) seed set its own group.  A sampler whose draws
+    depend on the whole frontier samples batch by batch.
+    """
+    if not getattr(sampler, "per_node_deterministic", False):
+        for index, chunks in enumerate(assigned):
+            yield sample_device_batches(sampler, chunks, index)
+        return
+    stop = 0
+    while stop < len(assigned):
+        start, seeds = stop, 0
+        groups: List[np.ndarray] = []
+        slots = []
+        while stop < len(assigned):
+            active = [
+                (d, c) for d, c in enumerate(assigned[stop])
+                if c is not None and len(c)
+            ]
+            size = sum(len(c) for _, c in active)
+            if stop > start and seeds + size > SAMPLE_AHEAD_SEEDS:
+                break
+            seeds += size
+            groups.extend(c for _, c in active)
+            slots.extend((stop, d) for d, _ in active)
+            stop += 1
+        out = [[None] * len(assigned[i]) for i in range(start, stop)]
+        epochs = [index for index, _ in slots]
+        for (index, d), mb in zip(slots, sampler.sample_many(groups, epochs)):
+            out[index - start][d] = mb
+        yield from out
 
 
 @dataclass
@@ -151,26 +203,19 @@ class ServeEngine:
     # ------------------------------------------------------------------ #
     # inference
     # ------------------------------------------------------------------ #
-    def _infer(self, nodes: np.ndarray, batch_index: int) -> Dict[int, int]:
-        """One forward-only strategy step; returns ``{node: prediction}``.
+    def _infer(
+        self, batches: List[Optional[MiniBatch]], batch_index: int
+    ) -> Dict[int, int]:
+        """One forward-only strategy step over a request batch's sampled
+        per-device minibatches; returns ``{node: prediction}``.
 
-        Duplicate requests for the same node within a batch share one seed
-        (inference is read-only, so the answer is identical); the simulated
-        time is charged on the context timeline but the batch barrier is
-        left open — the caller closes it to obtain the service time.
+        The simulated time is charged on the context timeline but the
+        batch barrier is left open — the caller closes it to obtain the
+        service time.  ``batch_index`` is the batch's sampling epoch, which
+        a layerwise strategy's regrouped upper blocks need to reproduce
+        the per-node-deterministic draws exactly.
         """
         ctx = self.ctx
-        # Plain np.unique kept on purpose (DESIGN.md §5.9): a request batch
-        # holds 1-8 ids (mean 4), where it takes 4.1 us per batch against
-        # 5.4 us for utils.ids.sorted_unique (serve workload, 499 batches,
-        # 2-vCPU Xeon host).
-        unique_nodes = np.unique(np.asarray(nodes, dtype=np.int64))
-        seeds = self.strategy.assign_seeds(ctx, unique_nodes)
-        # One sampling pass per request batch, outside the sample cache:
-        # each batch is its own epoch (its index), so no lookup could hit.
-        # The same epoch lets a layerwise strategy's regrouped upper blocks
-        # reproduce exactly the per-node-deterministic draws sampled here.
-        batches = sample_device_batches(ctx.sampler, seeds, batch_index)
         charge_sampling(ctx, batches)
         plan = self.strategy.plan_batch(ctx, batches, batch_index)
         predictions: Dict[int, int] = {}
@@ -231,8 +276,21 @@ class ServeEngine:
         phases_before = ctx.timeline.breakdown()
         rows_before = self._load_rows_snapshot()
 
-        for index, batch in enumerate(batches):
-            predictions = self._infer(batch.nodes, index)
+        # Duplicate requests for the same node within a batch share one
+        # seed (inference is read-only, so the answer is identical).  Plain
+        # np.unique kept on purpose (DESIGN.md §5.9): a request batch holds
+        # 1-8 ids (mean 4), where it takes 4.9 us per batch against 9.0 us
+        # for utils.ids.sorted_unique (serve workload stream, 499 batches,
+        # best of 7, 2-vCPU Xeon host).
+        assigned = [
+            self.strategy.assign_seeds(
+                ctx, np.unique(np.asarray(batch.nodes, dtype=np.int64))
+            )
+            for batch in batches
+        ]
+        sampled = _sample_ahead(ctx.sampler, assigned)
+        for index, (batch, minibatches) in enumerate(zip(batches, sampled)):
+            predictions = self._infer(minibatches, index)
             service = ctx.timeline.end_batch()
             start = max(batch.ready_time, prev_finish)
             finish = start + service

@@ -234,9 +234,10 @@ def test_each_spec_is_dry_run_once_per_dryrun(ds, monkeypatch):
 
 def test_layerwise_sweep_regroups_each_batch_layer_once(ds, monkeypatch):
     """Node-layout blocks depend on (batch, layer, epoch, partition), not on
-    the candidate spec: over a whole beam-search sweep, the regroup draws
-    (``_sample_layer`` outside ``sample``) number at most batches x
-    node-layout layers x owners — however many specs were swept."""
+    the candidate spec: over a whole beam-search sweep, the regrouped
+    groups (frontiers handed to ``_sample_layers`` outside ``sample``)
+    number at most batches x node-layout layers x owners — however many
+    specs were swept."""
     from repro.core.costmodel import CostModel
     from repro.core.planner import Planner
 
@@ -248,7 +249,7 @@ def test_layerwise_sweep_regroups_each_batch_layer_once(ds, monkeypatch):
     depth = {"sample": 0}
     regroups = []
     real_sample = NeighborSampler.sample
-    real_layer = NeighborSampler._sample_layer
+    real_layers = NeighborSampler._sample_layers
 
     def tracking_sample(self, seeds, epoch=0):
         depth["sample"] += 1
@@ -257,13 +258,13 @@ def test_layerwise_sweep_regroups_each_batch_layer_once(ds, monkeypatch):
         finally:
             depth["sample"] -= 1
 
-    def counting_layer(self, frontier, fanout, epoch, layer):
+    def counting_layers(self, frontiers, fanout, epochs, layer):
         if not depth["sample"]:
-            regroups.append(layer)
-        return real_layer(self, frontier, fanout, epoch, layer)
+            regroups.extend([layer] * len(frontiers))
+        return real_layers(self, frontiers, fanout, epochs, layer)
 
     monkeypatch.setattr(NeighborSampler, "sample", tracking_sample)
-    monkeypatch.setattr(NeighborSampler, "_sample_layer", counting_layer)
+    monkeypatch.setattr(NeighborSampler, "_sample_layers", counting_layers)
 
     dr = DryRun(
         ds, cluster, model, [4] * layers, parts=parts, global_batch_size=BATCH

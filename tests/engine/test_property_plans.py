@@ -8,7 +8,8 @@ two keys, so the same checks run over GraphSAGE and GCN (whose self
 edges SNP routes to each destination's owner), hyb on two machines, and
 every server's load set.  The router counts first: its count matrices
 must equal the sizes of the tasks it materializes on read, and the dry-run
-and timing-only paths of GraphSAGE and GCN must never read the tasks.
+and timing-only paths of GraphSAGE and GCN must never read the tasks (nor
+a layerwise re-layout's gather positions).
 """
 
 import numpy as np
@@ -23,6 +24,7 @@ from repro.engine import dnp as dnp_module
 from repro.engine import snp as snp_module
 from repro.engine.base import RoutePlan, sample_batches
 from repro.engine.context import ExecutionContext
+from repro.engine.layerwise import GatherSpec
 from repro.graph import CSRGraph
 from repro.graph.datasets import small_dataset
 from repro.graph.partition import random_partition
@@ -222,6 +224,39 @@ def test_dry_run_and_timing_only_never_materialize_tasks(model, monkeypatch):
         apt.run_strategy(name, 1, numerics=False)
     assert routes and not materialized
     apt.run_strategy("dnp", 1)  # the numerics path does read the tasks
+    assert materialized
+
+
+def test_layerwise_dry_run_and_timing_only_never_materialize_gathers(monkeypatch):
+    """A re-layout stage charges its byte matrix from per-holder row
+    counts: a dry-run and a timing-only epoch over specs with node -> node,
+    follower -> node, node -> replicated and final gathers build every
+    gather spec but materialize none of their positions."""
+    built, materialized = [], []
+    init, materialize = GatherSpec.__init__, GatherSpec._materialize
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    def counting_materialize(self):
+        materialized.append(1)
+        return materialize(self)
+
+    monkeypatch.setattr(GatherSpec, "__init__", counting_init)
+    monkeypatch.setattr(GatherSpec, "_materialize", counting_materialize)
+    ds = small_dataset(n=800, feature_dim=8, num_classes=3, seed=2)
+    cluster = single_machine_cluster(4, gpu_cache_bytes=ds.feature_bytes * 0.05)
+    apt = APT(ds, GraphSAGE(8, 4, 3, 3, seed=0), cluster,
+              APTConfig(fanouts=(3, 3, 3), global_batch_size=64, seed=0))
+    dryrun = apt.prepare().dryrun
+    specs = ("layerwise:gdp,snp,snp", "layerwise:snp,snp,gdp",
+             "layerwise:gdp,gdp,snp")
+    for name in specs:
+        dryrun.run(name)
+        apt.run_strategy(name, 1, numerics=False)
+    assert built and not materialized
+    apt.run_strategy(specs[1], 1)  # the numerics path does read them
     assert materialized
 
 

@@ -7,7 +7,8 @@
   bit-identical predictions;
 * the latency-objective planner ranks strategies exactly by the cost
   model's predicted p99, and seeds the engine when nothing pins one;
-* each request batch is sampled once, outside the sample cache;
+* each request batch is sampled once, ahead of its forward pass and
+  outside the sample cache;
 * request node ids outside the graph are refused up front.
 """
 
@@ -21,6 +22,7 @@ from repro.graph import ps_like
 from repro.models import GraphSAGE
 from repro.sampling import NeighborSampler
 from repro.serve import LoadGenerator, ServeEngine
+from repro.serve import engine as engine_module
 from repro.serve.loadgen import Request
 
 STRATEGIES = ("gdp", "nfp", "snp", "dnp")
@@ -189,7 +191,7 @@ class TestLatencyPlanner:
 
 
 class TestServeSampling:
-    def test_one_sampler_call_per_request_batch_outside_the_cache(
+    def test_each_request_batch_sampled_once_ahead_outside_the_cache(
         self, tiny_dataset, gdp_checkpoint, monkeypatch
     ):
         apt = build_apt(tiny_dataset)
@@ -201,16 +203,20 @@ class TestServeSampling:
         cache = apt.sample_cache
         stats, entries = cache.stats.to_dict(), len(cache)
         calls = []
-        real = NeighborSampler.sample
+        real = NeighborSampler.sample_many
 
-        def counting(self, seeds, epoch=0):
-            calls.append(epoch)
-            return real(self, seeds, epoch=epoch)
+        def counting(self, seed_sets, epochs):
+            calls.append((sum(len(s) for s in seed_sets), sorted(set(epochs))))
+            return real(self, seed_sets, epochs)
 
-        monkeypatch.setattr(NeighborSampler, "sample", counting)
+        # sample() is the one-group case of sample_many: this sees every draw
+        monkeypatch.setattr(NeighborSampler, "sample_many", counting)
         report = engine.serve(stream(tiny_dataset, n=64))
-        # one union sample per batch, the batch index as its epoch
-        assert calls == list(range(report.num_batches))
+        # every batch sampled exactly once, the batch index as its epoch
+        sampled = [e for _, epochs in calls for e in epochs]
+        assert sampled == list(range(report.num_batches))
+        seeds = sum(n for n, _ in calls)
+        assert len(calls) <= -(-seeds // engine_module.SAMPLE_AHEAD_SEEDS)
         assert cache.stats.to_dict() == stats and len(cache) == entries
 
 
