@@ -50,6 +50,7 @@ class Communicator:
         C = cluster.num_devices
         machine = np.array([cluster.machine_of(d) for d in range(C)])
         same = machine[:, None] == machine[None, :]
+        self._devices = np.arange(C)
         self._off_diag = ~np.eye(C, dtype=bool)
         self._intra = self._off_diag & same
         self._inter = self._off_diag & ~same
@@ -89,8 +90,7 @@ class Communicator:
             + np.maximum(inter.sum(axis=1), inter.sum(axis=0)) / self._inter_bw
             + n_msgs * self._peer_latency
         )
-        for i in range(C):
-            self.timeline.charge(i, phase, secs[i])
+        self.timeline.charge(self._devices, phase, secs)
         telemetry = self.timeline.telemetry
         if telemetry is not None:
             telemetry.count("comm.pairwise_bytes", float(B.sum()), phase=phase)

@@ -17,6 +17,8 @@ reason); it only shapes the stacked-bar breakdowns.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.cluster.spec import ClusterSpec
 from repro.cluster.timeline import Timeline
 
@@ -25,23 +27,32 @@ TRAIN_FLOP_FACTOR = 3.0
 
 
 class ComputeCharger:
-    """Charges simulated kernel times to a timeline."""
+    """Charges simulated kernel times to a timeline.  ``dense`` and the
+    sampling charges also take an array of devices, one count each: each
+    entry priced by its own device with the scalar call's float ops."""
 
     def __init__(self, cluster: ClusterSpec, timeline: Timeline):
         self.cluster = cluster
         self.timeline = timeline
+        specs = [cluster.device_spec(d) for d in range(cluster.num_devices)]
+        self._flops_rate = np.array([s.effective_flops for s in specs])
+        self._gpu_rate = np.array([s.sampling_edges_per_sec for s in specs])
+        self._cpu_rate = np.array([
+            m.cpu_sampling_edges_per_sec / max(m.num_gpus, 1)
+            for m in map(cluster.machine_spec, range(cluster.num_devices))
+        ])
 
     def dense(
         self,
-        device: int,
-        flops: float,
+        device,
+        flops,
         phase: str = "train",
         include_backward: bool = True,
     ) -> None:
         """Charge a dense kernel of ``flops`` forward floating-point ops."""
-        spec = self.cluster.device_spec(device)
         factor = TRAIN_FLOP_FACTOR if include_backward else 1.0
-        self.timeline.charge(device, phase, spec.dense_seconds(flops * factor))
+        flops = np.asarray(flops, dtype=np.float64) * factor
+        self.timeline.charge(device, phase, flops / self._flops_rate[device])
 
     def gather(self, device: int, rows: int, dim: int, phase: str = "load") -> None:
         """Charge a row-gather of ``rows x dim`` float64 elements."""
@@ -50,13 +61,12 @@ class ComputeCharger:
             device, phase, spec.memory_bound_seconds(rows * dim * 8 * 2)
         )
 
-    def gpu_sampling(self, device: int, num_edges: int, phase: str = "sample") -> None:
+    def gpu_sampling(self, device, num_edges, phase: str = "sample") -> None:
         """Charge GPU-based neighbor sampling of ``num_edges`` edges."""
-        spec = self.cluster.device_spec(device)
-        self.timeline.charge(device, phase, num_edges / spec.sampling_edges_per_sec)
+        rate = self._gpu_rate[device]
+        self.timeline.charge(device, phase, np.asarray(num_edges) / rate)
 
-    def cpu_sampling(self, device: int, num_edges: int, phase: str = "sample") -> None:
+    def cpu_sampling(self, device, num_edges, phase: str = "sample") -> None:
         """Charge CPU-based sampling (DistDGL-style baseline, Fig. 7)."""
-        m = self.cluster.machine_spec(device)
-        per_gpu = m.cpu_sampling_edges_per_sec / max(m.num_gpus, 1)
-        self.timeline.charge(device, phase, num_edges / per_gpu)
+        rate = self._cpu_rate[device]
+        self.timeline.charge(device, phase, np.asarray(num_edges) / rate)

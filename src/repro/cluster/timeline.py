@@ -89,11 +89,20 @@ class Timeline:
         )
 
     # ------------------------------------------------------------------ #
-    def charge(self, device: int, phase: str, seconds: float) -> None:
-        """Charge ``seconds`` of simulated time to one device and phase."""
+    def charge(self, device, phase: str, seconds) -> None:
+        """Charge ``seconds`` of simulated time to one device and phase, or
+        to an array of devices with one entry each: each entry one add to
+        its cell, in order, as one scalar call per entry."""
+        p = PHASES.index(phase)
+        if np.ndim(device):
+            seconds = np.asarray(seconds, dtype=np.float64)
+            if (seconds < 0).any():
+                raise ValueError(f"cannot charge negative time: {seconds.min()}")
+            np.add.at(self._device_phase, (device, p), seconds)
+            np.add.at(self._batch_delta, (device, p), seconds)
+            return
         if seconds < 0:
             raise ValueError(f"cannot charge negative time: {seconds}")
-        p = PHASES.index(phase)
         self._device_phase[device, p] += seconds
         self._batch_delta[device, p] += seconds
 

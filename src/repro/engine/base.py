@@ -13,6 +13,10 @@ execute path (DESIGN.md §5.19).  The router counts first: its
 (:class:`PairCounts`) and the load sets, and builds the per-pair
 :class:`RouteTask` id arrays only when the numerics path reads them, so a
 dry-run or a timing-only epoch never builds them.
+
+Last, :func:`layer_step` runs one layer of every device as one set of
+ops over stacked :class:`Rows` (GDP's whole model, every upper layer;
+DESIGN.md §5.18).
 """
 
 from __future__ import annotations
@@ -25,9 +29,11 @@ import numpy as np
 
 from repro.engine.context import ExecutionContext
 from repro.featurestore.store import Tier, count_ranges
+from repro.models.base import PartialMeanLayer, extend_with_self_edges
 from repro.parallel.backend import resolve_backend
 from repro.sampling.block import Block, MiniBatch
-from repro.tensor.sparse import SegmentIndex, segment_sum
+from repro.tensor import fused
+from repro.tensor.sparse import SegmentIndex, gather_segment_mean, segment_sum
 from repro.tensor.tensor import Tensor
 from repro.utils.ids import sorted_unique
 
@@ -118,8 +124,9 @@ class Strategy(abc.ABC):
         plan,
         batches: List[Optional[MiniBatch]],
     ) -> List[Optional[Tensor]]:
-        """Execute+Reshuffle: produce per-device layer-1 outputs aligned to
-        each device's ``blocks[0].dst_nodes``."""
+        """Execute+Reshuffle: every device's layer-1 outputs aligned to its
+        ``blocks[0].dst_nodes``, as :class:`Rows` (ignored in timing-only
+        mode)."""
 
     # ------------------------------------------------------------------ #
     def upper_forward(
@@ -127,28 +134,22 @@ class Strategy(abc.ABC):
         ctx: ExecutionContext,
         plan,
         batches: List[Optional[MiniBatch]],
-        h1: List[Optional[Tensor]],
-    ) -> List[Optional[Tensor]]:
-        """Layers >= 2 given the first layer's outputs; per-device logits.
+        h1,
+    ) -> Optional["Rows"]:
+        """Layers >= 2 given the first layer's outputs; every device's logits.
 
         The default runs every upper layer data-parallel on the seed-owning
-        device (the behavior all four single strategies share); the
-        layerwise driver overrides it to re-layout embeddings between
-        differently-partitioned layers.  Returned logits align with each
-        device's ``blocks[-1].dst_nodes`` (``None`` per seedless device,
-        and everywhere in timing-only mode).
+        device (the behavior all four single strategies share), all devices
+        at once (:func:`layer_step`); the layerwise driver overrides it to
+        re-layout embeddings between differently-partitioned layers.
+        Device ``d``'s logits align with its ``blocks[-1].dst_nodes``;
+        ``None`` in timing-only mode.
         """
-        logits: List[Optional[Tensor]] = []
-        for d, mb in enumerate(batches):
-            if mb is None:
-                logits.append(None)
-                continue
-            for layer, block in zip(list(ctx.model.layers)[1:], mb.blocks[1:]):
-                ctx.charger.dense(d, layer.forward_flops(block))
-            logits.append(
-                ctx.model.upper_forward(mb, h1[d]) if ctx.numerics else None
-            )
-        return logits
+        rows = h1 if ctx.numerics else None
+        for li in range(1, ctx.model.num_layers):
+            blocks = [None if mb is None else mb.blocks[li] for mb in batches]
+            rows = layer_step(ctx, ctx.model.layers[li], blocks, rows)
+        return rows
 
     def load_requests(
         self, ctx: ExecutionContext, plan, batches: List[Optional[MiniBatch]]
@@ -257,14 +258,14 @@ def charge_sampling(
 ) -> None:
     """Charge each device the simulated seconds of sampling its minibatch
     (from the batch's edge count — how it was sampled does not matter)."""
-    for d, mb in enumerate(batches):
-        if mb is None:
-            continue
-        if ctx.cpu_sampling:
-            ctx.charger.cpu_sampling(d, mb.total_edges())
-        else:
-            ctx.charger.gpu_sampling(d, mb.total_edges())
-        ctx.count("sampled_edges", mb.total_edges(), device=d, phase="sample")
+    devices = [d for d, mb in enumerate(batches) if mb is not None]
+    edges = [batches[d].total_edges() for d in devices]
+    if ctx.cpu_sampling:
+        ctx.charger.cpu_sampling(devices, edges)
+    else:
+        ctx.charger.gpu_sampling(devices, edges)
+    for d, n in zip(devices, edges):
+        ctx.count("sampled_edges", n, device=d, phase="sample")
 
 
 def read_features(
@@ -559,36 +560,166 @@ def local_index_of(sorted_ids: np.ndarray, queries: np.ndarray) -> np.ndarray:
     return idx
 
 
-def split_rows(
-    stacked: Tensor, batches, device, ptr, positions, arrivals: list
-) -> List[Optional[Tensor]]:
+def split_rows(stacked: Tensor, rows: "Rows", device, positions) -> Tensor:
     """Each device's ``segment_sum`` of its tasks' rows of a task-stacked
-    first layer, one tape node per device.
-
-    Task ``t``'s rows ``ptr[t]:ptr[t + 1]`` go to ``device[t]`` (a device's
-    tasks are contiguous) at ``positions[t]`` of its ``blocks[0]``
-    destinations.  Devices own disjoint rows, so a node's adjoint writes
-    its rows of ``stacked``'s gradient directly and appends the device to
-    ``arrivals``: the order the tape reaches the devices, which a
-    segment-ordered adjoint replays (DESIGN.md §5.18).
+    first layer, one node laid out as ``rows``: task ``t``'s rows (tasks in
+    row order, a device's contiguous) go to ``device[t]`` at
+    ``positions[t]`` of its layer-1 destinations, added in task order as
+    the per-device sums did.  The first layer's segment-ordered adjoints
+    replay ``rows.reached()`` (DESIGN.md §5.18).
     """
-    out: List[Optional[Tensor]] = []
-    for d, mb in enumerate(batches):
-        ts = np.flatnonzero(device == d)
-        if mb is None or not ts.size:
-            out.append(None)
-            continue
-        rows = slice(ptr[ts[0]], ptr[ts[-1] + 1])
-        index = SegmentIndex(
-            np.concatenate([positions[t] for t in ts]), mb.blocks[0].num_dst
+    ids = np.concatenate([rows.ptr[d] + pos for d, pos in zip(device, positions)])
+    return segment_sum(stacked, SegmentIndex(ids, rows.ptr[-1]))
+
+
+# ---------------------------------------------------------------------- #
+# stacked layers (DESIGN.md §5.18)
+# ---------------------------------------------------------------------- #
+def reach_order(devices: List[int]) -> List[int]:
+    """The order the backward pass reaches the devices' rows: ascending,
+    as the per-device trainer summed the device losses.  The loss and
+    every stacked adjoint replay it."""
+    return devices
+
+
+class _Reach:
+    """A :class:`Rows`' reach order: its own, the order of the rows its
+    stacked tensor feeds (another ``_Reach``), or the arrivals its split
+    parts record.  It holds no tensor, so tape closures can keep it
+    without a reference cycle."""
+
+    def __init__(self, order: List[int]):
+        self.order, self.source = order, None
+
+    def __call__(self) -> List[int]:
+        s = self.source
+        return self.order if s is None else s if isinstance(s, list) else s()
+
+
+class Rows:
+    """One layer's rows on every device: one stacked tensor (device ``d``'s
+    rows at ``ptr[d]:ptr[d + 1]``) or one tensor per device.
+
+    :attr:`tensor` stacks the parts in one node whose parents are listed
+    in :attr:`order`, so the tape reaches their producers in that order;
+    :attr:`parts` splits a stacked tensor, one node per device (for a
+    re-layout gather or a per-device layer).  Stacked adjoints replay
+    :attr:`reached`."""
+
+    def __init__(self, counts: List[int], *, parts=None, tensor=None):
+        self.ptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
+        #: devices holding rows, ascending
+        self.devices = [d for d, n in enumerate(counts) if n]
+        #: the same devices in the order the tape will reach them
+        self.order = reach_order(self.devices)
+        self.reached = _Reach(self.order)
+        self._parts = parts
+        self._tensor = tensor
+
+    @classmethod
+    def from_parts(cls, parts: List[Optional[Tensor]]) -> "Rows":
+        return cls([0 if t is None else t.shape[0] for t in parts], parts=parts)
+
+    @classmethod
+    def first_layer(cls, batches: List[Optional[MiniBatch]]) -> "Rows":
+        return cls([0 if mb is None else mb.blocks[0].num_dst for mb in batches])
+
+    def segments(self) -> List[slice]:
+        """Each device's row slice, in :attr:`order`."""
+        return [slice(self.ptr[d], self.ptr[d + 1]) for d in self.order]
+
+    @property
+    def tensor(self) -> Tensor:
+        if self._tensor is None:
+            parts, ptr, reached = self._parts, self.ptr, self.reached
+
+            def backward_fn(g: np.ndarray) -> None:
+                for d in reached():
+                    parts[d]._accumulate(g[ptr[d] : ptr[d + 1]])
+
+            self._tensor = Tensor._make(
+                np.concatenate([parts[d].data for d in self.devices]),
+                [parts[d] for d in self.order], backward_fn, "stack_rows",
+            )
+        return self._tensor
+
+    @tensor.setter
+    def tensor(self, value: Tensor) -> None:
+        self._tensor = value
+
+    @property
+    def parts(self) -> List[Optional[Tensor]]:
+        if self._parts is None:
+            stacked, ptr, arrivals = self._tensor, self.ptr, []
+            self.reached.source = arrivals
+            self._parts = [None] * (len(ptr) - 1)
+            for d in self.devices:
+                rows = slice(ptr[d], ptr[d + 1])
+
+                def backward_fn(g, d=d, rows=rows) -> None:
+                    if stacked.grad is None:
+                        stacked.grad = np.zeros_like(stacked.data)
+                    stacked.grad[rows] = g
+                    arrivals.append(d)
+
+                self._parts[d] = Tensor._make(
+                    stacked.data[rows], (stacked,), backward_fn, "split_rows"
+                )
+        return self._parts
+
+
+def layer_step(
+    ctx: ExecutionContext,
+    layer,
+    blocks: List[Optional[Block]],
+    x: Optional[Rows],
+    intermediate: bool = False,
+    src_index: Optional[List[Optional[np.ndarray]]] = None,
+) -> Optional[Rows]:
+    """One layer over every device's ``(blocks[d], x's rows of d)`` pair,
+    charged in one vectorized call (``intermediate``: intermediates
+    recorded).  GAT runs per device.  A mean-aggregation layer runs once
+    over the block-diagonal batch block (device ``d``'s sources: its rows
+    of ``x``, or rows ``src_index[d]`` of ``x.tensor``, GDP's staged
+    union): one aggregation, and one ``segment_linear`` with each device's
+    own BLAS calls replaying the reach order — one layer forward per
+    device, bit for bit (DESIGN.md §5.18).  ``None`` in timing-only mode.
+    """
+    devices = [d for d, b in enumerate(blocks) if b is not None]
+    ctx.charger.dense(devices, [layer.forward_flops(blocks[d]) for d in devices])
+    for d in devices if intermediate else ():
+        b = blocks[d]
+        ctx.recorder.record_intermediate(
+            d, 8.0 * (b.num_src * layer.in_dim + b.num_dst * layer.out_dim)
         )
-
-        def backward_fn(g, d=d, rows=rows, ids=index.ids) -> None:
-            if stacked.grad is None:
-                stacked.grad = np.zeros_like(stacked.data)
-            stacked.grad[rows] = g[ids]
-            arrivals.append(d)
-
-        total = segment_sum(Tensor(stacked.data[rows]), index).data
-        out.append(Tensor._make(total, (stacked,), backward_fn, "split_rows"))
+    if not ctx.numerics:
+        return None
+    if not isinstance(layer, PartialMeanLayer):
+        parts = x.parts
+        return Rows.from_parts([
+            None if b is None else layer.full_forward(b, parts[d])
+            for d, b in enumerate(blocks)
+        ])
+    out = Rows([0 if b is None else b.num_dst for b in blocks])
+    self_in_agg = layer.self_loop_in_aggregation
+    cols, dst, selfs = [], [], []
+    for d in devices:
+        b = blocks[d]
+        es, ed = extend_with_self_edges(b) if self_in_agg else (b.edge_src, b.edge_dst)
+        rows = x.ptr[d] + np.arange(b.num_src) if src_index is None else src_index[d]
+        cols.append(rows[es])
+        dst.append(ed + out.ptr[d])
+        selfs.append(rows[b.dst_in_src])
+    h = x.tensor
+    agg = gather_segment_mean(h, np.concatenate(cols), SegmentIndex(
+        np.concatenate(dst), out.ptr[-1]
+    ))
+    terms = [(agg, layer.weight)] if self_in_agg else [
+        (agg, layer.w_neigh), (h.index_rows(np.concatenate(selfs)), layer.w_self)
+    ]
+    out.tensor = fused.segment_linear(
+        terms, out.ptr, layer.bias, layer._act, out.reached
+    )
+    # x's stacked tensor feeds out's ops: it is reached in out's order
+    x.reached.source = out.reached
     return out

@@ -41,6 +41,7 @@ import numpy as np
 from repro.engine.base import (
     RoutePlan,
     RouteTask,
+    Rows,
     Strategy,
     StrategyReport,
     local_index_of,
@@ -158,17 +159,19 @@ class DNPStrategy(Strategy):
         # Owners compute complete layer-1 embeddings per task; the charges
         # read only each task's sub-block sizes.
         hidden_bytes = np.zeros((C, C))
+        flops = []
         for (r, o), num_src in zip(pairs, n_src):
             sub = BlockSizes(
                 num_src, int(counts.vdst[r, o]), int(counts.edges[r, o])
             )
-            ctx.charger.dense(o, layer.forward_flops(sub))
+            flops.append(layer.forward_flops(sub))
             ctx.recorder.record_intermediate(
                 o,
                 8.0 * (sub.num_src * layer.in_dim + sub.num_dst * layer.out_dim),
             )
             if o != r:
                 hidden_bytes[o, r] += sub.num_dst * layer.out_dim * 8.0
+        ctx.charger.dense([o for _, o in pairs], flops)
         ctx.comm.alltoall_bytes(hidden_bytes, phase="shuffle", count_backward=True)
         if not ctx.numerics:
             return [None] * C
@@ -191,7 +194,7 @@ class DNPStrategy(Strategy):
                     np.concatenate([tasks[t].vdst_req_idx for t in ts]),
                     mb.blocks[0].num_dst,
                 ))
-            return h1
+            return Rows.from_parts(h1)
         # The batch block: one aggregation of every task's raw inputs, one
         # segment-linear over every task's rows, one node per requester.
         n = np.int64(ctx.dataset.num_nodes)
@@ -207,22 +210,20 @@ class DNPStrategy(Strategy):
         if layer.self_loop_in_aggregation:
             cols = np.concatenate([cols, self_rows])
             dst = np.concatenate([dst, np.arange(bb.num_dst)])
-        agg = gather_segment_mean(x, cols, dst, bb.num_dst).data
-        v_ptr = np.cumsum([0] + [t.vdst.size for t in tasks])
-        spans = [slice(a, b) for a, b in zip(v_ptr[:-1], v_ptr[1:])]
+        agg = gather_segment_mean(x, cols, dst, bb.num_dst)
         if layer.self_loop_in_aggregation:
-            terms = [([agg[s] for s in spans], layer.weight)]
+            terms = [(agg, layer.weight)]
         else:
-            x_dst = x.data[self_rows]
-            terms = [([agg[s] for s in spans], layer.w_neigh),
-                     ([x_dst[s] for s in spans], layer.w_self)]
-        arrivals: List[int] = []
+            terms = [(agg, layer.w_neigh), (Tensor(x.data[self_rows]), layer.w_self)]
+        out = Rows.first_layer(batches)
+        reached = out.reached
         h = fused.segment_linear(
-            terms, layer.bias, layer._act,
-            lambda: [t for r in arrivals for t in np.flatnonzero(requester == r)],
+            terms, np.cumsum([0] + [t.vdst.size for t in tasks]), layer.bias,
+            layer._act,
+            lambda: [t for r in reached() for t in np.flatnonzero(requester == r)],
         )
-        return split_rows(h, batches, requester, v_ptr,
-                          [t.vdst_req_idx for t in tasks], arrivals)
+        out.tensor = split_rows(h, out, requester, [t.vdst_req_idx for t in tasks])
+        return out
 
 
 def batch_block(tasks: List[RouteTask], num_nodes: int) -> Tuple[Block, List[Block]]:

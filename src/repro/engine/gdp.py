@@ -7,6 +7,9 @@ runs the whole model locally.  Nothing is shuffled except DDP gradients, so
 strategy-specific cost is feature loading, which is why it wins when the
 GPU cache absorbs most accesses (skewed graphs, e.g. PS) and loses when
 accesses are scattered (FS).
+
+All devices share one process, so GraphSAGE/GCN run every device's whole
+model as one stacked op set per layer (DESIGN.md §5.18).
 """
 
 from __future__ import annotations
@@ -15,8 +18,10 @@ from typing import List, Optional
 
 from repro.engine.base import (
     RoutePlan,
+    Rows,
     Strategy,
     StrategyReport,
+    layer_step,
     read_features,
     record_loads,
     split_round_robin,
@@ -93,36 +98,25 @@ class GDPStrategy(Strategy):
 
     def execute_batch(
         self, ctx: ExecutionContext, plan: RoutePlan, batches
-    ) -> List[Optional[Tensor]]:
-        layer = ctx.model.first_layer
-        h1: List[Optional[Tensor]] = []
+    ) -> Optional[Rows]:
+        # Loads and charges per device; every device's whole model as one
+        # set of ops per layer (DESIGN.md §5.18).  The trainer stages every
+        # device's load set or none: staged, the layer reads the union
+        # through src_index and rows are never materialized per device.
+        staged = ctx.numerics and ctx.store.shared_rows() is not None
+        rows: List[Optional[Tensor]] = [None] * ctx.num_devices
         for d, mb in enumerate(batches):
-            if mb is None:
-                h1.append(None)
-                continue
-            block = mb.blocks[0]
-            ctx.charger.dense(d, layer.forward_flops(block))
-            ctx.recorder.record_intermediate(
-                d, 8.0 * (block.num_src * layer.in_dim + block.num_dst * layer.out_dim)
-            )
-            pos = (
-                ctx.store.shared_positions(plan.load_nodes[d])
-                if ctx.numerics
-                else None
-            )
-            if pos is not None:
-                # Rows live once in the staged union; the layer gathers
-                # through src_index, so the load is charged but never
-                # materialized per device (values bitwise identical).
+            if mb is not None and staged:
                 ctx.store.charge_load(d, plan.load_nodes[d], ctx.timeline)
-                h1.append(
-                    layer.full_forward(
-                        block, Tensor(ctx.store.shared_rows()), src_index=pos
-                    )
-                )
-                continue
-            x_rows, _ = read_features(ctx, d, plan.load_nodes[d])
-            h1.append(
-                layer.full_forward(block, Tensor(x_rows)) if ctx.numerics else None
-            )
-        return h1
+            elif mb is not None:
+                x_rows = read_features(ctx, d, plan.load_nodes[d])[0]
+                rows[d] = None if x_rows is None else Tensor(x_rows)
+        x, index = (Rows.from_parts(rows) if ctx.numerics else None), None
+        if staged:
+            x = Rows([0 if mb is None else 1 for mb in batches],
+                     tensor=Tensor(ctx.store.shared_rows()))
+            index = [None if mb is None else ctx.store.shared_positions(nodes)
+                     for mb, nodes in zip(batches, plan.load_nodes)]
+        blocks = [None if mb is None else mb.blocks[0] for mb in batches]
+        return layer_step(ctx, ctx.model.first_layer, blocks, x,
+                          intermediate=True, src_index=index)

@@ -42,8 +42,10 @@ import numpy as np
 from repro.engine.base import (
     LAYOUT_NODE,
     LAYOUT_REPLICATED,
+    Rows,
     Strategy,
     StrategyReport,
+    layer_step,
     local_index_of,
     split_by_partition,
     split_round_robin,
@@ -543,51 +545,25 @@ class LayerwiseStrategy(Strategy):
     def upper_forward(self, ctx, plan: LayerwisePlan, batches, h1):
         if self.homogeneous:
             return super().upper_forward(ctx, plan, batches, h1)
-        state: List[Optional[Tensor]] = list(h1)
+        state = h1 if ctx.numerics else None
         for stage in plan.stages:
             layer = ctx.model.layers[stage.layer]
-            if stage.layout == LAYOUT_REPLICATED:
-                inputs = (
-                    self._apply_gathers(ctx, stage.gathers, stage.move_bytes, state)
-                    if any(g is not None for g in stage.gathers)
-                    else state
-                )
-                new_state: List[Optional[Tensor]] = []
-                for d, mb in enumerate(batches):
-                    if mb is None:
-                        new_state.append(None)
-                        continue
-                    block = mb.blocks[stage.layer]
-                    ctx.charger.dense(d, layer.forward_flops(block))
-                    new_state.append(
-                        layer.full_forward(block, inputs[d])
-                        if ctx.numerics
-                        else None
-                    )
-            else:
-                inputs = self._apply_gathers(
+            if stage.layout == LAYOUT_NODE or any(
+                g is not None for g in stage.gathers
+            ):
+                state = self._apply_gathers(
                     ctx, stage.gathers, stage.move_bytes, state
                 )
-                new_state = []
-                for p, blk in enumerate(stage.blocks):
-                    if blk is None:
-                        new_state.append(None)
-                        continue
-                    ctx.charger.dense(p, layer.forward_flops(blk))
-                    ctx.recorder.record_intermediate(
-                        p,
-                        8.0
-                        * (
-                            blk.num_src * layer.in_dim
-                            + blk.num_dst * layer.out_dim
-                        ),
-                    )
-                    new_state.append(
-                        layer.full_forward(blk, inputs[p])
-                        if ctx.numerics
-                        else None
-                    )
-            state = new_state
+            if stage.layout == LAYOUT_REPLICATED:
+                blocks = [
+                    None if mb is None else mb.blocks[stage.layer]
+                    for mb in batches
+                ]
+                state = layer_step(ctx, layer, blocks, state)
+            else:
+                state = layer_step(
+                    ctx, layer, stage.blocks, state, intermediate=True
+                )
 
         if plan.final_gathers is not None:
             state = self._apply_gathers(
@@ -600,13 +576,14 @@ class LayerwiseStrategy(Strategy):
         ctx,
         gathers: List[Optional[GatherSpec]],
         move_bytes: np.ndarray,
-        state: List[Optional[Tensor]],
-    ) -> List[Optional[Tensor]]:
+        rows: Optional[Rows],
+    ) -> Optional[Rows]:
         """Execute one re-layout: route rows holder -> target.
 
-        Numerics mode moves autograd-connected row tensors through the
-        communicator's all-to-all (gradients flow back to each holder's
-        tape); timing mode charges the identical byte matrix.
+        Numerics mode splits the holders' rows into per-device tensors and
+        moves autograd-connected row tensors through the communicator's
+        all-to-all (gradients flow back to each holder's tape); timing mode
+        charges the identical byte matrix.
         """
         C = len(gathers)
         if not ctx.numerics:
@@ -614,7 +591,8 @@ class LayerwiseStrategy(Strategy):
                 ctx.comm.alltoall_bytes(
                     move_bytes, phase="shuffle", count_backward=True
                 )
-            return [None] * C
+            return None
+        state = rows.parts
         grid: List[List[Optional[Tensor]]] = [[None] * C for _ in range(C)]
         for t, spec in enumerate(gathers):
             if spec is None:
@@ -627,7 +605,7 @@ class LayerwiseStrategy(Strategy):
             if spec is None:
                 out.append(None)
                 continue
-            rows = [received[t][h] for h, _ in spec.pieces]
-            stacked = rows[0] if len(rows) == 1 else tensor_concat(rows, axis=0)
+            pieces = [received[t][h] for h, _ in spec.pieces]
+            stacked = pieces[0] if len(pieces) == 1 else tensor_concat(pieces, axis=0)
             out.append(stacked.index_rows(spec.perm))
-        return out
+        return Rows.from_parts(out)

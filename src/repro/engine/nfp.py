@@ -34,6 +34,7 @@ from typing import List, Optional
 import numpy as np
 
 from repro.engine.base import (
+    Rows,
     Strategy,
     StrategyReport,
     local_index_of,
@@ -209,6 +210,7 @@ class NFPStrategy(Strategy):
         d_hidden = layer.out_dim
         shuffle_bytes = np.zeros((C, C))
         x_union: Optional[np.ndarray] = None
+        devices, flops = [], []
         for c in range(C):
             lo, hi = self.shard(c)
             if ctx.numerics and x_union is not None:
@@ -218,7 +220,8 @@ class NFPStrategy(Strategy):
                 ctx.store.charge_load(c, union, ctx.timeline)
             else:
                 x_union, _ = read_features(ctx, c, union)
-            ctx.charger.dense(c, 2.0 * union.size * (hi - lo) * d_hidden)
+            devices.append(c)
+            flops.append(2.0 * union.size * (hi - lo) * d_hidden)
             inter = 0.0
             for o, mb in enumerate(batches):
                 if mb is None:
@@ -226,15 +229,17 @@ class NFPStrategy(Strategy):
                 block = mb.blocks[0]
                 if c != o:
                     shuffle_bytes[c, o] += block.num_dst * d_hidden * 8.0
-                ctx.charger.dense(
-                    c,
+                devices.append(c)
+                flops.append(
                     2.0 * block.num_edges * d_hidden
-                    + 2.0 * block.num_dst * (hi - lo) * d_hidden,
+                    + 2.0 * block.num_dst * (hi - lo) * d_hidden
                 )
                 inter += block.num_dst * d_hidden * 8.0
             ctx.recorder.record_intermediate(
                 c, inter + union.size * (hi - lo) * 8.0
             )
+        # Every charge in loop order: one vectorized call.
+        ctx.charger.dense(devices, flops)
         # The SparseAllreduce of every shard's partial pre-activations.
         ctx.comm.alltoall_bytes(shuffle_bytes, phase="shuffle", count_backward=True)
         if not ctx.numerics:
@@ -266,7 +271,7 @@ class NFPStrategy(Strategy):
             )
             inv = 1.0 / np.maximum(dst.counts, 1).reshape(-1, 1)
             h1[o] = layer.finalize_sum(_shard_sum(neigh, inv, selfs, C))
-        return h1
+        return Rows.from_parts(h1)
 
     def _execute_gat(self, ctx, plan, batches, layer: GATLayer):
         C = ctx.num_devices
@@ -318,7 +323,7 @@ class NFPStrategy(Strategy):
                 o, layer.forward_flops(block) - 2.0 * block.num_src * layer.in_dim * d_proj
             )
             h1.append(layer.attend(block, z_totals[o]) if ctx.numerics else None)
-        return h1
+        return Rows.from_parts(h1)
 
 
 def _shard_products(x: np.ndarray, w: Tensor, bounds: np.ndarray) -> Tensor:

@@ -47,6 +47,7 @@ import numpy as np
 from repro.engine.base import (
     RoutePlan,
     RouteTask,
+    Rows,
     Strategy,
     StrategyReport,
     local_index_of,
@@ -197,9 +198,12 @@ class SNPStrategy(Strategy):
         xs = read_load_sets(ctx, plan)
         d_hidden = layer.out_dim
         servers = [p for p in range(C) if plan.load_nodes[p] is not None]
+        # Every compute charge in the per-pair loop's order, charged at once.
+        devices, flops = [], []
         for p in servers:
             rows = plan.load_nodes[p].size
-            ctx.charger.dense(p, 2.0 * rows * layer.in_dim * d_hidden)
+            devices.append(p)
+            flops.append(2.0 * rows * layer.in_dim * d_hidden)
             ctx.recorder.record_intermediate(p, rows * (layer.in_dim + d_hidden) * 8.0)
         # Partials and self terms ship as one message per pair, then counts.
         counts = plan.counts
@@ -213,14 +217,18 @@ class SNPStrategy(Strategy):
             if p != r:
                 partial_bytes[p, r] += (n_vdst + ns) * d_hidden * 8.0
                 counts_bytes[p, r] += n_vdst * 8.0
-            ctx.charger.dense(p, 2.0 * int(counts.edges[r, p]) * d_hidden)
+            devices.append(p)
+            flops.append(2.0 * int(counts.edges[r, p]) * d_hidden)
             if ns:
-                ctx.charger.dense(p, 2.0 * ns * layer.in_dim * d_hidden)
+                devices.append(p)
+                flops.append(2.0 * ns * layer.in_dim * d_hidden)
         ctx.comm.alltoall_bytes(partial_bytes, phase="shuffle", count_backward=True)
         ctx.comm.alltoall_bytes(counts_bytes, phase="shuffle")
         for r, mb in enumerate(batches):
             if mb is not None:
-                ctx.charger.dense(r, 4.0 * mb.blocks[0].num_dst * d_hidden)
+                devices.append(r)
+                flops.append(4.0 * mb.blocks[0].num_dst * d_hidden)
+        ctx.charger.dense(devices, flops)
         if not ctx.numerics:
             return [None] * C
 
@@ -244,16 +252,17 @@ class SNPStrategy(Strategy):
         )
         z_order: List[int] = []
         z = fused.segment_linear(
-            [([x[a:b] for a, b in zip(z_ptr[:-1], z_ptr[1:])],
-              layer.w_neigh if ships_self else layer.weight)],
+            [(Tensor(x), layer.w_neigh if ships_self else layer.weight)], z_ptr,
             order=lambda: z_order,
         )
-        arrivals: List[int] = []
+        out = Rows.first_layer(batches)
+        reached = out.reached
 
         def task_rank() -> np.ndarray:
             # The tape reaches each requester's tasks in its arrival, and a
             # server's projection in the arrival of its last requester
             # (servers ascending among equals).
+            arrivals = reached()
             rank = np.full(C, -1)
             rank[arrivals] = np.arange(len(arrivals))
             last = np.full(len(servers), -1)
@@ -263,36 +272,34 @@ class SNPStrategy(Strategy):
 
         req_idx = [t.vdst_req_idx for t in tasks]
         psums = split_rows(_ordered_aggregate(z, cols, dst, edge_task, task_rank),
-                           batches, requester, v_ptr, req_idx, arrivals)
+                           out, requester, req_idx)
         counts = np.bincount(dst.ids, minlength=dst.num_segments).astype(np.float64)
-        totals = split_rows(Tensor(counts), batches, requester, v_ptr, req_idx, [])
+        totals = split_rows(Tensor(counts), out, requester, req_idx).data
         shipping = np.flatnonzero(n_self)
-        selfs: List[Optional[Tensor]] = [None] * C
+        selfs = None
         if shipping.size:
             s_ptr = np.cumsum([0] + [n_self[t] for t in shipping])
             masks = [tasks[t].self_mask for t in shipping]
             x_self = x[local_index_of(keys, np.concatenate([
                 server[t] * n + tasks[t].vdst[m] for t, m in zip(shipping, masks)
             ]))]
-            s_arrivals: List[int] = []
             selfs = split_rows(
                 fused.segment_linear(
-                    [([x_self[a:b] for a, b in zip(s_ptr[:-1], s_ptr[1:])],
-                      layer.w_self)],
+                    [(Tensor(x_self), layer.w_self)], s_ptr,
                     order=lambda: [
-                        k for r in s_arrivals
+                        k for r in reached()
                         for k in np.flatnonzero(requester[shipping] == r)
                     ],
                 ),
-                batches, requester[shipping], s_ptr,
-                [req_idx[t][m] for t, m in zip(shipping, masks)], s_arrivals,
+                out, requester[shipping],
+                [req_idx[t][m] for t, m in zip(shipping, masks)],
             )
-        # GroupReduce at each requester.
-        return [
-            None if psum is None
-            else layer.combine_partials(psum, total.data, self_term)
-            for psum, total, self_term in zip(psums, totals, selfs)
-        ]
+        # GroupReduce at every requester at once; the bias adjoint sums
+        # each requester's rows on its own, in reach order.
+        out.tensor = layer.combine_partials(
+            psums, totals, selfs, spans=out.ptr, order=reached
+        )
+        return out
 
     # ------------------------------------------------------------------ #
     def _execute_gat(self, ctx, plan, batches, layer: GATLayer):
@@ -423,7 +430,7 @@ class SNPStrategy(Strategy):
             num_tot = segment_sum(tensor_concat(nums, axis=0), idx_cat)
             den_tot = segment_sum(tensor_concat(dens, axis=0), idx_cat)
             h1[r] = layer.combine_attention_partials(num_tot, den_tot)
-        return h1
+        return Rows.from_parts(h1)
 
 
 def _ordered_aggregate(z, cols, dst: SegmentIndex, edge_task, task_rank):

@@ -6,11 +6,13 @@ Per global batch:
 2. every seed-holding device samples its blocks (sampling time charged);
 3. the strategy plans (Permute/Shuffle) and executes (Execute/Reshuffle)
    the first layer;
-4. layers >= 2 run data-parallel per device; each device's loss is weighted
-   by its share of the *global* batch, so the summed loss equals the exact
-   global-mean cross entropy no matter how the strategy grouped the seeds —
-   this makes all four strategies apply the identical sequence of updates
-   (the paper's semantic-equivalence property, Fig. 6);
+4. layers >= 2 run data-parallel on the seed-owning devices, all devices'
+   rows as one stacked op set per layer (DESIGN.md §5.18), and one loss
+   node weights each device's loss by its share of the *global* batch, so
+   the summed loss equals the global-mean cross entropy no matter how the
+   strategy grouped the seeds — all strategies apply the same sequence of
+   updates (the paper's semantic-equivalence property, Fig. 6), equal to
+   the last bits;
 5. one backward pass accumulates the global gradient (replicated-parameter
    emulation of DDP), the gradient-allreduce cost is charged, and the
    optimizer steps.
@@ -33,7 +35,7 @@ from repro.parallel.backend import resolve_backend
 from repro.sampling.batching import EpochIterator
 from repro.tensor import functional as F
 from repro.tensor.optim import Optimizer
-from repro.tensor.tensor import Tensor, add_n, no_grad
+from repro.tensor.tensor import Tensor, no_grad
 
 
 @dataclass
@@ -98,19 +100,16 @@ class ParallelTrainer:
             h1 = self.strategy.execute_batch(ctx, plan, batches)
             logits = self.strategy.upper_forward(ctx, plan, batches, h1)
 
-            losses: List[Tensor] = []
-            weight_total = float(len(global_batch))
-            for d, mb in enumerate(batches):
-                if mb is None or logits[d] is None:
-                    continue
-                labels = ctx.dataset.labels[mb.blocks[-1].dst_nodes]
-                losses.append(
-                    F.cross_entropy(logits[d], labels, weight_total=weight_total)
-                )
-
             loss_value = float("nan")
-            if ctx.numerics:
-                total_loss = add_n(losses)
+            if logits is not None:
+                # One loss node: each device's loss added in reach order.
+                seeds = [batches[d].blocks[-1].dst_nodes for d in logits.devices]
+                total_loss = F.cross_entropy(
+                    logits.tensor,
+                    ctx.dataset.labels[np.concatenate(seeds)],
+                    weight_total=float(len(global_batch)),
+                    segments=logits.segments(),
+                )
                 total_loss.backward()
                 loss_value = total_loss.item()
             ctx.comm.allreduce_gradient_sync(

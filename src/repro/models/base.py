@@ -64,12 +64,15 @@ class PartialMeanLayer(GNNLayer):
         psum_total: Tensor,
         counts_total: np.ndarray,
         self_term: Optional[Tensor] = None,
+        spans: Optional[np.ndarray] = None,
+        order=None,
     ) -> Tensor:
         """Reconstruct the exact layer output from summed partials.
 
         A layer with a self weight (GraphSAGE) always receives the self
         term — each destination's owner ships ``W_self x_v``; one that
         folds the self loop into the aggregation (GCN) routed it as an edge.
+        ``spans`` / ``order``: see :func:`~repro.tensor.fused.add_bias_act`.
         """
         if self_term is None and not self.self_loop_in_aggregation:
             raise ValueError(f"{type(self).__name__} partials require the self term")
@@ -77,7 +80,9 @@ class PartialMeanLayer(GNNLayer):
         terms = [psum_total * Tensor(1.0 / safe)]
         if self_term is not None:
             terms.append(self_term)
-        return fused.add_bias_act(terms, self.bias, activation=self._act)
+        return fused.add_bias_act(
+            terms, self.bias, activation=self._act, spans=spans, order=order
+        )
 
     def finalize_sum(self, total: Tensor) -> Tensor:
         """Bias + activation over an already-summed pre-activation.
@@ -123,20 +128,6 @@ class GNNModel(Module):
             )
         h = x_input
         for layer, block in zip(self.layers, batch.blocks):
-            h = layer.full_forward(block, h)
-        return h
-
-    def upper_forward(self, batch: MiniBatch, h1: Tensor) -> Tensor:
-        """Forward through layers >= 2 given the first layer's output.
-
-        ``h1`` rows must align with ``batch.blocks[1].src_nodes``
-        (equivalently ``batch.blocks[0].dst_nodes``).  Used by NFP/SNP/DNP,
-        which compute layer 1 cooperatively and the rest data-parallel.
-        """
-        if self.num_layers == 1:
-            return h1
-        h = h1
-        for layer, block in zip(list(self.layers)[1:], batch.blocks[1:]):
             h = layer.full_forward(block, h)
         return h
 

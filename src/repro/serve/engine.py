@@ -226,12 +226,12 @@ class ServeEngine:
                     if mb is not None:
                         self.hot_cache.observe(mb.input_nodes)
             logits = self.strategy.upper_forward(ctx, plan, batches, h1)
-            for d, mb in enumerate(batches):
-                if mb is None or logits[d] is None:
-                    continue
-                preds = logits[d].data.argmax(axis=1)
-                for node, pred in zip(mb.blocks[-1].dst_nodes, preds):
-                    predictions[int(node)] = int(pred)
+            if logits is not None:
+                nodes = [batches[d].blocks[-1].dst_nodes for d in logits.devices]
+                predictions = dict(zip(
+                    np.concatenate(nodes).tolist(),
+                    logits.tensor.data.argmax(axis=1).tolist(),
+                ))
         return predictions
 
     # ------------------------------------------------------------------ #

@@ -6,7 +6,8 @@ Contains the activations used by GraphSAGE/GAT, numerically-stable
 
 from __future__ import annotations
 
-from typing import Optional
+import functools
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -78,6 +79,7 @@ def cross_entropy(
     logits: Tensor,
     labels: np.ndarray,
     weight_total: Optional[float] = None,
+    segments: Optional[Sequence[slice]] = None,
 ) -> Tensor:
     """Mean (or weighted-sum) cross-entropy for integer class labels.
 
@@ -92,8 +94,12 @@ def cross_entropy(
         When given, the loss is ``sum(per_example) / weight_total``.  The
         parallel trainer passes the *global* minibatch size here so that
         per-device losses sum to the exact global mean regardless of how the
-        strategies distribute seeds among devices (this is what makes all
-        four strategies produce bit-identical gradient steps).
+        strategies distribute seeds among devices: all strategies apply the
+        same updates, to the last bits rather than bitwise (each adds its
+        partial sums in its own order; ``test_strategy_distance.py``).
+    segments:
+        Row slices whose losses are formed on their own and added in this
+        order: one loss node per slice summed with ``add_n``, bit for bit.
     """
     labels = np.asarray(labels, dtype=np.int64)
     n = logits.shape[0]
@@ -115,7 +121,10 @@ def cross_entropy(
     logp_data = shifted - log_z
     softmax_data = np.exp(logp_data)
     scale = np.asarray(-1.0 / denom, dtype=x.dtype)
-    out_data = (logp_data * one_hot).sum() * scale
+    picked = logp_data * one_hot
+    out_data = functools.reduce(np.add, [
+        picked[rows].sum() * scale for rows in segments or [slice(None)]
+    ])
 
     def backward_fn(g: np.ndarray) -> None:
         if not logits.requires_grad:

@@ -96,13 +96,17 @@ def add_bias_act(
     bias: Tensor,
     activation: Optional[str] = None,
     reshape_to: Optional[Tuple[int, ...]] = None,
+    spans: Optional[np.ndarray] = None,
+    order: Optional[Callable[[], Sequence[int]]] = None,
 ) -> Tensor:
     """Fused ``act(sum(terms) + bias)`` as a single tape node.
 
     Covers the epilogue of every GNN layer: GCN's ``pre + b`` (+ReLU),
     GraphSAGE's ``neigh + self + b`` (+ReLU), and GAT's head-concat
     ``reshape + b`` (+ELU).  ``reshape_to`` (single term only) folds the
-    head-flattening reshape into the node.
+    head-flattening reshape into the node.  With ``spans`` (row offsets of
+    stacked segments) the bias adjoint is segment-ordered, as in
+    :func:`segment_linear`.
     """
     terms = list(terms)
     if not terms:
@@ -129,34 +133,39 @@ def add_bias_act(
                 t._accumulate(_unbroadcast(gt, t.data.shape))
         if bias.requires_grad:
             # Reducing (n, d) -> (d,) always yields a fresh array.
-            bias._accumulate_owned(_unbroadcast(ga, bias.data.shape))
+            for rows in [slice(None)] if spans is None else [
+                slice(spans[s], spans[s + 1]) for s in order()
+            ]:
+                bias._accumulate_owned(_unbroadcast(ga[rows], bias.data.shape))
 
     parents: List[Tensor] = [*terms, bias]
     return Tensor._make(out_data, parents, backward_fn, "fused_add_bias_act")
 
 
 def segment_linear(
-    terms: Sequence[Tuple[Sequence[np.ndarray], Tensor]],
+    terms: Sequence[Tuple[Tensor, Tensor]],
+    spans: np.ndarray,
     bias: Optional[Tensor] = None,
     activation: Optional[str] = None,
     order: Optional[Callable[[], Sequence[int]]] = None,
 ) -> Tensor:
     """Fused ``act(sum_k x_k[s] @ w_k + b)`` over row segments ``s``, one node.
 
-    Each term pairs one plain input per segment with a weight; the output
-    stacks the segments' rows.  Every product is the per-segment BLAS call
-    and the epilogue is elementwise, so values match one ``linear`` /
-    ``add_bias_act`` chain per segment bit for bit.  The adjoint is
-    segment-ordered: each segment's weight and bias gradients are reduced
-    over its own rows and accumulated in ``order()`` (ascending when
-    omitted), the order the tape reached the per-segment nodes
+    Each term pairs an input stacking the segments' rows at ``spans`` (row
+    offsets) with a weight.  Every product is the per-segment BLAS call and
+    the epilogue elementwise: one ``linear`` / ``add_bias_act`` chain per
+    segment, bit for bit.  The adjoint is segment-ordered: each segment's
+    weight, bias and input gradients come from its own rows, the shared
+    ones added in ``order()`` (ascending when omitted; a segment missing
+    was never reached), the order the tape reached the per-segment nodes
     (DESIGN.md §5.18).
     """
-    spans = np.cumsum([0] + [x.shape[0] for x in terms[0][0]])
+    bounds = list(zip(spans[:-1], spans[1:]))
+    inputs = [[x.data[a:b] for a, b in bounds] for x, _ in terms]
     outs = []
-    for xs, w in terms:
+    for xs, (_, w) in zip(inputs, terms):
         out = np.empty((spans[-1], w.data.shape[1]))
-        for x, a, b in zip(xs, spans[:-1], spans[1:]):
+        for x, (a, b) in zip(xs, bounds):
             out[a:b] = x @ w.data
         outs.append(out)
     pre = outs[0] + outs[1] if len(outs) > 1 else outs[0]
@@ -168,13 +177,20 @@ def segment_linear(
 
     def backward_fn(g: np.ndarray) -> None:
         ga = g * dact if dact is not None else g
-        for s in order() if order is not None else range(len(spans) - 1):
-            rows = slice(spans[s], spans[s + 1])
-            for xs, w in terms:
+        grads = [np.zeros(x.data.shape) if x.requires_grad else None for x, _ in terms]
+        for s in order() if order is not None else range(len(bounds)):
+            rows = slice(*bounds[s])
+            for xs, (_, w), buf in zip(inputs, terms, grads):
                 if w.requires_grad:
                     w._accumulate_owned(xs[s].T @ ga[rows])
+                if buf is not None:
+                    buf[rows] = ga[rows] @ w.data.T
             if bias is not None and bias.requires_grad:
                 bias._accumulate_owned(_unbroadcast(ga[rows], bias.data.shape))
+        for (x, _), buf in zip(terms, grads):
+            if buf is not None:
+                x._accumulate_owned(buf)
 
-    parents = [w for _, w in terms] + ([] if bias is None else [bias])
+    parents = [x for x, _ in terms] + [w for _, w in terms]
+    parents += [] if bias is None else [bias]
     return Tensor._make(out_data, parents, backward_fn, "segment_linear")

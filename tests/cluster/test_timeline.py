@@ -1,8 +1,10 @@
 """Tests for per-device, per-phase simulated-time accounting."""
 
+import numpy as np
 import pytest
 
-from repro.cluster import Timeline
+from repro.cluster import Timeline, parse_cluster_spec
+from repro.cluster.compute import ComputeCharger
 from repro.cluster.timeline import chrome_trace
 
 
@@ -22,6 +24,29 @@ class TestCharging:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             Timeline(1).charge(0, "load", -1.0)
+
+    def test_vector_charge_equals_scalar_charges(self):
+        # One add per entry, in order, duplicates included: the same bits
+        # as one scalar call per entry.
+        rng = np.random.default_rng(3)
+        devices = rng.integers(0, 4, size=40)
+        seconds = rng.random(40) * 1e-3
+        vector, scalar = Timeline(4), Timeline(4)
+        for phase in ("sample", "train"):
+            vector.charge(devices, phase, seconds)
+            for d, s in zip(devices.tolist(), seconds.tolist()):
+                scalar.charge(d, phase, s)
+        vector.end_batch()
+        scalar.end_batch()
+        for key, value in vector.state_dict().items():
+            if isinstance(value, np.ndarray):
+                assert value.tobytes() == scalar.state_dict()[key].tobytes(), key
+
+    def test_vector_charge_rejects_negative_entries(self):
+        t = Timeline(2)
+        with pytest.raises(ValueError):
+            t.charge([0, 1], "train", [1.0, -1.0])
+        assert t.device_phase_seconds(0, "train") == 0.0
 
     def test_unknown_phase_rejected(self):
         with pytest.raises(ValueError):
@@ -187,3 +212,24 @@ class TestReporting:
     def test_merged_device_mismatch(self):
         with pytest.raises(ValueError):
             Timeline(2).merged(Timeline(3))
+
+
+def test_compute_charger_vectors_price_each_device_by_its_class():
+    # A mixed fleet: the vector dense / sampling charges equal one scalar
+    # call per device, bit for bit.
+    cluster = parse_cluster_spec("1x2:a100,1x2:t4")
+    devices = [3, 0, 2, 1, 0]
+    counts = [1.5e9, 2.0e8, 7.0e7, 3.3e9, 1.0e6]
+    vector = ComputeCharger(cluster, Timeline(4))
+    scalar = ComputeCharger(cluster, Timeline(4))
+    vector.dense(devices, counts)
+    vector.gpu_sampling(devices, [int(c) for c in counts])
+    vector.cpu_sampling(devices, [int(c) for c in counts], phase="load")
+    for d, c in zip(devices, counts):
+        scalar.dense(d, c)
+        scalar.gpu_sampling(d, int(c))
+        scalar.cpu_sampling(d, int(c), phase="load")
+    a = vector.timeline.state_dict()["device_phase"]
+    b = scalar.timeline.state_dict()["device_phase"]
+    assert a.tobytes() == b.tobytes()
+    assert a[0, 2] != a[3, 2]  # a100 and t4 prices differ

@@ -23,7 +23,7 @@ from repro.featurestore.store import UnifiedFeatureStore
 from repro.tensor import fused, sparse
 from repro.tensor import functional as F
 from repro.tensor.sparse import SegmentIndex
-from repro.tensor.tensor import Tensor
+from repro.tensor.tensor import Tensor, add_n
 
 
 def _activation(t: Tensor, activation):
@@ -44,8 +44,20 @@ def linear(x, w, b=None, activation=None):
     return _activation(out, activation)
 
 
-def add_bias_act(terms, bias, activation=None, reshape_to=None):
-    """``fused.add_bias_act`` as ``((t0 + t1) + ...) + bias``, then act."""
+_fused_add_bias_act = fused.add_bias_act
+
+
+def add_bias_act(terms, bias, activation=None, reshape_to=None, spans=None,
+                 order=None):
+    """``fused.add_bias_act`` as ``((t0 + t1) + ...) + bias``, then act.
+
+    A segment-ordered epilogue (``spans``) stays fused: its bias adjoint
+    replays the per-segment chains, which ``tests/first_layer_reference.py``
+    pins (as it pins ``fused.segment_linear``).
+    """
+    if spans is not None:
+        return _fused_add_bias_act(terms, bias, activation, reshape_to,
+                                   spans=spans, order=order)
     terms = list(terms)
     out = terms[0]
     if reshape_to is not None:
@@ -55,9 +67,18 @@ def add_bias_act(terms, bias, activation=None, reshape_to=None):
     return _activation(out + bias, activation)
 
 
-def cross_entropy(logits, labels, weight_total=None):
-    """``F.cross_entropy`` as log-softmax, one-hot product, sum, scale."""
+def cross_entropy(logits, labels, weight_total=None, segments=None):
+    """``F.cross_entropy`` as log-softmax, one-hot product, sum, scale; with
+    ``segments``, one such chain per row slice, summed with ``add_n``."""
     labels = np.asarray(labels, dtype=np.int64)
+    if segments is not None:
+        return add_n([
+            cross_entropy(
+                logits.index_rows(np.arange(rows.start, rows.stop)),
+                labels[rows], weight_total,
+            )
+            for rows in segments
+        ])
     n = logits.shape[0]
     one_hot = np.zeros(logits.shape, dtype=logits.data.dtype)
     one_hot[np.arange(n), labels] = 1.0

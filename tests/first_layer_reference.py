@@ -1,17 +1,22 @@
-"""The per-pair first layer, frozen: what NFP, SNP and DNP ran before the
-stacked first layer (DESIGN.md §5.18).
+"""The per-pair first layer and the per-device model, frozen: what the
+engine ran before its layers were stacked (DESIGN.md §5.18).
 
 NFP built one set of tape nodes per (shard, owner) pair, SNP one per
 (server, requester) task and DNP one sub-block and one layer forward per
-(owner, requester) task.  The production engines run a few stacked ops per
-batch instead; ``tests/engine/test_first_layer_pin.py`` requires them to
-match these forms exactly: losses, final parameters, Timeline phases and
-every ``VolumeRecorder`` field.
+(owner, requester) task.  Above the first layer — and for GDP's whole
+model — every device ran its own layer forwards and its own loss node, the
+trainer summed the device losses with ``add_n``, and every sampling and
+layer charge was one scalar Timeline call per device.  The production
+engine runs a few stacked ops per batch instead;
+``tests/engine/test_first_layer_pin.py`` requires it to match these forms
+exactly: losses, final parameters, Timeline state and every
+``VolumeRecorder`` field.
 
-:func:`install_per_pair` swaps the frozen forms in through a
-``pytest.MonkeyPatch``.  GAT's first layer is not stacked, so only the
-mean-aggregation paths (GraphSAGE, GCN) and DNP's whole execute step are
-replaced.
+:func:`install_per_pair` swaps the frozen first layers in through a
+``pytest.MonkeyPatch`` (GAT's first layer is not stacked, so only the
+mean-aggregation paths and DNP's whole execute step are replaced);
+:func:`install_per_device` swaps in the per-device upper layers, GDP's
+execute step, the per-device loss and the scalar sampling charges.
 """
 
 from __future__ import annotations
@@ -20,16 +25,32 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.engine.base import local_index_of, read_features, read_load_sets
+from repro.engine import base
+from repro.engine.base import (
+    LAYOUT_NODE,
+    LAYOUT_REPLICATED,
+    Rows,
+    Strategy,
+    local_index_of,
+    read_features,
+    read_load_sets,
+    sample_batches,
+)
 from repro.engine.dnp import DNPStrategy
+from repro.engine.gdp import GDPStrategy
+from repro.engine.layerwise import LayerwiseStrategy
 from repro.engine.nfp import NFPStrategy, union_columns
 from repro.engine.snp import SNPStrategy
+from repro.engine.trainer import ParallelTrainer
 from repro.models.base import extend_with_self_edges
+from repro.parallel.backend import resolve_backend
 from repro.sampling.block import Block
+from repro.serve import engine as serve_engine
 from repro.tensor import concat as tensor_concat
+from repro.tensor import functional as F
 from repro.tensor import sparse
 from repro.tensor.sparse import segment_sum
-from repro.tensor.tensor import Tensor
+from repro.tensor.tensor import Tensor, add_n
 
 
 def nfp_execute_sage(self, ctx, plan, batches, layer):
@@ -293,9 +314,216 @@ def dnp_execute_batch(self, ctx, plan, batches):
     return h1
 
 
+def _as_rows(execute):
+    """A frozen first layer's per-device list, as the stacked layers read
+    it (one node stacking the devices' rows)."""
+    def wrapped(self, ctx, *args):
+        h1 = execute(self, ctx, *args)
+        return Rows.from_parts(h1) if ctx.numerics else h1
+    return wrapped
+
+
 def install_per_pair(mp) -> None:
     """Route NFP's and SNP's mean-aggregation first layer and DNP's execute
     step to the frozen per-pair forms."""
-    mp.setattr(NFPStrategy, "_execute_sage", nfp_execute_sage)
-    mp.setattr(SNPStrategy, "_execute_sage", snp_execute_sage)
-    mp.setattr(DNPStrategy, "execute_batch", dnp_execute_batch)
+    mp.setattr(NFPStrategy, "_execute_sage", _as_rows(nfp_execute_sage))
+    mp.setattr(SNPStrategy, "_execute_sage", _as_rows(snp_execute_sage))
+    mp.setattr(DNPStrategy, "execute_batch", _as_rows(dnp_execute_batch))
+
+
+# ---------------------------------------------------------------------- #
+# the per-device model
+# ---------------------------------------------------------------------- #
+def charge_sampling(ctx, batches) -> None:
+    """``engine.base.charge_sampling``: one scalar charge per device."""
+    for d, mb in enumerate(batches):
+        if mb is None:
+            continue
+        if ctx.cpu_sampling:
+            ctx.charger.cpu_sampling(d, mb.total_edges())
+        else:
+            ctx.charger.gpu_sampling(d, mb.total_edges())
+        ctx.count("sampled_edges", mb.total_edges(), device=d, phase="sample")
+
+
+def upper_forward(self, ctx, plan, batches, h1):
+    """``Strategy.upper_forward``: every upper layer per device, per-device
+    logits (a stacked first layer's rows split per device first)."""
+    h1 = h1.parts if isinstance(h1, Rows) else h1
+    logits: List[Optional[Tensor]] = []
+    for d, mb in enumerate(batches):
+        if mb is None:
+            logits.append(None)
+            continue
+        h = h1[d]
+        for layer, block in zip(list(ctx.model.layers)[1:], mb.blocks[1:]):
+            ctx.charger.dense(d, layer.forward_flops(block))
+            h = layer.full_forward(block, h) if ctx.numerics else None
+        logits.append(h)
+    return logits
+
+
+def gdp_execute_batch(self, ctx, plan, batches):
+    """``GDPStrategy.execute_batch``: one first-layer forward per device."""
+    layer = ctx.model.first_layer
+    h1: List[Optional[Tensor]] = []
+    for d, mb in enumerate(batches):
+        if mb is None:
+            h1.append(None)
+            continue
+        block = mb.blocks[0]
+        ctx.charger.dense(d, layer.forward_flops(block))
+        ctx.recorder.record_intermediate(
+            d, 8.0 * (block.num_src * layer.in_dim + block.num_dst * layer.out_dim)
+        )
+        pos = (
+            ctx.store.shared_positions(plan.load_nodes[d])
+            if ctx.numerics
+            else None
+        )
+        if pos is not None:
+            ctx.store.charge_load(d, plan.load_nodes[d], ctx.timeline)
+            h1.append(
+                layer.full_forward(
+                    block, Tensor(ctx.store.shared_rows()), src_index=pos
+                )
+            )
+            continue
+        x_rows, _ = read_features(ctx, d, plan.load_nodes[d])
+        h1.append(
+            layer.full_forward(block, Tensor(x_rows)) if ctx.numerics else None
+        )
+    return h1
+
+
+def layerwise_upper_forward(self, ctx, plan, batches, h1):
+    """``LayerwiseStrategy.upper_forward``: every stage per device."""
+    if self.homogeneous:
+        return upper_forward(self, ctx, plan, batches, h1)
+    state: List[Optional[Tensor]] = list(h1.parts if isinstance(h1, Rows) else h1)
+    for stage in plan.stages:
+        layer = ctx.model.layers[stage.layer]
+        if stage.layout == LAYOUT_REPLICATED:
+            inputs = (
+                apply_gathers(ctx, stage.gathers, stage.move_bytes, state)
+                if any(g is not None for g in stage.gathers)
+                else state
+            )
+            new_state: List[Optional[Tensor]] = []
+            for d, mb in enumerate(batches):
+                if mb is None:
+                    new_state.append(None)
+                    continue
+                block = mb.blocks[stage.layer]
+                ctx.charger.dense(d, layer.forward_flops(block))
+                new_state.append(
+                    layer.full_forward(block, inputs[d]) if ctx.numerics else None
+                )
+        else:
+            assert stage.layout == LAYOUT_NODE
+            inputs = apply_gathers(ctx, stage.gathers, stage.move_bytes, state)
+            new_state = []
+            for p, blk in enumerate(stage.blocks):
+                if blk is None:
+                    new_state.append(None)
+                    continue
+                ctx.charger.dense(p, layer.forward_flops(blk))
+                ctx.recorder.record_intermediate(
+                    p,
+                    8.0 * (blk.num_src * layer.in_dim + blk.num_dst * layer.out_dim),
+                )
+                new_state.append(
+                    layer.full_forward(blk, inputs[p]) if ctx.numerics else None
+                )
+        state = new_state
+    if plan.final_gathers is not None:
+        state = apply_gathers(
+            ctx, plan.final_gathers, plan.final_move_bytes, state
+        )
+    return state
+
+
+def apply_gathers(ctx, gathers, move_bytes, state):
+    """``LayerwiseStrategy._apply_gathers`` on per-device tensors."""
+    C = len(gathers)
+    if not ctx.numerics:
+        if move_bytes is not None and move_bytes.any():
+            ctx.comm.alltoall_bytes(move_bytes, phase="shuffle", count_backward=True)
+        return [None] * C
+    grid: List[List[Optional[Tensor]]] = [[None] * C for _ in range(C)]
+    for t, spec in enumerate(gathers):
+        if spec is None:
+            continue
+        for h, idx in spec.pieces:
+            grid[h][t] = state[h].index_rows(idx)
+    received = ctx.comm.alltoall_tensors(grid, phase="shuffle")
+    out: List[Optional[Tensor]] = []
+    for t, spec in enumerate(gathers):
+        if spec is None:
+            out.append(None)
+            continue
+        rows = [received[t][h] for h, _ in spec.pieces]
+        stacked = rows[0] if len(rows) == 1 else tensor_concat(rows, axis=0)
+        out.append(stacked.index_rows(spec.perm))
+    return out
+
+
+def run_global_batch(self, global_batch, epoch):
+    """``ParallelTrainer.run_global_batch``: one loss node per device,
+    summed with ``add_n`` in device order."""
+    ctx = self.ctx
+    seeds = self.strategy.assign_seeds(ctx, global_batch)
+    batches = sample_batches(ctx, seeds, epoch)
+    plan = self.strategy.plan_batch(ctx, batches, epoch)
+    shared = None
+    if ctx.numerics:
+        backend = resolve_backend(ctx)
+        if not (
+            self.strategy.gather_prefetch
+            and getattr(backend, "gather_prefetch", False)
+        ):
+            requests = self.strategy.load_requests(ctx, plan, batches)
+            if requests is not None:
+                shared = ctx.store.begin_shared_gather(requests)
+    try:
+        h1 = self.strategy.execute_batch(ctx, plan, batches)
+        logits = self.strategy.upper_forward(ctx, plan, batches, h1)
+        losses: List[Tensor] = []
+        weight_total = float(len(global_batch))
+        for d, mb in enumerate(batches):
+            if mb is None or logits[d] is None:
+                continue
+            labels = ctx.dataset.labels[mb.blocks[-1].dst_nodes]
+            losses.append(
+                F.cross_entropy(logits[d], labels, weight_total=weight_total)
+            )
+        loss_value = float("nan")
+        if ctx.numerics:
+            total_loss = add_n(losses)
+            total_loss.backward()
+            loss_value = total_loss.item()
+        ctx.comm.allreduce_gradient_sync(
+            self.strategy.grad_sync_bytes(ctx.model), phase="train"
+        )
+        if ctx.numerics and self.optimizer is not None:
+            self.optimizer.step()
+        ctx.model.zero_grad()
+    finally:
+        if shared is not None:
+            ctx.store.end_shared_gather()
+    if shared is not None:
+        ctx.count("gather.requested_rows", shared[0], phase="load")
+        ctx.count("gather.unique_rows", shared[1], phase="load")
+    ctx.timeline.end_batch()
+    return loss_value
+
+
+def install_per_device(mp) -> None:
+    """Route the upper layers, GDP's execute step, the trainer's loss and
+    the sampling charges to their frozen per-device forms."""
+    mp.setattr(Strategy, "upper_forward", upper_forward)
+    mp.setattr(LayerwiseStrategy, "upper_forward", layerwise_upper_forward)
+    mp.setattr(GDPStrategy, "execute_batch", gdp_execute_batch)
+    mp.setattr(ParallelTrainer, "run_global_batch", run_global_batch)
+    mp.setattr(base, "charge_sampling", charge_sampling)
+    mp.setattr(serve_engine, "charge_sampling", charge_sampling)

@@ -142,13 +142,3 @@ class TestGraphSAGEModel:
         assert m.parameter_bytes() == sum(p.nbytes for p in m.parameters())
         assert m.first_layer_parameter_bytes() < m.parameter_bytes()
 
-    def test_upper_forward_matches_manual(self):
-        ds = small_dataset(n=600, feature_dim=8, num_classes=3)
-        s = NeighborSampler(ds.graph, [3, 3], global_seed=0)
-        mb = s.sample(ds.train_seeds[:8])
-        m = GraphSAGE(8, 16, 3, num_layers=2, seed=0)
-        x = Tensor(ds.features[mb.input_nodes])
-        h1 = m.layers[0].full_forward(mb.blocks[0], x)
-        via_upper = m.upper_forward(mb, h1).data
-        via_full = m(mb, x).data
-        np.testing.assert_allclose(via_upper, via_full, atol=1e-14)

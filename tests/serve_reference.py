@@ -3,15 +3,16 @@
 Each batch deduplicated its nodes, assigned its seeds and sampled its
 per-device minibatches (one union sample, each device restricted out of
 it, through ``sample_device_batches``) inside ``_infer``, right before its
-forward pass.  ``ServeEngine.serve`` now assigns every batch's seeds up
-front and samples chunks of batches in one ``sample_many`` call
-(DESIGN.md §5.13); ``tests/serve/test_sample_ahead_pin.py`` requires it to
-match this form exactly: responses, latencies, Timeline state, telemetry
-counters and cache refreshes.
+forward pass, and took one argmax per device.  ``ServeEngine.serve`` now
+assigns every batch's seeds up front, samples chunks of batches in one
+``sample_many`` call (DESIGN.md §5.13) and runs every device's layers and
+argmax at once (§5.18); ``tests/serve/test_sample_ahead_pin.py`` requires
+it to match this form exactly: responses, latencies, Timeline state,
+telemetry counters and cache refreshes.
 
-:func:`reference_serve` runs the frozen loop on a built engine; the window
-and report helpers it calls are the engine's own (unchanged by the
-sample-ahead).
+:func:`reference_serve` runs the frozen loop on a built engine, with the
+per-device model of ``tests/first_layer_reference.py`` installed; the
+window and report helpers it calls are the engine's own.
 """
 
 from __future__ import annotations
@@ -19,11 +20,13 @@ from __future__ import annotations
 from typing import Dict, List
 
 import numpy as np
+import pytest
 
-from repro.engine.base import charge_sampling
+from repro.engine import base
 from repro.sampling.cache import sample_device_batches
 from repro.serve.report import Response
 from repro.tensor.tensor import no_grad
+from tests.first_layer_reference import install_per_device
 
 
 def reference_infer(engine, nodes: np.ndarray, batch_index: int) -> Dict[int, int]:
@@ -31,7 +34,7 @@ def reference_infer(engine, nodes: np.ndarray, batch_index: int) -> Dict[int, in
     unique_nodes = np.unique(np.asarray(nodes, dtype=np.int64))
     seeds = engine.strategy.assign_seeds(ctx, unique_nodes)
     batches = sample_device_batches(ctx.sampler, seeds, batch_index)
-    charge_sampling(ctx, batches)
+    base.charge_sampling(ctx, batches)
     plan = engine.strategy.plan_batch(ctx, batches, batch_index)
     predictions: Dict[int, int] = {}
     with no_grad():
@@ -51,8 +54,14 @@ def reference_infer(engine, nodes: np.ndarray, batch_index: int) -> Dict[int, in
 
 
 def reference_serve(engine, requests):
-    """``ServeEngine.serve`` with per-batch sampling (no up-front checks:
-    the pin serves valid streams only)."""
+    """``ServeEngine.serve`` with per-batch sampling and the per-device
+    model (no up-front checks: the pin serves valid streams only)."""
+    with pytest.MonkeyPatch.context() as mp:
+        install_per_device(mp)
+        return _reference_serve(engine, requests)
+
+
+def _reference_serve(engine, requests):
     ctx = engine.ctx
     batches = engine.queue.form_batches(requests)
     cfg = engine.config

@@ -18,7 +18,7 @@ from repro.models.sage import SAGELayer
 from repro.sampling.block import Block
 from repro.tensor import fused
 from repro.tensor import functional as F
-from repro.tensor.tensor import Tensor
+from repro.tensor.tensor import Tensor, add_n
 from tests import composed_reference as reference
 
 
@@ -83,8 +83,10 @@ def test_segment_linear_equals_one_chain_per_segment(terms, order):
         return ws, Tensor(local.standard_normal(3), requires_grad=True)
 
     ws, b = params()
+    starts = np.cumsum([0] + rows)
     out = fused.segment_linear(
-        list(zip(xs, ws)), b, "relu", None if order is None else lambda: order
+        [(Tensor(np.concatenate(x)), w) for x, w in zip(xs, ws)], starts, b,
+        "relu", None if order is None else lambda: order,
     )
     out.backward(g)
     ref_ws, ref_b = params()
@@ -92,12 +94,64 @@ def test_segment_linear_equals_one_chain_per_segment(terms, order):
         fused.add_bias_act([Tensor(x[s]) @ w for x, w in zip(xs, ref_ws)], ref_b, "relu")
         for s in range(len(rows))
     ]
-    starts = np.cumsum([0] + rows)
     for s in order if order is not None else range(len(rows)):
         chains[s].backward(g[starts[s] : starts[s + 1]])
     assert np.array_equal(out.data, np.concatenate([c.data for c in chains]))
     for got, want in zip(ws + [b], ref_ws + [ref_b]):
         assert np.array_equal(got.grad, want.grad)
+
+
+@pytest.mark.parametrize("dims", [(4, 3), (32, 16), (64, 32), (16, 4)])
+def test_segment_linear_tensor_input_gets_each_segments_gradient(dims):
+    # A stacked input receives each segment's own ``g @ W.T`` (a 1-row
+    # segment's is a gemv), bit for bit the per-segment chains' input
+    # gradients; weights and bias follow ``order``.
+    d_in, d_out = dims
+    rng = np.random.default_rng(d_in * d_out)
+    rows = [3, 1, 5, 1, 2, 1]
+    spans = np.cumsum([0] + rows)
+    x = rng.standard_normal((spans[-1], d_in))
+    g = rng.standard_normal((spans[-1], d_out))
+    order = [4, 1, 0, 5, 3, 2]
+
+    def params():
+        local = np.random.default_rng(11)
+        return (Tensor(local.standard_normal((d_in, d_out)), requires_grad=True),
+                Tensor(local.standard_normal(d_out), requires_grad=True))
+
+    w, b = params()
+    xt = Tensor(x, requires_grad=True)
+    out = fused.segment_linear([(xt, w)], spans, b, "relu", lambda: order)
+    out.backward(g)
+    ref_w, ref_b = params()
+    xs = [Tensor(x[a:c], requires_grad=True) for a, c in zip(spans[:-1], spans[1:])]
+    chains = [fused.linear(xs[s], ref_w, ref_b, "relu") for s in range(len(rows))]
+    for s in order:
+        chains[s].backward(g[spans[s] : spans[s + 1]])
+    assert np.array_equal(out.data, np.concatenate([c.data for c in chains]))
+    assert np.array_equal(xt.grad, np.concatenate([t.grad for t in xs]))
+    assert np.array_equal(w.grad, ref_w.grad)
+    assert np.array_equal(b.grad, ref_b.grad)
+
+
+def test_cross_entropy_segments_equal_one_loss_per_segment():
+    # One loss node over stacked rows: each segment's loss on its own,
+    # added in the given order, as ``add_n`` of per-segment losses.
+    rng = np.random.default_rng(5)
+    logits = rng.standard_normal((17, 4)) * 3.0
+    labels = rng.integers(0, 4, size=17)
+    bounds = [(0, 5), (5, 6), (6, 12), (12, 17)]
+    segments = [slice(*bounds[k]) for k in (2, 0, 3, 1)]
+    stacked = Tensor(logits, requires_grad=True)
+    loss = F.cross_entropy(stacked, labels, 40.0, segments=segments)
+    loss.backward()
+    parts = [Tensor(logits[rows], requires_grad=True) for rows in segments]
+    ref = add_n([F.cross_entropy(t, labels[rows], 40.0)
+                 for t, rows in zip(parts, segments)])
+    ref.backward()
+    assert loss.data.tobytes() == ref.data.tobytes()
+    for t, rows in zip(parts, segments):
+        assert np.array_equal(stacked.grad[rows], t.grad)
 
 
 def test_fused_linear_negative_inputs_relu_mask():
