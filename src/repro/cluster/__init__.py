@@ -11,6 +11,8 @@ bandwidth/throughput *ratios* that this model preserves.
 
 from repro.cluster.spec import (
     DEVICE_CLASSES,
+    ELEMENT_BYTES,
+    ID_BYTES,
     ClusterSpec,
     DeviceSpec,
     LinkSpec,
@@ -25,6 +27,8 @@ from repro.cluster.comm import Communicator
 from repro.cluster.faults import FAULT_KINDS, FaultEvent, FaultSchedule
 
 __all__ = [
+    "ELEMENT_BYTES",
+    "ID_BYTES",
     "DeviceSpec",
     "LinkSpec",
     "MachineSpec",

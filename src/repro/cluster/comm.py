@@ -28,7 +28,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.cluster.spec import ClusterSpec
+from repro.cluster.spec import ELEMENT_BYTES, ClusterSpec
 from repro.cluster.timeline import Timeline
 from repro.tensor.tensor import Tensor, add_n
 
@@ -161,7 +161,7 @@ class Communicator:
             for j in range(C):
                 t = parts[i][j]
                 if t is not None and i != j:
-                    B[i, j] = t.nbytes
+                    B[i, j] = t.size * ELEMENT_BYTES
         self._charge_pairwise(B, phase, 2.0 if count_backward else 1.0)
         return [[parts[i][j] for i in range(C)] for j in range(C)]
 
@@ -188,7 +188,7 @@ class Communicator:
                 for j in range(C):
                     t = grid[i][j]
                     if t is not None and i != j:
-                        B[i, j] += t.nbytes
+                        B[i, j] += t.size * ELEMENT_BYTES
         self._charge_pairwise(B, phase, 2.0 if count_backward else 1.0)
         return [
             [[grid[i][j] for i in range(C)] for j in range(C)] for grid in grids
@@ -217,7 +217,7 @@ class Communicator:
             for owner in range(C):
                 t = contributions[src][owner]
                 if t is not None and src != owner:
-                    B[src, owner] = t.nbytes
+                    B[src, owner] = t.size * ELEMENT_BYTES
         self._charge_pairwise(B, phase, 2.0 if count_backward else 1.0)
         out: List[Optional[Tensor]] = []
         for owner in range(C):

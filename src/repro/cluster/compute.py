@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.cluster.spec import ClusterSpec
+from repro.cluster.spec import ELEMENT_BYTES, ClusterSpec
 from repro.cluster.timeline import Timeline
 
 #: forward + backward FLOP multiple of a training step.
@@ -55,10 +55,10 @@ class ComputeCharger:
         self.timeline.charge(device, phase, flops / self._flops_rate[device])
 
     def gather(self, device: int, rows: int, dim: int, phase: str = "load") -> None:
-        """Charge a row-gather of ``rows x dim`` float64 elements."""
+        """Charge a row-gather of ``rows x dim`` elements."""
         spec = self.cluster.device_spec(device)
         self.timeline.charge(
-            device, phase, spec.memory_bound_seconds(rows * dim * 8 * 2)
+            device, phase, spec.memory_bound_seconds(rows * dim * ELEMENT_BYTES * 2)
         )
 
     def gpu_sampling(self, device, num_edges, phase: str = "sample") -> None:

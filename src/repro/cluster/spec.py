@@ -17,6 +17,15 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.utils.validation import check_positive
 
+#: Simulated bytes per feature, hidden, partial, intermediate or gradient
+#: element: every float the simulated cluster stores or moves is charged at
+#: this size.  Eight (float64, the host numerics' dtype), not the paper's
+#: FP32 four; DESIGN.md §2 lists the substitution.
+ELEMENT_BYTES = 8.0
+#: Simulated bytes per node id or edge endpoint of a shipped computation
+#: graph (int64, as DGL ships them).
+ID_BYTES = 8.0
+
 
 @dataclass(frozen=True)
 class DeviceSpec:

@@ -59,7 +59,7 @@ class Timeline:
 
     Every barrier also keeps a snapshot of the batch's per-device phase
     deltas (one ``devices x 4`` float copy), so any finished run can be
-    exported with :meth:`to_chrome_trace` — there is no flag to forget.
+    exported with :func:`chrome_trace` — there is no flag to forget.
     """
 
     def __init__(
@@ -191,11 +191,6 @@ class Timeline:
             for label, phases in PAPER_BREAKDOWN.items()
         }
 
-    def to_chrome_trace(self) -> list:
-        """Export the run as Chrome-trace events (``chrome://tracing``);
-        see :func:`chrome_trace`."""
-        return chrome_trace([self])
-
     # ------------------------------------------------------------------ #
     def state_dict(self) -> Dict[str, object]:
         """Everything accumulated so far, for checkpoint/resume.
@@ -239,18 +234,6 @@ class Timeline:
         timeline = cls(len(state["device_phase"]))
         timeline.load_state_dict(state)
         return timeline
-
-    def merged(self, other: "Timeline") -> "Timeline":
-        """Element-wise sum of two timelines (multi-epoch aggregation)."""
-        if other.num_devices != self.num_devices:
-            raise ValueError("cannot merge timelines with different device counts")
-        out = Timeline(self.num_devices)
-        out._device_phase = self._device_phase + other._device_phase
-        out._wall = self._wall + other._wall
-        out._phase_wall = self._phase_wall + other._phase_wall
-        out._batches = self._batches + other._batches
-        return out
-
 
 def busy_imbalance(busy: Sequence[float]) -> Dict[str, float]:
     """Max and min of per-device busy seconds and their ratio.

@@ -33,29 +33,29 @@ from typing import Dict
 
 import numpy as np
 
-from repro.cluster.spec import ClusterSpec
+from repro.cluster.spec import ELEMENT_BYTES, ClusterSpec
 from repro.core.dryrun import DryRunStats
 from repro.featurestore.store import Tier
 from repro.utils.random import rng_from
 
 
 # ---------------------------------------------------------------------- #
-# the paper's closed-form shuffle volumes (bytes, float64 elements)
+# the paper's closed-form shuffle volumes (bytes of ELEMENT_BYTES elements)
 # ---------------------------------------------------------------------- #
 def nfp_shuffle_volume(hidden_dim: int, num_devices: int, n_dst: int) -> float:
     """NFP: every GPU exchanges a partial per layer-1 destination —
     ``2 d' C N_d`` elements (§3.2)."""
-    return 2.0 * hidden_dim * num_devices * n_dst * 8.0
+    return 2.0 * hidden_dim * num_devices * n_dst * ELEMENT_BYTES
 
 
 def snp_shuffle_volume(hidden_dim: int, n_virtual: int) -> float:
     """SNP: ``2 d' N_vs`` elements over the virtual nodes (§3.2)."""
-    return 2.0 * hidden_dim * n_virtual * 8.0
+    return 2.0 * hidden_dim * n_virtual * ELEMENT_BYTES
 
 
 def dnp_shuffle_volume(hidden_dim: int, n_virtual: int) -> float:
     """DNP: ``2 d' N_vd`` elements over the virtual nodes (§3.2)."""
-    return 2.0 * hidden_dim * n_virtual * 8.0
+    return 2.0 * hidden_dim * n_virtual * ELEMENT_BYTES
 
 
 @dataclass
@@ -229,7 +229,7 @@ class CostModel:
         plain memory reads and carry none); slowest device governs, like the
         bandwidth term.
         """
-        reads = getattr(stats.recorder, "disk_ranged_reads", None)
+        reads = stats.recorder.disk_ranged_reads
         per_device = []
         for d, rows in enumerate(stats.recorder.load_rows):
             prof = self._device_profiles[d]
@@ -241,18 +241,17 @@ class CostModel:
             lat = stats.num_batches * sum(
                 lat for t, lat in tier_latency.items() if rows.get(t, 0.0) > 0
             )
-            if reads is not None:
-                # Disk pays one setup latency per coalesced ranged read, not
-                # per batch — scattered misses are what make disk slow.
-                lat += float(reads[d]) * prof["disk_latency"]
+            # Disk pays one setup latency per coalesced ranged read, not
+            # per batch — scattered misses are what make disk slow.
+            lat += float(reads[d]) * prof["disk_latency"]
             per_device.append(lat)
         return float(max(per_device)) if per_device else 0.0
 
     def load_seconds(self, stats: DryRunStats) -> float:
         """T_load: the slowest device's per-tier load volume at profiled
         bandwidths, plus the per-batch message latencies."""
-        row_bytes = self.feature_dim * 8.0 * stats.dim_fraction
-        reads = getattr(stats.recorder, "disk_ranged_reads", None)
+        row_bytes = self.feature_dim * ELEMENT_BYTES * stats.dim_fraction
+        reads = stats.recorder.disk_ranged_reads
         per_device = []
         for d, rows in enumerate(stats.recorder.load_rows):
             prof = self._device_profiles[d]
@@ -272,8 +271,7 @@ class CostModel:
             secs += stats.num_batches * sum(
                 lat for t, lat in tier_latency.items() if rows.get(t, 0.0) > 0
             )
-            if reads is not None:
-                secs += float(reads[d]) * prof["disk_latency"]
+            secs += float(reads[d]) * prof["disk_latency"]
             per_device.append(secs)
         return float(max(per_device)) if per_device else 0.0
 
@@ -322,9 +320,7 @@ class CostModel:
         # Upper-layer compute follows the seed assignment, so it joins the
         # skew here: an equal seed split (gdp) leaves the slow tier holding
         # an equal share of *all* layers, not just layer 1.
-        upper = getattr(stats.recorder, "upper_flops", None)
-        if upper is not None and upper.size == flops.size:
-            flops = flops + upper
+        flops = flops + stats.recorder.upper_flops
         secs = np.array([
             self.cluster.device_spec(d).dense_seconds(
                 float(flops[d]) * TRAIN_FLOP_FACTOR
@@ -447,20 +443,3 @@ class CostModel:
             )
             for name, stats in stats_by_strategy.items()
         }
-
-    def estimate_epoch_seconds(
-        self, stats: DryRunStats, t_train_common: float
-    ) -> float:
-        """Full epoch-time prediction (the paper's Fig. 12 methodology).
-
-        Strategy *ranking* never needs T_train, but predicting absolute
-        epoch time does; the paper measures the common training-compute
-        time once on GDP (which does not shuffle hidden embeddings) and
-        adds the strategy-specific estimate to it.  Pass that measurement
-        as ``t_train_common``.
-        """
-        if t_train_common < 0:
-            raise ValueError(
-                f"t_train_common must be >= 0, got {t_train_common}"
-            )
-        return self.estimate(stats).total + float(t_train_common)

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
-from repro.core.costmodel import CostModel
+from repro.core.costmodel import CostEstimate, CostModel
 from repro.core.dryrun import DryRunStats
 from repro.engine.layerwise import (
     LAYER_STRATEGIES,
@@ -35,7 +35,7 @@ OBJECTIVES = ("epoch", "latency", "cost")
 UPPER_LAYOUTS = ("gdp", "snp")
 
 
-def pareto_frontier(estimates: Dict[str, object]) -> List[str]:
+def pareto_frontier(estimates: Dict[str, CostEstimate]) -> List[str]:
     """Non-dominated candidates in the (time, dollars) plane.
 
     A candidate is dominated when another is at least as fast *and* at
@@ -44,15 +44,14 @@ def pareto_frontier(estimates: Dict[str, object]) -> List[str]:
     """
     items = sorted(
         estimates.items(),
-        key=lambda kv: (kv[1].total, getattr(kv[1], "dollars", 0.0)),
+        key=lambda kv: (kv[1].total, kv[1].dollars),
     )
     frontier: List[str] = []
     best_dollars = float("inf")
     for name, est in items:
-        dollars = getattr(est, "dollars", 0.0)
-        if dollars < best_dollars:
+        if est.dollars < best_dollars:
             frontier.append(name)
-            best_dollars = dollars
+            best_dollars = est.dollars
     return frontier
 
 
@@ -276,11 +275,9 @@ class Planner:
         for name, stats in stats_by_strategy.items():
             if is_layerwise_spec(name):
                 layer_assignments[name] = parse_layerwise(name)
-            recorder = getattr(stats, "recorder", None)
-            if recorder is not None and hasattr(recorder, "total_relayout_bytes"):
-                nbytes = recorder.total_relayout_bytes()
-                if nbytes or name in layer_assignments:
-                    relayout[name] = nbytes
+            nbytes = stats.recorder.total_relayout_bytes()
+            if nbytes or name in layer_assignments:
+                relayout[name] = nbytes
         return PlanReport(
             estimates=estimates,
             chosen=chosen,

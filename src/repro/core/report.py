@@ -423,18 +423,15 @@ class RunReport(ReportBase):
                     len("layerwise:") :
                 ].split(",")
             recorder = self.result.recorder
-            if recorder is not None and hasattr(
-                recorder, "total_relayout_bytes"
-            ):
-                total = recorder.total_relayout_bytes()
-                if total:
-                    out["result"]["relayout_bytes"] = total
-                    out["result"]["relayout_layer_bytes"] = {
-                        str(layer): nbytes
-                        for layer, nbytes in sorted(
-                            recorder.relayout_layer_bytes.items()
-                        )
-                    }
+            total = recorder.total_relayout_bytes()
+            if total:
+                out["result"]["relayout_bytes"] = total
+                out["result"]["relayout_layer_bytes"] = {
+                    str(layer): nbytes
+                    for layer, nbytes in sorted(
+                        recorder.relayout_layer_bytes.items()
+                    )
+                }
         if self.strategy_by_epoch:
             out["strategy_by_epoch"] = list(self.strategy_by_epoch)
         out["replans"] = [r.to_dict() for r in self.replans]

@@ -27,6 +27,7 @@ from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
+from repro.cluster.spec import ELEMENT_BYTES, ID_BYTES
 from repro.engine.context import ExecutionContext
 from repro.featurestore.store import Tier, count_ranges
 from repro.models.base import PartialMeanLayer, extend_with_self_edges
@@ -505,7 +506,7 @@ def route_first_layer(
         routed.append(_Routed(block, src_g, edge_server, dst_owner, hosted))
 
     # A task's structure: its edges (two ids each) and its destinations.
-    struct_bytes = 8.0 * (2 * counts.edges + counts.vdst)
+    struct_bytes = ID_BYTES * (2 * counts.edges + counts.vdst)
     np.fill_diagonal(struct_bytes, 0.0)
     ctx.recorder.n_virtual += int(counts.vdst.sum() - np.trace(counts.vdst))
     ctx.comm.alltoall_bytes(struct_bytes, phase="sample")
@@ -690,7 +691,7 @@ def layer_step(
     for d in devices if intermediate else ():
         b = blocks[d]
         ctx.recorder.record_intermediate(
-            d, 8.0 * (b.num_src * layer.in_dim + b.num_dst * layer.out_dim)
+            d, ELEMENT_BYTES * (b.num_src * layer.in_dim + b.num_dst * layer.out_dim)
         )
     if not ctx.numerics:
         return None

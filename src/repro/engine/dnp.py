@@ -38,6 +38,7 @@ from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
+from repro.cluster.spec import ELEMENT_BYTES
 from repro.engine.base import (
     RoutePlan,
     RouteTask,
@@ -126,7 +127,7 @@ class DNPStrategy(Strategy):
                     + 4.0 * n_vdst * layer.in_dim * d_hidden
                 )
             ctx.recorder.record_layer1_flops(o, flops)
-            ctx.recorder.record_hidden(o, r, n_vdst * d_hidden * 8.0)
+            ctx.recorder.record_hidden(o, r, n_vdst * d_hidden * ELEMENT_BYTES)
         # One hidden-embedding alltoall per batch along the task pattern.
         ctx.recorder.record_message_pattern(counts.pattern(), calls=1)
         return plan
@@ -167,10 +168,11 @@ class DNPStrategy(Strategy):
             flops.append(layer.forward_flops(sub))
             ctx.recorder.record_intermediate(
                 o,
-                8.0 * (sub.num_src * layer.in_dim + sub.num_dst * layer.out_dim),
+                ELEMENT_BYTES
+                * (sub.num_src * layer.in_dim + sub.num_dst * layer.out_dim),
             )
             if o != r:
-                hidden_bytes[o, r] += sub.num_dst * layer.out_dim * 8.0
+                hidden_bytes[o, r] += sub.num_dst * layer.out_dim * ELEMENT_BYTES
         ctx.charger.dense([o for _, o in pairs], flops)
         ctx.comm.alltoall_bytes(hidden_bytes, phase="shuffle", count_backward=True)
         if not ctx.numerics:

@@ -39,6 +39,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.cluster.spec import ELEMENT_BYTES, ID_BYTES
 from repro.engine.base import (
     LAYOUT_NODE,
     LAYOUT_REPLICATED,
@@ -374,7 +375,7 @@ class LayerwiseStrategy(Strategy):
         for li in range(1, num_layers):
             layer = ctx.model.layers[li]
             layout = self.upper_layouts[li - 1]
-            row_bytes = 8.0 * layer.in_dim
+            row_bytes = ELEMENT_BYTES * layer.in_dim
             follower_ids = [
                 mb.blocks[li].src_nodes if mb is not None else None
                 for mb in batches
@@ -449,7 +450,7 @@ class LayerwiseStrategy(Strategy):
         if mode == "node":
             # Back to the loss layout: each seed device collects its own
             # final destinations.  Free when seeds were partition-split.
-            row_bytes = 8.0 * ctx.model.layers[-1].out_dim
+            row_bytes = ELEMENT_BYTES * ctx.model.layers[-1].out_dim
             move = np.zeros((C, C))
             finals: List[Optional[GatherSpec]] = [None] * C
             for d, mb in enumerate(batches):
@@ -506,7 +507,7 @@ class LayerwiseStrategy(Strategy):
 
         Every destination's block structure lives with the device that
         sampled it; regrouping a layer by ownership moves each node's
-        in-edge list (endpoint pairs + ids, 8 bytes per entry) from its
+        in-edge list (endpoint pairs + ids, ``ID_BYTES`` per entry) from its
         first holder to its owner — charged like the single strategies'
         structure shuffles (phase ``sample``, i.e. T_build).
         """
@@ -529,7 +530,7 @@ class LayerwiseStrategy(Strategy):
         first[1:] = dst[1:] != dst[:-1]
         v, holder, degree = dst[first], dev[first], deg[first]
         owner = parts[v]
-        nbytes = 8.0 * (2.0 * degree + 2.0)
+        nbytes = ID_BYTES * (2.0 * degree + 2.0)
         C = ctx.num_devices
         struct = np.zeros((C, C))
         np.add.at(struct, (holder, owner), nbytes)

@@ -33,6 +33,7 @@ from typing import List, Optional
 
 import numpy as np
 
+from repro.cluster.spec import ELEMENT_BYTES
 from repro.engine.base import (
     Rows,
     Strategy,
@@ -170,7 +171,7 @@ class NFPStrategy(Strategy):
             block = mb.blocks[0]
             ctx.recorder.n_dst += block.num_dst
             rows = block.num_src if layer.is_attention else block.num_dst
-            nbytes = rows * d_hidden * 8.0
+            nbytes = rows * d_hidden * ELEMENT_BYTES
             for c in range(C):
                 if c != owner:
                     ctx.recorder.record_hidden(c, owner, nbytes)
@@ -228,15 +229,15 @@ class NFPStrategy(Strategy):
                     continue
                 block = mb.blocks[0]
                 if c != o:
-                    shuffle_bytes[c, o] += block.num_dst * d_hidden * 8.0
+                    shuffle_bytes[c, o] += block.num_dst * d_hidden * ELEMENT_BYTES
                 devices.append(c)
                 flops.append(
                     2.0 * block.num_edges * d_hidden
                     + 2.0 * block.num_dst * (hi - lo) * d_hidden
                 )
-                inter += block.num_dst * d_hidden * 8.0
+                inter += block.num_dst * d_hidden * ELEMENT_BYTES
             ctx.recorder.record_intermediate(
-                c, inter + union.size * (hi - lo) * 8.0
+                c, inter + union.size * (hi - lo) * ELEMENT_BYTES
             )
         # Every charge in loop order: one vectorized call.
         ctx.charger.dense(devices, flops)
@@ -295,7 +296,7 @@ class NFPStrategy(Strategy):
             else:
                 read_features(ctx, c, union)
             ctx.charger.dense(c, 2.0 * union.size * (hi - lo) * d_proj)
-            inter = union.size * ((hi - lo) + d_proj) * 8.0
+            inter = union.size * ((hi - lo) + d_proj) * ELEMENT_BYTES
             for o, mb in enumerate(batches):
                 if mb is None:
                     continue
@@ -303,8 +304,8 @@ class NFPStrategy(Strategy):
                 if ctx.numerics:
                     contributions[c][o] = z_union.index_rows(idx)
                 if c != o:
-                    shuffle_bytes[c, o] += idx.size * d_proj * 8.0
-                inter += idx.size * d_proj * 8.0
+                    shuffle_bytes[c, o] += idx.size * d_proj * ELEMENT_BYTES
+                inter += idx.size * d_proj * ELEMENT_BYTES
             ctx.recorder.record_intermediate(c, inter)
         # SparseAllreduce the full projections, then attend locally.
         if ctx.numerics:

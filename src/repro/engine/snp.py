@@ -44,6 +44,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.cluster.spec import ELEMENT_BYTES
 from repro.engine.base import (
     RoutePlan,
     RouteTask,
@@ -143,7 +144,7 @@ class SNPStrategy(Strategy):
                 n_vdst * (d_hidden + 2 * layer.heads) if is_attention
                 else n_vdst * (d_hidden + 1) + n_self * d_hidden
             )
-            ctx.recorder.record_hidden(p, r, payload * 8.0)
+            ctx.recorder.record_hidden(p, r, payload * ELEMENT_BYTES)
 
         # Message patterns of the Reshuffle stage (latency estimation).
         pairs = counts.pattern()
@@ -204,7 +205,9 @@ class SNPStrategy(Strategy):
             rows = plan.load_nodes[p].size
             devices.append(p)
             flops.append(2.0 * rows * layer.in_dim * d_hidden)
-            ctx.recorder.record_intermediate(p, rows * (layer.in_dim + d_hidden) * 8.0)
+            ctx.recorder.record_intermediate(
+                p, rows * (layer.in_dim + d_hidden) * ELEMENT_BYTES
+            )
         # Partials and self terms ship as one message per pair, then counts.
         counts = plan.counts
         pairs = counts.pairs()
@@ -215,8 +218,8 @@ class SNPStrategy(Strategy):
         for (r, p), ns in zip(pairs, n_self):
             n_vdst = int(counts.vdst[r, p])
             if p != r:
-                partial_bytes[p, r] += (n_vdst + ns) * d_hidden * 8.0
-                counts_bytes[p, r] += n_vdst * 8.0
+                partial_bytes[p, r] += (n_vdst + ns) * d_hidden * ELEMENT_BYTES
+                counts_bytes[p, r] += n_vdst * ELEMENT_BYTES
             devices.append(p)
             flops.append(2.0 * int(counts.edges[r, p]) * d_hidden)
             if ns:
@@ -327,7 +330,7 @@ class SNPStrategy(Strategy):
                 + 4.0 * plan.load_nodes[p].size * d_proj,
             )
             ctx.recorder.record_intermediate(
-                p, plan.load_nodes[p].size * (layer.in_dim + d_proj) * 8.0
+                p, plan.load_nodes[p].size * (layer.in_dim + d_proj) * ELEMENT_BYTES
             )
 
         # --- destination-score distribution (the attention extra comm) --- #
@@ -368,7 +371,7 @@ class SNPStrategy(Strategy):
             for o in range(C):
                 n = int(owned[o])
                 if n and o != task.server:
-                    score_bytes[o, task.server] += n * heads * 8.0
+                    score_bytes[o, task.server] += n * heads * ELEMENT_BYTES
         ctx.comm.alltoall_bytes(score_bytes, phase="shuffle", count_backward=True)
 
         # --- partial attention at each server ---------------------------- #
@@ -394,7 +397,7 @@ class SNPStrategy(Strategy):
                 num_grid[p][r] = num
                 den_grid[p][r] = den
             if p != r:
-                partial_bytes[p, r] += task.vdst.size * (d_proj + heads) * 8.0
+                partial_bytes[p, r] += task.vdst.size * (d_proj + heads) * ELEMENT_BYTES
             ctx.charger.dense(
                 p, task.edge_src.size * heads * (layer.head_dim + 6.0)
             )

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.cluster.spec import ELEMENT_BYTES
 from repro.graph.csr import CSRGraph
 
 
@@ -24,8 +25,8 @@ def cache_capacity_nodes(
     cache_bytes: float, feature_dim: int, dim_fraction: float = 1.0
 ) -> int:
     """Number of nodes a byte budget holds at ``feature_dim * dim_fraction``
-    float64 features per node (``dim_fraction < 1`` models NFP's shards)."""
-    per_node = feature_dim * dim_fraction * 8.0
+    feature elements per node (``dim_fraction < 1`` models NFP's shards)."""
+    per_node = feature_dim * dim_fraction * ELEMENT_BYTES
     if per_node <= 0:
         raise ValueError("feature_dim and dim_fraction must be positive")
     return int(cache_bytes // per_node)

@@ -27,7 +27,7 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.cluster.spec import ClusterSpec
+from repro.cluster.spec import ELEMENT_BYTES, ClusterSpec
 from repro.cluster.timeline import Timeline
 from repro.graph.datasets import GraphDataset
 from repro.utils.ids import sorted_unique
@@ -169,14 +169,6 @@ class LoadReport:
     def disk_bytes(self) -> float:
         return float(self.bytes.get(Tier.DISK, 0.0))
 
-    def merge(self, other: "LoadReport") -> None:
-        for t, v in other.rows.items():
-            self.rows[t] = self.rows.get(t, 0) + v
-        for t, v in other.bytes.items():
-            self.bytes[t] = self.bytes.get(t, 0.0) + v
-        self.seconds += other.seconds
-        self.ranged_reads += other.ranged_reads
-
 
 class UnifiedFeatureStore:
     """Feature placement plus cached-read accounting for all strategies.
@@ -290,7 +282,7 @@ class UnifiedFeatureStore:
         n = self.dataset.num_nodes
         if promote_bytes is None:
             promote_bytes = DISK_PROMOTE_MB * 2**20
-        row_bytes = max(self.dataset.feature_dim * 8, 1)
+        row_bytes = max(self.dataset.feature_dim * ELEMENT_BYTES, 1)
         self._promote_capacity = max(int(promote_bytes // row_bytes), 0)
         self._promote_every = max(int(promote_every), 1)
         self._disk_decay = float(decay)
@@ -302,12 +294,6 @@ class UnifiedFeatureStore:
             pinned = sorted_unique(np.asarray(resident_nodes, dtype=np.int64))
             pinned = pinned[: self._promote_capacity] if self._promote_capacity else pinned[:0]
             self._install_resident(pinned)
-
-    def disable_disk_tier(self) -> None:
-        """Deactivate the disk tier (every row counts as CPU-resident)."""
-        self._disk_pos = None
-        self._disk_rows_buf = None
-        self._disk_hot = None
 
     def _install_resident(self, nodes: np.ndarray) -> None:
         """Replace the promoted set with ``nodes`` (sorted unique ids)."""
@@ -522,7 +508,7 @@ class UnifiedFeatureStore:
         """
         node_ids = np.asarray(node_ids, dtype=np.int64)
         split = self.classify(device, node_ids)
-        row_bytes = self.dataset.feature_dim * 8.0 * self.dim_fraction
+        row_bytes = self.dataset.feature_dim * ELEMENT_BYTES * self.dim_fraction
 
         mspec = self.cluster.machine_spec(device)
         dspec = self.cluster.device_spec(device)

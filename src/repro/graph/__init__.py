@@ -26,7 +26,6 @@ from repro.graph.io import (
 from repro.graph.metrics import edge_cut_fraction, partition_balance, replication_factor
 from repro.graph.partition import (
     CoarseningHierarchy,
-    hash_partition,
     metis_like_partition,
     random_partition,
     streaming_partition,
@@ -45,7 +44,6 @@ __all__ = [
     "metis_like_partition",
     "CoarseningHierarchy",
     "random_partition",
-    "hash_partition",
     "streaming_partition",
     "save_dataset",
     "load_dataset_file",

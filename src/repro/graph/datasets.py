@@ -31,6 +31,7 @@ from typing import Callable, Dict, Optional
 
 import numpy as np
 
+from repro.cluster.spec import ELEMENT_BYTES
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import community_graph
 from repro.utils.random import rng_from
@@ -86,8 +87,8 @@ class GraphDataset:
 
     @property
     def feature_bytes(self) -> int:
-        """Total bytes of the feature matrix (drives cache sizing)."""
-        return int(self.features.nbytes)
+        """Simulated bytes of the feature matrix (drives cache sizing)."""
+        return int(self.num_nodes * self.feature_dim * ELEMENT_BYTES)
 
     def with_features(self, features: np.ndarray) -> "GraphDataset":
         """Return a copy with a different feature matrix (input-dim sweeps)."""

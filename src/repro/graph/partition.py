@@ -71,12 +71,6 @@ def random_partition(
     return rng.choice(num_parts, size=num_nodes, p=targets).astype(np.int64)
 
 
-def hash_partition(num_nodes: int, num_parts: int) -> np.ndarray:
-    """Deterministic modulo assignment (round-robin by node id)."""
-    check_positive("num_parts", num_parts)
-    return (np.arange(num_nodes, dtype=np.int64) % num_parts)
-
-
 # --------------------------------------------------------------------- #
 # multilevel partitioner internals
 # --------------------------------------------------------------------- #

@@ -6,6 +6,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from repro.cluster.spec import ELEMENT_BYTES
 from repro.sampling.block import Block, MiniBatch
 from repro.tensor import fused
 from repro.tensor.module import Module, ModuleList
@@ -133,13 +134,15 @@ class GNNModel(Module):
 
     def parameter_bytes(self) -> float:
         """Total parameter bytes (DDP gradient-sync volume)."""
-        return float(sum(p.nbytes for p in self.parameters()))
+        return float(sum(p.size for p in self.parameters()) * ELEMENT_BYTES)
 
     def first_layer_parameter_bytes(self) -> float:
         """Bytes of layer-0 parameters (excluded from NFP's gradient sync,
         since NFP co-partitions the first-layer weights with the feature
         shards and never synchronizes them)."""
-        return float(sum(p.nbytes for _, p in self.layers[0].named_parameters()))
+        return float(
+            sum(p.size for _, p in self.layers[0].named_parameters()) * ELEMENT_BYTES
+        )
 
 
 def extend_with_self_edges(block: Block) -> tuple:

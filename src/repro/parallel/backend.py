@@ -641,16 +641,16 @@ class ProcessPoolBackend(ExecutionBackend):
 # ---------------------------------------------------------------------- #
 def make_backend(config, dataset) -> ExecutionBackend:
     """Backend from an :class:`~repro.config.APTConfig`."""
-    kind = getattr(config, "execution_backend", "serial")
+    kind = config.execution_backend
     if kind == "serial":
         return SerialBackend()
     if kind == "process":
         return ProcessPoolBackend(
             dataset,
-            num_workers=getattr(config, "num_workers", 0) or None,
-            prefetch_depth=getattr(config, "prefetch_depth", 2),
-            gather_prefetch=getattr(config, "gather_prefetch", False),
-            fault_policy=getattr(config, "fault_policy", None),
-            chaos=getattr(config, "host_chaos", None),
+            num_workers=config.num_workers or None,
+            prefetch_depth=config.prefetch_depth,
+            gather_prefetch=config.gather_prefetch,
+            fault_policy=config.fault_policy,
+            chaos=config.host_chaos,
         )
     raise ValueError(f"unknown execution backend {kind!r}")

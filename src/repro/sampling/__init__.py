@@ -8,22 +8,25 @@ splitmix64 hash instead of a sequential RNG.  Two consequences matter:
   different parallelization strategies) yields the *identical* neighbor
   multiset, which is what lets the engine prove the strategies semantically
   equivalent (paper Fig. 6) instead of just statistically similar;
-* sampling is embarrassingly parallel and fully vectorized.
+* a seed subset's minibatch is a *restriction* of any superset's, and many
+  seed sets can be drawn in one vectorized pass (``sample_many``): training
+  samples each global batch once and restricts it per device, serving draws
+  a chunk of request batches at once.
+
+:class:`NeighborSampler` is the one sampler, and this per-node determinism
+is its contract (DESIGN.md §5.9).
 """
 
 from repro.sampling.block import Block, MiniBatch
 from repro.sampling.cache import SampleCache, SampleCacheStats
 from repro.sampling.neighbor import NeighborSampler
-from repro.sampling.layerwise import LayerWiseSampler
-from repro.sampling.batching import EpochIterator, iter_epoch_batches
+from repro.sampling.batching import EpochIterator
 
 __all__ = [
     "Block",
     "MiniBatch",
     "NeighborSampler",
-    "LayerWiseSampler",
     "SampleCache",
     "SampleCacheStats",
     "EpochIterator",
-    "iter_epoch_batches",
 ]

@@ -66,13 +66,3 @@ class EpochIterator:
 
     def __iter__(self) -> Iterator[np.ndarray]:
         return iter(self.epoch_batches(0))
-
-
-def iter_epoch_batches(
-    seeds: np.ndarray,
-    global_batch_size: int,
-    epoch: int,
-    shuffle_seed: int = 0,
-) -> List[np.ndarray]:
-    """Convenience wrapper: the global batches of one epoch."""
-    return EpochIterator(seeds, global_batch_size, shuffle_seed).epoch_batches(epoch)

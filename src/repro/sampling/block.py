@@ -15,6 +15,7 @@ from typing import List, Optional
 
 import numpy as np
 
+from repro.cluster.spec import ID_BYTES
 from repro.tensor.sparse import SegmentIndex, _is_nondecreasing
 from repro.utils.ids import sorted_unique
 
@@ -103,14 +104,14 @@ class Block:
             + 8 * (2 * self.num_dst + 1)
         )
 
-    def structure_bytes(self) -> int:
+    def structure_bytes(self) -> float:
         """Wire size of the block structure (drives T_build comm cost).
 
-        Counts the edge index pairs plus the global id arrays, at 8 bytes
-        per entry — the same bookkeeping a real engine serializes when
-        shuffling computation graphs between GPUs.
+        Counts the edge index pairs plus the global id arrays, at
+        ``ID_BYTES`` per entry — the same bookkeeping a real engine
+        serializes when shuffling computation graphs between GPUs.
         """
-        return 8 * (
+        return ID_BYTES * (
             2 * self.num_edges + self.num_src + self.num_dst
         )
 

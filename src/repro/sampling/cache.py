@@ -2,9 +2,9 @@
 
 The counter-based hash sampler makes every draw a pure function of
 ``(global_seed, epoch, layer, node, draw)`` — independent of the rest of the
-frontier (``NeighborSampler.per_node_deterministic``).  Two consequences
-are used here, both **bit-identical** to sampling directly (pinned by
-``tests/sampling/test_cache.py``):
+frontier (the :class:`~repro.sampling.neighbor.NeighborSampler` contract).
+Two consequences are used here, both **bit-identical** to sampling directly
+(pinned by ``tests/sampling/test_cache.py``):
 
 * **union, then restrict** — :func:`sample_device_batches` samples the
   union of a global batch's per-device seed chunks once and derives each
@@ -16,13 +16,13 @@ are used here, both **bit-identical** to sampling directly (pinned by
   once, instead draws every (batch, device) seed set of a chunk of batches
   in one ``NeighborSampler.sample_many`` pass.
 * **one entry per global batch** — ``SampleCache`` memoizes the union
-  batches under ``(graph, sampler type, fanouts, global_seed, epoch,
-  seeds)`` with an explicit byte budget and LRU eviction.  The engine
-  meets the same batch many times over — the access census, one dry-run
-  per candidate strategy, every planner call, the first training epoch —
-  so a device split is stored on its global batch's entry once that
-  entry is *revisited*, and served from there afterwards; a batch used
-  once (a training epoch past the first) stores none.
+  batches under ``(graph, fanouts, global_seed, epoch, seeds)`` with an
+  explicit byte budget and LRU eviction.  The engine meets the same batch
+  many times over — the access census, one dry-run per candidate
+  strategy, every planner call, the first training epoch — so a device
+  split is stored on its global batch's entry once that entry is
+  *revisited*, and served from there afterwards; a batch used once (a
+  training epoch past the first) stores none.
 
 The cache is a wall-clock optimization only: callers charge simulated
 sampling time from the returned batch exactly as before, and cached batches
@@ -151,13 +151,11 @@ def sample_device_batches(
     sampled in one call — through ``cache`` when given — and each device's
     minibatch is its restriction, bit-identical to
     ``sampler.sample(chunk, epoch=epoch)``.  A single active chunk is the
-    union, returned as sampled.  A sampler whose draws depend on the whole
-    frontier (no ``per_node_deterministic``, e.g. LADIES) cannot be
-    restricted and is sampled chunk by chunk.
+    union, returned as sampled.
     """
     out: List[Optional[MiniBatch]] = [None] * len(chunks)
     active = [d for d, c in enumerate(chunks) if c is not None and len(c)]
-    if len(active) > 1 and getattr(sampler, "per_node_deterministic", False):
+    if len(active) > 1:
         parts = [sorted_unique(np.asarray(chunks[d], dtype=np.int64)) for d in active]
         if cache is not None:
             derived = cache._sample_split(sampler, parts, epoch)
@@ -167,7 +165,7 @@ def sample_device_batches(
         for d, mb in zip(active, derived):
             out[d] = mb
         return out
-    for d in active:
+    for d in active:  # at most one: the union itself
         out[d] = (
             sampler.sample(chunks[d], epoch=epoch)
             if cache is None
@@ -239,13 +237,9 @@ class SampleCache:
     # ------------------------------------------------------------------ #
     @staticmethod
     def _key(sampler, epoch: int, seeds_u: np.ndarray) -> Tuple:
-        shape = getattr(sampler, "fanouts", None)
-        if shape is None:
-            shape = getattr(sampler, "layer_budgets", None)
         return (
             id(sampler.graph),
-            type(sampler).__name__,
-            tuple(shape) if shape is not None else None,
+            tuple(sampler.fanouts),
             int(sampler.global_seed),
             int(epoch),
             _digest(seeds_u),

@@ -78,14 +78,13 @@ class NeighborSampler:
         models; ``fanouts[-1]`` applies to the seeds).
     global_seed:
         Base seed of the counter-based hash.
-    """
 
-    #: Draws for node ``v`` at layer ``k`` of epoch ``e`` depend only on
-    #: ``(global_seed, e, k, v)`` — never on the rest of the frontier.  This
-    #: is what lets :class:`~repro.sampling.cache.SampleCache` derive a seed
-    #: subset's minibatch by *restricting* a cached superset batch instead
-    #: of re-sampling, and :meth:`sample_many` draw many groups at once.
-    per_node_deterministic = True
+    Draws for node ``v`` at layer ``k`` of epoch ``e`` depend only on
+    ``(global_seed, e, k, v)``, never on the rest of the frontier.  That is
+    the sampler's contract: :mod:`repro.sampling.cache` derives a seed
+    subset's minibatch by *restricting* a superset batch, and
+    :meth:`sample_many` draws many groups at once (DESIGN.md §5.9).
+    """
 
     def __init__(self, graph: CSRGraph, fanouts: Sequence[int], global_seed: int = 0):
         if not fanouts:

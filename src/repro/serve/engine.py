@@ -26,8 +26,9 @@ seed set of a chunk of consecutive batches — at most
 ``SAMPLE_AHEAD_SEEDS`` seeds — is drawn in one
 :meth:`~repro.sampling.neighbor.NeighborSampler.sample_many` pass.  The
 batch index is each batch's sampling epoch, so no two batches share a
-scope and a cache lookup could never hit; the per-node-deterministic
-sampler makes every minibatch bit-identical to sampling its batch alone.
+scope and a cache lookup could never hit; the sampler's per-node
+determinism (its contract, DESIGN.md §5.9) makes every minibatch
+bit-identical to sampling its batch alone.
 Under the ``"adaptive"`` cache policy a
 :class:`~repro.serve.cache.HotnessCache` watches the served feature reads
 and — when the serve-side :class:`~repro.obs.drift.DriftDetector` flags a
@@ -52,7 +53,6 @@ from repro.featurestore.store import Tier
 from repro.obs.drift import DriftDetector
 from repro.obs.telemetry import TelemetryCollector
 from repro.sampling.block import MiniBatch
-from repro.sampling.cache import sample_device_batches
 from repro.serve.cache import HotnessCache
 from repro.serve.loadgen import Request
 from repro.serve.queue import BatchingPolicy, RequestBatch, RequestQueue
@@ -78,13 +78,8 @@ def _sample_ahead(
     empty: no minibatch); batch ``i`` is sampled as epoch ``i``.  Chunks
     of consecutive batches holding at most ``SAMPLE_AHEAD_SEEDS`` seeds
     (always at least one batch) are drawn in one ``sample_many`` call,
-    each (batch, device) seed set its own group.  A sampler whose draws
-    depend on the whole frontier samples batch by batch.
+    each (batch, device) seed set its own group.
     """
-    if not getattr(sampler, "per_node_deterministic", False):
-        for index, chunks in enumerate(assigned):
-            yield sample_device_batches(sampler, chunks, index)
-        return
     stop = 0
     while stop < len(assigned):
         start, seeds = stop, 0

@@ -7,13 +7,14 @@ substrate the strategies need:
 * :class:`~repro.tensor.tensor.Tensor` — reverse-mode autograd over NumPy
   arrays (dense ops, broadcasting, indexing/gather, concatenation).
 * :mod:`~repro.tensor.functional` — activations, softmax/log-softmax,
-  dropout, and the cross-entropy loss used for node classification.
+  and the cross-entropy losses used for node classification and link
+  prediction.
 * :mod:`~repro.tensor.sparse` — segment operations (sum / mean / softmax
   over edge groups, grouped by a reusable ``SegmentIndex``) and the fused
   gather→sum ``gather_segment_sum``, the kernels a GNN layer is made of.
   These mirror DGL's g-SpMM/SDDMM kernel roles.
 * :mod:`~repro.tensor.module` — ``Module`` / ``Parameter`` containers.
-* :mod:`~repro.tensor.optim` — SGD and Adam optimizers.
+* :mod:`~repro.tensor.optim` — Adam, the optimizer the run path builds.
 
 Everything computes in float64 by default so that the semantic-equivalence
 property of the four parallelization strategies (paper Fig. 6) can be
@@ -24,21 +25,11 @@ from repro.tensor.tensor import Tensor, concat, no_grad, stack, tensor, zeros
 from repro.tensor import functional
 from repro.tensor import init
 from repro.tensor.module import Linear, Module, ModuleList, Parameter
-from repro.tensor.optim import (
-    SGD,
-    Adam,
-    AdamW,
-    CosineAnnealingLR,
-    LRScheduler,
-    Optimizer,
-    StepLR,
-    clip_grad_norm,
-)
+from repro.tensor.optim import Adam, Optimizer
 from repro.tensor.sparse import (
     SegmentIndex,
     gather_rows,
     gather_segment_sum,
-    segment_max,
     segment_mean,
     segment_softmax,
     segment_sum,
@@ -58,18 +49,11 @@ __all__ = [
     "Parameter",
     "Linear",
     "Optimizer",
-    "SGD",
     "Adam",
-    "AdamW",
-    "clip_grad_norm",
-    "LRScheduler",
-    "StepLR",
-    "CosineAnnealingLR",
     "gather_rows",
     "gather_segment_sum",
     "SegmentIndex",
     "segment_sum",
     "segment_mean",
-    "segment_max",
     "segment_softmax",
 ]

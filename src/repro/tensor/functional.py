@@ -1,7 +1,8 @@
 """Composite neural-network functions built on the autograd ``Tensor``.
 
 Contains the activations used by GraphSAGE/GAT, numerically-stable
-(log-)softmax, dropout, and the node-classification cross-entropy loss.
+(log-)softmax, the node-classification cross-entropy loss and the binary
+cross-entropy of link prediction.
 """
 
 from __future__ import annotations
@@ -43,17 +44,6 @@ def elu(x: Tensor, alpha: float = 1.0) -> Tensor:
             x._accumulate(g * deriv)
 
     return Tensor._make(data, (x,), backward_fn, "elu")
-
-
-def sigmoid(x: Tensor) -> Tensor:
-    """Logistic sigmoid."""
-    data = 1.0 / (1.0 + np.exp(-x.data))
-
-    def backward_fn(g: np.ndarray) -> None:
-        if x.requires_grad:
-            x._accumulate(g * data * (1.0 - data))
-
-    return Tensor._make(data, (x,), backward_fn, "sigmoid")
 
 
 def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
@@ -141,21 +131,6 @@ def cross_entropy(
     )
 
 
-def dropout(x: Tensor, p: float, rng: np.random.Generator, training: bool = True) -> Tensor:
-    """Inverted dropout with an explicit RNG (deterministic under a seed)."""
-    if not 0.0 <= p < 1.0:
-        raise ValueError(f"dropout probability must be in [0, 1), got {p}")
-    if not training or p == 0.0:
-        return x
-    mask = (rng.random(x.shape) >= p) / (1.0 - p)
-
-    def backward_fn(g: np.ndarray) -> None:
-        if x.requires_grad:
-            x._accumulate(g * mask)
-
-    return Tensor._make(x.data * mask, (x,), backward_fn, "dropout")
-
-
 def binary_cross_entropy_with_logits(
     logits: Tensor, targets: np.ndarray
 ) -> Tensor:
@@ -184,9 +159,3 @@ def binary_cross_entropy_with_logits(
         np.array(loss_val.mean()), (logits,), backward_fn, "bce_logits"
     )
     return out
-
-
-def mse_loss(pred: Tensor, target: np.ndarray) -> Tensor:
-    """Mean squared error against a constant target."""
-    diff = pred - Tensor(np.asarray(target, dtype=pred.data.dtype))
-    return (diff * diff).mean()

@@ -376,17 +376,6 @@ def _segment_max_array(values: np.ndarray, index: SegmentIndex) -> np.ndarray:
     return out
 
 
-def segment_max(values: np.ndarray, segment_ids: IndexLike, num_segments: Optional[int] = None) -> np.ndarray:
-    """Per-segment max of a plain array (non-differentiable by design).
-
-    Used only as the numerical-stability shift inside
-    :func:`segment_softmax` and the decomposed cross-device softmax — the
-    softmax value is invariant to the shift, so detaching it keeps gradients
-    exact.  Empty segments return ``-inf``.
-    """
-    return _segment_max_array(values, _as_index(segment_ids, num_segments))
-
-
 def segment_softmax(
     scores: Tensor, segment_ids: IndexLike, num_segments: Optional[int] = None
 ) -> Tensor:

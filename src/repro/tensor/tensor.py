@@ -136,10 +136,6 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
-    @property
-    def nbytes(self) -> int:
-        return self.data.nbytes
-
     def numpy(self) -> np.ndarray:
         """Return the underlying array (no copy)."""
         return self.data

@@ -1,8 +1,7 @@
 """Shared utilities: seeded RNG helpers and validation."""
 
-from repro.utils.random import rng_from, seed_for_node, spawn_rngs
+from repro.utils.random import rng_from
 from repro.utils.validation import (
-    check_dim,
     check_index_array,
     check_positive,
     check_probability,
@@ -10,9 +9,6 @@ from repro.utils.validation import (
 
 __all__ = [
     "rng_from",
-    "seed_for_node",
-    "spawn_rngs",
-    "check_dim",
     "check_index_array",
     "check_positive",
     "check_probability",

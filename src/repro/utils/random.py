@@ -1,7 +1,7 @@
 """Deterministic random-number helpers.
 
 Every stochastic component of the library (graph generation, neighbor
-sampling, parameter initialization, dropout) draws from a
+sampling, parameter initialization) draws from a
 :class:`numpy.random.Generator` derived from an explicit integer seed.  Two
 properties matter for the reproduction:
 
@@ -12,8 +12,8 @@ properties matter for the reproduction:
    simulated GPU happens to process the seed.  This is what makes the four
    parallelization strategies numerically identical (paper Fig. 6): they
    regroup the same sampled subgraphs, they never resample them differently.
-   :func:`seed_for_node` provides the per-node stream key used by the
-   neighbor sampler.
+   The neighbor sampler keys each node's draws with a vectorized
+   splitmix64 hash (:mod:`repro.sampling.neighbor`).
 """
 
 from __future__ import annotations
@@ -45,21 +45,3 @@ def rng_from(seed: int, *streams: int) -> np.random.Generator:
     for s in streams:
         key = _splitmix64(key ^ (int(s) & _MASK))
     return np.random.default_rng(key)
-
-
-def seed_for_node(global_seed: int, epoch: int, node_id: int) -> int:
-    """Deterministic 64-bit stream key for sampling one node's neighborhood.
-
-    The key is independent of the device and minibatch that process the node,
-    which guarantees that all parallelization strategies observe identical
-    sampled subgraphs for identical seed nodes within an epoch.
-    """
-    key = _splitmix64(int(global_seed) & _MASK)
-    key = _splitmix64(key ^ (int(epoch) & _MASK))
-    key = _splitmix64(key ^ (int(node_id) & _MASK))
-    return key
-
-
-def spawn_rngs(seed: int, n: int) -> list[np.random.Generator]:
-    """Return ``n`` independent generators derived from one seed."""
-    return [rng_from(seed, i) for i in range(n)]

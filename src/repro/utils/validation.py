@@ -23,12 +23,6 @@ def check_probability(name: str, value: float) -> None:
         raise ValueError(f"{name} must be in [0, 1], got {value!r}")
 
 
-def check_dim(name: str, value: int) -> None:
-    """Raise ``ValueError`` unless ``value`` is a positive integer dimension."""
-    if int(value) != value or value <= 0:
-        raise ValueError(f"{name} must be a positive integer, got {value!r}")
-
-
 def check_index_array(name: str, arr: np.ndarray, upper: int) -> None:
     """Raise unless ``arr`` is an integer array with entries in [0, upper)."""
     a = np.asarray(arr)

@@ -119,7 +119,7 @@ class TestOverlap:
 
 class TestChromeTrace:
     def test_empty_timeline_exports_nothing(self):
-        assert Timeline(1).to_chrome_trace() == []
+        assert chrome_trace([Timeline(1)]) == []
 
     def test_events_cover_charges(self):
         t = Timeline(2)
@@ -129,7 +129,7 @@ class TestChromeTrace:
         t.end_batch()
         t.charge(0, "train", 1.0)
         t.end_batch()
-        events = t.to_chrome_trace()
+        events = chrome_trace([t])
         assert len(events) == 4
         total_us = sum(e["dur"] for e in events)
         assert total_us == pytest.approx(7.0 * 1e6)
@@ -139,7 +139,7 @@ class TestChromeTrace:
         t.charge(0, "sample", 1.0)
         t.charge(0, "load", 2.0)
         t.end_batch()
-        ev = {e["name"]: e for e in t.to_chrome_trace()}
+        ev = {e["name"]: e for e in chrome_trace([t])}
         assert ev["load"]["ts"] == pytest.approx(ev["sample"]["ts"] + 1e6)
 
     def test_batches_offset_by_barrier(self):
@@ -148,7 +148,7 @@ class TestChromeTrace:
         t.end_batch()
         t.charge(0, "train", 1.0)
         t.end_batch()
-        events = t.to_chrome_trace()
+        events = chrome_trace([t])
         second = [e for e in events if e["cat"] == "batch1"][0]
         assert second["ts"] == pytest.approx(5.0 * 1e6)
 
@@ -156,7 +156,7 @@ class TestChromeTrace:
         t = Timeline(1)
         t.charge(0, "train", 1.0)
         t.end_batch()
-        assert len(t.to_chrome_trace()) == 1
+        assert len(chrome_trace([t])) == 1
 
     def test_segments_laid_end_to_end(self):
         """A rebuilt trainer starts a fresh ledger, possibly on another
@@ -169,7 +169,7 @@ class TestChromeTrace:
         b.charge(0, "train", 2.0)
         b.end_batch()
         events = chrome_trace([a, b])
-        assert events[:1] == a.to_chrome_trace()
+        assert events[:1] == chrome_trace([a])
         assert [e["cat"] for e in events] == ["batch0", "batch1", "batch2"]
         assert [e["ts"] for e in events] == [0.0, 5.0 * 1e6, 6.0 * 1e6]
         assert [e["tid"] for e in events] == [1, 0, 0]
@@ -179,7 +179,7 @@ class TestChromeTrace:
         t.charge(0, "sample", 1.0)
         t.end_batch()
         clone = Timeline.from_state_dict(t.state_dict())
-        assert clone.to_chrome_trace() == t.to_chrome_trace()
+        assert chrome_trace([clone]) == chrome_trace([t])
         assert clone.wall_seconds == t.wall_seconds
 
 
@@ -198,20 +198,6 @@ class TestReporting:
         assert bd["training"] == pytest.approx(3.0)
         assert bd["sampling"] == pytest.approx(0.5)
         assert bd["loading"] == 0.0
-
-    def test_merged(self):
-        a, b = Timeline(2), Timeline(2)
-        a.charge(0, "load", 1.0)
-        a.end_batch()
-        b.charge(1, "load", 2.0)
-        b.end_batch()
-        m = a.merged(b)
-        assert m.wall_seconds == pytest.approx(3.0)
-        assert m.num_batches == 2
-
-    def test_merged_device_mismatch(self):
-        with pytest.raises(ValueError):
-            Timeline(2).merged(Timeline(3))
 
 
 def test_compute_charger_vectors_price_each_device_by_its_class():

@@ -25,7 +25,7 @@ from repro.core.checkpoint import (
 )
 from repro.graph.datasets import small_dataset
 from repro.models import GraphSAGE
-from repro.tensor.optim import SGD, Adam
+from repro.tensor.optim import Adam
 
 
 # ---------------------------------------------------------------------- #
@@ -138,16 +138,16 @@ class TestStateDicts:
         for pa, pb in zip(opt_a.params, opt_b.params):
             np.testing.assert_array_equal(pa.data, pb.data)
 
-    def test_sgd_roundtrip(self):
-        opt = SGD(_params(), lr=0.1, momentum=0.9)
+    def test_adam_slot_roundtrip(self):
+        opt = Adam(_params(), lr=0.1, betas=(0.8, 0.99), eps=1e-6)
         for p in opt.params:
             p.grad = np.ones_like(p.data)
         opt.step()
-        clone = SGD(_params(), lr=0.2)
-        clone.momentum = 0.0
+        clone = Adam(_params(), lr=0.2)
         clone.load_state_dict(opt.state_dict())
-        assert clone.lr == 0.1 and clone.momentum == 0.9
-        for mine, saved in zip(clone._velocity, opt._velocity):
+        assert clone.lr == 0.1 and (clone.b1, clone.b2) == (0.8, 0.99)
+        assert clone.eps == 1e-6 and clone._t == 1
+        for mine, saved in zip(clone._m + clone._v, opt._m + opt._v):
             np.testing.assert_array_equal(mine, saved)
 
     def test_optimizer_rejects_mismatched_slots(self):

@@ -1,39 +1,15 @@
-"""Tests for the epoch-time prediction API and full-neighbor fanouts."""
+"""Tests for full-neighbor fanouts."""
 
 import numpy as np
 import pytest
 
-from repro.cluster import single_machine_cluster
-from repro.core import APT, CostModel, DryRun
 from repro.graph.datasets import small_dataset
-from repro.graph.partition import metis_like_partition
-from repro.models import GraphSAGE
 from repro.sampling import NeighborSampler
 
 
 @pytest.fixture(scope="module")
 def ds():
     return small_dataset(n=1000, feature_dim=16, num_classes=4, seed=6)
-
-
-class TestEstimateEpochSeconds:
-    def test_adds_common_train_time(self, ds):
-        cluster = single_machine_cluster(2, gpu_cache_bytes=ds.feature_bytes * 0.05)
-        model = GraphSAGE(ds.feature_dim, 8, ds.num_classes, 2, seed=0)
-        parts = metis_like_partition(ds.graph, 2, seed=0)
-        stats = DryRun(
-            ds, cluster, model, [4, 4], parts=parts, global_batch_size=256
-        ).run("gdp")
-        cm = CostModel(cluster, ds.feature_dim)
-        base = cm.estimate(stats).total
-        assert cm.estimate_epoch_seconds(stats, 0.5) == pytest.approx(base + 0.5)
-
-    def test_rejects_negative_train_time(self, ds):
-        cluster = single_machine_cluster(2)
-        model = GraphSAGE(ds.feature_dim, 8, ds.num_classes, 2, seed=0)
-        stats = DryRun(ds, cluster, model, [4, 4], global_batch_size=256).run("gdp")
-        with pytest.raises(ValueError):
-            CostModel(cluster, ds.feature_dim).estimate_epoch_seconds(stats, -1.0)
 
 
 class TestFullNeighborFanout:

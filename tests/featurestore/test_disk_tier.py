@@ -13,7 +13,6 @@ from repro.cluster import Timeline, multi_machine_cluster, single_machine_cluste
 from repro.config import APTConfig
 from repro.core import APT
 from repro.featurestore import (
-    LoadReport,
     Tier,
     UnifiedFeatureStore,
     coalesce_ranges,
@@ -170,27 +169,6 @@ class TestPromotion:
             for _ in range(8):
                 store.classify(0, ids)
         assert store.disk_resident_count() <= 16
-
-    def test_disable_restores_full_residency(self, disk_ds):
-        store = self._store(disk_ds)
-        store.disable_disk_tier()
-        assert not store.disk_tier_active
-        split = store.classify(0, np.array([5, 300]))
-        assert split[Tier.DISK].size == 0
-
-
-class TestLoadReportMerge:
-    def test_merge_accumulates_disk_counters(self):
-        a = LoadReport(rows={Tier.DISK: 5}, bytes={Tier.DISK: 40.0},
-                       seconds=1.0, ranged_reads=2)
-        b = LoadReport(rows={Tier.DISK: 3, Tier.LOCAL_CPU: 7},
-                       bytes={Tier.DISK: 24.0}, seconds=0.5, ranged_reads=1)
-        a.merge(b)
-        assert a.disk_rows() == 8
-        assert a.disk_bytes() == 64.0
-        assert a.ranged_reads == 3
-        assert a.rows[Tier.LOCAL_CPU] == 7
-        assert a.seconds == 1.5
 
 
 class TestEndToEnd:

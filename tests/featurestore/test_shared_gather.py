@@ -123,18 +123,6 @@ def test_loadreport_starts_empty():
     assert r.hit_rate() == 0.0
 
 
-def test_loadreport_merge_mixed_tiers():
-    from repro.featurestore.store import LoadReport
-
-    a = LoadReport(rows={Tier.GPU_CACHE: 3}, bytes={Tier.GPU_CACHE: 24.0})
-    b = LoadReport(rows={Tier.LOCAL_CPU: 1}, bytes={Tier.LOCAL_CPU: 8.0}, seconds=0.5)
-    a.merge(b)
-    assert a.rows == {Tier.GPU_CACHE: 3, Tier.LOCAL_CPU: 1}
-    assert a.bytes == {Tier.GPU_CACHE: 24.0, Tier.LOCAL_CPU: 8.0}
-    assert a.seconds == 0.5
-    assert a.hit_rate() == 0.75
-
-
 def test_charged_report_exposes_all_tiers(store):
     rep = store.charge_load(0, np.array([3, 60]))
     assert set(rep.rows) == set(Tier)

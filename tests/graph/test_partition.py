@@ -7,7 +7,6 @@ from repro.graph import (
     CoarseningHierarchy,
     community_graph,
     edge_cut_fraction,
-    hash_partition,
     metis_like_partition,
     partition_balance,
     power_law_graph,
@@ -30,11 +29,6 @@ class TestBaselines:
     def test_random_partition_roughly_balanced(self):
         p = random_partition(10_000, 4, seed=0)
         assert partition_balance(p, 4) < 1.1
-
-    def test_hash_partition_deterministic_balance(self):
-        p = hash_partition(1000, 8)
-        counts = np.bincount(p)
-        assert counts.max() - counts.min() <= 1
 
 
 class TestMetisLike:

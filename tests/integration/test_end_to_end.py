@@ -10,7 +10,6 @@ from repro.engine.context import ExecutionContext
 from repro.engine.trainer import evaluate_accuracy
 from repro.graph import fs_like, im_like, ps_like
 from repro.models import GAT, GCN, GraphSAGE
-from repro.sampling import LayerWiseSampler
 
 
 class TestFullWorkflowOnAnalogs:
@@ -41,31 +40,6 @@ class TestDistributedGAT:
         apt.prepare()
         result = apt.run_strategy("dnp", 2, lr=5e-3)
         assert result.epochs[1].mean_loss < result.epochs[0].mean_loss
-
-
-class TestLayerwiseWithAPT:
-    def test_apt_over_layerwise_sampler(self):
-        """The planner and engine are sampler-agnostic."""
-        ds = fs_like(n=3000)
-        cluster = single_machine_cluster(
-            4, gpu_cache_bytes=scaled_gpu_cache_bytes(ds)
-        )
-        model = GraphSAGE(ds.feature_dim, 16, ds.num_classes, 2, seed=0)
-        apt = APT(ds, model, cluster, APTConfig(fanouts=(5, 5), global_batch_size=256, seed=0))
-        apt.prepare()
-        # Swap the sampler under the execution context.
-        sampler = LayerWiseSampler(ds.graph, [128, 128], global_seed=0)
-        ctx = apt.context.execution_context()
-        ctx.sampler = sampler
-        from repro.engine import ParallelTrainer, make_strategy
-        from repro.tensor.optim import Adam
-
-        trainer = ParallelTrainer(
-            make_strategy("snp"), ctx, Adam(model.parameters(), 5e-3)
-        )
-        r0 = trainer.train_epoch(0)
-        r1 = trainer.train_epoch(1)
-        assert r1.mean_loss < r0.mean_loss
 
 
 class TestAccuracyAcrossModels:

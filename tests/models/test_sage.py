@@ -139,6 +139,6 @@ class TestGraphSAGEModel:
 
     def test_parameter_bytes(self):
         m = GraphSAGE(8, 16, 3, num_layers=2)
-        assert m.parameter_bytes() == sum(p.nbytes for p in m.parameters())
+        assert m.parameter_bytes() == sum(p.data.nbytes for p in m.parameters())
         assert m.first_layer_parameter_bytes() < m.parameter_bytes()
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.sampling import EpochIterator, iter_epoch_batches
+from repro.sampling import EpochIterator
 
 
 class TestEpochIterator:
@@ -43,7 +43,3 @@ class TestEpochIterator:
     def test_bad_batch_size_rejected(self):
         with pytest.raises(ValueError):
             EpochIterator(np.arange(10), 0)
-
-    def test_convenience_wrapper(self):
-        batches = iter_epoch_batches(np.arange(10), 4, epoch=0)
-        assert sum(len(b) for b in batches) == 10

@@ -10,7 +10,7 @@ byte budget, and the scope isolation of the cache key.
 import numpy as np
 import pytest
 
-from repro.sampling import LayerWiseSampler, NeighborSampler
+from repro.sampling import NeighborSampler
 from repro.sampling.cache import SampleCache, sample_device_batches
 from repro.utils.ids import sorted_unique as _sorted_unique
 
@@ -76,18 +76,6 @@ class TestLookupPaths:
             assert cache.stats.to_dict() == {
                 "hits": 0, "restrictions": 0, "misses": 1, "evictions": 0,
             }
-
-    def test_no_restriction_for_layerwise_sampler(self, graph):
-        """LADIES draws depend on the whole frontier — restriction is unsound
-        and must not trigger (``per_node_deterministic = False``)."""
-        lw = LayerWiseSampler(graph, layer_budgets=[30, 20], global_seed=5)
-        cache = SampleCache()
-        whole = np.arange(80)
-        cache.sample(lw, whole, epoch=0)
-        sub = np.arange(40)
-        got = cache.sample(lw, sub, epoch=0)
-        assert cache.stats.misses == 2 and cache.stats.restrictions == 0
-        assert_batches_identical(got, lw.sample(sub, epoch=0))
 
     def test_scope_isolation(self, graph, sampler):
         """Any change to epoch, seed, or fanouts must miss."""
@@ -305,18 +293,6 @@ class TestDeviceBatches:
         }
         # it is the cached global batch itself, not a restriction of it
         assert cache.sample(sampler, chunk, epoch=3) is got[1]
-
-    def test_layerwise_sampler_sampled_chunk_by_chunk(self, graph):
-        lw = LayerWiseSampler(graph, layer_budgets=[30, 20], global_seed=5)
-        chunks = split_evenly(np.arange(120), 3)
-        cache = SampleCache()
-        for got in (
-            sample_device_batches(lw, chunks, 0),
-            sample_device_batches(lw, chunks, 0, cache),
-        ):
-            for chunk, mb in zip(chunks, got):
-                assert_batches_identical(mb, lw.sample(chunk, epoch=0))
-        assert cache.stats.misses == 3 and cache.stats.restrictions == 0
 
 
 class TestSecondUse:

@@ -1,51 +1,17 @@
-"""Tests for SGD and Adam optimizers."""
+"""Tests for the Adam optimizer."""
 
 import numpy as np
 import pytest
 
 from repro.tensor import Tensor
 from repro.tensor.module import Parameter
-from repro.tensor.optim import SGD, Adam
+from repro.tensor.optim import Adam
 
 
 def quadratic_step(opt, p):
     """One step on f(p) = 0.5 * ||p||^2 (gradient = p)."""
     p.grad = p.data.copy()
     opt.step()
-
-
-class TestSGD:
-    def test_plain_step(self):
-        p = Parameter(np.array([1.0, -2.0]))
-        opt = SGD([p], lr=0.1)
-        quadratic_step(opt, p)
-        np.testing.assert_allclose(p.data, [0.9, -1.8])
-
-    def test_momentum_accelerates(self):
-        p1 = Parameter(np.array([1.0]))
-        p2 = Parameter(np.array([1.0]))
-        plain, mom = SGD([p1], lr=0.1), SGD([p2], lr=0.1, momentum=0.9)
-        for _ in range(3):
-            quadratic_step(plain, p1)
-            quadratic_step(mom, p2)
-        assert p2.data[0] < p1.data[0]
-
-    def test_skips_none_grad(self):
-        p = Parameter(np.array([1.0]))
-        SGD([p], lr=0.1).step()
-        np.testing.assert_allclose(p.data, [1.0])
-
-    def test_converges_on_quadratic(self):
-        p = Parameter(np.array([5.0, -3.0]))
-        opt = SGD([p], lr=0.2)
-        for _ in range(100):
-            quadratic_step(opt, p)
-        assert np.abs(p.data).max() < 1e-6
-
-    @pytest.mark.parametrize("bad", [-0.1, 1.0])
-    def test_rejects_bad_momentum(self, bad):
-        with pytest.raises(ValueError):
-            SGD([Parameter(np.ones(1))], lr=0.1, momentum=bad)
 
 
 class TestAdam:
@@ -74,19 +40,24 @@ class TestAdam:
         with pytest.raises(ValueError):
             Adam([Parameter(np.ones(1))], betas=(1.0, 0.999))
 
+    def test_skips_none_grad(self):
+        p = Parameter(np.array([1.0]))
+        Adam([p], lr=0.1).step()
+        np.testing.assert_allclose(p.data, [1.0])
+
 
 class TestOptimizerBase:
     def test_empty_params_raises(self):
         with pytest.raises(ValueError):
-            SGD([], lr=0.1)
+            Adam([], lr=0.1)
 
     def test_nonpositive_lr_raises(self):
         with pytest.raises(ValueError):
-            SGD([Parameter(np.ones(1))], lr=0.0)
+            Adam([Parameter(np.ones(1))], lr=0.0)
 
     def test_zero_grad(self):
         p = Parameter(np.ones(2))
         p.grad = np.ones(2)
-        opt = SGD([p], lr=0.1)
+        opt = Adam([p], lr=0.1)
         opt.zero_grad()
         assert p.grad is None

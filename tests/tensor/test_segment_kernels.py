@@ -18,13 +18,17 @@ from hypothesis import given, settings, strategies as st
 
 from repro.tensor import (
     Tensor,
-    segment_max,
     segment_mean,
     segment_softmax,
     segment_sum,
     sparse,
 )
-from repro.tensor.sparse import _segment_sum_array, _stable_order, SegmentIndex
+from repro.tensor.sparse import (
+    SegmentIndex,
+    _segment_max_array,
+    _segment_sum_array,
+    _stable_order,
+)
 
 # Row / column counts the cases below were written around (dispatch
 # thresholds of an earlier kernel); kept so the pinned cases stay the same.
@@ -125,7 +129,7 @@ def test_segment_max_bitwise(
     rng = np.random.default_rng(n_edges * 17 + num_segments)
     data, seg = make_case(rng, n_edges, num_segments, trailing, sorted_ids,
                           empty_segments)
-    out_new = segment_max(data, seg, num_segments)
+    out_new = _segment_max_array(data, SegmentIndex(seg, num_segments))
     out_ref = ref_segment_max_array(data, seg, num_segments)
     assert np.array_equal(out_new, out_ref)  # -inf empty rows compare equal
 
@@ -170,7 +174,8 @@ def test_segment_kernels_bitwise_property(n_edges, n_seg, d, sorted_ids, seed):
     data, seg = make_case(rng, n_edges, n_seg, trailing, sorted_ids, True)
 
     assert np.array_equal(
-        segment_max(data, seg, n_seg), ref_segment_max_array(data, seg, n_seg)
+        _segment_max_array(data, SegmentIndex(seg, n_seg)),
+        ref_segment_max_array(data, seg, n_seg),
     )
 
     g = rng.normal(size=(n_seg,) + trailing)

@@ -7,12 +7,11 @@ from repro.tensor import (
     Tensor,
     gather_rows,
     gather_segment_sum,
-    segment_max,
     segment_mean,
     segment_softmax,
     segment_sum,
 )
-from repro.tensor.sparse import segment_count
+from repro.tensor.sparse import SegmentIndex, _segment_max_array, segment_count
 from tests.tensor.test_autograd import numeric_grad
 
 
@@ -63,6 +62,11 @@ class TestSegmentMean:
             lambda v: (segment_mean(Tensor(v), seg, 3) ** 2).sum().item(), x
         )
         np.testing.assert_allclose(t.grad, num, rtol=1e-6)
+
+
+def segment_max(values, segment_ids, num_segments):
+    """The per-segment max behind ``segment_softmax``'s detached shift."""
+    return _segment_max_array(values, SegmentIndex(segment_ids, num_segments))
 
 
 class TestSegmentMax:

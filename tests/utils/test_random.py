@@ -1,9 +1,8 @@
 """Tests for the deterministic RNG helpers."""
 
 import numpy as np
-import pytest
 
-from repro.utils.random import rng_from, seed_for_node, spawn_rngs
+from repro.utils.random import rng_from
 
 
 class TestRngFrom:
@@ -26,28 +25,3 @@ class TestRngFrom:
         a = rng_from(1, 2, 3).random(4)
         b = rng_from(1, 3, 2).random(4)
         assert not np.array_equal(a, b)
-
-
-class TestSeedForNode:
-    def test_deterministic(self):
-        assert seed_for_node(1, 2, 3) == seed_for_node(1, 2, 3)
-
-    def test_varies_by_node(self):
-        keys = {seed_for_node(0, 0, n) for n in range(100)}
-        assert len(keys) == 100
-
-    def test_varies_by_epoch(self):
-        assert seed_for_node(0, 0, 5) != seed_for_node(0, 1, 5)
-
-    def test_varies_by_global_seed(self):
-        assert seed_for_node(0, 0, 5) != seed_for_node(1, 0, 5)
-
-
-class TestSpawnRngs:
-    def test_count_and_independence(self):
-        rngs = spawn_rngs(7, 4)
-        assert len(rngs) == 4
-        draws = [r.random(5) for r in rngs]
-        for i in range(4):
-            for j in range(i + 1, 4):
-                assert not np.array_equal(draws[i], draws[j])

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.utils.validation import (
-    check_dim,
     check_index_array,
     check_positive,
     check_probability,
@@ -36,16 +35,6 @@ class TestCheckProbability:
     def test_rejects_outside(self, v):
         with pytest.raises(ValueError):
             check_probability("p", v)
-
-
-class TestCheckDim:
-    def test_accepts_positive_int(self):
-        check_dim("d", 128)
-
-    @pytest.mark.parametrize("v", [0, -3, 2.5])
-    def test_rejects_bad_values(self, v):
-        with pytest.raises(ValueError):
-            check_dim("d", v)
 
 
 class TestCheckIndexArray:
