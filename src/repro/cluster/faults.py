@@ -245,8 +245,13 @@ class FaultSchedule:
     @classmethod
     def from_json(cls, source: Union[str, os.PathLike]) -> "FaultSchedule":
         """Parse a schedule from a JSON string or a file path."""
-        text = str(source)
-        if not text.lstrip().startswith("{"):
-            with open(text) as fh:
-                text = fh.read()
-        return cls.from_dict(json.loads(text))
+        return cls.from_dict(_read_json(source))
+
+
+def _read_json(source: Union[str, os.PathLike]) -> Dict[str, Any]:
+    """The payload of an ``--inject`` argument: inline JSON or a file path."""
+    text = str(source)
+    if not text.lstrip().startswith("{"):
+        with open(text) as fh:
+            text = fh.read()
+    return json.loads(text)

@@ -215,9 +215,6 @@ class ClusterSpec:
             remaining -= m.num_gpus
         raise IndexError(f"device {device} out of range ({self.num_devices})")
 
-    def same_machine(self, a: int, b: int) -> bool:
-        return self.machine_of(a) == self.machine_of(b)
-
     def machine_spec(self, device: int) -> MachineSpec:
         return self.machines[self.machine_of(device)]
 

@@ -127,24 +127,7 @@ class PlanContext:
 
     @cached_property
     def dryrun(self) -> DryRun:
-        """Built on first use: it takes the task's access census, which
-        costs one sampling pass that ``prepare()`` does not pay."""
-        apt = self._apt()
-        config = apt.config
-        return DryRun(
-            apt.dataset,
-            self.cluster,
-            apt.model,
-            config.fanouts,
-            parts=self.parts,
-            node_machine=self.node_machine,
-            global_batch_size=config.global_batch_size,
-            sampler_seed=config.seed,
-            shuffle_seed=config.seed,
-            sample_cache=apt.sample_cache,
-            disk_promote_bytes=_disk_promote_bytes(config),
-            access_freq=apt.access_freq,
-        )
+        return DryRun(self)
 
     def on(self, cluster: ClusterSpec) -> "PlanContext":
         """A context for ``cluster`` under this context's partition."""
@@ -351,7 +334,6 @@ class APT:
         objective: str = "epoch",
         budget_seconds: Optional[float] = None,
         budget_dollars: Optional[float] = None,
-        device_subsets: Optional[bool] = None,
         batch_size: int = 32,
         max_wait_s: float = 0.0,
     ) -> RunReport:
@@ -362,8 +344,7 @@ class APT:
         cheapest whose epoch time fits ``budget_seconds``, sweeping
         strategies x candidate device subsets (each subset cluster gets
         its own speed-proportional partition, dry-run, and $-rate — a
-        ``dnp@drop0`` candidate means "run dnp without machine 0").
-        ``device_subsets`` defaults to on for the cost objective on
+        ``dnp@drop0`` candidate means "run dnp without machine 0") on
         multi-machine clusters; the full (time, $) Pareto frontier lands
         in ``PlanReport.pareto`` either way (DESIGN.md §5.17).
 
@@ -388,11 +369,9 @@ class APT:
         ctx = self.context
         strategies = tuple(strategies if strategies is not None else self.config.strategies)
         stats = {s: ctx.dryrun.run(s) for s in strategies}
-        if device_subsets is None:
-            device_subsets = objective == "cost"
         extra: Dict[str, CostEstimate] = {}
         subset_meta: Dict[str, dict] = {}
-        if device_subsets and objective != "latency" and self.cluster.num_machines > 1:
+        if objective == "cost" and self.cluster.num_machines > 1:
             extra, subset_meta = self._subset_candidates(strategies)
         plan = Planner(ctx.cost_model).select(
             stats,

@@ -135,9 +135,6 @@ class LatencyEstimate:
     p50: float
     p99: float
 
-    def service_seconds(self, batch_size: int) -> float:
-        return self.t_fixed + self.t_per_seed * int(batch_size)
-
     @property
     def total(self) -> float:
         """Ranking key (the tail is what serving objectives minimize)."""

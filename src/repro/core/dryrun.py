@@ -8,27 +8,30 @@ while **feature loading, hidden-embedding shuffling, and model computation
 are skipped entirely** (the three reasons the paper gives for the dry-run
 being cheap).
 
-The dry-run also performs the node-access-frequency census that drives the
+This module also holds the node-access-frequency census that drives the
 §3.2 cache policies: how often each node appears as a first-layer source
-(i.e. how often its feature would be loaded).
+(i.e. how often its feature would be loaded).  ``APT.access_freq`` counts
+it once per task, when the first dry-run builds its context.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.cluster.spec import ClusterSpec
 from repro.engine import make_strategy
 from repro.engine.base import sample_batches
-from repro.engine.context import ExecutionContext, VolumeRecorder
+from repro.engine.context import VolumeRecorder
 from repro.graph.datasets import GraphDataset
-from repro.models.base import GNNModel
 from repro.sampling.batching import EpochIterator
 from repro.sampling.cache import SampleCache
 from repro.sampling.neighbor import NeighborSampler
+
+if TYPE_CHECKING:
+    from repro.core.apt import PlanContext
 
 
 def access_frequency_census(
@@ -86,69 +89,27 @@ class DryRunStats:
 
 
 class DryRun:
-    """Per-strategy dry-run executor over a shared task description."""
+    """Per-strategy dry-runs under one :class:`~repro.core.apt.PlanContext`.
 
-    def __init__(
-        self,
-        dataset: GraphDataset,
-        cluster: ClusterSpec,
-        model: GNNModel,
-        fanouts,
-        *,
-        parts: Optional[np.ndarray] = None,
-        node_machine: Optional[np.ndarray] = None,
-        global_batch_size: int = 1024,
-        sampler_seed: int = 0,
-        shuffle_seed: int = 0,
-        sample_cache: Optional[SampleCache] = None,
-        reuse_samples: bool = True,
-        disk_promote_bytes: Optional[float] = None,
-        access_freq: Optional[np.ndarray] = None,
-    ):
-        self.dataset = dataset
-        self.cluster = cluster
-        self.model = model
-        self.fanouts = list(fanouts)
-        self.parts = parts
-        self.node_machine = node_machine
-        self.global_batch_size = int(global_batch_size)
-        self.sampler_seed = int(sampler_seed)
-        self.shuffle_seed = int(shuffle_seed)
-        self.disk_promote_bytes = disk_promote_bytes
-        #: the census depends on the sampler only, never on the cluster or
-        #: the partition: pass another dry-run's to skip re-counting
-        self._access_freq: Optional[np.ndarray] = access_freq
-        #: ``run`` is a pure function of the constructor inputs, so each
+    A dry-run owns only its memos: every context it walks comes from the
+    plan context's :meth:`~repro.core.apt.PlanContext.execution_context`
+    (the task's sample cache, census, partition and ``cpu_sampling``), so
+    it samples and charges T_build exactly as the run it prices does.
+    """
+
+    def __init__(self, context: "PlanContext"):
+        # The plan context holds this dry-run: a strong reference back
+        # would make every context a reference cycle.
+        self._context = weakref.ref(context)
+        #: ``run`` is a pure function of the plan context, so each
         #: ``(strategy, epoch)`` is dry-run once and its stats handed to
         #: every later caller (callers only read them)
         self._stats: Dict[Tuple[str, int], DryRunStats] = {}
         #: node-layout blocks of the layerwise candidates, shared by every
         #: spec this dry-run sweeps (see ``LayerwiseStrategy._owner_blocks``)
         self._regrouped: Dict[tuple, list] = {}
-        # One cache shared by the census and every strategy's context: the
-        # census samples each whole global batch once, and the per-strategy
-        # seed chunks are then derived by restriction (never re-sampled).
-        # ``reuse_samples=False`` turns reuse off: the cache-off reference
-        # the tests compare the cached plan step against.
-        if sample_cache is None and reuse_samples:
-            sample_cache = SampleCache()
-        self.sample_cache = sample_cache
 
     # ------------------------------------------------------------------ #
-    @property
-    def access_freq(self) -> np.ndarray:
-        """Lazily computed access-frequency census (shared by strategies)."""
-        if self._access_freq is None:
-            self._access_freq = access_frequency_census(
-                self.dataset,
-                self.fanouts,
-                self.global_batch_size,
-                sampler_seed=self.sampler_seed,
-                shuffle_seed=self.shuffle_seed,
-                sample_cache=self.sample_cache,
-            )
-        return self._access_freq
-
     def run(self, strategy_name: str, epoch: int = 0) -> DryRunStats:
         """Plan-only epoch for one strategy (executed once, then shared)."""
         key = (strategy_name, int(epoch))
@@ -159,24 +120,11 @@ class DryRun:
 
     def _execute(self, strategy_name: str, epoch: int) -> DryRunStats:
         strategy = make_strategy(strategy_name)
-        ctx = ExecutionContext.build(
-            self.dataset,
-            self.cluster,
-            self.model,
-            self.fanouts,
-            parts=self.parts,
-            node_machine=self.node_machine,
-            access_freq=self.access_freq,
-            global_batch_size=self.global_batch_size,
-            sampler_seed=self.sampler_seed,
-            shuffle_seed=self.shuffle_seed,
-            sample_cache=self.sample_cache,
-            disk_promote_bytes=self.disk_promote_bytes,
-            regrouped=self._regrouped,
-        )
+        ctx = self._context().execution_context()
+        ctx.regrouped = self._regrouped
         report = strategy.prepare(ctx)
         iterator = EpochIterator(
-            self.dataset.train_seeds, self.global_batch_size, self.shuffle_seed
+            ctx.dataset.train_seeds, ctx.global_batch_size, ctx.shuffle_seed
         )
         batches_list = iterator.epoch_batches(epoch)
         for global_batch in batches_list:
@@ -190,13 +138,13 @@ class DryRun:
                 if mb is None:
                     continue
                 for layer, block in zip(
-                    list(self.model.layers)[1:], mb.blocks[1:]
+                    list(ctx.model.layers)[1:], mb.blocks[1:]
                 ):
                     ctx.recorder.record_upper_flops(
                         d, layer.forward_flops(block)
                     )
             ctx.timeline.end_batch()
-        ctx.recorder.access_frequency = self.access_freq
+        ctx.recorder.access_frequency = ctx.access_freq
         return DryRunStats(
             strategy=strategy_name,
             recorder=ctx.recorder,

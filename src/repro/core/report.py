@@ -357,11 +357,6 @@ class RunReport(ReportBase):
     def num_replans(self) -> int:
         return len(self.replans)
 
-    @property
-    def switch_epochs(self) -> List[int]:
-        """Epochs after which the running strategy actually changed."""
-        return [r.epoch for r in self.replans if r.switched]
-
     # ------------------------------------------------------------------ #
     def payload_dict(self) -> Dict[str, Any]:
         out: Dict[str, Any] = {}

@@ -99,10 +99,6 @@ class VolumeRecorder:
     def hidden_send_bytes(self) -> np.ndarray:
         return self.hidden_bytes.sum(axis=1)
 
-    @property
-    def hidden_recv_bytes(self) -> np.ndarray:
-        return self.hidden_bytes.sum(axis=0)
-
     def record_structure(self, device: int, nbytes: float) -> None:
         self.structure_send_bytes[device] += nbytes
 
@@ -142,9 +138,6 @@ class VolumeRecorder:
     # ------------------------------------------------------------------ #
     def total_hidden_bytes(self) -> float:
         return float(self.hidden_send_bytes.sum())
-
-    def total_structure_bytes(self) -> float:
-        return float(self.structure_send_bytes.sum())
 
     def total_load_rows(self, tier: Tier) -> float:
         return sum(rows[tier] for rows in self.load_rows)
@@ -233,7 +226,6 @@ class ExecutionContext:
         sample_cache: Optional[SampleCache] = None,
         backend=None,
         disk_promote_bytes: Optional[float] = None,
-        regrouped: Optional[dict] = None,
     ) -> "ExecutionContext":
         """Assemble a fresh context with new ledgers."""
         timeline = Timeline(cluster.num_devices, overlap=overlap, telemetry=telemetry)
@@ -263,5 +255,4 @@ class ExecutionContext:
             telemetry=telemetry,
             sample_cache=sample_cache,
             backend=backend,
-            regrouped=regrouped,
         )

@@ -155,17 +155,6 @@ class LoadReport:
     #: store serves a memory-mapped out-of-core dataset)
     ranged_reads: int = 0
 
-    def total_rows(self) -> int:
-        return sum(self.rows.values())
-
-    def hit_rate(self) -> float:
-        """Fraction of rows served from this GPU's own cache."""
-        total = self.total_rows()
-        return self.rows.get(Tier.GPU_CACHE, 0) / total if total else 0.0
-
-    def disk_rows(self) -> int:
-        return int(self.rows.get(Tier.DISK, 0))
-
     def disk_bytes(self) -> float:
         return float(self.bytes.get(Tier.DISK, 0.0))
 
@@ -248,9 +237,6 @@ class UnifiedFeatureStore:
             if np.asarray(nodes).size:
                 self._cached[d, np.asarray(nodes, dtype=np.int64)] = True
         self.dim_fraction = float(dim_fraction)
-
-    def cached_node_count(self, device: int) -> int:
-        return int(self._cached[device].sum())
 
     # ------------------------------------------------------------------ #
     # disk tier (out-of-core datasets, DESIGN.md §5.14)

@@ -113,10 +113,6 @@ class CSRGraph:
     def in_degrees(self) -> np.ndarray:
         return np.diff(self.indptr)
 
-    def neighbors(self, v: int) -> np.ndarray:
-        """In-neighbors of ``v`` (zero-copy view)."""
-        return self.indices[self.indptr[v] : self.indptr[v + 1]]
-
     def neighbor_slices(self, nodes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Start/stop offsets of the neighbor lists of ``nodes``."""
         nodes = np.asarray(nodes, dtype=np.int64)
@@ -147,10 +143,6 @@ class CSRGraph:
         mask[nodes] = True
         mask[halo] = True
         return np.flatnonzero(mask)
-
-    def topology_bytes(self) -> int:
-        """Size of the CSR arrays in bytes (feeds the data-layout model)."""
-        return self.indptr.nbytes + self.indices.nbytes
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"CSRGraph(num_nodes={self.num_nodes}, num_edges={self.num_edges})"

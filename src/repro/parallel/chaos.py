@@ -47,6 +47,7 @@ import os
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
+from repro.cluster.faults import FaultSchedule, _read_json
 from repro.utils.random import rng_from
 
 #: Host-fault kinds (mirrors ``repro.cluster.faults.FAULT_KINDS``).
@@ -166,11 +167,7 @@ class HostFaultSchedule:
     @classmethod
     def from_json(cls, source: Union[str, os.PathLike]) -> "HostFaultSchedule":
         """Parse a schedule from a JSON string or a file path."""
-        text = str(source)
-        if not text.lstrip().startswith("{"):
-            with open(text) as fh:
-                text = fh.read()
-        return cls.from_dict(json.loads(text))
+        return cls.from_dict(_read_json(source))
 
     @classmethod
     def parse(cls, source: Union[str, os.PathLike]) -> "HostFaultSchedule":
@@ -225,13 +222,7 @@ def split_injections(source: Union[str, os.PathLike]):
     ``host_events`` section stays about *process* faults inside a fixed
     membership (kill/hang/corrupt/leak).
     """
-    from repro.cluster.faults import FaultSchedule
-
-    text = str(source)
-    if not text.lstrip().startswith("{"):
-        with open(text) as fh:
-            text = fh.read()
-    payload = json.loads(text)
+    payload = _read_json(source)
     faults = FaultSchedule.from_dict(payload) if payload.get("events") else None
     chaos = (
         HostFaultSchedule.from_dict(payload) if payload.get("host_events") else None

@@ -366,10 +366,6 @@ class SlotRing:
         self._by_name[replacement.name] = replacement
         self._free.append(replacement.name)
 
-    @property
-    def quarantined(self) -> int:
-        return len(self._quarantined)
-
     def buffer(self, name: str):
         return self._by_name[name].buf
 

@@ -310,9 +310,6 @@ class WorkerSet:
     def closed(self) -> bool:
         return self.heartbeats is None
 
-    def pids(self) -> List[int]:
-        return [worker.process.pid for worker in self._workers]
-
     def _fork(self, index: int) -> _Worker:
         ours, theirs = multiprocessing.Pipe(duplex=True)
         process = multiprocessing.Process(

@@ -219,14 +219,6 @@ class SampleCache:
     def __len__(self) -> int:
         return len(self._entries)
 
-    @property
-    def current_bytes(self) -> int:
-        return self._bytes
-
-    def bytes_of(self, kind: str) -> int:
-        """Bytes currently charged against the ``kind`` budget pool."""
-        return self._kind_bytes[kind]
-
     def clear(self) -> None:
         self._entries.clear()
         self._graphs.clear()

@@ -92,9 +92,6 @@ class Module:
                 )
             p.data = np.array(arr, dtype=p.data.dtype, copy=True)
 
-    def num_parameters(self) -> int:
-        return sum(p.size for p in self.parameters())
-
     def __call__(self, *args, **kwargs):
         return self.forward(*args, **kwargs)
 

@@ -143,10 +143,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def detach(self) -> "Tensor":
-        """Return a tensor sharing data but cut from the tape."""
-        return Tensor(self.data, requires_grad=False)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"Tensor(shape={self.shape}, op={self._op!r}, "
@@ -444,15 +440,6 @@ class Tensor:
                 self._accumulate(g / self.data)
 
         return Tensor._make(out_data, (self,), backward_fn, "log")
-
-    def tanh(self) -> "Tensor":
-        out_data = np.tanh(self.data)
-
-        def backward_fn(g: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(g * (1.0 - out_data**2))
-
-        return Tensor._make(out_data, (self,), backward_fn, "tanh")
 
     def maximum_scalar(self, value: float) -> "Tensor":
         """Element-wise ``max(self, value)`` (building block of ReLU)."""

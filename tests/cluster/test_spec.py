@@ -64,8 +64,8 @@ class TestClusterSpec:
 
     def test_same_machine(self):
         c = multi_machine_cluster(2, 2)
-        assert c.same_machine(0, 1)
-        assert not c.same_machine(1, 2)
+        assert c.machine_of(0) == c.machine_of(1)
+        assert c.machine_of(1) != c.machine_of(2)
 
     def test_devices_of_machine(self):
         c = multi_machine_cluster(2, 3)

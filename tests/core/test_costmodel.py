@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.cluster import multi_machine_cluster, single_machine_cluster
-from repro.core import CostModel, DryRun
+from repro.core import APT, CostModel
 from repro.core.costmodel import (
     dnp_shuffle_volume,
     nfp_shuffle_volume,
@@ -22,8 +22,11 @@ def setup():
     cluster = single_machine_cluster(4, gpu_cache_bytes=ds.feature_bytes * 0.05)
     model = GraphSAGE(ds.feature_dim, 8, ds.num_classes, 2, seed=1)
     parts = metis_like_partition(ds.graph, 4, seed=0)
-    dryrun = DryRun(ds, cluster, model, [4, 4], parts=parts, global_batch_size=256)
-    return ds, cluster, model, dryrun.run_all()
+    config = APTConfig(
+        fanouts=(4, 4), global_batch_size=256, seed=0, partition=parts
+    )
+    apt = APT(ds, model, cluster, config)
+    return ds, cluster, model, apt.context.dryrun.run_all()
 
 
 class TestClosedFormVolumes:

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.cluster import single_machine_cluster
-from repro.core import DryRun, access_frequency_census
+from repro.config import APTConfig
+from repro.core import APT, access_frequency_census
 from repro.graph.datasets import small_dataset
 from repro.graph.partition import metis_like_partition
 from repro.models import GraphSAGE
@@ -16,13 +17,19 @@ def ds():
 
 
 @pytest.fixture(scope="module")
-def dryrun(ds):
+def apt(ds):
     cluster = single_machine_cluster(4, gpu_cache_bytes=ds.feature_bytes * 0.05)
     model = GraphSAGE(ds.feature_dim, 8, ds.num_classes, 2, seed=1)
     parts = metis_like_partition(ds.graph, 4, seed=0)
-    return DryRun(
-        ds, cluster, model, [4, 4], parts=parts, global_batch_size=256
+    config = APTConfig(
+        fanouts=(4, 4), global_batch_size=256, seed=0, partition=parts
     )
+    return APT(ds, model, cluster, config)
+
+
+@pytest.fixture(scope="module")
+def dryrun(apt):
+    return apt.context.dryrun
 
 
 class TestAccessFrequencyCensus:
@@ -76,11 +83,47 @@ class TestDryRunStats:
         assert stats["nfp"].dim_fraction == pytest.approx(0.25)
         assert stats["gdp"].dim_fraction == 1.0
 
-    def test_access_frequency_cached(self, dryrun):
-        f1 = dryrun.access_freq
-        f2 = dryrun.access_freq
+    def test_access_frequency_cached(self, apt, dryrun):
+        """One census per task: every dry-run reads the APT's."""
+        f1 = apt.access_freq
+        f2 = apt.access_freq
         assert f1 is f2
+        assert dryrun.run("gdp").recorder.access_frequency is f1
 
     def test_num_batches(self, dryrun, ds):
         stats = dryrun.run("gdp")
         assert stats.num_batches == -(-ds.train_seeds.size // 256)
+
+
+# ---------------------------------------------------------------------- #
+# the dry-run samples the way the run it prices does (paper §3.2: T_build
+# is the dry-run's sample phase)
+# ---------------------------------------------------------------------- #
+PRICED_SPECS = ("gdp", "nfp", "snp", "dnp", "hyb", "layerwise:gdp,snp")
+
+
+@pytest.fixture(scope="module", params=[False, True], ids=["gpu", "cpu"])
+def priced_apt(request):
+    from repro.cluster import multi_machine_cluster
+    from repro.graph import ps_like
+
+    ds = ps_like(3000)
+    cluster = multi_machine_cluster(
+        2, 2, gpu_cache_bytes=ds.feature_bytes * 0.05
+    )
+    model = GraphSAGE(ds.feature_dim, 16, ds.num_classes, 2, seed=1)
+    config = APTConfig(
+        fanouts=(5, 5), global_batch_size=256, seed=0,
+        cpu_sampling=request.param,
+    )
+    return APT(ds, model, cluster, config)
+
+
+@pytest.mark.parametrize("spec", PRICED_SPECS)
+def test_dryrun_t_build_is_the_run_epochs_sample_phase(priced_apt, spec):
+    """With or without ``cpu_sampling`` (Fig. 7's DistDGL-like baseline),
+    the dry-run's T_build equals the sample phase the executed epoch
+    charges, to the bit."""
+    t_build = priced_apt.context.dryrun.run(spec).t_build
+    epoch = priced_apt.run_strategy(spec, 1, numerics=False).result.epochs[0]
+    assert t_build == epoch.phases["sample"]

@@ -1,6 +1,6 @@
 """Determinism and sample-once guarantees of dry-run epoch reuse.
 
-With a :class:`~repro.sampling.cache.SampleCache` (the default), the Plan
+With the task's :class:`~repro.sampling.cache.SampleCache`, the Plan
 step must (a) run the real sampler exactly once per whole epoch batch —
 during the census — and serve every per-strategy, per-device seed chunk by
 cache hit or restriction, and (b) produce *bit-identical* plans and
@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 from repro.cluster import single_machine_cluster
-from repro.core import DryRun
+from repro.config import APTConfig
+from repro.core import APT, DryRun
 from repro.graph.datasets import small_dataset
 from repro.graph.partition import metis_like_partition
 from repro.models import GraphSAGE
@@ -36,11 +37,18 @@ def task(ds):
     return ds, cluster, model, parts
 
 
-def make_dryrun(task, **kw):
+def make_apt(task, *, cache=True):
+    """An APT over ``task``; ``cache=False`` builds its contexts without a
+    sample cache (the cache-off reference)."""
     ds, cluster, model, parts = task
-    return DryRun(
-        ds, cluster, model, FANOUTS, parts=parts, global_batch_size=BATCH, **kw
+    config = APTConfig(
+        fanouts=tuple(FANOUTS), global_batch_size=BATCH, seed=0,
+        partition=parts,
     )
+    apt = APT(ds, model, cluster, config)
+    if not cache:
+        apt.sample_cache = None
+    return apt
 
 
 def test_each_epoch_batch_sampled_exactly_once(task, monkeypatch):
@@ -56,16 +64,15 @@ def test_each_epoch_batch_sampled_exactly_once(task, monkeypatch):
 
     monkeypatch.setattr(NeighborSampler, "sample", counting_sample)
 
-    dr = make_dryrun(task)
-    assert dr.sample_cache is not None  # reuse is the default
-    dr.run_all()
+    apt = make_apt(task)
+    apt.context.dryrun.run_all()
 
     whole_batches = EpochIterator(ds.train_seeds, BATCH, 0).epoch_batches(0)
     assert len(calls) == len(whole_batches)
     for got, want in zip(calls, whole_batches):
         assert np.array_equal(got, np.sort(want))
 
-    stats = dr.sample_cache.stats
+    stats = apt.sample_cache.stats
     assert stats.misses == len(whole_batches)
     # 4 strategies x batches x (up to 4 device chunks), all served from cache
     assert stats.hits + stats.restrictions > 0
@@ -82,9 +89,8 @@ def test_reuse_off_resamples_every_chunk(task, monkeypatch):
 
     monkeypatch.setattr(NeighborSampler, "sample", counting_sample)
 
-    dr = make_dryrun(task, reuse_samples=False)
-    assert dr.sample_cache is None
-    dr.run_all()
+    apt = make_apt(task, cache=False)
+    apt.context.dryrun.run_all()
     ds = task[0]
     num_batches = len(EpochIterator(ds.train_seeds, BATCH, 0).epoch_batches(0))
     # census resamples, and so does every strategy's every device chunk
@@ -93,7 +99,7 @@ def test_reuse_off_resamples_every_chunk(task, monkeypatch):
 
 def test_layerwise_sweep_samples_exactly_once(task, monkeypatch):
     """The whole beam-search candidate sweep — singles plus every distinct
-    per-layer composition — shares one SampleCache through the DryRun, so
+    per-layer composition — shares the task's SampleCache, so
     the real sampler still runs exactly once per whole epoch batch (the
     census); regrouped layerwise blocks are derived per-node-
     deterministically and never re-sample either."""
@@ -110,10 +116,9 @@ def test_layerwise_sweep_samples_exactly_once(task, monkeypatch):
 
     monkeypatch.setattr(NeighborSampler, "sample", counting_sample)
 
-    dr = make_dryrun(task)
-    assert dr.sample_cache is not None
+    apt = make_apt(task)
     report = Planner(CostModel(cluster, ds.feature_dim)).search_layerwise(
-        dr.run, model.num_layers, beam_width=3
+        apt.context.dryrun.run, model.num_layers, beam_width=3
     )
 
     whole_batches = EpochIterator(ds.train_seeds, BATCH, 0).epoch_batches(0)
@@ -127,8 +132,9 @@ def test_layerwise_sweep_samples_exactly_once(task, monkeypatch):
 
 def test_timeline_and_plan_identical_with_and_without_cache(task):
     """The cache must not move a single simulated second or byte."""
-    with_cache = make_dryrun(task).run_all()
-    without = make_dryrun(task, reuse_samples=False).run_all()
+    cached, plain = make_apt(task), make_apt(task, cache=False)
+    with_cache = cached.context.dryrun.run_all()
+    without = plain.context.dryrun.run_all()
     for name in ("gdp", "nfp", "snp", "dnp"):
         a, b = with_cache[name], without[name]
         assert a.t_build == b.t_build  # exact float equality, not approx
@@ -145,8 +151,8 @@ def test_timeline_and_plan_identical_with_and_without_cache(task):
 
 
 def test_census_identical_with_and_without_cache(task):
-    freq_cached = make_dryrun(task).access_freq
-    freq_plain = make_dryrun(task, reuse_samples=False).access_freq
+    freq_cached = make_apt(task).access_freq
+    freq_plain = make_apt(task, cache=False).access_freq
     assert np.array_equal(freq_cached, freq_plain)
 
 
@@ -208,7 +214,7 @@ def test_planner_calls_in_sequence_equal_each_on_a_fresh_apt(ds):
 
 
 def test_each_spec_is_dry_run_once_per_dryrun(ds, monkeypatch):
-    """``DryRun.run`` is a pure function of the constructor inputs: across
+    """``DryRun.run`` is a pure function of its plan context: across
     plan / plan_layerwise / plan(cost) / plan(latency) and the run-start
     estimate, no ``(DryRun, spec, epoch)`` body executes twice."""
     executed = []
@@ -266,11 +272,12 @@ def test_layerwise_sweep_regroups_each_batch_layer_once(ds, monkeypatch):
     monkeypatch.setattr(NeighborSampler, "sample", tracking_sample)
     monkeypatch.setattr(NeighborSampler, "_sample_layers", counting_layers)
 
-    dr = DryRun(
-        ds, cluster, model, [4] * layers, parts=parts, global_batch_size=BATCH
-    )
+    apt = APT(ds, model, cluster, APTConfig(
+        fanouts=(4,) * layers, global_batch_size=BATCH, seed=0,
+        partition=parts,
+    ))
     report = Planner(CostModel(cluster, ds.feature_dim)).search_layerwise(
-        dr.run, layers, beam_width=3
+        apt.context.dryrun.run, layers, beam_width=3
     )
     node_layout_specs = [
         n for n in report.ranking

@@ -19,7 +19,7 @@ class TestVolumeRecorder:
         assert rec.hidden_bytes[0, 1] == 100.0
         assert rec.hidden_bytes[1, 1] == 0.0
         np.testing.assert_allclose(rec.hidden_send_bytes, [150.0, 0.0, 0.0])
-        np.testing.assert_allclose(rec.hidden_recv_bytes, [0.0, 100.0, 50.0])
+        np.testing.assert_allclose(rec.hidden_bytes.sum(axis=0), [0.0, 100.0, 50.0])
         assert rec.total_hidden_bytes() == 150.0
 
     def test_load_rows_accumulate(self):
@@ -33,7 +33,7 @@ class TestVolumeRecorder:
         rec = VolumeRecorder(2)
         rec.record_structure(0, 64.0)
         rec.record_structure(1, 32.0)
-        assert rec.total_structure_bytes() == 96.0
+        assert rec.structure_send_bytes.sum() == 96.0
 
     def test_intermediate_is_peak_not_sum(self):
         rec = VolumeRecorder(1)

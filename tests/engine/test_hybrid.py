@@ -71,7 +71,8 @@ class TestRouting:
         batches = sample_batches(ctx, seeds, 0)
         plan = s.plan_batch(ctx, batches)
         for task in plan.tasks:
-            assert ctx.cluster.same_machine(task.requester, task.server)
+            machine_of = ctx.cluster.machine_of
+            assert machine_of(task.requester) == machine_of(task.server)
 
     def test_no_cross_machine_hidden_bytes(self, ds, parts):
         ctx = build_ctx(ds, parts)
@@ -83,7 +84,7 @@ class TestRouting:
         B = ctx.recorder.hidden_bytes
         for i in range(4):
             for j in range(4):
-                if not ctx.cluster.same_machine(i, j):
+                if ctx.cluster.machine_of(i) != ctx.cluster.machine_of(j):
                     assert B[i, j] == 0.0
 
     def test_heterogeneous_machines_rejected(self, ds, parts):

@@ -147,7 +147,7 @@ def test_snp_plan_invariants(n, num_devices, seed, model, name):
             block.dst_nodes[task.vdst_req_idx], task.vdst
         )
         if hyb:  # hyb never routes across machines
-            assert ctx.cluster.same_machine(task.requester, task.server)
+            assert ctx.cluster.machine_of(task.requester) == ctx.cluster.machine_of(task.server)
     # Each sampled edge goes to its source's server; under GCN each
     # destination's self edge goes to its owner, exactly once.
     for r, mb in enumerate(batches):

@@ -42,6 +42,12 @@ def build_ctx(ds, parts, model=None, cache_frac=0.05, numerics=True):
     )
 
 
+def cached_count(store, device):
+    """Nodes in ``device``'s own GPU cache."""
+    every = np.arange(store.dataset.num_nodes)
+    return store.classify(device, every)[Tier.GPU_CACHE].size
+
+
 def plan_one_batch(strategy, ctx, epoch=0):
     gb = ctx.dataset.train_seeds[:128]
     seeds = strategy.assign_seeds(ctx, gb)
@@ -79,12 +85,12 @@ class TestGDP:
         s.prepare(ctx)
         plan, batches = plan_one_batch(s, ctx)
         assert ctx.recorder.total_hidden_bytes() == 0.0
-        assert ctx.recorder.total_structure_bytes() == 0.0
+        assert ctx.recorder.structure_send_bytes.sum() == 0.0
 
     def test_identical_caches_on_all_devices(self, ds, parts):
         ctx = build_ctx(ds, parts)
         GDPStrategy().prepare(ctx)
-        counts = [ctx.store.cached_node_count(d) for d in range(4)]
+        counts = [cached_count(ctx.store, d) for d in range(4)]
         assert len(set(counts)) == 1 and counts[0] > 0
 
     def test_unified_cache_under_nvlink(self, ds, parts):
@@ -142,14 +148,14 @@ class TestNFP:
         GDPStrategy().prepare(ctx1)
         ctx2 = build_ctx(ds, parts)
         NFPStrategy().prepare(ctx2)
-        assert ctx2.store.cached_node_count(0) > ctx1.store.cached_node_count(0)
+        assert cached_count(ctx2.store, 0) > cached_count(ctx1.store, 0)
 
     def test_structure_broadcast_recorded(self, ds, parts):
         ctx = build_ctx(ds, parts)
         s = NFPStrategy()
         s.prepare(ctx)
         plan_one_batch(s, ctx)
-        assert ctx.recorder.total_structure_bytes() > 0
+        assert ctx.recorder.structure_send_bytes.sum() > 0
 
     def test_nfp_shuffle_volume_formula(self, ds, parts):
         """Recorded volume matches the paper's d' (C-1) N_d accounting
@@ -303,8 +309,8 @@ class TestDNP:
         DNPStrategy().prepare(ctx_dnp)
         # With unlimited budget DNP caches the halo too.
         assert (
-            ctx_dnp.store.cached_node_count(0)
-            > ctx_snp.store.cached_node_count(0)
+            cached_count(ctx_dnp.store, 0)
+            > cached_count(ctx_snp.store, 0)
         )
 
 

@@ -100,7 +100,7 @@ class TestDiskTierStore:
         store = UnifiedFeatureStore(disk_ds, single_machine_cluster(1))
         ids = np.array([0, 1, 2, 100, 101, 400])
         report = store.charge_load(0, ids)
-        assert report.disk_rows() == 6
+        assert report.rows[Tier.DISK] == 6
         assert report.ranged_reads == count_ranges(ids) == 3
         assert report.disk_bytes() == 6 * disk_ds.feature_dim * 8
         assert store.disk_stats["rows"] == 6.0

@@ -146,7 +146,7 @@ class TestQuarantine:
         try:
             a = ring.acquire()
             ring.quarantine(a)
-            assert ring.quarantined == 1
+            assert len(ring._quarantined) == 1
             # Neither release nor retire can put it back in circulation.
             ring.release(a)
             ring.retire(a)
@@ -164,7 +164,7 @@ class TestQuarantine:
             a = ring.acquire()
             ring.quarantine(a)
             ring.quarantine(a)
-            assert ring.quarantined == 1
+            assert len(ring._quarantined) == 1
         finally:
             ring.close()
 

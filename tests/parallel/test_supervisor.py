@@ -324,7 +324,7 @@ class TestFailureDiagnostics:
                 workers, FaultPolicy(failure_budget=6, task_deadline_s=0.2)
             )
             sup.failures = 1
-            pid = workers.pids()[0]
+            pid = workers._workers[0].process.pid
             hung = sup.submit(
                 _payload(chaos={"kind": "hang", "seconds": 30.0}), None
             )
@@ -332,15 +332,15 @@ class TestFailureDiagnostics:
                 sup._wait(hung, hung.submitted_at + sup.policy.task_deadline_s)
             msg = str(err.value)
             assert f"pid {pid}" in msg and "failures 1 / budget 6" in msg
-            assert workers.pids()[0] != pid
+            assert workers._workers[0].process.pid != pid
 
-            pid = workers.pids()[0]
+            pid = workers._workers[0].process.pid
             killed = sup.submit(_payload(chaos={"kind": "kill"}), None)
             with pytest.raises(WorkerCrash) as err:
                 sup._wait(killed, time.monotonic() + 30.0)
             msg = str(err.value)
             assert f"pid {pid}" in msg and "failures 1 / budget 6" in msg
-            assert sup.last_dead == [pid] and workers.pids()[0] != pid
+            assert sup.last_dead == [pid] and workers._workers[0].process.pid != pid
             assert sup.respawns == 2
 
             # The replacement serves the next task on a fresh pipe.

@@ -72,9 +72,13 @@ def _assert_same(run_a, run_b):
         np.testing.assert_array_equal(state_a[key], state_b[key])
 
 
+def _pids(workers):
+    return [worker.process.pid for worker in workers._workers]
+
+
 def _idle_pids():
     idle = backend_module._IDLE
-    return None if idle is None else idle.pids()
+    return None if idle is None else _pids(idle)
 
 
 def _running(pid):
@@ -166,7 +170,7 @@ class TestLease:
     ):
         held = ProcessPoolBackend(tiny_dataset, num_workers=2, prefetch_depth=2)
         try:
-            held_pids = held._workers.pids()
+            held_pids = _pids(held._workers)
             # A whole run while `held` is open: it must fork its own set.
             run = _run(tiny_dataset, "process")
             run_pids = _idle_pids()
@@ -302,7 +306,7 @@ _COORDINATOR = textwrap.dedent(
         served[0] += 1
         if served[0] == 3:  # mid-epoch, a prefetch in flight
             with open(sys.argv[1], "w") as fh:
-                fh.write(" ".join(str(p) for p in self._workers.pids()))
+                fh.write(" ".join(str(w.process.pid) for w in self._workers._workers))
             os.kill(os.getpid(), signal.SIGKILL)  # no goodbye
         return original(self, *args, **kwargs)
     ProcessPoolBackend.sample_device_chunks = lethal
@@ -340,14 +344,14 @@ class TestWorkerOutlivesRings:
 
         first = ProcessPoolBackend(tiny_dataset, num_workers=1, prefetch_depth=1)
         self._sample_twice(tiny_dataset, first)
-        (pid,) = first._workers.pids()
+        (pid,) = _pids(first._workers)
         ring_a = list(first._slots._by_name)
         assert any(name in mapped(pid) for name in ring_a)
         first.close()  # unlinks ring A; the worker goes back to idle
 
         second = ProcessPoolBackend(tiny_dataset, num_workers=1, prefetch_depth=1)
         try:
-            assert second._workers.pids() == [pid]
+            assert _pids(second._workers) == [pid]
             self._sample_twice(tiny_dataset, second)
             ring_b = list(second._slots._by_name)
             maps = mapped(pid)

@@ -103,7 +103,7 @@ class TestBudget:
         for e in range(8):
             cache.sample(sampler, np.arange(100), epoch=e)
         assert cache.stats.evictions > 0
-        assert cache.current_bytes <= cache.max_bytes
+        assert cache._bytes <= cache.max_bytes
         assert len(cache) <= 8 - cache.stats.evictions
         # oldest epochs were evicted; re-requesting them re-samples
         cache.sample(sampler, np.arange(100), epoch=0)
@@ -137,12 +137,12 @@ class TestBudget:
             for block in (b for mb in batches for b in mb.blocks):
                 block.dst_index().indptr  # built now, if nothing built it yet
                 assert held(block) == block.nbytes()
-        assert cache.current_bytes == sum(e.nbytes for e in entries)
+        assert cache._bytes == sum(e.nbytes for e in entries)
 
     def test_oversized_batch_served_uncached(self, sampler):
         cache = SampleCache(max_bytes=64)  # smaller than any real batch
         got = cache.sample(sampler, np.arange(100), epoch=0)
-        assert len(cache) == 0 and cache.current_bytes == 0
+        assert len(cache) == 0 and cache._bytes == 0
         assert_batches_identical(got, sampler.sample(np.arange(100), epoch=0))
 
     def test_rejects_nonpositive_budget(self):
@@ -152,9 +152,9 @@ class TestBudget:
     def test_clear_resets_storage(self, sampler):
         cache = SampleCache()
         cache.sample(sampler, np.arange(30), epoch=0)
-        assert len(cache) == 1 and cache.current_bytes > 0
+        assert len(cache) == 1 and cache._bytes > 0
         cache.clear()
-        assert len(cache) == 0 and cache.current_bytes == 0
+        assert len(cache) == 0 and cache._bytes == 0
         cache.sample(sampler, np.arange(30), epoch=0)
         assert cache.stats.misses == 2
 
@@ -190,15 +190,15 @@ class TestKindBudgets:
         cache = SampleCache(max_bytes=4 * one, eval_max_bytes=one)
         for e in range(3):
             cache.sample(sampler, np.arange(100), epoch=e, kind="train")
-        train_bytes = cache.bytes_of("train")
+        train_bytes = cache._kind_bytes["train"]
         # An accuracy sweep: many distinct eval batches in one pseudo-epoch.
         for i in range(6):
             cache.sample(
                 sampler, np.arange(i * 100, i * 100 + 100), epoch=10_000,
                 kind="eval",
             )
-        assert cache.bytes_of("train") == train_bytes
-        assert cache.bytes_of("eval") <= one
+        assert cache._kind_bytes["train"] == train_bytes
+        assert cache._kind_bytes["eval"] <= one
         # Every training entry is still an exact hit.
         misses = cache.stats.misses
         for e in range(3):
@@ -215,7 +215,7 @@ class TestKindBudgets:
                 kind="eval",
             )
         assert cache.stats.evictions > 0
-        assert cache.bytes_of("eval") <= 2 * one
+        assert cache._kind_bytes["eval"] <= 2 * one
 
     def test_default_eval_budget_is_quarter(self):
         cache = SampleCache(max_bytes=1024)
@@ -305,14 +305,14 @@ class TestSecondUse:
         union_bytes = sampler.sample(seeds, epoch=0).nbytes()
         cache = SampleCache()
         first = sample_device_batches(sampler, chunks, 0, cache)
-        assert len(cache) == 1 and cache.current_bytes == union_bytes
+        assert len(cache) == 1 and cache._bytes == union_bytes
         # a miss: the splits come from the fresh sample, none is counted
         assert cache.stats.to_dict() == {
             "hits": 0, "restrictions": 0, "misses": 1, "evictions": 0,
         }
         second = sample_device_batches(sampler, chunks, 0, cache)
         assert all(a is not b for a, b in zip(first, second))
-        assert cache.current_bytes == union_bytes + sum(
+        assert cache._bytes == union_bytes + sum(
             mb.nbytes() for mb in second
         )
         third = sample_device_batches(sampler, chunks, 0, cache)
@@ -341,15 +341,15 @@ class TestSecondUse:
         seeds = np.arange(0, 400, 4)
         chunks = split_evenly(seeds, 4)
         probe.sample(sampler, seeds, epoch=0)
-        full = probe.current_bytes + sum(
+        full = probe._bytes + sum(
             mb.nbytes() for mb in sample_device_batches(sampler, chunks, 0, probe)
         )
         cache = SampleCache(max_bytes=int(2.5 * full))
         for epoch in range(8):
             for _ in range(3):
                 sample_device_batches(sampler, chunks, epoch, cache)
-                assert cache.current_bytes <= cache.max_bytes
-                assert cache.current_bytes == cache.bytes_of("train")
+                assert cache._bytes <= cache.max_bytes
+                assert cache._bytes == cache._kind_bytes["train"]
         assert cache.stats.evictions > 0
         assert len(cache) <= 2
 
@@ -360,6 +360,6 @@ class TestSecondUse:
         cache = SampleCache(max_bytes=union_bytes + 8)
         for _ in range(3):
             got = sample_device_batches(sampler, chunks, 0, cache)
-            assert cache.current_bytes == union_bytes
+            assert cache._bytes == union_bytes
         for chunk, mb in zip(chunks, got):
             assert_batches_identical(mb, sampler.sample(chunk, epoch=0))

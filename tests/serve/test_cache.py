@@ -46,8 +46,9 @@ class TestRefresh:
         size = cache.refresh()
         assert size > 0
         assert size == min(cache.capacity_nodes(), tiny_dataset.num_nodes)
+        every = np.arange(tiny_dataset.num_nodes)
         for device in range(2):
-            assert store.cached_node_count(device) == size
+            assert store.classify(device, every)[Tier.GPU_CACHE].size == size
         assert cache.refreshes == 1
 
     def test_decay_slides_the_window(self, store, tiny_dataset):

@@ -148,9 +148,6 @@ class TestElementwise:
         t.log().sum().backward()
         np.testing.assert_allclose(t.grad, 1.0 / x)
 
-    def test_tanh(self):
-        check_op(lambda a: a.tanh(), (6,))
-
     def test_maximum_scalar(self):
         x = Tensor(np.array([-1.0, 0.5, 2.0]), requires_grad=True)
         x.maximum_scalar(0.0).sum().backward()
@@ -190,11 +187,6 @@ class TestTapeMechanics:
         x = Tensor(np.ones(3), requires_grad=True)
         with no_grad():
             y = x * 2.0
-        assert not y.requires_grad
-
-    def test_detach_cuts_tape(self):
-        x = Tensor(np.ones(3), requires_grad=True)
-        y = (x * 2.0).detach() * 3.0
         assert not y.requires_grad
 
     def test_deep_chain_does_not_overflow(self):

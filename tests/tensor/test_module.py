@@ -28,7 +28,7 @@ class TestModule:
 
     def test_num_parameters(self):
         m = TwoLayer()
-        assert m.num_parameters() == 4 * 8 + 8 + 8 * 2 + 2
+        assert sum(p.size for p in m.parameters()) == 4 * 8 + 8 + 8 * 2 + 2
 
     def test_zero_grad(self):
         m = TwoLayer()
