@@ -4,7 +4,6 @@ Strategies execute real numerics but charge *simulated* kernel times derived
 from workload counts:
 
 * dense GEMM — FLOPs over achieved throughput;
-* row gathers — memory-bound, bytes over HBM bandwidth;
 * neighbor sampling — edges over the device's sampling throughput (or the
   machine's CPU throughput for the DistDGL-style baseline).
 
@@ -19,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.cluster.spec import ELEMENT_BYTES, ClusterSpec
+from repro.cluster.spec import ClusterSpec
 from repro.cluster.timeline import Timeline
 
 #: forward + backward FLOP multiple of a training step.
@@ -32,7 +31,6 @@ class ComputeCharger:
     entry priced by its own device with the scalar call's float ops."""
 
     def __init__(self, cluster: ClusterSpec, timeline: Timeline):
-        self.cluster = cluster
         self.timeline = timeline
         specs = [cluster.device_spec(d) for d in range(cluster.num_devices)]
         self._flops_rate = np.array([s.effective_flops for s in specs])
@@ -42,24 +40,11 @@ class ComputeCharger:
             for m in map(cluster.machine_spec, range(cluster.num_devices))
         ])
 
-    def dense(
-        self,
-        device,
-        flops,
-        phase: str = "train",
-        include_backward: bool = True,
-    ) -> None:
-        """Charge a dense kernel of ``flops`` forward floating-point ops."""
-        factor = TRAIN_FLOP_FACTOR if include_backward else 1.0
-        flops = np.asarray(flops, dtype=np.float64) * factor
+    def dense(self, device, flops, phase: str = "train") -> None:
+        """Charge a dense kernel of ``flops`` forward floating-point ops
+        (times ``TRAIN_FLOP_FACTOR``: a training step)."""
+        flops = np.asarray(flops, dtype=np.float64) * TRAIN_FLOP_FACTOR
         self.timeline.charge(device, phase, flops / self._flops_rate[device])
-
-    def gather(self, device: int, rows: int, dim: int, phase: str = "load") -> None:
-        """Charge a row-gather of ``rows x dim`` elements."""
-        spec = self.cluster.device_spec(device)
-        self.timeline.charge(
-            device, phase, spec.memory_bound_seconds(rows * dim * ELEMENT_BYTES * 2)
-        )
 
     def gpu_sampling(self, device, num_edges, phase: str = "sample") -> None:
         """Charge GPU-based neighbor sampling of ``num_edges`` edges."""

@@ -78,10 +78,6 @@ class APTConfig:
     #: global batches sampled ahead of the training loop (process backend);
     #: 0 disables pipelining but keeps the worker-pool sampling path.
     prefetch_depth: int = 2
-    #: also prefetch ``features[input_nodes]`` in workers for strategies
-    #: whose load set is the input set (GDP).  Pays off only when workers
-    #: overlap a numerics-bound main process, hence off by default.
-    gather_prefetch: bool = False
     # ---- out-of-core feature tier (DESIGN.md §5.14) ------------------- #
     #: byte budget (MiB) of CPU-resident hot rows promoted out of the disk
     #: tier for memmap-backed datasets; 0 disables promotion entirely.
@@ -196,7 +192,6 @@ class APTConfig:
             "shared-memory result slot, so large values exhaust /dev/shm — "
             "set via --prefetch-depth",
         )
-        self.gather_prefetch = bool(self.gather_prefetch)
         self.disk_promote_mb = self._int_field(
             "disk_promote_mb",
             self.disk_promote_mb,

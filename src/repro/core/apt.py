@@ -129,9 +129,18 @@ class PlanContext:
     def dryrun(self) -> DryRun:
         return DryRun(self)
 
+    def _owner(self) -> "APT":
+        apt = self._apt()
+        if apt is None:
+            raise RuntimeError(
+                "the APT that owns this PlanContext was dropped: keep the "
+                "APT alive (in a variable) while its context is used"
+            )
+        return apt
+
     def on(self, cluster: ClusterSpec) -> "PlanContext":
         """A context for ``cluster`` under this context's partition."""
-        return PlanContext(self._apt(), cluster, (self.parts, self.node_machine))
+        return PlanContext(self._owner(), cluster, (self.parts, self.node_machine))
 
     def estimate(self, spec: str) -> CostEstimate:
         """The epoch cost estimate of one strategy spec."""
@@ -154,7 +163,7 @@ class PlanContext:
         """Fresh ledgers for executing under this partition on ``cluster``
         (default: this context's; a run passes the effective, possibly
         degraded, cluster)."""
-        apt = self._apt()
+        apt = self._owner()
         config = apt.config
         return ExecutionContext.build(
             apt.dataset,

@@ -70,7 +70,6 @@ _HOST_ONLY_FIELDS = frozenset(
         "execution_backend",
         "num_workers",
         "prefetch_depth",
-        "gather_prefetch",
         "fault_policy",
         "host_chaos",
         "checkpoint_dir",

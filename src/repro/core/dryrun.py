@@ -119,8 +119,15 @@ class DryRun:
         return stats
 
     def _execute(self, strategy_name: str, epoch: int) -> DryRunStats:
+        context = self._context()
+        if context is None:
+            raise RuntimeError(
+                "the PlanContext that owns this DryRun was dropped: keep the "
+                "APT alive (in a variable) and reach the dry-run through "
+                "apt.context.dryrun"
+            )
         strategy = make_strategy(strategy_name)
-        ctx = self._context().execution_context()
+        ctx = context.execution_context()
         ctx.regrouped = self._regrouped
         report = strategy.prepare(ctx)
         iterator = EpochIterator(

@@ -87,10 +87,6 @@ class Strategy(abc.ABC):
     seed_split: str = "round_robin"
     #: whether the strategy needs a node->device graph partition
     requires_partition: bool = False
-    #: whether the strategy's per-device feature-load set equals the
-    #: sampled input set (``blocks[0].src_nodes``) — lets the process
-    #: backend prefetch the gather in workers (GDP sets this)
-    gather_prefetch: bool = False
 
     # ------------------------------------------------------------------ #
     @abc.abstractmethod
@@ -272,19 +268,14 @@ def charge_sampling(
 def read_features(
     ctx: ExecutionContext, device: int, node_ids: np.ndarray, phase: str = "load"
 ):
-    """One device's feature read, dispatched through the execution backend.
+    """One device's feature read through the feature store.
 
-    Returns ``(rows, report)`` like ``ctx.store.read`` (``rows`` is ``None``
-    in timing-only mode).  A backend that prefetched exactly this gather
-    (process backend + ``gather_prefetch``) serves the rows from shared
-    memory; the simulated load charge is identical either way because
-    ``charge_load`` is the accounting half of ``read``.
+    Returns ``(rows, report)`` like ``ctx.store.read``; timing-only mode
+    charges the load (``charge_load`` is the accounting half of ``read``)
+    and returns ``None`` rows.
     """
     if not ctx.numerics:
         return None, ctx.store.charge_load(device, node_ids, ctx.timeline, phase)
-    rows = resolve_backend(ctx).take_gather(device, node_ids)
-    if rows is not None:
-        return rows, ctx.store.charge_load(device, node_ids, ctx.timeline, phase)
     return ctx.store.read(device, node_ids, ctx.timeline, phase)
 
 

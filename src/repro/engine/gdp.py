@@ -38,9 +38,6 @@ from repro.tensor.tensor import Tensor
 class GDPStrategy(Strategy):
     name = "gdp"
     requires_partition = False
-    #: GDP's per-device load set is exactly ``blocks[0].src_nodes``, so a
-    #: pipelined backend can gather the rows in workers alongside sampling.
-    gather_prefetch = True
 
     def prepare(self, ctx: ExecutionContext) -> StrategyReport:
         freq = self.resolve_access_freq(ctx)

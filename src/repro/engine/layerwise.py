@@ -304,7 +304,6 @@ class LayerwiseStrategy(Strategy):
         self.requires_partition = self.base.requires_partition or any(
             n in ("snp", "dnp") for n in names
         )
-        self.gather_prefetch = self.base.gather_prefetch
         #: layout per upper layer (index ``li - 1`` for model layer ``li``)
         self.upper_layouts = [upper_layout(n) for n in names[1:]]
         self._parts: Optional[np.ndarray] = None

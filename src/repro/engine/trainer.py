@@ -84,18 +84,11 @@ class ParallelTrainer:
 
         # Cross-device gather dedup: stage the union of the strategy's
         # per-device row requests once; GDP reads its rows through it.
-        # Skipped when a pipelined backend already serves gathers from
-        # worker shared memory.
         shared = None
         if ctx.numerics:
-            backend = resolve_backend(ctx)
-            if not (
-                self.strategy.gather_prefetch
-                and getattr(backend, "gather_prefetch", False)
-            ):
-                requests = self.strategy.load_requests(ctx, plan, batches)
-                if requests is not None:
-                    shared = ctx.store.begin_shared_gather(requests)
+            requests = self.strategy.load_requests(ctx, plan, batches)
+            if requests is not None:
+                shared = ctx.store.begin_shared_gather(requests)
         try:
             h1 = self.strategy.execute_batch(ctx, plan, batches)
             logits = self.strategy.upper_forward(ctx, plan, batches, h1)

@@ -1,7 +1,8 @@
 """Host-side execution backends (serial / shared-memory worker processes).
 
-See DESIGN.md §5.10: backends move *host wall-clock* work (sampling,
-feature gathering, batch prefetch) without touching the simulation —
+See DESIGN.md §5.10: backends move *host wall-clock* work (sampling and
+batch prefetch; features are gathered on the main process either way)
+without touching the simulation —
 losses, parameters, and simulated Timeline charges are bit-identical
 across backends.  §5.11 adds the fault-tolerance layer on top: worker
 supervision (:mod:`repro.parallel.supervisor`), deterministic host-fault

@@ -1,8 +1,9 @@
 """Pluggable host-side execution backends: serial and worker processes.
 
 A backend owns the *host wall-clock* side of the engine's per-device
-loops: where sampling runs, whether batch ``k+1`` is prepared while batch
-``k`` trains, and where feature rows are gathered.  It is strictly
+loops: where sampling runs and whether batch ``k+1`` is sampled while
+batch ``k`` trains.  Feature rows are always gathered on the main
+process, through the feature store.  It is strictly
 invisible to the simulation: both backends produce bit-identical
 minibatches, losses, parameters, and simulated Timeline charges (pinned by
 ``tests/parallel/test_equivalence.py``) — only host seconds differ.
@@ -15,8 +16,8 @@ minibatches, losses, parameters, and simulated Timeline charges (pinned by
 
 :class:`ProcessPoolBackend`
     Fans sampling out to worker processes that hold zero-copy
-    shared-memory views of the CSR graph (and, once a task gathers, of the
-    feature matrix).  The workers and the export belong to the *dataset*,
+    shared-memory views of the CSR graph; they map no feature and ship
+    sampled blocks only.  The workers and the export belong to the *dataset*,
     not to the run: they are forked on the first process-backend run over
     a dataset and leased by every later one (:func:`_lease` — what a lease
     may carry from run to run is nothing).  The epoch loop is pipelined: up to
@@ -109,11 +110,6 @@ class ExecutionBackend:
         :func:`repro.engine.base.sample_batches` charges simulated time
         identically for every backend)."""
         raise NotImplementedError
-
-    def take_gather(self, device: int, node_ids) -> Optional[np.ndarray]:
-        """Prefetched feature rows for exactly ``node_ids`` on ``device``,
-        or ``None`` (caller reads through the feature store)."""
-        return None
 
     def quiesce(self) -> None:
         """Settle all in-flight work and drop any prefetched schedule.
@@ -246,13 +242,6 @@ class ProcessPoolBackend(ExecutionBackend):
         Global batches sampled ahead of the training loop.  ``0`` disables
         pipelining (each batch is still sampled in a worker, without
         overlap).
-    gather_prefetch:
-        Also ship ``features[input_nodes]`` per device for strategies that
-        declare ``gather_prefetch`` (GDP — its load set *is* the input
-        set).  Off by default: it moves gather work, it does not shrink
-        it, so it only pays off when workers overlap a numerics-bound
-        main process.  The feature matrix enters shared memory on the
-        first epoch that asks for this.
     fault_policy:
         Supervision knobs (deadlines, retries, failure budget); defaults
         to :class:`~repro.parallel.supervisor.FaultPolicy` with its
@@ -270,7 +259,6 @@ class ProcessPoolBackend(ExecutionBackend):
         dataset,
         num_workers: Optional[int] = None,
         prefetch_depth: int = 2,
-        gather_prefetch: bool = False,
         fault_policy: Optional[FaultPolicy] = None,
         chaos: Optional[HostFaultSchedule] = None,
     ):
@@ -278,7 +266,6 @@ class ProcessPoolBackend(ExecutionBackend):
         if self.num_workers <= 0:
             raise ValueError(f"num_workers must be positive, got {num_workers}")
         self.prefetch_depth = max(0, int(prefetch_depth))
-        self.gather_prefetch = bool(gather_prefetch)
         self.policy = fault_policy or FaultPolicy()
         self.chaos = chaos if chaos is not None else HostFaultSchedule.from_env()
         self._workers = _lease(dataset, self.num_workers)
@@ -298,7 +285,6 @@ class ProcessPoolBackend(ExecutionBackend):
         self._schedule: List[Tuple[bytes, Dict]] = []
         self._next = 0
         self._inflight: Deque[Tuple[bytes, Flight]] = deque()
-        self._gather: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
         self._counters: Dict[str, float] = {}
         self._events: List[Tuple[str, Dict]] = []
         self._epoch_mark: Dict[str, float] = {}
@@ -322,18 +308,10 @@ class ProcessPoolBackend(ExecutionBackend):
         if self._degraded:
             return
         self._drain(wasted=True)
-        self._gather.clear()
-        gather = (
-            self.gather_prefetch
-            and ctx.numerics
-            and getattr(strategy, "gather_prefetch", False)
-        )
         base = {
             "epoch": int(epoch),
             "fanouts": tuple(ctx.sampler.fanouts),
             "global_seed": int(ctx.sampler.global_seed),
-            "gather": bool(gather),
-            "features": self._workers.export.share_features() if gather else None,
         }
         self._schedule = []
         for gb in global_batches:
@@ -394,7 +372,6 @@ class ProcessPoolBackend(ExecutionBackend):
         self._drain(wasted=True)
         self._schedule = []
         self._next = 0
-        self._gather.clear()
         self._count("quiesce")
 
     # ------------------------------------------------------------------ #
@@ -533,7 +510,6 @@ class ProcessPoolBackend(ExecutionBackend):
                     "epoch": int(epoch),
                     "fanouts": tuple(ctx.sampler.fanouts),
                     "global_seed": int(ctx.sampler.global_seed),
-                    "gather": False,
                     "chunks": list(seeds_per_device),
                 }
                 self._submit((digest, payload))
@@ -575,7 +551,6 @@ class ProcessPoolBackend(ExecutionBackend):
             if (result["via_shm"] and slot is not None and self._slots is not None)
             else None
         )
-        gather = result.get("gather", False)
         batches: List[Optional[MiniBatch]] = []
         for d, item in enumerate(result["devices"]):
             if item is None:
@@ -596,20 +571,14 @@ class ProcessPoolBackend(ExecutionBackend):
                     )
                 )
             batches.append(MiniBatch(seeds=arrays[0], blocks=blocks))
-            if gather:
-                self._gather[d] = (blocks[0].src_nodes, arrays[-1])
         return batches
 
-    def take_gather(self, device, node_ids):
-        entry = self._gather.pop(device, None)
-        if entry is None:
-            return None
-        nodes, rows = entry
-        ids = np.asarray(node_ids, dtype=np.int64)
-        if nodes.shape == ids.shape and np.array_equal(nodes, ids):
-            self._count("gather_hits")
-            return rows
-        self._count("gather_misses")
+    def take_gather(self, device, node_ids) -> None:
+        """Always ``None``: workers gather no feature rows.  Kept only
+        because ``benchmarks/e2e/trace.py`` patches this method by name
+        (through the class ``__dict__``) for its
+        ``parallel.take_gather_self_s`` metric; it goes when that file is
+        next revised."""
         return None
 
     # ------------------------------------------------------------------ #
@@ -623,7 +592,6 @@ class ProcessPoolBackend(ExecutionBackend):
             self._supervisor.close()
             self._supervisor = None
             _release(self._workers)
-        self._gather.clear()
         if self._slots is not None:
             self._slots.close()
             self._slots = None
@@ -649,7 +617,6 @@ def make_backend(config, dataset) -> ExecutionBackend:
             dataset,
             num_workers=config.num_workers or None,
             prefetch_depth=config.prefetch_depth,
-            gather_prefetch=config.gather_prefetch,
             fault_policy=config.fault_policy,
             chaos=config.host_chaos,
         )

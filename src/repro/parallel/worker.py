@@ -9,7 +9,9 @@ outlives runs: nothing a task leaves behind may belong to one (see
 :func:`repro.sampling.cache.sample_device_batches` exactly as the serial
 backend samples it — the union of the per-device seed chunks in one pass,
 each device's minibatch restricted out of it — so what the workers add is
-overlap with the training thread, not less sampling work.
+overlap with the training thread, not less sampling work.  A worker maps
+the graph and nothing else: it ships sampled blocks only, and every
+feature row is gathered by the main process.
 
 Results are packed into the main-process-owned shared-memory slot named by
 the task; only small :class:`~repro.parallel.shm.ArraySpec` descriptors
@@ -38,14 +40,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.featurestore.store import gather_rows
-from repro.parallel.shm import (
-    SharedFeatures,
-    TaskDataDescriptor,
-    attach_features,
-    attach_task_data,
-    write_array,
-)
+from repro.parallel.shm import TaskDataDescriptor, attach_task_data, write_array
 from repro.sampling.cache import sample_device_batches
 from repro.sampling.neighbor import NeighborSampler
 
@@ -94,18 +89,17 @@ def init_worker(
     descriptor: TaskDataDescriptor,
     heartbeat: Optional[Tuple[str, int, int]] = None,
 ) -> None:
-    """Map the graph shared by the main process.
+    """Map the graph shared by the main process (no feature is mapped).
 
     A respawned worker runs this against the *existing* export (same
     segment name), so respawn never re-exports the dataset.  ``heartbeat``
     is ``(segment name, capacity, this worker's cell)`` of the
     supervisor's board.
     """
-    segment, graph, features = attach_task_data(descriptor)
+    segment, graph = attach_task_data(descriptor)
     _STATE.clear()
     _STATE["segment"] = segment  # keep the mapping alive
     _STATE["graph"] = graph
-    _STATE["features"] = features  # None until a task gathers (in-RAM)
     if heartbeat is not None:
         name, capacity, index = heartbeat
         hb_segment = shared_memory.SharedMemory(name=name)
@@ -155,23 +149,11 @@ def _slot_buffer(ring: int, name: str):
     return seg.buf
 
 
-def _features(shared: Optional[SharedFeatures]) -> np.ndarray:
-    """The feature matrix: the file mapped at start, or the segment the
-    first gathering task names (attached once)."""
-    if _STATE["features"] is None:
-        _STATE["feature_segment"], _STATE["features"] = attach_features(shared)
-    return _STATE["features"]
-
-
-def _batch_arrays(mb, features: Optional[np.ndarray]) -> List[np.ndarray]:
-    """Flat array list of one minibatch: seeds, 5 per block, opt. gather."""
+def _batch_arrays(mb) -> List[np.ndarray]:
+    """Flat array list of one minibatch: seeds, then 5 per block."""
     out = [mb.seeds]
     for b in mb.blocks:
         out.extend((b.src_nodes, b.dst_nodes, b.dst_in_src, b.edge_src, b.edge_dst))
-    if features is not None:
-        # Same gather as UnifiedFeatureStore.read, against the shared
-        # mapping of the identical feature bytes.
-        out.append(gather_rows(features, mb.input_nodes))
     return out
 
 
@@ -179,11 +161,10 @@ def sample_task(payload: Dict) -> Dict:
     """Sample one global batch; returns per-device array specs (or arrays).
 
     ``payload`` keys: ``epoch``, ``chunks`` (per-device seed arrays or
-    ``None``), ``fanouts``, ``global_seed``, ``gather`` (also ship
-    ``features[input_nodes]`` per device, from the matrix ``features``
-    locates), ``slot`` (result segment name, or ``None`` to force pickled
-    results — used before slots are sized) of slot ring ``ring``, and
-    ``chaos`` (an armed ``{"kind", "seconds"}`` host-fault directive).
+    ``None``), ``fanouts``, ``global_seed``, ``slot`` (result segment name,
+    or ``None`` to force pickled results — used before slots are sized) of
+    slot ring ``ring``, and ``chaos`` (an armed ``{"kind", "seconds"}``
+    host-fault directive).
     """
     t0 = time.perf_counter()
     _stamp(in_task=True)
@@ -198,19 +179,14 @@ def sample_task(payload: Dict) -> Dict:
             time.sleep(float(chaos.get("seconds", 0.25)))
     epoch = int(payload["epoch"])
     chunks: List[Optional[np.ndarray]] = payload["chunks"]
-    gather = bool(payload.get("gather", False))
-    features = _features(payload.get("features")) if gather else None
     sampler = _sampler(payload["fanouts"], payload["global_seed"])
 
     per_device = sample_device_batches(sampler, chunks, epoch)
 
-    device_arrays = [
-        None if mb is None else _batch_arrays(mb, features) for mb in per_device
-    ]
+    device_arrays = [None if mb is None else _batch_arrays(mb) for mb in per_device]
     layers = [None if mb is None else len(mb.blocks) for mb in per_device]
     result = {
         "layers": layers,
-        "gather": gather,
         "via_shm": False,
         "nbytes": int(
             sum(a.nbytes for arrs in device_arrays if arrs for a in arrs)

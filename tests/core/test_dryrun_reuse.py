@@ -368,3 +368,12 @@ def test_serial_epoch_samples_each_global_batch_once(ds, monkeypatch):
     apt.run_strategy("dnp", 3)
     num_batches = len(EpochIterator(ds.train_seeds, BATCH, 0).epoch_batches(0))
     assert calls == [1] * num_batches + [2] * num_batches
+
+
+def test_dropped_owner_raises_one_clear_error(task):
+    """A context or dry-run reached through a temporary APT outlives its
+    weakly held owner: using it names the mistake, not a ``NoneType``."""
+    with pytest.raises(RuntimeError, match="keep the APT alive"):
+        make_apt(task).context.dryrun.run_all()
+    with pytest.raises(RuntimeError, match="keep the APT alive"):
+        make_apt(task).context.execution_context()

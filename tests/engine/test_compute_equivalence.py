@@ -28,7 +28,7 @@ def ds():
 
 
 def _run(
-    ds, strategy, *, composed, direct_gather, backend="serial", gather=False,
+    ds, strategy, *, composed, direct_gather,
     model_cls=GraphSAGE, fused_aggregation=True,
 ):
     model = model_cls(ds.feature_dim, 8, ds.num_classes, 2, seed=1)
@@ -39,9 +39,7 @@ def _run(
         fanouts=(4, 4),
         global_batch_size=128,
         seed=0,
-        execution_backend=backend,
-        num_workers=2,
-        gather_prefetch=gather,
+        execution_backend="serial",
     )
     apt = APT(ds, model, cluster, config)
     apt.prepare()
@@ -115,22 +113,6 @@ def test_fused_aggregation_bitwise_identical(ds, model_cls, strategy):
         for fused in (False, True)
     ]
     _assert_identical(*runs[0], *runs[1])
-
-
-def test_dedup_with_process_backend_gather_prefetch(ds):
-    # GDP + process backend + gather prefetch: the trainer must skip the
-    # shared gather (workers serve rows from shared memory) and still be
-    # bit-identical to the serial composed reference.
-    rb, mb = _reference(ds, "gdp")
-    ro, mo = _run(
-        ds,
-        "gdp",
-        composed=False,
-        direct_gather=False,
-        backend="process",
-        gather=True,
-    )
-    _assert_identical(rb, mb, ro, mo)
 
 
 def test_gather_and_arena_telemetry_counters(ds):

@@ -43,7 +43,6 @@ from repro.engine.nfp import NFPStrategy, union_columns
 from repro.engine.snp import SNPStrategy
 from repro.engine.trainer import ParallelTrainer
 from repro.models.base import extend_with_self_edges
-from repro.parallel.backend import resolve_backend
 from repro.sampling.block import Block
 from repro.serve import engine as serve_engine
 from repro.tensor import concat as tensor_concat
@@ -477,14 +476,9 @@ def run_global_batch(self, global_batch, epoch):
     plan = self.strategy.plan_batch(ctx, batches, epoch)
     shared = None
     if ctx.numerics:
-        backend = resolve_backend(ctx)
-        if not (
-            self.strategy.gather_prefetch
-            and getattr(backend, "gather_prefetch", False)
-        ):
-            requests = self.strategy.load_requests(ctx, plan, batches)
-            if requests is not None:
-                shared = ctx.store.begin_shared_gather(requests)
+        requests = self.strategy.load_requests(ctx, plan, batches)
+        if requests is not None:
+            shared = ctx.store.begin_shared_gather(requests)
     try:
         h1 = self.strategy.execute_batch(ctx, plan, batches)
         logits = self.strategy.upper_forward(ctx, plan, batches, h1)

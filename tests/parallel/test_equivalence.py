@@ -34,7 +34,6 @@ def _run(
     epochs=2,
     prefetch_depth=2,
     numerics=True,
-    gather=False,
 ):
     model = GraphSAGE(ds.feature_dim, 8, ds.num_classes, 2, seed=1)
     cluster = multi_machine_cluster(
@@ -47,7 +46,6 @@ def _run(
         execution_backend=backend,
         num_workers=2,
         prefetch_depth=prefetch_depth,
-        gather_prefetch=gather,
     )
     apt = APT(ds, model, cluster, config)
     apt.prepare()
@@ -104,12 +102,6 @@ class TestBitIdentity:
         assert backend_module._IDLE is workers and not workers.closed
         assert _epoch_facts(r_fresh) == _epoch_facts(r_again)
         _assert_states_equal(m_fresh, m_again)
-
-    def test_gather_prefetch_identical(self, tiny_dataset):
-        r_serial, m_serial = _run(tiny_dataset, "serial", "gdp")
-        r_proc, m_proc = _run(tiny_dataset, "process", "gdp", gather=True)
-        assert _epoch_facts(r_serial) == _epoch_facts(r_proc)
-        _assert_states_equal(m_serial, m_proc)
 
 
 class TestPipelineTelemetry:

@@ -7,7 +7,6 @@ from repro.graph.datasets import small_dataset
 from repro.parallel.shm import (
     ArraySpec,
     SlotRing,
-    attach_features,
     attach_task_data,
     export_task_data,
     read_array,
@@ -55,36 +54,26 @@ class TestTaskDataExport:
         ds = small_dataset(n=300, feature_dim=8, num_classes=3, seed=1)
         export = export_task_data(ds)
         try:
-            segment, graph, features = attach_task_data(export.descriptor)
+            # No sampler reads a feature: only the graph is shared.
+            segment, graph = attach_task_data(export.descriptor)
             try:
                 np.testing.assert_array_equal(graph.indptr, ds.graph.indptr)
                 np.testing.assert_array_equal(graph.indices, ds.graph.indices)
-                # No sampler reads a feature: the matrix is not in shared
-                # memory until somebody asks where to gather from.
-                assert features is None
             finally:
                 del graph
-                segment.close()
-            shared = export.share_features()
-            assert export.share_features() is shared  # one copy, made once
-            segment, features = attach_features(shared)
-            try:
-                np.testing.assert_array_equal(features, ds.features)
-            finally:
-                del features
                 segment.close()
         finally:
             export.close()
 
-    def test_close_unlinks_both_segments(self):
+    def test_close_unlinks_the_segment(self):
         import os
 
         ds = small_dataset(n=300, feature_dim=8, num_classes=3, seed=1)
         export = export_task_data(ds)
-        names = [export.segment.name, export.share_features().segment_name]
-        assert all(os.path.exists(f"/dev/shm/{n}") for n in names)
+        path = f"/dev/shm/{export.segment.name}"
+        assert os.path.exists(path)
         export.close()
-        assert not any(os.path.exists(f"/dev/shm/{n}") for n in names)
+        assert not os.path.exists(path)
 
     def test_covers_is_array_identity(self):
         import dataclasses

@@ -1,11 +1,13 @@
-"""Memmap slice export for out-of-core datasets (DESIGN.md §5.14).
+"""Worker export of in-RAM and out-of-core datasets (DESIGN.md §5.14).
 
-Disk-backed feature matrices must never be copied into the shared-memory
-segment — workers re-map the backing file read-only and the OS page cache
-shares the physical pages.  These tests pin the descriptor shape, the
-byte identity of the attached view, and end-to-end loss bit-identity of
-the process backend on a disk-backed dataset.
+Workers sample and never read a feature, so the shared-memory segment
+holds only the topology — for an in-RAM and a memory-mapped feature
+matrix alike — and the process backend stays loss bit-identical to the
+serial one on a disk-backed dataset.
 """
+
+import dataclasses
+import pickle
 
 import numpy as np
 import pytest
@@ -16,12 +18,7 @@ from repro.core import APT
 from repro.graph import open_streaming_dataset, write_dataset_dir
 from repro.graph.datasets import small_dataset
 from repro.models import GraphSAGE
-from repro.parallel.shm import (
-    MemmapSpec,
-    SharedFeatures,
-    attach_task_data,
-    export_task_data,
-)
+from repro.parallel.shm import attach_task_data, export_task_data
 
 
 @pytest.fixture(scope="module")
@@ -35,60 +32,57 @@ def disk_ds(ram_ds, tmp_path_factory):
     return open_streaming_dataset(out)
 
 
+@pytest.mark.parametrize("which", ["ram", "disk"])
+def test_export_holds_only_the_topology(which, request):
+    ds = request.getfixturevalue(f"{which}_ds")
+    export = export_task_data(ds)
+    try:
+        desc = export.descriptor
+        topo = desc.indptr.nbytes + desc.indices.nbytes
+        assert 0 <= export.segment.size - topo < 16  # 8-byte alignment only
+    finally:
+        export.close()
+
+
 class TestMemmapExport:
     def test_disk_backed_features_export_as_memmap_spec(self, disk_ds):
+        # A memory-mapped feature matrix is neither copied nor named in
+        # the descriptor: workers map the graph and nothing else...
         export = export_task_data(disk_ds)
         try:
-            desc = export.descriptor
-            assert isinstance(desc.features, MemmapSpec)
-            assert desc.features.shape == disk_ds.features.shape
-            assert np.dtype(desc.features.dtype) == disk_ds.features.dtype
-            # The segment holds only the topology — no feature bytes.
-            topo = desc.indptr.nbytes + desc.indices.nbytes
-            assert export.segment.size < topo + disk_ds.features.nbytes
-            # ...and never will: workers map the file named above.
-            assert export.share_features() is None
-        finally:
-            export.close()
-
-    def test_in_ram_features_still_copied(self, ram_ds):
-        # ...into a segment of their own, when a task will gather them.
-        export = export_task_data(ram_ds)
-        try:
-            desc = export.descriptor
-            assert desc.features is None
-            topo = desc.indptr.nbytes + desc.indices.nbytes
-            assert export.segment.size < topo + ram_ds.features.nbytes
-            assert isinstance(export.share_features(), SharedFeatures)
+            assert isinstance(disk_ds.features, np.memmap)
+            fields = {f.name for f in dataclasses.fields(export.descriptor)}
+            assert fields == {"segment_name", "num_nodes", "indptr", "indices"}
+            # ...yet the export still serves this dataset only.
+            assert export.covers(disk_ds)
         finally:
             export.close()
 
     def test_attach_round_trip_bit_identical(self, disk_ds):
         export = export_task_data(disk_ds)
         try:
-            segment, graph, features = attach_task_data(export.descriptor)
+            segment, graph = attach_task_data(export.descriptor)
             try:
-                assert isinstance(features, np.memmap)
-                assert not features.flags.writeable
-                np.testing.assert_array_equal(
-                    np.asarray(features), np.asarray(disk_ds.features)
-                )
+                assert graph.num_nodes == export.descriptor.num_nodes
                 np.testing.assert_array_equal(graph.indptr, disk_ds.graph.indptr)
                 np.testing.assert_array_equal(graph.indices, disk_ds.graph.indices)
             finally:
-                del graph, features
+                del graph
                 segment.close()
         finally:
             export.close()
 
     def test_spec_is_picklable(self, disk_ds):
-        import pickle
-
         export = export_task_data(disk_ds)
         try:
             desc = pickle.loads(pickle.dumps(export.descriptor))
-            assert isinstance(desc.features, MemmapSpec)
-            assert desc.features.path == export.descriptor.features.path
+            assert desc == export.descriptor
+            segment, graph = attach_task_data(desc)
+            try:
+                np.testing.assert_array_equal(graph.indices, disk_ds.graph.indices)
+            finally:
+                del graph
+                segment.close()
         finally:
             export.close()
 

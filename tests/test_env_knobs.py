@@ -31,7 +31,7 @@ KNOBS = {
 APT_CONFIG_FIELDS = {
     "fanouts", "global_batch_size", "partition", "seed",
     "cpu_sampling", "overlap",
-    "execution_backend", "num_workers", "prefetch_depth", "gather_prefetch",
+    "execution_backend", "num_workers", "prefetch_depth",
     "disk_promote_mb",
     "fault_policy", "host_chaos",
     "checkpoint_dir", "checkpoint_every", "checkpoint_keep",
