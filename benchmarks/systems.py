@@ -80,12 +80,13 @@ class Parallel(Case):
     ``parallel_baseline.json`` (fails past ``THRESHOLD``) and requires the
     showcase to keep a serial/process speedup of at least
     ``MIN_SHOWCASE_SPEEDUP`` on the current machine: a floor under the
-    process backend's overhead, not a promise that it wins.  The showcase
-    speedup is the median over ``SHOWCASE_PAIRS`` alternating serial /
-    process runs, so one slow stretch of the host cannot fail it.  ``--quick``
-    keeps every workload shape and shrinks only epoch counts and timing
-    repetitions; per-epoch seconds are what gets recorded, so quick numbers
-    stay comparable with a full-run baseline.
+    process backend's overhead, not a promise that it wins.  Every op is
+    timed as a median over ``PAIRS`` runs — alternating serial / process
+    pairs, or process runs alone for the pipeline-off arm — so one slow
+    stretch of the host cannot fail either gate.  ``--quick`` keeps every
+    workload shape and run count and shrinks only epoch counts; per-epoch
+    seconds are what gets recorded, so quick numbers stay comparable with a
+    full-run baseline.
     """
 
     name = "parallel"
@@ -104,9 +105,10 @@ class Parallel(Case):
     #: overlap on); a process backend a quarter slower than the slowest of
     #: those fails.
     MIN_SHOWCASE_SPEEDUP = 0.35
-    #: serial / process pairs, run in alternating order, whose median
-    #: speedup is the showcase's
-    SHOWCASE_PAIRS = 3
+    #: runs per op: serial / process pairs, run in alternating order, whose
+    #: medians time the showcase and every strategy (and process runs alone
+    #: for the pipeline-off arm)
+    PAIRS = 3
 
     @staticmethod
     def _build(ds, num_gpus, batch, fanouts, backend, prefetch_depth=2):
@@ -126,17 +128,48 @@ class Parallel(Case):
         return apt
 
     @staticmethod
-    def _timed(build, strategy, epochs, numerics, reps=1):
-        """Best-of-``reps`` host seconds per epoch (pool startup amortized
-        inside each run; a fresh APT per rep so the sample cache is cold)."""
-        best, losses = float("inf"), None
-        for _ in range(reps):
-            apt = build()
-            t0 = time.perf_counter()
-            report = apt.run_strategy(strategy, epochs, numerics=numerics)
-            best = min(best, (time.perf_counter() - t0) / epochs)
-            losses = [e.mean_loss for e in report.result.epochs]
-        return best, losses
+    def _timed(build, strategy, epochs, numerics):
+        """Host seconds per epoch of one run and its losses (pool startup
+        amortized inside the run; a fresh APT, so the sample cache is
+        cold)."""
+        apt = build()
+        t0 = time.perf_counter()
+        report = apt.run_strategy(strategy, epochs, numerics=numerics)
+        seconds = (time.perf_counter() - t0) / epochs
+        return seconds, [e.mean_loss for e in report.result.epochs]
+
+    def _paired(self, shape, strategy, epochs, numerics, prefetch_depth=2) -> dict:
+        """The op of ``PAIRS`` serial / process runs, the side that runs
+        first alternating: median seconds per epoch of each backend and the
+        median per-pair speedup.  With numerics on, every pair's process
+        losses must equal its serial ones."""
+        pairs = []
+        for k in range(self.PAIRS):
+            runs = {
+                backend: self._timed(
+                    lambda: self._build(*shape, backend, prefetch_depth),
+                    strategy, epochs, numerics,
+                )
+                for backend in ("serial", "process")[:: 1 if k % 2 == 0 else -1]
+            }
+            # bit-identity is part of the contract
+            assert not numerics or runs["serial"][1] == runs["process"][1], (
+                f"{strategy}: process losses diverged from serial"
+            )
+            pairs.append((runs["serial"][0], runs["process"][0]))
+        return self._op(
+            float(np.median([p for _, p in pairs])),
+            float(np.median([s for s, _ in pairs])),
+            speedup=float(np.median([s / p for s, p in pairs])),
+            **self._meta(shape, numerics, epochs, prefetch_depth),
+            pairs=[list(pair) for pair in pairs],
+        )
+
+    @staticmethod
+    def _meta(shape, numerics, epochs, prefetch_depth) -> dict:
+        _, gpus, batch, fanouts = shape
+        return dict(gpus=gpus, batch=batch, fanouts=list(fanouts),
+                    numerics=numerics, epochs=epochs, prefetch_depth=prefetch_depth)
 
     @staticmethod
     def _op(process_seconds, serial_seconds, speedup=None, **meta) -> dict:
@@ -158,61 +191,30 @@ class Parallel(Case):
         ds = ps_like(train_fraction=0.5)
         strategy_epochs = 2 if quick else 3
         epochs = 4 if quick else 10
-        reps = 1 if quick else 3
         ops = {}
         # Showcase first: the numerics strategy runs churn a lot of transient
         # allocations, and running them first visibly slows the later
         # shared-memory arms on small hosts.  Sampling-dominated and
-        # timing-only, so worker-side gather never applies.  The pipelined
-        # arm uses ``prefetch_depth=1`` — the sweet spot on few-core hosts,
-        # where deeper queues only add time-slicing contention.
+        # timing-only.  The pipelined arm uses ``prefetch_depth=1`` — the
+        # sweet spot on few-core hosts, where deeper queues only add
+        # time-slicing contention.
         shape = (ds, self.SHOWCASE_GPUS, self.SHOWCASE_BATCH, self.SHOWCASE_FANOUTS)
-        meta = dict(gpus=self.SHOWCASE_GPUS, batch=self.SHOWCASE_BATCH,
-                    fanouts=list(self.SHOWCASE_FANOUTS), numerics=False, epochs=epochs)
-        pairs = []
-        for k in range(self.SHOWCASE_PAIRS):
-            # (serial, process) seconds, the side that runs first alternating
-            backends = ("serial", "process")[:: 1 if k % 2 == 0 else -1]
-            seconds = {
-                backend: self._timed(
-                    lambda: self._build(*shape, backend, prefetch_depth=1),
-                    "gdp", epochs, False,
-                )[0]
-                for backend in backends
-            }
-            pairs.append((seconds["serial"], seconds["process"]))
-        t_serial = float(np.median([s for s, _ in pairs]))
-        ops["gdp_timing_pipelined"] = self._op(
-            float(np.median([p for _, p in pairs])), t_serial,
-            speedup=float(np.median([s / p for s, p in pairs])),
-            **meta, prefetch_depth=1, pairs=[list(pair) for pair in pairs],
+        ops["gdp_timing_pipelined"] = self._paired(
+            shape, "gdp", epochs, False, prefetch_depth=1
         )
-        t_proc, _ = self._timed(
-            lambda: self._build(*shape, "process", prefetch_depth=0),
-            "gdp", epochs, False, reps,
-        )
+        t_proc = float(np.median([
+            self._timed(lambda: self._build(*shape, "process", prefetch_depth=0),
+                        "gdp", epochs, False)[0]
+            for _ in range(self.PAIRS)
+        ]))
         ops["gdp_timing_pipeline_off"] = self._op(
-            t_proc, t_serial, **meta, prefetch_depth=0
+            t_proc, ops["gdp_timing_pipelined"]["serial_seconds"],
+            **self._meta(shape, False, epochs, 0),
         )
         # Serial vs process across the paper's four strategies (full numerics).
         shape = (ds, self.STRATEGY_GPUS, self.STRATEGY_BATCH, self.STRATEGY_FANOUTS)
         for strategy in STRATEGIES:
-            t_serial, l_serial = self._timed(
-                lambda: self._build(*shape, "serial"), strategy, strategy_epochs, True
-            )
-            t_proc, l_proc = self._timed(
-                lambda: self._build(*shape, "process"), strategy, strategy_epochs, True
-            )
-            # bit-identity is part of the contract
-            assert l_serial == l_proc, f"{strategy}: process losses diverged from serial"
-            ops[strategy] = self._op(
-                t_proc, t_serial,
-                gpus=self.STRATEGY_GPUS,
-                batch=self.STRATEGY_BATCH,
-                fanouts=list(self.STRATEGY_FANOUTS),
-                numerics=True,
-                epochs=strategy_epochs,
-            )
+            ops[strategy] = self._paired(shape, strategy, strategy_epochs, True)
         return {
             "schema": 1,
             "strategy_epochs": strategy_epochs,

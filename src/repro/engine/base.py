@@ -1,9 +1,11 @@
 """Strategy base class and shared engine machinery.
 
 Besides the :class:`Strategy` lifecycle this module holds what several
-strategies share: seed splits, sampling charges, feature reads, the
-per-device load-set stage (:func:`record_loads`, :func:`read_load_sets`)
-that all four strategies record through, and the one first-layer router
+strategies share: seed splits, sampling charges, the per-device
+load-set stage that all four strategies record through
+(:func:`record_loads` classifies each load set once and returns the tier
+splits a plan carries; :func:`charge_loads` and :func:`read_load_sets`
+charge and read from them), and the one first-layer router
 (:func:`route_first_layer`) of SNP, DNP and hyb.  Those three differ only
 in the key that sends a sampled edge to a server — its source's owner
 (SNP, hyb within the requester's machine) or its destination's owner
@@ -29,7 +31,7 @@ import numpy as np
 
 from repro.cluster.spec import ELEMENT_BYTES, ID_BYTES
 from repro.engine.context import ExecutionContext
-from repro.featurestore.store import Tier, count_ranges
+from repro.featurestore.store import Tier, TierSplit, count_ranges
 from repro.models.base import PartialMeanLayer, extend_with_self_edges
 from repro.parallel.backend import resolve_backend
 from repro.sampling.block import Block, MiniBatch
@@ -265,20 +267,6 @@ def charge_sampling(
         ctx.count("sampled_edges", n, device=d, phase="sample")
 
 
-def read_features(
-    ctx: ExecutionContext, device: int, node_ids: np.ndarray, phase: str = "load"
-):
-    """One device's feature read through the feature store.
-
-    Returns ``(rows, report)`` like ``ctx.store.read``; timing-only mode
-    charges the load (``charge_load`` is the accounting half of ``read``)
-    and returns ``None`` rows.
-    """
-    if not ctx.numerics:
-        return None, ctx.store.charge_load(device, node_ids, ctx.timeline, phase)
-    return ctx.store.read(device, node_ids, ctx.timeline, phase)
-
-
 # ---------------------------------------------------------------------- #
 # first-layer routing and load sets
 # ---------------------------------------------------------------------- #
@@ -339,7 +327,8 @@ class _Routed:
 
 class RoutePlan:
     """A batch's first-layer plan: each device's feature-load set (``None``:
-    the device reads nothing), the routed tasks (none under GDP) and their
+    the device reads nothing) and its tier split from the load-set stage
+    (:func:`record_loads`), the routed tasks (none under GDP) and their
     sizes.
 
     The router records sizes only (:attr:`counts`, :meth:`source_counts`)
@@ -352,6 +341,7 @@ class RoutePlan:
     def __init__(
         self,
         load_nodes: List[Optional[np.ndarray]],
+        splits: List[Optional[TierSplit]],
         tasks: Optional[List[RouteTask]] = None,
         *,
         counts: Optional[PairCounts] = None,
@@ -361,6 +351,7 @@ class RoutePlan:
         if tasks is None and routed is None:
             tasks = []
         self.load_nodes = load_nodes
+        self.splits = splits
         self._tasks = tasks
         self._counts = counts
         self._routed = routed
@@ -509,18 +500,22 @@ def route_first_layer(
         np.flatnonzero(load[p]) if counts.vdst[:, p].any() else None
         for p in range(C)
     ]
-    record_loads(ctx, load_nodes)
-    return RoutePlan(load_nodes, counts=counts, routed=routed,
-                     self_as_edge=self_as_edge)
+    return RoutePlan(load_nodes, record_loads(ctx, load_nodes), counts=counts,
+                     routed=routed, self_as_edge=self_as_edge)
 
 
 def record_loads(
     ctx: ExecutionContext, load_nodes: List[Optional[np.ndarray]]
-) -> None:
-    """Record each device's load set by the tier it reads each row from
-    (the T_load volumes) — the load-set stage of every strategy."""
+) -> List[Optional[TierSplit]]:
+    """The load-set stage of every strategy: split each device's load set
+    by the tier it reads each row from and record the split (the T_load
+    volumes).  This is the one classification of a device-batch — on a
+    disk-backed store, its one observation — so the plan carries the
+    splits and :func:`charge_loads` charges from them."""
+    splits: List[Optional[TierSplit]] = []
     for d, nodes in enumerate(load_nodes):
         if nodes is None:
+            splits.append(None)
             continue
         split = ctx.store.classify(d, nodes)
         ctx.recorder.record_load(
@@ -530,16 +525,27 @@ def record_loads(
         )
         for t, ids in split.items():
             ctx.count(f"load_rows.{t.value}", ids.size, device=d, phase="load")
+        splits.append(split)
+    return splits
+
+
+def charge_loads(ctx: ExecutionContext, splits: List[Optional[TierSplit]]) -> None:
+    """Charge each device the simulated read of its load set, from the
+    split its plan's load-set stage made."""
+    for d, split in enumerate(splits):
+        if split is not None:
+            ctx.store.charge_load(d, split, ctx.timeline)
 
 
 def read_load_sets(ctx: ExecutionContext, plan: RoutePlan) -> List[Optional[Tensor]]:
-    """Each device reads its load set: the rows as a leaf tensor, ``None``
-    for a device without one and everywhere in timing-only mode."""
-    xs: List[Optional[Tensor]] = []
-    for d, nodes in enumerate(plan.load_nodes):
-        rows = None if nodes is None else read_features(ctx, d, nodes)[0]
-        xs.append(None if rows is None else Tensor(rows))
-    return xs
+    """Each device's load set, charged (:func:`charge_loads`) and read: the
+    rows as a leaf tensor, ``None`` for a device without one and everywhere
+    in timing-only mode."""
+    charge_loads(ctx, plan.splits)
+    return [
+        None if nodes is None or not ctx.numerics else Tensor(ctx.store.read(nodes))
+        for nodes in plan.load_nodes
+    ]
 
 
 def local_index_of(sorted_ids: np.ndarray, queries: np.ndarray) -> np.ndarray:

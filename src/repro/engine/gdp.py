@@ -14,15 +14,16 @@ model as one stacked op set per layer (DESIGN.md §5.18).
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
 from repro.engine.base import (
     RoutePlan,
     Rows,
     Strategy,
     StrategyReport,
+    charge_loads,
     layer_step,
-    read_features,
+    read_load_sets,
     record_loads,
     split_round_robin,
 )
@@ -74,7 +75,7 @@ class GDPStrategy(Strategy):
     ) -> RoutePlan:
         # No routing: each device loads its own sampled inputs.
         load_nodes = [None if mb is None else mb.input_nodes for mb in batches]
-        record_loads(ctx, load_nodes)
+        splits = record_loads(ctx, load_nodes)
         for d, mb in enumerate(batches):
             if mb is None:
                 continue
@@ -82,7 +83,7 @@ class GDPStrategy(Strategy):
             ctx.recorder.record_layer1_flops(
                 d, ctx.model.first_layer.forward_flops(mb.blocks[0])
             )
-        return RoutePlan(load_nodes=load_nodes)
+        return RoutePlan(load_nodes, splits)
 
     def load_requests(self, ctx, plan: RoutePlan, batches):
         # Aggregation layers consume the staged union through an index
@@ -96,20 +97,15 @@ class GDPStrategy(Strategy):
     def execute_batch(
         self, ctx: ExecutionContext, plan: RoutePlan, batches
     ) -> Optional[Rows]:
-        # Loads and charges per device; every device's whole model as one
-        # set of ops per layer (DESIGN.md §5.18).  The trainer stages every
-        # device's load set or none: staged, the layer reads the union
-        # through src_index and rows are never materialized per device.
-        staged = ctx.numerics and ctx.store.shared_rows() is not None
-        rows: List[Optional[Tensor]] = [None] * ctx.num_devices
-        for d, mb in enumerate(batches):
-            if mb is not None and staged:
-                ctx.store.charge_load(d, plan.load_nodes[d], ctx.timeline)
-            elif mb is not None:
-                x_rows = read_features(ctx, d, plan.load_nodes[d])[0]
-                rows[d] = None if x_rows is None else Tensor(x_rows)
-        x, index = (Rows.from_parts(rows) if ctx.numerics else None), None
-        if staged:
+        # Every device's load is charged from its split; its whole model
+        # runs as one set of ops per layer (DESIGN.md §5.18).  The trainer
+        # stages every device's load set or none: staged, the layer reads
+        # the union through src_index and rows are never read per device.
+        index = None
+        if ctx.store.shared_rows() is None:
+            x = Rows.from_parts(read_load_sets(ctx, plan))
+        else:
+            charge_loads(ctx, plan.splits)
             x = Rows([0 if mb is None else 1 for mb in batches],
                      tensor=Tensor(ctx.store.shared_rows()))
             index = [None if mb is None else ctx.store.shared_positions(nodes)

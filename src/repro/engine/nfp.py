@@ -38,13 +38,14 @@ from repro.engine.base import (
     Rows,
     Strategy,
     StrategyReport,
+    charge_loads,
     local_index_of,
-    read_features,
     record_loads,
     split_round_robin,
 )
 from repro.engine.context import ExecutionContext
 from repro.featurestore.cache import cache_capacity_nodes, hot_cache_nodes
+from repro.featurestore.store import TierSplit
 from repro.models.base import PartialMeanLayer, extend_with_self_edges
 from repro.models.gat import GATLayer
 from repro.tensor import sparse
@@ -60,6 +61,8 @@ class NFPPlan:
     union_nodes: np.ndarray
     #: per requester: positions of its block-0 sources within the union
     src_idx_in_union: List[Optional[np.ndarray]]
+    #: per device: the union split by the tier it reads each row from
+    splits: List[Optional[TierSplit]]
 
 
 def union_columns(
@@ -149,7 +152,7 @@ class NFPStrategy(Strategy):
             )
 
         # Every device loads its dimension shard of the whole union.
-        record_loads(ctx, [union] * C)
+        splits = record_loads(ctx, [union] * C)
 
         # Hidden-embedding reduce volumes: every non-owner contributor ships
         # one d'-vector per destination (SAGE) or per source (GAT).
@@ -189,7 +192,7 @@ class NFPStrategy(Strategy):
                         2.0 * block.num_edges * d_hidden
                         + 2.0 * block.num_dst * shard * d_hidden,
                     )
-        return NFPPlan(union_nodes=union, src_idx_in_union=src_idx)
+        return NFPPlan(union_nodes=union, src_idx_in_union=src_idx, splits=splits)
 
     # ------------------------------------------------------------------ #
     def execute_batch(
@@ -210,17 +213,12 @@ class NFPStrategy(Strategy):
         union = plan.union_nodes
         d_hidden = layer.out_dim
         shuffle_bytes = np.zeros((C, C))
-        x_union: Optional[np.ndarray] = None
+        # Every shard holder reads the same union rows: each device's
+        # (cache-dependent) load is charged, the rows are read once.
+        charge_loads(ctx, plan.splits)
         devices, flops = [], []
         for c in range(C):
             lo, hi = self.shard(c)
-            if ctx.numerics and x_union is not None:
-                # Every shard holder reads the same union rows: gather the
-                # dense block once, charge each device's (cache-dependent)
-                # simulated load as before — host wall-clock only.
-                ctx.store.charge_load(c, union, ctx.timeline)
-            else:
-                x_union, _ = read_features(ctx, c, union)
             devices.append(c)
             flops.append(2.0 * union.size * (hi - lo) * d_hidden)
             inter = 0.0
@@ -245,6 +243,7 @@ class NFPStrategy(Strategy):
         ctx.comm.alltoall_bytes(shuffle_bytes, phase="shuffle", count_backward=True)
         if not ctx.numerics:
             return [None] * C
+        x_union = ctx.store.read(union)
         # Column-stacked shard projections [z_0 | ... | z_{C-1}]: each owner
         # aggregates every shard at once (DESIGN.md §5.18).
         self_in_agg = layer.self_loop_in_aggregation
@@ -282,19 +281,14 @@ class NFPStrategy(Strategy):
             [None] * C for _ in range(C)
         ]
         shuffle_bytes = np.zeros((C, C))
-        x_union: Optional[np.ndarray] = None
+        charge_loads(ctx, plan.splits)
+        x_union = ctx.store.read(union) if ctx.numerics else None
         for c in range(C):
             lo, hi = self.shard(c)
             if ctx.numerics:
-                if x_union is None:
-                    x_union, _ = read_features(ctx, c, union)
-                else:
-                    ctx.store.charge_load(c, union, ctx.timeline)
                 x_shard = Tensor(x_union[:, lo:hi])
                 w_shard = layer.weight.index_rows(np.arange(lo, hi))
                 z_union = x_shard @ w_shard
-            else:
-                read_features(ctx, c, union)
             ctx.charger.dense(c, 2.0 * union.size * (hi - lo) * d_proj)
             inter = union.size * ((hi - lo) + d_proj) * ELEMENT_BYTES
             for o, mb in enumerate(batches):

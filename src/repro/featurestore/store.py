@@ -12,9 +12,13 @@ Resolution order for a feature read by GPU ``d`` (paper §4.2):
    out-of-core datasets (DESIGN.md §5.14), where the feature matrix never
    fits in RAM and a row is CPU-resident only after hot-row promotion.
 
-Every read returns the actual feature rows (for the real numerics) plus a
-:class:`LoadReport`, and charges simulated load time at each tier's
-bandwidth.  Disk reads are charged per *ranged read*: sorted node ids are
+A read has two halves.  :meth:`UnifiedFeatureStore.classify` splits a
+device's load set by tier once, at the load-set stage of a batch's plan
+(it is also the disk tier's one observation of that read), and
+:meth:`~UnifiedFeatureStore.charge_load` charges simulated load time from
+that split at each tier's bandwidth, returning a :class:`LoadReport`.
+:meth:`~UnifiedFeatureStore.read` is the data half: the rows, with no
+accounting.  Disk reads are charged per *ranged read*: sorted node ids are
 coalesced into contiguous runs and each run pays one setup latency, which
 is also how :func:`ranged_gather` materializes them from the memmap.
 """
@@ -31,17 +35,6 @@ from repro.cluster.spec import ELEMENT_BYTES, ClusterSpec
 from repro.cluster.timeline import Timeline
 from repro.graph.datasets import GraphDataset
 from repro.utils.ids import sorted_unique
-
-
-def gather_rows(features: np.ndarray, node_ids: np.ndarray) -> np.ndarray:
-    """The single definition of a dense feature gather.
-
-    Both the in-process read path (:meth:`UnifiedFeatureStore.read`) and the
-    worker-side prefetch gather (``repro.parallel.worker``) call this, so the
-    produced rows are bit-identical regardless of which process materializes
-    them.
-    """
-    return features[np.asarray(node_ids, dtype=np.int64)]
 
 
 def is_disk_backed(features) -> bool:
@@ -137,15 +130,20 @@ class Tier(enum.Enum):
     DISK = "disk"
 
 
+#: A device's load set split by the tier it reads each row from (what
+#: :meth:`UnifiedFeatureStore.classify` returns): one id array per tier.
+TierSplit = Dict[Tier, np.ndarray]
+
+
 @dataclass
 class LoadReport:
     """Per-tier accounting of one feature read.
 
     Tier dicts start empty and are filled lazily (absent tier = 0):
-    ``read`` runs per device per batch, and the two eager dict
+    ``charge_load`` runs per device per batch, and the two eager dict
     comprehensions the constructor used to run showed up in the training
-    hot path.  :meth:`charge_load` still populates every tier it
-    classifies, so charged reports expose all four keys as before.
+    hot path.  :meth:`UnifiedFeatureStore.charge_load` fills every tier of
+    the split it charges, so a charged report has all five tier keys.
     """
 
     rows: Dict[Tier, int] = field(default_factory=dict)
@@ -154,9 +152,6 @@ class LoadReport:
     #: coalesced read requests issued against the disk tier (0 unless the
     #: store serves a memory-mapped out-of-core dataset)
     ranged_reads: int = 0
-
-    def disk_bytes(self) -> float:
-        return float(self.bytes.get(Tier.DISK, 0.0))
 
 
 class UnifiedFeatureStore:
@@ -328,34 +323,6 @@ class UnifiedFeatureStore:
             return None
         return {**self.disk_stats, "resident_rows": self.disk_resident_count()}
 
-    def _materialize(self, node_ids: np.ndarray) -> np.ndarray:
-        """Rows for ``node_ids``, bit-identical to ``features[node_ids]``.
-
-        For in-RAM stores this is a plain gather.  With the disk tier
-        active, promoted rows come from the resident buffer (copies of the
-        same bytes) and the rest from the memmap via coalesced ranged
-        reads — the chunked row-gather fast path.
-        """
-        features = self.dataset.features
-        ids = np.asarray(node_ids, dtype=np.int64)
-        if self._disk_pos is None:
-            return gather_rows(features, ids)
-        out = np.empty((ids.size,) + features.shape[1:], dtype=features.dtype)
-        if ids.size == 0:
-            return out
-        pos = self._disk_pos[ids]
-        hit = pos >= 0
-        if hit.any():
-            out[hit] = self._disk_rows_buf[pos[hit]]
-        n_miss = int(ids.size - np.count_nonzero(hit))
-        if n_miss:
-            miss_idx = np.flatnonzero(~hit)
-            miss_ids = ids[miss_idx]
-            order = np.argsort(miss_ids, kind="stable")
-            rows = ranged_gather(features, miss_ids[order])
-            out[miss_idx[order]] = rows
-        return out
-
     # ------------------------------------------------------------------ #
     # shared gather (cross-device dedup, one global batch at a time)
     # ------------------------------------------------------------------ #
@@ -372,7 +339,7 @@ class UnifiedFeatureStore:
 
         Returns ``(requested_rows, unique_rows)`` for telemetry, or ``None``
         when there is nothing to stage.  Tier accounting is unaffected:
-        :meth:`charge_load` still runs per device on the original ids.
+        :meth:`charge_load` still charges each device's own split.
         """
         reqs = [
             np.asarray(r, dtype=np.int64)
@@ -385,7 +352,7 @@ class UnifiedFeatureStore:
         # concatenate copies even one request: the staged union must not
         # alias a caller's array (sorted_unique returns sorted input as is).
         uniq = sorted_unique(np.concatenate(reqs))
-        self._shared_rows = self._materialize(uniq)
+        self._shared_rows = self.read(uniq)
         self._shared_uniq = uniq
         return total, int(uniq.size)
 
@@ -402,7 +369,7 @@ class UnifiedFeatureStore:
         """Positions of ``node_ids`` within the staged union, or ``None``.
 
         When not ``None``, ``shared_rows()[pos]`` is bitwise equal to
-        ``gather_rows(features, node_ids)`` — callers that can consume the
+        ``read(node_ids)`` — callers that can consume the
         union buffer through an index indirection (GDP's ``src_index``
         path) avoid materializing their per-device row block entirely.
         """
@@ -420,8 +387,14 @@ class UnifiedFeatureStore:
     # ------------------------------------------------------------------ #
     # reads
     # ------------------------------------------------------------------ #
-    def classify(self, device: int, node_ids: np.ndarray) -> Dict[Tier, np.ndarray]:
-        """Split ``node_ids`` by the tier device ``device`` reads them from."""
+    def classify(self, device: int, node_ids: np.ndarray) -> TierSplit:
+        """Split ``node_ids`` by the tier device ``device`` reads them from.
+
+        On a disk-backed store each call is one observation of the disk
+        tier (it advances the promotion clock), so the load-set stage
+        (``repro.engine.base.record_loads``) classifies each device's load
+        set once per batch and every charge reuses that split.
+        """
         node_ids = np.asarray(node_ids, dtype=np.int64)
         out: Dict[Tier, np.ndarray] = {}
         own_hit = self._cached[device, node_ids]
@@ -463,37 +436,51 @@ class UnifiedFeatureStore:
         out[Tier.REMOTE_CPU] = rest[~local]
         return out
 
-    def read(
-        self,
-        device: int,
-        node_ids: np.ndarray,
-        timeline: Optional[Timeline] = None,
-        phase: str = "load",
-    ) -> tuple:
-        """Fetch feature rows for ``node_ids`` on ``device``.
+    def read(self, node_ids: np.ndarray) -> np.ndarray:
+        """Rows for ``node_ids``, bit-identical to ``features[node_ids]`` —
+        the data half of a feature read (:meth:`charge_load` is the
+        accounting half); nothing is classified or charged.
 
-        Returns ``(features, report)`` where ``features`` is the dense
-        ``(len(node_ids), feature_dim)`` array (full dimensionality — NFP
-        slices its shard afterwards) and ``report`` the tier accounting.
-        Simulated load seconds are charged to ``timeline`` when given.
+        The rows have full dimensionality (NFP slices its shard
+        afterwards).  For in-RAM stores this is a plain gather.  With the
+        disk tier active, promoted rows come from the resident buffer
+        (copies of the same bytes) and the rest from the memmap via
+        coalesced ranged reads.
         """
-        report = self.charge_load(device, node_ids, timeline, phase)
-        return self._materialize(node_ids), report
+        features = self.dataset.features
+        ids = np.asarray(node_ids, dtype=np.int64)
+        if self._disk_pos is None:
+            return features[ids]
+        out = np.empty((ids.size,) + features.shape[1:], dtype=features.dtype)
+        if ids.size == 0:
+            return out
+        pos = self._disk_pos[ids]
+        hit = pos >= 0
+        if hit.any():
+            out[hit] = self._disk_rows_buf[pos[hit]]
+        n_miss = int(ids.size - np.count_nonzero(hit))
+        if n_miss:
+            miss_idx = np.flatnonzero(~hit)
+            miss_ids = ids[miss_idx]
+            order = np.argsort(miss_ids, kind="stable")
+            rows = ranged_gather(features, miss_ids[order])
+            out[miss_idx[order]] = rows
+        return out
 
     def charge_load(
         self,
         device: int,
-        node_ids: np.ndarray,
+        split: TierSplit,
         timeline: Optional[Timeline] = None,
         phase: str = "load",
     ) -> LoadReport:
-        """The accounting half of :meth:`read` — no data is materialized.
+        """Charge ``device``'s read of a load set already split by tier.
 
-        Used by timing-only execution (performance benchmarks) where the
-        simulated load time matters but the feature values do not.
+        ``split`` is what :meth:`classify` returned for the load set at the
+        batch's load-set stage; nothing is classified here, so the rows
+        charged are the rows recorded and the disk tier sees the read once.
+        Simulated load seconds are charged to ``timeline`` when given.
         """
-        node_ids = np.asarray(node_ids, dtype=np.int64)
-        split = self.classify(device, node_ids)
         row_bytes = self.dataset.feature_dim * ELEMENT_BYTES * self.dim_fraction
 
         mspec = self.cluster.machine_spec(device)

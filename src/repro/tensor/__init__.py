@@ -28,7 +28,6 @@ from repro.tensor.module import Linear, Module, ModuleList, Parameter
 from repro.tensor.optim import Adam, Optimizer
 from repro.tensor.sparse import (
     SegmentIndex,
-    gather_rows,
     gather_segment_sum,
     segment_mean,
     segment_softmax,
@@ -50,7 +49,6 @@ __all__ = [
     "Linear",
     "Optimizer",
     "Adam",
-    "gather_rows",
     "gather_segment_sum",
     "SegmentIndex",
     "segment_sum",

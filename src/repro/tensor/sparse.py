@@ -11,7 +11,7 @@ All kernels here are autograd-aware and fully vectorized
 ==================   ====================================================
 forward              backward
 ==================   ====================================================
-gather_rows          scatter-add
+Tensor.index_rows    scatter-add
 segment_sum          gather
 segment_mean         gather / count
 segment_softmax      softmax Jacobian within each segment
@@ -33,11 +33,6 @@ try:  # the C routine ``csr_matrix @ dense`` ends in; private, hence guarded
     from scipy.sparse._sparsetools import csr_matvecs as _csr_matvecs
 except ImportError:
     _csr_matvecs = None
-
-
-def gather_rows(x: Tensor, idx: "IndexLike") -> Tensor:
-    """Row gather ``x[idx]`` (alias of :meth:`Tensor.index_rows`)."""
-    return x.index_rows(idx)
 
 
 def _check_segments(segment_ids: np.ndarray, num_segments: int) -> np.ndarray:

@@ -90,7 +90,7 @@ def assert_counts_are_task_sizes(plan, num_nodes):
             np.count_nonzero(t.self_mask),
             np.unique(np.concatenate([t.edge_src, t.vdst])).size,
         )
-    rebuilt = RoutePlan(plan.load_nodes, plan.tasks)
+    rebuilt = RoutePlan(plan.load_nodes, plan.splits, plan.tasks)
     for counts, sources in (routed, (rebuilt.counts, rebuilt.source_counts(num_nodes))):
         got = np.stack([counts.edges, counts.vdst, counts.owned, sources])
         np.testing.assert_array_equal(got, want)

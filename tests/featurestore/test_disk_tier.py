@@ -92,31 +92,33 @@ class TestDiskTierStore:
         rng = np.random.default_rng(1)
         for _ in range(4):
             ids = rng.integers(0, ram_ds.num_nodes, size=90)  # dupes included
-            f_ram, _ = ram.read(0, ids)
-            f_disk, _ = disk.read(0, ids)
+            f_ram, f_disk = ram.read(ids), disk.read(ids)
             np.testing.assert_array_equal(f_ram, f_disk)
 
     def test_charge_load_counts_ranged_reads(self, disk_ds):
         store = UnifiedFeatureStore(disk_ds, single_machine_cluster(1))
         ids = np.array([0, 1, 2, 100, 101, 400])
-        report = store.charge_load(0, ids)
+        report = store.charge_load(0, store.classify(0, ids))
         assert report.rows[Tier.DISK] == 6
         assert report.ranged_reads == count_ranges(ids) == 3
-        assert report.disk_bytes() == 6 * disk_ds.feature_dim * 8
+        assert report.bytes[Tier.DISK] == 6 * disk_ds.feature_dim * 8
         assert store.disk_stats["rows"] == 6.0
         assert store.disk_stats["ranged_reads"] == 3.0
 
     def test_disk_slower_than_local_cpu(self, ram_ds, disk_ds):
         cluster = single_machine_cluster(1)
         ids = np.arange(200)
-        _, r_ram = UnifiedFeatureStore(ram_ds, cluster).read(0, ids)
-        _, r_disk = UnifiedFeatureStore(disk_ds, cluster).read(0, ids)
+        r_ram, r_disk = (
+            store.charge_load(0, store.classify(0, ids))
+            for store in (UnifiedFeatureStore(ram_ds, cluster),
+                          UnifiedFeatureStore(disk_ds, cluster))
+        )
         assert r_disk.seconds > r_ram.seconds
 
     def test_charges_timeline(self, disk_ds):
         store = UnifiedFeatureStore(disk_ds, single_machine_cluster(1))
         t = Timeline(1)
-        store.read(0, np.arange(50), timeline=t)
+        store.charge_load(0, store.classify(0, np.arange(50)), t)
         assert t.device_phase_seconds(0, "load") > 0
 
     def test_multi_machine_unpromoted_rows_hit_disk(self, disk_ds):
@@ -155,10 +157,10 @@ class TestPromotion:
     def test_promotion_preserves_values(self, disk_ds):
         store = self._store(disk_ds)
         hot = np.array([7, 8, 9, 450], dtype=np.int64)
-        before, _ = store.read(0, hot)
+        before = store.read(hot)
         for _ in range(40):
             store.classify(0, hot)
-        after, _ = store.read(0, hot)
+        after = store.read(hot)
         np.testing.assert_array_equal(before, after)
         np.testing.assert_array_equal(after, np.asarray(disk_ds.features)[hot])
 

@@ -3,8 +3,8 @@
 One global batch's per-device requests are materialized once as the sorted
 unique union (GDP's layers read it through ``shared_positions``).  Reads
 inside the scope — of a subset, of ids outside the union, of nothing —
-must be bit-identical to ``gather_rows``, and tier charging must not change
-at all.
+must be bit-identical to ``features[ids]``, and tier charging must not
+change at all.
 """
 
 import numpy as np
@@ -12,7 +12,6 @@ import pytest
 
 from repro.cluster import Timeline, single_machine_cluster
 from repro.featurestore import Tier, UnifiedFeatureStore
-from repro.featurestore.store import gather_rows
 from repro.graph.datasets import small_dataset
 
 
@@ -44,8 +43,8 @@ def test_begin_returns_row_counts(store):
 def test_begin_with_no_requests_returns_none(store):
     assert store.begin_shared_gather([None, np.empty(0, np.int64)]) is None
     # No scope was opened; reads behave normally.
-    rows, _ = store.read(0, np.array([5]))
-    assert np.array_equal(rows, gather_rows(store.dataset.features, [5]))
+    rows = store.read(np.array([5]))
+    assert np.array_equal(rows, store.dataset.features[[5]])
 
 
 def test_subset_read_matches_direct_gather(store, ds):
@@ -53,8 +52,8 @@ def test_subset_read_matches_direct_gather(store, ds):
     try:
         for req in ([15, 4], [42, 8, 8, 16], [23]):
             ids = np.array(req)
-            rows, _ = store.read(0, ids)
-            assert np.array_equal(rows, gather_rows(ds.features, ids))
+            rows = store.read(ids)
+            assert np.array_equal(rows, ds.features[ids])
     finally:
         store.end_shared_gather()
 
@@ -63,12 +62,12 @@ def test_ids_outside_union_fall_back_to_direct_gather(store, ds):
     store.begin_shared_gather([np.array([4, 8])])
     try:
         ids = np.array([4, 300])  # 300 not staged
-        rows, _ = store.read(0, ids)
-        assert np.array_equal(rows, gather_rows(ds.features, ids))
+        rows = store.read(ids)
+        assert np.array_equal(rows, ds.features[ids])
         # Also ids beyond the union's last entry (searchsorted edge).
         ids = np.array([399])
-        rows, _ = store.read(0, ids)
-        assert np.array_equal(rows, gather_rows(ds.features, ids))
+        rows = store.read(ids)
+        assert np.array_equal(rows, ds.features[ids])
     finally:
         store.end_shared_gather()
 
@@ -76,8 +75,9 @@ def test_ids_outside_union_fall_back_to_direct_gather(store, ds):
 def test_empty_read_inside_scope(store):
     store.begin_shared_gather([np.array([4, 8])])
     try:
-        rows, report = store.read(0, np.empty(0, np.int64))
-        assert rows.shape[0] == 0
+        empty = np.empty(0, np.int64)
+        assert store.read(empty).shape[0] == 0
+        report = store.charge_load(0, store.classify(0, empty))
         assert sum(report.rows.values()) == 0
     finally:
         store.end_shared_gather()
@@ -86,12 +86,13 @@ def test_empty_read_inside_scope(store):
 def test_charging_is_identical_inside_and_outside_scope(store, ds):
     ids = np.array([3, 60, 200])  # cache hit + cpu rows
     tl_plain = Timeline(store.cluster.num_devices)
-    rep_plain = store.charge_load(0, ids, tl_plain)
+    rep_plain = store.charge_load(0, store.classify(0, ids), tl_plain)
 
     store.begin_shared_gather([ids, np.array([60, 399])])
     try:
         tl_shared = Timeline(store.cluster.num_devices)
-        rows, rep_shared = store.read(0, ids, tl_shared)
+        rep_shared = store.charge_load(0, store.classify(0, ids), tl_shared)
+        rows = store.read(ids)
     finally:
         store.end_shared_gather()
 
@@ -99,15 +100,15 @@ def test_charging_is_identical_inside_and_outside_scope(store, ds):
     assert rep_plain.bytes == rep_shared.bytes
     assert rep_plain.seconds == rep_shared.seconds
     assert tl_plain.wall_seconds == tl_shared.wall_seconds
-    assert np.array_equal(rows, gather_rows(ds.features, ids))
+    assert np.array_equal(rows, ds.features[ids])
 
 
 def test_end_clears_state(store, ds):
     store.begin_shared_gather([np.array([1, 2])])
     store.end_shared_gather()
     assert store._shared_uniq is None and store._shared_rows is None
-    rows, _ = store.read(0, np.array([1, 2]))
-    assert np.array_equal(rows, gather_rows(ds.features, [1, 2]))
+    rows = store.read(np.array([1, 2]))
+    assert np.array_equal(rows, ds.features[[1, 2]])
     store.end_shared_gather()  # idempotent
 
 
@@ -122,5 +123,5 @@ def test_loadreport_starts_empty():
 
 
 def test_charged_report_exposes_all_tiers(store):
-    rep = store.charge_load(0, np.array([3, 60]))
+    rep = store.charge_load(0, store.classify(0, np.array([3, 60])))
     assert set(rep.rows) == set(Tier)

@@ -57,28 +57,32 @@ class TestClassification:
         np.testing.assert_array_equal(split[Tier.REMOTE_CPU], [150])
 
 
+def _charge(store, device, ids, timeline=None):
+    """One device-batch's accounting: classify once, charge the split."""
+    return store.charge_load(device, store.classify(device, ids), timeline)
+
+
 class TestRead:
     def test_returns_correct_rows(self, ds):
         cluster = single_machine_cluster(1)
         store = UnifiedFeatureStore(ds, cluster)
         ids = np.array([3, 9, 3])
-        feats, report = store.read(0, ids)
-        np.testing.assert_array_equal(feats, ds.features[ids])
-        assert sum(report.rows.values()) == 3
+        np.testing.assert_array_equal(store.read(ids), ds.features[ids])
+        assert sum(_charge(store, 0, ids).rows.values()) == 3
 
     def test_charges_timeline(self, ds):
         cluster = single_machine_cluster(1)
         store = UnifiedFeatureStore(ds, cluster)
         t = Timeline(1)
-        store.read(0, np.arange(100), timeline=t)
+        _charge(store, 0, np.arange(100), timeline=t)
         assert t.device_phase_seconds(0, "load") > 0
 
     def test_cache_hits_cheaper_than_cpu(self, ds):
         cluster = single_machine_cluster(1)
         store = UnifiedFeatureStore(ds, cluster)
-        _, cpu_report = store.read(0, np.arange(100))
+        cpu_report = _charge(store, 0, np.arange(100))
         store.configure_caches([np.arange(100)])
-        _, hit_report = store.read(0, np.arange(100))
+        hit_report = _charge(store, 0, np.arange(100))
         assert hit_report.seconds < cpu_report.seconds / 10
         assert hit_report.rows[Tier.GPU_CACHE] == sum(hit_report.rows.values()) == 100
 
@@ -89,25 +93,28 @@ class TestRead:
         store_remote = UnifiedFeatureStore(
             ds, cluster, node_machine=np.ones_like(machine)
         )
-        _, rl = store_local.read(0, np.arange(200))
-        _, rr = store_remote.read(0, np.arange(200))
+        rl = _charge(store_local, 0, np.arange(200))
+        rr = _charge(store_remote, 0, np.arange(200))
         assert rr.seconds > rl.seconds
 
     def test_charge_load_matches_read(self, ds):
+        """The charge covers exactly the rows read, from the split alone:
+        charging one split twice gives the same report."""
         cluster = single_machine_cluster(1)
         store = UnifiedFeatureStore(ds, cluster)
         store.configure_caches([np.arange(50)])
         ids = np.arange(120)
-        _, r1 = store.read(0, ids)
-        r2 = store.charge_load(0, ids)
+        split = store.classify(0, ids)
+        r1, r2 = store.charge_load(0, split), store.charge_load(0, split)
         assert r1.seconds == r2.seconds
         assert r1.rows == r2.rows
+        assert sum(r1.rows.values()) == store.read(ids).shape[0]
 
     def test_dim_fraction_scales_bytes(self, ds):
         cluster = single_machine_cluster(2)
         store = UnifiedFeatureStore(ds, cluster)
         store.configure_caches([np.empty(0, np.int64)] * 2, dim_fraction=0.5)
-        _, r = store.read(0, np.arange(10))
+        r = _charge(store, 0, np.arange(10))
         assert r.bytes[Tier.LOCAL_CPU] == 10 * ds.feature_dim * 8 * 0.5
 
 

@@ -32,7 +32,6 @@ from repro.engine.base import (
     Rows,
     Strategy,
     local_index_of,
-    read_features,
     read_load_sets,
     sample_batches,
 )
@@ -87,14 +86,13 @@ def nfp_execute_sage(self, ctx, plan, batches, layer):
     x_union: Optional[np.ndarray] = None
     for c in range(C):
         lo, hi = self.shard(c)
+        ctx.store.charge_load(c, plan.splits[c], ctx.timeline)
         if ctx.numerics:
             # Every shard holder reads the same union rows: gather the
             # dense block once, charge each device's (cache-dependent)
             # simulated load as before — host wall-clock only.
             if x_union is None:
-                x_union, _ = read_features(ctx, c, union)
-            else:
-                ctx.store.charge_load(c, union, ctx.timeline)
+                x_union = ctx.store.read(union)
             x_shard = Tensor(x_union[:, lo:hi])
             w_param = layer.weight if self_in_agg else layer.w_neigh
             wn = w_param.index_rows(np.arange(lo, hi))
@@ -104,8 +102,6 @@ def nfp_execute_sage(self, ctx, plan, batches, layer):
                 else layer.w_self.index_rows(np.arange(lo, hi))
             )
             z_union = x_shard @ wn
-        else:
-            read_features(ctx, c, union)
         ctx.charger.dense(c, 2.0 * union.size * (hi - lo) * d_hidden)
         inter = 0.0
         for o, mb in enumerate(batches):
@@ -259,7 +255,8 @@ def dnp_execute_batch(self, ctx, plan, batches):
         if nodes is None:
             xs.append(None)
             continue
-        x_rows, _ = read_features(ctx, o, nodes)
+        ctx.store.charge_load(o, plan.splits[o], ctx.timeline)
+        x_rows = ctx.store.read(nodes) if ctx.numerics else None
         xs.append(Tensor(x_rows) if ctx.numerics else None)
 
     # Owners compute complete layer-1 embeddings per task.
@@ -381,14 +378,15 @@ def gdp_execute_batch(self, ctx, plan, batches):
             else None
         )
         if pos is not None:
-            ctx.store.charge_load(d, plan.load_nodes[d], ctx.timeline)
+            ctx.store.charge_load(d, plan.splits[d], ctx.timeline)
             h1.append(
                 layer.full_forward(
                     block, Tensor(ctx.store.shared_rows()), src_index=pos
                 )
             )
             continue
-        x_rows, _ = read_features(ctx, d, plan.load_nodes[d])
+        ctx.store.charge_load(d, plan.splits[d], ctx.timeline)
+        x_rows = ctx.store.read(plan.load_nodes[d]) if ctx.numerics else None
         h1.append(
             layer.full_forward(block, Tensor(x_rows)) if ctx.numerics else None
         )

@@ -6,8 +6,9 @@ SNP walked every (requester, server) pair with a per-task presence mask;
 DNP walked every (requester, owner) pair and counted each owner's distinct
 sources for every model.  Both recorded their volumes and load sets
 inline.  The only edits are the unified names: a task's device is
-``server`` (DNP's owner), a DNP task's ``self_mask`` is all true, and the
-load sets are ``RoutePlan.load_nodes``.
+``server`` (DNP's owner), a DNP task's ``self_mask`` is all true, the
+load sets are ``RoutePlan.load_nodes`` and their tier splits
+``RoutePlan.splits``.
 ``tests/engine/test_routing_pin.py`` requires the router to match these
 forms exactly: tasks, load sets, every ``VolumeRecorder`` field, Timeline
 phases and telemetry counters.
@@ -33,7 +34,7 @@ def snp_plan_batch(self, ctx, batches, epoch: int = 0) -> RoutePlan:
     C = ctx.num_devices
     layer = ctx.model.first_layer
     is_attention = layer.is_attention
-    plan = RoutePlan(load_nodes=[None] * C)
+    plan = RoutePlan(load_nodes=[None] * C, splits=[None] * C)
     need: List[List[np.ndarray]] = [[] for _ in range(C)]
     struct_bytes = np.zeros((C, C))
     d_hidden = (
@@ -150,7 +151,7 @@ def snp_plan_batch(self, ctx, batches, epoch: int = 0) -> RoutePlan:
                 node_mask[ids] = True
             nodes = np.flatnonzero(node_mask)
             plan.load_nodes[p] = nodes
-            split = ctx.store.classify(p, nodes)
+            split = plan.splits[p] = ctx.store.classify(p, nodes)
             ctx.recorder.record_load(
                 p,
                 {t: ids.size for t, ids in split.items()},
@@ -171,7 +172,7 @@ def dnp_plan_batch(self, ctx, batches, epoch: int = 0) -> RoutePlan:
     parts = self._parts
     layer = ctx.model.first_layer
     d_hidden = layer.out_dim
-    plan = RoutePlan(load_nodes=[None] * C)
+    plan = RoutePlan(load_nodes=[None] * C, splits=[None] * C)
     need: List[List[np.ndarray]] = [[] for _ in range(C)]
     struct_bytes = np.zeros((C, C))
 
@@ -248,7 +249,7 @@ def dnp_plan_batch(self, ctx, batches, epoch: int = 0) -> RoutePlan:
                 node_mask[ids] = True
             nodes = np.flatnonzero(node_mask)
             plan.load_nodes[o] = nodes
-            split = ctx.store.classify(o, nodes)
+            split = plan.splits[o] = ctx.store.classify(o, nodes)
             ctx.recorder.record_load(
                 o,
                 {t: ids.size for t, ids in split.items()},

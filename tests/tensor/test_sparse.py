@@ -5,7 +5,6 @@ import pytest
 
 from repro.tensor import (
     Tensor,
-    gather_rows,
     gather_segment_sum,
     segment_mean,
     segment_softmax,
@@ -165,10 +164,3 @@ class TestGatherSegmentSum:
         out = gather_segment_sum(x, np.array([1, 1]), np.array([0, 0]), 2)
         np.testing.assert_array_equal(out.data, [[20.0], [0.0]])
 
-
-class TestGatherRows:
-    def test_alias_of_index_rows(self):
-        x = Tensor(np.arange(6.0).reshape(3, 2))
-        np.testing.assert_allclose(
-            gather_rows(x, np.array([2, 0])).data, [[4, 5], [0, 1]]
-        )
