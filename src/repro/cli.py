@@ -293,7 +293,7 @@ def cmd_run(args) -> int:
     if args.inject is not None:
         # One file drives both layers: its "events" degrade the simulated
         # cluster at epoch boundaries, its "host_events" inject real process
-        # faults (kill/hang/corrupt/leak) into the worker pool.
+        # faults (kill/hang) into the worker pool.
         try:
             faults, chaos = split_injections(args.inject)
         except (OSError, ValueError, KeyError, TypeError) as exc:

@@ -188,9 +188,8 @@ class APTConfig:
             self.prefetch_depth,
             minimum=0,
             maximum=256,
-            hint="0 disables pipelining; each unit preallocates one "
-            "shared-memory result slot, so large values exhaust /dev/shm — "
-            "set via --prefetch-depth",
+            hint="0 disables pipelining; each unit is one more global "
+            "batch sampled ahead in a worker — set via --prefetch-depth",
         )
         self.disk_promote_mb = self._int_field(
             "disk_promote_mb",

@@ -278,9 +278,8 @@ class TrainingRun:
                 devices_after=after,
                 **extra,
             )
-        # (1) quiesce: settle in-flight slots (release or quarantine, never
-        # lose), drop the prefetched schedule — its seed chunks were split
-        # for the old device set.
+        # (1) quiesce: settle in-flight tasks, drop the prefetched
+        # schedule — its seed chunks were split for the old device set.
         self.backend.quiesce()
         # (2) checkpoint at this epoch boundary, unless the regular cadence
         # just wrote one covering exactly `epoch` epochs.

@@ -34,7 +34,6 @@ EVENT_KINDS = (
     "worker_error",   # supervisor/backend: a scoped worker exception
     "worker_timeout", # supervisor: task deadline expired (hang suspected)
     "worker_respawn", # supervisor: a dead/hung worker was replaced by a fork
-    "slot_corrupt",   # supervisor: shm slot digest mismatch on receive
     "task_retry",     # supervisor: failed task resubmitted with backoff
     "degraded",       # backend: failure budget spent, serial fallback on
     "checkpoint",     # APT: epoch checkpoint written

@@ -28,7 +28,6 @@ from repro.parallel.supervisor import (
     FailureBudgetExceeded,
     FaultPolicy,
     HeartbeatBoard,
-    SlotCorruption,
     SupervisionError,
     WorkerCrash,
     WorkerSet,
@@ -54,6 +53,5 @@ __all__ = [
     "SupervisionError",
     "WorkerCrash",
     "WorkerTimeout",
-    "SlotCorruption",
     "FailureBudgetExceeded",
 ]

@@ -25,10 +25,10 @@ minibatches, losses, parameters, and simulated Timeline charges (pinned by
     while the current batch runs numerics on the main process.  One task
     covers one whole global batch, sampled by the same
     :func:`~repro.sampling.cache.sample_device_batches` as the serial
-    backend (the union once, restricted per device).  Results return
-    through preallocated shared-memory slots; prefetched batches bypass
-    the sample cache (slot buffers are recycled, cache entries must not
-    alias them).
+    backend (the union once, restricted per device).  Results come back
+    pickled over each worker's pipe.  Prefetched batches bypass the
+    sample cache: it lives on the main process, workers sample without
+    one, and their results are not entered into it.
 
 Prefetches are matched by content digest of ``(epoch, per-device seed
 chunks)``; any divergence (mid-epoch strategy switch, direct
@@ -37,7 +37,7 @@ unplanned submission — correctness never depends on the schedule guess.
 
 Host faults never break the contract either: every task runs under a
 :class:`~repro.parallel.supervisor.WorkerSupervisor` (deadlines, retries,
-respawn, digest validation), a seeded
+respawn), a seeded
 :class:`~repro.parallel.chaos.HostFaultSchedule` can inject worker faults
 deterministically, and once the supervisor's failure budget is exhausted
 the backend *degrades*: remaining batches are sampled inline exactly as
@@ -57,7 +57,7 @@ from typing import Deque, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.parallel.chaos import HostFaultSchedule
-from repro.parallel.shm import SlotRing, export_task_data, read_array
+from repro.parallel.shm import export_task_data
 from repro.parallel.supervisor import (
     TEARDOWN_ERRORS,
     FailureBudgetExceeded,
@@ -65,9 +65,8 @@ from repro.parallel.supervisor import (
     Flight,
     WorkerSet,
     WorkerSupervisor,
-    slot_digest,
 )
-from repro.sampling.block import Block, MiniBatch
+from repro.sampling.block import MiniBatch
 from repro.sampling.cache import sample_device_batches
 
 __all__ = [
@@ -81,13 +80,6 @@ __all__ = [
 
 #: Default worker count when the config leaves it at 0 ("auto").
 _AUTO_WORKERS = max(1, min(4, os.cpu_count() or 1))
-
-#: Extra slots beyond the prefetch depth: slots retired after a serve are
-#: held for ``holdoff`` further serves before reuse (views stay valid).
-_SLOT_HOLDOFF = 2
-
-#: Sizing headroom of the result slots over the first observed batch.
-_SLOT_HEADROOM = 1.6
 
 
 class ExecutionBackend:
@@ -115,10 +107,9 @@ class ExecutionBackend:
         """Settle all in-flight work and drop any prefetched schedule.
 
         The elastic transition (DESIGN.md §5.16) calls this before
-        re-partitioning: slots drain through the supervisor (released
-        when safely settled, quarantined when a worker may still write
-        them) and the epoch schedule is discarded, because its seed
-        chunks were split for the *old* device set.  The workers stay
+        re-partitioning: in-flight tasks settle through the supervisor
+        and the epoch schedule is discarded, because its seed chunks were
+        split for the *old* device set.  The workers stay
         up — the shm export is cluster-independent.  No-op on the serial
         backend.
         """
@@ -274,7 +265,6 @@ class ProcessPoolBackend(ExecutionBackend):
         )
         self._supervisor.count = self._count
         self._supervisor.emit = self._buffer_event
-        self._slots: Optional[SlotRing] = None
         self._closed = False
         self._degraded = False
         #: lifetime task sequence number — the chaos schedule's key; first
@@ -366,7 +356,7 @@ class ProcessPoolBackend(ExecutionBackend):
             )
 
     def quiesce(self) -> None:
-        """Elastic barrier: settle in-flight slots, drop the schedule."""
+        """Elastic barrier: settle in-flight tasks, drop the schedule."""
         if self._degraded:
             return
         self._drain(wasted=True)
@@ -377,20 +367,13 @@ class ProcessPoolBackend(ExecutionBackend):
     # ------------------------------------------------------------------ #
     def _submit(self, entry: Tuple[bytes, Dict]) -> None:
         digest, payload = entry
-        slot = self._slots.acquire() if self._slots is not None else None
-        if self._slots is not None and slot is None:  # pragma: no cover
-            self._count("slot_stall")
-        leak = False
         if self.chaos:
             directives = self.chaos.directives_at(self._task_seq)
             for event, seconds in directives:
                 self._count("chaos_injected")
-                if event.kind == "leak":
-                    leak = True  # backend-side: the slot is never recycled
-                else:
-                    payload = dict(
-                        payload, chaos={"kind": event.kind, "seconds": seconds}
-                    )
+                payload = dict(
+                    payload, chaos={"kind": event.kind, "seconds": seconds}
+                )
             if directives:
                 self._buffer_event(
                     "chaos",
@@ -398,9 +381,7 @@ class ProcessPoolBackend(ExecutionBackend):
                     kinds=[e.kind for e, _ in directives],
                 )
         self._task_seq += 1
-        flight = self._supervisor.submit(payload, slot)
-        flight.leak_slot = leak
-        self._inflight.append((digest, flight))
+        self._inflight.append((digest, self._supervisor.submit(payload)))
 
     def _top_up(self) -> None:
         while (
@@ -411,44 +392,14 @@ class ProcessPoolBackend(ExecutionBackend):
             self._next += 1
 
     def _drain(self, wasted: bool = False) -> None:
-        """Settle and discard every in-flight task.
-
-        A task that finished (either way) frees its slot; one that may
-        still be running when the drain gives up has its slot quarantined
-        — a late write to a recycled slot could corrupt a served batch.
-        """
+        """Settle and discard every in-flight task."""
         while self._inflight:
             _, flight = self._inflight.popleft()
-            if self._supervisor is None or self._degraded:
-                # The workers are gone; nothing will write these slots again.
-                if self._slots is not None:
-                    self._slots.release(flight.slot)
-                continue
-            safe, _ = self._supervisor.settle(flight)
-            if self._slots is not None:
-                if safe:
-                    self._slots.release(flight.slot)
-                else:
-                    self._slots.quarantine(flight.slot)
-                    self._count("slots_quarantined")
+            if self._supervisor is None:
+                continue  # the workers are gone; nothing will answer
+            self._supervisor.settle(flight)
             if wasted:
                 self._count("prefetch_wasted")
-
-    # -- supervision plumbing ------------------------------------------- #
-    def _fresh_slot(self) -> Optional[str]:
-        return self._slots.acquire() if self._slots is not None else None
-
-    def _lose_slot(self, name: Optional[str]) -> None:
-        if self._slots is not None and name is not None:
-            self._slots.quarantine(name)
-            self._count("slots_quarantined")
-
-    def _validate(self, result: Dict, slot: Optional[str]) -> bool:
-        """Recompute the slot digest the worker reported; True = intact."""
-        if not result.get("via_shm") or slot is None or self._slots is None:
-            return True  # pickled results carry the arrays themselves
-        got = slot_digest(self._slots.buffer(slot), result["packed_bytes"])
-        return got == result["digest"]
 
     def _degrade(self, reason: str) -> None:
         """Fall back to inline serial sampling for the rest of the run."""
@@ -461,23 +412,13 @@ class ProcessPoolBackend(ExecutionBackend):
         )
         if self._supervisor is not None:
             # A set that spent a failure budget is not handed to the next
-            # run.  End it first: with every worker dead, no slot can be
-            # written again and the in-flight queue can be dropped safely.
+            # run.  End it first: with every worker dead, the in-flight
+            # queue is dropped without waiting on anyone.
             self._workers.close()
             self._supervisor = None
         self._drain(wasted=True)
         self._schedule = []
         self._next = 0
-
-    def _ensure_slots(self, nbytes: int) -> None:
-        if self._slots is not None:
-            return
-        slot_bytes = max(int(nbytes * _SLOT_HEADROOM), 1 << 20)
-        self._slots = SlotRing(
-            n_slots=self.prefetch_depth + _SLOT_HOLDOFF + 2,
-            slot_bytes=slot_bytes,
-            holdoff=_SLOT_HOLDOFF,
-        )
 
     # ------------------------------------------------------------------ #
     def sample_device_chunks(self, ctx, seeds_per_device, epoch):
@@ -516,62 +457,14 @@ class ProcessPoolBackend(ExecutionBackend):
                 self._count("unplanned_batches")
             _, flight = self._inflight.pop()
         try:
-            result, flight = self._supervisor.result(
-                flight,
-                fresh_slot=self._fresh_slot,
-                lose_slot=self._lose_slot,
-                validate=self._validate,
-            )
+            result = self._supervisor.result(flight)
         except FailureBudgetExceeded as exc:
             self._degrade(str(exc))
             self._count("degraded_batches")
             return _SERIAL.sample_device_chunks(ctx, seeds_per_device, epoch)
-        slot = flight.slot
-        self._count("worker_busy_seconds", float(result.get("busy", 0.0)))
-        batches = self._unpack(result, slot)
-        if self._slots is None:
-            self._ensure_slots(int(result.get("nbytes", 0)))
-        if slot is not None:
-            if flight.leak_slot:
-                # Chaos "leak": drop the slot on the floor.  The ring
-                # shrinks by one; the interpreter-exit guard still unlinks
-                # the segment at shutdown.
-                self._count("slot_leaks")
-            elif result["via_shm"]:
-                self._slots.retire(slot)
-            else:
-                self._count("slot_overflow")
-                self._slots.release(slot)
+        self._count("worker_busy_seconds", float(result["busy"]))
         self._top_up()
-        return batches
-
-    def _unpack(self, result: Dict, slot: Optional[str]):
-        buf = (
-            self._slots.buffer(slot)
-            if (result["via_shm"] and slot is not None and self._slots is not None)
-            else None
-        )
-        batches: List[Optional[MiniBatch]] = []
-        for d, item in enumerate(result["devices"]):
-            if item is None:
-                batches.append(None)
-                continue
-            arrays = [read_array(buf, s) if buf is not None else s for s in item]
-            num_layers = result["layers"][d]
-            blocks = []
-            for i in range(num_layers):
-                s, dn, dis, es, ed = arrays[1 + 5 * i : 6 + 5 * i]
-                blocks.append(
-                    Block(
-                        src_nodes=s,
-                        dst_nodes=dn,
-                        dst_in_src=dis,
-                        edge_src=es,
-                        edge_dst=ed,
-                    )
-                )
-            batches.append(MiniBatch(seeds=arrays[0], blocks=blocks))
-        return batches
+        return result["devices"]
 
     def take_gather(self, device, node_ids) -> None:
         """Always ``None``: workers gather no feature rows.  Kept only
@@ -592,9 +485,6 @@ class ProcessPoolBackend(ExecutionBackend):
             self._supervisor.close()
             self._supervisor = None
             _release(self._workers)
-        if self._slots is not None:
-            self._slots.close()
-            self._slots = None
 
     def __del__(self):  # pragma: no cover - GC safety net
         try:

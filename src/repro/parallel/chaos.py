@@ -14,14 +14,6 @@ deterministically in tests and CI.  Kinds:
     The worker sleeps ``seconds`` before sampling task *n*.  With
     ``seconds`` past the task deadline this exercises hang detection and
     resubmission; below it, merely a straggling worker.
-``corrupt``
-    The worker flips bytes in its result slot *after* computing the
-    result digest, modelling a torn or corrupted shared-memory write.
-    Exercises slot-digest validation.
-``leak``
-    The backend "forgets" to recycle task *n*'s result slot, modelling a
-    slot leak.  Exercises the ring's exhaustion fallback (pickled
-    results) and the interpreter-exit unlink guard.
 
 Schedules mirror the :class:`~repro.cluster.faults.FaultSchedule` API —
 events are keyed by *task sequence number* (the backend's deterministic
@@ -32,7 +24,7 @@ same JSON grammar.  A single ``--inject`` file may carry both a simulated
 :func:`split_injections`.  The ``REPRO_CHAOS`` environment variable arms a
 schedule for any process-backend run (CI's chaos leg), using either a JSON
 payload/path or the compact grammar ``kind@task[:seconds]``, e.g.
-``kill@1;hang@4:0.3;corrupt@6;leak@2``.
+``kill@1;hang@4:0.3``.
 
 A chaos directive fires only on a task's *first* attempt: recovery
 resubmissions run clean, so every seeded schedule converges to the same
@@ -51,7 +43,7 @@ from repro.cluster.faults import FaultSchedule, _read_json
 from repro.utils.random import rng_from
 
 #: Host-fault kinds (mirrors ``repro.cluster.faults.FAULT_KINDS``).
-HOST_FAULT_KINDS = ("kill", "hang", "corrupt", "leak")
+HOST_FAULT_KINDS = ("kill", "hang")
 
 #: Environment variable CI uses to arm a schedule for every process run.
 CHAOS_ENV = "REPRO_CHAOS"
@@ -220,7 +212,7 @@ def split_injections(source: Union[str, os.PathLike]):
     kinds (``host_leave``/``host_join`` — a machine leaves or joins the
     cluster at an epoch boundary, see DESIGN.md §5.16); the task-keyed
     ``host_events`` section stays about *process* faults inside a fixed
-    membership (kill/hang/corrupt/leak).
+    membership (kill/hang).
     """
     payload = _read_json(source)
     faults = FaultSchedule.from_dict(payload) if payload.get("events") else None

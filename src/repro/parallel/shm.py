@@ -1,27 +1,22 @@
 """Shared-memory plumbing for the process execution backend.
 
-Two kinds of segments flow between the main process and the sampler
-workers:
+One kind of segment is shared with the sampler workers: the **task-data
+segment** — the CSR graph (``indptr``/``indices``), exported once per
+worker set and attached read-only by every worker
+(:func:`export_task_data` / :func:`attach_task_data`).  Attaching maps the
+same physical pages, so workers sample against the *identical bytes* the
+main process trains on — zero copies, and bit-identity of worker-produced
+arrays is structural rather than asserted.  Sampling never reads a
+feature, so no feature matrix — in RAM or memory-mapped — is shared or
+mapped by a worker.  Sampled blocks come back pickled over each worker's
+pipe (:mod:`repro.parallel.worker`); at one global batch per task they
+are small next to the graph.
 
-* **the task-data segment** — the CSR graph (``indptr``/``indices``),
-  exported once per worker set and attached read-only by every worker
-  (:func:`export_task_data` / :func:`attach_task_data`).  Attaching maps
-  the same physical pages, so workers sample against the *identical
-  bytes* the main process trains on — zero copies, and bit-identity of
-  worker-produced arrays is structural rather than asserted.  Sampling
-  never reads a feature, so no feature matrix — in RAM or memory-mapped —
-  is shared or mapped by a worker.
-* **result slots** — a small ring of fixed-size segments the main process
-  preallocates; a worker packs its sampled index arrays into the slot
-  named by its task and returns only
-  tiny :class:`ArraySpec` descriptors.  The main process reconstructs
-  NumPy views directly on the slot buffer (:func:`read_array`), avoiding
-  the pickle round-trip that would otherwise dominate IPC.
-
-Every segment is created (and eventually unlinked) by the **main**
-process; workers never create or unlink, which keeps the
-``multiprocessing.resource_tracker`` silent and makes cleanup a pure
-main-process concern (see DESIGN.md §5.10).
+Every segment (the export and the supervisor's heartbeat board) is
+created (and eventually unlinked) by the **main** process; workers never
+create or unlink, which keeps the ``multiprocessing.resource_tracker``
+silent and makes cleanup a pure main-process concern (see DESIGN.md
+§5.10).
 
 Creation goes through :func:`create_segment`, which registers every
 segment in a module-level table unlinked by an ``atexit`` finalizer: if
@@ -37,11 +32,11 @@ from __future__ import annotations
 import atexit
 from dataclasses import dataclass
 from multiprocessing import shared_memory
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
-#: Slot payloads are 8-byte aligned so int64/float64 views are native.
+#: Arrays are placed 8-byte aligned so int64/float64 views are native.
 _ALIGN = 8
 
 
@@ -120,15 +115,14 @@ class ArraySpec:
 def write_array(buf, offset: int, arr: np.ndarray) -> Tuple[int, ArraySpec]:
     """Copy ``arr`` into ``buf`` at ``offset``; returns (next offset, spec).
 
-    Raises :class:`ValueError` when the array does not fit — callers treat
-    that as a slot overflow and fall back to pickling.
+    Raises :class:`ValueError` when the array does not fit.
     """
     arr = np.ascontiguousarray(arr)
     end = offset + arr.nbytes
     if end > len(buf):
         raise ValueError(
             f"array of {arr.nbytes} bytes does not fit at offset {offset} "
-            f"of a {len(buf)}-byte slot"
+            f"of a {len(buf)}-byte buffer"
         )
     if arr.nbytes:
         view = np.ndarray(arr.shape, dtype=arr.dtype, buffer=buf, offset=offset)
@@ -214,81 +208,3 @@ def attach_task_data(descriptor: TaskDataDescriptor):
         read_array(segment.buf, descriptor.indices),
     )
     return segment, graph
-
-
-# ---------------------------------------------------------------------- #
-# result slots
-# ---------------------------------------------------------------------- #
-class SlotRing:
-    """A ring of equal-size main-process-owned result segments.
-
-    The pipeline assigns a free slot to each in-flight sampling task;
-    consumed slots are *retired* for ``holdoff`` subsequent batch serves
-    before they return to the free list, so NumPy views handed to the
-    engine stay valid through the batch (and one successor) that uses
-    them.  With ``n_slots >= prefetch_depth + holdoff + 1`` a free slot
-    always exists; runs out only if callers leak slots, in which case
-    :meth:`acquire` returns ``None`` and the task falls back to pickled
-    results.
-    """
-
-    def __init__(self, n_slots: int, slot_bytes: int, holdoff: int = 2):
-        self.slot_bytes = int(slot_bytes)
-        self.holdoff = int(holdoff)
-        self._segments: List[shared_memory.SharedMemory] = [
-            create_segment(self.slot_bytes) for _ in range(int(n_slots))
-        ]
-        self._by_name = {seg.name: seg for seg in self._segments}
-        self._free: List[str] = [seg.name for seg in self._segments]
-        self._retired: List[str] = []
-        #: slots pulled from circulation (a possibly-dead worker may still
-        #: write them); kept mapped until :meth:`close`, never reused
-        self._quarantined: Set[str] = set()
-
-    # ------------------------------------------------------------------ #
-    def acquire(self) -> Optional[str]:
-        """Name of a free slot (reserved until retired + held off)."""
-        return self._free.pop(0) if self._free else None
-
-    def release(self, name: Optional[str]) -> None:
-        """Return an acquired-but-unused slot straight to the free list."""
-        if name is not None and name not in self._quarantined:
-            self._free.append(name)
-
-    def retire(self, name: Optional[str]) -> None:
-        """Mark a slot's contents as served; frees slots ``holdoff`` serves
-        later."""
-        if name is not None and name not in self._quarantined:
-            self._retired.append(name)
-        while len(self._retired) > self.holdoff:
-            self._free.append(self._retired.pop(0))
-
-    def quarantine(self, name: Optional[str]) -> None:
-        """Permanently remove one slot from circulation.
-
-        The supervision layer calls this when a task is resubmitted after
-        a timeout or worker death: the original worker may still be alive
-        and could write the abandoned slot at any time, so it must never
-        be handed to another task.  A replacement segment keeps the ring's
-        capacity (and the ``n_slots >= depth + holdoff + 1`` free-slot
-        invariant) intact.
-        """
-        if name is None or name in self._quarantined:
-            return
-        self._quarantined.add(name)
-        replacement = create_segment(self.slot_bytes)
-        self._segments.append(replacement)
-        self._by_name[replacement.name] = replacement
-        self._free.append(replacement.name)
-
-    def buffer(self, name: str):
-        return self._by_name[name].buf
-
-    def close(self) -> None:
-        for seg in self._segments:
-            destroy_segment(seg)
-        self._segments.clear()
-        self._by_name.clear()
-        self._free.clear()
-        self._retired.clear()
-        self._quarantined.clear()

@@ -32,14 +32,10 @@ holds everything a run may count or configure:
   spot against the *existing* export (nothing is re-exported) on a fresh
   pipe; the flight the dead worker held fails immediately.
 * **bounded retry with exponential backoff** — a failed task (timeout,
-  crash, worker exception, corrupt slot) is resubmitted up to
-  ``max_retries`` times, waiting ``backoff_base_s * 2**n``
-  between attempts.  Resubmissions strip any chaos directive
-  (:mod:`repro.parallel.chaos` faults fire on first attempts only) and
-  move to a fresh result slot; the abandoned slot is quarantined.
-* **slot-digest validation** — workers return a BLAKE2b digest of the
-  packed slot bytes; the supervisor recomputes it over the shared buffer
-  before the result is unpacked and treats a mismatch as a failure.
+  crash, worker exception) is resubmitted up to ``max_retries`` times,
+  waiting ``backoff_base_s * 2**n`` between attempts.  Resubmissions
+  strip any chaos directive (:mod:`repro.parallel.chaos` faults fire on
+  first attempts only).
 * **graceful degradation** — once a single task exhausts its retries or
   the run's failure count crosses ``failure_budget``, the supervisor
   raises :class:`FailureBudgetExceeded` and the backend tears the set down
@@ -60,8 +56,6 @@ bytes — pinned with the rest of the bit-identity contract by
 from __future__ import annotations
 
 import dataclasses
-import hashlib
-import itertools
 import multiprocessing
 import os
 import time
@@ -80,7 +74,6 @@ __all__ = [
     "SupervisionError",
     "WorkerCrash",
     "WorkerTimeout",
-    "SlotCorruption",
     "FailureBudgetExceeded",
     "HeartbeatBoard",
     "Flight",
@@ -97,8 +90,7 @@ class FaultPolicy:
     """Supervision knobs of one process-backend run (``APTConfig.fault_policy``).
 
     ``task_deadline_s`` defaults from ``REPRO_TASK_DEADLINE_S`` so CI's
-    chaos legs can tighten it for a whole suite.  Every result slot's
-    BLAKE2b digest is always verified.
+    chaos legs can tighten it for a whole suite.
     """
 
     #: seconds a task may take from (re)submission to result
@@ -109,15 +101,15 @@ class FaultPolicy:
     )
     #: resubmissions allowed per task before giving up
     max_retries: int = 3
-    #: lifetime failures (timeouts + crashes + corruptions) before the
-    #: backend degrades to serial sampling
+    #: lifetime failures (timeouts + crashes) before the backend degrades
+    #: to serial sampling
     failure_budget: int = 16
     #: first retry's backoff; attempt ``n`` waits ``base * 2**n``
     backoff_base_s: float = 0.05
     #: cap on any single backoff sleep
     backoff_max_s: float = 2.0
     #: longest an epoch drain waits per abandoned prefetch before
-    #: quarantining its slot
+    #: replacing the worker that holds it
     drain_timeout_s: float = 5.0
 
     def __post_init__(self) -> None:
@@ -174,10 +166,6 @@ class WorkerCrash(SupervisionError):
 
 class WorkerTimeout(SupervisionError):
     """A task missed its deadline (hung or starved worker)."""
-
-
-class SlotCorruption(SupervisionError):
-    """A result slot's bytes did not match the worker's digest."""
 
 
 class FailureBudgetExceeded(SupervisionError):
@@ -248,16 +236,12 @@ class Flight:
     """One in-flight task attempt and everything needed to retry it."""
 
     payload: Dict[str, Any]
-    slot: Optional[str]
-    digest: bytes = b""
     attempts: int = 0
     submitted_at: float = 0.0
     #: index of the worker holding the task; ``None`` while it is queued
     worker: Optional[int] = None
     #: the worker's result dict or the classified failure, once known
     outcome: Any = None
-    #: backend-side chaos: skip recycling this task's slot when served
-    leak_slot: bool = False
 
 
 # ---------------------------------------------------------------------- #
@@ -361,19 +345,13 @@ class WorkerSet:
 # ---------------------------------------------------------------------- #
 # the supervisor: run lifetime
 # ---------------------------------------------------------------------- #
-#: One id per supervisor, sent with every task.  A supervisor serves one
-#: backend and a backend has one slot ring, so it is the ring's id: a
-#: worker that sees a new one drops the slot attachments of the last.
-_RING_IDS = itertools.count(1)
-
-
 class WorkerSupervisor:
     """Drives a leased :class:`WorkerSet` for one run and supervises every
     task.
 
-    The backend stays in charge of *what* runs (payloads, slots, pipeline
+    The backend stays in charge of *what* runs (payloads, pipeline
     order); the supervisor is in charge of *whether it ran* — deadlines,
-    retries, respawns, digest checks, and the failure budget.  All of its
+    retries, respawns, and the failure budget.  All of its
     state is the run's: a new supervisor over the same set starts from
     zero failures.
 
@@ -385,7 +363,6 @@ class WorkerSupervisor:
     def __init__(self, workers: WorkerSet, policy: Optional[FaultPolicy] = None):
         self.workers = workers
         self.policy = (policy or FaultPolicy()).validate()
-        self._ring = next(_RING_IDS)
         #: tasks submitted while every worker held one, oldest first
         self._queue: Deque[Flight] = deque()
         #: pids of the most recently observed worker deaths — used to name
@@ -410,28 +387,17 @@ class WorkerSupervisor:
         """Names the worker(s) most recently seen dying, if any."""
         if self.last_dead:
             return "worker " + ", ".join(f"pid {p}" for p in self.last_dead)
-        return "no worker death observed (timeout/corruption path)"
+        return "no worker death observed (timeout path)"
 
     # ------------------------------------------------------------------ #
     # submission
     # ------------------------------------------------------------------ #
-    def submit(
-        self,
-        payload: Dict[str, Any],
-        slot: Optional[str],
-        *,
-        digest: bytes = b"",
-    ) -> Flight:
+    def submit(self, payload: Dict[str, Any]) -> Flight:
         """Submit one task; returns the :class:`Flight` tracking it.
 
         The task is on an idle worker's pipe when this returns, or queued
         behind the tasks the workers hold."""
-        flight = Flight(
-            payload=payload,
-            slot=slot,
-            digest=digest,
-            submitted_at=time.monotonic(),
-        )
+        flight = Flight(payload=payload, submitted_at=time.monotonic())
         self._queue.append(flight)
         self._dispatch()
         return flight
@@ -444,11 +410,10 @@ class WorkerSupervisor:
             if worker.flight is not None:
                 continue
             flight = self._queue.popleft()
-            task = dict(flight.payload, slot=flight.slot, ring=self._ring)
             worker.flight = flight
             flight.worker = index
             try:
-                worker.conn.send(task)
+                worker.conn.send(flight.payload)
             except OSError as exc:
                 # It died idle.  It holds the flight all the same: the next
                 # wait finds its sentinel, fails the flight and respawns.
@@ -527,7 +492,11 @@ class WorkerSupervisor:
             self._dispatch()
             timeout = deadline - time.monotonic()
             if timeout <= 0.0:
-                flight.outcome = self._abandon(flight)
+                # Read what is ready first: an answer already in the pipe
+                # is not lost because its caller came to collect it late.
+                self._pump(0.0)
+                if flight.outcome is None:
+                    flight.outcome = self._abandon(flight)
                 break
             self._pump(timeout)
         # Whatever went idle above starts on the queue before the training
@@ -540,48 +509,20 @@ class WorkerSupervisor:
     # ------------------------------------------------------------------ #
     # supervised result
     # ------------------------------------------------------------------ #
-    def result(
-        self,
-        flight: Flight,
-        *,
-        fresh_slot: Callable[[], Optional[str]] = lambda: None,
-        lose_slot: Callable[[Optional[str]], None] = lambda name: None,
-        validate: Callable[[Dict[str, Any], Optional[str]], bool] = None,
-    ) -> Tuple[Dict[str, Any], Flight]:
-        """Wait out ``flight``; retry with backoff until success or budget.
-
-        ``fresh_slot``/``lose_slot`` come from the backend's slot ring:
-        every resubmission abandons (quarantines) the previous slot and
-        acquires a new one.  ``validate`` checks a shared-memory result's
-        digest; a mismatch is a failure like any other.  Returns the
-        result and the (possibly resubmitted) flight actually served.
-        """
+    def result(self, flight: Flight) -> Dict[str, Any]:
+        """Wait out ``flight``; retry with backoff until success or budget."""
         while True:
             try:
-                result = self._wait(
+                return self._wait(
                     flight, flight.submitted_at + self.policy.task_deadline_s
                 )
-                if validate is not None and not validate(result, flight.slot):
-                    raise SlotCorruption(
-                        f"result slot {flight.slot!r} failed digest validation"
-                    )
-                return result, flight
             except SupervisionError as exc:
-                flight = self._retry(flight, exc, fresh_slot, lose_slot)
+                flight = self._retry(flight, exc)
 
-    def _retry(
-        self,
-        flight: Flight,
-        exc: SupervisionError,
-        fresh_slot: Callable[[], Optional[str]],
-        lose_slot: Callable[[Optional[str]], None],
-    ) -> Flight:
+    def _retry(self, flight: Flight, exc: SupervisionError) -> Flight:
         """Account one failure and resubmit, or raise the budget breach."""
         self.failures += 1
-        kind = {
-            WorkerTimeout: "worker_timeout",
-            SlotCorruption: "slot_corrupt",
-        }.get(type(exc), "worker_error")
+        kind = "worker_timeout" if isinstance(exc, WorkerTimeout) else "worker_error"
         self.count(kind)
         self.emit(kind, error=str(exc), attempt=flight.attempts)
         if flight.attempts >= self.policy.max_retries:
@@ -596,14 +537,10 @@ class WorkerSupervisor:
                 f"last offender: {self._offender_note()}); last: {exc}"
             ) from exc
         time.sleep(self.policy.backoff_at(flight.attempts))
-        # The abandoned slot may still be written by a hung/zombie worker:
-        # quarantine it and move the retry to a fresh slot.  Chaos
-        # directives fire on first attempts only — retries run clean.
-        lose_slot(flight.slot)
+        # Chaos directives fire on first attempts only — retries run clean.
         payload = {k: v for k, v in flight.payload.items() if k != "chaos"}
-        retry = self.submit(payload, fresh_slot(), digest=flight.digest)
+        retry = self.submit(payload)
         retry.attempts = flight.attempts + 1
-        retry.leak_slot = flight.leak_slot
         self.count("task_retries")
         self.emit("task_retry", attempt=retry.attempts, cause=kind)
         return retry
@@ -611,24 +548,17 @@ class WorkerSupervisor:
     # ------------------------------------------------------------------ #
     # drain support
     # ------------------------------------------------------------------ #
-    def settle(self, flight: Flight) -> Tuple[bool, Optional[Dict[str, Any]]]:
-        """Wait briefly for an abandoned prefetch; don't retry it.
-
-        Returns ``(slot_safe, result)``: ``slot_safe`` is True when the
-        attempt produced its result, so its slot can be recycled; False
-        means it failed like a served task can, and like a served task's
-        its slot is quarantined.
-        """
+    def settle(self, flight: Flight) -> None:
+        """Wait briefly for an abandoned prefetch; don't retry it.  Its
+        answer, if any, is dropped; a worker still holding it past
+        ``drain_timeout_s`` is replaced."""
         try:
-            deadline = time.monotonic() + self.policy.drain_timeout_s
-            return True, self._wait(flight, deadline)
+            self._wait(flight, time.monotonic() + self.policy.drain_timeout_s)
         except WorkerTimeout:
             self.count("prefetch_abandoned")
-            return False, None
         except WorkerCrash as exc:
             self.count("worker_error")
             self.emit("worker_error", error=str(exc), where="drain")
-            return False, None
 
     # ------------------------------------------------------------------ #
     def stats(self) -> Dict[str, float]:
@@ -648,10 +578,3 @@ class WorkerSupervisor:
             if worker.flight is not None:
                 self._respawn(index, cause="run_end")
 
-
-# ---------------------------------------------------------------------- #
-def slot_digest(buf, nbytes: int) -> str:
-    """BLAKE2b hex digest of the first ``nbytes`` of a slot buffer."""
-    h = hashlib.blake2b(digest_size=16)
-    h.update(memoryview(buf)[: max(int(nbytes), 0)])
-    return h.hexdigest()

@@ -4,8 +4,8 @@ A worker is forked by its :class:`~repro.parallel.supervisor.WorkerSet`,
 attaches the shared graph once (:func:`worker_main`) and then serves
 sampling tasks from its own pipe, one at a time, until the pipe reaches
 end-of-file — which is also how a killed coordinator's workers end.  It
-outlives runs: nothing a task leaves behind may belong to one (see
-:func:`_slot_buffer`).  One task covers one *global batch*, sampled by
+outlives runs, and nothing a task leaves behind belongs to one.  One task
+covers one *global batch*, sampled by
 :func:`repro.sampling.cache.sample_device_batches` exactly as the serial
 backend samples it — the union of the per-device seed chunks in one pass,
 each device's minibatch restricted out of it — so what the workers add is
@@ -13,42 +13,35 @@ overlap with the training thread, not less sampling work.  A worker maps
 the graph and nothing else: it ships sampled blocks only, and every
 feature row is gathered by the main process.
 
-Results are packed into the main-process-owned shared-memory slot named by
-the task; only small :class:`~repro.parallel.shm.ArraySpec` descriptors
-travel back through the pipe.  If a batch outgrows its
-slot the worker transparently falls back to pickled arrays (counted by the
-backend as ``parallel.slot_overflow``).
+The per-device :class:`~repro.sampling.block.MiniBatch` objects go back
+pickled over the same pipe the task came in on.  A message cut short by a
+dying worker ends in ``EOFError`` on the coordinator's side, which the
+supervisor counts as that worker's death.
 
 Supervision hooks (see :mod:`repro.parallel.supervisor`): each worker
 is given one cell of a shared *heartbeat board* and stamps it
 ``+monotonic()`` on task entry, ``-monotonic()`` on exit, so the main
-process can tell hung workers from starved queues.  Every result written
-to a slot comes back with a BLAKE2b digest of the packed slot bytes for
-end-to-end validation.  A ``chaos`` directive in the payload
-(:mod:`repro.parallel.chaos`) makes the worker fault itself on purpose —
-die, sleep, or corrupt its slot *after* digesting — to drive the
-supervision paths deterministically.
+process can tell hung workers from starved queues.  A ``chaos`` directive
+in the payload (:mod:`repro.parallel.chaos`) makes the worker fault
+itself on purpose — die or sleep — to drive the supervision paths
+deterministically.
 """
 
 from __future__ import annotations
 
-import hashlib
 import os
 import time
 from multiprocessing import shared_memory
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.parallel.shm import TaskDataDescriptor, attach_task_data, write_array
+from repro.parallel.shm import TaskDataDescriptor, attach_task_data
 from repro.sampling.cache import sample_device_batches
 from repro.sampling.neighbor import NeighborSampler
 
 #: Per-process state installed by :func:`init_worker`.
 _STATE: Dict[str, object] = {}
-#: Attached result slots of the ring in ``_STATE["ring"]``, by segment
-#: name (attach once, reuse per task).
-_SLOTS: Dict[str, shared_memory.SharedMemory] = {}
 #: Samplers by (fanouts, global_seed) — construction is cheap but the
 #: graph handle and fanout normalization are per-config constants.
 _SAMPLERS: Dict[Tuple, NeighborSampler] = {}
@@ -107,7 +100,6 @@ def init_worker(
         _STATE["hb_segment"] = hb_segment
         _STATE["hb"] = (board, index)
         _stamp(in_task=False)
-    _SLOTS.clear()
     _SAMPLERS.clear()
 
 
@@ -129,42 +121,12 @@ def _sampler(fanouts: Tuple[int, ...], global_seed: int) -> NeighborSampler:
     return sampler
 
 
-def _slot_buffer(ring: int, name: str):
-    """Buffer of result slot ``name`` of slot ring ``ring``.
-
-    A ring lives as long as one run and this worker lives longer: when a
-    task names a ring other than the last one served, that ring is gone
-    (or going) and its attachments are dropped, so the unlinked segments
-    are unmapped here too.
-    """
-    if _STATE.get("ring") != ring:
-        for seg in _SLOTS.values():
-            seg.close()
-        _SLOTS.clear()
-        _STATE["ring"] = ring
-    seg = _SLOTS.get(name)
-    if seg is None:
-        seg = shared_memory.SharedMemory(name=name)
-        _SLOTS[name] = seg
-    return seg.buf
-
-
-def _batch_arrays(mb) -> List[np.ndarray]:
-    """Flat array list of one minibatch: seeds, then 5 per block."""
-    out = [mb.seeds]
-    for b in mb.blocks:
-        out.extend((b.src_nodes, b.dst_nodes, b.dst_in_src, b.edge_src, b.edge_dst))
-    return out
-
-
 def sample_task(payload: Dict) -> Dict:
-    """Sample one global batch; returns per-device array specs (or arrays).
+    """Sample one global batch; returns its per-device minibatches.
 
     ``payload`` keys: ``epoch``, ``chunks`` (per-device seed arrays or
-    ``None``), ``fanouts``, ``global_seed``, ``slot`` (result segment name,
-    or ``None`` to force pickled results — used before slots are sized) of
-    slot ring ``ring``, and ``chaos`` (an armed ``{"kind", "seconds"}``
-    host-fault directive).
+    ``None``), ``fanouts``, ``global_seed``, and ``chaos`` (an armed
+    ``{"kind", "seconds"}`` host-fault directive).
     """
     t0 = time.perf_counter()
     _stamp(in_task=True)
@@ -177,57 +139,8 @@ def sample_task(payload: Dict) -> Dict:
             os._exit(1)
         elif chaos["kind"] == "hang":
             time.sleep(float(chaos.get("seconds", 0.25)))
-    epoch = int(payload["epoch"])
-    chunks: List[Optional[np.ndarray]] = payload["chunks"]
     sampler = _sampler(payload["fanouts"], payload["global_seed"])
-
-    per_device = sample_device_batches(sampler, chunks, epoch)
-
-    device_arrays = [None if mb is None else _batch_arrays(mb) for mb in per_device]
-    layers = [None if mb is None else len(mb.blocks) for mb in per_device]
-    result = {
-        "layers": layers,
-        "via_shm": False,
-        "nbytes": int(
-            sum(a.nbytes for arrs in device_arrays if arrs for a in arrs)
-        ),
-    }
-
-    slot = payload.get("slot")
-    if slot is not None:
-        try:
-            buf = _slot_buffer(payload["ring"], slot)
-            offset = 0
-            specs: List[Optional[list]] = []
-            for arrs in device_arrays:
-                if arrs is None:
-                    specs.append(None)
-                    continue
-                dev_specs = []
-                for a in arrs:
-                    offset, spec = write_array(buf, offset, a)
-                    dev_specs.append(spec)
-                specs.append(dev_specs)
-            result["devices"] = specs
-            result["via_shm"] = True
-            h = hashlib.blake2b(digest_size=16)
-            h.update(buf[:offset])
-            result["digest"] = h.hexdigest()
-            result["packed_bytes"] = int(offset)
-            if chaos is not None and chaos["kind"] == "corrupt":
-                # Tear the slot *after* digesting, like a partial write
-                # racing the reader: the main process must catch the
-                # mismatch and resample, never serve the bytes.
-                if offset > 0:
-                    corrupt = np.ndarray(
-                        (min(offset, 8),), dtype=np.uint8, buffer=buf
-                    )
-                    corrupt[...] = ~corrupt
-        except ValueError:
-            # Slot overflow: ship the arrays through the pickle channel.
-            result["devices"] = device_arrays
-    else:
-        result["devices"] = device_arrays
-    result["busy"] = time.perf_counter() - t0
+    devices = sample_device_batches(sampler, payload["chunks"], int(payload["epoch"]))
+    busy = time.perf_counter() - t0
     _stamp(in_task=False)
-    return result
+    return {"devices": devices, "busy": busy}

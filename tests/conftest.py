@@ -2,16 +2,32 @@
 
 Session-scoped where safe (datasets and partitions are immutable); models
 and contexts are rebuilt per test because they carry trainable state.
+The session also ends with a leak check: nothing it started is left.
 """
 
 from __future__ import annotations
 
+import multiprocessing
+
 import numpy as np
 import pytest
 
+import repro.parallel
 from repro.cluster import multi_machine_cluster, single_machine_cluster
 from repro.graph.datasets import small_dataset
 from repro.graph.partition import metis_like_partition
+from repro.parallel import shm
+
+
+@pytest.fixture(scope="session", autouse=True)
+def nothing_left_running():
+    """After the last test and ``repro.parallel.shutdown()``, no shared-memory
+    segment this process created is live and no worker process runs."""
+    yield
+    repro.parallel.shutdown()
+    assert not shm._LIVE_SEGMENTS, f"segments left: {sorted(shm._LIVE_SEGMENTS)}"
+    children = multiprocessing.active_children()
+    assert not children, f"processes left: {[p.pid for p in children]}"
 
 
 @pytest.fixture(scope="session")

@@ -132,7 +132,7 @@ class TestExecutionFieldValidation:
         with pytest.raises(ValueError) as err:
             APTConfig(prefetch_depth=value)
         msg = str(err.value)
-        assert "prefetch_depth" in msg and "/dev/shm" in msg
+        assert "prefetch_depth" in msg and "--prefetch-depth" in msg
 
     def test_valid_bounds_accepted(self):
         cfg = APTConfig(num_workers=0, prefetch_depth=0)

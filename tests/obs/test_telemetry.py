@@ -70,7 +70,7 @@ class TestEvents:
         # Every kind the supervision/checkpoint layer emits is declared.
         for kind in (
             "chaos", "worker_error", "worker_timeout", "worker_respawn",
-            "slot_corrupt", "task_retry", "degraded", "checkpoint", "resume",
+            "task_retry", "degraded", "checkpoint", "resume",
         ):
             assert kind in EVENT_KINDS
 

@@ -1,8 +1,8 @@
 """Chaos-equivalence: seeded host faults never change the results.
 
 The contract (DESIGN.md §5.11): under any seeded ``HostFaultSchedule``
-— workers killed, hung past their deadline, result slots corrupted or
-leaked — a process-backend run recovers and finishes bit-identical
+— workers killed or hung past their deadline — a process-backend run
+recovers and finishes bit-identical
 (losses, parameters, simulated Timeline) to the undisturbed serial run.
 Even the failure-budget path holds it: degradation falls back to the
 serial sampler, which is bit-identical by the §5.10 backend contract.
@@ -100,35 +100,19 @@ class TestChaosEquivalence:
         kinds = _kinds(r_proc)
         assert "worker_timeout" in kinds and "task_retry" in kinds
 
-    def test_corrupt_slot_is_detected(self, tiny_dataset, baseline):
-        r_serial, m_serial = baseline
-        chaos = HostFaultSchedule.parse("corrupt@1;corrupt@2")
-        r_proc, m_proc = _run(tiny_dataset, "process", chaos=chaos)
-        assert _facts(r_serial) == _facts(r_proc)
-        _assert_states_equal(m_serial, m_proc)
-        kinds = _kinds(r_proc)
-        assert "slot_corrupt" in kinds and "task_retry" in kinds
-
-    def test_leaked_slots_dont_change_results(self, tiny_dataset, baseline):
-        r_serial, m_serial = baseline
-        chaos = HostFaultSchedule.parse("leak@0;leak@1;leak@2")
-        r_proc, m_proc = _run(tiny_dataset, "process", chaos=chaos)
-        assert _facts(r_serial) == _facts(r_proc)
-        _assert_states_equal(m_serial, m_proc)
-        assert r_proc.collector.counter_total("parallel.slot_leaks") >= 1.0
-
     def test_mixed_schedule_converges(self, tiny_dataset, baseline):
         r_serial, m_serial = baseline
-        chaos = HostFaultSchedule.parse("kill@0;corrupt@2;leak@3")
+        chaos = HostFaultSchedule.parse("kill@0;hang@2:30.0")
         r_proc, m_proc = _run(tiny_dataset, "process", chaos=chaos)
         assert _facts(r_serial) == _facts(r_proc)
         _assert_states_equal(m_serial, m_proc)
+        assert "worker_timeout" in _kinds(r_proc)
 
     def test_hyb_kill_respawns_and_converges(self, tiny_dataset):
         """The GDPxSNP hybrid survives chaos bit-identically too — it was
         previously pinned only under the serial backend."""
         r_serial, m_serial = _run(tiny_dataset, "serial", strategy="hyb")
-        chaos = HostFaultSchedule.parse("kill@1;corrupt@2")
+        chaos = HostFaultSchedule.parse("kill@1;hang@2:30.0")
         r_proc, m_proc = _run(
             tiny_dataset, "process", chaos=chaos, strategy="hyb"
         )

@@ -6,7 +6,6 @@ import pytest
 from repro.graph.datasets import small_dataset
 from repro.parallel.shm import (
     ArraySpec,
-    SlotRing,
     attach_task_data,
     export_task_data,
     read_array,
@@ -90,85 +89,6 @@ class TestTaskDataExport:
             )
         finally:
             export.close()
-
-
-class TestSlotRing:
-    def test_acquire_release_cycle(self):
-        ring = SlotRing(n_slots=2, slot_bytes=1024, holdoff=0)
-        try:
-            a = ring.acquire()
-            b = ring.acquire()
-            assert a is not None and b is not None and a != b
-            assert ring.acquire() is None  # exhausted
-            ring.release(a)
-            assert ring.acquire() == a
-        finally:
-            ring.close()
-
-    def test_retire_holds_off_reuse(self):
-        ring = SlotRing(n_slots=4, slot_bytes=1024, holdoff=2)
-        try:
-            served = [ring.acquire() for _ in range(3)]
-            ring.retire(served[0])
-            ring.retire(served[1])
-            # holdoff=2: the first two retirees are still quarantined.
-            remaining = ring.acquire()
-            assert remaining not in served[:2]
-            ring.retire(served[2])  # third serve frees the first retiree
-            assert ring.acquire() == served[0]
-        finally:
-            ring.close()
-
-    def test_release_none_is_noop(self):
-        ring = SlotRing(n_slots=1, slot_bytes=64, holdoff=0)
-        try:
-            ring.release(None)
-            ring.retire(None)
-            assert ring.acquire() is not None
-        finally:
-            ring.close()
-
-
-class TestQuarantine:
-    def test_quarantined_slot_never_circulates(self):
-        ring = SlotRing(n_slots=2, slot_bytes=256, holdoff=0)
-        try:
-            a = ring.acquire()
-            ring.quarantine(a)
-            assert len(ring._quarantined) == 1
-            # Neither release nor retire can put it back in circulation.
-            ring.release(a)
-            ring.retire(a)
-            names = {ring.acquire() for _ in range(2)}
-            assert a not in names
-            # A replacement segment kept the ring's capacity intact.
-            assert len(names) == 2 and None not in names
-        finally:
-            ring.close()
-
-    def test_quarantine_is_idempotent_and_none_safe(self):
-        ring = SlotRing(n_slots=1, slot_bytes=64, holdoff=0)
-        try:
-            ring.quarantine(None)
-            a = ring.acquire()
-            ring.quarantine(a)
-            ring.quarantine(a)
-            assert len(ring._quarantined) == 1
-        finally:
-            ring.close()
-
-    def test_quarantined_buffer_stays_mapped(self):
-        # A zombie worker may still write an abandoned slot: the mapping
-        # must survive until close so the write hits memory we own.
-        ring = SlotRing(n_slots=1, slot_bytes=64, holdoff=0)
-        try:
-            a = ring.acquire()
-            ring.quarantine(a)
-            buf = ring.buffer(a)
-            buf[:4] = b"late"
-            assert bytes(buf[:4]) == b"late"
-        finally:
-            ring.close()
 
 
 class TestAtexitGuard:

@@ -30,6 +30,7 @@ from repro.graph.datasets import small_dataset
 from repro.models import GraphSAGE
 from repro.parallel import FaultPolicy, HostFaultSchedule
 from repro.parallel import backend as backend_module
+from repro.parallel import shm
 from repro.parallel.backend import ProcessPoolBackend, SerialBackend
 
 
@@ -323,39 +324,42 @@ _COORDINATOR = textwrap.dedent(
 )
 
 
-class TestWorkerOutlivesRings:
-    def _sample_twice(self, ds, backend):
+def _shm_mapped(pid):
+    """Names of the ``/dev/shm`` segments process ``pid`` maps."""
+    with open(f"/proc/{pid}/maps") as fh:
+        return {
+            line.split("/dev/shm/", 1)[1].split()[0]
+            for line in fh
+            if "/dev/shm/" in line
+        }
+
+
+class TestLeasedWorkerMaps:
+    def test_nothing_beyond_the_worker_set(self, tiny_dataset, no_workers):
         cluster = multi_machine_cluster(2, 2)
-        model = GraphSAGE(ds.feature_dim, 8, ds.num_classes, 2, seed=1)
-        ctx = ExecutionContext.build(
-            ds, cluster, model, [4, 4], global_batch_size=128, backend=backend
+        model = GraphSAGE(
+            tiny_dataset.feature_dim, 8, tiny_dataset.num_classes, 2, seed=1
         )
         seeds = split_round_robin(np.arange(64, dtype=np.int64), 4)
-        # The first result sizes the ring; the second lands in a slot.
-        backend.sample_device_chunks(ctx, seeds, epoch=0)
-        backend.sample_device_chunks(ctx, seeds, epoch=1)
-
-    def test_worker_unmaps_the_slots_of_a_finished_ring(
-        self, tiny_dataset, no_workers
-    ):
-        def mapped(pid):
-            with open(f"/proc/{pid}/maps") as fh:
-                return fh.read()
-
-        first = ProcessPoolBackend(tiny_dataset, num_workers=1, prefetch_depth=1)
-        self._sample_twice(tiny_dataset, first)
-        (pid,) = _pids(first._workers)
-        ring_a = list(first._slots._by_name)
-        assert any(name in mapped(pid) for name in ring_a)
-        first.close()  # unlinks ring A; the worker goes back to idle
-
-        second = ProcessPoolBackend(tiny_dataset, num_workers=1, prefetch_depth=1)
-        try:
-            assert _pids(second._workers) == [pid]
-            self._sample_twice(tiny_dataset, second)
-            ring_b = list(second._slots._by_name)
-            maps = mapped(pid)
-            assert any(name in maps for name in ring_b)
-            assert not any(name in maps for name in ring_a)
-        finally:
-            second.close()
+        live_before = set(shm._LIVE_SEGMENTS)
+        pids = []
+        for _ in range(2):  # the second run leases the first run's worker
+            backend = ProcessPoolBackend(tiny_dataset, num_workers=1, prefetch_depth=1)
+            try:
+                ctx = ExecutionContext.build(
+                    tiny_dataset, cluster, model, [4, 4],
+                    global_batch_size=128, backend=backend,
+                )
+                for epoch in range(3):
+                    backend.sample_device_chunks(ctx, seeds, epoch=epoch)
+                workers = backend._workers
+                own = {workers.export.segment.name, workers.heartbeats._segment.name}
+                (pid,) = _pids(workers)
+                pids.append(pid)
+                assert _shm_mapped(pid) == own
+                assert set(shm._LIVE_SEGMENTS) - live_before == own
+            finally:
+                backend.close()
+            assert _shm_mapped(pid) == own
+            assert set(shm._LIVE_SEGMENTS) - live_before == own
+        assert pids[0] == pids[1]
