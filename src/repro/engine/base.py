@@ -36,7 +36,12 @@ from repro.models.base import PartialMeanLayer, extend_with_self_edges
 from repro.parallel.backend import resolve_backend
 from repro.sampling.block import Block, MiniBatch
 from repro.tensor import fused
-from repro.tensor.sparse import SegmentIndex, gather_segment_mean, segment_sum
+from repro.tensor.sparse import (
+    SegmentIndex,
+    gather_segment_mean,
+    gather_segment_sum,
+    segment_sum,
+)
 from repro.tensor.tensor import Tensor
 from repro.utils.ids import sorted_unique
 
@@ -570,6 +575,28 @@ def split_rows(stacked: Tensor, rows: "Rows", device, positions) -> Tensor:
     return segment_sum(stacked, SegmentIndex(ids, rows.ptr[-1]))
 
 
+def ordered_adjoint(
+    g: np.ndarray,
+    cols: np.ndarray,
+    dst_ids: np.ndarray,
+    rank: np.ndarray,
+    num_rows: int,
+) -> np.ndarray:
+    """The adjoint of ``gather_segment_sum(z, cols, dst)`` over several
+    tasks' edges, as one node per task accumulated it (DESIGN.md §5.18):
+    each task's source sums are formed on their own and added per row of
+    ``z`` in ascending ``rank`` (each edge's task's; -1: never reached).
+    SNP's (server, requester) tasks and NFP's owners both replay it."""
+    keep = rank >= 0
+    keys = rank[keep] * num_rows + cols[keep]
+    pairs = sorted_unique(keys)
+    sums = gather_segment_sum(
+        Tensor(g), dst_ids[keep],
+        SegmentIndex(np.searchsorted(pairs, keys), pairs.size),
+    )
+    return segment_sum(sums, pairs % num_rows, num_rows).data
+
+
 # ---------------------------------------------------------------------- #
 # stacked layers (DESIGN.md §5.18)
 # ---------------------------------------------------------------------- #
@@ -592,6 +619,13 @@ class _Reach:
     def __call__(self) -> List[int]:
         s = self.source
         return self.order if s is None else s if isinstance(s, list) else s()
+
+    def ranks(self, num_devices: int) -> np.ndarray:
+        """Each device's position in the reach order (-1: never reached)."""
+        arrivals = self()
+        rank = np.full(num_devices, -1)
+        rank[arrivals] = np.arange(len(arrivals))
+        return rank
 
 
 class Rows:

@@ -21,15 +21,23 @@ them.  Cache policy: the globally hottest nodes, but only the local
 dimension shard of each — the same byte budget covers ``C`` times more
 nodes than GDP (§3.2).
 
-GraphSAGE/GCN column-stack the shard projections ``[z_0 | ... | z_{C-1}]``:
-each owner aggregates and reduces every shard in two ops, bit for bit the
-per-shard ones; charges stay per pair (DESIGN.md §5.18).
+GraphSAGE/GCN run the first layer as one op set over every owner, bit
+for bit the per-(shard, owner) ops: one product of every owner's self
+rows per shard, one node that projects the union per shard
+(``[z_0 | ... | z_{C-1}]``), aggregates every owner's block over all
+shards and adds the shards' partials (the SparseAllreduce), and one
+bias + activation.  The adjoints replay each owner's partial in the
+order the tape reaches the owners (the aggregation's through SNP's
+:func:`~repro.engine.base.ordered_adjoint`); every shard of an owner
+receives the owner's one gradient, so that adjoint is formed once,
+``d'`` wide, and each shard's weight rows take their product with it.
+Charges stay per pair (DESIGN.md §5.18).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
@@ -40,6 +48,7 @@ from repro.engine.base import (
     StrategyReport,
     charge_loads,
     local_index_of,
+    ordered_adjoint,
     record_loads,
     split_round_robin,
 )
@@ -48,7 +57,7 @@ from repro.featurestore.cache import cache_capacity_nodes, hot_cache_nodes
 from repro.featurestore.store import TierSplit
 from repro.models.base import PartialMeanLayer, extend_with_self_edges
 from repro.models.gat import GATLayer
-from repro.tensor import sparse
+from repro.tensor import fused, sparse
 from repro.tensor.tensor import Tensor
 from repro.utils.ids import sorted_unique
 
@@ -244,34 +253,39 @@ class NFPStrategy(Strategy):
         if not ctx.numerics:
             return [None] * C
         x_union = ctx.store.read(union)
-        # Column-stacked shard projections [z_0 | ... | z_{C-1}]: each owner
-        # aggregates every shard at once (DESIGN.md §5.18).
+        # Every owner at once (DESIGN.md §5.18): the owners' self rows
+        # projected per shard, then one node that projects the union per
+        # shard, aggregates every owner's block and adds the partials.
         self_in_agg = layer.self_loop_in_aggregation
         bounds = self._shard_bounds
-        z = _shard_products(
-            x_union, layer.weight if self_in_agg else layer.w_neigh, bounds
-        )
-        h1: List[Optional[Tensor]] = [None] * C
-        for o, mb in enumerate(batches):
-            if mb is None:
-                continue
-            block = mb.blocks[0]
+        out = Rows.first_layer(batches)
+        cols, dst, self_rows = [], [], []
+        for o in out.devices:
+            block = batches[o].blocks[0]
             idx = plan.src_idx_in_union[o]
-            if self_in_agg:
-                # GCN: the self loop is one more aggregation edge.
-                es, ed = extend_with_self_edges(block)
-                dst = sparse.SegmentIndex(ed, block.num_dst)
-            else:
-                es, dst = block.edge_src, block.dst_index()
-            neigh = sparse.gather_segment_sum(
-                z, union_columns(idx, es, union.size), dst
-            )
-            selfs = None if self_in_agg else _shard_products(
-                x_union[idx[block.dst_in_src]], layer.w_self, bounds
-            )
-            inv = 1.0 / np.maximum(dst.counts, 1).reshape(-1, 1)
-            h1[o] = layer.finalize_sum(_shard_sum(neigh, inv, selfs, C))
-        return Rows.from_parts(h1)
+            # GCN: the self loop is one more aggregation edge.
+            es, ed = (extend_with_self_edges(block) if self_in_agg
+                      else (block.edge_src, block.edge_dst))
+            cols.append(union_columns(idx, es, union.size).ids)
+            dst.append(ed + out.ptr[o])
+            self_rows.append(idx[block.dst_in_src])
+        dst = sparse.SegmentIndex(np.concatenate(dst), out.ptr[-1])
+        reached = out.reached
+        selfs = None if self_in_agg else _shard_products(
+            x_union[np.concatenate(self_rows)], layer.w_self, bounds,
+            out.ptr, reached,
+        )
+        total = _shard_sum(
+            x_union, layer.weight if self_in_agg else layer.w_neigh, bounds,
+            np.concatenate(cols), dst,
+            np.repeat(out.devices, [c.size for c in cols]),
+            lambda: reached.ranks(C), selfs,
+        )
+        # Each owner's bias gradient on its own rows, in reach order.
+        out.tensor = fused.add_bias_act(
+            [total], layer.bias, layer._act, spans=out.ptr, order=reached
+        )
+        return out
 
     def _execute_gat(self, ctx, plan, batches, layer: GATLayer):
         C = ctx.num_devices
@@ -321,44 +335,96 @@ class NFPStrategy(Strategy):
         return Rows.from_parts(h1)
 
 
-def _shard_products(x: np.ndarray, w: Tensor, bounds: np.ndarray) -> Tensor:
+def _project(x: np.ndarray, w: np.ndarray, shards, segments) -> np.ndarray:
     """``[x[:, s] @ w[s] for each dimension shard s]`` column-stacked, one
-    node: each block is its shard holder's product, and the adjoint fills
-    each shard's (disjoint) rows of ``w`` from its own block."""
+    BLAS call per shard and row segment, each written straight into its
+    column block."""
+    d_out = w.shape[1]
+    out = np.empty((x.shape[0], len(shards) * d_out))
+    for rows in segments:
+        for c, (lo, hi) in enumerate(shards):
+            np.matmul(x[rows, lo:hi], w[lo:hi],
+                      out=out[rows, c * d_out : (c + 1) * d_out])
+    return out
+
+
+def _shard_products(
+    x: np.ndarray,
+    w: Tensor,
+    bounds: np.ndarray,
+    spans: np.ndarray,
+    order: Callable[[], Sequence[int]],
+) -> Tensor:
+    """Every owner's shard products (:func:`_project`; ``spans``: row
+    offsets of the owners' stacked rows), one node: each block is its
+    shard holder's product for one owner.  The adjoint fills each shard's
+    (disjoint) rows of ``w`` from its own blocks, owners added in
+    ``order()``, as the per-owner products' adjoints accumulated."""
     d_out = w.data.shape[1]
     shards = list(zip(bounds[:-1], bounds[1:]))
-    out = np.empty((x.shape[0], len(shards) * d_out))
-    for c, (lo, hi) in enumerate(shards):
-        out[:, c * d_out : (c + 1) * d_out] = x[:, lo:hi] @ w.data[lo:hi]
+    segments = [slice(a, b) for a, b in zip(spans[:-1], spans[1:])]
 
     def backward_fn(g: np.ndarray) -> None:
         buf = np.zeros_like(w.data)
-        for c, (lo, hi) in enumerate(shards):
-            buf[lo:hi] += x[:, lo:hi].T @ g[:, c * d_out : (c + 1) * d_out]
+        for s in order():
+            rows = segments[s]
+            for c, (lo, hi) in enumerate(shards):
+                buf[lo:hi] += x[rows, lo:hi].T @ g[rows, c * d_out : (c + 1) * d_out]
         w._accumulate_owned(buf)
 
+    out = _project(x, w.data, shards, segments)
     return Tensor._make(out, (w,), backward_fn, "shard_products")
 
 
 def _shard_sum(
-    neigh: Tensor, inv: np.ndarray, selfs: Optional[Tensor], num_shards: int
+    x: np.ndarray,
+    w: Tensor,
+    bounds: np.ndarray,
+    cols: np.ndarray,
+    dst: sparse.SegmentIndex,
+    edge_owner: np.ndarray,
+    owner_rank: Callable[[], np.ndarray],
+    selfs: Optional[Tensor],
 ) -> Tensor:
-    """One owner's SparseAllreduce, one node: the column blocks of
-    ``neigh * inv (+ selfs)`` added in shard order, as each shard's mean
-    (and self) partial was."""
-    blocks = np.split(neigh.data * inv, num_shards, axis=1)
-    if selfs is not None:
-        self_blocks = np.split(selfs.data, num_shards, axis=1)
-        blocks = [b + s for b, s in zip(blocks, self_blocks)]
-    total = blocks[0].copy()
-    for b in blocks[1:]:
-        total += b
+    """Every owner's projection, aggregation and SparseAllreduce, one node:
+    the union rows ``x`` projected per dimension shard (:func:`_project`),
+    each owner's block aggregated out of that (edges ``cols`` -> ``dst``),
+    and the column blocks of ``mean (+ selfs)`` added in shard order, one
+    block at a time, as each shard's mean (and self) partial was.  The
+    SparseAllreduce's adjoint hands every shard's partial its owner's one
+    gradient, so the aggregation's adjoint is formed once, ``d'`` wide,
+    each owner's sums added in ``owner_rank()`` order
+    (:func:`~repro.engine.base.ordered_adjoint`), and every shard's rows
+    of ``w`` take their product with it."""
+    shards = list(zip(bounds[:-1], bounds[1:]))
+    # The projections are a forward temporary, not a tape tensor: their
+    # gradient would be C copies of the one block formed below.
+    agg = sparse.gather_segment_sum(
+        Tensor(_project(x, w.data, shards, [slice(None)])), cols, dst
+    ).data
+    inv = 1.0 / np.maximum(dst.counts, 1).reshape(-1, 1)
+    d_out = w.data.shape[1]
+    total = None
+    for c in range(len(shards)):
+        block = slice(c * d_out, (c + 1) * d_out)
+        partial = agg[:, block] * inv
+        if selfs is not None:
+            partial += selfs.data[:, block]
+        if total is None:
+            total = partial
+        else:
+            total += partial
 
     def backward_fn(g: np.ndarray) -> None:
-        tiled = np.tile(g, num_shards)
-        neigh._accumulate_owned(tiled * inv)
+        mean_grad = ordered_adjoint(
+            g * inv, cols, dst.ids, owner_rank()[edge_owner], x.shape[0]
+        )
+        buf = np.zeros_like(w.data)
+        for lo, hi in shards:
+            buf[lo:hi] += x[:, lo:hi].T @ mean_grad
+        w._accumulate_owned(buf)
         if selfs is not None:
-            selfs._accumulate_owned(tiled)
+            selfs._accumulate_owned(np.tile(g, len(shards)))
 
-    parents = (neigh,) if selfs is None else (neigh, selfs)
+    parents = (w,) if selfs is None else (w, selfs)
     return Tensor._make(total, parents, backward_fn, "shard_sum")

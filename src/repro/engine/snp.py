@@ -52,6 +52,7 @@ from repro.engine.base import (
     Strategy,
     StrategyReport,
     local_index_of,
+    ordered_adjoint,
     read_load_sets,
     route_first_layer,
     split_by_partition,
@@ -265,9 +266,7 @@ class SNPStrategy(Strategy):
             # The tape reaches each requester's tasks in its arrival, and a
             # server's projection in the arrival of its last requester
             # (servers ascending among equals).
-            arrivals = reached()
-            rank = np.full(C, -1)
-            rank[arrivals] = np.arange(len(arrivals))
+            rank = reached.ranks(C)
             last = np.full(len(servers), -1)
             np.maximum.at(last, np.searchsorted(servers, server), rank[requester])
             z_order[:] = [s for s in np.argsort(last, kind="stable") if last[s] >= 0]
@@ -438,21 +437,14 @@ class SNPStrategy(Strategy):
 
 def _ordered_aggregate(z, cols, dst: SegmentIndex, edge_task, task_rank):
     """``gather_segment_sum(z, cols, dst)`` over every task's edges, one
-    node whose adjoint forms each task's source sums separately and adds
-    them per row in ``task_rank()`` order (-1: never reached), as the
-    per-task nodes' adjoints accumulated (DESIGN.md §5.18)."""
+    node whose adjoint adds each task's source sums per row in
+    ``task_rank()`` order (-1: never reached), as the per-task nodes'
+    adjoints accumulated (:func:`~repro.engine.base.ordered_adjoint`)."""
     out = sparse.gather_segment_sum(Tensor(z.data), cols, dst).data
 
     def backward_fn(g: np.ndarray) -> None:
-        rank = task_rank()[edge_task]
-        keep = rank >= 0
-        n_rows = z.data.shape[0]
-        keys = rank[keep] * n_rows + cols[keep]
-        pairs = sorted_unique(keys)
-        sums = sparse.gather_segment_sum(
-            Tensor(g), dst.ids[keep],
-            SegmentIndex(np.searchsorted(pairs, keys), pairs.size),
-        )
-        z._accumulate_owned(segment_sum(sums, pairs % n_rows, n_rows).data)
+        z._accumulate_owned(ordered_adjoint(
+            g, cols, dst.ids, task_rank()[edge_task], z.data.shape[0]
+        ))
 
     return Tensor._make(out, (z,), backward_fn, "ordered_aggregate")

@@ -85,15 +85,6 @@ class PartialMeanLayer(GNNLayer):
             terms, self.bias, activation=self._act, spans=spans, order=order
         )
 
-    def finalize_sum(self, total: Tensor) -> Tensor:
-        """Bias + activation over an already-summed pre-activation.
-
-        NFP's dimension shards each produce their share of the projected
-        mean (global edge counts are known on every device, so the division
-        happens before the reduce); their sum is the full pre-activation.
-        """
-        return fused.add_bias_act([total], self.bias, activation=self._act)
-
 
 class GNNModel(Module):
     """A stack of :class:`GNNLayer` applied to a :class:`MiniBatch`.

@@ -55,15 +55,14 @@ class HostFaultEvent:
 
     ``task`` is the backend's lifetime task sequence number (0-based, in
     submission order — deterministic for a deterministic training loop).
-    ``seconds`` is the ``hang`` duration (ignored otherwise); ``worker``
-    is informational only — with a shared task queue the faulting worker
-    is whichever one dequeues the task.
+    The directive rides in that task's payload, so it fires in whichever
+    idle worker the supervisor hands the task to.  ``seconds`` is the
+    ``hang`` duration (ignored otherwise).
     """
 
     task: int
     kind: str
     seconds: float = 0.25
-    worker: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.task < 0:
@@ -82,8 +81,6 @@ class HostFaultEvent:
         out: Dict[str, Any] = {"task": self.task, "kind": self.kind}
         if self.kind == "hang":
             out["seconds"] = self.seconds
-        if self.worker is not None:
-            out["worker"] = self.worker
         return out
 
 

@@ -2,9 +2,10 @@
 
 Two counts over real batches (DESIGN.md §5.9): no n-D operand at or above
 the element cutoff reaches ``np.add.at`` under any strategy (the fused
-gather→aggregate node included), and NFP — where every owner's block is
-aggregated over all shards at once — builds each owner's fused union
-columns, and the grouping structure of any id array, once per batch.
+gather→aggregate node included), and NFP — which aggregates every
+owner's block over all shards in one op — stacks the owners' fused union
+columns into one set and builds the grouping structure of any id array
+once per batch.
 """
 
 from collections import Counter
@@ -97,24 +98,29 @@ def test_nfp_indexes_each_id_array_once(ds, monkeypatch):
         sparse, "_is_nondecreasing", counting(sparse._is_nondecreasing)
     )
     monkeypatch.setattr(sparse, "_stable_order", counting(sparse._stable_order))
-    columns, aggregations = [], Counter()  # fused columns; reads per columns
-    union_columns, gather_segment_sum = nfp.union_columns, sparse.gather_segment_sum
+    columns, reads = [], []  # each owner's union columns; aggregated ids
+    union_columns = nfp.union_columns
+    gather_segment_sum = sparse.gather_segment_sum
 
     def counting_columns(*args):
         columns.append(union_columns(*args))
         return columns[-1]
 
-    def counting_aggregation(x, src, *args):
-        aggregations[id(src)] += 1
+    def counting_gather(x, src, *args):
+        reads.append(src)
         return gather_segment_sum(x, src, *args)
 
     monkeypatch.setattr(nfp, "union_columns", counting_columns)
-    monkeypatch.setattr(sparse, "gather_segment_sum", counting_aggregation)
+    monkeypatch.setattr(sparse, "gather_segment_sum", counting_gather)
     _one_epoch(ds, "nfp")
-    # Four owners' blocks over the column-stacked shard projections: one
-    # set of fused columns per owner, read by one aggregation that covers
-    # all four shards, and no id array is indexed twice.
-    assert [aggregations[id(c)] for c in columns] == [1, 1, 1, 1]
+    # Four owners' blocks over the column-stacked shard projections: their
+    # union columns stacked into one set, read by the one aggregation that
+    # covers every owner and all four shards (no owner's own columns are
+    # aggregated), and no id array is indexed twice.
+    stacked = np.concatenate([c.ids for c in columns])
+    assert len(columns) == 4
+    assert sum(np.array_equal(src, stacked) for src in reads) == 1
+    assert not any(src is c or src is c.ids for src in reads for c in columns)
     assert built and max(built.values()) == 1, built.most_common(3)
     assert checks and max(checks.values()) == 1, checks.most_common(3)
 

@@ -64,14 +64,6 @@ class TestGCNLayer:
         recon = layer.combine_partials(Tensor(psum_tot), counts_tot).data
         np.testing.assert_allclose(recon, full, atol=1e-12)
 
-    def test_finalize_sum(self):
-        layer = GCNLayer(4, 3, activation=True)
-        pre = Tensor(np.random.default_rng(0).normal(size=(5, 3)))
-        np.testing.assert_allclose(
-            layer.finalize_sum(pre).data,
-            np.maximum(pre.data + layer.bias.data, 0.0),
-        )
-
 
 class TestGCNModel:
     def test_layer_dims(self):

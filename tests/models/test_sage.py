@@ -85,15 +85,6 @@ class TestPartialIdentity:
         ).data
         np.testing.assert_allclose(recon, full, atol=1e-12)
 
-    def test_finalize_sum_matches_combine(self):
-        layer = SAGELayer(4, 3, activation=True)
-        rng = np.random.default_rng(0)
-        neigh = Tensor(rng.normal(size=(5, 3)))
-        self_t = Tensor(rng.normal(size=(5, 3)))
-        a = layer.combine(neigh, self_t).data
-        b = layer.finalize_sum(neigh + self_t).data
-        np.testing.assert_allclose(a, b, atol=1e-14)
-
 
 class TestGraphSAGEModel:
     def test_layer_dims(self):

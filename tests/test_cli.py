@@ -128,6 +128,19 @@ class TestCommands:
         assert expected in message
         assert capsys.readouterr().out == ""
 
+    def test_host_event_naming_a_worker_exits_in_one_line(self, tmp_path):
+        """A host fault fires in whichever worker takes its task: an event
+        that names a ``worker`` is refused, not silently ignored."""
+        path = tmp_path / "chaos.json"
+        path.write_text(
+            '{"host_events": [{"task": 1, "kind": "kill", "worker": 0}]}'
+        )
+        message = self._one_error_line(
+            ["run"] + self.BASE + ["--inject", str(path)]
+        )
+        assert message.startswith("error: bad fault schedule")
+        assert "'worker'" in message
+
     def test_serve_zero_train_epochs_on_empty_checkpoint_dir(
         self, capsys, tmp_path
     ):
