@@ -23,6 +23,15 @@ import numpy as np
 #: ``load`` is input-feature loading (T_load); ``train`` is model compute
 #: (T_train); ``shuffle`` is hidden-embedding exchange (T_shuffle).
 PHASES = ("sample", "load", "train", "shuffle")
+_PHASE_INDEX = {p: i for i, p in enumerate(PHASES)}
+
+
+def _phase_index(phase: str) -> int:
+    try:
+        return _PHASE_INDEX[phase]
+    except KeyError:
+        raise ValueError(f"unknown phase {phase!r}; expected one of {PHASES}") from None
+
 
 #: Reporting groups used by the paper's stacked bars.
 PAPER_BREAKDOWN = {
@@ -92,23 +101,33 @@ class Timeline:
     def charge(self, device, phase: str, seconds) -> None:
         """Charge ``seconds`` of simulated time to one device and phase, or
         to an array of devices with one entry each: each entry one add to
-        its cell, in order, as one scalar call per entry."""
-        p = PHASES.index(phase)
-        if np.ndim(device):
-            seconds = np.asarray(seconds, dtype=np.float64)
-            if (seconds < 0).any():
-                raise ValueError(f"cannot charge negative time: {seconds.min()}")
-            np.add.at(self._device_phase, (device, p), seconds)
-            np.add.at(self._batch_delta, (device, p), seconds)
+        its cell, in order, as one scalar call per entry.  Distinct devices
+        take one fancy-index add per ledger; repeated ones ``np.add.at``,
+        whose adds to a repeated cell keep the entries' order."""
+        p = _phase_index(phase)
+        if isinstance(device, (int, np.integer)):
+            if seconds < 0:
+                raise ValueError(f"cannot charge negative time: {seconds}")
+            self._device_phase[device, p] += seconds
+            self._batch_delta[device, p] += seconds
             return
-        if seconds < 0:
-            raise ValueError(f"cannot charge negative time: {seconds}")
-        self._device_phase[device, p] += seconds
-        self._batch_delta[device, p] += seconds
+        seconds = np.asarray(seconds, dtype=np.float64)
+        lowest = np.fmin.reduce(seconds, axis=None, initial=0.0)  # NaN skipped
+        if lowest < 0:
+            raise ValueError(f"cannot charge negative time: {lowest}")
+        ids = device.tolist() if isinstance(device, np.ndarray) else device
+        distinct = len(set(ids)) == len(ids)
+        device = np.asarray(device, dtype=np.int64)
+        for ledger in (self._device_phase, self._batch_delta):
+            cells = ledger[:, p]
+            if distinct:
+                cells[device] += seconds
+            else:
+                np.add.at(cells, device, seconds)
 
     def charge_all(self, phase: str, seconds: float) -> None:
         """Charge the same time to every device (symmetric collectives)."""
-        p = PHASES.index(phase)
+        p = _phase_index(phase)
         self._device_phase[:, p] += seconds
         self._batch_delta[:, p] += seconds
 
@@ -156,10 +175,10 @@ class Timeline:
 
     def phase_seconds(self, phase: str) -> float:
         """Synchronized time attributed to ``phase``."""
-        return float(self._phase_wall[PHASES.index(phase)])
+        return float(self._phase_wall[_phase_index(phase)])
 
     def device_phase_seconds(self, device: int, phase: str) -> float:
-        return float(self._device_phase[device, PHASES.index(phase)])
+        return float(self._device_phase[device, _phase_index(phase)])
 
     def device_busy_seconds(self) -> List[float]:
         """Per-device busy seconds accumulated so far (all phases)."""

@@ -45,6 +45,8 @@ import shutil
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
+import numpy as np
+
 __all__ = [
     "CHECKPOINT_VERSION",
     "Checkpoint",
@@ -116,7 +118,7 @@ def config_digest(config_dict: Dict[str, Any]) -> str:
 # ---------------------------------------------------------------------- #
 def recorder_state(recorder) -> Dict[str, Any]:
     return {
-        "load_rows": [dict(rows) for rows in recorder.load_rows],
+        "load_rows": recorder.load_rows.copy(),
         "hidden_bytes": recorder.hidden_bytes.copy(),
         "structure_send_bytes": recorder.structure_send_bytes.copy(),
         "n_dst": int(recorder.n_dst),
@@ -141,13 +143,14 @@ def restore_recorder(recorder, state: Dict[str, Any]) -> None:
             f"recorder state is for {len(state['load_rows'])} devices, "
             f"this recorder has {recorder.num_devices}"
         )
-    # Older checkpoints predate the disk tier: normalize missing per-tier
-    # keys to zero rather than rejecting the state.
-    from repro.featurestore.store import Tier
+    load_rows = state["load_rows"]
+    if not isinstance(load_rows, np.ndarray):
+        # Older checkpoints keep one {Tier: rows} dict per device, and the
+        # oldest predate the disk tier: a missing tier reads zero.
+        from repro.featurestore.store import TIERS
 
-    recorder.load_rows = [
-        {t: float(rows.get(t, 0.0)) for t in Tier} for rows in state["load_rows"]
-    ]
+        load_rows = [[rows.get(t, 0.0) for t in TIERS] for rows in load_rows]
+    recorder.load_rows[...] = load_rows
     recorder.hidden_bytes[...] = state["hidden_bytes"]
     recorder.structure_send_bytes[...] = state["structure_send_bytes"]
     recorder.n_dst = int(state["n_dst"])

@@ -35,7 +35,7 @@ import numpy as np
 
 from repro.cluster.spec import ELEMENT_BYTES, ClusterSpec
 from repro.core.dryrun import DryRunStats
-from repro.featurestore.store import Tier
+from repro.featurestore.store import TIERS, Tier
 from repro.utils.random import rng_from
 
 
@@ -151,6 +151,11 @@ class LatencyEstimate:
         }
 
 
+def _tier_rows(recorder) -> list:
+    """One ``{Tier: rows}`` dict per device of a recorder's row matrix."""
+    return [dict(zip(TIERS, row)) for row in recorder.load_rows.tolist()]
+
+
 class CostModel:
     """Estimates strategy costs from dry-run statistics."""
 
@@ -228,7 +233,7 @@ class CostModel:
         """
         reads = stats.recorder.disk_ranged_reads
         per_device = []
-        for d, rows in enumerate(stats.recorder.load_rows):
+        for d, rows in enumerate(_tier_rows(stats.recorder)):
             prof = self._device_profiles[d]
             tier_latency = {
                 Tier.PEER_GPU: prof["msg_latency"],
@@ -250,7 +255,7 @@ class CostModel:
         row_bytes = self.feature_dim * ELEMENT_BYTES * stats.dim_fraction
         reads = stats.recorder.disk_ranged_reads
         per_device = []
-        for d, rows in enumerate(stats.recorder.load_rows):
+        for d, rows in enumerate(_tier_rows(stats.recorder)):
             prof = self._device_profiles[d]
             tier_bw = {
                 Tier.GPU_CACHE: prof["hbm"],

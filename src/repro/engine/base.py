@@ -1,11 +1,12 @@
 """Strategy base class and shared engine machinery.
 
 Besides the :class:`Strategy` lifecycle this module holds what several
-strategies share: seed splits, sampling charges, the per-device
-load-set stage that all four strategies record through
-(:func:`record_loads` classifies each load set once and returns the tier
-splits a plan carries; :func:`charge_loads` and :func:`read_load_sets`
-charge and read from them), and the one first-layer router
+strategies share: seed splits, sampling charges, the load-set stage
+that all four strategies record through (:func:`record_loads` classifies
+every device's load set in one pass and returns the
+:class:`~repro.featurestore.store.LoadSplit` a plan carries;
+:func:`charge_loads` and :func:`read_load_sets` charge and read from it),
+and the one first-layer router
 (:func:`route_first_layer`) of SNP, DNP and hyb.  Those three differ only
 in the key that sends a sampled edge to a server — its source's owner
 (SNP, hyb within the requester's machine) or its destination's owner
@@ -31,7 +32,7 @@ import numpy as np
 
 from repro.cluster.spec import ELEMENT_BYTES, ID_BYTES
 from repro.engine.context import ExecutionContext
-from repro.featurestore.store import Tier, TierSplit, count_ranges
+from repro.featurestore.store import TIERS, LoadSplit
 from repro.models.base import PartialMeanLayer, extend_with_self_edges
 from repro.parallel.backend import resolve_backend
 from repro.sampling.block import Block, MiniBatch
@@ -332,9 +333,9 @@ class _Routed:
 
 class RoutePlan:
     """A batch's first-layer plan: each device's feature-load set (``None``:
-    the device reads nothing) and its tier split from the load-set stage
-    (:func:`record_loads`), the routed tasks (none under GDP) and their
-    sizes.
+    the device reads nothing) and their tier split from the load-set stage
+    (:func:`record_loads`; ``splits[d]`` is device ``d``'s row), the routed
+    tasks (none under GDP) and their sizes.
 
     The router records sizes only (:attr:`counts`, :meth:`source_counts`)
     and builds the per-pair ``RouteTask`` arrays on the first read of
@@ -346,7 +347,7 @@ class RoutePlan:
     def __init__(
         self,
         load_nodes: List[Optional[np.ndarray]],
-        splits: List[Optional[TierSplit]],
+        splits: LoadSplit,
         tasks: Optional[List[RouteTask]] = None,
         *,
         counts: Optional[PairCounts] = None,
@@ -509,37 +510,34 @@ def route_first_layer(
                      routed=routed, self_as_edge=self_as_edge)
 
 
+#: telemetry counter of each :data:`TIERS` column
+_TIER_COUNTERS = tuple(f"load_rows.{t.value}" for t in TIERS)
+
+
 def record_loads(
     ctx: ExecutionContext, load_nodes: List[Optional[np.ndarray]]
-) -> List[Optional[TierSplit]]:
-    """The load-set stage of every strategy: split each device's load set
-    by the tier it reads each row from and record the split (the T_load
-    volumes).  This is the one classification of a device-batch — on a
-    disk-backed store, its one observation — so the plan carries the
-    splits and :func:`charge_loads` charges from them."""
-    splits: List[Optional[TierSplit]] = []
-    for d, nodes in enumerate(load_nodes):
-        if nodes is None:
-            splits.append(None)
-            continue
-        split = ctx.store.classify(d, nodes)
-        ctx.recorder.record_load(
-            d,
-            {t: ids.size for t, ids in split.items()},
-            ranged_reads=count_ranges(split[Tier.DISK]),
-        )
-        for t, ids in split.items():
-            ctx.count(f"load_rows.{t.value}", ids.size, device=d, phase="load")
-        splits.append(split)
-    return splits
+) -> LoadSplit:
+    """The load-set stage of every strategy: split every device's load set
+    by the tier it reads each row from, in one pass, and record the row
+    matrix (the T_load volumes).  This is the one classification of a
+    batch — on a disk-backed store, one observation per device that has a
+    load set — so the plan carries the split and :func:`charge_loads`
+    charges from it."""
+    split = ctx.store.classify(load_nodes)
+    ctx.recorder.record_loads(split)
+    if ctx.telemetry is not None:
+        for d, load in enumerate(split.loads):
+            if load is not None:
+                ctx.telemetry.count_each(_TIER_COUNTERS, load.rows, device=d, phase="load")
+    return split
 
 
-def charge_loads(ctx: ExecutionContext, splits: List[Optional[TierSplit]]) -> None:
-    """Charge each device the simulated read of its load set, from the
-    split its plan's load-set stage made."""
-    for d, split in enumerate(splits):
-        if split is not None:
-            ctx.store.charge_load(d, split, ctx.timeline)
+def charge_loads(ctx: ExecutionContext, split: LoadSplit) -> None:
+    """Charge each device the simulated read of its load set, from its
+    row of the split its plan's load-set stage made."""
+    for d, load in enumerate(split.loads):
+        if load is not None:
+            ctx.store.charge_load(d, load, ctx.timeline)
 
 
 def read_load_sets(ctx: ExecutionContext, plan: RoutePlan) -> List[Optional[Tensor]]:

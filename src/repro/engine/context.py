@@ -23,7 +23,7 @@ from repro.cluster.comm import Communicator
 from repro.cluster.compute import ComputeCharger
 from repro.cluster.spec import ClusterSpec
 from repro.cluster.timeline import Timeline
-from repro.featurestore.store import Tier, UnifiedFeatureStore
+from repro.featurestore.store import TIERS, LoadSplit, Tier, UnifiedFeatureStore
 from repro.graph.datasets import GraphDataset
 from repro.models.base import GNNModel
 from repro.sampling.cache import SampleCache
@@ -35,10 +35,10 @@ class VolumeRecorder:
 
     def __init__(self, num_devices: int):
         self.num_devices = int(num_devices)
-        #: rows loaded per device per tier (feature reads)
-        self.load_rows: list = [
-            {t: 0.0 for t in Tier} for _ in range(self.num_devices)
-        ]
+        #: rows loaded per device per tier (feature reads): the running
+        #: sum of every batch's :class:`LoadSplit` rows, columns in
+        #: :data:`~repro.featurestore.store.TIERS` order
+        self.load_rows = np.zeros((self.num_devices, len(TIERS)))
         #: hidden-embedding bytes, forward direction: ``[src, dst]`` pairs
         self.hidden_bytes = np.zeros((self.num_devices, self.num_devices))
         #: computation-graph structure bytes sent per device
@@ -79,17 +79,10 @@ class VolumeRecorder:
         self.access_frequency: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------------ #
-    def record_load(
-        self,
-        device: int,
-        rows_per_tier: Dict[Tier, int],
-        *,
-        ranged_reads: int = 0,
-    ) -> None:
-        for tier, rows in rows_per_tier.items():
-            self.load_rows[device][tier] += float(rows)
-        if ranged_reads:
-            self.disk_ranged_reads[device] += float(ranged_reads)
+    def record_loads(self, split: LoadSplit) -> None:
+        """Add one batch's tier rows and disk ranged reads."""
+        self.load_rows += split.rows
+        self.disk_ranged_reads += split.ranged_reads
 
     def record_hidden(self, src: int, dst: int, nbytes: float) -> None:
         if src != dst:
@@ -140,7 +133,7 @@ class VolumeRecorder:
         return float(self.hidden_send_bytes.sum())
 
     def total_load_rows(self, tier: Tier) -> float:
-        return sum(rows[tier] for rows in self.load_rows)
+        return float(self.load_rows[:, TIERS.index(tier)].sum())
 
     def total_relayout_bytes(self) -> float:
         return float(self.relayout_bytes.sum())

@@ -54,7 +54,7 @@ from repro.engine.base import (
 )
 from repro.engine.context import ExecutionContext
 from repro.featurestore.cache import cache_capacity_nodes, hot_cache_nodes
-from repro.featurestore.store import TierSplit
+from repro.featurestore.store import LoadSplit
 from repro.models.base import PartialMeanLayer, extend_with_self_edges
 from repro.models.gat import GATLayer
 from repro.tensor import fused, sparse
@@ -70,8 +70,8 @@ class NFPPlan:
     union_nodes: np.ndarray
     #: per requester: positions of its block-0 sources within the union
     src_idx_in_union: List[Optional[np.ndarray]]
-    #: per device: the union split by the tier it reads each row from
-    splits: List[Optional[TierSplit]]
+    #: the union split by the tier each device reads each row from
+    splits: LoadSplit
 
 
 def union_columns(

@@ -9,7 +9,10 @@ corresponding link's bandwidth.
 """
 
 from repro.featurestore.store import (
+    TIERS,
+    DeviceLoad,
     LoadReport,
+    LoadSplit,
     Tier,
     UnifiedFeatureStore,
     coalesce_ranges,
@@ -28,6 +31,9 @@ from repro.featurestore.cache import (
 __all__ = [
     "UnifiedFeatureStore",
     "LoadReport",
+    "LoadSplit",
+    "DeviceLoad",
+    "TIERS",
     "Tier",
     "hot_cache_nodes",
     "unified_cache_nodes",

@@ -13,10 +13,12 @@ Resolution order for a feature read by GPU ``d`` (paper §4.2):
    fits in RAM and a row is CPU-resident only after hot-row promotion.
 
 A read has two halves.  :meth:`UnifiedFeatureStore.classify` splits a
-device's load set by tier once, at the load-set stage of a batch's plan
-(it is also the disk tier's one observation of that read), and
-:meth:`~UnifiedFeatureStore.charge_load` charges simulated load time from
-that split at each tier's bandwidth, returning a :class:`LoadReport`.
+batch's load sets — every device's at once — by tier, at the load-set
+stage of the batch's plan: one :class:`LoadSplit`, a devices × tiers row
+matrix plus each device's disk ranged-read count (on a disk-backed store
+it is also the disk tier's one observation of each device's read).
+:meth:`~UnifiedFeatureStore.charge_load` charges one device's row of that
+split at each tier's bandwidth and returns a :class:`LoadReport`.
 :meth:`~UnifiedFeatureStore.read` is the data half: the rows, with no
 accounting.  Disk reads are charged per *ranged read*: sorted node ids are
 coalesced into contiguous runs and each run pays one setup latency, which
@@ -26,8 +28,9 @@ is also how :func:`ranged_gather` materializes them from the memmap.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from itertools import accumulate
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -130,28 +133,77 @@ class Tier(enum.Enum):
     DISK = "disk"
 
 
-#: A device's load set split by the tier it reads each row from (what
-#: :meth:`UnifiedFeatureStore.classify` returns): one id array per tier.
-TierSplit = Dict[Tier, np.ndarray]
+#: The columns of a :class:`LoadSplit`'s row matrix (and of
+#: ``VolumeRecorder.load_rows``): the order :meth:`UnifiedFeatureStore.charge_load`
+#: adds a device's tier seconds in.
+TIERS = (Tier.GPU_CACHE, Tier.PEER_GPU, Tier.DISK, Tier.LOCAL_CPU, Tier.REMOTE_CPU)
+_GPU, _PEER, _DISK, _LOCAL, _REMOTE = range(len(TIERS))
+
+
+class DeviceLoad(NamedTuple):
+    """One device's row of a :class:`LoadSplit` — what
+    :meth:`UnifiedFeatureStore.charge_load` charges."""
+
+    #: rows read from each tier, in :data:`TIERS` order
+    rows: List[int]
+    #: coalesced read requests its disk rows take (0 without disk rows)
+    ranged_reads: int
+
+
+@dataclass
+class LoadSplit:
+    """A batch's load sets split by the tier each row is read from (what
+    :meth:`UnifiedFeatureStore.classify` returns), for every device at once.
+
+    ``split[d]`` is device ``d``'s :class:`DeviceLoad` (``None``: it reads
+    nothing).  The row matrix and the ranged-read counts are computed once,
+    at classification; the recorder adds them and each charge reads its
+    device's row, so the rows charged are the rows recorded.
+    """
+
+    #: ``(devices, len(TIERS))`` rows per device and tier
+    rows: np.ndarray
+    #: coalesced disk ranged reads per device
+    ranged_reads: np.ndarray
+    #: every load set concatenated in device order, and the :data:`TIERS`
+    #: column each row is read from; device ``d``'s are at
+    #: ``ptr[d]:ptr[d + 1]`` (its disk ids: those in the disk column)
+    node_ids: np.ndarray
+    tiers: np.ndarray
+    ptr: List[int]
+    #: each device's row, ``None`` where it has no load set
+    loads: List[Optional[DeviceLoad]]
+
+    def __getitem__(self, device: int) -> Optional[DeviceLoad]:
+        return self.loads[device]
 
 
 @dataclass
 class LoadReport:
-    """Per-tier accounting of one feature read.
+    """Per-tier accounting of one device's feature read.
 
-    Tier dicts start empty and are filled lazily (absent tier = 0):
-    ``charge_load`` runs per device per batch, and the two eager dict
-    comprehensions the constructor used to run showed up in the training
-    hot path.  :meth:`UnifiedFeatureStore.charge_load` fills every tier of
-    the split it charges, so a charged report has all five tier keys.
+    The ``Tier``-keyed :attr:`rows` / :attr:`bytes` dicts are built only
+    when read: ``charge_load`` runs per device per batch and keeps the
+    charged row as is.  A charged report has all five tier keys; an empty
+    ``LoadReport()`` has none.
     """
 
-    rows: Dict[Tier, int] = field(default_factory=dict)
-    bytes: Dict[Tier, float] = field(default_factory=dict)
+    #: rows per tier, in :data:`TIERS` order
+    tier_rows: Sequence[int] = ()
+    #: bytes of one row as charged (``dim_fraction`` applied)
+    row_bytes: float = 0.0
     seconds: float = 0.0
     #: coalesced read requests issued against the disk tier (0 unless the
     #: store serves a memory-mapped out-of-core dataset)
     ranged_reads: int = 0
+
+    @property
+    def rows(self) -> Dict[Tier, int]:
+        return dict(zip(TIERS, self.tier_rows))
+
+    @property
+    def bytes(self) -> Dict[Tier, float]:
+        return {t: n * self.row_bytes for t, n in zip(TIERS, self.tier_rows)}
 
 
 class UnifiedFeatureStore:
@@ -191,6 +243,29 @@ class UnifiedFeatureStore:
         C = cluster.num_devices
         # Per-device boolean cache membership.
         self._cached = np.zeros((C, n), dtype=bool)
+        # Per-machine "some device caches it" rows, built on the first
+        # NVLink classification after a cache change.
+        self._machine_cached: Optional[np.ndarray] = None
+        self._devices = np.arange(C)
+        self._device_machine = np.array(
+            [cluster.machine_of(d) for d in range(C)], dtype=np.int64
+        )
+        self._device_nvlink = np.array(
+            [cluster.machine_spec(d).nvlink is not None for d in range(C)]
+        )
+        self._any_nvlink = bool(self._device_nvlink.any())
+        # What charge_load prices each tier with, per device, in TIERS
+        # order: HBM (memory bandwidth) and the four links.
+        self._tier_links = [
+            (
+                cluster.device_spec(d),
+                cluster.machine_spec(d).gpu_peer_link(),
+                cluster.machine_spec(d).disk,
+                cluster.machine_spec(d).pcie,
+                cluster.inter_machine_link_per_gpu(d),
+            )
+            for d in range(C)
+        ]
         #: Dimension fraction each device reads (1.0 except under NFP).
         self.dim_fraction = 1.0
         # Shared-gather scope state (see begin_shared_gather).
@@ -228,6 +303,7 @@ class UnifiedFeatureStore:
         if not 0.0 < dim_fraction <= 1.0:
             raise ValueError(f"dim_fraction must be in (0, 1], got {dim_fraction}")
         self._cached[:] = False
+        self._machine_cached = None
         for d, nodes in enumerate(cached_nodes):
             if np.asarray(nodes).size:
                 self._cached[d, np.asarray(nodes, dtype=np.int64)] = True
@@ -288,10 +364,12 @@ class UnifiedFeatureStore:
         # are the same bytes, so served values never depend on residency.
         self._disk_rows_buf = ranged_gather(self.dataset.features, nodes)
 
-    def _observe_disk(self, disk_ids: np.ndarray) -> None:
-        """Count disk accesses; periodically re-promote the hottest rows."""
+    def _observe_disk(self, disk_ids: np.ndarray) -> bool:
+        """Count one read's disk accesses (``disk_ids`` distinct); every
+        ``promote_every``-th observation re-promotes the hottest rows.
+        Returns whether it did."""
         if disk_ids.size:
-            np.add.at(self._disk_hot, disk_ids, 1.0)
+            self._disk_hot[disk_ids] += 1.0
         self._disk_classify_calls += 1
         if (
             self._promote_capacity > 0
@@ -299,6 +377,8 @@ class UnifiedFeatureStore:
             and self._disk_hot.max() > 0.0
         ):
             self._promote_hot_rows()
+            return True
+        return False
 
     def _promote_hot_rows(self) -> None:
         from repro.featurestore.cache import hot_cache_nodes
@@ -387,54 +467,71 @@ class UnifiedFeatureStore:
     # ------------------------------------------------------------------ #
     # reads
     # ------------------------------------------------------------------ #
-    def classify(self, device: int, node_ids: np.ndarray) -> TierSplit:
-        """Split ``node_ids`` by the tier device ``device`` reads them from.
+    def classify(self, load_sets: Sequence[Optional[np.ndarray]]) -> LoadSplit:
+        """Split every device's load set by the tier it reads each row
+        from, in one pass over the batch.
 
-        On a disk-backed store each call is one observation of the disk
-        tier (it advances the promotion clock), so the load-set stage
-        (``repro.engine.base.record_loads``) classifies each device's load
-        set once per batch and every charge reuses that split.
+        ``load_sets[d]`` holds device ``d``'s distinct node ids (``None``:
+        it reads nothing).  A row is read from the device's own cache, else
+        from a same-machine peer's cache (NVLink only), else from disk (a
+        disk-backed store's unpromoted rows), else from its machine's CPU
+        or a remote one.  On a disk-backed store this is the disk tier's
+        observation of the batch: each device with a load set observes its
+        disk rows once, in device order, and a promotion that one
+        device's observation triggers holds for the later devices' rows —
+        as one classification per device would.  The load-set stage
+        (``repro.engine.base.record_loads``) classifies once per batch and
+        every charge reuses the split.
         """
-        node_ids = np.asarray(node_ids, dtype=np.int64)
-        out: Dict[Tier, np.ndarray] = {}
-        own_hit = self._cached[device, node_ids]
-        out[Tier.GPU_CACHE] = node_ids[own_hit]
-        rest = node_ids[~own_hit]
+        C = self.cluster.num_devices
+        devices = [d for d, ids in enumerate(load_sets) if ids is not None]
+        sets = [np.asarray(load_sets[d], dtype=np.int64) for d in devices]
+        sizes = [0] * C
+        for d, ids in zip(devices, sets):
+            sizes[d] = ids.size
+        ptr = list(accumulate(sizes, initial=0))
+        node_ids = np.concatenate(sets) if sets else np.empty(0, dtype=np.int64)
+        dev = np.repeat(self._devices, sizes)
+        machine = self._device_machine[dev]
 
-        machine = self.cluster.machine_of(device)
-        mspec = self.cluster.machine_spec(device)
-        if mspec.nvlink is not None and rest.size:
-            peers = [
-                d
-                for d in self.cluster.devices_of_machine(machine)
-                if d != device
-            ]
-            if peers:
-                # np.ix_ gathers only the (peers, rest) submatrix; chained
-                # indexing would copy every peer's full cache row first.
-                peer_hit = self._cached[np.ix_(peers, rest)].any(axis=0)
-            else:
-                peer_hit = np.zeros(rest.size, dtype=bool)
-            out[Tier.PEER_GPU] = rest[peer_hit]
-            rest = rest[~peer_hit]
-        else:
-            out[Tier.PEER_GPU] = np.empty(0, dtype=np.int64)
-
-        if self._disk_pos is not None and rest.size:
+        own = self._cached[dev, node_ids]
+        # _LOCAL where the row's home machine is the device's, else _REMOTE
+        tiers = (self.node_machine[node_ids] != machine) + _LOCAL
+        uncached = ~own
+        if self._any_nvlink:
+            if self._machine_cached is None:
+                self._machine_cached = np.stack([
+                    self._cached[self.cluster.devices_of_machine(m)].any(axis=0)
+                    for m in range(self.cluster.num_machines)
+                ])
+            # Not in its own cache but in the machine's: a peer holds it.
+            peer = uncached & self._device_nvlink[dev]
+            peer &= self._machine_cached[machine, node_ids]
+            tiers[peer] = _PEER
+            uncached &= ~peer
+        ranged_reads = [0] * C
+        if self._disk_pos is not None:
             # CPU tiers hold only promoted rows; the rest hit local NVMe.
-            on_disk = self._disk_pos[rest] < 0
-            out[Tier.DISK] = rest[on_disk]
-            rest = rest[~on_disk]
-            self._observe_disk(out[Tier.DISK])
-        else:
-            out[Tier.DISK] = np.empty(0, dtype=np.int64)
-            if self._disk_pos is not None:
-                self._observe_disk(out[Tier.DISK])
+            on_disk = uncached & (self._disk_pos[node_ids] < 0)
+            for d in devices:
+                lo, hi = ptr[d], ptr[d + 1]
+                disk_ids = node_ids[lo:hi][on_disk[lo:hi]]
+                ranged_reads[d] = count_ranges(disk_ids)
+                if self._observe_disk(disk_ids):
+                    on_disk[hi:] = uncached[hi:] & (self._disk_pos[node_ids[hi:]] < 0)
+            tiers[on_disk] = _DISK
+        tiers[own] = _GPU
 
-        local = self.node_machine[rest] == machine
-        out[Tier.LOCAL_CPU] = rest[local]
-        out[Tier.REMOTE_CPU] = rest[~local]
-        return out
+        width = len(TIERS)
+        rows = np.bincount(dev * width + tiers, minlength=C * width).reshape(C, width)
+        row_lists = rows.tolist()
+        loads: List[Optional[DeviceLoad]] = [None] * C
+        for d in devices:
+            loads[d] = DeviceLoad(row_lists[d], ranged_reads[d])
+        return LoadSplit(
+            rows=rows, ranged_reads=np.array(ranged_reads, dtype=np.int64),
+            node_ids=node_ids, tiers=tiers, ptr=ptr, loads=loads,
+        )
 
     def read(self, node_ids: np.ndarray) -> np.ndarray:
         """Rows for ``node_ids``, bit-identical to ``features[node_ids]`` —
@@ -470,49 +567,37 @@ class UnifiedFeatureStore:
     def charge_load(
         self,
         device: int,
-        split: TierSplit,
+        split: DeviceLoad,
         timeline: Optional[Timeline] = None,
         phase: str = "load",
     ) -> LoadReport:
         """Charge ``device``'s read of a load set already split by tier.
 
-        ``split`` is what :meth:`classify` returned for the load set at the
-        batch's load-set stage; nothing is classified here, so the rows
+        ``split`` is the device's row of what :meth:`classify` returned at
+        the batch's load-set stage; nothing is classified here, so the rows
         charged are the rows recorded and the disk tier sees the read once.
+        Tier seconds are added in :data:`TIERS` order, empty tiers skipped.
         Simulated load seconds are charged to ``timeline`` when given.
         """
         row_bytes = self.dataset.feature_dim * ELEMENT_BYTES * self.dim_fraction
-
-        mspec = self.cluster.machine_spec(device)
-        dspec = self.cluster.device_spec(device)
-        tier_links = {
-            Tier.GPU_CACHE: None,  # HBM — charged at memory bandwidth
-            Tier.PEER_GPU: mspec.gpu_peer_link(),
-            Tier.LOCAL_CPU: mspec.pcie,
-            Tier.REMOTE_CPU: self.cluster.inter_machine_link_per_gpu(device),
-            Tier.DISK: mspec.disk,
-        }
-        report = LoadReport()
-        for tier, ids in split.items():
-            nbytes = ids.size * row_bytes
-            report.rows[tier] = int(ids.size)
-            report.bytes[tier] = nbytes
-            if ids.size == 0:
+        links = self._tier_links[device]
+        rows, ranged_reads = split
+        seconds = 0.0
+        for col, n in enumerate(rows):
+            if not n:
                 continue
-            link = tier_links[tier]
-            if link is None:
-                report.seconds += dspec.memory_bound_seconds(nbytes)
-            elif tier is Tier.DISK:
+            nbytes = n * row_bytes
+            if col == _GPU:
+                seconds += links[_GPU].memory_bound_seconds(nbytes)
+            elif col == _DISK:
                 # One setup latency per coalesced ranged read, not per bulk
                 # transfer — scattered reads pay for their seeks.
-                nranges = count_ranges(ids)
-                report.ranged_reads += nranges
-                report.seconds += link.seconds(nbytes, messages=nranges)
-                self.disk_stats["rows"] += float(ids.size)
+                seconds += links[_DISK].seconds(nbytes, messages=ranged_reads)
+                self.disk_stats["rows"] += float(n)
                 self.disk_stats["bytes"] += float(nbytes)
-                self.disk_stats["ranged_reads"] += float(nranges)
+                self.disk_stats["ranged_reads"] += float(ranged_reads)
             else:
-                report.seconds += link.seconds(nbytes, messages=1)
+                seconds += links[col].seconds(nbytes, messages=1)
         if timeline is not None:
-            timeline.charge(device, phase, report.seconds)
-        return report
+            timeline.charge(device, phase, seconds)
+        return LoadReport(rows, row_bytes, seconds, ranged_reads)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 #: Event kinds emitted by the built-in producers.
 EVENT_KINDS = (
@@ -103,6 +103,21 @@ class TelemetryCollector:
         """Add ``value`` to the counter keyed by ``(name, device, phase)``."""
         key = (name, device, phase)
         self.counters[key] = self.counters.get(key, 0.0) + float(value)
+
+    def count_each(
+        self,
+        names: Sequence[str],
+        values: Sequence[float],
+        *,
+        device: Optional[int] = None,
+        phase: Optional[str] = None,
+    ) -> None:
+        """:meth:`count` of each ``(name, value)`` pair, in order (a load
+        split's row: one counter per tier)."""
+        counters = self.counters
+        for name, value in zip(names, values):
+            key = (name, device, phase)
+            counters[key] = counters.get(key, 0.0) + float(value)
 
     def emit(
         self,

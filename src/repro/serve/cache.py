@@ -29,7 +29,7 @@ from typing import Dict, Optional
 import numpy as np
 
 from repro.featurestore.cache import cache_capacity_nodes, hot_cache_nodes
-from repro.featurestore.store import Tier, UnifiedFeatureStore
+from repro.featurestore.store import TIERS, Tier, UnifiedFeatureStore
 
 
 class HotnessCache:
@@ -119,10 +119,11 @@ class HotnessCache:
         """GPU-cache share of all feature rows in a recorder's ledger.
 
         ``load_rows`` is ``VolumeRecorder.load_rows`` (or a per-window
-        delta of it): one ``{Tier: rows}`` dict per device.
+        delta of it): a devices × tiers row matrix, columns in
+        :data:`~repro.featurestore.store.TIERS` order.
         """
-        hits = sum(rows.get(Tier.GPU_CACHE, 0.0) for rows in load_rows)
-        total = sum(sum(rows.values()) for rows in load_rows)
+        hits = float(load_rows[:, TIERS.index(Tier.GPU_CACHE)].sum())
+        total = float(load_rows.sum())
         return hits / total if total > 0 else 0.0
 
     def to_dict(self) -> Dict[str, float]:

@@ -49,7 +49,6 @@ from repro.config import ServeConfig
 from repro.core.checkpoint import Checkpoint, CheckpointManager
 from repro.engine import make_strategy
 from repro.engine.base import charge_sampling
-from repro.featurestore.store import Tier
 from repro.obs.drift import DriftDetector
 from repro.obs.telemetry import TelemetryCollector
 from repro.sampling.block import MiniBatch
@@ -232,15 +231,8 @@ class ServeEngine:
     # ------------------------------------------------------------------ #
     # the serving loop
     # ------------------------------------------------------------------ #
-    def _load_rows_snapshot(self) -> List[Dict[Tier, float]]:
-        return [dict(rows) for rows in self.ctx.recorder.load_rows]
-
-    @staticmethod
-    def _load_rows_delta(before, after) -> List[Dict[Tier, float]]:
-        return [
-            {t: after[d].get(t, 0.0) - before[d].get(t, 0.0) for t in after[d]}
-            for d in range(len(after))
-        ]
+    def _load_rows_snapshot(self) -> np.ndarray:
+        return self.ctx.recorder.load_rows.copy()
 
     def serve(self, requests: Sequence[Request]) -> ServeReport:
         """Answer a request stream; returns the session's ServeReport.
@@ -368,9 +360,7 @@ class ServeEngine:
             for name in phases_now
         }
         window_hits.append(
-            HotnessCache.hit_fraction(
-                self._load_rows_delta(rows_before, self._load_rows_snapshot())
-            )
+            HotnessCache.hit_fraction(ctx.recorder.load_rows - rows_before)
         )
 
         refreshed = False

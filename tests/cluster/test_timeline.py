@@ -42,11 +42,51 @@ class TestCharging:
             if isinstance(value, np.ndarray):
                 assert value.tobytes() == scalar.state_dict()[key].tobytes(), key
 
+    @staticmethod
+    def _cells(timeline):
+        return (timeline._device_phase.tobytes(), timeline._batch_delta.tobytes())
+
+    @pytest.mark.parametrize("as_array", [False, True], ids=["list", "array"])
+    def test_distinct_vector_charge_equals_scalar_charges(self, as_array):
+        # Distinct devices take the fancy-index add: still one add per
+        # cell, the same bits as scalar calls in the run total and in the
+        # open batch's deltas.
+        rng = np.random.default_rng(4)
+        vector, scalar = Timeline(6), Timeline(6)
+        for phase in ("sample", "load", "train", "shuffle", "train"):
+            devices = rng.permutation(6)[: int(rng.integers(1, 7))]
+            seconds = rng.random(devices.size) * 10.0 ** rng.integers(-9, 0)
+            vector.charge(devices if as_array else devices.tolist(), phase, seconds)
+            for d, sec in zip(devices.tolist(), seconds.tolist()):
+                scalar.charge(d, phase, sec)
+            assert self._cells(vector) == self._cells(scalar)
+        vector.end_batch()
+        scalar.end_batch()
+        assert self._cells(vector) == self._cells(scalar)
+
+    def test_repeated_device_adds_in_call_order(self):
+        # 1e-16 + 1e-16 + 1.0 rounds up to the next double after 1.0;
+        # 1.0 + 1e-16 + 1e-16 stays 1.0.  Each order must be kept.
+        for seconds, want in (([1e-16, 1e-16, 1.0], 1.0 + 2.0**-52),
+                              ([1.0, 1e-16, 1e-16], 1.0)):
+            t = Timeline(2)
+            t.charge([1, 0, 0, 0], "train", [0.5] + seconds)
+            assert t._batch_delta[0, 2] == t._device_phase[0, 2] == want
+            assert t._batch_delta[1, 2] == 0.5
+
     def test_vector_charge_rejects_negative_entries(self):
         t = Timeline(2)
         with pytest.raises(ValueError):
             t.charge([0, 1], "train", [1.0, -1.0])
         assert t.device_phase_seconds(0, "train") == 0.0
+
+    def test_repeated_vector_charge_rejects_negative_entries(self):
+        t = Timeline(2)
+        for devices in ([1, 1], np.array([0, 1, 0])):
+            with pytest.raises(ValueError):
+                t.charge(devices, "train", [1.0, -1.0, 1.0][: len(devices)])
+        assert t.device_phase_seconds(0, "train") == 0.0
+        assert t.device_phase_seconds(1, "train") == 0.0
 
     def test_unknown_phase_rejected(self):
         with pytest.raises(ValueError):

@@ -6,6 +6,7 @@ Timeline — is bit-identical to the run that was never interrupted.
 """
 
 import os
+import pickle
 import signal
 import subprocess
 import sys
@@ -22,7 +23,11 @@ from repro.core.checkpoint import (
     CHECKPOINT_VERSION,
     CheckpointManager,
     config_digest,
+    recorder_state,
+    restore_recorder,
 )
+from repro.engine.context import VolumeRecorder
+from repro.featurestore import TIERS, Tier, UnifiedFeatureStore
 from repro.graph.datasets import small_dataset
 from repro.models import GraphSAGE
 from repro.tensor.optim import Adam
@@ -170,6 +175,58 @@ class TestStateDicts:
         assert fresh.num_batches == tl.num_batches
         assert fresh.breakdown() == tl.breakdown()
 
+    def test_recorder_roundtrip_every_attribute(self):
+        """Every ``VolumeRecorder`` attribute survives a checkpoint bit for
+        bit, or is named here with the reason it is not saved."""
+        not_saved = {
+            # only dry-runs record it (the planner's compute-skew term);
+            # a training run's recorder never holds a non-zero entry
+            "upper_flops",
+        }
+        ds = small_dataset(n=60, feature_dim=4, num_classes=2)
+        store = UnifiedFeatureStore(ds, single_machine_cluster(3))
+        store.configure_caches([np.arange(7), np.arange(3, 9), np.empty(0, np.int64)])
+        rec = VolumeRecorder(3)
+        rec.record_loads(store.classify([np.arange(20), None, np.arange(5, 40, 3)]))
+        rec.disk_ranged_reads[1] = 7.0
+        rec.record_hidden(0, 2, 1.5)
+        rec.record_structure(1, 2.25)
+        rec.n_dst, rec.n_virtual = 11, 4
+        rec.record_message_pattern(np.ones((3, 3)), calls=2)
+        rec.record_intermediate(2, 3.0)
+        rec.record_layer1_flops(0, 0.1)
+        rec.record_upper_flops(1, 0.2)
+        rec.record_relayout(1, 2, 0, 5.5)
+        rec.access_frequency = np.linspace(0.0, 1.0, ds.num_nodes)
+
+        fresh = VolumeRecorder(3)
+        restore_recorder(fresh, pickle.loads(pickle.dumps(recorder_state(rec))))
+        for name, value in vars(rec).items():
+            got = getattr(fresh, name)
+            if name in not_saved:
+                assert not np.array_equal(got, value), name
+            elif isinstance(value, np.ndarray):
+                assert (got.dtype, got.shape) == (value.dtype, value.shape), name
+                assert got.tobytes() == value.tobytes(), name
+            else:
+                assert type(got) is type(value) and got == value, name
+        assert not_saved <= set(vars(rec))
+
+    def test_recorder_restores_per_device_tier_dicts(self):
+        """Older checkpoints keep ``load_rows`` as one ``{Tier: rows}`` dict
+        per device; the oldest have no disk key."""
+        rec = VolumeRecorder(2)
+        state = recorder_state(rec)
+        state["load_rows"] = [
+            {Tier.GPU_CACHE: 3.0, Tier.LOCAL_CPU: 5.0, Tier.PEER_GPU: 0.0,
+             Tier.REMOTE_CPU: 1.0},
+            {t: float(i) for i, t in enumerate(Tier)},
+        ]
+        restore_recorder(rec, state)
+        for d, rows in enumerate(state["load_rows"]):
+            for col, tier in enumerate(TIERS):
+                assert rec.load_rows[d, col] == rows.get(tier, 0.0)
+
     def test_timeline_rejects_wrong_device_count(self):
         tl = Timeline(4)
         with pytest.raises(ValueError, match="devices"):
@@ -209,7 +266,9 @@ class TestResumeEquivalence:
         sa, sb = apt_full.model.state_dict(), apt_res.model.state_dict()
         for k in sa:
             np.testing.assert_array_equal(sa[k], sb[k])
-        assert full.result.recorder.load_rows == resumed.result.recorder.load_rows
+        np.testing.assert_array_equal(
+            full.result.recorder.load_rows, resumed.result.recorder.load_rows
+        )
         kinds = {e.kind for e in resumed.collector.events}
         assert "resume" in kinds and "checkpoint" in kinds
 

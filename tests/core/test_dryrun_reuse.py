@@ -147,7 +147,7 @@ def test_timeline_and_plan_identical_with_and_without_cache(task):
         assert np.array_equal(ra.peak_intermediate_bytes, rb.peak_intermediate_bytes)
         assert np.array_equal(ra.layer1_flops, rb.layer1_flops)
         assert (ra.n_dst, ra.n_virtual) == (rb.n_dst, rb.n_virtual)
-        assert ra.load_rows == rb.load_rows
+        assert np.array_equal(ra.load_rows, rb.load_rows)
 
 
 def test_census_identical_with_and_without_cache(task):

@@ -5,7 +5,7 @@ import pytest
 
 from repro.cluster import single_machine_cluster
 from repro.engine.context import ExecutionContext, VolumeRecorder
-from repro.featurestore.store import Tier
+from repro.featurestore.store import TIERS, Tier, UnifiedFeatureStore
 from repro.graph.datasets import small_dataset
 from repro.models import GraphSAGE
 
@@ -23,11 +23,16 @@ class TestVolumeRecorder:
         assert rec.total_hidden_bytes() == 150.0
 
     def test_load_rows_accumulate(self):
+        ds = small_dataset(n=50, feature_dim=4, num_classes=2)
+        store = UnifiedFeatureStore(ds, single_machine_cluster(2))
+        store.configure_caches([np.arange(10), np.empty(0, np.int64)])
         rec = VolumeRecorder(2)
-        rec.record_load(0, {Tier.GPU_CACHE: 10, Tier.LOCAL_CPU: 5})
-        rec.record_load(0, {Tier.LOCAL_CPU: 3})
-        assert rec.load_rows[0][Tier.LOCAL_CPU] == 8.0
-        assert rec.total_load_rows(Tier.GPU_CACHE) == 10.0
+        rec.record_loads(store.classify([np.arange(15), None]))
+        rec.record_loads(store.classify([np.arange(20, 23), np.arange(4)]))
+        local, gpu = TIERS.index(Tier.LOCAL_CPU), TIERS.index(Tier.GPU_CACHE)
+        assert rec.load_rows[0, local] == 8.0
+        assert rec.load_rows[1, local] == 4.0
+        assert rec.total_load_rows(Tier.GPU_CACHE) == rec.load_rows[0, gpu] == 10.0
 
     def test_structure_bytes(self):
         rec = VolumeRecorder(2)

@@ -1,19 +1,19 @@
-"""One tier split per device read (DESIGN.md §5.14, §5.18).
+"""One tier split per batch (DESIGN.md §5.14, §5.19).
 
-The load-set stage (``repro.engine.base.record_loads``) classifies each
-device's load set once per batch; the plan carries that split and
-``UnifiedFeatureStore.charge_load`` charges from it.  So, for every
-strategy, on an in-RAM and a memory-mapped store, with numerics on and
-off:
+The load-set stage (``repro.engine.base.record_loads``) classifies every
+device's load set in one ``UnifiedFeatureStore.classify`` call per batch;
+the plan carries that split and ``UnifiedFeatureStore.charge_load``
+charges each device's row of it.  So, for every strategy, on an in-RAM
+and a memory-mapped store, with numerics on and off:
 
 * a dry-run epoch and a training epoch of the same batches classify
-  equally often — once per device-batch that has a load set — and on a
-  disk-backed store observe the disk tier (advance its promotion clock)
-  exactly as often;
-* the rows the recorder keeps for a device-batch are the rows of the
+  equally often — once per batch — and on a disk-backed store observe the
+  disk tier (advance its promotion clock) once per device-batch that has a
+  load set, as often in both;
+* the rows the recorder adds for a device-batch are the rows of the
   ``LoadReport`` charged for it, even when a promotion happened between
   the plan and the charge;
-* serving classifies once per device-batch too.
+* serving classifies once per batch and charges as it recorded too.
 """
 
 from collections import Counter, defaultdict
@@ -26,7 +26,7 @@ from repro.cluster import multi_machine_cluster
 from repro.config import APTConfig, ServeConfig
 from repro.core import APT
 from repro.engine.context import VolumeRecorder
-from repro.featurestore import UnifiedFeatureStore
+from repro.featurestore import TIERS, UnifiedFeatureStore
 from repro.graph import open_streaming_dataset, write_streaming_dataset
 from repro.models import GraphSAGE
 from repro.serve import LoadGenerator, ServeEngine
@@ -55,8 +55,9 @@ def build_apt(ds):
 
 
 class Spy:
-    """Counts classifications and disk observations; keeps each device's
-    recorded and charged row counts, in order."""
+    """Counts classifications, the device-batches they split and disk
+    observations; keeps each device's recorded and charged row counts, in
+    order."""
 
     def __init__(self, monkeypatch):
         self.calls = Counter()
@@ -65,11 +66,15 @@ class Spy:
         classify = UnifiedFeatureStore.classify
         observe = UnifiedFeatureStore._observe_disk
         charge_load = UnifiedFeatureStore.charge_load
-        record_load = VolumeRecorder.record_load
+        record_loads = VolumeRecorder.record_loads
 
         def counting_classify(store, *args, **kwargs):
+            split = classify(store, *args, **kwargs)
             self.calls["classify"] += 1
-            return classify(store, *args, **kwargs)
+            self.calls["device_batches"] += sum(
+                load is not None for load in split.loads
+            )
+            return split
 
         def counting_observe(store, *args, **kwargs):
             self.calls["observe"] += 1
@@ -80,15 +85,17 @@ class Spy:
             self.charged[device].append(dict(report.rows))
             return report
 
-        def keeping_record_load(recorder, device, rows, **kwargs):
+        def keeping_record_loads(recorder, split):
             self.calls["record"] += 1
-            self.recorded[device].append(dict(rows))
-            return record_load(recorder, device, rows, **kwargs)
+            for d, load in enumerate(split.loads):
+                if load is not None:
+                    self.recorded[d].append(dict(zip(TIERS, split.rows[d].tolist())))
+            return record_loads(recorder, split)
 
         monkeypatch.setattr(UnifiedFeatureStore, "classify", counting_classify)
         monkeypatch.setattr(UnifiedFeatureStore, "_observe_disk", counting_observe)
         monkeypatch.setattr(UnifiedFeatureStore, "charge_load", keeping_charge_load)
-        monkeypatch.setattr(VolumeRecorder, "record_load", keeping_record_load)
+        monkeypatch.setattr(VolumeRecorder, "record_loads", keeping_record_loads)
 
     def reset(self) -> Counter:
         calls = self.calls.copy()
@@ -113,10 +120,11 @@ def test_dry_run_and_epoch_classify_once_per_device_batch(
     dryrun.run(name)
     planned = spy.reset()
     apt.run_strategy(name, 1, numerics=numerics)
-    assert planned["record"] > 0
+    assert planned["device_batches"] > planned["record"] > 0
     assert spy.calls["classify"] == spy.calls["record"] == planned["record"]
     assert planned["classify"] == planned["record"]
-    disk_reads = planned["record"] if storage == "disk" else 0
+    assert spy.calls["device_batches"] == planned["device_batches"]
+    disk_reads = planned["device_batches"] if storage == "disk" else 0
     assert planned["observe"] == spy.calls["observe"] == disk_reads
     spy.assert_charged_as_recorded()
 
@@ -132,4 +140,6 @@ def test_serve_classifies_once_per_device_batch(datasets, monkeypatch, name, sto
     engine.serve(requests)
     assert spy.calls["record"] > 0
     assert spy.calls["classify"] == spy.calls["record"]
+    disk_reads = spy.calls["device_batches"] if storage == "disk" else 0
+    assert spy.calls["observe"] == disk_reads
     spy.assert_charged_as_recorded()

@@ -14,7 +14,7 @@ from repro.engine import (
 )
 from repro.engine.base import sample_batches, split_by_partition, split_round_robin
 from repro.engine.context import ExecutionContext
-from repro.featurestore.store import Tier
+from repro.featurestore.store import TIERS, Tier
 from repro.graph.datasets import small_dataset
 from repro.graph.partition import metis_like_partition
 from repro.models import GAT, GraphSAGE
@@ -45,7 +45,8 @@ def build_ctx(ds, parts, model=None, cache_frac=0.05, numerics=True):
 def cached_count(store, device):
     """Nodes in ``device``'s own GPU cache."""
     every = np.arange(store.dataset.num_nodes)
-    return store.classify(device, every)[Tier.GPU_CACHE].size
+    split = store.classify([None] * device + [every])
+    return split.rows[device, TIERS.index(Tier.GPU_CACHE)]
 
 
 def plan_one_batch(strategy, ctx, epoch=0):

@@ -13,6 +13,7 @@ from repro.cluster import Timeline, multi_machine_cluster, single_machine_cluste
 from repro.config import APTConfig
 from repro.core import APT
 from repro.featurestore import (
+    TIERS,
     Tier,
     UnifiedFeatureStore,
     coalesce_ranges,
@@ -23,6 +24,12 @@ from repro.featurestore import (
 from repro.graph import open_streaming_dataset, write_dataset_dir
 from repro.graph.datasets import small_dataset
 from repro.models import GraphSAGE
+
+
+def classify(store, ids):
+    """Device 0's load set classified alone: its ids per tier."""
+    split = store.classify([ids])
+    return {t: split.node_ids[split.tiers == col] for col, t in enumerate(TIERS)}
 
 
 @pytest.fixture(scope="module")
@@ -81,7 +88,7 @@ class TestDiskTierStore:
 
     def test_classify_reports_disk_tier(self, disk_ds):
         store = UnifiedFeatureStore(disk_ds, single_machine_cluster(1))
-        split = store.classify(0, np.array([5, 6, 300]))
+        split = classify(store, np.array([5, 6, 300]))
         np.testing.assert_array_equal(np.sort(split[Tier.DISK]), [5, 6, 300])
         assert split[Tier.LOCAL_CPU].size == 0
 
@@ -98,7 +105,7 @@ class TestDiskTierStore:
     def test_charge_load_counts_ranged_reads(self, disk_ds):
         store = UnifiedFeatureStore(disk_ds, single_machine_cluster(1))
         ids = np.array([0, 1, 2, 100, 101, 400])
-        report = store.charge_load(0, store.classify(0, ids))
+        report = store.charge_load(0, store.classify([ids])[0])
         assert report.rows[Tier.DISK] == 6
         assert report.ranged_reads == count_ranges(ids) == 3
         assert report.bytes[Tier.DISK] == 6 * disk_ds.feature_dim * 8
@@ -109,7 +116,7 @@ class TestDiskTierStore:
         cluster = single_machine_cluster(1)
         ids = np.arange(200)
         r_ram, r_disk = (
-            store.charge_load(0, store.classify(0, ids))
+            store.charge_load(0, store.classify([ids])[0])
             for store in (UnifiedFeatureStore(ram_ds, cluster),
                           UnifiedFeatureStore(disk_ds, cluster))
         )
@@ -118,7 +125,7 @@ class TestDiskTierStore:
     def test_charges_timeline(self, disk_ds):
         store = UnifiedFeatureStore(disk_ds, single_machine_cluster(1))
         t = Timeline(1)
-        store.charge_load(0, store.classify(0, np.arange(50)), t)
+        store.charge_load(0, store.classify([np.arange(50)])[0], t)
         assert t.device_phase_seconds(0, "load") > 0
 
     def test_multi_machine_unpromoted_rows_hit_disk(self, disk_ds):
@@ -129,7 +136,7 @@ class TestDiskTierStore:
         machine = np.zeros(disk_ds.num_nodes, dtype=np.int64)
         machine[250:] = 1
         store = UnifiedFeatureStore(disk_ds, cluster, node_machine=machine)
-        split = store.classify(0, np.array([5, 300]))
+        split = classify(store, np.array([5, 300]))
         np.testing.assert_array_equal(np.sort(split[Tier.DISK]), [5, 300])
         assert split[Tier.REMOTE_CPU].size == 0
 
@@ -147,9 +154,9 @@ class TestPromotion:
         store = self._store(disk_ds)
         hot = np.arange(10, dtype=np.int64)
         for _ in range(40):
-            store.classify(0, hot)
+            store.classify([hot])
         assert store.disk_resident_count() >= hot.size
-        split = store.classify(0, hot)
+        split = classify(store, hot)
         assert split[Tier.DISK].size == 0
         np.testing.assert_array_equal(np.sort(split[Tier.LOCAL_CPU]), hot)
         assert store.disk_stats["promotions"] > 0
@@ -159,7 +166,7 @@ class TestPromotion:
         hot = np.array([7, 8, 9, 450], dtype=np.int64)
         before = store.read(hot)
         for _ in range(40):
-            store.classify(0, hot)
+            store.classify([hot])
         after = store.read(hot)
         np.testing.assert_array_equal(before, after)
         np.testing.assert_array_equal(after, np.asarray(disk_ds.features)[hot])
@@ -169,7 +176,7 @@ class TestPromotion:
         for start in range(0, 400, 50):
             ids = np.arange(start, start + 50, dtype=np.int64)
             for _ in range(8):
-                store.classify(0, ids)
+                store.classify([ids])
         assert store.disk_resident_count() <= 16
 
 

@@ -77,7 +77,7 @@ def test_empty_read_inside_scope(store):
     try:
         empty = np.empty(0, np.int64)
         assert store.read(empty).shape[0] == 0
-        report = store.charge_load(0, store.classify(0, empty))
+        report = store.charge_load(0, store.classify([empty])[0])
         assert sum(report.rows.values()) == 0
     finally:
         store.end_shared_gather()
@@ -86,12 +86,12 @@ def test_empty_read_inside_scope(store):
 def test_charging_is_identical_inside_and_outside_scope(store, ds):
     ids = np.array([3, 60, 200])  # cache hit + cpu rows
     tl_plain = Timeline(store.cluster.num_devices)
-    rep_plain = store.charge_load(0, store.classify(0, ids), tl_plain)
+    rep_plain = store.charge_load(0, store.classify([ids])[0], tl_plain)
 
     store.begin_shared_gather([ids, np.array([60, 399])])
     try:
         tl_shared = Timeline(store.cluster.num_devices)
-        rep_shared = store.charge_load(0, store.classify(0, ids), tl_shared)
+        rep_shared = store.charge_load(0, store.classify([ids])[0], tl_shared)
         rows = store.read(ids)
     finally:
         store.end_shared_gather()
@@ -123,5 +123,5 @@ def test_loadreport_starts_empty():
 
 
 def test_charged_report_exposes_all_tiers(store):
-    rep = store.charge_load(0, store.classify(0, np.array([3, 60])))
+    rep = store.charge_load(0, store.classify([np.array([3, 60])])[0])
     assert set(rep.rows) == set(Tier)

@@ -11,8 +11,17 @@ from repro.cluster import (
     multi_machine_cluster,
     single_machine_cluster,
 )
-from repro.featurestore import Tier, UnifiedFeatureStore
+from repro.featurestore import TIERS, Tier, UnifiedFeatureStore
 from repro.graph.datasets import small_dataset
+
+
+def classify(store, device, ids):
+    """``device``'s load set classified alone (no other device reads):
+    its ids per tier, from the batch split's rows."""
+    split = store.classify([None] * device + [ids])
+    own = slice(split.ptr[device], split.ptr[device + 1])
+    ids, tiers = split.node_ids[own], split.tiers[own]
+    return {t: ids[tiers == col] for col, t in enumerate(TIERS)}
 
 
 @pytest.fixture(scope="module")
@@ -25,7 +34,7 @@ class TestClassification:
         cluster = single_machine_cluster(2)
         store = UnifiedFeatureStore(ds, cluster)
         store.configure_caches([np.array([1, 2, 3]), np.array([], dtype=np.int64)])
-        split = store.classify(0, np.array([1, 2, 50]))
+        split = classify(store, 0, np.array([1, 2, 50]))
         np.testing.assert_array_equal(split[Tier.GPU_CACHE], [1, 2])
         np.testing.assert_array_equal(split[Tier.LOCAL_CPU], [50])
 
@@ -34,7 +43,7 @@ class TestClassification:
         cluster = single_machine_cluster(2)
         store = UnifiedFeatureStore(ds, cluster)
         store.configure_caches([np.array([], dtype=np.int64), np.array([7])])
-        split = store.classify(0, np.array([7]))
+        split = classify(store, 0, np.array([7]))
         assert split[Tier.PEER_GPU].size == 0
         np.testing.assert_array_equal(split[Tier.LOCAL_CPU], [7])
 
@@ -43,7 +52,7 @@ class TestClassification:
         cluster = ClusterSpec(machines=(MachineSpec(num_gpus=2, nvlink=nv),))
         store = UnifiedFeatureStore(ds, cluster)
         store.configure_caches([np.array([], dtype=np.int64), np.array([7])])
-        split = store.classify(0, np.array([7]))
+        split = classify(store, 0, np.array([7]))
         np.testing.assert_array_equal(split[Tier.PEER_GPU], [7])
 
     def test_remote_cpu_tier(self, ds):
@@ -52,14 +61,15 @@ class TestClassification:
         machine[100:] = 1
         store = UnifiedFeatureStore(ds, cluster, node_machine=machine)
         store.configure_caches([np.empty(0, np.int64)] * 2)
-        split = store.classify(0, np.array([5, 150]))
+        split = classify(store, 0, np.array([5, 150]))
         np.testing.assert_array_equal(split[Tier.LOCAL_CPU], [5])
         np.testing.assert_array_equal(split[Tier.REMOTE_CPU], [150])
 
 
 def _charge(store, device, ids, timeline=None):
-    """One device-batch's accounting: classify once, charge the split."""
-    return store.charge_load(device, store.classify(device, ids), timeline)
+    """One device-batch's accounting: classify once, charge the device's row."""
+    split = store.classify([None] * device + [ids])
+    return store.charge_load(device, split[device], timeline)
 
 
 class TestRead:
@@ -104,8 +114,8 @@ class TestRead:
         store = UnifiedFeatureStore(ds, cluster)
         store.configure_caches([np.arange(50)])
         ids = np.arange(120)
-        split = store.classify(0, ids)
-        r1, r2 = store.charge_load(0, split), store.charge_load(0, split)
+        split = store.classify([ids])
+        r1, r2 = store.charge_load(0, split[0]), store.charge_load(0, split[0])
         assert r1.seconds == r2.seconds
         assert r1.rows == r2.rows
         assert sum(r1.rows.values()) == store.read(ids).shape[0]
@@ -139,12 +149,12 @@ class TestValidation:
 
 
 class TestClassifyPeerGather:
-    """Regression pin for the ``np.ix_`` peer-cache gather in ``classify``.
+    """Regression pin for the peer-cache lookup in ``classify``.
 
-    The optimized lookup reads only the ``(peers, rest)`` submatrix; the
-    original chained indexing (``self._cached[peers][:, rest]``) copied
-    every peer's full cache row first.  Both must agree exactly — order,
-    duplicates, and all four tiers — under NVLink with multiple peers.
+    The one-pass lookup reads each machine's "some device caches it" row;
+    the original chained indexing (``self._cached[peers][:, rest]``) asked
+    every peer's cache row.  Both must agree exactly — order, duplicates,
+    and all five tiers — under NVLink with multiple peers.
     """
 
     def _reference_classify(self, store, device, node_ids):
@@ -187,7 +197,7 @@ class TestClassifyPeerGather:
         )
         for device in range(4):
             ids = rng.integers(0, ds.num_nodes, size=500)  # with duplicates
-            got = store.classify(device, ids)
+            got = classify(store, device, ids)
             want = self._reference_classify(store, device, ids)
             assert set(got) == set(want) == set(Tier)
             for tier in Tier:
@@ -210,7 +220,7 @@ class TestClassifyPeerGather:
         )
         for device in range(4):
             ids = rng.integers(0, ds.num_nodes, size=300)
-            got = store.classify(device, ids)
+            got = classify(store, device, ids)
             want = self._reference_classify(store, device, ids)
             for tier in Tier:
                 np.testing.assert_array_equal(got[tier], want[tier])

@@ -5,10 +5,14 @@
 SNP walked every (requester, server) pair with a per-task presence mask;
 DNP walked every (requester, owner) pair and counted each owner's distinct
 sources for every model.  Both recorded their volumes and load sets
-inline.  The only edits are the unified names: a task's device is
+inline.  The only edits are the unified names — a task's device is
 ``server`` (DNP's owner), a DNP task's ``self_mask`` is all true, the
-load sets are ``RoutePlan.load_nodes`` and their tier splits
-``RoutePlan.splits``.
+load sets are ``RoutePlan.load_nodes`` and their tier split
+``RoutePlan.splits`` — and one to the load-set stage: each form's inline
+per-device classify / record / count of its load sets became a call to
+the shared ``repro.engine.base.record_loads`` once they are built, when
+the load-set stage became one classification per batch.  The routing is
+frozen.
 ``tests/engine/test_routing_pin.py`` requires the router to match these
 forms exactly: tasks, load sets, every ``VolumeRecorder`` field, Timeline
 phases and telemetry counters.
@@ -23,10 +27,9 @@ from typing import List
 
 import numpy as np
 
-from repro.engine.base import RoutePlan, RouteTask
+from repro.engine.base import RoutePlan, RouteTask, record_loads
 from repro.engine.dnp import DNPStrategy
 from repro.engine.snp import SNPStrategy
-from repro.featurestore.store import Tier, count_ranges
 from repro.utils.ids import sorted_unique
 
 
@@ -151,19 +154,10 @@ def snp_plan_batch(self, ctx, batches, epoch: int = 0) -> RoutePlan:
                 node_mask[ids] = True
             nodes = np.flatnonzero(node_mask)
             plan.load_nodes[p] = nodes
-            split = plan.splits[p] = ctx.store.classify(p, nodes)
-            ctx.recorder.record_load(
-                p,
-                {t: ids.size for t, ids in split.items()},
-                ranged_reads=count_ranges(split[Tier.DISK]),
-            )
-            for t, ids in split.items():
-                ctx.count(
-                    f"load_rows.{t.value}", ids.size, device=p, phase="load"
-                )
             ctx.recorder.record_layer1_flops(
                 p, 2.0 * nodes.size * layer.in_dim * d_hidden
             )
+    plan.splits = record_loads(ctx, plan.load_nodes)
     return plan
 
 
@@ -249,16 +243,7 @@ def dnp_plan_batch(self, ctx, batches, epoch: int = 0) -> RoutePlan:
                 node_mask[ids] = True
             nodes = np.flatnonzero(node_mask)
             plan.load_nodes[o] = nodes
-            split = plan.splits[o] = ctx.store.classify(o, nodes)
-            ctx.recorder.record_load(
-                o,
-                {t: ids.size for t, ids in split.items()},
-                ranged_reads=count_ranges(split[Tier.DISK]),
-            )
-            for t, ids in split.items():
-                ctx.count(
-                    f"load_rows.{t.value}", ids.size, device=o, phase="load"
-                )
+    plan.splits = record_loads(ctx, plan.load_nodes)
     return plan
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.cluster import single_machine_cluster
-from repro.featurestore.store import Tier, UnifiedFeatureStore
+from repro.featurestore.store import TIERS, Tier, UnifiedFeatureStore
 from repro.serve import HotnessCache
 
 
@@ -47,8 +47,10 @@ class TestRefresh:
         assert size > 0
         assert size == min(cache.capacity_nodes(), tiny_dataset.num_nodes)
         every = np.arange(tiny_dataset.num_nodes)
+        split = store.classify([every, every])
+        gpu = TIERS.index(Tier.GPU_CACHE)
         for device in range(2):
-            assert store.classify(device, every)[Tier.GPU_CACHE].size == size
+            assert split.rows[device, gpu] == size
         assert cache.refreshes == 1
 
     def test_decay_slides_the_window(self, store, tiny_dataset):
@@ -69,14 +71,15 @@ class TestRefresh:
 
 class TestHitAccounting:
     def test_hit_fraction_over_recorder_ledger(self):
-        load_rows = [
-            {Tier.GPU_CACHE: 30.0, Tier.LOCAL_CPU: 70.0},
-            {Tier.GPU_CACHE: 10.0, Tier.REMOTE_CPU: 90.0},
-        ]
+        load_rows = np.zeros((2, len(TIERS)))
+        load_rows[0, TIERS.index(Tier.GPU_CACHE)] = 30.0
+        load_rows[0, TIERS.index(Tier.LOCAL_CPU)] = 70.0
+        load_rows[1, TIERS.index(Tier.GPU_CACHE)] = 10.0
+        load_rows[1, TIERS.index(Tier.REMOTE_CPU)] = 90.0
         assert HotnessCache.hit_fraction(load_rows) == pytest.approx(0.2)
 
     def test_hit_fraction_empty_ledger(self):
-        assert HotnessCache.hit_fraction([{}, {}]) == 0.0
+        assert HotnessCache.hit_fraction(np.zeros((2, len(TIERS)))) == 0.0
 
     def test_to_dict_snapshot(self, store, tiny_dataset):
         cache = make_cache(store, tiny_dataset)
