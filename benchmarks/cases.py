@@ -34,7 +34,7 @@ import repro.parallel  # noqa: E402
 import systems  # noqa: E402
 
 #: run order.  The host-clock cases come first: earlier allocation churn
-#: visibly slows the shared-memory arms of ``parallel`` on small hosts.
+#: visibly slows the process-backend arms of ``parallel`` on small hosts.
 CASES: List[figures.Case] = [
     systems.Parallel(),
     systems.FaultTolerance(),

@@ -63,7 +63,7 @@ class Parallel(Case):
     """Host wall-clock of the execution backends.
 
     Runs the same simulated training workloads through the serial backend
-    and the shared-memory process-pool backend and records honest host
+    and the forked process-worker backend and records honest host
     seconds for both, plus a pipeline on/off ablation.  The two backends are
     bit-identical in simulation (losses, parameters, Timeline — pinned by
     ``tests/parallel``); this case only measures the host time the backend

@@ -108,7 +108,7 @@ def _add_task_args(p: argparse.ArgumentParser) -> None:
                    dest="execution_backend", default=argparse.SUPPRESS,
                    help="execution backend (default: REPRO_EXECUTION_BACKEND "
                         "env var or 'serial'); 'process' samples batches in a "
-                        "shared-memory worker pool with pipelined prefetch")
+                        "forked worker processes with pipelined prefetch")
     p.add_argument("--workers", type=int, dest="num_workers", metavar="N",
                    default=argparse.SUPPRESS,
                    help="process-backend pool size (default: auto)")

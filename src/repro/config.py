@@ -63,7 +63,7 @@ class APTConfig:
     overlap: bool = False
     # ---- execution backend (host wall-clock only, DESIGN.md §5.10) --- #
     #: ``"serial"`` (default) runs every per-device loop inline;
-    #: ``"process"`` fans sampling out to a shared-memory worker pool with
+    #: ``"process"`` fans sampling out to forked worker processes with
     #: pipelined batch prefetch.  Bit-identical losses / parameters /
     #: simulated Timeline either way — only host seconds change.  The env
     #: var ``REPRO_EXECUTION_BACKEND`` overrides the default (CI runs the

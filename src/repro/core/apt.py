@@ -536,8 +536,8 @@ class APT:
         )
         # One execution backend per run: it outlives trainer rebuilds on
         # cluster change or strategy switch.  (The process backend's workers
-        # and shared-memory export outlive the run too: closing it returns
-        # them to idle for the next run over this dataset.)
+        # outlive the run too: closing it returns them to idle for the next
+        # run over this dataset.)
         backend = make_backend(self.config, self.dataset)
         try:
             return run.execute(backend)

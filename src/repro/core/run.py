@@ -290,9 +290,9 @@ class TrainingRun:
         ):
             self._checkpoint(epoch, epochs_completed=epoch)
         # (3) re-partition for the surviving device set: a new plan context
-        # replaces the old one whole.  The shm export needs no rebuild: it
-        # carries the graph and features only, and per-device seed chunks
-        # ride in each task payload.
+        # replaces the old one whole.  The workers need no re-fork: they
+        # hold the graph only, and per-device seed chunks ride in each
+        # task payload.
         context = apt.prepare(cluster)
         self._emit(
             "repartition",

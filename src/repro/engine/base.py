@@ -246,7 +246,7 @@ def sample_batches(
 
     The host-side sampling work dispatches through the context's execution
     backend (inline + :class:`~repro.sampling.cache.SampleCache` under the
-    serial backend, shared-memory worker pool under the process backend);
+    serial backend, forked worker processes under the process backend);
     every backend returns bit-identical batches, and the simulated charges
     below always run on the main process, so timelines are unaffected by
     where (or how far ahead) the sampling actually happened.

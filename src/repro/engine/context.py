@@ -161,9 +161,6 @@ class ExecutionContext:
     shuffle_seed: int = 0
     #: DistDGL-style CPU sampling (Fig. 7 baseline) instead of GPU sampling.
     cpu_sampling: bool = False
-    #: Model prefetch pipelining (sampling/loading overlaps training); see
-    #: :class:`repro.cluster.timeline.Timeline`.
-    overlap: bool = False
     #: When False, strategies charge the exact same simulated time but skip
     #: the tensor math (timing-only mode for performance sweeps; correctness
     #: is covered by the numerics-on equivalence tests, and
@@ -244,7 +241,6 @@ class ExecutionContext:
             shuffle_seed=shuffle_seed,
             cpu_sampling=cpu_sampling,
             numerics=numerics,
-            overlap=overlap,
             telemetry=telemetry,
             sample_cache=sample_cache,
             backend=backend,

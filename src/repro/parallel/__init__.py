@@ -1,10 +1,11 @@
-"""Host-side execution backends (serial / shared-memory worker processes).
+"""Host-side execution backends (serial / forked worker processes).
 
 See DESIGN.md §5.10: backends move *host wall-clock* work (sampling and
 batch prefetch; features are gathered on the main process either way)
-without touching the simulation —
-losses, parameters, and simulated Timeline charges are bit-identical
-across backends.  §5.11 adds the fault-tolerance layer on top: worker
+without touching the simulation — losses, parameters, and simulated
+Timeline charges are bit-identical across backends.  Workers are forked
+over the graph and share nothing with the coordinator but one pipe each.
+§5.11 adds the fault-tolerance layer on top: worker
 supervision (:mod:`repro.parallel.supervisor`), deterministic host-fault
 injection (:mod:`repro.parallel.chaos`), and graceful degradation back
 to the serial backend.
@@ -27,7 +28,6 @@ from repro.parallel.chaos import (
 from repro.parallel.supervisor import (
     FailureBudgetExceeded,
     FaultPolicy,
-    HeartbeatBoard,
     SupervisionError,
     WorkerCrash,
     WorkerSet,
@@ -49,7 +49,6 @@ __all__ = [
     "FaultPolicy",
     "WorkerSet",
     "WorkerSupervisor",
-    "HeartbeatBoard",
     "SupervisionError",
     "WorkerCrash",
     "WorkerTimeout",

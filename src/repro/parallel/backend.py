@@ -15,11 +15,11 @@ minibatches, losses, parameters, and simulated Timeline charges (pinned by
     (:func:`~repro.sampling.cache.sample_device_batches`).
 
 :class:`ProcessPoolBackend`
-    Fans sampling out to worker processes that hold zero-copy
-    shared-memory views of the CSR graph; they map no feature and ship
-    sampled blocks only.  The workers and the export belong to the *dataset*,
-    not to the run: they are forked on the first process-backend run over
-    a dataset and leased by every later one (:func:`_lease` — what a lease
+    Fans sampling out to worker processes forked over the CSR graph:
+    they sample from the pages the fork inherited, read no feature and
+    ship sampled blocks only.  The workers belong to the *dataset*, not to
+    the run: they are forked on the first process-backend run over a
+    dataset and leased by every later one (:func:`_lease` — what a lease
     may carry from run to run is nothing).  The epoch loop is pipelined: up to
     ``prefetch_depth`` future global batches are being sampled in workers
     while the current batch runs numerics on the main process.  One task
@@ -57,12 +57,12 @@ from typing import Deque, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.parallel.chaos import HostFaultSchedule
-from repro.parallel.shm import export_task_data
 from repro.parallel.supervisor import (
     TEARDOWN_ERRORS,
     FailureBudgetExceeded,
     FaultPolicy,
     Flight,
+    TaskData,
     WorkerSet,
     WorkerSupervisor,
 )
@@ -110,8 +110,8 @@ class ExecutionBackend:
         re-partitioning: in-flight tasks settle through the supervisor
         and the epoch schedule is discarded, because its seed chunks were
         split for the *old* device set.  The workers stay
-        up — the shm export is cluster-independent.  No-op on the serial
-        backend.
+        up — the graph they were forked over is cluster-independent.
+        No-op on the serial backend.
         """
 
     # -- lifecycle ------------------------------------------------------ #
@@ -120,7 +120,7 @@ class ExecutionBackend:
         return {}
 
     def close(self) -> None:
-        """End the run: release its workers and shared memory; idempotent."""
+        """End the run: release its workers; idempotent."""
 
     def __enter__(self) -> "ExecutionBackend":
         return self
@@ -173,24 +173,29 @@ _IDLE: Optional[WorkerSet] = None
 _EXIT_HOOKED = False
 
 
+def export_task_data(dataset) -> TaskData:
+    """The handle a worker set is forked against: ``dataset``'s graph
+    itself, nothing copied.  A module-level name because
+    ``benchmarks/e2e/trace.py`` times it as ``parallel.shm_export_s``."""
+    return TaskData(dataset)
+
+
 def _lease(dataset, num_workers: int) -> WorkerSet:
-    """A worker set attached to ``dataset``'s arrays, for one backend.
+    """A worker set forked over ``dataset``'s arrays, for one backend.
 
     The idle set is taken when it was forked over these very arrays with
-    this many workers; otherwise it is closed and a fresh set is exported
-    and forked.  A set is never shared: a second backend open at the same
-    time finds no idle set and forks its own.
+    this many workers; otherwise it is closed and a fresh set is forked.
+    A set is never shared: a second backend open at the same time finds
+    no idle set and forks its own.
     """
     global _IDLE, _EXIT_HOOKED
     idle, _IDLE = _IDLE, None
     if idle is not None:
-        if idle.num_workers == num_workers and idle.export.covers(dataset):
+        if idle.num_workers == num_workers and idle.task_data.covers(dataset):
             return idle
         idle.close()
     workers = WorkerSet(export_task_data(dataset), num_workers)
     if not _EXIT_HOOKED:
-        # Registered after the export armed the shm unlink guard, so it
-        # runs before it: workers end first, then the guard sweeps.
         atexit.register(shutdown)
         _EXIT_HOOKED = True
     return workers
@@ -205,7 +210,7 @@ def _release(workers: WorkerSet) -> None:
 
 
 def shutdown() -> None:
-    """End the idle worker set and unlink its shared memory.
+    """End the idle worker set.
 
     Workers outlive the runs that use them (they are what makes the second
     run over a dataset cheap); this ends them when the caller knows no
@@ -219,14 +224,13 @@ def shutdown() -> None:
 
 
 class ProcessPoolBackend(ExecutionBackend):
-    """Shared-memory sampler workers with pipelined global-batch prefetch.
+    """Forked sampler workers with pipelined global-batch prefetch.
 
     Parameters
     ----------
     dataset:
-        Task dataset; its graph is exported to shared memory and workers
-        are forked against it once per dataset, not once per backend
-        (:func:`_lease`).
+        Task dataset; workers are forked over its graph once per dataset,
+        not once per backend (:func:`_lease`).
     num_workers:
         Worker processes (``None`` = auto: ``min(4, cpu_count)``).
     prefetch_depth:

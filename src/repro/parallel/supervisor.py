@@ -2,11 +2,13 @@
 
 Two lifetimes live here, one class each.
 
-:class:`WorkerSet` is the **dataset-lifetime** half: the shared-memory
-export of one dataset, a heartbeat board, and the worker processes forked
-against them — each on a duplex pipe of its own whose coordinator end
-this process holds.  It is forked once, on the first process-backend run
-over the dataset, and *leased* by every later run
+:class:`WorkerSet` is the **dataset-lifetime** half: the worker processes
+forked against one dataset's graph, each on a duplex pipe of its own
+whose coordinator end this process holds.  The pipe is all a worker
+shares with the coordinator: it is forked with the graph as an argument
+and samples from the pages it inherited (copy-on-write), so nothing is
+copied, exported or mapped for it.  The set is forked once, on the first
+process-backend run over the dataset, and *leased* by every later run
 (:mod:`repro.parallel.backend` keeps the lease table).  Nothing in it
 belongs to a run.
 
@@ -25,12 +27,11 @@ holds everything a run may count or configure:
 * **per-task deadlines** — every task must produce a result within
   ``FaultPolicy.task_deadline_s`` of submission.  A worker that holds a
   task past its deadline is killed and replaced, so a busy worker always
-  holds a live flight; a shared-memory heartbeat board (stamped at task
-  entry/exit) lets the timeout message tell a *hung* worker from one that
-  never got to start.
+  holds a live flight, and the timeout message names the pid that held
+  the task (or says it was still queued behind busy workers).
 * **explicit respawn** — a dead worker's replacement is forked on the
-  spot against the *existing* export (nothing is re-exported) on a fresh
-  pipe; the flight the dead worker held fails immediately.
+  spot against the same graph on a fresh pipe; the flight the dead
+  worker held fails immediately.
 * **bounded retry with exponential backoff** — a failed task (timeout,
   crash, worker exception) is resubmitted up to ``max_retries`` times,
   waiting ``backoff_base_s * 2**n`` between attempts.  Resubmissions
@@ -64,9 +65,6 @@ from dataclasses import dataclass, field
 from multiprocessing import connection
 from typing import Any, Callable, Deque, Dict, List, Optional, Set, Tuple
 
-import numpy as np
-
-from repro.parallel.shm import TaskDataExport, create_segment, destroy_segment
 from repro.parallel.worker import worker_main
 
 __all__ = [
@@ -75,8 +73,8 @@ __all__ = [
     "WorkerCrash",
     "WorkerTimeout",
     "FailureBudgetExceeded",
-    "HeartbeatBoard",
     "Flight",
+    "TaskData",
     "WorkerSet",
     "WorkerSupervisor",
 ]
@@ -186,51 +184,6 @@ TEARDOWN_ERRORS = (
 )
 
 
-# ---------------------------------------------------------------------- #
-# heartbeats
-# ---------------------------------------------------------------------- #
-class HeartbeatBoard:
-    """A shared float64 stamp per worker: positive = in task, negative = idle.
-
-    Worker ``i`` of a :class:`WorkerSet` (and every replacement forked in
-    its place) owns cell ``i`` and stamps ``+monotonic()`` when a task
-    starts, ``-monotonic()`` when it ends.  The supervisor reads the board
-    to tell a *hung* worker (stale positive stamp) from one that never
-    started the task when a deadline trips.
-    """
-
-    def __init__(self, capacity: int):
-        self.capacity = max(int(capacity), 1)
-        self._segment = create_segment(self.capacity * 8)
-        self._board = np.ndarray(
-            (self.capacity,), dtype=np.float64, buffer=self._segment.buf
-        )
-        self._board[:] = 0.0
-
-    @property
-    def descriptor(self) -> Tuple[str, int]:
-        """Picklable ``(segment name, capacity)`` for worker attachment."""
-        return (self._segment.name, self.capacity)
-
-    def stamps(self) -> np.ndarray:
-        return self._board.copy()
-
-    def stale_workers(self, older_than_s: float) -> List[int]:
-        """Indices whose in-task stamp is older than ``older_than_s``."""
-        now = time.monotonic()
-        stamps = self.stamps()
-        return [
-            int(i)
-            for i in np.nonzero((stamps > 0.0) & (now - stamps > older_than_s))[0]
-        ]
-
-    def close(self) -> None:
-        if self._segment is not None:
-            self._board = None
-            destroy_segment(self._segment)
-            self._segment = None
-
-
 @dataclass
 class Flight:
     """One in-flight task attempt and everything needed to retry it."""
@@ -263,23 +216,44 @@ class _Worker:
 _COORDINATOR_ENDS: Set[Any] = set()
 
 
-class WorkerSet:
-    """The dataset-lifetime half: export, heartbeat board, worker processes.
+def _arrays_of(dataset) -> Tuple:
+    return (dataset.graph.indptr, dataset.graph.indices, dataset.features)
 
-    Owns ``export`` (closed with the set).  Forks ``num_workers`` workers
-    that attach it, each on its own duplex pipe; :meth:`respawn` replaces
-    one by a fresh fork against the same export.  A set carries nothing
-    from one run to the next: whoever leases it leaves every worker idle.
+
+class TaskData:
+    """What a :class:`WorkerSet` is forked against: a dataset's graph itself.
+
+    Nothing is copied: a forked worker samples from the pages it inherited.
+    The dataset's own ``(indptr, indices, features)`` objects decide which
+    datasets a set serves (:meth:`covers`); workers never read a feature.
     """
 
-    def __init__(self, export: TaskDataExport, num_workers: int):
+    def __init__(self, dataset):
+        self.graph = dataset.graph
+        self._arrays = _arrays_of(dataset)
+
+    def covers(self, dataset) -> bool:
+        """True when ``dataset`` is made of the very arrays held here."""
+        return all(a is b for a, b in zip(self._arrays, _arrays_of(dataset)))
+
+
+class WorkerSet:
+    """The dataset-lifetime half: the worker processes of one dataset.
+
+    Forks ``num_workers`` workers over ``task_data.graph``, each on its own
+    duplex pipe; :meth:`respawn` replaces one by a fresh fork over the same
+    graph.  A set carries nothing from one run to the next: whoever leases
+    it leaves every worker idle.
+    """
+
+    def __init__(self, task_data: TaskData, num_workers: int):
         self.num_workers = int(num_workers)
-        self.export = export
-        self.heartbeats = HeartbeatBoard(self.num_workers)
+        self.task_data = task_data
+        self.closed = False
         self._workers: List[_Worker] = []
         try:
-            for index in range(self.num_workers):
-                self._workers.append(self._fork(index))
+            for _ in range(self.num_workers):
+                self._workers.append(self._fork())
         except BaseException:
             self.close()
             raise
@@ -290,20 +264,15 @@ class WorkerSet:
     def __iter__(self):
         return iter(self._workers)
 
-    @property
-    def closed(self) -> bool:
-        return self.heartbeats is None
-
-    def _fork(self, index: int) -> _Worker:
-        ours, theirs = multiprocessing.Pipe(duplex=True)
-        process = multiprocessing.Process(
+    def _fork(self) -> _Worker:
+        # Forked, whatever the interpreter's default start method: a fork
+        # inherits the coordinator's graph pages instead of copying them,
+        # and only a fork inherits _COORDINATOR_ENDS.
+        fork = multiprocessing.get_context("fork")
+        ours, theirs = fork.Pipe(duplex=True)
+        process = fork.Process(
             target=worker_main,
-            args=(
-                theirs,
-                [ours, *_COORDINATOR_ENDS],
-                self.export.descriptor,
-                (*self.heartbeats.descriptor, index),
-            ),
+            args=(theirs, [ours, *_COORDINATOR_ENDS], self.task_data.graph),
             daemon=True,
         )
         try:
@@ -315,9 +284,9 @@ class WorkerSet:
 
     @staticmethod
     def _end(worker: _Worker) -> None:
-        """Close the pipe, kill the process, reap it.  Workers only attach
-        (every segment is the coordinator's), so there is nothing for them
-        to clean up and no reason to wait for them to do it."""
+        """Close the pipe, kill the process, reap it.  A worker holds
+        nothing but its pipe, so there is nothing for it to clean up and
+        no reason to wait for it to do it."""
         _COORDINATOR_ENDS.discard(worker.conn)
         worker.conn.close()
         worker.process.kill()
@@ -326,20 +295,18 @@ class WorkerSet:
 
     def respawn(self, index: int) -> None:
         """Replace worker ``index`` — dead, hung or holding an abandoned
-        task — by a fresh fork that re-attaches the existing export."""
+        task — by a fresh fork over the same graph."""
         self._end(self._workers[index])
-        self._workers[index] = self._fork(index)
+        self._workers[index] = self._fork()
 
     def close(self) -> None:
-        """End every worker and destroy the export; idempotent."""
+        """End every worker; idempotent."""
         if self.closed:
             return
+        self.closed = True
         for worker in self._workers:
             self._end(worker)
         self._workers.clear()
-        self.heartbeats.close()
-        self.heartbeats = None
-        self.export.close()
 
 
 # ---------------------------------------------------------------------- #
@@ -471,7 +438,6 @@ class WorkerSupervisor:
         """Give up on an unanswered flight.  The worker holding it is
         replaced: it may be hung, and its answer must never be read as the
         answer to the next task on that pipe."""
-        stale = self.workers.heartbeats.stale_workers(self.policy.task_deadline_s)
         if flight.worker is None:
             self._queue.remove(flight)
             where = "still queued behind busy workers"
@@ -480,8 +446,7 @@ class WorkerSupervisor:
             where = f"held by worker pid {pid}, now replaced"
         return WorkerTimeout(
             f"task unanswered {time.monotonic() - flight.submitted_at:.3f}s "
-            f"after submission ({where}; workers with stale in-task "
-            f"heartbeats: {stale or 'none'}; {self._budget_note()})"
+            f"after submission ({where}; {self._budget_note()})"
         )
 
     def _wait(self, flight: Flight, deadline: float) -> Dict[str, Any]:

@@ -17,8 +17,6 @@ SRC = Path(__file__).resolve().parents[2] / "src"
 
 #: (module path, expression) -> why its 8 is a host size, not a simulated one
 HOST_SIZES = {
-    ("repro/parallel/supervisor.py", "self.capacity * 8"):
-        "the heartbeat board: one float64 stamp per worker in host shared memory",
     ("repro/sampling/block.py", "8 * (2 * self.num_dst + 1)"):
         "Block.nbytes: host bytes of the cached destination index (cache budgets)",
 }

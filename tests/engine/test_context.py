@@ -77,7 +77,7 @@ class TestExecutionContextBuild:
         assert ctx.timeline.num_devices == 2
         assert ctx.comm.cluster is cluster
         assert ctx.sampler.graph is ds.graph
-        assert ctx.numerics and not ctx.overlap
+        assert ctx.numerics and not ctx.timeline.overlap
 
     def test_build_overlap_flag_propagates(self):
         ds = small_dataset(n=300, feature_dim=8, num_classes=2)

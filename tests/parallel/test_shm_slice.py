@@ -1,90 +1,69 @@
-"""Worker export of in-RAM and out-of-core datasets (DESIGN.md §5.14).
+"""Process-backend workers over an out-of-core dataset (DESIGN.md §5.14).
 
-Workers sample and never read a feature, so the shared-memory segment
-holds only the topology — for an in-RAM and a memory-mapped feature
-matrix alike — and the process backend stays loss bit-identical to the
-serial one on a disk-backed dataset.
+Workers are forked over the graph and sample from the pages they
+inherited; they never read a feature, so a memory-mapped feature file
+stays cold in every worker while the coordinator gathers rows from it —
+and the process backend stays loss bit-identical to the serial one on a
+disk-backed dataset.
 """
 
-import dataclasses
-import pickle
+import os
 
 import numpy as np
 import pytest
 
+import repro.parallel
 from repro.cluster import multi_machine_cluster
 from repro.config import APTConfig
 from repro.core import APT
 from repro.graph import open_streaming_dataset, write_dataset_dir
 from repro.graph.datasets import small_dataset
+from repro.graph.io import FEATURES_FILE
 from repro.models import GraphSAGE
-from repro.parallel.shm import attach_task_data, export_task_data
+from repro.parallel import backend as backend_module
 
 
 @pytest.fixture(scope="module")
-def ram_ds():
-    return small_dataset(n=400, feature_dim=8, num_classes=2)
-
-
-@pytest.fixture(scope="module")
-def disk_ds(ram_ds, tmp_path_factory):
-    out = write_dataset_dir(ram_ds, tmp_path_factory.mktemp("shm") / "ds")
+def disk_ds(tmp_path_factory):
+    ram_ds = small_dataset(n=400, feature_dim=8, num_classes=2)
+    out = write_dataset_dir(ram_ds, tmp_path_factory.mktemp("ooc") / "ds")
     return open_streaming_dataset(out)
 
 
-@pytest.mark.parametrize("which", ["ram", "disk"])
-def test_export_holds_only_the_topology(which, request):
-    ds = request.getfixturevalue(f"{which}_ds")
-    export = export_task_data(ds)
-    try:
-        desc = export.descriptor
-        topo = desc.indptr.nbytes + desc.indices.nbytes
-        assert 0 <= export.segment.size - topo < 16  # 8-byte alignment only
-    finally:
-        export.close()
+def _resident_kb(pid, filename):
+    """Resident kB of every mapping of a file named ``filename`` in ``pid``."""
+    total, inside = 0, False
+    with open(f"/proc/{pid}/smaps") as fh:
+        for line in fh:
+            fields = line.split()
+            if not fields[0].endswith(":"):  # a mapping's header line
+                inside = os.path.basename(fields[-1]) == filename
+            elif inside and fields[0] == "Rss:":
+                total += int(fields[1])
+    return total
 
 
-class TestMemmapExport:
-    def test_disk_backed_features_export_as_memmap_spec(self, disk_ds):
-        # A memory-mapped feature matrix is neither copied nor named in
-        # the descriptor: workers map the graph and nothing else...
-        export = export_task_data(disk_ds)
+class TestWorkersReadNoFeature:
+    def test_no_worker_holds_a_resident_feature_page(self, disk_ds):
+        assert isinstance(disk_ds.features, np.memmap)
+        repro.parallel.shutdown()
         try:
-            assert isinstance(disk_ds.features, np.memmap)
-            fields = {f.name for f in dataclasses.fields(export.descriptor)}
-            assert fields == {"segment_name", "num_nodes", "indptr", "indices"}
-            # ...yet the export still serves this dataset only.
-            assert export.covers(disk_ds)
+            model = GraphSAGE(disk_ds.feature_dim, 8, disk_ds.num_classes, 2, seed=1)
+            apt = APT(disk_ds, model, multi_machine_cluster(2, 2), APTConfig(
+                fanouts=(4, 4), global_batch_size=64, seed=0,
+                execution_backend="process", num_workers=2,
+            ))
+            apt.prepare()
+            apt.run_strategy("gdp", 1)
+            pids = [worker.process.pid for worker in backend_module._IDLE]
+            assert len(pids) == 2
+            # The coordinator gathered its rows from the file...
+            assert _resident_kb(os.getpid(), FEATURES_FILE) > 0
+            # ...and no worker touched a page of it.
+            for pid in pids:
+                assert _resident_kb(pid, FEATURES_FILE) == 0
         finally:
-            export.close()
-
-    def test_attach_round_trip_bit_identical(self, disk_ds):
-        export = export_task_data(disk_ds)
-        try:
-            segment, graph = attach_task_data(export.descriptor)
-            try:
-                assert graph.num_nodes == export.descriptor.num_nodes
-                np.testing.assert_array_equal(graph.indptr, disk_ds.graph.indptr)
-                np.testing.assert_array_equal(graph.indices, disk_ds.graph.indices)
-            finally:
-                del graph
-                segment.close()
-        finally:
-            export.close()
-
-    def test_spec_is_picklable(self, disk_ds):
-        export = export_task_data(disk_ds)
-        try:
-            desc = pickle.loads(pickle.dumps(export.descriptor))
-            assert desc == export.descriptor
-            segment, graph = attach_task_data(desc)
-            try:
-                np.testing.assert_array_equal(graph.indices, disk_ds.graph.indices)
-            finally:
-                del graph
-                segment.close()
-        finally:
-            export.close()
+            repro.parallel.shutdown()
 
 
 class TestProcessBackendOutOfCore:

@@ -1,4 +1,4 @@
-"""Unit tests for the supervision layer (policy, heartbeats, chaos)."""
+"""Unit tests for the supervision layer (policy, chaos, workers)."""
 
 import json
 import time
@@ -13,13 +13,12 @@ from repro.parallel.chaos import (
     split_injections,
 )
 from repro.graph.datasets import small_dataset
-from repro.parallel.shm import export_task_data
+from repro.parallel.backend import export_task_data
 from repro.parallel.supervisor import (
     TEARDOWN_ERRORS,
     FailureBudgetExceeded,
     FaultPolicy,
     Flight,
-    HeartbeatBoard,
     SupervisionError,
     WorkerCrash,
     WorkerSet,
@@ -95,27 +94,6 @@ class TestExceptionTaxonomy:
         # ...but never programming errors.
         assert not issubclass(TypeError, TEARDOWN_ERRORS)
         assert not issubclass(KeyError, TEARDOWN_ERRORS)
-
-
-class TestHeartbeatBoard:
-    def test_claim_and_stale_detection(self):
-        board = HeartbeatBoard(4)
-        try:
-            name, capacity = board.descriptor
-            assert capacity == 4 and isinstance(name, str)
-            raw = np.ndarray((4,), dtype=np.float64, buffer=board._segment.buf)
-            raw[1] = time.monotonic() - 10.0   # stale in-task stamp
-            raw[2] = -time.monotonic()          # idle
-            raw[3] = time.monotonic()           # fresh in-task
-            assert board.stale_workers(1.0) == [1]
-            assert board.stale_workers(60.0) == []
-        finally:
-            board.close()
-
-    def test_close_is_idempotent(self):
-        board = HeartbeatBoard(2)
-        board.close()
-        board.close()
 
 
 class TestHostFaultEvent:

@@ -1,13 +1,15 @@
 """Who owns the sampler workers and how long they live (DESIGN.md §5.10).
 
-The shared-memory export and the workers attached to it belong to the
-*dataset*: forked on the first process-backend run, leased by every later
-one, ended by ``repro.parallel.shutdown()``, a degraded run, interpreter
-exit — or end-of-file on their pipes when the coordinator is killed.  A
-lease carries nothing from run to run, so every run is still bit-identical
-to serial.
+The workers belong to the *dataset*: forked over its graph on the first
+process-backend run, leased by every later one, ended by
+``repro.parallel.shutdown()``, a degraded run, interpreter exit — or
+end-of-file on their pipes when the coordinator is killed.  They share
+nothing with the coordinator but their pipes: no run creates or maps a
+``/dev/shm`` segment.  A lease carries nothing from run to run, so every
+run is still bit-identical to serial.
 """
 
+import dataclasses
 import multiprocessing
 import os
 import signal
@@ -30,8 +32,7 @@ from repro.graph.datasets import small_dataset
 from repro.models import GraphSAGE
 from repro.parallel import FaultPolicy, HostFaultSchedule
 from repro.parallel import backend as backend_module
-from repro.parallel import shm
-from repro.parallel.backend import ProcessPoolBackend, SerialBackend
+from repro.parallel.backend import ProcessPoolBackend, SerialBackend, export_task_data
 
 
 def _apt(ds, backend, *, num_workers=2, chaos=None, policy=None):
@@ -119,6 +120,18 @@ def other_dataset():
 
 
 class TestLease:
+    def test_covers_is_array_identity(self):
+        ds = small_dataset(n=300, feature_dim=8, num_classes=3, seed=1)
+        task_data = export_task_data(ds)
+        assert task_data.graph is ds.graph  # the fork shares it; no copy
+        assert task_data.covers(ds)
+        # the same arrays under another dataset object: the same workers
+        assert task_data.covers(dataclasses.replace(ds, name="other"))
+        # equal bytes in other arrays: not the same workers
+        assert not task_data.covers(
+            dataclasses.replace(ds, features=ds.features.copy())
+        )
+
     def test_second_run_leases_the_first_runs_workers(
         self, tiny_dataset, serial, no_workers, monkeypatch
     ):
@@ -209,7 +222,7 @@ class TestTeardown:
     ):
         _run(tiny_dataset, "process")
         pids = _idle_pids()
-        assert _segments() - no_workers  # the idle set's export is live
+        assert pids and _segments() <= no_workers  # idle, and no segment
         repro.parallel.shutdown()
         assert _idle_pids() is None and _children() == []
         assert not any(_running(pid) for pid in pids)
@@ -341,7 +354,6 @@ class TestLeasedWorkerMaps:
             tiny_dataset.feature_dim, 8, tiny_dataset.num_classes, 2, seed=1
         )
         seeds = split_round_robin(np.arange(64, dtype=np.int64), 4)
-        live_before = set(shm._LIVE_SEGMENTS)
         pids = []
         for _ in range(2):  # the second run leases the first run's worker
             backend = ProcessPoolBackend(tiny_dataset, num_workers=1, prefetch_depth=1)
@@ -352,14 +364,12 @@ class TestLeasedWorkerMaps:
                 )
                 for epoch in range(3):
                     backend.sample_device_chunks(ctx, seeds, epoch=epoch)
-                workers = backend._workers
-                own = {workers.export.segment.name, workers.heartbeats._segment.name}
-                (pid,) = _pids(workers)
+                (pid,) = _pids(backend._workers)
                 pids.append(pid)
-                assert _shm_mapped(pid) == own
-                assert set(shm._LIVE_SEGMENTS) - live_before == own
+                assert _shm_mapped(pid) == set()
+                assert _segments() <= no_workers
             finally:
                 backend.close()
-            assert _shm_mapped(pid) == own
-            assert set(shm._LIVE_SEGMENTS) - live_before == own
+            assert _shm_mapped(pid) == set()
+            assert _segments() <= no_workers
         assert pids[0] == pids[1]
