@@ -1384,8 +1384,7 @@ class OnlineReplan(Case):
         faults = FaultSchedule(
             [FaultEvent(
                 epoch=self.FAULT_EPOCH, kind="link_degrade", factor=self.DEGRADE
-            )],
-            seed=0,
+            )]
         )
         # Adaptive: plan once, then re-plan on drift.
         apt = self._apt(replan=True)

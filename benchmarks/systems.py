@@ -875,7 +875,7 @@ class Hybrid(Case):
             # Beam-search one fat-feature analog, then measure hybrid vs singles.
             ds = factory(n=n, feature_dim=self.FEATURE_DIM)
             apt = self._apt(ds)
-            plan = apt.plan_layerwise(beam_width=3).plan
+            plan = apt.plan_layerwise().plan
             chosen = plan.chosen
             candidates = list(STRATEGIES)
             if chosen not in STRATEGIES:

@@ -273,7 +273,7 @@ def cmd_plan(args) -> int:
     policy = BatchingPolicy.parse(args.policy)
     apt, task = _build(args)
     if args.layerwise:
-        report = apt.plan_layerwise(beam_width=args.beam_width)
+        report = apt.plan_layerwise()
     else:
         report = apt.plan(
             strategies=[s for s in args.strategy or () if s != "auto"] or None,
@@ -465,8 +465,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "by epoch seconds (DESIGN.md §5.15) instead of "
                              "ranking a fixed candidate set; takes no "
                              "--objective, --strategy or budget")
-    p_plan.add_argument("--beam-width", type=int, default=3,
-                        help="beam width of the --layerwise search")
     p_plan.set_defaults(func=cmd_plan)
 
     p_run = sub.add_parser("run", help="train with a strategy")

@@ -38,22 +38,17 @@ between epochs).  Kinds:
     Discard every earlier fault: the cluster returns to its base spec —
     including membership (left hosts return, joined hosts leave).
 
-Schedules are seeded: ``jitter`` perturbs each event's factor with a
-deterministic per-event draw, so two schedules with the same seed produce
-bit-identical degraded specs (and therefore identical re-plan epochs),
-while different seeds explore nearby severities.
+A schedule is a plain event list: the same events always produce the
+same degraded specs, and therefore the same re-plan epochs.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import json
-import os
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Union
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro.cluster.spec import ClusterSpec, LinkSpec, device_class
-from repro.utils.random import rng_from
 
 FAULT_KINDS = (
     "link_degrade",
@@ -117,26 +112,26 @@ class FaultEvent:
         return out
 
     # ------------------------------------------------------------------ #
-    def apply(self, cluster: ClusterSpec, factor: float) -> ClusterSpec:
-        """Spec with this fault applied at the (possibly jittered) factor."""
+    def apply(self, cluster: ClusterSpec) -> ClusterSpec:
+        """Spec with this fault applied."""
         if self.kind == "link_degrade":
             net = cluster.network
             return cluster.with_network(
-                LinkSpec(bandwidth=net.bandwidth * factor, latency=net.latency)
+                LinkSpec(bandwidth=net.bandwidth * self.factor, latency=net.latency)
             )
         if self.kind == "straggler":
             mspec = cluster.machines[self.machine]
             dev = mspec.device
             slow = dataclasses.replace(
                 dev,
-                compute_efficiency=dev.compute_efficiency * factor,
-                sampling_edges_per_sec=dev.sampling_edges_per_sec * factor,
+                compute_efficiency=dev.compute_efficiency * self.factor,
+                sampling_edges_per_sec=dev.sampling_edges_per_sec * self.factor,
             )
             return cluster.with_machine(
                 self.machine, dataclasses.replace(mspec, device=slow)
             )
         if self.kind == "cache_shrink":
-            return cluster.with_cache(cluster.gpu_cache_bytes * factor)
+            return cluster.with_cache(cluster.gpu_cache_bytes * self.factor)
         if self.kind == "host_leave":
             if not 0 <= self.machine < cluster.num_machines:
                 raise ValueError(
@@ -152,12 +147,12 @@ class FaultEvent:
                 template = dataclasses.replace(
                     template, device=device_class(self.device_class)
                 )
-            if factor != 1.0:
+            if self.factor != 1.0:
                 dev = template.device
                 scaled = dataclasses.replace(
                     dev,
-                    compute_efficiency=dev.compute_efficiency * factor,
-                    sampling_edges_per_sec=dev.sampling_edges_per_sec * factor,
+                    compute_efficiency=dev.compute_efficiency * self.factor,
+                    sampling_edges_per_sec=dev.sampling_edges_per_sec * self.factor,
                 )
                 template = dataclasses.replace(template, device=scaled)
             return cluster.with_joined_machine(machine=template, index=self.machine)
@@ -165,42 +160,17 @@ class FaultEvent:
 
 
 class FaultSchedule:
-    """An epoch-indexed, seeded sequence of cluster faults."""
+    """An epoch-indexed sequence of cluster faults."""
 
-    def __init__(
-        self,
-        events: Sequence[FaultEvent] = (),
-        *,
-        seed: int = 0,
-        jitter: float = 0.0,
-    ):
-        if not 0.0 <= jitter < 1.0:
-            raise ValueError(f"jitter must be in [0, 1), got {jitter}")
+    def __init__(self, events: Sequence[FaultEvent] = ()):
         self.events: List[FaultEvent] = sorted(
             events, key=lambda e: (e.epoch, e.kind, e.machine or 0)
         )
-        self.seed = int(seed)
-        self.jitter = float(jitter)
-
-    def __len__(self) -> int:
-        return len(self.events)
 
     def __bool__(self) -> bool:
         return bool(self.events)
 
     # ------------------------------------------------------------------ #
-    def effective_factor(self, index: int) -> float:
-        """Event ``index``'s factor after the seeded jitter draw.
-
-        The draw depends only on ``(seed, index)`` — never on call order —
-        so any two walks of the schedule agree exactly.
-        """
-        event = self.events[index]
-        if self.jitter == 0.0 or event.kind == "recover":
-            return event.factor
-        rng = rng_from(self.seed, 0xFA17, index)
-        return event.factor * (1.0 + rng.uniform(-self.jitter, self.jitter))
-
     def events_at(self, epoch: int) -> List[FaultEvent]:
         """Events that newly take effect exactly at ``epoch``."""
         return [e for e in self.events if e.epoch == epoch]
@@ -211,47 +181,18 @@ class FaultSchedule:
         A ``recover`` event resets to ``base`` before later faults apply.
         """
         cluster = base
-        for index, event in enumerate(self.events):
+        for event in self.events:
             if event.epoch > epoch:
                 break
-            if event.kind == "recover":
-                cluster = base
-            else:
-                cluster = event.apply(cluster, self.effective_factor(index))
+            cluster = base if event.kind == "recover" else event.apply(cluster)
         return cluster
 
     # ------------------------------------------------------------------ #
-    # (de)serialization — the CLI's ``--inject`` file format
+    # (de)serialization — the ``events`` half of the CLI's ``--inject`` file
     # ------------------------------------------------------------------ #
     def to_dict(self) -> Dict[str, Any]:
-        return {
-            "seed": self.seed,
-            "jitter": self.jitter,
-            "events": [e.to_dict() for e in self.events],
-        }
-
-    def to_json(self, indent: Optional[int] = None) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
+        return {"events": [e.to_dict() for e in self.events]}
 
     @classmethod
     def from_dict(cls, payload: Dict[str, Any]) -> "FaultSchedule":
-        events = [FaultEvent(**entry) for entry in payload.get("events", ())]
-        return cls(
-            events,
-            seed=int(payload.get("seed", 0)),
-            jitter=float(payload.get("jitter", 0.0)),
-        )
-
-    @classmethod
-    def from_json(cls, source: Union[str, os.PathLike]) -> "FaultSchedule":
-        """Parse a schedule from a JSON string or a file path."""
-        return cls.from_dict(_read_json(source))
-
-
-def _read_json(source: Union[str, os.PathLike]) -> Dict[str, Any]:
-    """The payload of an ``--inject`` argument: inline JSON or a file path."""
-    text = str(source)
-    if not text.lstrip().startswith("{"):
-        with open(text) as fh:
-            text = fh.read()
-    return json.loads(text)
+        return cls([FaultEvent(**entry) for entry in payload.get("events", ())])

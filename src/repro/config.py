@@ -7,11 +7,10 @@ threshold, re-plan candidates).  ``APT(dataset, model, cluster, config)``
 is the only surface; ``APT`` accepts no other keyword arguments.
 
 Every option has one place to be set: its field (or the CLI flag that
-fills it).  Four ``REPRO_*`` environment variables remain, each because a
-CI leg runs a whole suite under it: ``REPRO_EXECUTION_BACKEND`` and
-``REPRO_NUM_WORKERS`` here, ``REPRO_TASK_DEADLINE_S`` in
-:class:`~repro.parallel.supervisor.FaultPolicy` and ``REPRO_CHAOS`` in
-:mod:`repro.parallel.chaos` (pinned by ``tests/test_env_knobs.py``).
+fills it).  Two ``REPRO_*`` environment variables remain, both read here
+and each because a CI leg runs a whole suite under it:
+``REPRO_EXECUTION_BACKEND`` and ``REPRO_NUM_WORKERS`` (pinned by
+``tests/test_env_knobs.py``).
 
 The experiment-scale constants below are shared by benchmarks and
 examples.  The analog datasets are ~1000x smaller than the paper's graphs,
@@ -90,8 +89,7 @@ class APTConfig:
     fault_policy: Optional[Any] = None
     #: deliberate host-fault schedule for the process backend — a
     #: :class:`~repro.parallel.chaos.HostFaultSchedule`, a dict, or a
-    #: ``kind@task[:seconds]`` grammar string; ``None`` defers to the
-    #: ``REPRO_CHAOS`` environment variable.
+    #: ``kind@task[:seconds]`` grammar string; ``None`` injects none.
     host_chaos: Optional[Any] = None
     #: directory for epoch-granular run checkpoints; ``None`` disables
     #: checkpointing (see ``repro run --checkpoint-dir`` / ``--resume``).
@@ -115,8 +113,6 @@ class APTConfig:
     drift_threshold: float = 0.35
     #: candidate strategies for (re-)planning
     strategies: Tuple[str, ...] = PLAN_STRATEGIES
-    #: epochs to wait after a re-plan before the detector may fire again
-    replan_cooldown: int = 1
 
     def __post_init__(self) -> None:
         self.validate()
@@ -165,11 +161,6 @@ class APTConfig:
                 f"{PLAN_STRATEGIES + ('hyb',)} plus 'layerwise:...' specs, "
                 f"got {self.strategies}"
             )
-        if int(self.replan_cooldown) < 0:
-            raise ValueError(
-                f"replan_cooldown must be >= 0, got {self.replan_cooldown}"
-            )
-        self.replan_cooldown = int(self.replan_cooldown)
         if self.execution_backend not in ("serial", "process"):
             raise ValueError(
                 f"execution_backend must be 'serial' or 'process', got "

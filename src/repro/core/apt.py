@@ -458,7 +458,7 @@ class APT:
                 }
         return extra, meta
 
-    def plan_layerwise(self, *, beam_width: int = 3) -> RunReport:
+    def plan_layerwise(self) -> RunReport:
         """Beam-search per-layer strategy compositions (DESIGN.md §5.15).
 
         Every candidate's dry-run shares the context's: one
@@ -471,9 +471,7 @@ class APT:
         self.config.validate()
         ctx = self.context
         self.plan_report = Planner(ctx.cost_model).search_layerwise(
-            ctx.dryrun.run,
-            self.model.num_layers,
-            beam_width=beam_width,
+            ctx.dryrun.run, self.model.num_layers
         )
         self.plan_report.coarsening = self._coarsening()
         return RunReport(plan=self.plan_report, config=self.config.to_dict())

@@ -34,6 +34,9 @@ OBJECTIVES = ("epoch", "latency", "cost")
 #: node-partitioned (see :meth:`Planner.search_layerwise`)
 UPPER_LAYOUTS = ("gdp", "snp")
 
+#: prefixes the layerwise search keeps per layer
+BEAM_WIDTH = 3
+
 
 def pareto_frontier(estimates: Dict[str, CostEstimate]) -> List[str]:
     """Non-dominated candidates in the (time, dollars) plane.
@@ -296,13 +299,7 @@ class Planner:
         )
 
     # ------------------------------------------------------------------ #
-    def search_layerwise(
-        self,
-        evaluate,
-        num_layers: int,
-        *,
-        beam_width: int = 3,
-    ) -> PlanReport:
+    def search_layerwise(self, evaluate, num_layers: int) -> PlanReport:
         """Beam-search per-layer strategy assignments (DESIGN.md §5.15).
 
         ``evaluate(spec) -> DryRunStats`` dry-runs one candidate spec (a
@@ -310,7 +307,7 @@ class Planner:
         behavior collapse onto one :func:`canonical_spec` key so each
         distinct composition is dry-run exactly once.  Prefixes are scored
         by completing them with their last assignment (the cheapest
-        extension that adds no re-layout), the ``beam_width`` best survive
+        extension that adds no re-layout), the :data:`BEAM_WIDTH` best survive
         each layer, and the surviving completions — plus the single
         strategies — are ranked by the epoch cost model.
 
@@ -347,10 +344,10 @@ class Planner:
             return self.cost_model.estimate(stats).total
 
         beam = [(s,) for s in LAYER_STRATEGIES]
-        beam = sorted(beam, key=score)[:beam_width]
+        beam = sorted(beam, key=score)[:BEAM_WIDTH]
         for _ in range(1, num_layers):
             frontier = [p + (u,) for p in beam for u in UPPER_LAYOUTS]
-            beam = sorted(frontier, key=score)[:beam_width]
+            beam = sorted(frontier, key=score)[:BEAM_WIDTH]
 
         finalists = {canonical_spec(completed(p)) for p in beam}
         finalists |= {(s,) for s in LAYER_STRATEGIES}
@@ -362,5 +359,5 @@ class Planner:
             if stats is not None:
                 stats_map[spec_string(key)] = stats
         report = self.select(stats_map)
-        report.beam_width = beam_width
+        report.beam_width = BEAM_WIDTH
         return report

@@ -53,6 +53,9 @@ from repro.tensor.optim import Adam
 
 __all__ = ["TrainingRun"]
 
+#: epochs the drift detector skips after a re-plan before it may fire again
+REPLAN_COOLDOWN = 1
+
 
 class TrainingRun:
     """State and epoch-boundary steps of one training run.
@@ -397,7 +400,7 @@ class TrainingRun:
         switched = plan.chosen != self.strategy
         self.strategy = plan.chosen
         self.estimate = plan.estimates[plan.chosen]
-        self.cooldown = self.config.replan_cooldown
+        self.cooldown = REPLAN_COOLDOWN
         return switched
 
     def _checkpoint(self, epoch: int, *, epochs_completed: int) -> None:

@@ -53,6 +53,11 @@ COALESCE_GAP = 8
 #: (``APTConfig.disk_promote_mb``).
 DISK_PROMOTE_MB = 64
 
+#: Multiplier applied to every hotness count at each re-ranking, so rows
+#: that stopped being read cool off: the disk tier's promotion counts and
+#: :class:`repro.serve.cache.HotnessCache`'s request counts.
+HOTNESS_DECAY = 0.5
+
 
 def coalesce_ranges(sorted_ids: np.ndarray, gap: int = COALESCE_GAP) -> np.ndarray:
     """Coalesce sorted node ids into ``(start, stop)`` half-open row ranges.
@@ -321,20 +326,17 @@ class UnifiedFeatureStore:
         *,
         promote_bytes: Optional[float] = None,
         promote_every: int = 32,
-        decay: float = 0.5,
-        resident_nodes: Optional[np.ndarray] = None,
     ) -> None:
         """Activate the disk tier: rows live on disk until promoted.
 
         ``promote_bytes`` bounds the CPU-resident side buffer holding
         promoted hot rows (default :data:`DISK_PROMOTE_MB` MiB);
         every ``promote_every`` disk-touching classifies the hottest rows
-        are re-promoted from decayed access counts — the same
-        decayed-hotness scheme :class:`repro.serve.cache.HotnessCache`
-        uses for the GPU tier.  ``resident_nodes`` pins rows CPU-resident
-        up front (e.g. the training seeds).  Promotion moves rows between
-        *tiers*, never changes their values, so losses stay bit-identical
-        to an in-RAM store.
+        are re-promoted from access counts decayed by
+        :data:`HOTNESS_DECAY` — the same decayed-hotness scheme
+        :class:`repro.serve.cache.HotnessCache` uses for the GPU tier.
+        Promotion moves rows between *tiers*, never changes their values,
+        so losses stay bit-identical to an in-RAM store.
         """
         n = self.dataset.num_nodes
         if promote_bytes is None:
@@ -342,15 +344,10 @@ class UnifiedFeatureStore:
         row_bytes = max(self.dataset.feature_dim * ELEMENT_BYTES, 1)
         self._promote_capacity = max(int(promote_bytes // row_bytes), 0)
         self._promote_every = max(int(promote_every), 1)
-        self._disk_decay = float(decay)
         self._disk_pos = np.full(n, -1, dtype=np.int64)
         self._disk_hot = np.zeros(n, dtype=np.float64)
         self._disk_rows_buf = None
         self._disk_classify_calls = 0
-        if resident_nodes is not None and np.asarray(resident_nodes).size:
-            pinned = sorted_unique(np.asarray(resident_nodes, dtype=np.int64))
-            pinned = pinned[: self._promote_capacity] if self._promote_capacity else pinned[:0]
-            self._install_resident(pinned)
 
     def _install_resident(self, nodes: np.ndarray) -> None:
         """Replace the promoted set with ``nodes`` (sorted unique ids)."""
@@ -387,7 +384,7 @@ class UnifiedFeatureStore:
         hot = hot[self._disk_hot[hot] > 0.0]
         before = self._disk_pos[hot] >= 0
         self._install_resident(hot)
-        self._disk_hot *= self._disk_decay
+        self._disk_hot *= HOTNESS_DECAY
         self.disk_stats["promotions"] += float(np.count_nonzero(~before))
         self.disk_stats["refreshes"] += 1.0
 

@@ -36,8 +36,7 @@ def _normalize_weights(
 ) -> Optional[np.ndarray]:
     """Validate and normalize per-part weights to targets summing to 1.
 
-    ``None`` means equal-sized parts and selects the historical (bitwise
-    unchanged) code paths.
+    ``None`` means equal-sized parts.
     """
     if weights is None:
         return None
@@ -188,6 +187,16 @@ def _coarsen(level: _Level, fine_to_coarse: np.ndarray) -> _Level:
     )
 
 
+def _goals(
+    total_w: float, num_parts: int, targets: Optional[np.ndarray]
+) -> np.ndarray:
+    """Each part's target node weight: an equal share of ``total_w``, or
+    its ``targets`` fraction (normalized per-part weights) of it."""
+    if targets is None:
+        return np.full(num_parts, total_w / num_parts)
+    return total_w * targets
+
+
 def _initial_partition(
     level: _Level,
     num_parts: int,
@@ -195,9 +204,10 @@ def _initial_partition(
 ) -> np.ndarray:
     """Greedy balanced region growing on the coarsest graph.
 
-    ``targets`` (normalized per-part weight fractions) makes capacities and
-    the fill order proportional to device speed; ``None`` keeps the
-    historical equal-share behavior bit-for-bit.
+    Capacities and the fill order follow each part's goal (:func:`_goals`):
+    parts grow least-filled first relative to their goal.  Part loads are
+    integer-valued, so with equal goals ``loads / goal`` orders (ties
+    included) exactly as ``loads`` does.
     """
     n = level.num_nodes
     indptr, indices = level.indptr, level.indices
@@ -207,15 +217,9 @@ def _initial_partition(
     # the growth loop touches one element at a time, and a NumPy scalar
     # read or write costs several times a list's.  Python float arithmetic
     # is the same IEEE double arithmetic, so every load is unchanged.
-    if targets is None:
-        # Scalar share broadcast per part: identical values to the old
-        # scalar cap, so the unweighted path is bitwise unchanged.
-        cap = [float(total_w / num_parts * 1.05)] * num_parts
-        fill = lambda: np.array(loads)  # noqa: E731 — ordering key for part growth
-    else:
-        goal = total_w * targets
-        cap = (goal * 1.05).tolist()
-        fill = lambda: np.array(loads) / goal  # noqa: E731
+    goal = _goals(total_w, num_parts, targets)
+    cap = (goal * 1.05).tolist()
+    fill = lambda: np.array(loads) / goal  # noqa: E731 — ordering key for part growth
     parts = [-1] * n
     loads = [0.0] * num_parts
     degree_order = np.argsort(-np.diff(indptr))
@@ -270,11 +274,9 @@ def _refine(
     """Boundary refinement: greedily move nodes to their best-connected part.
 
     A node moves when its heaviest-adjacency part differs from its current
-    part and the move keeps both parts within the balance tolerance — a
-    tolerance measured relative to each part's *target* share when
-    ``targets`` is given (weighted capacities), and to the even share
-    otherwise.  This is the lightweight FM-style refinement used at each
-    uncoarsening level.
+    part and the move keeps both parts within the balance tolerance,
+    measured relative to each part's goal (:func:`_goals`).  This is the
+    lightweight FM-style refinement used at each uncoarsening level.
     """
     n = level.num_nodes
     indptr, indices, ew = level.indptr, level.indices, level.edge_weights
@@ -282,13 +284,9 @@ def _refine(
     src = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
     loads = np.bincount(parts, weights=node_weights, minlength=num_parts).tolist()
     total_w = node_weights.sum()
-    if targets is None:
-        cap = [float(total_w / num_parts * (1.0 + balance_tol))] * num_parts
-        floor = [float(total_w / num_parts * (1.0 - balance_tol))] * num_parts
-    else:
-        goal = total_w * targets
-        cap = (goal * (1.0 + balance_tol)).tolist()
-        floor = (goal * (1.0 - balance_tol)).tolist()
+    goal = _goals(total_w, num_parts, targets)
+    cap = (goal * (1.0 + balance_tol)).tolist()
+    floor = (goal * (1.0 - balance_tol)).tolist()
     for _ in range(passes):
         # Adjacency weight of every node to every part, in one bincount.
         key = src * np.int64(num_parts) + parts[indices]
@@ -425,8 +423,8 @@ def metis_like_partition(
     weights:
         Optional per-part capacity weights (e.g. device speeds): part
         ``p`` targets ``weights[p] / sum(weights)`` of the node weight, so
-        a 2x-faster device owns ~2x the nodes.  ``None`` keeps the
-        historical equal-sized behavior unchanged.
+        a 2x-faster device owns ~2x the nodes.  ``None`` means
+        equal-sized parts.
     hierarchy:
         A :class:`CoarseningHierarchy` of this ``graph`` to partition on
         instead of coarsening again; it then supplies ``seed``,

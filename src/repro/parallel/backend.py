@@ -37,7 +37,7 @@ unplanned submission — correctness never depends on the schedule guess.
 
 Host faults never break the contract either: every task runs under a
 :class:`~repro.parallel.supervisor.WorkerSupervisor` (deadlines, retries,
-respawn), a seeded
+respawn), a
 :class:`~repro.parallel.chaos.HostFaultSchedule` can inject worker faults
 deterministically, and once the supervisor's failure budget is exhausted
 the backend *degrades*: remaining batches are sampled inline exactly as
@@ -239,12 +239,10 @@ class ProcessPoolBackend(ExecutionBackend):
         overlap).
     fault_policy:
         Supervision knobs (deadlines, retries, failure budget); defaults
-        to :class:`~repro.parallel.supervisor.FaultPolicy` with its
-        env-overridable defaults.
+        to :class:`~repro.parallel.supervisor.FaultPolicy`'s defaults.
     chaos:
         A :class:`~repro.parallel.chaos.HostFaultSchedule` of deliberate
-        host faults keyed by task sequence number; defaults to whatever
-        ``REPRO_CHAOS`` arms (``None`` when unset).
+        host faults keyed by task sequence number; ``None`` injects none.
     """
 
     name = "process"
@@ -262,7 +260,7 @@ class ProcessPoolBackend(ExecutionBackend):
             raise ValueError(f"num_workers must be positive, got {num_workers}")
         self.prefetch_depth = max(0, int(prefetch_depth))
         self.policy = fault_policy or FaultPolicy()
-        self.chaos = chaos if chaos is not None else HostFaultSchedule.from_env()
+        self.chaos = chaos
         self._workers = _lease(dataset, self.num_workers)
         self._supervisor: Optional[WorkerSupervisor] = WorkerSupervisor(
             self._workers, self.policy
@@ -373,16 +371,16 @@ class ProcessPoolBackend(ExecutionBackend):
         digest, payload = entry
         if self.chaos:
             directives = self.chaos.directives_at(self._task_seq)
-            for event, seconds in directives:
+            for event in directives:
                 self._count("chaos_injected")
                 payload = dict(
-                    payload, chaos={"kind": event.kind, "seconds": seconds}
+                    payload, chaos={"kind": event.kind, "seconds": event.seconds}
                 )
             if directives:
                 self._buffer_event(
                     "chaos",
                     task=self._task_seq,
-                    kinds=[e.kind for e, _ in directives],
+                    kinds=[e.kind for e in directives],
                 )
         self._task_seq += 1
         self._inflight.append((digest, self._supervisor.submit(payload)))

@@ -1,4 +1,4 @@
-"""Seeded, deterministic *host*-fault injection for the process backend.
+"""Deterministic *host*-fault injection for the process backend.
 
 :mod:`repro.cluster.faults` degrades the **simulated** cluster — links,
 stragglers, caches — and the engine re-plans around it.  This module is its
@@ -15,19 +15,16 @@ deterministically in tests and CI.  Kinds:
     ``seconds`` past the task deadline this exercises hang detection and
     resubmission; below it, merely a straggling worker.
 
-Schedules mirror the :class:`~repro.cluster.faults.FaultSchedule` API —
-events are keyed by *task sequence number* (the backend's deterministic
-submission order) instead of epoch, carry the same ``seed``/``jitter``
-semantics (jitter perturbs ``hang`` durations), and round-trip through the
-same JSON grammar.  A single ``--inject`` file may carry both a simulated
-``events`` section and a host-level ``host_events`` section; see
-:func:`split_injections`.  The ``REPRO_CHAOS`` environment variable arms a
-schedule for any process-backend run (CI's chaos leg), using either a JSON
-payload/path or the compact grammar ``kind@task[:seconds]``, e.g.
-``kill@1;hang@4:0.3``.
+Schedules mirror the :class:`~repro.cluster.faults.FaultSchedule` API:
+plain event lists, keyed by *task sequence number* (the backend's
+deterministic submission order) instead of epoch.  A single ``--inject``
+file may carry both a simulated ``events`` section and a host-level
+``host_events`` section; see :func:`split_injections`.
+``APTConfig.host_chaos`` also takes the compact grammar
+``kind@task[:seconds]``, e.g. ``kill@1;hang@4:0.3``.
 
 A chaos directive fires only on a task's *first* attempt: recovery
-resubmissions run clean, so every seeded schedule converges to the same
+resubmissions run clean, so every schedule converges to the same
 bit-identical run an undisturbed backend produces (pinned by
 ``tests/parallel/test_chaos.py``).
 """
@@ -37,16 +34,12 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Sequence, Union
 
-from repro.cluster.faults import FaultSchedule, _read_json
-from repro.utils.random import rng_from
+from repro.cluster.faults import FaultSchedule
 
 #: Host-fault kinds (mirrors ``repro.cluster.faults.FAULT_KINDS``).
 HOST_FAULT_KINDS = ("kill", "hang")
-
-#: Environment variable CI uses to arm a schedule for every process run.
-CHAOS_ENV = "REPRO_CHAOS"
 
 
 @dataclass(frozen=True)
@@ -85,90 +78,39 @@ class HostFaultEvent:
 
 
 class HostFaultSchedule:
-    """A task-indexed, seeded sequence of host faults."""
+    """A task-indexed sequence of host faults."""
 
-    def __init__(
-        self,
-        events: Sequence[HostFaultEvent] = (),
-        *,
-        seed: int = 0,
-        jitter: float = 0.0,
-    ):
-        if not 0.0 <= jitter < 1.0:
-            raise ValueError(f"jitter must be in [0, 1), got {jitter}")
+    def __init__(self, events: Sequence[HostFaultEvent] = ()):
         self.events: List[HostFaultEvent] = sorted(
             events, key=lambda e: (e.task, e.kind)
         )
-        self.seed = int(seed)
-        self.jitter = float(jitter)
-
-    def __len__(self) -> int:
-        return len(self.events)
 
     def __bool__(self) -> bool:
         return bool(self.events)
 
-    # ------------------------------------------------------------------ #
-    def effective_seconds(self, index: int) -> float:
-        """Event ``index``'s hang duration after the seeded jitter draw.
-
-        Depends only on ``(seed, index)`` — never on call order — so any
-        two walks of the schedule agree exactly (the
-        :meth:`FaultSchedule.effective_factor` contract).
-        """
-        event = self.events[index]
-        if self.jitter == 0.0 or event.kind != "hang":
-            return event.seconds
-        rng = rng_from(self.seed, 0xC4A05, index)
-        return event.seconds * (1.0 + rng.uniform(-self.jitter, self.jitter))
-
-    def directives_at(self, task: int) -> List[Tuple[HostFaultEvent, float]]:
-        """Events firing at ``task``, with their jittered durations."""
-        return [
-            (event, self.effective_seconds(index))
-            for index, event in enumerate(self.events)
-            if event.task == task
-        ]
+    def directives_at(self, task: int) -> List[HostFaultEvent]:
+        """Events firing at ``task``."""
+        return [event for event in self.events if event.task == task]
 
     # ------------------------------------------------------------------ #
     # (de)serialization — shares the CLI ``--inject`` file with
     # repro.cluster.faults under the ``host_events`` key.
     # ------------------------------------------------------------------ #
     def to_dict(self) -> Dict[str, Any]:
-        return {
-            "seed": self.seed,
-            "jitter": self.jitter,
-            "host_events": [e.to_dict() for e in self.events],
-        }
-
-    def to_json(self, indent: Optional[int] = None) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
+        return {"host_events": [e.to_dict() for e in self.events]}
 
     @classmethod
     def from_dict(cls, payload: Dict[str, Any]) -> "HostFaultSchedule":
-        events = [HostFaultEvent(**entry) for entry in payload.get("host_events", ())]
         return cls(
-            events,
-            seed=int(payload.get("seed", 0)),
-            jitter=float(payload.get("jitter", 0.0)),
+            [HostFaultEvent(**entry) for entry in payload.get("host_events", ())]
         )
 
     @classmethod
-    def from_json(cls, source: Union[str, os.PathLike]) -> "HostFaultSchedule":
-        """Parse a schedule from a JSON string or a file path."""
-        return cls.from_dict(_read_json(source))
-
-    @classmethod
-    def parse(cls, source: Union[str, os.PathLike]) -> "HostFaultSchedule":
-        """Parse JSON (inline or path) or the compact ``kind@task[:s]``
-        grammar, items separated by ``;`` or ``,``."""
-        text = str(source).strip()
-        if not text:
-            return cls()
-        if text.lstrip().startswith("{") or os.path.exists(text):
-            return cls.from_json(text)
+    def parse(cls, text: str) -> "HostFaultSchedule":
+        """Parse the compact ``kind@task[:seconds]`` grammar, items
+        separated by ``;`` or ``,``."""
         events = []
-        for item in text.replace(",", ";").split(";"):
+        for item in str(text).replace(",", ";").split(";"):
             item = item.strip()
             if not item:
                 continue
@@ -189,21 +131,13 @@ class HostFaultSchedule:
                 ) from None
         return cls(events)
 
-    @classmethod
-    def from_env(cls, env: str = CHAOS_ENV) -> Optional["HostFaultSchedule"]:
-        """Schedule armed via the environment, or ``None`` when unset."""
-        value = os.environ.get(env, "").strip()
-        if not value:
-            return None
-        return cls.parse(value)
-
 
 def split_injections(source: Union[str, os.PathLike]):
-    """Load one ``--inject`` payload into its simulated and host halves.
+    """Load one ``--inject`` payload (inline JSON or a file path) into its
+    simulated and host halves.
 
     Returns ``(FaultSchedule | None, HostFaultSchedule | None)`` — either
-    section may be absent.  The two schedules share the payload's
-    ``seed``/``jitter``.
+    section may be absent; any other top-level key is an error.
 
     The epoch-keyed ``events`` section also carries the elastic membership
     kinds (``host_leave``/``host_join`` — a machine leaves or joins the
@@ -211,7 +145,19 @@ def split_injections(source: Union[str, os.PathLike]):
     ``host_events`` section stays about *process* faults inside a fixed
     membership (kill/hang).
     """
-    payload = _read_json(source)
+    text = str(source)
+    if not text.lstrip().startswith("{"):
+        with open(text) as fh:
+            text = fh.read()
+    payload = json.loads(text)
+    if not isinstance(payload, dict):
+        raise ValueError("an --inject payload must be a JSON object")
+    unknown = sorted(set(payload) - {"events", "host_events"})
+    if unknown:
+        raise ValueError(
+            f"unknown top-level key(s) {unknown}; an --inject payload has "
+            f"only 'events' and 'host_events'"
+        )
     faults = FaultSchedule.from_dict(payload) if payload.get("events") else None
     chaos = (
         HostFaultSchedule.from_dict(payload) if payload.get("host_events") else None

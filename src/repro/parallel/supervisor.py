@@ -58,10 +58,9 @@ from __future__ import annotations
 
 import dataclasses
 import multiprocessing
-import os
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from multiprocessing import connection
 from typing import Any, Callable, Deque, Dict, List, Optional, Set, Tuple
 
@@ -85,18 +84,10 @@ __all__ = [
 # ---------------------------------------------------------------------- #
 @dataclass
 class FaultPolicy:
-    """Supervision knobs of one process-backend run (``APTConfig.fault_policy``).
-
-    ``task_deadline_s`` defaults from ``REPRO_TASK_DEADLINE_S`` so CI's
-    chaos legs can tighten it for a whole suite.
-    """
+    """Supervision knobs of one process-backend run (``APTConfig.fault_policy``)."""
 
     #: seconds a task may take from (re)submission to result
-    task_deadline_s: float = field(
-        default_factory=lambda: float(
-            os.environ.get("REPRO_TASK_DEADLINE_S", "30.0")
-        )
-    )
+    task_deadline_s: float = 30.0
     #: resubmissions allowed per task before giving up
     max_retries: int = 3
     #: lifetime failures (timeouts + crashes) before the backend degrades

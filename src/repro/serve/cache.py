@@ -13,9 +13,8 @@ re-keys the :class:`~repro.featurestore.store.UnifiedFeatureStore` GPU
 tier with the currently hottest nodes through the same
 :func:`~repro.featurestore.cache.hot_cache_nodes` /
 :meth:`~repro.featurestore.store.UnifiedFeatureStore.configure_caches`
-machinery the training policies use.  Byte budgets mirror
-:class:`~repro.sampling.cache.SampleCache`: one explicit budget, expressed
-in bytes, bounding what the re-keyed tier may hold.
+machinery the training policies use.  The re-keyed tier holds what the
+store's own budget, ``cluster.gpu_cache_bytes`` per device, allows.
 
 Re-keying changes *where* rows are read from, never their values, so
 serving outputs are bit-identical with the cache policy on or off — only
@@ -24,12 +23,17 @@ the simulated latency moves (pinned by ``tests/serve/test_engine.py``).
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 import numpy as np
 
 from repro.featurestore.cache import cache_capacity_nodes, hot_cache_nodes
-from repro.featurestore.store import TIERS, Tier, UnifiedFeatureStore
+from repro.featurestore.store import (
+    HOTNESS_DECAY,
+    TIERS,
+    Tier,
+    UnifiedFeatureStore,
+)
 
 
 class HotnessCache:
@@ -38,21 +42,20 @@ class HotnessCache:
     Parameters
     ----------
     store:
-        The feature store whose GPU tier this cache re-keys.
+        The feature store whose GPU tier this cache re-keys, within its
+        cluster's per-device ``gpu_cache_bytes``.
     num_nodes / feature_dim:
         Shape of the tracked id space and of one feature row.
     num_devices:
         Devices to configure (every device gets the same hot set, the
         GDP/PaGraph replication policy — correct for any strategy because
         tier placement never changes values).
-    cache_bytes:
-        Per-device byte budget of the re-keyed tier (defaults to the
-        cluster budget the store already uses).
     dim_fraction:
         Row-width fraction each device reads (1/C under NFP).
-    decay:
-        Multiplier applied to all counts at each refresh; < 1 makes the
-        window slide so drifted-away nodes cool off.
+
+    Each refresh multiplies every count by
+    :data:`~repro.featurestore.store.HOTNESS_DECAY`, so the window slides
+    and drifted-away nodes cool off.
     """
 
     def __init__(
@@ -62,23 +65,14 @@ class HotnessCache:
         feature_dim: int,
         num_devices: int,
         *,
-        cache_bytes: Optional[float] = None,
         dim_fraction: float = 1.0,
-        decay: float = 0.5,
     ):
-        if not 0.0 <= float(decay) <= 1.0:
-            raise ValueError(f"decay must be in [0, 1], got {decay}")
         self.store = store
         self.num_nodes = int(num_nodes)
         self.feature_dim = int(feature_dim)
         self.num_devices = int(num_devices)
-        self.cache_bytes = (
-            float(cache_bytes)
-            if cache_bytes is not None
-            else float(store.cluster.gpu_cache_bytes)
-        )
+        self.cache_bytes = float(store.cluster.gpu_cache_bytes)
         self.dim_fraction = float(dim_fraction)
-        self.decay = float(decay)
         self.counts = np.zeros(self.num_nodes, dtype=np.float64)
         self.observed_rows = 0
         self.refreshes = 0
@@ -108,7 +102,7 @@ class HotnessCache:
         self.store.configure_caches(
             [hot] * self.num_devices, dim_fraction=self.dim_fraction
         )
-        self.counts *= self.decay
+        self.counts *= HOTNESS_DECAY
         self.refreshes += 1
         self.last_hot_size = int(hot.size)
         return self.last_hot_size
@@ -131,7 +125,7 @@ class HotnessCache:
             "cache_bytes": self.cache_bytes,
             "capacity_nodes": self.capacity_nodes(),
             "dim_fraction": self.dim_fraction,
-            "decay": self.decay,
+            "decay": HOTNESS_DECAY,
             "observed_rows": self.observed_rows,
             "refreshes": self.refreshes,
             "last_hot_size": self.last_hot_size,

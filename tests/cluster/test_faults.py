@@ -28,7 +28,7 @@ class TestFaultEvent:
             FaultEvent(epoch=0, kind="straggler", factor=0.5)  # no machine
 
     def test_link_degrade_scales_network_only(self, base):
-        deg = FaultEvent(epoch=0, kind="link_degrade", factor=0.1).apply(base, 0.1)
+        deg = FaultEvent(epoch=0, kind="link_degrade", factor=0.1).apply(base)
         assert deg.network.bandwidth == pytest.approx(base.network.bandwidth * 0.1)
         assert deg.network.latency == base.network.latency
         assert deg.machines == base.machines
@@ -37,7 +37,7 @@ class TestFaultEvent:
     def test_straggler_slows_one_machine(self, base):
         slow = FaultEvent(
             epoch=0, kind="straggler", factor=0.5, machine=1
-        ).apply(base, 0.5)
+        ).apply(base)
         d0, d1 = slow.machines[0].device, slow.machines[1].device
         b1 = base.machines[1].device
         assert d1.compute_efficiency == pytest.approx(b1.compute_efficiency * 0.5)
@@ -48,9 +48,7 @@ class TestFaultEvent:
         assert slow.num_devices == base.num_devices
 
     def test_cache_shrink(self, base):
-        small = FaultEvent(epoch=0, kind="cache_shrink", factor=0.25).apply(
-            base, 0.25
-        )
+        small = FaultEvent(epoch=0, kind="cache_shrink", factor=0.25).apply(base)
         assert small.gpu_cache_bytes == pytest.approx(base.gpu_cache_bytes * 0.25)
 
     def test_to_dict_roundtrips_through_schedule(self):
@@ -89,44 +87,30 @@ class TestFaultSchedule:
         assert sched.events_at(2) == [e]
         assert sched.events_at(1) == [] and sched.events_at(3) == []
 
-    def test_same_seed_same_jittered_factors(self):
-        events = [FaultEvent(epoch=1, kind="link_degrade", factor=0.5)]
-        a = FaultSchedule(events, seed=7, jitter=0.2)
-        b = FaultSchedule(events, seed=7, jitter=0.2)
-        c = FaultSchedule(events, seed=8, jitter=0.2)
-        assert a.effective_factor(0) == b.effective_factor(0)
-        assert a.effective_factor(0) != c.effective_factor(0)
-        # Jitter stays bounded around the nominal factor.
-        assert abs(a.effective_factor(0) / 0.5 - 1.0) <= 0.2
-
-    def test_jitter_is_call_order_independent(self, base):
-        events = [
-            FaultEvent(epoch=1, kind="link_degrade", factor=0.5),
-            FaultEvent(epoch=2, kind="cache_shrink", factor=0.5),
-        ]
-        a = FaultSchedule(events, seed=3, jitter=0.1)
-        b = FaultSchedule(events, seed=3, jitter=0.1)
-        # Walk a forwards and b backwards; the degraded specs must agree.
-        specs_a = [a.cluster_at(base, e) for e in (0, 1, 2)]
-        specs_b = [b.cluster_at(base, e) for e in (2, 1, 0)][::-1]
-        assert specs_a == specs_b
-
     def test_json_roundtrip_string_and_file(self, tmp_path):
+        """A schedule's dict is the ``events`` half of an ``--inject``
+        payload, given inline or as a file."""
+        import json
+
+        from repro.parallel.chaos import split_injections
+
         sched = FaultSchedule(
-            [FaultEvent(epoch=4, kind="straggler", factor=0.5, machine=0)],
-            seed=11,
-            jitter=0.05,
+            [FaultEvent(epoch=4, kind="straggler", factor=0.5, machine=0)]
         )
-        back = FaultSchedule.from_json(sched.to_json())
-        assert back.to_dict() == sched.to_dict()
+        text = json.dumps(sched.to_dict())
+        assert split_injections(text)[0].to_dict() == sched.to_dict()
         path = tmp_path / "faults.json"
-        path.write_text(sched.to_json())
-        from_file = FaultSchedule.from_json(path)
-        assert from_file.to_dict() == sched.to_dict()
+        path.write_text(text)
+        assert split_injections(path)[0].to_dict() == sched.to_dict()
+        assert FaultSchedule.from_dict(sched.to_dict()).to_dict() == sched.to_dict()
 
     def test_validation(self):
+        # A schedule is its events: each is validated, and nothing else
+        # (no seed, no jitter) can be set.
         with pytest.raises(ValueError):
-            FaultSchedule([], jitter=1.5)
+            FaultSchedule.from_dict({"events": [{"epoch": 0, "kind": "meteor"}]})
+        with pytest.raises(TypeError):
+            FaultSchedule([], jitter=0.1)
 
     def test_kinds_constant(self):
         assert set(FAULT_KINDS) == {
@@ -142,26 +126,22 @@ class TestMembershipEvents:
             FaultEvent(epoch=0, kind="host_leave")
 
     def test_host_leave_removes_the_machine(self, base):
-        shrunk = FaultEvent(epoch=0, kind="host_leave", machine=1).apply(
-            base, 1.0
-        )
+        shrunk = FaultEvent(epoch=0, kind="host_leave", machine=1).apply(base)
         assert shrunk.num_machines == 1
         assert shrunk.num_devices == base.num_devices - base.machines[1].num_gpus
         assert shrunk == base.without_machine(1)
 
     def test_host_leave_out_of_range_raises(self, base):
         with pytest.raises(ValueError):
-            FaultEvent(epoch=0, kind="host_leave", machine=5).apply(base, 1.0)
+            FaultEvent(epoch=0, kind="host_leave", machine=5).apply(base)
 
     def test_host_join_appends_a_clone(self, base):
-        grown = FaultEvent(epoch=0, kind="host_join").apply(base, 1.0)
+        grown = FaultEvent(epoch=0, kind="host_join").apply(base)
         assert grown.num_machines == base.num_machines + 1
         assert grown.machines[-1] == base.machines[0]
 
     def test_host_join_factor_scales_the_joiner(self, base):
-        grown = FaultEvent(epoch=0, kind="host_join", factor=0.5).apply(
-            base, 0.5
-        )
+        grown = FaultEvent(epoch=0, kind="host_join", factor=0.5).apply(base)
         joiner = grown.machines[-1].device
         d0 = base.machines[0].device
         assert joiner.compute_efficiency == pytest.approx(
@@ -172,9 +152,7 @@ class TestMembershipEvents:
         )
 
     def test_host_join_insertion_index(self, base):
-        grown = FaultEvent(epoch=0, kind="host_join", machine=0).apply(
-            base, 1.0
-        )
+        grown = FaultEvent(epoch=0, kind="host_join", machine=0).apply(base)
         assert grown.num_machines == base.num_machines + 1
         assert grown.machines[0] == base.machines[0]
 
@@ -220,53 +198,14 @@ class TestMembershipEvents:
                 FaultEvent(epoch=4, kind="host_join", factor=0.5),
             ]
         )
-        path = tmp_path / "inject.json"
-        path.write_text(sched.to_json())
+        import json
+
         from repro.parallel.chaos import split_injections
+
+        path = tmp_path / "inject.json"
+        path.write_text(json.dumps(sched.to_dict()))
 
         faults, chaos = split_injections(path)
         assert chaos is None
         assert faults.to_dict() == sched.to_dict()
 
-
-class TestCrossProcessDeterminism:
-    def test_jittered_factors_agree_across_processes(self, tmp_path):
-        # The seeded jitter draw must depend only on (seed, index) — a
-        # resumed or re-executed process walking the same schedule has to
-        # observe the exact same degraded clusters.
-        import json
-        import subprocess
-        import sys
-
-        sched = FaultSchedule(
-            [
-                FaultEvent(epoch=1, kind="link_degrade", factor=0.5),
-                FaultEvent(epoch=2, kind="straggler", factor=0.7, machine=0),
-                FaultEvent(epoch=3, kind="cache_shrink", factor=0.5),
-            ],
-            seed=13,
-            jitter=0.2,
-        )
-        path = tmp_path / "sched.json"
-        path.write_text(sched.to_json())
-        code = (
-            "import json, sys;"
-            "from repro.cluster.faults import FaultSchedule;"
-            "s = FaultSchedule.from_json(sys.argv[1]);"
-            "print(json.dumps([s.effective_factor(i) for i in range(len(s.events))]))"
-        )
-        import os
-
-        env = dict(os.environ)
-        runs = [
-            subprocess.run(
-                [sys.executable, "-c", code, str(path)],
-                capture_output=True, text=True, timeout=60, env=env,
-            )
-            for _ in range(2)
-        ]
-        for run in runs:
-            assert run.returncode == 0, run.stderr
-        factors = [json.loads(run.stdout) for run in runs]
-        here = [sched.effective_factor(i) for i in range(len(sched.events))]
-        assert factors[0] == factors[1] == here

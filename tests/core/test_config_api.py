@@ -46,10 +46,6 @@ class TestAPTConfigValidation:
         with pytest.raises(ValueError):
             APTConfig(strategies=())
 
-    def test_replan_cooldown_nonnegative(self):
-        with pytest.raises(ValueError):
-            APTConfig(replan_cooldown=-1)
-
     def test_replace_returns_validated_copy(self):
         cfg = APTConfig()
         new = cfg.replace(fanouts=(5, 5), replan=True)

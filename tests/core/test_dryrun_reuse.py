@@ -118,7 +118,7 @@ def test_layerwise_sweep_samples_exactly_once(task, monkeypatch):
 
     apt = make_apt(task)
     report = Planner(CostModel(cluster, ds.feature_dim)).search_layerwise(
-        apt.context.dryrun.run, model.num_layers, beam_width=3
+        apt.context.dryrun.run, model.num_layers
     )
 
     whole_batches = EpochIterator(ds.train_seeds, BATCH, 0).epoch_batches(0)
@@ -277,7 +277,7 @@ def test_layerwise_sweep_regroups_each_batch_layer_once(ds, monkeypatch):
         partition=parts,
     ))
     report = Planner(CostModel(cluster, ds.feature_dim)).search_layerwise(
-        apt.context.dryrun.run, layers, beam_width=3
+        apt.context.dryrun.run, layers
     )
     node_layout_specs = [
         n for n in report.ranking

@@ -4,8 +4,8 @@ The pin: after a scheduled ``host_leave`` at epoch *k*, the elastic run's
 epochs ``k+1..N`` must be bit-identical to a fresh run on the shrunken
 cluster resumed from the same transition checkpoint.  Membership changes
 are ordinary :class:`~repro.cluster.faults.FaultEvent` kinds, so they ride
-the same ``--inject`` grammar, jitter seeding, and ``recover`` semantics
-as performance faults.
+the same ``--inject`` grammar and ``recover`` semantics as performance
+faults.
 """
 
 import os

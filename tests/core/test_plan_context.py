@@ -110,7 +110,7 @@ class TestContextLifetime:
         apt = _apt(tiny_dataset, _two_by_two(tiny_dataset))
         before = apt.context
         degrade = FaultSchedule(
-            [FaultEvent(epoch=1, kind="link_degrade", factor=0.01)], seed=0
+            [FaultEvent(epoch=1, kind="link_degrade", factor=0.01)]
         )
         report = apt.run_strategy(
             "gdp", 3, numerics=False, replan=True, faults=degrade

@@ -13,6 +13,7 @@ from repro.cluster import multi_machine_cluster
 from repro.cluster.faults import FaultEvent, FaultSchedule
 from repro.config import APTConfig
 from repro.core import APT
+from repro.core.run import REPLAN_COOLDOWN
 from repro.graph.datasets import small_dataset
 from repro.models import GraphSAGE
 
@@ -28,7 +29,7 @@ def _apt(dataset, cluster, **overrides):
 
 def _degrade(epoch=1, factor=0.01):
     return FaultSchedule(
-        [FaultEvent(epoch=epoch, kind="link_degrade", factor=factor)], seed=0
+        [FaultEvent(epoch=epoch, kind="link_degrade", factor=factor)]
     )
 
 
@@ -66,22 +67,20 @@ class TestReplanTrigger:
         self, tiny_dataset, tiny_cluster
     ):
         # Two successive degradations: each one drifts past the threshold
-        # relative to the estimate refreshed after the previous re-plan.
+        # relative to the estimate refreshed after the previous re-plan,
+        # but the epoch after a re-plan is skipped.
         sched = FaultSchedule(
             [
                 FaultEvent(epoch=1, kind="link_degrade", factor=0.01),
                 FaultEvent(epoch=2, kind="link_degrade", factor=0.01),
-            ],
-            seed=0,
+            ]
         )
-        eager = _apt(tiny_dataset, tiny_cluster, replan_cooldown=0).run_strategy(
+        report = _apt(tiny_dataset, tiny_cluster).run_strategy(
             "gdp", 5, numerics=False, replan=True, faults=sched
         )
-        calm = _apt(tiny_dataset, tiny_cluster, replan_cooldown=3).run_strategy(
-            "gdp", 5, numerics=False, replan=True, faults=sched
-        )
-        assert [r.epoch for r in eager.replans] == [1, 2]
-        assert [r.epoch for r in calm.replans] == [1]
+        assert REPLAN_COOLDOWN == 1
+        epochs = [r.epoch for r in report.replans]
+        assert epochs[0] == 1 and 2 not in epochs
 
 
 class TestDeterminism:
@@ -98,23 +97,6 @@ class TestDeterminism:
             r.drift.max_over for r in b.replans
         ]
         assert a.strategy_by_epoch == b.strategy_by_epoch
-        assert a.wall_seconds == b.wall_seconds
-
-    def test_jittered_schedules_replan_identically_per_seed(
-        self, tiny_dataset, tiny_cluster
-    ):
-        def run():
-            sched = FaultSchedule(
-                [FaultEvent(epoch=1, kind="link_degrade", factor=0.01)],
-                seed=5,
-                jitter=0.2,
-            )
-            return _apt(tiny_dataset, tiny_cluster).run_strategy(
-                "gdp", 5, numerics=False, replan=True, faults=sched
-            )
-
-        a, b = run(), run()
-        assert [r.epoch for r in a.replans] == [r.epoch for r in b.replans]
         assert a.wall_seconds == b.wall_seconds
 
 
@@ -146,7 +128,7 @@ def test_hot_switch_is_loss_transparent():
     ds = small_dataset(n=3000, feature_dim=32, num_classes=8, seed=3)
     cluster = multi_machine_cluster(2, 2, gpu_cache_bytes=ds.feature_bytes * 0.05)
     sched = FaultSchedule(
-        [FaultEvent(epoch=2, kind="link_degrade", factor=0.02)], seed=0
+        [FaultEvent(epoch=2, kind="link_degrade", factor=0.02)]
     )
     cfg = APTConfig(fanouts=(4, 4), global_batch_size=512, seed=0, replan=True)
 

@@ -221,7 +221,7 @@ class TestBeamSearchPlanner:
     def test_search_ranks_compositions_with_singles(self, tiny_dataset):
         apt, _ = _build_apt(tiny_dataset, layers=2)
         apt.prepare()
-        report = apt.plan_layerwise(beam_width=3)
+        report = apt.plan_layerwise()
         plan = report.plan
         assert set(plan.ranking) >= set(SINGLES)
         layerwise = [n for n in plan.ranking if n.startswith("layerwise:")]
@@ -250,7 +250,7 @@ class TestBeamSearchPlanner:
             return real_run(spec, epoch)
 
         apt.context.dryrun.run = counting_run
-        apt.plan_layerwise(beam_width=4)
+        apt.plan_layerwise()
         assert len(evaluated) == len(set(evaluated))
         assert "layerwise:nfp,gdp" not in evaluated  # canonical: plain nfp
         assert not any("dnp" in s.split(":")[-1].split(",")[1:]

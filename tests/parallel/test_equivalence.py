@@ -2,7 +2,10 @@
 
 The contract (DESIGN.md §5.10): the backend moves *host* work around —
 losses, parameters, and every simulated Timeline charge must be exactly
-identical, for every strategy, at every prefetch depth.
+identical, for every strategy, at every prefetch depth.  Each class that
+runs tasks on a process backend has a ``slow`` twin that runs them again
+under :data:`CHAOS` — a killed worker and a worker hung past a short
+deadline — and must be just as identical (DESIGN.md §5.11).
 """
 
 import numpy as np
@@ -26,6 +29,10 @@ from repro.parallel.backend import (
 #: composition — the backend contract holds for all of them
 STRATEGIES = ("gdp", "nfp", "snp", "dnp", "hyb", "layerwise:gdp,snp")
 
+#: config of every run in the ``slow`` chaos twins: the worker that takes
+#: task 1 dies, the one that takes task 3 hangs past a 2 s deadline
+CHAOS = {"host_chaos": "kill@1;hang@3:30.0", "fault_policy": {"task_deadline_s": 2.0}}
+
 
 def _run(
     ds,
@@ -34,6 +41,7 @@ def _run(
     epochs=2,
     prefetch_depth=2,
     numerics=True,
+    overrides=None,
 ):
     model = GraphSAGE(ds.feature_dim, 8, ds.num_classes, 2, seed=1)
     cluster = multi_machine_cluster(
@@ -46,6 +54,7 @@ def _run(
         execution_backend=backend,
         num_workers=2,
         prefetch_depth=prefetch_depth,
+        **(overrides or {}),
     )
     apt = APT(ds, model, cluster, config)
     apt.prepare()
@@ -68,26 +77,35 @@ def _assert_states_equal(ma, mb):
         np.testing.assert_array_equal(sa[k], sb[k])
 
 
-class TestBitIdentity:
+class _Runs:
+    #: config overrides of every run: none, or :data:`CHAOS` in a twin
+    OVERRIDES: dict = {}
+
+    def run(self, *args, **kwargs):
+        return _run(*args, overrides=self.OVERRIDES, **kwargs)
+
+
+class TestBitIdentity(_Runs):
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_losses_params_and_timeline(self, tiny_dataset, strategy):
-        r_serial, m_serial = _run(tiny_dataset, "serial", strategy)
-        r_proc, m_proc = _run(tiny_dataset, "process", strategy)
+        r_serial, m_serial = self.run(tiny_dataset, "serial", strategy)
+        r_proc, m_proc = self.run(tiny_dataset, "process", strategy)
         assert _epoch_facts(r_serial) == _epoch_facts(r_proc)
         _assert_states_equal(m_serial, m_proc)
 
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_timing_only_timeline(self, tiny_dataset, strategy):
-        r_serial, _ = _run(tiny_dataset, "serial", strategy, epochs=1, numerics=False)
-        r_proc, _ = _run(tiny_dataset, "process", strategy, epochs=1, numerics=False)
+        timing_only = dict(epochs=1, numerics=False)
+        r_serial, _ = self.run(tiny_dataset, "serial", strategy, **timing_only)
+        r_proc, _ = self.run(tiny_dataset, "process", strategy, **timing_only)
         assert [e.phases for e in r_serial.result.epochs] == [
             e.phases for e in r_proc.result.epochs
         ]
 
     @pytest.mark.parametrize("depth", (0, 1, 4))
     def test_any_prefetch_depth(self, tiny_dataset, depth):
-        r_serial, m_serial = _run(tiny_dataset, "serial", "gdp")
-        r_proc, m_proc = _run(tiny_dataset, "process", "gdp", prefetch_depth=depth)
+        r_serial, m_serial = self.run(tiny_dataset, "serial", "gdp")
+        r_proc, m_proc = self.run(tiny_dataset, "process", "gdp", prefetch_depth=depth)
         assert _epoch_facts(r_serial) == _epoch_facts(r_proc)
         _assert_states_equal(m_serial, m_proc)
 
@@ -96,17 +114,22 @@ class TestBitIdentity:
         # Run n+1 on the workers run n left idle: a lease carries nothing
         # from one run to the next.
         shutdown()
-        r_fresh, m_fresh = _run(tiny_dataset, "process", strategy)
+        r_fresh, m_fresh = self.run(tiny_dataset, "process", strategy)
         workers = backend_module._IDLE
-        r_again, m_again = _run(tiny_dataset, "process", strategy)
+        r_again, m_again = self.run(tiny_dataset, "process", strategy)
         assert backend_module._IDLE is workers and not workers.closed
         assert _epoch_facts(r_fresh) == _epoch_facts(r_again)
         _assert_states_equal(m_fresh, m_again)
 
 
-class TestPipelineTelemetry:
+@pytest.mark.slow
+class TestBitIdentityUnderChaos(TestBitIdentity):
+    OVERRIDES = CHAOS
+
+
+class TestPipelineTelemetry(_Runs):
     def test_pipeline_event_and_counters(self, tiny_dataset):
-        report, _ = _run(tiny_dataset, "process", "gdp")
+        report, _ = self.run(tiny_dataset, "process", "gdp")
         events = report.collector.events_of("pipeline")
         assert len(events) == 2  # one per epoch
         data = events[0].data
@@ -117,13 +140,18 @@ class TestPipelineTelemetry:
         assert 0.0 <= data["worker_utilization"]
 
     def test_depth_zero_runs_sync(self, tiny_dataset):
-        report, _ = _run(tiny_dataset, "process", "gdp", prefetch_depth=0)
+        report, _ = self.run(tiny_dataset, "process", "gdp", prefetch_depth=0)
         data = report.collector.events_of("pipeline")[0].data
         assert data.get("prefetch_hits", 0) == 0
         assert data["sync_batches"] >= 1
 
 
-class TestUnplannedFallback:
+@pytest.mark.slow
+class TestPipelineTelemetryUnderChaos(TestPipelineTelemetry):
+    OVERRIDES = CHAOS
+
+
+class TestUnplannedFallback(_Runs):
     def test_out_of_schedule_batch_matches_serial(self, tiny_dataset):
         model = GraphSAGE(
             tiny_dataset.feature_dim, 8, tiny_dataset.num_classes, 2, seed=1
@@ -131,7 +159,11 @@ class TestUnplannedFallback:
         cluster = multi_machine_cluster(
             2, 2, gpu_cache_bytes=tiny_dataset.feature_bytes * 0.06
         )
-        backend = ProcessPoolBackend(tiny_dataset, num_workers=1, prefetch_depth=2)
+        config = APTConfig(**self.OVERRIDES)
+        backend = ProcessPoolBackend(
+            tiny_dataset, num_workers=1, prefetch_depth=2,
+            fault_policy=config.fault_policy, chaos=config.host_chaos,
+        )
         try:
             ctx = ExecutionContext.build(
                 tiny_dataset, cluster, model, [4, 4],
@@ -157,6 +189,11 @@ class TestUnplannedFallback:
                     np.testing.assert_array_equal(bg.edge_dst, bw.edge_dst)
         finally:
             backend.close()
+
+
+@pytest.mark.slow
+class TestUnplannedFallbackUnderChaos(TestUnplannedFallback):
+    OVERRIDES = CHAOS
 
 
 class TestBackendFactory:

@@ -50,16 +50,6 @@ class TestFaultPolicy:
         with pytest.raises(ValueError):
             FaultPolicy(**kwargs)
 
-    def test_env_overrides(self, monkeypatch):
-        # Only the deadline reads the environment (CI's chaos legs).
-        monkeypatch.setenv("REPRO_TASK_DEADLINE_S", "1.5")
-        monkeypatch.setenv("REPRO_MAX_RETRIES", "7")
-        monkeypatch.setenv("REPRO_FAILURE_BUDGET", "9")
-        p = FaultPolicy()
-        assert p.task_deadline_s == 1.5
-        assert p.max_retries == 3
-        assert p.failure_budget == 16
-
     def test_backoff_is_exponential_and_capped(self):
         p = FaultPolicy(backoff_base_s=0.1, backoff_max_s=0.5)
         assert p.backoff_at(0) == pytest.approx(0.1)
@@ -131,55 +121,35 @@ class TestHostFaultSchedule:
         assert "\n" not in msg and "('kill', 'hang')" in msg
 
     def test_json_roundtrip_string_and_file(self, tmp_path):
-        sched = HostFaultSchedule(
-            [HostFaultEvent(task=3, kind="hang", seconds=0.5)],
-            seed=11,
-            jitter=0.05,
-        )
-        back = HostFaultSchedule.from_json(sched.to_json())
-        assert back.to_dict() == sched.to_dict()
+        """A schedule's dict is the ``host_events`` half of an ``--inject``
+        payload, given inline or as a file."""
+        sched = HostFaultSchedule([HostFaultEvent(task=3, kind="hang", seconds=0.5)])
+        text = json.dumps(sched.to_dict())
+        assert split_injections(text)[1].to_dict() == sched.to_dict()
         path = tmp_path / "chaos.json"
-        path.write_text(sched.to_json())
-        assert HostFaultSchedule.from_json(path).to_dict() == sched.to_dict()
+        path.write_text(text)
+        assert split_injections(path)[1].to_dict() == sched.to_dict()
+        back = HostFaultSchedule.from_dict(sched.to_dict())
+        assert back.to_dict() == sched.to_dict()
 
     def test_directives_fire_at_their_task_only(self):
         sched = HostFaultSchedule.parse("kill@2;hang@2:0.1;kill@5")
-        assert [e.kind for e, _ in sched.directives_at(2)] == ["hang", "kill"]
+        assert [e.kind for e in sched.directives_at(2)] == ["hang", "kill"]
         assert sched.directives_at(0) == []
-        assert [e.kind for e, _ in sched.directives_at(5)] == ["kill"]
-
-    def test_jitter_is_seeded_and_call_order_independent(self):
-        events = [
-            HostFaultEvent(task=1, kind="hang", seconds=1.0),
-            HostFaultEvent(task=2, kind="hang", seconds=1.0),
-        ]
-        a = HostFaultSchedule(events, seed=3, jitter=0.2)
-        b = HostFaultSchedule(events, seed=3, jitter=0.2)
-        c = HostFaultSchedule(events, seed=4, jitter=0.2)
-        # Walk a forwards and b backwards; draws depend on (seed, index).
-        fa = [a.effective_seconds(i) for i in (0, 1)]
-        fb = [b.effective_seconds(i) for i in (1, 0)][::-1]
-        assert fa == fb
-        assert fa != [c.effective_seconds(i) for i in (0, 1)]
-        assert all(abs(f - 1.0) <= 0.2 for f in fa)
-
-    def test_from_env(self, monkeypatch):
-        monkeypatch.delenv("REPRO_CHAOS", raising=False)
-        assert HostFaultSchedule.from_env() is None
-        monkeypatch.setenv("REPRO_CHAOS", "kill@1")
-        sched = HostFaultSchedule.from_env()
-        assert [e.kind for e in sched.events] == ["kill"]
+        assert [e.kind for e in sched.directives_at(5)] == ["kill"]
 
     def test_validation(self):
+        # A schedule is its events: each is validated, and nothing else
+        # (no seed, no jitter) can be set.
         with pytest.raises(ValueError):
-            HostFaultSchedule([], jitter=1.5)
+            HostFaultSchedule.from_dict({"host_events": [{"task": -1, "kind": "kill"}]})
+        with pytest.raises(TypeError):
+            HostFaultSchedule([], jitter=0.1)
 
 
 class TestSplitInjections:
     def test_one_file_drives_both_layers(self, tmp_path):
         payload = {
-            "seed": 5,
-            "jitter": 0.1,
             "events": [{"epoch": 2, "kind": "link_degrade", "factor": 0.5}],
             "host_events": [{"task": 1, "kind": "kill"}],
         }
@@ -187,7 +157,6 @@ class TestSplitInjections:
         path.write_text(json.dumps(payload))
         faults, chaos = split_injections(path)
         assert faults is not None and chaos is not None
-        assert faults.seed == chaos.seed == 5
         assert [e.kind for e in faults.events] == ["link_degrade"]
         assert [e.kind for e in chaos.events] == ["kill"]
 

@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from repro.cluster import single_machine_cluster
-from repro.featurestore.store import TIERS, Tier, UnifiedFeatureStore
+from repro.featurestore.store import (
+    HOTNESS_DECAY,
+    TIERS,
+    Tier,
+    UnifiedFeatureStore,
+)
 from repro.serve import HotnessCache
 
 
@@ -54,19 +59,17 @@ class TestRefresh:
         assert cache.refreshes == 1
 
     def test_decay_slides_the_window(self, store, tiny_dataset):
-        cache = make_cache(store, tiny_dataset, decay=0.5)
+        cache = make_cache(store, tiny_dataset)
         cache.observe(np.array([3, 3, 3, 3]))
         cache.refresh()
-        assert cache.counts[3] == pytest.approx(2.0)
+        assert cache.counts[3] == pytest.approx(4.0 * HOTNESS_DECAY)
 
-    def test_cache_bytes_budget_bounds_capacity(self, store, tiny_dataset):
+    def test_cache_bytes_budget_bounds_capacity(self, tiny_dataset):
+        # The re-keyed tier's budget is the store's own per-device budget.
         row = tiny_dataset.feature_dim * 8.0
-        cache = make_cache(store, tiny_dataset, cache_bytes=10 * row)
-        assert cache.capacity_nodes() == 10
-
-    def test_bad_decay_rejected(self, store, tiny_dataset):
-        with pytest.raises(ValueError):
-            make_cache(store, tiny_dataset, decay=1.5)
+        cluster = single_machine_cluster(2, gpu_cache_bytes=10 * row)
+        store = UnifiedFeatureStore(tiny_dataset, cluster)
+        assert make_cache(store, tiny_dataset).capacity_nodes() == 10
 
 
 class TestHitAccounting:

@@ -25,6 +25,10 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
 
+    def test_plan_has_no_beam_width(self):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["plan", "--beam-width", "3"])
+
     def test_fanout_list(self):
         args = build_parser().parse_args(["plan", "--fanout", "5", "5"])
         assert args.fanout == [5, 5]
@@ -140,6 +144,20 @@ class TestCommands:
         )
         assert message.startswith("error: bad fault schedule")
         assert "'worker'" in message
+
+    @pytest.mark.parametrize("key", ["seed", "jitter"])
+    def test_inject_naming_seed_or_jitter_exits_in_one_line(self, key, tmp_path):
+        """Schedules are plain event lists: a payload key other than
+        ``events`` / ``host_events`` is refused, not silently ignored."""
+        path = tmp_path / "faults.json"
+        path.write_text(
+            '{"events": [{"epoch": 1, "kind": "recover"}], "%s": 0}' % key
+        )
+        message = self._one_error_line(
+            ["run"] + self.BASE + ["--inject", str(path)]
+        )
+        assert message.startswith("error: bad fault schedule")
+        assert f"'{key}'" in message
 
     def test_serve_zero_train_epochs_on_empty_checkpoint_dir(
         self, capsys, tmp_path

@@ -20,12 +20,10 @@ from repro.graph import open_streaming_dataset, write_dataset_dir
 from repro.graph.datasets import small_dataset
 from repro.parallel.supervisor import FaultPolicy
 
-#: the four variables a CI leg sets for a whole suite
+#: the two variables a CI leg sets for a whole suite
 KNOBS = {
     "REPRO_EXECUTION_BACKEND",
     "REPRO_NUM_WORKERS",
-    "REPRO_CHAOS",
-    "REPRO_TASK_DEADLINE_S",
 }
 
 APT_CONFIG_FIELDS = {
@@ -36,7 +34,7 @@ APT_CONFIG_FIELDS = {
     "fault_policy", "host_chaos",
     "checkpoint_dir", "checkpoint_every", "checkpoint_keep",
     "elastic",
-    "telemetry", "replan", "drift_threshold", "strategies", "replan_cooldown",
+    "telemetry", "replan", "drift_threshold", "strategies",
 }
 
 FAULT_POLICY_FIELDS = {
